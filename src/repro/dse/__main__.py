@@ -124,8 +124,14 @@ def _sweep_grid(arguments: argparse.Namespace):
     return spec, scenarios, axes
 
 
+def _report_skipped_lines(cache: ResultCache) -> None:
+    if cache.skipped_lines:
+        print(f"{cache.skipped_lines} malformed cache line(s) skipped")
+
+
 def _finish_sweep_output(arguments, cache, artifacts, session) -> None:
     """The cache/trace/next-step epilogue shared by ``run`` and ``search``."""
+    _report_skipped_lines(cache)
     print(f"results: {cache.describe()}")
     if artifacts is not None:
         print(f"stage artifacts: {artifacts.describe()}")
@@ -253,6 +259,7 @@ def _cmd_stats(arguments: argparse.Namespace) -> int:
 def _cmd_report(arguments: argparse.Namespace) -> int:
     cache = ResultCache(arguments.results)
     records = cache.all_records()
+    _report_skipped_lines(cache)
     if arguments.suite:
         wanted = {scenario.name for scenario in build_suite(arguments.suite)}
         records = [record for record in records if record.scenario in wanted]

@@ -152,6 +152,9 @@ class ResultCache:
         self.path = Path(path)
         self._records: dict[str, EvaluationRecord] = {}
         self._loaded = False
+        self.skipped_lines = 0
+        """Malformed lines :meth:`load` skipped: truncated JSON (a crashed
+        writer), non-object JSON, or a record missing fields or its key."""
 
     # ------------------------------------------------------------------
     # loading
@@ -168,17 +171,18 @@ class ResultCache:
                     continue
                 try:
                     payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated line (crashed writer): skip, don't die
-                if not isinstance(payload, dict):
-                    continue  # foreign JSONL content: skip, don't die
-                try:
-                    record = EvaluationRecord.from_dict(payload)
-                except TypeError:
-                    continue  # missing required fields: skip, don't die
-                if record.cache_key:
-                    record.from_cache = True
-                    self._records[record.cache_key] = record
+                    record = (
+                        EvaluationRecord.from_dict(payload)
+                        if isinstance(payload, dict)
+                        else None
+                    )
+                except (json.JSONDecodeError, TypeError):
+                    record = None
+                if record is None or not record.cache_key:
+                    self.skipped_lines += 1  # skip (and count), don't die
+                    continue
+                record.from_cache = True
+                self._records[record.cache_key] = record
         return self._records
 
     def get(self, key: str) -> EvaluationRecord | None:

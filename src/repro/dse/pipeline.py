@@ -3,19 +3,20 @@
 This is the engine the batch design-space exploration is built on — and
 the same engine the Section-5.2 prototype comparison now runs on
 (:mod:`repro.experiments.comparison` delegates its measurements here).
-One call to :func:`evaluate` chains the explicit stage functions
+:func:`evaluate` (one cell) and :func:`evaluate_cells` (many) run the
+same path, prepare -> simulate(cells) -> score.  Prepare chains the
+explicit stage functions
 
     decompose_stage -> synthesize_stage -> route_stage
-        -> simulate_stage -> score_stage
 
 for the ``custom`` architecture, or builds the standard-fabric baseline
 (a :mod:`repro.arch.families` topology family compiled against a
 :mod:`repro.routing.policies` routing policy, via
-:func:`baseline_route_stage`) for ``mesh``, then drives the cycle-level
-simulator with the
-scenario's traffic (plain ACG batches, or the dependency-aware AES
-phases) and captures every figure of merit into an
-:class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
+:func:`baseline_route_stage`) for ``mesh``; simulate drives the
+cycle-level simulator with the scenario's traffic (plain ACG batches, or
+the dependency-aware AES phases), one cell at a time or one batch chunk
+at a time, and :func:`score_stage` captures every figure of merit into
+an :class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
 become record statuses, not exceptions: an infeasible or deadlocking
 configuration is a *result* of the exploration.
 
@@ -615,13 +616,79 @@ def _session_probe(simulator: NoCSimulator) -> SimulatorProbe | None:
     return probe
 
 
-def _flush_probe(probe: SimulatorProbe | None, simulator: NoCSimulator, name: str) -> None:
+def _flush_probe(probe: SimulatorProbe | None, statistics, name: str) -> None:
     """Publish a probe's per-router/per-channel figures into session metrics."""
     if probe is None:
         return
     metrics = get_session().metrics
     if metrics is not None:
-        probe.emit_metrics(metrics, simulator.statistics, architecture=name)
+        probe.emit_metrics(metrics, statistics, architecture=name)
+
+
+# Each built-in traffic mode is one op program (ScheduleOp / DrainOp /
+# RunOp): the scalar path replays it on a NoCSimulator, the batch path
+# enqueues it per cell on a BatchSimulator, so both drive identical traffic.
+def _aes_program(blocks: int, computation_cycles_per_phase: int) -> list[object]:
+    """Distributed-AES traffic: per phase of every block, schedule + drain,
+    then idle for the local-computation allowance."""
+    if blocks < 1:
+        raise ConfigurationError("the comparison needs at least one block")
+    if computation_cycles_per_phase < 0:
+        raise SimulationError("computation cycles per phase must be non-negative")
+    aes = DistributedAES(FIPS197_KEY)
+    plaintext = bytes(range(16))
+    program: list[object] = []
+    for block_index in range(blocks):
+        block = bytes((byte + block_index) % 256 for byte in plaintext)
+        for phase in aes.encrypt_block(block).phases:
+            program += [ScheduleOp(tuple(phase)), DrainOp()]
+            if computation_cycles_per_phase:
+                program.append(RunOp(computation_cycles_per_phase))
+    return program
+
+
+def _acg_program(
+    acg: ApplicationGraph, repetitions: int, packet_size_bits: int
+) -> list[object]:
+    """ACG traffic: per repetition, schedule every edge's volume + drain."""
+    if repetitions < 1:
+        raise ConfigurationError("at least one traffic repetition is required")
+    messages = tuple(acg_messages(acg, packet_size_bits=packet_size_bits))
+    return [ScheduleOp(messages), DrainOp()] * repetitions
+
+
+def _replay(
+    name: str,
+    topology: Topology,
+    routing: RoutingFunction,
+    program: list[object],
+    technology: Technology,
+    simulator_config: SimulatorConfig,
+    iterations: int,
+    aes_blocks: bool,
+) -> ArchitectureMetrics:
+    """Run one op program on a fresh :class:`NoCSimulator` and measure it."""
+    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
+    probe = _session_probe(simulator)
+    for op in program:
+        if isinstance(op, ScheduleOp):
+            simulator.schedule_messages(op.messages)
+        elif isinstance(op, DrainOp):
+            simulator.run_until_drained(op.max_cycles)
+        else:
+            simulator.run(op.cycles)
+    _flush_probe(probe, simulator.statistics, name)
+    return _metrics_from_state(
+        name,
+        topology,
+        technology,
+        simulator.statistics,
+        simulator.energy,
+        engine=simulator.config.engine,
+        cycles_stepped=simulator.cycles_stepped,
+        iterations=iterations,
+        aes_blocks=aes_blocks,
+    )
 
 
 def simulate_aes_traffic(
@@ -634,29 +701,9 @@ def simulate_aes_traffic(
     computation_cycles_per_phase: int = 4,
 ) -> ArchitectureMetrics:
     """Run the dependency-aware distributed-AES phases on one architecture."""
-    if blocks < 1:
-        raise ConfigurationError("the comparison needs at least one block")
-    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
-    probe = _session_probe(simulator)
-    aes = DistributedAES(FIPS197_KEY)
-    plaintext = bytes(range(16))
-    for block_index in range(blocks):
-        block = bytes((byte + block_index) % 256 for byte in plaintext)
-        trace = aes.encrypt_block(block)
-        simulator.run_phases(
-            trace.phases, computation_cycles_per_phase=computation_cycles_per_phase
-        )
-    _flush_probe(probe, simulator, name)
-    return _metrics_from_state(
-        name,
-        topology,
-        technology,
-        simulator.statistics,
-        simulator.energy,
-        engine=simulator.config.engine,
-        cycles_stepped=simulator.cycles_stepped,
-        iterations=blocks,
-        aes_blocks=True,
+    program = _aes_program(blocks, computation_cycles_per_phase)
+    return _replay(
+        name, topology, routing, program, technology, simulator_config, blocks, aes_blocks=True
     )
 
 
@@ -675,23 +722,15 @@ def simulate_acg_traffic(
     Each repetition injects every ACG edge's volume once and runs until the
     network drains, which models one iteration of the application.
     """
-    if repetitions < 1:
-        raise ConfigurationError("at least one traffic repetition is required")
-    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
-    probe = _session_probe(simulator)
-    for _ in range(repetitions):
-        simulator.schedule_messages(acg_messages(acg, packet_size_bits=packet_size_bits))
-        simulator.run_until_drained()
-    _flush_probe(probe, simulator, name)
-    return _metrics_from_state(
+    program = _acg_program(acg, repetitions, packet_size_bits)
+    return _replay(
         name,
         topology,
+        routing,
+        program,
         technology,
-        simulator.statistics,
-        simulator.energy,
-        engine=simulator.config.engine,
-        cycles_stepped=simulator.cycles_stepped,
-        iterations=repetitions,
+        simulator_config,
+        repetitions,
         aes_blocks=False,
     )
 
@@ -862,42 +901,34 @@ def simulate_stage(
     )
 
 
-def _simulate_acg_mode(
+def _traffic_program(scenario: Scenario) -> tuple[list[object], int]:
+    """A built-in traffic mode's op program for the scenario, plus the
+    iteration count (AES blocks or ACG repetitions) its metrics divide by."""
+    if scenario.traffic == TRAFFIC_AES_PHASES:
+        program = _aes_program(scenario.aes_blocks, scenario.computation_cycles_per_phase)
+        return program, scenario.aes_blocks
+    program = _acg_program(scenario.acg, scenario.repetitions, scenario.packet_size_bits)
+    return program, scenario.repetitions
+
+
+def _simulate_builtin_traffic(
     scenario: Scenario,
     settings: EvaluationSettings,
     name: str,
     topology: Topology,
     routing: RoutingFunction,
 ) -> ArchitectureMetrics:
-    """The ``"acg"`` traffic mode: batched ACG volumes, drained per repetition."""
-    return simulate_acg_traffic(
+    """The built-in traffic modes: replay the scenario's op program."""
+    program, iterations = _traffic_program(scenario)
+    return _replay(
         name,
         topology,
         routing,
-        scenario.acg,
-        technology=settings.build_technology(),
-        simulator_config=settings.build_simulator_config(),
-        repetitions=scenario.repetitions,
-        packet_size_bits=scenario.packet_size_bits,
-    )
-
-
-def _simulate_aes_mode(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-) -> ArchitectureMetrics:
-    """The ``"aes_phases"`` traffic mode: dependency-aware AES phase traces."""
-    return simulate_aes_traffic(
-        name,
-        topology,
-        routing,
-        blocks=scenario.aes_blocks,
-        technology=settings.build_technology(),
-        simulator_config=settings.build_simulator_config(),
-        computation_cycles_per_phase=scenario.computation_cycles_per_phase,
+        program,
+        settings.build_technology(),
+        settings.build_simulator_config(),
+        iterations,
+        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
     )
 
 
@@ -905,7 +936,7 @@ register_traffic_mode(
     TrafficModeSpec(
         name=TRAFFIC_ACG,
         description="inject every ACG edge's volume per repetition and drain",
-        simulate=_simulate_acg_mode,
+        simulate=_simulate_builtin_traffic,
     )
 )
 
@@ -913,7 +944,7 @@ register_traffic_mode(
     TrafficModeSpec(
         name=TRAFFIC_AES_PHASES,
         description="dependency-aware distributed-AES phase trace",
-        simulate=_simulate_aes_mode,
+        simulate=_simulate_builtin_traffic,
     )
 )
 
@@ -974,20 +1005,62 @@ def _apply_deadlock_gate(
 
 
 @contextmanager
-def _stage(record: EvaluationRecord, stage: str) -> Iterator[None]:
-    """Time one pipeline stage into ``record.stage_seconds`` and span it.
+def _stage(stage: str, *records: EvaluationRecord, **attributes: object) -> Iterator[None]:
+    """Time one pipeline stage into ``stage_seconds`` and span it.
 
-    Timing lands in the record even when the stage raises (the pipeline's
+    Timing lands in the records even when the stage raises (the pipeline's
     failure statuses), so a failed cell still reports where its time went;
-    the span is named ``dse.<stage>`` so trace summaries can break a
-    sweep's wall clock down by stage.
+    a stage run once for several cells (a batch chunk's simulate) charges
+    each record an even share.  The span is named ``dse.<stage>`` so trace
+    summaries can break a sweep's wall clock down by stage.
     """
     start = time.perf_counter()
-    with get_tracer().span(f"dse.{stage}"):
+    with get_tracer().span(f"dse.{stage}", **attributes):
         try:
             yield
         finally:
-            record.stage_seconds[stage] = time.perf_counter() - start
+            share = (time.perf_counter() - start) / len(records)
+            for record in records:
+                record.stage_seconds[stage] = share
+
+
+# ----------------------------------------------------------------------
+# the cell pipeline: prepare -> simulate(cells) -> score
+# ----------------------------------------------------------------------
+#: exception type -> record status.  Any other error (ConfigurationError,
+#: WorkloadError, an unknown technology, ...) is a caller bug, not an
+#: exploration outcome: it keeps raising rather than poison the result cache
+#: with mislabeled failures.  DeadlockError is a RoutingError.
+_FAILURE_STATUSES: dict[type[Exception], str] = {
+    DecompositionError: STATUS_DECOMPOSITION_FAILED,
+    SynthesisError: STATUS_SYNTHESIS_FAILED,
+    RoutingError: STATUS_ROUTING_FAILED,
+    SimulationError: STATUS_SIMULATION_FAILED,
+}
+
+
+@contextmanager
+def _phase(*records: EvaluationRecord) -> Iterator[None]:
+    """Run one phase of some cells: its wall time and its failure status.
+
+    The phase's wall time is split evenly into the records'
+    ``runtime_seconds``; an exception listed in :data:`_FAILURE_STATUSES`
+    becomes every record's status and error instead of propagating.
+    """
+    start = time.perf_counter()
+    try:
+        yield
+    except tuple(_FAILURE_STATUSES) as error:
+        status = next(
+            status for kind, status in _FAILURE_STATUSES.items() if isinstance(error, kind)
+        )
+        for record in records:
+            record.status = status
+            record.error = str(error)
+    finally:
+        share = (time.perf_counter() - start) / len(records)
+        for record in records:
+            record.runtime_seconds += share
 
 
 def _record_decomposition(
@@ -1005,34 +1078,79 @@ def _record_decomposition(
     )
 
 
-def _synthesize_custom(
+@dataclass
+class _Cell:
+    """One sweep cell on its way through prepare -> simulate -> score."""
+
+    scenario: Scenario
+    settings: EvaluationSettings
+    """The grid settings with the scenario's pins applied."""
+    record: EvaluationRecord
+    span: object = None
+    """The cell's ``dse.evaluate`` span; it closes after prepare for a cell
+    held for a batch chunk, which annotates its status afterwards."""
+    topology: Topology | None = None
+    routing: RoutingFunction | None = None
+
+
+def _new_cell(
     scenario: Scenario,
     settings: EvaluationSettings,
-    record: EvaluationRecord,
-    context: "object | None",
-) -> SynthesizedArchitecture:
-    """Chain decompose -> synthesize -> route for one custom-architecture cell."""
-    with _stage(record, "decompose"):
-        decomposition, provenance = decompose_stage(scenario, settings, context)
-    record.stage_reuse["decompose"] = provenance
-    _record_decomposition(record, decomposition)
-    if context is not None:
-        # the memoized synthesize+route product; one fused stage timing
-        with _stage(record, "synthesize"):
-            architecture, provenance = context.architecture_for(
-                scenario, settings, decomposition
-            )
+    key: str,
+    axes: dict[str, object] | None,
+    label: str,
+) -> _Cell:
+    """A cell with its fresh record, under the scenario's effective settings."""
+    settings = scenario.effective_settings(settings)
+    record = EvaluationRecord(
+        scenario=scenario.name,
+        architecture=settings.architecture,
+        config_label=label or settings.architecture,
+        cache_key=key,
+        axes=dict(axes or {}),
+        settings=settings.as_dict(),
+    )
+    return _Cell(scenario, settings, record)
+
+
+def _prepare(cell: _Cell, context: "object | None") -> RoutingTable:
+    """Decompose -> synthesize -> route, or route the baseline fabric.
+
+    Leaves the routed fabric on the cell and returns its routing table.
+    With a :class:`~repro.dse.cache.StageContext` the decomposition and the
+    synthesize/route product are reused across cells sharing their stage
+    sub-keys.
+    """
+    scenario, settings, record = cell.scenario, cell.settings, cell.record
+    if settings.architecture == "mesh":
+        with _stage("route", record):
+            topology, table, deadlock_report = baseline_route_stage(scenario, settings)
+            _apply_deadlock_gate(record, settings, deadlock_report)
     else:
-        with _stage(record, "synthesize"):
-            topology = synthesize_stage(scenario, settings, decomposition)
-        with _stage(record, "route"):
-            architecture = route_stage(scenario, settings, decomposition, topology)
-        provenance = STAGE_COMPUTED
-    record.stage_reuse["synthesize"] = provenance
-    if architecture.constraint_report is not None:
-        record.constraints_satisfied = architecture.constraint_report.satisfied
-    _apply_deadlock_gate(record, settings, architecture.deadlock_report)
-    return architecture
+        with _stage("decompose", record):
+            decomposition, provenance = decompose_stage(scenario, settings, context)
+        record.stage_reuse["decompose"] = provenance
+        _record_decomposition(record, decomposition)
+        if context is not None:
+            # the memoized synthesize+route product; one fused stage timing
+            with _stage("synthesize", record):
+                architecture, provenance = context.architecture_for(
+                    scenario, settings, decomposition
+                )
+        else:
+            with _stage("synthesize", record):
+                topology = synthesize_stage(scenario, settings, decomposition)
+            with _stage("route", record):
+                architecture = route_stage(scenario, settings, decomposition, topology)
+            provenance = STAGE_COMPUTED
+        record.stage_reuse["synthesize"] = provenance
+        if architecture.constraint_report is not None:
+            record.constraints_satisfied = architecture.constraint_report.satisfied
+        _apply_deadlock_gate(record, settings, architecture.deadlock_report)
+        topology, table = architecture.topology, architecture.routing_table
+    cell.topology = topology
+    cell.routing = table.frozen_next_hop()
+    return table
 
 
 def evaluate(
@@ -1045,71 +1163,21 @@ def evaluate(
 ) -> EvaluationRecord:
     """Run the full pipeline for one (scenario, configuration) cell.
 
-    Never raises for workload/architecture failures: decomposition,
-    synthesis, routing and simulation errors all come back as record
-    statuses.  Only caller bugs (e.g. an unknown architecture string in a
+    The one-cell case of :func:`evaluate_cells` (a batch-engine cell runs
+    as a batch of one).  Never raises for workload/architecture failures:
+    decomposition, synthesis, routing and simulation errors all come back
+    as record statuses.  Only caller bugs (e.g. an unknown technology in a
     hand-built settings object) surface as exceptions.
 
     ``context`` is an optional :class:`~repro.dse.cache.StageContext`; when
     given, the decompose and synthesize/route stages are reused across every
     cell sharing the respective stage sub-key instead of being recomputed.
     """
-    settings = scenario.effective_settings(settings)
-    record = EvaluationRecord(
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config_label=config_label or settings.architecture,
-        cache_key=cache_key,
-        axes=dict(axes or {}),
-        settings=settings.as_dict(),
-    )
-    start = time.perf_counter()
-    with get_tracer().span(
-        "dse.evaluate",
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config=record.config_label,
-    ) as span:
-        try:
-            if settings.architecture == "mesh":
-                with _stage(record, "route"):
-                    fabric, table, deadlock_report = baseline_route_stage(scenario, settings)
-                    _apply_deadlock_gate(record, settings, deadlock_report)
-                topology: Topology = fabric
-                routing: RoutingFunction = table.frozen_next_hop()
-                name = fabric.name
-            else:
-                architecture = _synthesize_custom(scenario, settings, record, context)
-                topology = architecture.topology
-                routing = architecture.routing_table.frozen_next_hop()
-                name = architecture.topology.name
-            with _stage(record, "simulate"):
-                metrics = simulate_stage(scenario, settings, name, topology, routing)
-            with _stage(record, "score"):
-                record.metrics.update(score_stage(metrics, topology))
-        except DecompositionError as error:
-            record.status = STATUS_DECOMPOSITION_FAILED
-            record.error = str(error)
-        except SynthesisError as error:
-            record.status = STATUS_SYNTHESIS_FAILED
-            record.error = str(error)
-        except RoutingError as error:
-            record.status = STATUS_ROUTING_FAILED
-            record.error = str(error)
-        except SimulationError as error:
-            record.status = STATUS_SIMULATION_FAILED
-            record.error = str(error)
-        # any other ReproError (ConfigurationError, WorkloadError, unknown
-        # technology, ...) is a caller bug, not an exploration outcome: let it
-        # raise rather than poison the result cache with mislabeled failures
-        span.annotate(status=record.status)
-    record.runtime_seconds = time.perf_counter() - start
-    return record
+    cell = _new_cell(scenario, settings, cache_key, axes, config_label)
+    _run_pipeline([cell], context)
+    return cell.record
 
 
-# ----------------------------------------------------------------------
-# batch-aware cell evaluation (the runner's simulate-stage batching)
-# ----------------------------------------------------------------------
 def axis_label(axes: Mapping[str, object]) -> str:
     """Compact human-readable cell label: ``arch=mesh,delay=2``."""
     if not axes:
@@ -1120,41 +1188,6 @@ def axis_label(axes: Mapping[str, object]) -> str:
 #: cells per batch-simulator call; a stage group larger than this is
 #: chunked, so the last chunk may be ragged (fewer cells than the cap)
 MAX_BATCH_CELLS = 16
-
-#: exception type -> record status, in match order (DeadlockError is a
-#: RoutingError; anything unlisted is a caller bug and keeps raising)
-_FAILURE_STATUSES: tuple[tuple[type, str], ...] = (
-    (DecompositionError, STATUS_DECOMPOSITION_FAILED),
-    (SynthesisError, STATUS_SYNTHESIS_FAILED),
-    (RoutingError, STATUS_ROUTING_FAILED),
-    (SimulationError, STATUS_SIMULATION_FAILED),
-)
-
-
-def _assign_failure(record: EvaluationRecord, error: Exception) -> None:
-    """Map a pipeline exception onto the record statuses (or re-raise)."""
-    for exception_type, status in _FAILURE_STATUSES:
-        if isinstance(error, exception_type):
-            record.status = status
-            record.error = str(error)
-            return
-    raise error
-
-
-@dataclass
-class _BatchCell:
-    """One batch-eligible cell between its prep and simulate phases."""
-
-    index: int
-    scenario: Scenario
-    settings: EvaluationSettings
-    record: EvaluationRecord
-    prep_seconds: float
-    done: bool = False
-    topology: Topology | None = None
-    routing: RoutingFunction | None = None
-    name: str = ""
-    group_key: object = None
 
 
 def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
@@ -1174,178 +1207,104 @@ def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
     return (signature, table.version, entries)
 
 
-def _prepare_batch_cell(
-    index: int,
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    axes: dict[str, object] | None,
-    key: str,
-    context: "object | None",
-) -> _BatchCell:
-    """Run one batch-eligible cell's pipeline up to (not including) simulate.
+def _run_pipeline(cells: list[_Cell], context: "object | None") -> None:
+    """Prepare, simulate and score every cell, filling in its record.
 
-    Mirrors :func:`evaluate` stage for stage — same stage timings, stage
-    reuse markers, deadlock gate and failure statuses — and returns the
-    routed fabric so compatible cells can be grouped into one simulator.
+    Each cell prepares inside its own ``dse.evaluate`` span.  Cells on a
+    scalar engine, or driven by a plugin traffic mode, simulate and score
+    right away; batch-engine cells on a built-in traffic mode are held,
+    grouped by :func:`_batch_group_key` and simulated one chunk of at most
+    :data:`MAX_BATCH_CELLS` per :class:`~repro.noc.batch.BatchSimulator`
+    call.
     """
-    settings = scenario.effective_settings(settings)
-    record = EvaluationRecord(
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config_label=axis_label(axes or {}),
-        cache_key=key,
-        axes=dict(axes or {}),
-        settings=settings.as_dict(),
-    )
-    start = time.perf_counter()
-    try:
-        if settings.architecture == "mesh":
-            with _stage(record, "route"):
-                fabric, table, deadlock_report = baseline_route_stage(scenario, settings)
-                _apply_deadlock_gate(record, settings, deadlock_report)
-            topology: Topology = fabric
-            name = fabric.name
-        else:
-            architecture = _synthesize_custom(scenario, settings, record, context)
-            topology = architecture.topology
-            table = architecture.routing_table
-            name = architecture.topology.name
-        routing = table.frozen_next_hop()
-    except (DecompositionError, SynthesisError, RoutingError, SimulationError) as error:
-        _assign_failure(record, error)
-        record.runtime_seconds = time.perf_counter() - start
-        return _BatchCell(
-            index=index,
-            scenario=scenario,
-            settings=settings,
-            record=record,
-            prep_seconds=record.runtime_seconds,
-            done=True,
+    held: dict[object, list[_Cell]] = {}
+    for cell in cells:
+        scenario, settings, record = cell.scenario, cell.settings, cell.record
+        batched = (
+            settings.engine == ENGINE_BATCH
+            and get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic
         )
-    return _BatchCell(
-        index=index,
-        scenario=scenario,
-        settings=settings,
-        record=record,
-        prep_seconds=time.perf_counter() - start,
-        topology=topology,
-        routing=routing,
-        name=name,
-        group_key=_batch_group_key(topology, table),
-    )
+        with get_tracer().span(
+            "dse.evaluate",
+            scenario=scenario.name,
+            architecture=settings.architecture,
+            config=record.config_label,
+        ) as cell.span:
+            with _phase(record):
+                table = _prepare(cell, context)
+                if batched:
+                    held.setdefault(_batch_group_key(cell.topology, table), []).append(cell)
+                else:
+                    with _stage("simulate", record):
+                        metrics = simulate_stage(
+                            scenario, settings, cell.topology.name, cell.topology, cell.routing
+                        )
+                    with _stage("score", record):
+                        record.metrics.update(score_stage(metrics, cell.topology))
+            cell.span.annotate(status=record.status)
+    programs: dict[int, tuple[list[object], int]] = {}
+    for group in held.values():
+        for offset in range(0, len(group), MAX_BATCH_CELLS):
+            _simulate_chunk(group[offset : offset + MAX_BATCH_CELLS], programs)
 
 
-def _batch_ops(
-    scenario: Scenario, ops_cache: dict[int, list[object]]
-) -> list[object]:
-    """The scenario's traffic as a batch op program (cached per scenario).
-
-    Replays exactly what the per-cell traffic modes do: per ACG repetition
-    one schedule + drain, or per AES phase one schedule + drain + the
-    computation allowance.  The program (including the Python-AES phase
-    traces) is shared by every cell driving the same scenario in a batch.
-    """
-    ops = ops_cache.get(id(scenario))
-    if ops is not None:
-        return ops
-    ops = []
-    if scenario.traffic == TRAFFIC_ACG:
-        messages = tuple(
-            acg_messages(scenario.acg, packet_size_bits=scenario.packet_size_bits)
-        )
-        for _ in range(scenario.repetitions):
-            ops.append(ScheduleOp(messages))
-            ops.append(DrainOp(None))
-    else:  # TRAFFIC_AES_PHASES (eligibility is checked by the caller)
-        aes = DistributedAES(FIPS197_KEY)
-        plaintext = bytes(range(16))
-        for block_index in range(scenario.aes_blocks):
-            block = bytes((byte + block_index) % 256 for byte in plaintext)
-            trace = aes.encrypt_block(block)
-            for phase in trace.phases:
-                ops.append(ScheduleOp(tuple(phase)))
-                ops.append(DrainOp(None))
-                if scenario.computation_cycles_per_phase:
-                    ops.append(RunOp(scenario.computation_cycles_per_phase))
-    ops_cache[id(scenario)] = ops
-    return ops
-
-
-def _simulate_batch_chunk(
-    chunk: list[_BatchCell], ops_cache: dict[int, list[object]]
+def _simulate_chunk(
+    chunk: list[_Cell], programs: dict[int, tuple[list[object], int]]
 ) -> None:
-    """Simulate one group chunk in a single multi-cell batch call.
+    """Simulate one group chunk in a single batch call, then score each cell.
 
     Wall time is measured once for the whole call and attributed evenly:
-    each record gets ``stage_seconds["simulate"] = wall / n`` plus a
-    ``stage_reuse["simulate"] = "batch:n"`` provenance marker.  Per-cell
-    simulation failures (drain budgets, routing loops) land on their own
-    record; a batch-level failure (numpy unavailable, an invalid config)
-    fails every cell of the chunk with the same message.
+    each record gets ``stage_seconds["simulate"] = wall / n`` (and the same
+    share of ``runtime_seconds``) plus a ``stage_reuse["simulate"] =
+    "batch:n"`` provenance marker.  Per-cell simulation failures (drain
+    budgets, routing loops) land on their own record; a batch-level failure
+    (numpy unavailable, an invalid config) fails every cell of the chunk
+    with the same message.  ``programs`` caches each scenario's op program
+    (including the Python-AES phase traces) across the chunks of one call.
     """
-    first = chunk[0]
-    start = time.perf_counter()
-    share = 0.0
+    records = [cell.record for cell in chunk]
     probes: list[SimulatorProbe | None] = [None] * len(chunk)
     capture = get_session().capture_probes
-    try:
+    with _phase(*records), _stage(
+        "simulate", *records, cells=len(chunk), engine=ENGINE_BATCH
+    ):
         core = BatchSimulator(
-            first.topology,
-            first.routing,
+            chunk[0].topology,
+            chunk[0].routing,
             [cell.settings.build_simulator_config() for cell in chunk],
             technologies=[cell.settings.build_technology() for cell in chunk],
         )
         for position, cell in enumerate(chunk):
             if capture:
                 probes[position] = core.attach_probe(position, SimulatorProbe())
-            for op in _batch_ops(cell.scenario, ops_cache):
+            if id(cell.scenario) not in programs:
+                programs[id(cell.scenario)] = _traffic_program(cell.scenario)
+            for op in programs[id(cell.scenario)][0]:
                 core.enqueue(position, op)
-        with get_tracer().span("dse.simulate", cells=len(chunk), engine=ENGINE_BATCH):
-            core.execute()
-    except SimulationError as error:
-        share = (time.perf_counter() - start) / len(chunk)
-        for cell in chunk:
-            _assign_failure(cell.record, error)
-            cell.record.stage_seconds["simulate"] = share
-            cell.record.runtime_seconds = cell.prep_seconds + share
-        return
-    share = (time.perf_counter() - start) / len(chunk)
+        core.execute()
     for position, cell in enumerate(chunk):
         record = cell.record
-        record.stage_seconds["simulate"] = share
-        record.stage_reuse["simulate"] = f"batch:{len(chunk)}"
-        error = core.error(position)
-        if error is not None:
-            _assign_failure(record, error)
-            record.runtime_seconds = cell.prep_seconds + share
-            continue
-        metrics = _metrics_from_state(
-            cell.name,
-            cell.topology,
-            cell.settings.build_technology(),
-            core.statistics(position),
-            core.energy(position),
-            engine=ENGINE_BATCH,
-            cycles_stepped=core.cycles_stepped(position),
-            iterations=(
-                cell.scenario.aes_blocks
-                if cell.scenario.traffic == TRAFFIC_AES_PHASES
-                else cell.scenario.repetitions
-            ),
-            aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
-        )
-        probe = probes[position]
-        if probe is not None:
-            session_metrics = get_session().metrics
-            if session_metrics is not None:
-                probe.emit_metrics(
-                    session_metrics, core.statistics(position), architecture=cell.name
+        if record.succeeded:  # else the whole chunk failed
+            record.stage_reuse["simulate"] = f"batch:{len(chunk)}"
+            with _phase(record):
+                error = core.error(position)
+                if error is not None:
+                    raise error
+                metrics = _metrics_from_state(
+                    cell.topology.name,
+                    cell.topology,
+                    cell.settings.build_technology(),
+                    core.statistics(position),
+                    core.energy(position),
+                    engine=ENGINE_BATCH,
+                    cycles_stepped=core.cycles_stepped(position),
+                    iterations=programs[id(cell.scenario)][1],
+                    aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
                 )
-        with _stage(record, "score"):
-            record.metrics.update(score_stage(metrics, cell.topology))
-        record.runtime_seconds = (
-            cell.prep_seconds + share + record.stage_seconds.get("score", 0.0)
-        )
+                _flush_probe(probes[position], core.statistics(position), cell.topology.name)
+                with _stage("score", record):
+                    record.metrics.update(score_stage(metrics, cell.topology))
+        cell.span.annotate(status=record.status)
 
 
 def evaluate_cells(
@@ -1354,14 +1313,13 @@ def evaluate_cells(
 ) -> list[EvaluationRecord]:
     """Evaluate a sequence of sweep cells, batching compatible batch cells.
 
-    The drop-in plural of :func:`evaluate`: records come back in payload
-    order with identical content.  Cells whose effective engine is
-    ``"batch"`` (and whose traffic mode is one of the built-ins the op
-    programs cover) are prepared up to the simulate stage, grouped by
-    :func:`_batch_group_key` — same topology signature, same routing-table
-    version and entries — chunked to :data:`MAX_BATCH_CELLS`, and simulated
-    in one :class:`~repro.noc.batch.BatchSimulator` call per chunk.  Every
-    other cell takes the plain :func:`evaluate` path unchanged.
+    The plural of :func:`evaluate`: records come back in payload order,
+    each labelled with :func:`axis_label` of its axes.  Cells whose
+    effective engine is ``"batch"`` (and whose traffic mode is a built-in
+    op program) are prepared, grouped by :func:`_batch_group_key` — same
+    topology signature, same routing-table version and entries — chunked
+    to :data:`MAX_BATCH_CELLS`, and simulated in one
+    :class:`~repro.noc.batch.BatchSimulator` call per chunk.
 
     Batching is provenance-visible but result-invariant: grouping and order
     never change any record metric (the batch engine advances every cell on
@@ -1369,35 +1327,9 @@ def evaluate_cells(
     attributed share of the batch wall time) and the
     ``stage_reuse["simulate"] = "batch:n"`` marker.
     """
-    records: list[EvaluationRecord | None] = [None] * len(cell_payloads)
-    batchable: list[_BatchCell] = []
-    for index, (scenario, settings, axes, key) in enumerate(cell_payloads):
-        effective = scenario.effective_settings(settings)
-        if effective.engine == ENGINE_BATCH and scenario.traffic in (
-            TRAFFIC_ACG,
-            TRAFFIC_AES_PHASES,
-        ):
-            prepared = _prepare_batch_cell(index, scenario, settings, axes, key, context)
-            if prepared.done:
-                records[index] = prepared.record
-            else:
-                batchable.append(prepared)
-        else:
-            records[index] = evaluate(
-                scenario,
-                settings,
-                cache_key=key,
-                config_label=axis_label(axes),
-                axes=axes,
-                context=context,
-            )
-    groups: dict[object, list[_BatchCell]] = {}
-    for prepared in batchable:
-        groups.setdefault(prepared.group_key, []).append(prepared)
-    ops_cache: dict[int, list[object]] = {}
-    for group in groups.values():
-        for offset in range(0, len(group), MAX_BATCH_CELLS):
-            _simulate_batch_chunk(group[offset : offset + MAX_BATCH_CELLS], ops_cache)
-    for prepared in batchable:
-        records[prepared.index] = prepared.record
-    return records
+    cells = [
+        _new_cell(scenario, settings, key, axes, axis_label(axes))
+        for scenario, settings, axes, key in cell_payloads
+    ]
+    _run_pipeline(cells, context)
+    return [cell.record for cell in cells]

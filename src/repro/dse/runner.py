@@ -209,16 +209,6 @@ class SweepResult:
 CellPayload = tuple[Scenario, EvaluationSettings, dict[str, object], str]
 
 
-def _evaluate_cells(
-    cell_payloads: Sequence[CellPayload], context: StageContext
-) -> list[EvaluationRecord]:
-    """Evaluate cells in order under one stage context (shared by both the
-    serial path and the process-pool workers).  Delegates to the pipeline's
-    :func:`~repro.dse.pipeline.evaluate_cells`, which additionally batches
-    compatible ``engine="batch"`` cells into shared simulator calls."""
-    return evaluate_cells(cell_payloads, context)
-
-
 #: spans + metric events one traced worker ships back to the coordinator
 GroupEvents = dict[str, list[dict[str, object]]]
 
@@ -243,11 +233,11 @@ def _evaluate_group(
     store = StageArtifactStore(artifact_directory) if artifact_directory else None
     context = StageContext(store)
     if not traced:
-        return _evaluate_cells(cell_payloads, context), {"spans": [], "metrics": []}
+        return evaluate_cells(cell_payloads, context), {"spans": [], "metrics": []}
     session = ObsSession.enabled()
     with use_session(session):
         with session.tracer.span("dse.group", cells=len(cell_payloads)):
-            records = _evaluate_cells(cell_payloads, context)
+            records = evaluate_cells(cell_payloads, context)
     assert session.metrics is not None  # ObsSession.enabled() always builds one
     return records, {
         "spans": session.tracer.export_events(),
@@ -372,7 +362,7 @@ def _run_cells_traced(
         flattened = [
             payload for cell_payloads, _, _ in payloads for payload in cell_payloads
         ]
-        evaluated_groups = [_evaluate_cells(flattened, context)]
+        evaluated_groups = [evaluate_cells(flattened, context)]
 
     evaluated = [record for group in evaluated_groups for record in group]
     result.count_stage_reuse(evaluated)

@@ -69,7 +69,7 @@ def test_batched_records_match_solo_evaluate(scenarios):
     for record in batched:
         assert record.stage_reuse["simulate"] == "batch:2"
     for record in solo:
-        assert "simulate" not in record.stage_reuse
+        assert record.stage_reuse["simulate"] == "batch:1"
 
 
 def test_batch_grouping_and_order_invariance(scenarios):

@@ -220,7 +220,8 @@ class TestEvaluate:
         assert record.status == STATUS_ROUTING_FAILED
         assert "does not support" in record.error
 
-    def test_require_deadlock_free_gates_cyclic_tables(self):
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_require_deadlock_free_gates_cyclic_tables(self, engine):
         """A ring whose traffic closes the full rotation cycle deadlocks
         under shortest-path routing; the strict gate must fail the cell
         while the default gate records provenance and simulates."""
@@ -233,15 +234,19 @@ class TestEvaluate:
             acg.add_communication(node, two_ahead, volume=32.0)
         scenario = Scenario(name="rotation", acg=acg)
         base = EvaluationSettings(
-            architecture="mesh", topology="ring", routing_policy="shortest_path"
+            architecture="mesh", topology="ring", routing_policy="shortest_path",
+            engine=engine,
         )
         lax = evaluate(scenario, base)
         assert lax.deadlock_free is False
         assert lax.metrics["vc_channels_needed"] >= 1
-        strict = evaluate(scenario, base.merged({"require_deadlock_free": True}))
+        strict_settings = base.merged({"require_deadlock_free": True})
+        strict = evaluate(scenario, strict_settings)
         assert strict.status == STATUS_ROUTING_FAILED
         assert strict.deadlock_free is False
         assert "deadlock" in strict.error
+        reference = evaluate(scenario, strict_settings.merged({"engine": "event"}))
+        assert strict.error == reference.error
 
     def test_mesh_xy_fabric_matches_the_historical_baseline(self):
         """The refactored table-routed mesh+XY baseline must be metric-
@@ -265,24 +270,30 @@ class TestEvaluate:
         )
         assert asdict(legacy) == asdict(modern)
 
-    def test_failure_becomes_data_not_exception(self):
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_failure_becomes_data_not_exception(self, engine):
         scenario = embedded_scenario("vopd")
         # a one-cycle budget cannot drain any traffic: simulation must fail
-        record = evaluate(
-            scenario, EvaluationSettings(architecture="mesh", max_cycles=1)
-        )
+        settings = EvaluationSettings(architecture="mesh", max_cycles=1, engine=engine)
+        record = evaluate(scenario, settings)
         assert record.status == STATUS_SIMULATION_FAILED
         assert record.error
         assert not record.succeeded
+        reference = evaluate(scenario, settings.merged({"engine": "event"}))
+        assert record.error == reference.error
 
-    def test_caller_bugs_still_raise(self):
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_caller_bugs_still_raise(self, engine):
         """Workload failures are data; misconfiguration is an exception —
         a typo'd technology must not be cached as a simulation failure."""
         from repro.exceptions import EnergyModelError
 
         scenario = embedded_scenario("vopd")
         with pytest.raises(EnergyModelError):
-            evaluate(scenario, EvaluationSettings(architecture="mesh", technology="bogus"))
+            evaluate(
+                scenario,
+                EvaluationSettings(architecture="mesh", technology="bogus", engine=engine),
+            )
 
     def test_record_json_round_trip(self):
         record = evaluate(

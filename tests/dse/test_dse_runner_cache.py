@@ -124,6 +124,26 @@ class TestResultCache:
             stream.write('{"unexpected": "shape"}\n')  # object without a key
         assert len(ResultCache(path)) == 1
 
+    def test_skipped_lines_are_counted_and_reported(self, tmp_path, capsys):
+        from repro.dse.__main__ import main
+
+        path = tmp_path / "results.jsonl"
+        with path.open("w", encoding="utf-8") as stream:
+            stream.write(self._record("k1").to_json() + "\n")
+            stream.write('{"scenario": "trunca\n')  # truncated
+            stream.write(self._record("k2").to_json() + "\n")
+            stream.write("[1, 2, 3]\n")  # not an object
+            stream.write(self._record("k3").to_json() + "\n")
+            stream.write('{"scenario": "s", "cache_key": "k4"}\n')  # fields missing
+            stream.write(self._record("k5").to_json() + "\n")
+        cache = ResultCache(path)
+        assert sorted(cache.load()) == ["k1", "k2", "k3", "k5"]
+        assert cache.skipped_lines == 3
+        assert ResultCache(tmp_path / "absent.jsonl").skipped_lines == 0
+
+        main(["report", "--results", str(path)])
+        assert "3 malformed cache line(s) skipped" in capsys.readouterr().out
+
     def test_keyless_record_rejected(self, tmp_path):
         cache = ResultCache(tmp_path / "results.jsonl")
         with pytest.raises(ValueError):

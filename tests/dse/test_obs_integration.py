@@ -65,17 +65,41 @@ class TestStageTimings:
         assert get_tracer().finished_spans() == []
 
 
+def assert_one_status_span_per_evaluation(result, session):
+    """One ``dse.evaluate`` span per evaluated cell, carrying the cell's
+    final status in the exported events (a batch cell's span closes after
+    prepare and receives its status once its chunk has run)."""
+    spans = [
+        event["attributes"]
+        for event in session.tracer.export_events()
+        if event["name"] == "dse.evaluate"
+    ]
+    assert len(spans) == result.num_evaluations == len(result.records)
+    assert sorted(
+        (span["scenario"], span["config"], span["status"]) for span in spans
+    ) == sorted(
+        (record.scenario, record.config_label, record.status)
+        for record in result.records
+    )
+
+
+#: mesh/custom cells, half of them failing their drain budget in simulate
+SPAN_AXES = {"architecture": ("mesh", "custom"), "max_cycles": (3, 100_000)}
+
+
 class TestPoolWorkerSpans:
-    def test_parallel_sweep_reattaches_worker_spans(self, smoke_scenarios):
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_parallel_sweep_reattaches_worker_spans(self, smoke_scenarios, engine):
         session = ObsSession.enabled()
         with use_session(session):
             result = run_sweep(
                 smoke_scenarios,
-                axes={"architecture": ("mesh", "custom")},
+                base=EvaluationSettings(engine=engine),
+                axes=SPAN_AXES,
                 parallel=True,
                 max_workers=2,
             )
-        assert len(result.records) == 2 * len(smoke_scenarios)
+        assert len(result.records) == 4 * len(smoke_scenarios)
         spans = session.tracer.finished_spans()
         by_name = {}
         for span in spans:
@@ -94,6 +118,17 @@ class TestPoolWorkerSpans:
         group_ids = {span.span_id for span in group_spans}
         assert all(span.parent_id in group_ids for span in by_name["dse.evaluate"])
         assert result.num_evaluations == len(by_name["dse.evaluate"])
+        assert_one_status_span_per_evaluation(result, session)
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_serial_sweep_spans_carry_status(self, smoke_scenarios, engine):
+        session = ObsSession.enabled()
+        with use_session(session):
+            result = run_sweep(
+                smoke_scenarios, base=EvaluationSettings(engine=engine), axes=SPAN_AXES
+            )
+        assert {record.status for record in result.records} == {"ok", "simulation_failed"}
+        assert_one_status_span_per_evaluation(result, session)
 
     def test_parallel_sweep_ingests_worker_metrics(self, smoke_scenarios):
         session = ObsSession.enabled()
