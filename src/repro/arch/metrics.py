@@ -123,13 +123,18 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
     if count < 2:
         raise SynthesisError("bisection bandwidth needs at least two routers")
     half = count // 2
+    # walked once per partition: resolve the channels outside the loop
+    links = [
+        (channel.source, channel.target, float(channel.bandwidth_bits_per_cycle or 0.0))
+        for channel in topology.channels()
+    ]
 
     def cut_bandwidth(part_a: set[NodeId]) -> tuple[float, int]:
         bandwidth = 0.0
         cut_channels = 0
-        for channel in topology.channels():
-            if (channel.source in part_a) != (channel.target in part_a):
-                bandwidth += float(channel.bandwidth_bits_per_cycle or 0.0)
+        for source, target, link_bandwidth in links:
+            if (source in part_a) != (target in part_a):
+                bandwidth += link_bandwidth
                 cut_channels += 1
         return bandwidth, cut_channels
 

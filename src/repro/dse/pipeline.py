@@ -901,14 +901,31 @@ def simulate_stage(
     )
 
 
-def _traffic_program(scenario: Scenario) -> tuple[list[object], int]:
+def _traffic_program(
+    scenario: Scenario, programs: dict[int, tuple[list[object], int]] | None = None
+) -> tuple[list[object], int]:
     """A built-in traffic mode's op program for the scenario, plus the
-    iteration count (AES blocks or ACG repetitions) its metrics divide by."""
-    if scenario.traffic == TRAFFIC_AES_PHASES:
-        program = _aes_program(scenario.aes_blocks, scenario.computation_cycles_per_phase)
-        return program, scenario.aes_blocks
-    program = _acg_program(scenario.acg, scenario.repetitions, scenario.packet_size_bits)
-    return program, scenario.repetitions
+    iteration count (AES blocks or ACG repetitions) its metrics divide by.
+
+    ``programs`` memoizes the result per scenario object, so the cells of
+    one pipeline call build each program (including the Python-AES phase
+    traces) once.
+    """
+    if programs is None:
+        programs = {}
+    key = id(scenario)
+    if key not in programs:
+        if scenario.traffic == TRAFFIC_AES_PHASES:
+            programs[key] = (
+                _aes_program(scenario.aes_blocks, scenario.computation_cycles_per_phase),
+                scenario.aes_blocks,
+            )
+        else:
+            programs[key] = (
+                _acg_program(scenario.acg, scenario.repetitions, scenario.packet_size_bits),
+                scenario.repetitions,
+            )
+    return programs[key]
 
 
 def _simulate_builtin_traffic(
@@ -917,9 +934,10 @@ def _simulate_builtin_traffic(
     name: str,
     topology: Topology,
     routing: RoutingFunction,
+    programs: dict[int, tuple[list[object], int]] | None = None,
 ) -> ArchitectureMetrics:
     """The built-in traffic modes: replay the scenario's op program."""
-    program, iterations = _traffic_program(scenario)
+    program, iterations = _traffic_program(scenario, programs)
     return _replay(
         name,
         topology,
@@ -1215,15 +1233,16 @@ def _run_pipeline(cells: list[_Cell], context: "object | None") -> None:
     right away; batch-engine cells on a built-in traffic mode are held,
     grouped by :func:`_batch_group_key` and simulated one chunk of at most
     :data:`MAX_BATCH_CELLS` per :class:`~repro.noc.batch.BatchSimulator`
-    call.
+    call.  Built-in traffic programs are built once per scenario for the
+    whole call; plugin traffic modes dispatch through
+    :func:`simulate_stage`.
     """
     held: dict[object, list[_Cell]] = {}
+    programs: dict[int, tuple[list[object], int]] = {}
     for cell in cells:
         scenario, settings, record = cell.scenario, cell.settings, cell.record
-        batched = (
-            settings.engine == ENGINE_BATCH
-            and get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic
-        )
+        builtin = get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic
+        batched = settings.engine == ENGINE_BATCH and builtin
         with get_tracer().span(
             "dse.evaluate",
             scenario=scenario.name,
@@ -1235,14 +1254,17 @@ def _run_pipeline(cells: list[_Cell], context: "object | None") -> None:
                 if batched:
                     held.setdefault(_batch_group_key(cell.topology, table), []).append(cell)
                 else:
+                    fabric = (cell.topology.name, cell.topology, cell.routing)
                     with _stage("simulate", record):
-                        metrics = simulate_stage(
-                            scenario, settings, cell.topology.name, cell.topology, cell.routing
-                        )
+                        if builtin:
+                            metrics = _simulate_builtin_traffic(
+                                scenario, settings, *fabric, programs
+                            )
+                        else:
+                            metrics = simulate_stage(scenario, settings, *fabric)
                     with _stage("score", record):
                         record.metrics.update(score_stage(metrics, cell.topology))
             cell.span.annotate(status=record.status)
-    programs: dict[int, tuple[list[object], int]] = {}
     for group in held.values():
         for offset in range(0, len(group), MAX_BATCH_CELLS):
             _simulate_chunk(group[offset : offset + MAX_BATCH_CELLS], programs)
@@ -1277,9 +1299,7 @@ def _simulate_chunk(
         for position, cell in enumerate(chunk):
             if capture:
                 probes[position] = core.attach_probe(position, SimulatorProbe())
-            if id(cell.scenario) not in programs:
-                programs[id(cell.scenario)] = _traffic_program(cell.scenario)
-            for op in programs[id(cell.scenario)][0]:
+            for op in _traffic_program(cell.scenario, programs)[0]:
                 core.enqueue(position, op)
         core.execute()
     for position, cell in enumerate(chunk):
@@ -1298,7 +1318,7 @@ def _simulate_chunk(
                     core.energy(position),
                     engine=ENGINE_BATCH,
                     cycles_stepped=core.cycles_stepped(position),
-                    iterations=programs[id(cell.scenario)][1],
+                    iterations=_traffic_program(cell.scenario, programs)[1],
                     aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
                 )
                 _flush_probe(probes[position], core.statistics(position), cell.topology.name)

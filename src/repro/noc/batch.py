@@ -175,11 +175,6 @@ class BatchSimulator:
         self._routing = routing
         if not configs:
             raise SimulationError("a batch needs at least one cell")
-        for config in configs:
-            if config.buffer_capacity_packets < 1:
-                raise SimulationError("router buffers must hold at least one packet")
-            if config.router_pipeline_delay_cycles < 1:
-                raise SimulationError("router pipeline delay must be at least one cycle")
         if technologies is None:
             technologies = [DEFAULT_TECHNOLOGY] * len(configs)
         if len(technologies) != len(configs):
@@ -404,7 +399,7 @@ class BatchSimulator:
         heapq.heappush(cell.pending, (cycle, local_id, pid))
         if cycle < self._next_inj[index]:
             self._next_inj[index] = cycle
-        cell.statistics.record_injection()
+        cell.statistics.injected_count += 1
         return packet
 
     def schedule_messages(
@@ -598,8 +593,6 @@ class BatchSimulator:
                     raise SimulationError(
                         f"unknown destination router {message.destination!r}"
                     )
-                if flit_width <= 0:
-                    raise SimulationError("flit width must be positive")
                 size = message.size_bits
                 num_flits = ceil(size / flit_width)
                 if num_flits < 1:

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Packet
-from repro.noc.router import LOCAL_PORT, Router
+from repro.noc.router import InputBuffer, Router
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
 
 
-@dataclass
+@dataclass(slots=True)
 class InFlight:
     """A packet currently traversing a channel."""
 
@@ -44,7 +44,9 @@ class Network:
     ) -> None:
         self.topology = topology
         self._routing = routing
-        self._route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
+        self.route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
+        """Resolved, channel-validated ``(node, destination) -> next hop``
+        decisions (:meth:`next_hop` fills it; the simulator reads it)."""
         self.buffer_capacity_packets = buffer_capacity_packets
         self.pipeline_delay_cycles = pipeline_delay_cycles
         self.routers: dict[NodeId, Router] = {
@@ -55,11 +57,12 @@ class Network:
             )
             for node in topology.routers()
         }
-        for channel in topology.channels():
-            self.routers[channel.target].add_input_port(channel.source)
-        self.channel_free_at: dict[tuple[NodeId, NodeId], int] = {
-            (channel.source, channel.target): 0 for channel in topology.channels()
-        }
+        self.channel_free_at: dict[tuple[NodeId, NodeId], int] = {}
+        self.downstream: dict[tuple[NodeId, NodeId], InputBuffer] = {}
+        """Per channel ``(source, target)``: the input buffer at ``target``
+        that the channel feeds -- the buffer whose space gates a launch
+        over the channel and an arrival off it."""
+        self._wire_channels()
         self.in_flight: list[InFlight] = []
         self._next_arrival: int | None = None
         """Incrementally maintained min arrival cycle over ``in_flight``
@@ -83,22 +86,23 @@ class Network:
     def routing(self, routing: RoutingFunction) -> None:
         """Swap the routing function, dropping every memoized decision."""
         self._routing = routing
-        self._route_cache.clear()
+        self.route_cache.clear()
 
     def sync_topology(self) -> None:
         """Re-wire the fabric after the topology gained routers or channels.
 
-        Router instances, downstream input ports and channel occupancy state
-        are all materialized at construction, and :meth:`next_hop` memoizes
-        routing decisions validated against the *then-current* channel set —
-        so a channel (or router) added to the topology afterwards is
-        invisible: packets routed over it would be refused at the missing
-        input port, and a memoized decision that predates the mutation would
-        keep winning even when the new channel makes it stale.  Call this
-        after any post-construction topology mutation; it wires the new
-        elements in and drops every memoized routing decision.  When the
-        network is owned by a :class:`~repro.noc.simulator.NoCSimulator`,
-        call the simulator's ``sync_topology()`` instead — it delegates
+        Router instances, downstream input ports, channel occupancy state
+        and the :attr:`downstream` map are all materialized at
+        construction, and :meth:`next_hop` memoizes routing decisions
+        validated against the *then-current* channel set — so a channel
+        (or router) added to the topology afterwards is invisible: packets
+        routed over it would find no downstream buffer, and a memoized
+        decision that predates the mutation would keep winning even when
+        the new channel makes it stale.  Call this after any
+        post-construction topology mutation; it wires the new elements in
+        and drops every memoized routing decision.  When the network is
+        owned by a :class:`~repro.noc.simulator.NoCSimulator`, call the
+        simulator's ``sync_topology()`` instead — it delegates
         here and also refreshes the engine's own per-router bookkeeping,
         which a new *router* needs.  (A frozen
         :meth:`~repro.routing.table.RoutingTable.frozen_next_hop` snapshot
@@ -112,12 +116,18 @@ class Network:
                     buffer_capacity_packets=self.buffer_capacity_packets,
                     pipeline_delay_cycles=self.pipeline_delay_cycles,
                 )
+        self._wire_channels()
+        self.route_cache.clear()
+
+    def _wire_channels(self) -> None:
+        """Give every channel its downstream input port, occupancy slot and
+        :attr:`downstream` entry (existing ones are left untouched)."""
         for channel in self.topology.channels():
             key = (channel.source, channel.target)
-            self.routers[channel.target].add_input_port(channel.source)
-            if key not in self.channel_free_at:
-                self.channel_free_at[key] = 0
-        self._route_cache.clear()
+            router = self.routers[channel.target]
+            router.add_input_port(channel.source)
+            self.channel_free_at.setdefault(key, 0)
+            self.downstream[key] = router.buffer(channel.source)
 
     def next_hop(self, current: NodeId, destination: NodeId) -> NodeId:
         """The (memoized) routing decision for a packet at ``current``.
@@ -129,7 +139,7 @@ class Network:
         routing closure for every nomination of every cycle.
         """
         key = (current, destination)
-        cached = self._route_cache.get(key)
+        cached = self.route_cache.get(key)
         if cached is not None:
             return cached
         next_hop = self._routing(current, destination)
@@ -138,17 +148,8 @@ class Network:
                 f"routing function returned {next_hop!r} from {current!r} towards "
                 f"{destination!r}, but that channel does not exist"
             )
-        self._route_cache[key] = next_hop
+        self.route_cache[key] = next_hop
         return next_hop
-
-    def is_idle(self) -> bool:
-        """True when no packet is buffered or in flight anywhere."""
-        if self.in_flight:
-            return False
-        return all(router.occupancy() == 0 for router in self.routers.values())
-
-    def buffered_packets(self) -> int:
-        return sum(router.occupancy() for router in self.routers.values())
 
     def next_arrival_cycle(self) -> int | None:
         """Earliest cycle at which an in-flight packet can arrive, if any."""
@@ -177,9 +178,6 @@ class Network:
     # ------------------------------------------------------------------
     # state changes used by the simulator
     # ------------------------------------------------------------------
-    def inject(self, packet: Packet, node: NodeId) -> None:
-        self.router(node).inject(packet)
-
     def launch(self, packet: Packet, upstream: NodeId, downstream: NodeId, arrival_cycle: int) -> None:
         self.in_flight.append(
             InFlight(
@@ -197,34 +195,28 @@ class Network:
         downstream input buffers (retrying next cycle when the buffer is
         full).  Returns the routers that received a packet this cycle, which
         is what the event-driven engine uses to (re-)activate them."""
-        if self._next_arrival is not None and self._next_arrival > cycle:
-            return []
+        if self._next_arrival is None or self._next_arrival > cycle:
+            return []  # nothing in flight, or nothing due yet
+        downstream = self.downstream
         still_flying: list[InFlight] = []
         receivers: list[NodeId] = []
         next_arrival: int | None = None
         for flight in self.in_flight:
-            if flight.arrival_cycle > cycle:
+            arrival = flight.arrival_cycle
+            if arrival > cycle:
                 still_flying.append(flight)
             else:
-                downstream = self.router(flight.downstream)
-                if downstream.can_accept(flight.upstream):
-                    downstream.accept(flight.upstream, flight.packet)
-                    receivers.append(flight.downstream)
+                target = flight.downstream
+                buffer = downstream[flight.upstream, target]
+                queue = buffer.queue
+                if len(queue) < buffer.capacity_packets:
+                    queue.append(flight.packet)
+                    receivers.append(target)
                     continue
-                flight.arrival_cycle = cycle + 1
+                arrival = flight.arrival_cycle = cycle + 1
                 still_flying.append(flight)
-            if next_arrival is None or flight.arrival_cycle < next_arrival:
-                next_arrival = flight.arrival_cycle
+            if next_arrival is None or arrival < next_arrival:
+                next_arrival = arrival
         self.in_flight = still_flying
         self._next_arrival = next_arrival
         return receivers
-
-    def output_request(self, router_node: NodeId, packet: Packet) -> object:
-        """The output a head packet requests at ``router_node``."""
-        destination = packet.message.destination
-        if destination == router_node:
-            return LOCAL_PORT
-        hop = self._route_cache.get((router_node, destination))
-        if hop is not None:
-            return hop
-        return self.next_hop(router_node, destination)

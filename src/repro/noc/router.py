@@ -1,11 +1,11 @@
 """Input-buffered router model with round-robin output arbitration.
 
 Every router has one FIFO input buffer per input port (one port per incoming
-channel plus a local injection port).  Each cycle the simulator asks every
-router, for every output channel, to nominate the packet that should use it;
-the router answers with a round-robin scan over its input ports so that no
-port starves.  Backpressure is modelled by bounded buffer capacities: a
-packet only advances when the downstream input buffer has room.
+channel plus a local injection port).  Each cycle the simulator picks, for
+every output channel, the packet that should use it by a round-robin scan
+over the router's input ports, so that no port starves.  Backpressure is
+modelled by bounded buffer capacities: a packet only advances when the
+downstream input buffer has room.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ class Router:
         self._buffers: dict[object, InputBuffer] = {
             LOCAL_PORT: InputBuffer(capacity_packets=10**9)  # injection queue is unbounded
         }
-        self._scan_order: tuple[tuple[object, InputBuffer], ...] = tuple(
-            self._buffers.items()
-        )
+        self.scan_order: tuple[tuple[object, deque[Packet]], ...] = ()
+        """``(port, queue)`` per input port in arbitration order (the local
+        port first): the simulator's kernel scans these deques directly."""
+        self._sync_scan_order()
         self._round_robin_pointer = 0
 
     # ------------------------------------------------------------------
@@ -78,7 +79,12 @@ class Router:
     def add_input_port(self, upstream: NodeId) -> None:
         if upstream not in self._buffers:
             self._buffers[upstream] = InputBuffer(self.buffer_capacity_packets)
-            self._scan_order = tuple(self._buffers.items())
+            self._sync_scan_order()
+
+    def _sync_scan_order(self) -> None:
+        self.scan_order = tuple(
+            (port, buffer.queue) for port, buffer in self._buffers.items()
+        )
 
     def buffer(self, port: object) -> InputBuffer:
         try:
@@ -104,55 +110,37 @@ class Router:
 
     def occupancy(self) -> int:
         """Total packets currently buffered (all ports)."""
-        return sum(len(buffer.queue) for _, buffer in self._scan_order)
-
-    def occupied_heads(self) -> list[tuple[object, Packet]]:
-        """``(port, head packet)`` for every occupied port, in port order."""
-        return [(port, buffer.queue[0]) for port, buffer in self._scan_order if buffer.queue]
+        return sum(len(queue) for _, queue in self.scan_order)
 
     # ------------------------------------------------------------------
     # arbitration
     # ------------------------------------------------------------------
-    def nominate_at(self, pointer: int, wants_output) -> dict[object, object]:
+    def nominate(self, wants_output) -> dict[object, object]:
         """Pick, per output, the input port whose head packet wins this cycle.
 
         ``wants_output(packet)`` maps a head packet to the output it requests
         (the next-hop router id, or ``LOCAL_PORT`` for delivery).  Returns a
         mapping ``{output: input_port}`` with at most one winner per output,
-        chosen by a round-robin scan starting at ``pointer`` (mod the number
-        of ports).  The scan itself is stateless: the simulator derives the
-        pointer from the current cycle, which keeps arbitration fair without
-        requiring the router to be visited on cycles where it has no work.
+        chosen by a round-robin scan whose start rotates by one port per
+        call.  Kept for callers that arbitrate a router in isolation; the
+        simulator inlines the same scan with a cycle-derived start (for a
+        simulation stepped contiguously from cycle 0 the two are identical,
+        since the dense loop arbitrates exactly once per router per cycle).
         """
-        pairs = self._scan_order
+        pairs = self.scan_order
         count = len(pairs)
-        if not count:  # pragma: no cover - the local port always exists
-            return {}
         winners: dict[object, object] = {}
-        start = pointer % count
+        start = self._round_robin_pointer % count
         # scan start, start+1, ..., wrapping around: index i - count is the
         # same element for i < count (negative indexing) and for i >= count
         for i in range(start - count, start):
-            port, buffer = pairs[i]
-            queue = buffer.queue
+            port, queue = pairs[i]
             if not queue:
                 continue
             output = wants_output(queue[0])
             if output not in winners:
                 winners[output] = port
-        return winners
-
-    def nominate(self, wants_output) -> dict[object, object]:
-        """:meth:`nominate_at` driven by an internal rotating pointer.
-
-        Kept for callers that arbitrate a router in isolation; the simulator
-        engines use :meth:`nominate_at` with a cycle-derived pointer (for a
-        simulation stepped contiguously from cycle 0 the two are identical,
-        since the dense loop nominates exactly once per router per cycle).
-        """
-        winners = self.nominate_at(self._round_robin_pointer, wants_output)
-        if self._buffers:
-            self._round_robin_pointer = (self._round_robin_pointer + 1) % len(self._buffers)
+        self._round_robin_pointer = (self._round_robin_pointer + 1) % count
         return winners
 
     def __repr__(self) -> str:

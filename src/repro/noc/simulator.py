@@ -47,9 +47,10 @@ movable packet changes nothing, so skipping it is exact.
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
@@ -57,7 +58,7 @@ from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import ReproError, SimulationError
 from repro.noc.network import Network
 from repro.noc.packet import Message, Packet
-from repro.noc.router import LOCAL_PORT, Router
+from repro.noc.router import LOCAL_PORT
 from repro.noc.stats import SimulationStatistics
 from repro.obs import SimulatorProbe, get_tracer
 
@@ -95,6 +96,14 @@ class SimulatorConfig:
             raise SimulationError(
                 f"unknown simulator engine {self.engine!r} (use one of {ENGINES})"
             )
+        if self.flit_width_bits <= 0:
+            raise SimulationError("flit width must be positive")
+        if self.buffer_capacity_packets < 1:
+            raise SimulationError("router buffers must hold at least one packet")
+        if self.router_pipeline_delay_cycles < 1:
+            raise SimulationError("router pipeline delay must be at least one cycle")
+        if self.max_cycles < 1:
+            raise SimulationError("the cycle budget must be at least one cycle")
 
 
 class NoCSimulator:
@@ -144,22 +153,23 @@ class NoCSimulator:
         self._switch_bits = 0
         self._link_bits: dict[tuple[NodeId, NodeId], int] = {}
         # event engine bookkeeping: a stable processing order (the reference
-        # loop's router iteration order) and a heap of scheduled wake-ups
+        # loop's router iteration order), the node at each position, a heap
+        # of scheduled wake-ups keyed by position with the earliest wake per
+        # position (a later duplicate is never pushed: processing at the
+        # earlier cycle re-arms as needed), and the executing cycle's
+        # worklist of active positions, a heap reused from cycle to cycle
         self._router_order = {node: index for index, node in enumerate(self.network.routers)}
-        self._wake_heap: list[tuple[int, int, NodeId]] = []  # (cycle, order, node)
-        self._scheduled_wake: dict[NodeId, int] = {}
-        """Earliest scheduled wake per router; pushing a later duplicate is
-        pointless because processing at the earlier cycle re-evaluates
-        everything and re-arms as needed."""
+        self._nodes: list[NodeId] = list(self.network.routers)
+        self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
+        self._scheduled_wake: list[int | None] = [None] * len(self._nodes)
+        self._worklist: list[int] = []
         # O(1) load tracking, maintained at the three buffer mutation points
         # (injection, arrival, pop) so neither engine ever scans every
         # router's buffers to find work or to decide drainage
         self._buffered_by_node: dict[NodeId, int] = dict.fromkeys(self.network.routers, 0)
         self._buffered_total = 0
-        # one nomination closure per router, built once instead of per visit
-        self._wants_output: dict[NodeId, Callable[[Packet], object]] = {
-            node: (lambda packet, _node=node: self.network.output_request(_node, packet))
-            for node in self.network.routers
+        self._local_queues = {
+            node: router.buffer(LOCAL_PORT).queue for node, router in self.network.routers.items()
         }
         self._batch = None
         if self.config.engine == ENGINE_BATCH:
@@ -180,7 +190,7 @@ class NoCSimulator:
 
         The simulator mirrors :meth:`Network.sync_topology
         <repro.noc.network.Network.sync_topology>` with its own per-router
-        bookkeeping (processing order, load counters, nomination closures),
+        bookkeeping (processing order, load counters, injection queues),
         so this is the one entry point to call after mutating a simulated
         topology; it delegates the fabric re-wiring to the network first.
         New routers are appended to the processing order — existing
@@ -197,11 +207,11 @@ class NoCSimulator:
         for node in self.network.routers:
             if node in self._router_order:
                 continue
-            self._router_order[node] = len(self._router_order)
+            self._router_order[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._scheduled_wake.append(None)
             self._buffered_by_node[node] = 0
-            self._wants_output[node] = (
-                lambda packet, _node=node: self.network.output_request(_node, packet)
-            )
+            self._local_queues[node] = self.network.router(node).buffer(LOCAL_PORT).queue
 
     def attach_probe(self, probe: SimulatorProbe) -> SimulatorProbe:
         """Attach an observability probe (idempotent; returns the probe)."""
@@ -216,110 +226,60 @@ class NoCSimulator:
     def schedule_message(self, message: Message, cycle: int | None = None) -> Packet:
         """Queue a message for injection at ``cycle`` (default: now)."""
         if self._batch is not None:
-            # the batch core repeats the validations below verbatim and
-            # records the injection on the shared statistics object
+            # the batch core repeats the validations of _schedule verbatim
+            # and records the injection on the shared statistics object
             return self._batch.schedule_message(0, message, cycle)
+        return self._schedule((message,), cycle)
+
+    def schedule_messages(self, messages: Iterable[Message], cycle: int | None = None) -> None:
+        """Queue messages for injection at ``cycle`` (default: now), in order."""
+        if self._batch is not None:
+            for message in messages:
+                self._batch.schedule_message(0, message, cycle)
+            return
+        self._schedule(messages, cycle)
+
+    def _schedule(self, messages: Iterable[Message], cycle: int | None) -> Packet | None:
+        """Build and queue one packet per message; returns the last packet.
+
+        The cycle is checked once per call and the routers per message; on
+        an unknown router the messages before it stay queued, exactly as if
+        they had been scheduled one call at a time.
+        """
         if cycle is None:
             cycle = self.current_cycle
         if cycle < self.current_cycle:
             raise SimulationError("cannot schedule a message in the past")
-        if not self.topology.has_router(message.source):
-            raise SimulationError(f"unknown source router {message.source!r}")
-        if not self.topology.has_router(message.destination):
-            raise SimulationError(f"unknown destination router {message.destination!r}")
-        packet = Packet.from_message(
-            self._next_packet_id, message, self.config.flit_width_bits, cycle
-        )
-        self._next_packet_id += 1
-        heapq.heappush(self._pending, (cycle, packet.packet_id, packet))
-        self.statistics.record_injection()
+        has_router = self.topology.has_router
+        flit_width = self.config.flit_width_bits
+        ceil = math.ceil
+        pending = self._pending
+        # appending (cycle, increasing id) entries keeps an empty heap sorted
+        push = heappush if pending else list.append
+        packet_id = self._next_packet_id
+        packet = None
+        try:
+            for message in messages:
+                source = message.source
+                if not has_router(source):
+                    raise SimulationError(f"unknown source router {source!r}")
+                if not has_router(message.destination):
+                    raise SimulationError(
+                        f"unknown destination router {message.destination!r}"
+                    )
+                # the object Packet.from_message builds, without its checks
+                num_flits = max(1, ceil(message.size_bits / flit_width))
+                packet = Packet(packet_id, message, num_flits, cycle, None, 0, [source])
+                push(pending, (cycle, packet_id, packet))
+                packet_id += 1
+        finally:
+            self.statistics.injected_count += packet_id - self._next_packet_id
+            self._next_packet_id = packet_id
         return packet
 
-    def schedule_messages(self, messages: Iterable[Message], cycle: int | None = None) -> None:
-        for message in messages:
-            self.schedule_message(message, cycle)
-
     # ------------------------------------------------------------------
-    # the per-cycle model, shared verbatim by both engines
+    # the per-cycle model, shared by both scalar engines
     # ------------------------------------------------------------------
-    def _inject_due_packets(self) -> list[NodeId]:
-        injected: list[NodeId] = []
-        probe = self.probe
-        while self._pending and self._pending[0][0] <= self.current_cycle:
-            _, _, packet = heapq.heappop(self._pending)
-            source = packet.source
-            self.network.inject(packet, source)
-            self._buffered_by_node[source] += 1
-            self._buffered_total += 1
-            if probe is not None:
-                probe.record_enqueue(source, self._buffered_by_node[source])
-            injected.append(source)
-        return injected
-
-    def _serialization_cycles(self, packet: Packet) -> int:
-        return max(1, packet.num_flits)
-
-    def _process_router(
-        self,
-        node: NodeId,
-        router: Router,
-        wake_upstream: Callable[[NodeId], None] | None = None,
-    ) -> None:
-        """One router's arbitration + forwarding for the current cycle.
-
-        ``wake_upstream(port)`` — supplied by the event engine only — is
-        called whenever a packet is popped out of a bounded input buffer,
-        because that is the moment a backpressured upstream router becomes
-        able to progress again.
-        """
-        cycle = self.current_cycle
-        winners = router.nominate_at(cycle, self._wants_output[node])
-        for output, input_port in winners.items():
-            buffer = router.buffer(input_port)
-            head = buffer.head()
-            if head is None:  # pragma: no cover - defensive
-                continue
-            if output == LOCAL_PORT:
-                packet = buffer.pop()
-                self._buffered_by_node[node] -= 1
-                self._buffered_total -= 1
-                packet.delivery_cycle = cycle
-                # final router traversal (ejection) — the (n_hops)-th
-                # switch of Equation 1.
-                self._switch_bits += packet.size_bits
-                self.statistics.record_delivery(packet)
-                if self.probe is not None:
-                    self.probe.record_delivery(node, packet.latency)
-                if wake_upstream is not None and input_port != LOCAL_PORT:
-                    wake_upstream(input_port)
-                continue
-            channel = (node, output)
-            if self.network.channel_free_at.get(channel, 0) > cycle:
-                continue
-            if not self.network.router(output).can_accept(node):
-                continue
-            packet = buffer.pop()
-            self._buffered_by_node[node] -= 1
-            self._buffered_total -= 1
-            serialization = self._serialization_cycles(packet)
-            self.network.channel_free_at[channel] = cycle + serialization
-            arrival = cycle + serialization + self.config.router_pipeline_delay_cycles
-            packet.record_hop(output)
-            self.network.launch(packet, node, output, arrival)
-            self._switch_bits += packet.size_bits
-            self._link_bits[channel] = self._link_bits.get(channel, 0) + packet.size_bits
-            self.statistics.record_channel_busy(channel, serialization)
-            if wake_upstream is not None and input_port != LOCAL_PORT:
-                wake_upstream(input_port)
-
-    def _note_arrivals(self, receivers: list[NodeId]) -> None:
-        probe = self.probe
-        for node in receivers:
-            self._buffered_by_node[node] += 1
-            if probe is not None:
-                probe.record_enqueue(node, self._buffered_by_node[node])
-        self._buffered_total += len(receivers)
-
     def step(self) -> None:
         """Advance the simulation by one dense cycle (reference semantics).
 
@@ -333,23 +293,177 @@ class NoCSimulator:
                 "the batch engine executes whole runs; step() is only "
                 "available on the 'event' and 'reference' engines"
             )
-        self._inject_due_packets()
-        self._note_arrivals(self.network.deliver_arrivals(self.current_cycle))
-        for node, router in self.network.routers.items():
-            self._process_router(node, router)
+        self._process_active_cycle(self.current_cycle, dense=True)
+
+    def _process_active_cycle(self, cycle: int, dense: bool = False) -> None:
+        """Execute one cycle: inject, deliver arrivals, arbitrate and forward.
+
+        The event engine visits only the routers that might progress: those
+        injected into, arrived into or due a scheduled wake.  They are
+        processed in the reference loop's router order; a router woken
+        mid-cycle by an upstream-space release joins this cycle's worklist
+        when its turn has not passed yet (exactly the routers the dense loop
+        would still visit) and is deferred to the next cycle otherwise.
+        ``dense=True`` is the reference engine's :meth:`step`: every router
+        is visited and no wake is scheduled or consumed.  Per visit, the
+        input ports are scanned round-robin from ``cycle mod ports`` and the
+        first head requesting an output wins it (``docs/simulator.md``).
+        """
+        self.current_cycle = cycle
+        network = self.network
+        nodes = self._nodes
+        order = self._router_order
+        loaded = self._buffered_by_node
+        probe = self.probe
+        worklist = self._worklist
+        worklist.clear()
+        # inject every due packet into its source's local queue, then
+        # deliver the due arrivals; both activate the receiving router
+        pending = self._pending
+        if pending and pending[0][0] <= cycle:
+            local_queues = self._local_queues
+            while pending and pending[0][0] <= cycle:
+                packet = heappop(pending)[2]
+                source = packet.message.source
+                local_queues[source].append(packet)
+                loaded[source] += 1
+                if probe is not None:
+                    probe.record_enqueue(source, loaded[source])
+                worklist.append(order[source])
+            self._buffered_total += len(worklist)  # one entry per packet
+        receivers = network.deliver_arrivals(cycle)
+        if receivers:
+            for node in receivers:
+                loaded[node] += 1
+                if probe is not None:
+                    probe.record_enqueue(node, loaded[node])
+                worklist.append(order[node])
+            self._buffered_total += len(receivers)
+        wake_heap = self._wake_heap
+        scheduled = self._scheduled_wake
+        if dense:
+            worklist[:] = range(len(nodes))
+        else:
+            while wake_heap and wake_heap[0][0] <= cycle:
+                wake_cycle, index = heappop(wake_heap)
+                if scheduled[index] == wake_cycle:
+                    scheduled[index] = None
+                worklist.append(index)
+            heapify(worklist)
+
+        routers = network.routers
+        route = network.route_cache.get
+        next_hop = network.next_hop
+        launch = network.launch
+        free_at = network.channel_free_at
+        downstream = network.downstream
+        delay = self.config.router_pipeline_delay_cycles
+        delivered = self.statistics.delivered_packets
+        busy = self.statistics.channel_busy_cycles
+        link_bits = self._link_bits
+        next_cycle = cycle + 1
+        visited = -1
+        while worklist:
+            index = heappop(worklist)
+            if index == visited:
+                continue  # activated twice: positions pop in order
+            visited = index
+            node = nodes[index]
+            if not loaded[node]:
+                continue  # speculative wake of an emptied router: a no-op
+            scan = routers[node].scan_order
+            count = len(scan)
+            start = cycle % count
+            claimed = []
+            # scan start, start+1, ..., wrapping around (negative indexing)
+            for i in range(start - count, start):
+                port, queue = scan[i]
+                if not queue:
+                    continue
+                packet = queue[0]
+                message = packet.message
+                destination = message.destination
+                if destination == node:
+                    if LOCAL_PORT in claimed:
+                        continue
+                    claimed.append(LOCAL_PORT)
+                    queue.popleft()
+                    packet.delivery_cycle = cycle
+                    delivered.append(packet)
+                    if probe is not None:
+                        probe.record_delivery(node, cycle - packet.injection_cycle)
+                else:
+                    hop = route((node, destination))
+                    if hop is None:
+                        hop = next_hop(node, destination)
+                    if hop in claimed:
+                        continue
+                    claimed.append(hop)
+                    channel = (node, hop)
+                    if free_at[channel] > cycle:
+                        continue
+                    buffer = downstream[channel]
+                    if len(buffer.queue) >= buffer.capacity_packets:
+                        continue
+                    queue.popleft()
+                    flits = packet.num_flits
+                    free_at[channel] = cycle + flits
+                    packet.hops += 1
+                    packet.path.append(hop)
+                    launch(packet, node, hop, cycle + flits + delay)
+                    link_bits[channel] = link_bits.get(channel, 0) + message.size_bits
+                    busy[channel] = busy.get(channel, 0) + flits
+                # one switch traversal per move (the final one ejects)
+                self._switch_bits += message.size_bits
+                loaded[node] -= 1
+                self._buffered_total -= 1
+                # a pop from a bounded buffer frees space upstream
+                if port is not LOCAL_PORT and not dense and loaded[port]:
+                    upstream = order[port]
+                    if upstream > index:
+                        heappush(worklist, upstream)
+                    elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
+                        scheduled[upstream] = next_cycle
+                        heappush(wake_heap, (next_cycle, upstream))
+            if dense or not loaded[node]:
+                continue
+            # re-arm a still-loaded router: the earliest over its heads of
+            # next cycle (eject, routing error, free channel with downstream
+            # space), a busy channel's release, or none (backpressure: the
+            # downstream pop wakes it)
+            wake = None
+            for port, queue in scan:
+                if not queue:
+                    continue
+                destination = queue[0].message.destination
+                if destination == node:
+                    wake = next_cycle
+                    break
+                hop = route((node, destination))
+                if hop is None:
+                    try:
+                        hop = next_hop(node, destination)
+                    except ReproError:
+                        wake = next_cycle
+                        break
+                channel = (node, hop)
+                release = free_at[channel]
+                buffer = downstream[channel]
+                if release > cycle:
+                    if wake is None or release < wake:
+                        wake = release
+                elif len(buffer.queue) < buffer.capacity_packets:
+                    wake = next_cycle
+                    break
+            if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
+                scheduled[index] = wake
+                heappush(wake_heap, (wake, index))
         self.cycles_stepped += 1
-        self.current_cycle += 1
+        self.current_cycle = next_cycle
 
     # ------------------------------------------------------------------
     # event-driven engine
     # ------------------------------------------------------------------
-    def _wake(self, node: NodeId, cycle: int) -> None:
-        scheduled = self._scheduled_wake.get(node)
-        if scheduled is not None and scheduled <= cycle:
-            return
-        self._scheduled_wake[node] = cycle
-        heapq.heappush(self._wake_heap, (cycle, self._router_order[node], node))
-
     def _arm_occupied_routers(self) -> None:
         """Schedule every router currently holding packets for processing.
 
@@ -360,9 +474,12 @@ class NoCSimulator:
         if not self._buffered_total:
             return
         cycle = self.current_cycle
+        scheduled = self._scheduled_wake
         for node, count in self._buffered_by_node.items():
-            if count:
-                self._wake(node, cycle)
+            index = self._router_order[node]
+            if count and (scheduled[index] is None or scheduled[index] > cycle):
+                scheduled[index] = cycle
+                heappush(self._wake_heap, (cycle, index))
 
     def _next_event_cycle(self) -> int | None:
         """The next cycle at which anything can possibly progress."""
@@ -375,93 +492,6 @@ class NoCSimulator:
         if candidate is None:
             return None
         return max(candidate, self.current_cycle)
-
-    def _schedule_router_wake(self, node: NodeId, router: Router, cycle: int) -> None:
-        """Re-arm a still-loaded router at the next cycle it could progress.
-
-        Per occupied port the head packet either (a) ejects locally — always
-        possible, wake next cycle; (b) waits for a busy output channel —
-        wake when the channel frees; (c) has a free channel and downstream
-        space but lost this cycle's arbitration — wake next cycle; or
-        (d) is backpressured by a full downstream buffer — no timed wake:
-        the pop-side ``wake_upstream`` callback fires the moment space
-        appears.  Routing errors surface during nomination, exactly where
-        the reference engine raises them, so the probe defers to the next
-        processed cycle rather than raising here.
-        """
-        wake: int | None = None
-        for _port, head in router.occupied_heads():
-            if head.destination == node:
-                candidate: int | None = cycle + 1
-            else:
-                try:
-                    next_hop = self.network.next_hop(node, head.destination)
-                except ReproError:
-                    candidate = cycle + 1
-                else:
-                    free_at = self.network.channel_free_at.get((node, next_hop), 0)
-                    if free_at > cycle:
-                        candidate = free_at
-                    elif self.network.router(next_hop).can_accept(node):
-                        candidate = cycle + 1
-                    else:
-                        candidate = None  # backpressured: woken by the pop side
-            if candidate is not None and (wake is None or candidate < wake):
-                wake = candidate
-        if wake is not None:
-            self._wake(node, wake)
-
-    def _process_active_cycle(self, cycle: int) -> None:
-        """Execute one cycle, visiting only the routers that might progress.
-
-        Active routers are processed in the reference loop's router order;
-        a router woken mid-cycle by an upstream-space release joins this
-        cycle's worklist when its turn has not passed yet (exactly the
-        routers the dense loop would still visit) and is deferred to the
-        next cycle otherwise.
-        """
-        self.current_cycle = cycle
-        worklist: list[tuple[int, NodeId]] = []
-        queued: set[NodeId] = set()
-
-        def activate(node: NodeId) -> None:
-            if node not in queued:
-                queued.add(node)
-                heapq.heappush(worklist, (self._router_order[node], node))
-
-        for node in self._inject_due_packets():
-            activate(node)
-        receivers = self.network.deliver_arrivals(cycle)
-        self._note_arrivals(receivers)
-        for node in receivers:
-            activate(node)
-        scheduled = self._scheduled_wake
-        while self._wake_heap and self._wake_heap[0][0] <= cycle:
-            wake_cycle, _, node = heapq.heappop(self._wake_heap)
-            if scheduled.get(node) == wake_cycle:
-                del scheduled[node]
-            activate(node)
-
-        processing_order = -1
-        loaded = self._buffered_by_node
-
-        def wake_upstream(upstream: NodeId) -> None:
-            if not loaded[upstream]:
-                return  # an empty router is re-armed by injection/arrival
-            if self._router_order[upstream] > processing_order:
-                activate(upstream)
-            else:
-                self._wake(upstream, cycle + 1)
-
-        while worklist:
-            processing_order, node = heapq.heappop(worklist)
-            if not loaded[node]:
-                continue  # speculative wake of an emptied router: a no-op
-            self._process_router(node, self.network.routers[node], wake_upstream=wake_upstream)
-            if loaded[node]:
-                self._schedule_router_wake(node, self.network.routers[node], cycle)
-        self.cycles_stepped += 1
-        self.current_cycle = cycle + 1
 
     def _run_event(self, cycles: int) -> None:
         """Event-driven :meth:`run`: execute only the active cycles of the

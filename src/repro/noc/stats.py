@@ -20,26 +20,16 @@ NodeId = Hashable
 
 @dataclass
 class SimulationStatistics:
-    """Aggregated results of one simulation run."""
+    """Aggregated results of one simulation run.
+
+    The engines record into the fields directly: delivered packets in
+    delivery order, the injection count and per-channel busy cycles.
+    """
 
     delivered_packets: list[Packet] = field(default_factory=list)
     total_cycles: int = 0
     injected_count: int = 0
     channel_busy_cycles: dict[tuple[NodeId, NodeId], int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def record_injection(self) -> None:
-        self.injected_count += 1
-
-    def record_delivery(self, packet: Packet) -> None:
-        if not packet.is_delivered:
-            raise SimulationError("cannot record an undelivered packet as delivered")
-        self.delivered_packets.append(packet)
-
-    def record_channel_busy(self, channel: tuple[NodeId, NodeId], cycles: int) -> None:
-        self.channel_busy_cycles[channel] = self.channel_busy_cycles.get(channel, 0) + cycles
 
     # ------------------------------------------------------------------
     # figures of merit

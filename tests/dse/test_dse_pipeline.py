@@ -283,6 +283,25 @@ class TestEvaluate:
         assert record.error == reference.error
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"buffer_capacity_packets": 0},
+            {"router_pipeline_delay_cycles": 0},
+            {"max_cycles": 0},
+        ],
+    )
+    def test_bad_simulator_config_is_a_simulation_failure(self, engine, knob):
+        """The simulator config rejects a bad knob when it is built, inside
+        the simulate stage, so the cell records ``simulation_failed``.  (A
+        zero flit width fails earlier: it is the fabric's channel width.)"""
+        scenario = embedded_scenario("vopd")
+        settings = EvaluationSettings(architecture="mesh", engine=engine, **knob)
+        record = evaluate(scenario, settings)
+        assert record.status == STATUS_SIMULATION_FAILED
+        assert record.error
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_caller_bugs_still_raise(self, engine):
         """Workload failures are data; misconfiguration is an exception —
         a typo'd technology must not be cached as a simulation failure."""

@@ -52,6 +52,34 @@ class TestEngineConfig:
         with pytest.raises(SimulationError):
             SimulatorConfig(engine="warp")
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("flit_width_bits", 0, "flit width must be positive"),
+            ("flit_width_bits", -32, "flit width must be positive"),
+            ("buffer_capacity_packets", 0, "router buffers must hold at least one packet"),
+            ("router_pipeline_delay_cycles", 0, "router pipeline delay must be at least one"),
+            ("max_cycles", 0, "the cycle budget must be at least one cycle"),
+        ],
+    )
+    def test_bad_config_rejected_at_construction(self, field, value, message):
+        """A bad knob fails when the config is built, not at the first
+        scheduled packet or router visit."""
+        with pytest.raises(SimulationError, match=message):
+            SimulatorConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "flit_width_bits",
+            "buffer_capacity_packets",
+            "router_pipeline_delay_cycles",
+            "max_cycles",
+        ],
+    )
+    def test_smallest_valid_config_accepted(self, field):
+        assert getattr(SimulatorConfig(**{field: 1}), field) == 1
+
     def test_engine_info_reports_skipped_cycles(self):
         simulator = chain_simulator(engine=ENGINE_EVENT)
         simulator.schedule_message(Message(0, 3, 32), cycle=100)

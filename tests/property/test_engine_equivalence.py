@@ -7,7 +7,9 @@ dense cycle-stepped reference engine — bit for bit, floats included.
 Hypothesis drives randomized traffic (sources, destinations, sizes,
 injection schedules) over both the 4x4 mesh baseline and a
 synthesized-style irregular custom topology, across the
-backpressure-relevant corner of a one-packet buffer.
+backpressure-relevant corner of a one-packet buffer and the design-space
+grid's router axes (buffers of 1-8 packets, pipeline delays of 1-4
+cycles).
 
 The reference engine is the oracle; the event and batch engines are the
 candidates, each independently asserted against it (so a shrunk failure
@@ -180,14 +182,18 @@ traffic_entries = st.tuples(
     st.sampled_from([8, 32, 64, 96, 256]),  # size in bits (1..8 flits)
 )
 
+#: the design-space grid's router axes (plus the one-packet corner)
+grid_buffers = st.sampled_from([1, 2, 4, 8])
+grid_delays = st.sampled_from([1, 2, 4])
+
 
 @settings(
     max_examples=examples(30), deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
     traffic=st.lists(traffic_entries, min_size=1, max_size=40),
-    buffer_capacity=st.sampled_from([1, 2, 4]),
-    pipeline_delay=st.sampled_from([1, 2]),
+    buffer_capacity=grid_buffers,
+    pipeline_delay=grid_delays,
 )
 def test_mesh_engines_equivalent(traffic, buffer_capacity, pipeline_delay):
     assert_all_equivalent(
@@ -200,8 +206,8 @@ def test_mesh_engines_equivalent(traffic, buffer_capacity, pipeline_delay):
 )
 @given(
     traffic=st.lists(traffic_entries, min_size=1, max_size=40),
-    buffer_capacity=st.sampled_from([1, 2, 4]),
-    pipeline_delay=st.sampled_from([1, 3]),
+    buffer_capacity=grid_buffers,
+    pipeline_delay=st.sampled_from([1, 2, 3, 4]),
 )
 def test_custom_topology_engines_equivalent(traffic, buffer_capacity, pipeline_delay):
     assert_all_equivalent(
@@ -281,13 +287,58 @@ def test_phased_execution_equivalent(traffic, computation):
 
 
 @settings(
+    max_examples=examples(20), deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    traffic=st.lists(traffic_entries, min_size=1, max_size=24),
+    fabric=st.sampled_from(sorted(FABRICS)),
+    buffer_capacity=grid_buffers,
+    pipeline_delay=grid_delays,
+    computation=st.integers(min_value=1, max_value=12),
+)
+def test_phased_grid_point_event_matches_reference(
+    traffic, fabric, buffer_capacity, pipeline_delay, computation
+):
+    """run_phases at a design-space grid point, the event engine's regime in
+    the explorer: schedule a phase, drain it, then jump the computation
+    allowance -- per-phase durations, reports, delivery cycles and paths
+    must match the reference engine, which steps every idle cycle."""
+    runs = {}
+    for engine in (ORACLE, ENGINE_EVENT):
+        topology, routing = FABRICS[fabric]()
+        nodes = topology.routers()
+        phases: list[list[Message]] = [[], [], [], []]
+        for index, (_, s, d, size) in enumerate(traffic):
+            source, destination = nodes[s % len(nodes)], nodes[d % len(nodes)]
+            if source != destination:
+                phases[index % len(phases)].append(Message(source, destination, size))
+        if not any(phases):  # report() needs at least one delivery to be defined
+            phases[0].append(Message(nodes[0], nodes[1], 32))
+        simulator = NoCSimulator(
+            topology,
+            routing,
+            config=SimulatorConfig(
+                engine=engine,
+                buffer_capacity_packets=buffer_capacity,
+                router_pipeline_delay_cycles=pipeline_delay,
+            ),
+        )
+        durations = simulator.run_phases(phases, computation_cycles_per_phase=computation)
+        runs[engine] = (simulator, durations)
+    oracle, oracle_durations = runs[ORACLE]
+    candidate, durations = runs[ENGINE_EVENT]
+    assert durations == oracle_durations
+    assert_equivalent(candidate, oracle)
+
+
+@settings(
     max_examples=examples(15), deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
     traffic=st.lists(traffic_entries, min_size=1, max_size=40),
     fabric=st.sampled_from(sorted(FABRICS)),
-    buffer_capacity=st.sampled_from([1, 4]),
-    pipeline_delay=st.sampled_from([1, 2]),
+    buffer_capacity=grid_buffers,
+    pipeline_delay=grid_delays,
 )
 def test_open_loop_run_equivalent(traffic, fabric, buffer_capacity, pipeline_delay):
     """Fixed-horizon ``run()`` (open loop, undelivered traffic allowed).
