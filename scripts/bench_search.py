@@ -5,7 +5,8 @@ Runs the embedded benchmark suite (MPEG-4, VOPD, MWD, 263enc+mp3dec and
 the AES case study) over a 162-design-point grid twice: once exhaustively
 (every cell at full fidelity) and once through
 :func:`repro.dse.search.run_search` (Pareto-aware successive halving over
-the screen -> confirm -> full fidelity ladder).  It verifies that the
+the two-rung screen -> full fidelity ladder, every rung on the event
+engine).  It verifies that the
 guided search reproduces the exhaustive per-scenario Pareto fronts
 *exactly* (same cache keys, scenario by scenario), records how many
 full-fidelity top-rung evaluations the ladder needed, and appends one

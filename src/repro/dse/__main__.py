@@ -11,7 +11,7 @@ Examples::
         --routing-policy xy,dateline,up_down
     python -m repro.dse search --suite embedded --margin 0.1
     python -m repro.dse search --suite embedded \\
-        --rung screen:budget_fraction=0.16,simulation_cap=1,engine=batch \\
+        --rung screen:budget_fraction=0.05,simulation_cap=1 \\
         --rung full
     python -m repro.dse report
     python -m repro.dse report --suite smoke --csv sweep.csv
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Race a suite's grid up a fidelity ladder instead of "
         "sweeping it exhaustively: every design point is screened at cheap "
         "low rungs (truncated decomposition budgets, short simulation "
-        "windows, batch engine) and only points on — or within --margin of — "
+        "windows) and only points on — or within --margin of — "
         "the incumbent Pareto front are promoted to full fidelity. "
         "Promotions are deterministic (--seed) and every cached record "
         "carries rung/promotion provenance for `report`. See docs/search.md.",
@@ -432,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "cheap-to-full. Fields: budget_fraction (scales "
                              "max_nodes_expanded), simulation_cap (clamps "
                              "repetitions/aes_blocks), anything else is a "
-                             "settings override (e.g. engine=batch, "
+                             "settings override (e.g. engine=reference, "
                              "decomposition_timeout_seconds=2). A bare final "
                              "full-fidelity rung is appended if missing "
-                             "(default: the stock screen/confirm/full ladder)")
+                             "(default: the stock screen/full ladder)")
     search.add_argument("--margin", type=float, default=0.10,
                         help="dominance slack for promotion: prune a point "
                              "only when a front member beats it by this "
@@ -490,9 +490,8 @@ def _add_sweep_options(run: argparse.ArgumentParser) -> None:
                           "list-fabrics; default: the suite's grid)")
     run.add_argument("--engine", default=None, metavar="ENG1,ENG2",
                      help="simulator engines to sweep (shorthand for --axis "
-                          "engine=...; 'event', 'reference' or 'batch' — batch "
-                          "cells sharing a fabric+routing signature are simulated "
-                          "in one vectorized call; default: the suite's grid)")
+                          "engine=...; 'event', 'reference' or 'batch' — all "
+                          "three give identical figures; default: the suite's grid)")
     run.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="record an observability event log (spans + metrics, "
                           "JSONL) of this sweep to FILE; inspect it with the "

@@ -199,14 +199,23 @@ class ResultCache:
     # writing
     # ------------------------------------------------------------------
     def store(self, record: EvaluationRecord) -> None:
-        """Append one record (it must carry its cache key)."""
+        """Append one record (it must carry its cache key).
+
+        The cache keeps its own copy, read back from the stored line and
+        flagged ``from_cache``: a later :meth:`get` in this process returns
+        exactly what a fresh process would load, and the caller's record
+        shares no mutable state with it.
+        """
         if not record.cache_key:
             raise ValueError("cannot cache a record without a cache_key")
         self.load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = record.to_json()
         with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(record.to_json() + "\n")
-        self._records[record.cache_key] = record
+            stream.write(line + "\n")
+        stored = EvaluationRecord.from_json(line)
+        stored.from_cache = True
+        self._records[record.cache_key] = stored
 
     def store_all(self, records: list[EvaluationRecord]) -> None:
         """Append several records in order."""

@@ -14,9 +14,9 @@ for the ``custom`` architecture, or builds the standard-fabric baseline
 :mod:`repro.routing.policies` routing policy, via
 :func:`baseline_route_stage`) for ``mesh``; simulate drives the
 cycle-level simulator with the scenario's traffic (plain ACG batches, or
-the dependency-aware AES phases), one cell at a time or one batch chunk
-at a time, and :func:`score_stage` captures every figure of merit into
-an :class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
+the dependency-aware AES phases), one cell at a time, and
+:func:`score_stage` captures every figure of merit into an
+:class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
 become record statuses, not exceptions: an infeasible or deadlocking
 configuration is a *result* of the exploration.
 
@@ -32,7 +32,6 @@ memo (``"memory"``) or the on-disk artifact store (``"store"``).
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -83,14 +82,8 @@ from repro.exceptions import (
     SimulationError,
     SynthesisError,
 )
-from repro.noc.batch import BatchSimulator, DrainOp, RunOp, ScheduleOp
-from repro.noc.simulator import (
-    ENGINE_BATCH,
-    ENGINE_EVENT,
-    ENGINES,
-    NoCSimulator,
-    SimulatorConfig,
-)
+from repro.noc.batch import DrainOp, RunOp, ScheduleOp
+from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
 from repro.noc.stats import throughput_mbps_from_cycles
 from repro.noc.traffic import acg_messages
 from repro.obs import SimulatorProbe, get_session, get_tracer
@@ -246,8 +239,8 @@ class EvaluationSettings:
     max_cycles: int = 100_000
     engine: str = ENGINE_EVENT
     """Simulator engine: ``"event"`` (skip dead time), ``"reference"``
-    (dense cycle loop) or ``"batch"`` (vectorized numpy; the runner groups
-    compatible batch cells into one multi-cell simulator call)."""
+    (dense cycle loop) or ``"batch"`` (vectorized numpy, one cell per
+    :class:`~repro.noc.simulator.NoCSimulator` like the other two)."""
 
     def __post_init__(self) -> None:
         if self.architecture not in ("custom", "mesh"):
@@ -558,50 +551,6 @@ class ArchitectureMetrics:
         }
 
 
-def _metrics_from_state(
-    name: str,
-    topology: Topology,
-    technology: Technology,
-    statistics,
-    energy,
-    engine: str,
-    cycles_stepped: int,
-    iterations: int,
-    aes_blocks: bool,
-) -> ArchitectureMetrics:
-    """Fold one finished simulation state into :class:`ArchitectureMetrics`.
-
-    Shared by the per-cell simulators and the batched simulate stage so
-    solo and batched evaluations compute every figure with the exact same
-    float operations — bit-identical metrics either way.  ``aes_blocks``
-    selects the paper's block-throughput formula over the delivered-bits
-    throughput used for generic ACG traffic.
-    """
-    total_cycles = statistics.total_cycles
-    cycles_per_block = total_cycles / iterations
-    if aes_blocks:
-        throughput = throughput_mbps_from_cycles(
-            AES_BLOCK_SIZE_BITS, cycles_per_block, technology.frequency_mhz
-        )
-    else:
-        throughput = statistics.throughput_mbps(technology.frequency_mhz)
-    return ArchitectureMetrics(
-        name=name,
-        num_blocks=iterations,
-        total_cycles=total_cycles,
-        cycles_per_block=cycles_per_block,
-        throughput_mbps=throughput,
-        average_latency_cycles=statistics.average_latency_cycles(),
-        average_hops=statistics.average_hops(),
-        average_power_mw=energy.average_power_mw(max(total_cycles, 1)),
-        energy_per_block_uj=energy.total_energy_uj / iterations,
-        num_physical_links=topology.num_physical_links,
-        max_channel_utilization=statistics.max_channel_utilization(),
-        engine=engine,
-        cycles_stepped=cycles_stepped,
-    )
-
-
 def _session_probe(simulator: NoCSimulator) -> SimulatorProbe | None:
     """Attach a fresh probe when the active obs session asks for capture.
 
@@ -626,8 +575,7 @@ def _flush_probe(probe: SimulatorProbe | None, statistics, name: str) -> None:
 
 
 # Each built-in traffic mode is one op program (ScheduleOp / DrainOp /
-# RunOp): the scalar path replays it on a NoCSimulator, the batch path
-# enqueues it per cell on a BatchSimulator, so both drive identical traffic.
+# RunOp), replayed on a NoCSimulator of the cell's configured engine.
 def _aes_program(blocks: int, computation_cycles_per_phase: int) -> list[object]:
     """Distributed-AES traffic: per phase of every block, schedule + drain,
     then idle for the local-computation allowance."""
@@ -667,7 +615,11 @@ def _replay(
     iterations: int,
     aes_blocks: bool,
 ) -> ArchitectureMetrics:
-    """Run one op program on a fresh :class:`NoCSimulator` and measure it."""
+    """Run one op program on a fresh :class:`NoCSimulator` and measure it.
+
+    ``aes_blocks`` selects the paper's block-throughput formula over the
+    delivered-bits throughput used for generic ACG traffic.
+    """
     simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
     probe = _session_probe(simulator)
     for op in program:
@@ -677,17 +629,30 @@ def _replay(
             simulator.run_until_drained(op.max_cycles)
         else:
             simulator.run(op.cycles)
-    _flush_probe(probe, simulator.statistics, name)
-    return _metrics_from_state(
-        name,
-        topology,
-        technology,
-        simulator.statistics,
-        simulator.energy,
+    statistics = simulator.statistics
+    _flush_probe(probe, statistics, name)
+    total_cycles = statistics.total_cycles
+    cycles_per_block = total_cycles / iterations
+    if aes_blocks:
+        throughput = throughput_mbps_from_cycles(
+            AES_BLOCK_SIZE_BITS, cycles_per_block, technology.frequency_mhz
+        )
+    else:
+        throughput = statistics.throughput_mbps(technology.frequency_mhz)
+    return ArchitectureMetrics(
+        name=name,
+        num_blocks=iterations,
+        total_cycles=total_cycles,
+        cycles_per_block=cycles_per_block,
+        throughput_mbps=throughput,
+        average_latency_cycles=statistics.average_latency_cycles(),
+        average_hops=statistics.average_hops(),
+        average_power_mw=simulator.energy.average_power_mw(max(total_cycles, 1)),
+        energy_per_block_uj=simulator.energy.total_energy_uj / iterations,
+        num_physical_links=topology.num_physical_links,
+        max_channel_utilization=statistics.max_channel_utilization(),
         engine=simulator.config.engine,
         cycles_stepped=simulator.cycles_stepped,
-        iterations=iterations,
-        aes_blocks=aes_blocks,
     )
 
 
@@ -1023,23 +988,20 @@ def _apply_deadlock_gate(
 
 
 @contextmanager
-def _stage(stage: str, *records: EvaluationRecord, **attributes: object) -> Iterator[None]:
+def _stage(stage: str, record: EvaluationRecord) -> Iterator[None]:
     """Time one pipeline stage into ``stage_seconds`` and span it.
 
-    Timing lands in the records even when the stage raises (the pipeline's
-    failure statuses), so a failed cell still reports where its time went;
-    a stage run once for several cells (a batch chunk's simulate) charges
-    each record an even share.  The span is named ``dse.<stage>`` so trace
-    summaries can break a sweep's wall clock down by stage.
+    Timing lands in the record even when the stage raises (the pipeline's
+    failure statuses), so a failed cell still reports where its time went.
+    The span is named ``dse.<stage>`` so trace summaries can break a
+    sweep's wall clock down by stage.
     """
     start = time.perf_counter()
-    with get_tracer().span(f"dse.{stage}", **attributes):
+    with get_tracer().span(f"dse.{stage}"):
         try:
             yield
         finally:
-            share = (time.perf_counter() - start) / len(records)
-            for record in records:
-                record.stage_seconds[stage] = share
+            record.stage_seconds[stage] = time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -1058,27 +1020,23 @@ _FAILURE_STATUSES: dict[type[Exception], str] = {
 
 
 @contextmanager
-def _phase(*records: EvaluationRecord) -> Iterator[None]:
-    """Run one phase of some cells: its wall time and its failure status.
+def _phase(record: EvaluationRecord) -> Iterator[None]:
+    """Run one cell: its wall time and its failure status.
 
-    The phase's wall time is split evenly into the records'
-    ``runtime_seconds``; an exception listed in :data:`_FAILURE_STATUSES`
-    becomes every record's status and error instead of propagating.
+    The wall time lands in the record's ``runtime_seconds``; an exception
+    listed in :data:`_FAILURE_STATUSES` becomes the record's status and
+    error instead of propagating.
     """
     start = time.perf_counter()
     try:
         yield
     except tuple(_FAILURE_STATUSES) as error:
-        status = next(
+        record.status = next(
             status for kind, status in _FAILURE_STATUSES.items() if isinstance(error, kind)
         )
-        for record in records:
-            record.status = status
-            record.error = str(error)
+        record.error = str(error)
     finally:
-        share = (time.perf_counter() - start) / len(records)
-        for record in records:
-            record.runtime_seconds += share
+        record.runtime_seconds += time.perf_counter() - start
 
 
 def _record_decomposition(
@@ -1096,50 +1054,19 @@ def _record_decomposition(
     )
 
 
-@dataclass
-class _Cell:
-    """One sweep cell on its way through prepare -> simulate -> score."""
-
-    scenario: Scenario
-    settings: EvaluationSettings
-    """The grid settings with the scenario's pins applied."""
-    record: EvaluationRecord
-    span: object = None
-    """The cell's ``dse.evaluate`` span; it closes after prepare for a cell
-    held for a batch chunk, which annotates its status afterwards."""
-    topology: Topology | None = None
-    routing: RoutingFunction | None = None
-
-
-def _new_cell(
+def _prepare(
     scenario: Scenario,
     settings: EvaluationSettings,
-    key: str,
-    axes: dict[str, object] | None,
-    label: str,
-) -> _Cell:
-    """A cell with its fresh record, under the scenario's effective settings."""
-    settings = scenario.effective_settings(settings)
-    record = EvaluationRecord(
-        scenario=scenario.name,
-        architecture=settings.architecture,
-        config_label=label or settings.architecture,
-        cache_key=key,
-        axes=dict(axes or {}),
-        settings=settings.as_dict(),
-    )
-    return _Cell(scenario, settings, record)
-
-
-def _prepare(cell: _Cell, context: "object | None") -> RoutingTable:
+    record: EvaluationRecord,
+    context: "object | None",
+) -> tuple[Topology, RoutingFunction]:
     """Decompose -> synthesize -> route, or route the baseline fabric.
 
-    Leaves the routed fabric on the cell and returns its routing table.
-    With a :class:`~repro.dse.cache.StageContext` the decomposition and the
+    Returns the routed fabric and its frozen next-hop function.  With a
+    :class:`~repro.dse.cache.StageContext` the decomposition and the
     synthesize/route product are reused across cells sharing their stage
     sub-keys.
     """
-    scenario, settings, record = cell.scenario, cell.settings, cell.record
     if settings.architecture == "mesh":
         with _stage("route", record):
             topology, table, deadlock_report = baseline_route_stage(scenario, settings)
@@ -1166,9 +1093,53 @@ def _prepare(cell: _Cell, context: "object | None") -> RoutingTable:
             record.constraints_satisfied = architecture.constraint_report.satisfied
         _apply_deadlock_gate(record, settings, architecture.deadlock_report)
         topology, table = architecture.topology, architecture.routing_table
-    cell.topology = topology
-    cell.routing = table.frozen_next_hop()
-    return table
+    return topology, table.frozen_next_hop()
+
+
+def _evaluate_cell(
+    scenario: Scenario,
+    settings: EvaluationSettings,
+    key: str,
+    axes: dict[str, object] | None,
+    label: str,
+    context: "object | None",
+    programs: dict[int, tuple[list[object], int]],
+) -> EvaluationRecord:
+    """Prepare, simulate and score one cell into its fresh record.
+
+    The scenario's pins are applied to the grid ``settings`` first.  The
+    cell runs inside its own ``dse.evaluate`` span, annotated with its
+    status.  Built-in traffic modes replay the scenario's op program
+    (memoized in ``programs`` across the cells of one call); plugin
+    traffic modes dispatch through :func:`simulate_stage`.
+    """
+    settings = scenario.effective_settings(settings)
+    record = EvaluationRecord(
+        scenario=scenario.name,
+        architecture=settings.architecture,
+        config_label=label or settings.architecture,
+        cache_key=key,
+        axes=dict(axes or {}),
+        settings=settings.as_dict(),
+    )
+    with get_tracer().span(
+        "dse.evaluate",
+        scenario=scenario.name,
+        architecture=settings.architecture,
+        config=record.config_label,
+    ) as span:
+        with _phase(record):
+            topology, routing = _prepare(scenario, settings, record, context)
+            fabric = (topology.name, topology, routing)
+            with _stage("simulate", record):
+                if get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic:
+                    metrics = _simulate_builtin_traffic(scenario, settings, *fabric, programs)
+                else:
+                    metrics = simulate_stage(scenario, settings, *fabric)
+            with _stage("score", record):
+                record.metrics.update(score_stage(metrics, topology))
+        span.annotate(status=record.status)
+    return record
 
 
 def evaluate(
@@ -1181,19 +1152,17 @@ def evaluate(
 ) -> EvaluationRecord:
     """Run the full pipeline for one (scenario, configuration) cell.
 
-    The one-cell case of :func:`evaluate_cells` (a batch-engine cell runs
-    as a batch of one).  Never raises for workload/architecture failures:
-    decomposition, synthesis, routing and simulation errors all come back
-    as record statuses.  Only caller bugs (e.g. an unknown technology in a
-    hand-built settings object) surface as exceptions.
+    The one-cell case of :func:`evaluate_cells`.  Never raises for
+    workload/architecture failures: decomposition, synthesis, routing and
+    simulation errors all come back as record statuses.  Only caller bugs
+    (e.g. an unknown technology in a hand-built settings object) surface
+    as exceptions.
 
     ``context`` is an optional :class:`~repro.dse.cache.StageContext`; when
     given, the decompose and synthesize/route stages are reused across every
     cell sharing the respective stage sub-key instead of being recomputed.
     """
-    cell = _new_cell(scenario, settings, cache_key, axes, config_label)
-    _run_pipeline([cell], context)
-    return cell.record
+    return _evaluate_cell(scenario, settings, cache_key, axes, config_label, context, {})
 
 
 def axis_label(axes: Mapping[str, object]) -> str:
@@ -1203,153 +1172,18 @@ def axis_label(axes: Mapping[str, object]) -> str:
     return ",".join(f"{key}={value}" for key, value in axes.items())
 
 
-#: cells per batch-simulator call; a stage group larger than this is
-#: chunked, so the last chunk may be ragged (fewer cells than the cap)
-MAX_BATCH_CELLS = 16
-
-
-def _batch_group_key(topology: Topology, table: RoutingTable) -> object:
-    """Batching compatibility: same fabric structure, same routed decisions.
-
-    Cells may share one :class:`~repro.noc.batch.BatchSimulator` exactly
-    when their topologies have identical signatures (structure, channel
-    lengths, positions) and their routing tables resolve identically —
-    the table version plus the canonical next-hop entries.  Everything
-    else (buffer capacity, pipeline delay, flit width, technology, even
-    the traffic program) varies per cell inside the batch.
-    """
-    signature = json.dumps(topology.signature(), sort_keys=True, default=repr)
-    entries = tuple(
-        sorted((repr(key), repr(hop)) for key, hop in table.entries().items())
-    )
-    return (signature, table.version, entries)
-
-
-def _run_pipeline(cells: list[_Cell], context: "object | None") -> None:
-    """Prepare, simulate and score every cell, filling in its record.
-
-    Each cell prepares inside its own ``dse.evaluate`` span.  Cells on a
-    scalar engine, or driven by a plugin traffic mode, simulate and score
-    right away; batch-engine cells on a built-in traffic mode are held,
-    grouped by :func:`_batch_group_key` and simulated one chunk of at most
-    :data:`MAX_BATCH_CELLS` per :class:`~repro.noc.batch.BatchSimulator`
-    call.  Built-in traffic programs are built once per scenario for the
-    whole call; plugin traffic modes dispatch through
-    :func:`simulate_stage`.
-    """
-    held: dict[object, list[_Cell]] = {}
-    programs: dict[int, tuple[list[object], int]] = {}
-    for cell in cells:
-        scenario, settings, record = cell.scenario, cell.settings, cell.record
-        builtin = get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic
-        batched = settings.engine == ENGINE_BATCH and builtin
-        with get_tracer().span(
-            "dse.evaluate",
-            scenario=scenario.name,
-            architecture=settings.architecture,
-            config=record.config_label,
-        ) as cell.span:
-            with _phase(record):
-                table = _prepare(cell, context)
-                if batched:
-                    held.setdefault(_batch_group_key(cell.topology, table), []).append(cell)
-                else:
-                    fabric = (cell.topology.name, cell.topology, cell.routing)
-                    with _stage("simulate", record):
-                        if builtin:
-                            metrics = _simulate_builtin_traffic(
-                                scenario, settings, *fabric, programs
-                            )
-                        else:
-                            metrics = simulate_stage(scenario, settings, *fabric)
-                    with _stage("score", record):
-                        record.metrics.update(score_stage(metrics, cell.topology))
-            cell.span.annotate(status=record.status)
-    for group in held.values():
-        for offset in range(0, len(group), MAX_BATCH_CELLS):
-            _simulate_chunk(group[offset : offset + MAX_BATCH_CELLS], programs)
-
-
-def _simulate_chunk(
-    chunk: list[_Cell], programs: dict[int, tuple[list[object], int]]
-) -> None:
-    """Simulate one group chunk in a single batch call, then score each cell.
-
-    Wall time is measured once for the whole call and attributed evenly:
-    each record gets ``stage_seconds["simulate"] = wall / n`` (and the same
-    share of ``runtime_seconds``) plus a ``stage_reuse["simulate"] =
-    "batch:n"`` provenance marker.  Per-cell simulation failures (drain
-    budgets, routing loops) land on their own record; a batch-level failure
-    (numpy unavailable, an invalid config) fails every cell of the chunk
-    with the same message.  ``programs`` caches each scenario's op program
-    (including the Python-AES phase traces) across the chunks of one call.
-    """
-    records = [cell.record for cell in chunk]
-    probes: list[SimulatorProbe | None] = [None] * len(chunk)
-    capture = get_session().capture_probes
-    with _phase(*records), _stage(
-        "simulate", *records, cells=len(chunk), engine=ENGINE_BATCH
-    ):
-        core = BatchSimulator(
-            chunk[0].topology,
-            chunk[0].routing,
-            [cell.settings.build_simulator_config() for cell in chunk],
-            technologies=[cell.settings.build_technology() for cell in chunk],
-        )
-        for position, cell in enumerate(chunk):
-            if capture:
-                probes[position] = core.attach_probe(position, SimulatorProbe())
-            for op in _traffic_program(cell.scenario, programs)[0]:
-                core.enqueue(position, op)
-        core.execute()
-    for position, cell in enumerate(chunk):
-        record = cell.record
-        if record.succeeded:  # else the whole chunk failed
-            record.stage_reuse["simulate"] = f"batch:{len(chunk)}"
-            with _phase(record):
-                error = core.error(position)
-                if error is not None:
-                    raise error
-                metrics = _metrics_from_state(
-                    cell.topology.name,
-                    cell.topology,
-                    cell.settings.build_technology(),
-                    core.statistics(position),
-                    core.energy(position),
-                    engine=ENGINE_BATCH,
-                    cycles_stepped=core.cycles_stepped(position),
-                    iterations=_traffic_program(cell.scenario, programs)[1],
-                    aes_blocks=cell.scenario.traffic == TRAFFIC_AES_PHASES,
-                )
-                _flush_probe(probes[position], core.statistics(position), cell.topology.name)
-                with _stage("score", record):
-                    record.metrics.update(score_stage(metrics, cell.topology))
-        cell.span.annotate(status=record.status)
-
-
 def evaluate_cells(
     cell_payloads: Sequence[tuple[Scenario, EvaluationSettings, dict[str, object], str]],
     context: "object | None" = None,
 ) -> list[EvaluationRecord]:
-    """Evaluate a sequence of sweep cells, batching compatible batch cells.
+    """Evaluate a sequence of sweep cells, one after another.
 
     The plural of :func:`evaluate`: records come back in payload order,
-    each labelled with :func:`axis_label` of its axes.  Cells whose
-    effective engine is ``"batch"`` (and whose traffic mode is a built-in
-    op program) are prepared, grouped by :func:`_batch_group_key` — same
-    topology signature, same routing-table version and entries — chunked
-    to :data:`MAX_BATCH_CELLS`, and simulated in one
-    :class:`~repro.noc.batch.BatchSimulator` call per chunk.
-
-    Batching is provenance-visible but result-invariant: grouping and order
-    never change any record metric (the batch engine advances every cell on
-    its own cycle counter), only ``stage_seconds["simulate"]`` (the evenly
-    attributed share of the batch wall time) and the
-    ``stage_reuse["simulate"] = "batch:n"`` marker.
+    each labelled with :func:`axis_label` of its axes.  Built-in traffic
+    programs are built once per scenario for the whole call.
     """
-    cells = [
-        _new_cell(scenario, settings, key, axes, axis_label(axes))
+    programs: dict[int, tuple[list[object], int]] = {}
+    return [
+        _evaluate_cell(scenario, settings, key, axes, axis_label(axes), context, programs)
         for scenario, settings, axes, key in cell_payloads
     ]
-    _run_pipeline(cells, context)
-    return [cell.record for cell in cells]

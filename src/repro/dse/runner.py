@@ -356,8 +356,8 @@ def _run_cells_traced(
         # serial: one context shared across all groups maximizes reuse; the
         # coordinator's own session stays active, so spans and metrics land
         # directly without any adoption step.  Groups are flattened into one
-        # evaluate_cells call (group-major order preserved) so batch-engine
-        # cells may share simulator batches across stage groups, too.
+        # evaluate_cells call (group-major order preserved) so the cells of
+        # one call share each scenario's traffic program.
         context = StageContext(artifacts)
         flattened = [
             payload for cell_payloads, _, _ in payloads for payload in cell_payloads

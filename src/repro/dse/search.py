@@ -7,8 +7,8 @@ truncated decomposition budgets (``max_nodes_expanded`` scaled by
 ``budget_fraction`` — a deterministic counter budget, so rung results
 reproduce bit-identically on any machine; explicit wall-clock caps can
 be added per rung via ``overrides``), a short simulation window
-(:meth:`~repro.dse.pipeline.Scenario.with_simulation_cap`) and the
-cheap ``batch`` engine; the top rung is exactly today's grid settings.
+(:meth:`~repro.dse.pipeline.Scenario.with_simulation_cap`); the top
+rung is exactly today's grid settings.
 Every cell is seeded at the lowest rung, and only cells on — or within a
 dominance *margin* of — the incumbent per-scenario Pareto front are
 promoted to the next rung.
@@ -155,32 +155,18 @@ class RungSpec:
         )
 
 
-def default_ladder(use_batch_engine: bool | None = None) -> tuple[RungSpec, ...]:
-    """The stock three-rung ladder: screen -> confirm -> full.
+def default_ladder() -> tuple[RungSpec, ...]:
+    """The stock two-rung ladder: screen -> full.
 
     ``screen`` truncates the decomposition node budget to 1/20 (20 nodes
     at the default 400-node budget — the exact residual bounds of
     :mod:`repro.core.bounds` reach the same incumbents in ~3x fewer nodes
     than the pre-bound ladder's 1/6 screen did) and clamps the simulation
-    window to one iteration; ``confirm`` runs the full
-    decomposition (sharing its stage sub-key with the top rung, so the
-    final promotion pays only the real simulator run) under the cheap
-    simulator; ``full`` is the untouched grid settings.  Both cheap rungs
-    use the vectorized ``batch`` engine when numpy is importable (pass
-    ``use_batch_engine=False`` to force the scalar event engine, e.g. for
-    fabric families the batch engine does not support).
+    window to one iteration, on the grid's own simulator engine; ``full``
+    is the untouched grid settings.
     """
-    if use_batch_engine is None:
-        try:
-            import numpy  # noqa: F401
-
-            use_batch_engine = True
-        except ImportError:  # pragma: no cover - numpy ships in CI
-            use_batch_engine = False
-    engine: dict[str, object] = {"engine": "batch"} if use_batch_engine else {}
     return (
-        RungSpec("screen", overrides=dict(engine), budget_fraction=0.05, simulation_cap=1),
-        RungSpec("confirm", overrides=dict(engine)),
+        RungSpec("screen", budget_fraction=0.05, simulation_cap=1),
         RungSpec("full"),
     )
 
@@ -211,6 +197,12 @@ class SearchConfig:
         names = [rung.name for rung in self.ladder]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"rung names must be unique, got {names!r}")
+        below_top = [rung.name for rung in self.ladder[:-1] if rung.full_fidelity]
+        if below_top:
+            raise ConfigurationError(
+                f"rung(s) {below_top!r} below the top are full fidelity: they "
+                "re-measure the grid, and the top rung only re-reads their results"
+            )
         if not self.ladder[-1].full_fidelity:
             raise ConfigurationError(
                 f"the top rung ({self.ladder[-1].name!r}) must be full fidelity "

@@ -1,20 +1,16 @@
-"""Determinism and provenance of the batch-aware DSE simulate stage.
+"""Batch-engine cells through the DSE pipeline.
 
-The bug class batching introduces is *coupling*: a cell's results
-silently depending on what else shared its simulator batch (grouping,
-order, ragged chunking).  These tests pin the contract of
-:func:`repro.dse.pipeline.evaluate_cells`: every record metric —
-including ``sim_cycles_stepped`` and the energy figures — is identical
-whether a cell runs solo through :func:`~repro.dse.pipeline.evaluate`
-or inside any batch composition; only the ``stage_reuse["simulate"]``
-provenance marker and the attributed ``stage_seconds`` may differ.
+A cell with ``engine="batch"`` runs solo through the
+:class:`~repro.noc.simulator.NoCSimulator` engine facade, like the other
+engines.  These tests pin that its records — every metric, including
+``sim_cycles_stepped`` and the energy figures — equal its event-engine
+twin's, and that a failing batch cell fails alone with the solo message.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.dse.pipeline as pipeline
 from repro.dse.pipeline import EvaluationSettings, Scenario, evaluate, evaluate_cells
 from repro.dse.records import STATUS_SIMULATION_FAILED
 from repro.dse.runner import run_sweep
@@ -58,7 +54,7 @@ def metric_views(records):
 
 
 def test_batched_records_match_solo_evaluate(scenarios):
-    """Solo `evaluate` and batched `evaluate_cells` agree on every metric."""
+    """Solo `evaluate` and `evaluate_cells` agree on every metric."""
     cells = payloads(scenarios, "batch")
     batched = evaluate_cells(cells)
     solo = [
@@ -66,39 +62,8 @@ def test_batched_records_match_solo_evaluate(scenarios):
         for scenario, settings, axes, key in cells
     ]
     assert metric_views(batched) == metric_views(solo)
-    for record in batched:
-        assert record.stage_reuse["simulate"] == "batch:2"
-    for record in solo:
-        assert record.stage_reuse["simulate"] == "batch:1"
-
-
-def test_batch_grouping_and_order_invariance(scenarios):
-    """Any payload order produces the same per-key records."""
-    cells = payloads(scenarios, "batch")
-    forward = {r.cache_key: r for r in evaluate_cells(cells)}
-    backward = {r.cache_key: r for r in evaluate_cells(list(reversed(cells)))}
-    assert forward.keys() == backward.keys()
-    for key in forward:
-        assert dict(forward[key].metrics) == dict(backward[key].metrics)
-        assert forward[key].status == backward[key].status
-
-
-def test_ragged_chunking_is_result_invariant(scenarios, monkeypatch):
-    """Chunk cap 2 over 3 compatible cells: a ragged batch:1 tail, same results.
-
-    Both scenarios are 4x4-mesh workloads but their routing tables differ,
-    so each scenario forms its own group; three capacity values per
-    scenario with ``MAX_BATCH_CELLS=2`` force a full chunk plus a ragged
-    single-cell chunk.
-    """
-    cells = payloads(scenarios, "batch", capacities=(1, 2, 4))
-    unchunked = {r.cache_key: r for r in evaluate_cells(cells)}
-    monkeypatch.setattr(pipeline, "MAX_BATCH_CELLS", 2)
-    chunked = evaluate_cells(cells)
-    markers = sorted(r.stage_reuse["simulate"] for r in chunked)
-    assert markers == ["batch:1", "batch:1", "batch:2", "batch:2", "batch:2", "batch:2"]
-    for record in chunked:
-        assert dict(record.metrics) == dict(unchunked[record.cache_key].metrics)
+    for record in batched + solo:
+        assert "simulate" not in record.stage_reuse
 
 
 def test_batch_engine_matches_event_engine_through_runner(scenarios):
@@ -116,7 +81,7 @@ def test_batch_engine_matches_event_engine_through_runner(scenarios):
     for cell, pair in by_cell.items():
         event, batch = pair["event"], pair["batch"]
         assert dict(event.metrics) == dict(batch.metrics), cell
-        assert batch.stage_reuse.get("simulate", "").startswith("batch:")
+        assert "simulate" not in batch.stage_reuse
 
 
 def test_per_cell_failure_is_isolated(scenarios):

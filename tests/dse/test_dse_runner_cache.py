@@ -12,8 +12,8 @@ import pytest
 from repro.dse.cache import ResultCache, cache_key
 from repro.dse.pipeline import EvaluationSettings
 from repro.dse.records import EvaluationRecord
-from repro.dse.runner import axis_label, expand_grid, plan_sweep, run_sweep
-from repro.dse.scenarios import aes_scenario, planted_scenario, tgff_scenario
+from repro.dse.runner import axis_label, expand_grid, plan_sweep, run_cells, run_sweep
+from repro.dse.scenarios import aes_scenario, get_suite, planted_scenario, tgff_scenario
 from repro.exceptions import ConfigurationError
 
 
@@ -164,6 +164,22 @@ class TestRunSweep:
         assert second.cache_hits == 2 and second.cache_misses == 0
         assert second.cache_hit_fraction == 1.0
         assert [r.cache_key for r in first.records] == [r.cache_key for r in second.records]
+
+    def test_in_process_cache_hits_are_flagged_and_unaliased(self, tmp_path):
+        """A hit served by the cache that stored it reads like a reloaded one."""
+        spec = get_suite("smoke")
+        cells = plan_sweep(spec.build(), spec.base_settings, spec.default_axes)
+        cache = ResultCache(tmp_path / "results.jsonl")
+        first = run_cells(cells, cache=cache)
+        assert not any(record.from_cache for record in first.records)
+        second = run_cells(cells, cache=cache)
+        assert second.cache_hits == len(cells) and second.num_evaluations == 0
+        assert all(record.from_cache for record in second.records)
+        reloaded = run_cells(cells, cache=ResultCache(cache.path))
+        assert [r.to_json() for r in second.records] == [r.to_json() for r in reloaded.records]
+        # the stored copy shares no mutable state with the caller's record
+        first.records[0].metrics["total_cycles"] = -1.0
+        assert cache.get(first.records[0].cache_key).metrics["total_cycles"] != -1.0
 
     def test_records_come_back_in_plan_order(self):
         scenarios = [tgff_scenario(10, 7), planted_scenario(12, 11)]

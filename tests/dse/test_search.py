@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dse import get_suite, pareto_front, run_cells
@@ -25,6 +29,15 @@ AXES = {
     "architecture": ("mesh", "custom"),
     "router_pipeline_delay_cycles": (1, 2),
 }
+
+#: a three-rung ladder with a budget-only middle rung, for promotion chains
+THREE_RUNGS = (
+    RungSpec("screen", budget_fraction=0.05, simulation_cap=1),
+    RungSpec("confirm", budget_fraction=0.5),
+    RungSpec("full"),
+)
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +144,21 @@ class TestSearchConfig:
             SearchConfig(max_promotions=0)
 
     def test_default_ladder_shape(self):
-        ladder = default_ladder(use_batch_engine=False)
-        assert [rung.name for rung in ladder] == ["screen", "confirm", "full"]
+        ladder = default_ladder()
+        assert [rung.name for rung in ladder] == ["screen", "full"]
         assert ladder[-1].full_fidelity
-        assert "engine" not in ladder[0].overrides
-        assert default_ladder(use_batch_engine=True)[0].overrides["engine"] == "batch"
+        assert ladder[0].overrides == {}
+        assert (ladder[0].budget_fraction, ladder[0].simulation_cap) == (0.05, 1)
+
+    def test_full_fidelity_rung_below_top_is_rejected(self):
+        """A bare middle rung re-measures the grid; the top rung would only
+        re-read its results."""
+        with pytest.raises(ConfigurationError, match="below the top"):
+            SearchConfig(ladder=(
+                RungSpec("screen", budget_fraction=0.05, simulation_cap=1),
+                RungSpec("confirm"),
+                RungSpec("full"),
+            ))
 
 
 class TestMarginDominated:
@@ -212,7 +235,7 @@ class TestRunSearch:
 
     def test_provenance_on_every_record(self, smoke):
         scenarios, base = smoke
-        result = run_search(scenarios, base, AXES)
+        result = run_search(scenarios, base, AXES, config=SearchConfig(ladder=THREE_RUNGS))
         assert len(result.records) == 12
         for record in result.records:
             assert record.search["rung"] in {"screen", "confirm", "full"}
@@ -278,6 +301,26 @@ class TestRunSearch:
         assert sum(sweep.num_evaluations for sweep in again.sweeps) == 0
         assert again.promotions == result.promotions
 
+    def test_guided_search_imports_no_numpy(self):
+        """The default ladder runs every rung on the scalar event engine, so
+        a guided search never loads the batch engine's numpy dependency."""
+        script = (
+            "import sys; from repro.dse import get_suite, run_search, SearchConfig; "
+            "spec = get_suite('smoke'); "
+            "run_search(spec.build(), spec.base_settings, spec.default_axes, "
+            "config=SearchConfig()); "
+            "print('numpy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC)},
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_single_rung_ladder_is_the_exhaustive_sweep(self, smoke):
         scenarios, base = smoke
         config = SearchConfig(ladder=(RungSpec("full"),))
@@ -320,7 +363,7 @@ class TestSearchObservability:
             run_search(scenarios, base, AXES)
         text = render_trace_summary(session.events())
         assert "guided search rungs" in text
-        assert "screen" in text and "confirm" in text and "full" in text
+        assert "screen" in text and "full" in text
         assert "design points reached the top rung" in text
 
 
@@ -329,7 +372,7 @@ class TestSearchCommandLine:
         results = tmp_path / "results.jsonl"
         assert main(["search", "--suite", "smoke", "--results", str(results)]) == 0
         out = capsys.readouterr().out
-        assert "guided search: ladder screen -> confirm -> full" in out
+        assert "guided search: ladder screen -> full" in out
         assert "fewer than the exhaustive grid" in out
         assert "Pareto front" in out
         assert main(["report", "--results", str(results), "--suite", "smoke"]) == 0
