@@ -31,8 +31,9 @@ B=16 batched sweep of the dense AES operating point must beat 16 solo
 event runs outright, per-cell reports must stay bit-identical, and the
 sweep must amortize per-cell cost at least ``AMORTIZATION_FLOOR``x over
 16 solo batch runs.  Solo (B=1) runs are not wall-gated — the batch
-engine only pays off across a sweep, which is why the DSE pipeline
-groups compatible cells before using it.
+engine only pays off when one :class:`~repro.noc.batch.BatchSimulator`
+advances many cells at once; the DSE pipeline runs every cell on its own,
+so only callers that drive ``BatchSimulator`` directly get that gain.
 
 Each invocation also measures the observability overhead on the drained
 workloads (event engine): ``off`` (no session at all), ``null`` (the
@@ -459,8 +460,8 @@ def check_batch(
     stay bit-identical (both in the sweep and in the solo dense
     workloads), and the B=16 sweep must amortize per-cell cost over 16
     solo batch runs.  Solo (B=1) dense runs are *not* wall-gated: the
-    vectorized cycle loop only pays off across a sweep, which is exactly
-    why the DSE pipeline groups >= 2 compatible cells before using it.
+    vectorized cycle loop only pays off when one ``BatchSimulator``
+    advances several cells at once (the DSE pipeline runs cells solo).
     """
     failures = []
     for name in DENSE_WORKLOADS:

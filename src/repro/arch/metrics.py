@@ -117,6 +117,12 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
     enumerated (exact); beyond that a coordinate-sweep heuristic is used
     (sort by x then by y and cut in the middle), which is exact for meshes
     and a good estimate for floorplan-derived customized topologies.
+
+    The exact result is the first minimum in the lexicographic order of
+    ``itertools.combinations(routers, count // 2)``.  A cut and its
+    complement cross the same channels, so with an even router count the
+    side holding the first router always comes first and only those
+    partitions are enumerated.
     """
     routers = topology.routers()
     count = len(routers)
@@ -129,30 +135,42 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
         for channel in topology.channels()
     ]
 
-    def cut_bandwidth(part_a: set[NodeId]) -> tuple[float, int]:
+    def result(part_a: set[NodeId]) -> BisectionResult:
         bandwidth = 0.0
         cut_channels = 0
         for source, target, link_bandwidth in links:
             if (source in part_a) != (target in part_a):
                 bandwidth += link_bandwidth
                 cut_channels += 1
-        return bandwidth, cut_channels
+        return BisectionResult(
+            bandwidth_bits_per_cycle=bandwidth,
+            partition_a=frozenset(part_a),
+            partition_b=frozenset(set(routers) - part_a),
+            num_cut_channels=cut_channels,
+        )
 
-    best: BisectionResult | None = None
     if count <= exact_limit:
-        indexed = list(routers)
-        for combo in itertools.combinations(indexed, half):
-            part_a = set(combo)
-            bandwidth, cut_channels = cut_bandwidth(part_a)
-            if best is None or bandwidth < best.bandwidth_bits_per_cycle:
-                best = BisectionResult(
-                    bandwidth_bits_per_cycle=bandwidth,
-                    partition_a=frozenset(part_a),
-                    partition_b=frozenset(set(routers) - part_a),
-                    num_cut_channels=cut_channels,
-                )
-        assert best is not None
-        return best
+        # one bit per router; a channel crosses the cut when the partition
+        # holds exactly one of its two endpoint bits
+        bit = {router: 1 << index for index, router in enumerate(routers)}
+        masks = [(bit[source] | bit[target], bandwidth) for source, target, bandwidth in links]
+        if count % 2:
+            fixed, free, size = 0, list(bit.values()), half
+        else:
+            fixed, free, size = 1, list(bit.values())[1:], half - 1
+        best_mask = -1
+        best_bandwidth = 0.0
+        for combo in itertools.combinations(free, size):
+            part = fixed + sum(combo)
+            bandwidth = 0.0
+            for both, link_bandwidth in masks:
+                crossing = part & both
+                if crossing and crossing != both:
+                    bandwidth += link_bandwidth
+            if best_mask < 0 or bandwidth < best_bandwidth:
+                best_bandwidth = bandwidth
+                best_mask = part
+        return result({router for router in routers if best_mask & bit[router]})
 
     # heuristic: axis-aligned sweeps
     candidates: list[set[NodeId]] = []
@@ -162,15 +180,11 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
         candidates.append(set(by_x[:half]))
         candidates.append(set(by_y[:half]))
     candidates.append(set(list(routers)[:half]))
+    best: BisectionResult | None = None
     for part_a in candidates:
-        bandwidth, cut_channels = cut_bandwidth(part_a)
-        if best is None or bandwidth < best.bandwidth_bits_per_cycle:
-            best = BisectionResult(
-                bandwidth_bits_per_cycle=bandwidth,
-                partition_a=frozenset(part_a),
-                partition_b=frozenset(set(routers) - part_a),
-                num_cut_channels=cut_channels,
-            )
+        candidate = result(part_a)
+        if best is None or candidate.bandwidth_bits_per_cycle < best.bandwidth_bits_per_cycle:
+            best = candidate
     assert best is not None
     return best
 

@@ -384,11 +384,18 @@ class CheapestEdgeBound(ResidualBound):
         self._tables = tables
         self._cost_model = cost_model
         self._acg = acg
+        # (paired, source degrees, target degrees) -> the offers feasible for
+        # an edge with that signature, in table order; residuals share few
+        # signatures, so each offer scan runs once per search
+        self._feasible_offers: dict[
+            tuple[bool, tuple[int, int, int], tuple[int, int, int]], tuple[CoverOffer, ...]
+        ] = {}
 
     def _compute(self, residual: DiGraph) -> float:
         cost_model = self._cost_model
         acg = self._acg
         offers = self._tables.offers
+        feasible_offers = self._feasible_offers
         degrees: dict[Node, tuple[int, int, int]] = {}
 
         def degrees_of(node: Node) -> tuple[int, int, int]:
@@ -408,10 +415,17 @@ class CheapestEdgeBound(ResidualBound):
             is_bidirectional = residual.has_edge(target, source)
             source_degrees = degrees_of(source)
             target_degrees = degrees_of(target)
+            signature = (is_bidirectional, source_degrees, target_degrees)
+            feasible = feasible_offers.get(signature)
+            if feasible is None:
+                feasible = tuple(
+                    offer
+                    for offer in offers
+                    if offer.feasible(is_bidirectional, source_degrees, target_degrees)
+                )
+                feasible_offers[signature] = feasible
             cheapest = cost_model.edge_remainder_cost(acg, edge)
-            for offer in offers:
-                if not offer.feasible(is_bidirectional, source_degrees, target_degrees):
-                    continue
+            for offer in feasible:
                 if offer.flat_share is not None:
                     charge = offer.flat_share
                 else:

@@ -104,12 +104,30 @@ class DiGraph:
         return graph
 
     def copy(self) -> "DiGraph":
-        """Return a deep structural copy (attribute dicts are shallow-copied)."""
+        """Return a deep structural copy (attribute dicts are shallow-copied).
+
+        The clone is built from the adjacency dicts directly, not edge by
+        edge: nodes and successors keep their order, each predecessor map
+        lists its sources in node order (the order re-adding the edges
+        source by source gives), each edge's attribute dict is copied once
+        and shared by both adjacency maps, and the degree and fingerprint
+        counters carry over.  The decomposition clones every residual, and
+        the VF2 matcher's candidate order follows these orders.
+        """
         clone = type(self)(name=self.name)
-        for node, attrs in self._node_attrs.items():
-            clone.add_node(node, **dict(attrs))
-        for source, target, attrs in self.edges(data=True):
-            clone.add_edge(source, target, **dict(attrs))
+        clone._node_attrs = {node: dict(attrs) for node, attrs in self._node_attrs.items()}
+        successors = clone._succ
+        predecessors = {node: {} for node in self._succ}
+        for source, targets in self._succ.items():
+            row = {}
+            for target, attrs in targets.items():
+                row[target] = predecessors[target][source] = dict(attrs)
+            successors[source] = row
+        clone._pred = predecessors
+        clone._num_edges = self._num_edges
+        clone._out_degree = dict(self._out_degree)
+        clone._in_degree = dict(self._in_degree)
+        clone._edge_fingerprint = self._edge_fingerprint
         return clone
 
     # ------------------------------------------------------------------

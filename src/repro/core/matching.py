@@ -153,8 +153,10 @@ class Matching:
     def subtract_from(self, graph: DiGraph) -> DiGraph:
         """Definition 2: remove the covered edges, keep all vertices."""
         self.verify_against(graph)
-        subgraph = graph.edge_induced_subgraph(self.covered_edges())
-        return graph.graph_difference(subgraph)
+        residual = graph.copy()
+        for source, target in self.covered_edges():
+            residual.remove_edge(source, target)
+        return residual
 
     def covered_volume(self, acg: ApplicationGraph) -> float:
         """Total communication volume (bits) absorbed by this matching."""

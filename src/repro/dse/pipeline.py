@@ -110,6 +110,12 @@ LIBRARIES.register("default", default_library)
 LIBRARIES.register("extended", extended_library)
 LIBRARIES.register("aes", aes_library)
 
+#: library name -> (the factory that built it, the built library); see
+#: :meth:`EvaluationSettings.build_library`
+_BUILT_LIBRARIES: dict[
+    str, tuple[Callable[[], CommunicationLibrary], CommunicationLibrary]
+] = {}
+
 #: the decomposition search-strategy registry
 STRATEGIES: Registry[SearchStrategy] = Registry("search strategy")
 STRATEGIES.register("branch_and_bound", SearchStrategy.BRANCH_AND_BOUND)
@@ -377,8 +383,20 @@ class EvaluationSettings:
         )
 
     def build_library(self) -> CommunicationLibrary:
-        """Instantiate the named communication library."""
-        return LIBRARIES.get(self.library)()
+        """The named communication library, built once per registered factory.
+
+        Every search over one library shares the instance, so its
+        primitives and the bound tables memoized on it
+        (:func:`repro.core.bounds.bound_tables`) stay warm across a sweep.
+        Callers treat it as read-only.  Re-registering the name replaces
+        the factory object, and the next call builds from the new one.
+        """
+        factory = LIBRARIES.get(self.library)
+        built = _BUILT_LIBRARIES.get(self.library)
+        if built is None or built[0] is not factory:
+            built = (factory, factory())
+            _BUILT_LIBRARIES[self.library] = built
+        return built[1]
 
     def build_synthesis_options(self) -> SynthesisOptions:
         """The synthesize/route-stage knobs as :class:`SynthesisOptions`."""

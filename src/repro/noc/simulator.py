@@ -33,9 +33,10 @@ Three engines drive the model (``SimulatorConfig.engine``):
 * ``"batch"`` — vectorized numpy engine (:mod:`repro.noc.batch`): router
   and channel state laid out as flat arrays so a whole batch of sweep
   cells advances per array operation.  Through :class:`NoCSimulator` it
-  runs as a batch of one; the DSE runner groups compatible sweep cells
-  into real multi-cell batches.  numpy is a dependency of this engine
-  only — the scalar engines stay stdlib-only.
+  runs as a batch of one, which is how the DSE pipeline runs every cell;
+  multi-cell batches exist only when :class:`~repro.noc.batch.BatchSimulator`
+  is driven directly.  numpy is a dependency of this engine only — the
+  scalar engines stay stdlib-only.
 
 The equivalence rests on two observations: (i) round-robin arbitration in
 the dense loop advances its pointer exactly once per router per cycle, so
@@ -89,7 +90,8 @@ class SimulatorConfig:
     charge_leakage: bool = True
     engine: str = ENGINE_EVENT
     """``"event"`` (skip dead time), ``"reference"`` (dense cycle loop) or
-    ``"batch"`` (vectorized numpy arrays, batchable across sweep cells)."""
+    ``"batch"`` (vectorized numpy arrays; a batch of one here, several cells
+    only through :class:`~repro.noc.batch.BatchSimulator` directly)."""
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
