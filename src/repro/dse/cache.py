@@ -44,6 +44,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.arch.topology import Topology
 from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import DecompositionResult, SearchStatistics
 from repro.core.graph import ApplicationGraph
@@ -51,8 +52,10 @@ from repro.core.library import CommunicationLibrary
 from repro.core.matching import Matching, RemainderGraph
 from repro.core.synthesis import SynthesizedArchitecture
 from repro.dse.pipeline import (
+    CapacityDonor,
     EvaluationSettings,
     Scenario,
+    baseline_route_stage,
     route_stage,
     run_decomposition_search,
     synthesize_stage,
@@ -64,6 +67,8 @@ from repro.dse.records import (
     EvaluationRecord,
 )
 from repro.exceptions import ReproError
+from repro.routing.deadlock import DeadlockReport
+from repro.routing.table import RoutingTable
 
 #: bump when the pipeline's measurement semantics change incompatibly, so
 #: stale caches are invalidated wholesale instead of silently misread
@@ -150,7 +155,9 @@ class ResultCache:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._records: dict[str, EvaluationRecord] = {}
+        self._records: dict[str, EvaluationRecord | str] = {}
+        """Records by key; a record this cache stored is kept as its JSONL
+        line until first read (:meth:`_stored_copy`)."""
         self._loaded = False
         self.skipped_lines = 0
         """Malformed lines :meth:`load` skipped: truncated JSON (a crashed
@@ -159,8 +166,8 @@ class ResultCache:
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def load(self) -> dict[str, EvaluationRecord]:
-        """Read every stored record (newest wins per key); idempotent."""
+    def _read(self) -> dict[str, EvaluationRecord | str]:
+        """The records by key, reading the file on first use (newest wins)."""
         if self._loaded:
             return self._records
         self._loaded = True
@@ -185,15 +192,33 @@ class ResultCache:
                 self._records[record.cache_key] = record
         return self._records
 
+    @staticmethod
+    def _stored_copy(line: str) -> EvaluationRecord:
+        """The record a stored line reads back as, flagged ``from_cache``."""
+        record = EvaluationRecord.from_json(line)
+        record.from_cache = True
+        return record
+
+    def load(self) -> dict[str, EvaluationRecord]:
+        """Read every stored record (newest wins per key); idempotent."""
+        records = self._read()
+        for key, value in records.items():
+            if isinstance(value, str):
+                records[key] = self._stored_copy(value)
+        return records  # type: ignore[return-value]  # every value parsed above
+
     def get(self, key: str) -> EvaluationRecord | None:
         """The cached record under ``key``, or None."""
-        return self.load().get(key)
+        value = self._read().get(key)
+        if isinstance(value, str):
+            value = self._records[key] = self._stored_copy(value)
+        return value
 
     def __contains__(self, key: str) -> bool:
-        return key in self.load()
+        return key in self._read()
 
     def __len__(self) -> int:
-        return len(self.load())
+        return len(self._read())
 
     # ------------------------------------------------------------------
     # writing
@@ -201,21 +226,19 @@ class ResultCache:
     def store(self, record: EvaluationRecord) -> None:
         """Append one record (it must carry its cache key).
 
-        The cache keeps its own copy, read back from the stored line and
-        flagged ``from_cache``: a later :meth:`get` in this process returns
-        exactly what a fresh process would load, and the caller's record
-        shares no mutable state with it.
+        The cache keeps its own copy, read back from the stored line (on
+        first :meth:`get`) and flagged ``from_cache``: a later :meth:`get`
+        in this process returns exactly what a fresh process would load,
+        and the caller's record shares no mutable state with it.
         """
         if not record.cache_key:
             raise ValueError("cannot cache a record without a cache_key")
-        self.load()
+        self._read()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = record.to_json()
         with self.path.open("a", encoding="utf-8") as stream:
             stream.write(line + "\n")
-        stored = EvaluationRecord.from_json(line)
-        stored.from_cache = True
-        self._records[record.cache_key] = stored
+        self._records[record.cache_key] = line
 
     def store_all(self, records: list[EvaluationRecord]) -> None:
         """Append several records in order."""
@@ -367,18 +390,25 @@ class StageArtifactStore:
 class StageContext:
     """Per-process reuse of stage artifacts across the cells of a sweep.
 
-    Holds an in-memory memo of decompositions (by decomposition sub-key)
-    and synthesized architectures (by synthesis sub-key), backed by an
-    optional :class:`StageArtifactStore` that persists decompositions across
-    runs and across worker processes.  :func:`repro.dse.pipeline.evaluate`
-    consults the context so a simulator-axis sweep runs the decomposition
-    search exactly once per sub-key.
+    Holds an in-memory memo of decompositions (by decomposition sub-key),
+    synthesized architectures and routed baseline fabrics (by synthesis
+    sub-key), backed by an optional :class:`StageArtifactStore` that
+    persists decompositions across runs and across worker processes.
+    :func:`repro.dse.pipeline.evaluate` consults the context so a
+    simulator-axis sweep runs the decomposition search exactly once per
+    sub-key, routes each baseline fabric once, and simulates a buffer
+    capacity only when no certified sibling run covers it
+    (:attr:`capacity_donors`).
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
         self.store = store
         self._decompositions: dict[str, DecompositionResult] = {}
         self._architectures: dict[str, SynthesizedArchitecture] = {}
+        self._baselines: dict[str, tuple[Topology, RoutingTable, DeadlockReport]] = {}
+        self.capacity_donors: dict[tuple, list[CapacityDonor]] = {}
+        """Unblocked simulations by everything they read but the buffer
+        capacity (filled and served by the pipeline's simulate stage)."""
 
     def decomposition_for(
         self, scenario: Scenario, settings: EvaluationSettings
@@ -431,3 +461,19 @@ class StageContext:
         architecture = route_stage(scenario, settings, decomposition, topology)
         self._architectures[key] = architecture
         return architecture, STAGE_COMPUTED
+
+    def baseline_for(
+        self, scenario: Scenario, settings: EvaluationSettings
+    ) -> tuple[Topology, RoutingTable, DeadlockReport]:
+        """The routed standard-fabric baseline for one mesh cell, memoized.
+
+        Cells that differ only in simulator-stage fields share the synthesis
+        sub-key, and with it one fabric object, routing table and deadlock
+        report -- which is also what lets their simulations be served across
+        buffer capacities.
+        """
+        key = synthesis_stage_key(scenario, settings)
+        routed = self._baselines.get(key)
+        if routed is None:
+            routed = self._baselines[key] = baseline_route_stage(scenario, settings)
+        return routed

@@ -27,7 +27,9 @@ simulator-stage axes alone (injection knobs, buffering, cycle budgets)
 share one decomposition — and one synthesized topology — through a
 :class:`~repro.dse.cache.StageContext`.  ``record.stage_reuse`` says per
 cell whether each stage was computed fresh or served from the in-memory
-memo (``"memory"``) or the on-disk artifact store (``"store"``).
+memo (``"memory"``) or the on-disk artifact store (``"store"``); a cell
+whose simulation was served from a certified sibling run at another
+buffer capacity says ``"capacity:<C>"`` under ``"simulate"``.
 """
 
 from __future__ import annotations
@@ -82,9 +84,17 @@ from repro.exceptions import (
     SimulationError,
     SynthesisError,
 )
-from repro.noc.batch import DrainOp, RunOp, ScheduleOp
-from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
-from repro.noc.stats import throughput_mbps_from_cycles
+from repro.noc.simulator import (
+    ENGINE_BATCH,
+    ENGINE_EVENT,
+    ENGINES,
+    DrainOp,
+    NoCSimulator,
+    RunOp,
+    ScheduleOp,
+    SimulatorConfig,
+)
+from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
 from repro.noc.traffic import acg_messages
 from repro.obs import SimulatorProbe, get_session, get_tracer
 from repro.plugins import Registry
@@ -632,11 +642,13 @@ def _replay(
     simulator_config: SimulatorConfig,
     iterations: int,
     aes_blocks: bool,
-) -> ArchitectureMetrics:
+) -> tuple[ArchitectureMetrics, NoCSimulator, SimulatorProbe | None]:
     """Run one op program on a fresh :class:`NoCSimulator` and measure it.
 
-    ``aes_blocks`` selects the paper's block-throughput formula over the
-    delivered-bits throughput used for generic ACG traffic.
+    Returns the metrics, the simulator (for its ``engine_info``) and the
+    session probe, if one was attached.  ``aes_blocks`` selects the
+    paper's block-throughput formula over the delivered-bits throughput
+    used for generic ACG traffic.
     """
     simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
     probe = _session_probe(simulator)
@@ -657,7 +669,7 @@ def _replay(
         )
     else:
         throughput = statistics.throughput_mbps(technology.frequency_mhz)
-    return ArchitectureMetrics(
+    metrics = ArchitectureMetrics(
         name=name,
         num_blocks=iterations,
         total_cycles=total_cycles,
@@ -672,6 +684,7 @@ def _replay(
         engine=simulator.config.engine,
         cycles_stepped=simulator.cycles_stepped,
     )
+    return metrics, simulator, probe
 
 
 def simulate_aes_traffic(
@@ -687,7 +700,7 @@ def simulate_aes_traffic(
     program = _aes_program(blocks, computation_cycles_per_phase)
     return _replay(
         name, topology, routing, program, technology, simulator_config, blocks, aes_blocks=True
-    )
+    )[0]
 
 
 def simulate_acg_traffic(
@@ -715,7 +728,7 @@ def simulate_acg_traffic(
         simulator_config,
         repetitions,
         aes_blocks=False,
-    )
+    )[0]
 
 
 def build_baseline_fabric(
@@ -930,7 +943,99 @@ def _simulate_builtin_traffic(
         settings.build_simulator_config(),
         iterations,
         aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
+    )[0]
+
+
+@dataclass(frozen=True)
+class CapacityDonor:
+    """An unblocked simulation that serves its buffer-capacity siblings.
+
+    The run never failed a space test and no input buffer held more than
+    ``peak_occupancy`` packets, so at any capacity above the peak every
+    space test passes exactly as it did here and the run is bit-identical,
+    ``cycles_stepped`` included (``docs/simulator.md``).
+    """
+
+    anchors: tuple[object, ...]
+    """The objects the memo key names by identity, kept alive so no
+    other object can take over their ids while the memo lives."""
+    capacity: int
+    peak_occupancy: int
+    metrics: ArchitectureMetrics
+    probe: SimulatorProbe | None
+    statistics: SimulationStatistics | None
+    """The donor's statistics, kept only beside a probe (re-emission)."""
+
+
+def _simulate_cell(
+    scenario: Scenario,
+    settings: EvaluationSettings,
+    topology: Topology,
+    table: RoutingTable,
+    programs: dict[int, tuple[list[object], int]],
+    donors: dict[tuple, list[CapacityDonor]] | None,
+) -> tuple[ArchitectureMetrics, CapacityDonor | None]:
+    """Simulate a built-in traffic mode, or serve it from a capacity sibling.
+
+    ``donors`` (a :class:`~repro.dse.cache.StageContext`'s memo) is keyed by
+    everything the run reads except ``buffer_capacity_packets``: the
+    scenario, the routed fabric and the traffic program by identity, the
+    technology and the other simulator settings by value.  A cell whose
+    capacity exceeds a memoized donor's peak occupancy is served that
+    donor's metrics; returns ``(metrics, donor)`` with ``donor`` None for a
+    real run.
+    """
+    if donors is None or settings.engine == ENGINE_BATCH:
+        metrics = _simulate_builtin_traffic(
+            scenario, settings, topology.name, topology, table.frozen_next_hop(), programs
+        )
+        return metrics, None
+    program, iterations = _traffic_program(scenario, programs)
+    technology = settings.build_technology()
+    config = settings.build_simulator_config()
+    capturing = get_session().capture_probes
+    key = (
+        id(scenario),
+        id(topology),
+        id(table),
+        table.version,
+        id(program),
+        technology,
+        capturing,
+        *(
+            getattr(config, spec.name)
+            for spec in fields(config)
+            if spec.name != "buffer_capacity_packets"
+        ),
     )
+    siblings = donors.setdefault(key, [])
+    for donor in siblings:
+        if config.buffer_capacity_packets > donor.peak_occupancy:
+            _flush_probe(donor.probe, donor.statistics, topology.name)
+            return donor.metrics, donor
+    metrics, simulator, probe = _replay(
+        topology.name,
+        topology,
+        table.frozen_next_hop(),
+        program,
+        technology,
+        config,
+        iterations,
+        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
+    )
+    info = simulator.engine_info()
+    if not info["blocked"]:
+        siblings.append(
+            CapacityDonor(
+                anchors=(scenario, topology, table, program),
+                capacity=config.buffer_capacity_packets,
+                peak_occupancy=int(info["peak_occupancy"]),
+                metrics=metrics,
+                probe=probe,
+                statistics=simulator.statistics if probe is not None else None,
+            )
+        )
+    return metrics, None
 
 
 register_traffic_mode(
@@ -1006,18 +1111,18 @@ def _apply_deadlock_gate(
 
 
 @contextmanager
-def _stage(stage: str, record: EvaluationRecord) -> Iterator[None]:
+def _stage(stage: str, record: EvaluationRecord) -> Iterator[object]:
     """Time one pipeline stage into ``stage_seconds`` and span it.
 
     Timing lands in the record even when the stage raises (the pipeline's
     failure statuses), so a failed cell still reports where its time went.
     The span is named ``dse.<stage>`` so trace summaries can break a
-    sweep's wall clock down by stage.
+    sweep's wall clock down by stage; it is yielded for annotation.
     """
     start = time.perf_counter()
-    with get_tracer().span(f"dse.{stage}"):
+    with get_tracer().span(f"dse.{stage}") as span:
         try:
-            yield
+            yield span
         finally:
             record.stage_seconds[stage] = time.perf_counter() - start
 
@@ -1077,17 +1182,20 @@ def _prepare(
     settings: EvaluationSettings,
     record: EvaluationRecord,
     context: "object | None",
-) -> tuple[Topology, RoutingFunction]:
+) -> tuple[Topology, RoutingTable]:
     """Decompose -> synthesize -> route, or route the baseline fabric.
 
-    Returns the routed fabric and its frozen next-hop function.  With a
-    :class:`~repro.dse.cache.StageContext` the decomposition and the
-    synthesize/route product are reused across cells sharing their stage
-    sub-keys.
+    Returns the routed fabric and its routing table.  With a
+    :class:`~repro.dse.cache.StageContext` the decomposition, the
+    synthesize/route product and the routed baseline fabric are reused
+    across cells sharing their stage sub-keys.
     """
     if settings.architecture == "mesh":
         with _stage("route", record):
-            topology, table, deadlock_report = baseline_route_stage(scenario, settings)
+            if context is not None:
+                topology, table, deadlock_report = context.baseline_for(scenario, settings)
+            else:
+                topology, table, deadlock_report = baseline_route_stage(scenario, settings)
             _apply_deadlock_gate(record, settings, deadlock_report)
     else:
         with _stage("decompose", record):
@@ -1111,7 +1219,7 @@ def _prepare(
             record.constraints_satisfied = architecture.constraint_report.satisfied
         _apply_deadlock_gate(record, settings, architecture.deadlock_report)
         topology, table = architecture.topology, architecture.routing_table
-    return topology, table.frozen_next_hop()
+    return topology, table
 
 
 def _evaluate_cell(
@@ -1128,8 +1236,10 @@ def _evaluate_cell(
     The scenario's pins are applied to the grid ``settings`` first.  The
     cell runs inside its own ``dse.evaluate`` span, annotated with its
     status.  Built-in traffic modes replay the scenario's op program
-    (memoized in ``programs`` across the cells of one call); plugin
-    traffic modes dispatch through :func:`simulate_stage`.
+    (memoized in ``programs`` across the cells of one call), or, under a
+    :class:`~repro.dse.cache.StageContext`, are served from a certified
+    buffer-capacity sibling (``stage_reuse["simulate"] = "capacity:<C>"``);
+    plugin traffic modes dispatch through :func:`simulate_stage`.
     """
     settings = scenario.effective_settings(settings)
     record = EvaluationRecord(
@@ -1147,13 +1257,20 @@ def _evaluate_cell(
         config=record.config_label,
     ) as span:
         with _phase(record):
-            topology, routing = _prepare(scenario, settings, record, context)
-            fabric = (topology.name, topology, routing)
-            with _stage("simulate", record):
+            topology, table = _prepare(scenario, settings, record, context)
+            with _stage("simulate", record) as simulate_span:
                 if get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic:
-                    metrics = _simulate_builtin_traffic(scenario, settings, *fabric, programs)
+                    donors = context.capacity_donors if context is not None else None
+                    metrics, donor = _simulate_cell(
+                        scenario, settings, topology, table, programs, donors
+                    )
+                    if donor is not None:
+                        record.stage_reuse["simulate"] = f"capacity:{donor.capacity}"
+                        simulate_span.annotate(donor_capacity=donor.capacity)
                 else:
-                    metrics = simulate_stage(scenario, settings, *fabric)
+                    metrics = simulate_stage(
+                        scenario, settings, topology.name, topology, table.frozen_next_hop()
+                    )
             with _stage("score", record):
                 record.metrics.update(score_stage(metrics, topology))
         span.annotate(status=record.status)

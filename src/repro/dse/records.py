@@ -12,7 +12,7 @@ the on-disk JSONL cache stores.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: evaluation outcome classes (ordered roughly by how far the pipeline got)
 STATUS_OK = "ok"
@@ -62,7 +62,9 @@ class EvaluationRecord:
     stage_reuse: dict[str, str] = field(default_factory=dict)
     """Per-stage provenance (``{"decompose": "memory", ...}``): whether each
     shareable stage was computed for this cell or reused from the in-memory
-    memo / on-disk artifact store.  Empty for mesh cells (no decomposition)."""
+    memo / on-disk artifact store, plus ``"simulate": "capacity:<C>"`` when
+    the simulation was served from a certified sibling run at buffer
+    capacity ``C``.  Mesh cells (no decomposition) carry at most that."""
     stage_seconds: dict[str, float] = field(default_factory=dict)
     """Per-stage wall-clock seconds for the stages this cell actually ran
     (``{"decompose": 1.8, "simulate": 0.2, ...}``); the triage companion of
@@ -153,9 +155,13 @@ class EvaluationRecord:
     # JSON round-trip (the cache's storage format)
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        """One JSONL line (the cache's storage format)."""
-        payload = asdict(self)
-        payload.pop("from_cache", None)  # a load-time annotation, not state
+        """One JSONL line (the cache's storage format).
+
+        Serializes a shallow field dict: the fields hold plain JSON values,
+        so the line equals that of a ``dataclasses.asdict`` deep copy byte
+        for byte, without the copy.
+        """
+        payload = {name: getattr(self, name) for name in _STORED_FIELDS}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
@@ -168,3 +174,10 @@ class EvaluationRecord:
     def from_json(cls, text: str) -> "EvaluationRecord":
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
+
+
+#: the fields a JSONL line stores: every field but ``from_cache``, which is
+#: a load-time annotation, not state
+_STORED_FIELDS = tuple(
+    spec.name for spec in fields(EvaluationRecord) if spec.name != "from_cache"
+)

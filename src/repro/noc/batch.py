@@ -60,6 +60,7 @@ from repro.energy.power import EnergyAccount
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import ReproError, SimulationError
 from repro.noc.packet import Message, Packet
+from repro.noc.simulator import DrainOp, RunOp, ScheduleOp
 from repro.noc.stats import SimulationStatistics
 from repro.obs import SimulatorProbe
 
@@ -95,30 +96,6 @@ def require_numpy():
     return _numpy
 
 
-# ----------------------------------------------------------------------
-# per-cell op programs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScheduleOp:
-    """Schedule messages at the cell's then-current cycle (instantaneous)."""
-
-    messages: tuple[Message, ...]
-
-
-@dataclass(frozen=True)
-class DrainOp:
-    """Run until the cell's network drains (``run_until_drained``)."""
-
-    max_cycles: int | None = None
-
-
-@dataclass(frozen=True)
-class RunOp:
-    """Run the cell for a fixed number of cycles (``run``)."""
-
-    cycles: int
-
-
 @dataclass
 class _Cell:
     """Python-side (cold) state of one batch cell."""
@@ -133,7 +110,8 @@ class _Cell:
     flights: list[list[int]] = field(default_factory=list)
     """In-flight packets as mutable ``[arrival_cycle, pid, channel]`` in
     launch order; a full-buffer retry rewrites the arrival in place so the
-    flight keeps its list position, exactly like ``Network.in_flight``."""
+    flight keeps its list position, which keeps each channel's launch order
+    exactly as the scalar engines' arrival heap does."""
     link_bits: dict[int, int] = field(default_factory=dict)
     """Per-channel traversal bits since the last energy flush; insertion
     order is first-launch order, which fixes the ``charge_link`` order."""
@@ -738,9 +716,10 @@ class BatchSimulator:
     def _deliver_arrivals(self, index: int) -> None:
         """The in-order arrival pass with full-buffer retries.
 
-        Mirrors ``Network.deliver_arrivals``: flights are visited in launch
-        order; a due flight whose downstream buffer is full retries next
-        cycle without losing its position.
+        Flights are visited in launch order; a due flight whose downstream
+        buffer is full retries next cycle without losing its position.  Per
+        channel this is the scalar engines' ``(arrival, launch sequence)``
+        delivery order.
         """
         cell = self._cells[index]
         now = self._cycle[index]

@@ -11,7 +11,6 @@ the mesh baseline (XY routing) and the synthesized customized topologies
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
 
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
@@ -20,16 +19,6 @@ from repro.noc.router import InputBuffer, Router
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
-
-
-@dataclass(slots=True)
-class InFlight:
-    """A packet currently traversing a channel."""
-
-    packet: Packet
-    upstream: NodeId
-    downstream: NodeId
-    arrival_cycle: int
 
 
 class Network:
@@ -63,11 +52,12 @@ class Network:
         that the channel feeds -- the buffer whose space gates a launch
         over the channel and an arrival off it."""
         self._wire_channels()
-        self.in_flight: list[InFlight] = []
-        self._next_arrival: int | None = None
-        """Incrementally maintained min arrival cycle over ``in_flight``
-        (updated on launch and on every delivery pass), so the event engine
-        never scans the in-flight list to find its next event."""
+        self.in_flight: list[tuple[int, int, Packet, tuple[NodeId, NodeId]]] = []
+        """Packets traversing a channel: a heap of ``(arrival cycle, launch
+        sequence, packet, channel)``.  The simulator launches onto it and
+        delivers off it; the sequence keeps a channel's packets in launch
+        order when a full-buffer retry and a later launch fall due on the
+        same cycle."""
 
     # ------------------------------------------------------------------
     # queries
@@ -151,10 +141,6 @@ class Network:
         self.route_cache[key] = next_hop
         return next_hop
 
-    def next_arrival_cycle(self) -> int | None:
-        """Earliest cycle at which an in-flight packet can arrive, if any."""
-        return self._next_arrival
-
     def stuck_packets(self) -> list[tuple[Packet, NodeId]]:
         """Every undelivered packet with the router it is at (or flying to).
 
@@ -167,56 +153,10 @@ class Network:
             for port in router.ports():
                 for packet in router.buffer(port).queue:
                     stuck.append((packet, node))
-        for flight in self.in_flight:
-            stuck.append((flight.packet, flight.downstream))
+        for _, _, packet, (_, downstream) in self.in_flight:
+            stuck.append((packet, downstream))
         stuck.sort(key=lambda item: item[0].packet_id)
         return stuck
 
     def channel_length_mm(self, source: NodeId, target: NodeId) -> float:
         return self.topology.channel(source, target).length_mm
-
-    # ------------------------------------------------------------------
-    # state changes used by the simulator
-    # ------------------------------------------------------------------
-    def launch(self, packet: Packet, upstream: NodeId, downstream: NodeId, arrival_cycle: int) -> None:
-        self.in_flight.append(
-            InFlight(
-                packet=packet,
-                upstream=upstream,
-                downstream=downstream,
-                arrival_cycle=arrival_cycle,
-            )
-        )
-        if self._next_arrival is None or arrival_cycle < self._next_arrival:
-            self._next_arrival = arrival_cycle
-
-    def deliver_arrivals(self, cycle: int) -> list[NodeId]:
-        """Move in-flight packets whose transfer has completed into the
-        downstream input buffers (retrying next cycle when the buffer is
-        full).  Returns the routers that received a packet this cycle, which
-        is what the event-driven engine uses to (re-)activate them."""
-        if self._next_arrival is None or self._next_arrival > cycle:
-            return []  # nothing in flight, or nothing due yet
-        downstream = self.downstream
-        still_flying: list[InFlight] = []
-        receivers: list[NodeId] = []
-        next_arrival: int | None = None
-        for flight in self.in_flight:
-            arrival = flight.arrival_cycle
-            if arrival > cycle:
-                still_flying.append(flight)
-            else:
-                target = flight.downstream
-                buffer = downstream[flight.upstream, target]
-                queue = buffer.queue
-                if len(queue) < buffer.capacity_packets:
-                    queue.append(flight.packet)
-                    receivers.append(target)
-                    continue
-                arrival = flight.arrival_cycle = cycle + 1
-                still_flying.append(flight)
-            if next_arrival is None or arrival < next_arrival:
-                next_arrival = arrival
-        self.in_flight = still_flying
-        self._next_arrival = next_arrival
-        return receivers

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
@@ -77,6 +77,31 @@ ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE, ENGINE_BATCH)
 
 #: how many stuck packets the drain-budget error names individually
 _STUCK_PACKETS_NAMED = 8
+
+
+# ----------------------------------------------------------------------
+# op programs: a run as data (replayed by the DSE pipeline, queued per
+# cell by the batch engine)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ScheduleOp:
+    """Schedule messages at the then-current cycle (instantaneous)."""
+
+    messages: tuple[Message, ...]
+
+
+@dataclass(frozen=True)
+class DrainOp:
+    """Run until the network drains (``run_until_drained``)."""
+
+    max_cycles: int | None = None
+
+
+@dataclass(frozen=True)
+class RunOp:
+    """Run for a fixed number of cycles (``run``)."""
+
+    cycles: int
 
 
 @dataclass
@@ -155,16 +180,21 @@ class NoCSimulator:
         self._switch_bits = 0
         self._link_bits: dict[tuple[NodeId, NodeId], int] = {}
         # event engine bookkeeping: a stable processing order (the reference
-        # loop's router iteration order), the node at each position, a heap
-        # of scheduled wake-ups keyed by position with the earliest wake per
-        # position (a later duplicate is never pushed: processing at the
-        # earlier cycle re-arms as needed), and the executing cycle's
-        # worklist of active positions, a heap reused from cycle to cycle
+        # loop's router iteration order), the node at each position, and a
+        # heap of scheduled wake-ups keyed by position with the earliest
+        # wake per position (a later duplicate is never pushed: processing
+        # at the earlier cycle re-arms as needed)
         self._router_order = {node: index for index, node in enumerate(self.network.routers)}
         self._nodes: list[NodeId] = list(self.network.routers)
         self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
         self._scheduled_wake: list[int | None] = [None] * len(self._nodes)
-        self._worklist: list[int] = []
+        self._in_flight = self.network.in_flight
+        self._launches = 0  # launch sequence numbers handed out so far
+        # the buffer-capacity certificate (engine_info): whether a space
+        # test (launch, re-arm or arrival) ever failed, and the largest
+        # input-buffer occupancy any arrival produced
+        self._blocked = False
+        self._peak_occupancy = 0
         # O(1) load tracking, maintained at the three buffer mutation points
         # (injection, arrival, pop) so neither engine ever scans every
         # router's buffers to find work or to decide drainage
@@ -302,14 +332,15 @@ class NoCSimulator:
 
         The event engine visits only the routers that might progress: those
         injected into, arrived into or due a scheduled wake.  They are
-        processed in the reference loop's router order; a router woken
-        mid-cycle by an upstream-space release joins this cycle's worklist
-        when its turn has not passed yet (exactly the routers the dense loop
-        would still visit) and is deferred to the next cycle otherwise.
-        ``dense=True`` is the reference engine's :meth:`step`: every router
-        is visited and no wake is scheduled or consumed.  Per visit, the
-        input ports are scanned round-robin from ``cycle mod ports`` and the
-        first head requesting an output wins it (``docs/simulator.md``).
+        processed in the reference loop's router order, lowest position
+        first off a bitmask of active positions; a router woken mid-cycle by
+        an upstream-space release joins this cycle's mask when its turn has
+        not passed yet (exactly the routers the dense loop would still
+        visit) and is deferred to the next cycle otherwise.  ``dense=True``
+        is the reference engine's :meth:`step`: every router is visited and
+        no wake is scheduled or consumed.  Per visit, the input ports are
+        scanned round-robin from ``cycle mod ports`` and the first head
+        requesting an output wins it (``docs/simulator.md``).
         """
         self.current_cycle = cycle
         network = self.network
@@ -317,13 +348,17 @@ class NoCSimulator:
         order = self._router_order
         loaded = self._buffered_by_node
         probe = self.probe
-        worklist = self._worklist
-        worklist.clear()
+        downstream = network.downstream
+        in_flight = self._in_flight
+        blocked = False
+        active = 0  # bitmask of the positions to visit this cycle
         # inject every due packet into its source's local queue, then
-        # deliver the due arrivals; both activate the receiving router
+        # deliver the due arrivals in (arrival, launch) order; both activate
+        # the receiving router
         pending = self._pending
         if pending and pending[0][0] <= cycle:
             local_queues = self._local_queues
+            injected = 0
             while pending and pending[0][0] <= cycle:
                 packet = heappop(pending)[2]
                 source = packet.message.source
@@ -331,45 +366,58 @@ class NoCSimulator:
                 loaded[source] += 1
                 if probe is not None:
                     probe.record_enqueue(source, loaded[source])
-                worklist.append(order[source])
-            self._buffered_total += len(worklist)  # one entry per packet
-        receivers = network.deliver_arrivals(cycle)
-        if receivers:
-            for node in receivers:
-                loaded[node] += 1
+                active |= 1 << order[source]
+                injected += 1
+            self._buffered_total += injected
+        if in_flight and in_flight[0][0] <= cycle:
+            peak = self._peak_occupancy
+            arrived = 0
+            while in_flight and in_flight[0][0] <= cycle:
+                flight = heappop(in_flight)
+                channel = flight[3]
+                buffer = downstream[channel]
+                queue = buffer.queue
+                if len(queue) >= buffer.capacity_packets:
+                    # full: retry next cycle, keeping the launch sequence
+                    blocked = True
+                    heappush(in_flight, (cycle + 1, flight[1], flight[2], channel))
+                    continue
+                queue.append(flight[2])
+                if len(queue) > peak:
+                    peak = len(queue)
+                target = channel[1]
+                loaded[target] += 1
                 if probe is not None:
-                    probe.record_enqueue(node, loaded[node])
-                worklist.append(order[node])
-            self._buffered_total += len(receivers)
+                    probe.record_enqueue(target, loaded[target])
+                active |= 1 << order[target]
+                arrived += 1
+            self._buffered_total += arrived
+            self._peak_occupancy = peak
         wake_heap = self._wake_heap
         scheduled = self._scheduled_wake
         if dense:
-            worklist[:] = range(len(nodes))
+            active = (1 << len(nodes)) - 1
         else:
             while wake_heap and wake_heap[0][0] <= cycle:
                 wake_cycle, index = heappop(wake_heap)
                 if scheduled[index] == wake_cycle:
                     scheduled[index] = None
-                worklist.append(index)
-            heapify(worklist)
+                active |= 1 << index
 
         routers = network.routers
         route = network.route_cache.get
         next_hop = network.next_hop
-        launch = network.launch
         free_at = network.channel_free_at
-        downstream = network.downstream
         delay = self.config.router_pipeline_delay_cycles
         delivered = self.statistics.delivered_packets
         busy = self.statistics.channel_busy_cycles
         link_bits = self._link_bits
+        launches = self._launches
         next_cycle = cycle + 1
-        visited = -1
-        while worklist:
-            index = heappop(worklist)
-            if index == visited:
-                continue  # activated twice: positions pop in order
-            visited = index
+        while active:
+            lowest = active & -active
+            active ^= lowest
+            index = lowest.bit_length() - 1
             node = nodes[index]
             if not loaded[node]:
                 continue  # speculative wake of an emptied router: a no-op
@@ -406,13 +454,15 @@ class NoCSimulator:
                         continue
                     buffer = downstream[channel]
                     if len(buffer.queue) >= buffer.capacity_packets:
+                        blocked = True
                         continue
                     queue.popleft()
                     flits = packet.num_flits
                     free_at[channel] = cycle + flits
                     packet.hops += 1
                     packet.path.append(hop)
-                    launch(packet, node, hop, cycle + flits + delay)
+                    heappush(in_flight, (cycle + flits + delay, launches, packet, channel))
+                    launches += 1
                     link_bits[channel] = link_bits.get(channel, 0) + message.size_bits
                     busy[channel] = busy.get(channel, 0) + flits
                 # one switch traversal per move (the final one ejects)
@@ -423,12 +473,14 @@ class NoCSimulator:
                 if port is not LOCAL_PORT and not dense and loaded[port]:
                     upstream = order[port]
                     if upstream > index:
-                        heappush(worklist, upstream)
+                        active |= 1 << upstream
                     elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
                         scheduled[upstream] = next_cycle
                         heappush(wake_heap, (next_cycle, upstream))
             if dense or not loaded[node]:
                 continue
+            if scheduled[index] is not None and scheduled[index] <= next_cycle:
+                continue  # already due as early as any re-arm could make it
             # re-arm a still-loaded router: the earliest over its heads of
             # next cycle (eject, routing error, free channel with downstream
             # space), a busy channel's release, or none (backpressure: the
@@ -450,16 +502,21 @@ class NoCSimulator:
                         break
                 channel = (node, hop)
                 release = free_at[channel]
-                buffer = downstream[channel]
                 if release > cycle:
                     if wake is None or release < wake:
                         wake = release
-                elif len(buffer.queue) < buffer.capacity_packets:
+                    continue
+                buffer = downstream[channel]
+                if len(buffer.queue) < buffer.capacity_packets:
                     wake = next_cycle
                     break
+                blocked = True
             if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
                 scheduled[index] = wake
                 heappush(wake_heap, (wake, index))
+        self._launches = launches
+        if blocked:
+            self._blocked = True
         self.cycles_stepped += 1
         self.current_cycle = next_cycle
 
@@ -486,9 +543,8 @@ class NoCSimulator:
     def _next_event_cycle(self) -> int | None:
         """The next cycle at which anything can possibly progress."""
         candidate: int | None = self._pending[0][0] if self._pending else None
-        arrival = self.network.next_arrival_cycle()
-        if arrival is not None and (candidate is None or arrival < candidate):
-            candidate = arrival
+        if self._in_flight and (candidate is None or self._in_flight[0][0] < candidate):
+            candidate = self._in_flight[0][0]
         if self._wake_heap and (candidate is None or self._wake_heap[0][0] < candidate):
             candidate = self._wake_heap[0][0]
         if candidate is None:
@@ -510,18 +566,33 @@ class NoCSimulator:
 
     def _drained(self) -> bool:
         """No pending injection, no buffered packet, nothing in flight."""
-        return not (self._pending or self._buffered_total or self.network.in_flight)
+        return not (self._pending or self._buffered_total or self._in_flight)
 
     def _run_event_until_drained(self, start: int, budget: int) -> None:
+        """Event-driven :meth:`run_until_drained`.
+
+        The loop inlines :meth:`_drained` and :meth:`_next_event_cycle`:
+        it runs once per executed cycle.
+        """
         self._arm_occupied_routers()
-        while not self._drained():
-            next_cycle = self._next_event_cycle()
+        pending = self._pending
+        in_flight = self._in_flight
+        wake_heap = self._wake_heap
+        process = self._process_active_cycle
+        while pending or in_flight or self._buffered_total:
+            next_cycle = pending[0][0] if pending else None
+            if in_flight and (next_cycle is None or in_flight[0][0] < next_cycle):
+                next_cycle = in_flight[0][0]
+            if wake_heap and (next_cycle is None or wake_heap[0][0] < next_cycle):
+                next_cycle = wake_heap[0][0]
+            if next_cycle is not None and next_cycle < self.current_cycle:
+                next_cycle = self.current_cycle
             if next_cycle is None or next_cycle - start > budget:
                 # the reference engine crawls through the dead cycles and
                 # raises once the budget is crossed; land on the same cycle
                 self.current_cycle = start + budget + 1
                 raise self._drain_budget_error(budget)
-            self._process_active_cycle(next_cycle)
+            process(next_cycle)
 
     # ------------------------------------------------------------------
     # runs
@@ -531,8 +602,6 @@ class NoCSimulator:
         tracer = get_tracer()
         with tracer.span("noc.run") as span:
             if self._batch is not None:
-                from repro.noc.batch import RunOp
-
                 self._batch.enqueue(0, RunOp(cycles))
                 self._execute_batch()  # the batch core finalizes per op
             elif self.config.engine == ENGINE_EVENT:
@@ -561,8 +630,6 @@ class NoCSimulator:
         tracer = get_tracer()
         with tracer.span("noc.run_until_drained") as span:
             if self._batch is not None:
-                from repro.noc.batch import DrainOp
-
                 self._batch.enqueue(0, DrainOp(max_cycles))
                 self._execute_batch()  # the batch core finalizes per op
             elif self.config.engine == ENGINE_EVENT:
@@ -683,13 +750,25 @@ class NoCSimulator:
     def engine_info(self) -> dict[str, object]:
         """Engine provenance: which engine ran and how much dead time it
         skipped.  Deliberately not part of :meth:`report`, whose output is
-        engine-independent by contract."""
-        return {
+        engine-independent by contract.
+
+        The scalar engines add the buffer-capacity certificate:
+        ``blocked`` (a launch, re-arm or arrival space test failed) and
+        ``peak_occupancy`` (the fullest any input buffer got).  An
+        unblocked run is bit-identical at every buffer capacity above its
+        peak, ``cycles_stepped`` included, because capacity enters the
+        model through those three tests alone (``docs/simulator.md``).
+        """
+        info: dict[str, object] = {
             "engine": self.config.engine,
             "cycles_total": self.current_cycle,
             "cycles_stepped": self.cycles_stepped,
             "cycles_skipped": self.current_cycle - self.cycles_stepped,
         }
+        if self._batch is None:
+            info["blocked"] = self._blocked
+            info["peak_occupancy"] = self._peak_occupancy
+        return info
 
     def report(self) -> dict[str, float]:
         """Combined performance + energy summary of the run so far.

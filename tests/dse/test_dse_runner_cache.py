@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -180,6 +182,35 @@ class TestRunSweep:
         # the stored copy shares no mutable state with the caller's record
         first.records[0].metrics["total_cycles"] = -1.0
         assert cache.get(first.records[0].cache_key).metrics["total_cycles"] != -1.0
+
+    def test_stored_lines_equal_the_deep_copy_serialization(self, tmp_path):
+        """The 270 records of the 162-point embedded grid: every JSONL line
+        is byte-identical to the ``dataclasses.asdict`` serialization, and
+        the lazily read-back copy serializes to the same line."""
+        spec = get_suite("embedded")
+        axes = {
+            "architecture": ("mesh", "custom"),
+            "max_matchings_per_primitive": (1, 2, 3),
+            "router_pipeline_delay_cycles": (1, 2, 4),
+            "buffer_capacity_packets": (2, 4, 8),
+        }
+        cells = plan_sweep(spec.build(), spec.base_settings, axes)
+        cache = ResultCache(tmp_path / "results.jsonl")
+        result = run_cells(cells, cache=cache)
+        assert len(result.records) == 270
+
+        def deep_copy_line(record: EvaluationRecord) -> str:
+            payload = dataclasses.asdict(record)
+            payload.pop("from_cache")
+            return json.dumps(payload, sort_keys=True)
+
+        assert all(record.to_json() == deep_copy_line(record) for record in result.records)
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == result.num_evaluations == 162
+        for line in lines:
+            stored = cache.get(json.loads(line)["cache_key"])
+            assert stored.from_cache
+            assert deep_copy_line(stored) == line == stored.to_json()
 
     def test_records_come_back_in_plan_order(self):
         scenarios = [tgff_scenario(10, 7), planted_scenario(12, 11)]

@@ -135,6 +135,34 @@ class TestActiveSetBookkeeping:
         simulator.run_until_drained()
         assert simulator.statistics.all_delivered
 
+    def test_loser_rearms_before_a_later_scheduled_wake(self):
+        """The re-arm scan is skipped only when a wake at or before the next
+        cycle is already scheduled.  Here R already waits until cycle 8 (V's
+        packet behind the 8-flit launch on R->X) when, at cycle 5, U's and
+        R's own packets for Y contend: the loser must wake at 6, not 8."""
+
+        def run(engine: str) -> NoCSimulator:
+            topology = Topology(name="rearm")
+            for source, target in (("U", "R"), ("V", "R"), ("R", "X"), ("R", "Y")):
+                topology.add_channel(source, target, length_mm=1.0)
+            hops = {("U", "Y"): "R", ("V", "X"): "R", ("R", "X"): "X", ("R", "Y"): "Y"}
+            simulator = NoCSimulator(
+                topology,
+                lambda current, destination: hops[current, destination],
+                config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=1),
+            )
+            simulator.schedule_message(Message("R", "X", 256), cycle=0)
+            simulator.schedule_message(Message("V", "X", 32), cycle=0)
+            simulator.schedule_message(Message("U", "Y", 32), cycle=3)
+            simulator.schedule_message(Message("R", "Y", 32), cycle=5)
+            simulator.run_until_drained()
+            return simulator
+
+        event, reference = run(ENGINE_EVENT), run(ENGINE_REFERENCE)
+        assert reference.statistics.delivery_cycles() == {0: 9, 1: 10, 2: 8, 3: 7}
+        assert event.statistics.delivery_cycles() == reference.statistics.delivery_cycles()
+        assert event.report() == reference.report()
+
     def test_no_wake_leaks_after_drain(self):
         """After draining, any leftover speculative wakes must be harmless:
         a fresh run on the same simulator still matches the reference."""
