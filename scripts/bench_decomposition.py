@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Benchmark the exact residual bounds against the legacy coarse bound.
+"""Benchmark the cheapest-edge residual bound against the legacy coarse bound.
 
 Runs the branch-and-bound decomposition twice per benchmark graph — once
 under the legacy per-edge cost-model bound (``lower_bound="cost_model"``)
-and once under the stacked exact bounds of :mod:`repro.core.bounds`
-(``lower_bound="stacked"``, the default) — over the Fig-4a TGFF sweep,
+and once under the per-edge cheapest-cover bound of :mod:`repro.core.bounds`
+(``lower_bound="cheapest_edge"``, the default) — over the Fig-4a TGFF sweep,
 the Fig-4b Pajek sweep and the embedded suite (MPEG-4, VOPD, MWD,
 263enc+mp3dec, the Figure-5 example and the AES case study).
 
@@ -15,14 +15,14 @@ Three claims are measured and gated by ``--check``:
   pruning removes only subtrees that cannot strictly improve the
   incumbent, so untruncated searches must agree exactly; a parity break
   means a bound over-estimated (inadmissible) somewhere.
-* **nodes saving** — the stacked bounds expand at least
+* **nodes saving** — the cheapest-edge bound expands at least
   ``NODES_SAVING_FLOOR``x fewer search nodes, aggregated as the
   geometric mean of the per-suite savings (SPEC-style), so one
   node-heavy suite cannot mask or inflate the others.  The pooled raw
   totals are reported alongside for transparency.
 * **budget quality** — under a ``max_nodes_expanded`` budget ~3x tighter
   than the sweep default (``BUDGET // BUDGET_TIGHTENING`` vs ``BUDGET``),
-  the stacked bounds still reach final costs at least as good as the
+  the cheapest-edge bound still reaches final costs at least as good as the
   legacy bound gets with the full budget, on every graph.  This is the
   experiment that licenses the tighter ``default_ladder()`` screen rung.
 
@@ -63,7 +63,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decomposition.j
 
 #: the two bound configurations the benchmark races
 BASELINE_BOUND = "cost_model"
-CANDIDATE_BOUND = "stacked"
+CANDIDATE_BOUND = "cheapest_edge"
 
 #: nodes-expanded saving (geometric mean over suites) the --check gate
 #: enforces (measured ~5.5x on this suite at the default branching width:
@@ -247,9 +247,9 @@ def write_job_summary(result: dict[str, object]) -> None:
     if not summary_path:
         return
     lines = [
-        "### Decomposition bounds: stacked exact bounds vs legacy coarse bound",
+        "### Decomposition bounds: cheapest-edge bound vs legacy coarse bound",
         "",
-        "| suite | graphs | legacy nodes | stacked nodes | saving |",
+        "| suite | graphs | legacy nodes | cheapest_edge nodes | saving |",
         "|---|---|---|---|---|",
     ]
     for suite, stats in result["per_suite"].items():
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"walls: legacy {result['baseline_wall_seconds']:.3f}s, "
-        f"stacked {result['candidate_wall_seconds']:.3f}s; prune provenance "
+        f"cheapest_edge {result['candidate_wall_seconds']:.3f}s; prune provenance "
         + json.dumps(result["branches_pruned_by"])
     )
     if result["parity_breaks"]:

@@ -10,8 +10,6 @@ from repro.core.bounds import (
     BOUND_NAMES,
     CheapestEdgeBound,
     CostModelBound,
-    ExactSmallBound,
-    PackingBound,
     ResidualBound,
     StackedBound,
     build_lower_bound,
@@ -97,8 +95,6 @@ __all__ = [
     "ResidualBound",
     "CostModelBound",
     "CheapestEdgeBound",
-    "PackingBound",
-    "ExactSmallBound",
     "StackedBound",
     "build_lower_bound",
     "DecompositionConfig",

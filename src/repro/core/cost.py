@@ -114,14 +114,10 @@ class CostModel(ABC):
 
         Flat models (e.g. link count) charge a matching the same amount
         wherever it lands, which lets the bound subsystem precompute exact
-        per-edge shares and packing prices once per (library, cost-model)
-        pair.  Additive models return ``None``.
+        per-edge shares once per (library, cost-model) pair.  Additive
+        models return ``None``.
         """
         del primitive
-        return None
-
-    def flat_remainder_edge_cost(self) -> float | None:
-        """Binding-independent per-edge remainder cost, or ``None``."""
         return None
 
     def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
@@ -213,10 +209,6 @@ class LinkCountCostModel(CostModel):
     def flat_matching_cost(self, primitive) -> float:
         """Physical link count: the same wherever the matching lands."""
         return float(primitive.num_physical_links)
-
-    def flat_remainder_edge_cost(self) -> float:
-        """One dedicated link per remainder edge (times the penalty)."""
-        return self.remainder_penalty * 1.0
 
     def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
         """Coarse per-edge link bound (the legacy ``"cost_model"`` bound).

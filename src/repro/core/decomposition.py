@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.bounds import ResidualBound, build_lower_bound
+from repro.core.bounds import ResidualBound, build_lower_bound, check_bound_name
 from repro.core.cost import CostModel, default_cost_model
 from repro.core.graph import ApplicationGraph, DiGraph, Edge
 from repro.core.isomorphism import MatcherOptions, VF2Matcher
@@ -82,20 +82,14 @@ class DecompositionConfig:
     total work on large graphs whose decomposition tree is too big to search
     exhaustively (the best decomposition found so far is returned)."""
     use_lower_bound: bool = True
-    lower_bound: str = "stacked"
+    lower_bound: str = "cheapest_edge"
     """Which admissible residual bound prunes branches (see
-    :mod:`repro.core.bounds`): ``"cost_model"`` (the legacy coarse per-edge
-    charge), ``"cheapest_edge"`` (per-edge cheapest feasible cover offer),
-    ``"packing"`` (node-side slot packing, flat cost models), ``"exact_small"``
-    (memoized exact solve of small residuals) or ``"stacked"`` (the max of
-    the latter three, evaluated lazily).  Ignored when ``use_lower_bound``
-    is False.  Pruning is exact under every admissible choice — the knob
-    trades bound computation against nodes expanded, never solution
-    quality."""
-    exact_small_max_edges: int = 10
-    """Residuals at or below this many edges are solved outright (and
-    memoized) by the ``exact_small`` bound; ``0`` disables the exact solver
-    within ``stacked``."""
+    :mod:`repro.core.bounds`): ``"cheapest_edge"`` (per-edge cheapest
+    feasible cover offer, the default) or ``"cost_model"`` (the legacy
+    coarse per-edge charge).  Ignored when ``use_lower_bound`` is False.
+    Pruning is exact under every admissible choice — the knob trades bound
+    computation against nodes expanded, never solution quality.  An
+    unknown name raises :class:`DecompositionError` at construction."""
     use_matching_cache: bool = True
     """Inherit a parent residual's matchings into its children instead of
     re-running VF2: a child residual differs from its parent only by the
@@ -116,6 +110,9 @@ class DecompositionConfig:
     whose matching count is moderate.  Branching still uses only the first
     ``max_matchings_per_primitive`` candidates; the extra matchings only feed
     the candidate-inheritance cache."""
+
+    def __post_init__(self) -> None:
+        check_bound_name(self.lower_bound)
 
 
 @dataclass
@@ -138,17 +135,13 @@ class SearchStatistics:
     ``transposition_hits``); ``branches_pruned_by`` attributes every pruned
     subtree — bound prunes *and* transposition skips — to its source."""
     branches_pruned_by: dict[str, int] = field(default_factory=dict)
-    """Pruned-subtree provenance: which bound fired (``"cheapest_edge"``,
-    ``"packing"``, ``"exact_small"``, ``"cost_model"``) or
-    ``"transposition"`` for dominance skips, mapped to how many subtrees it
-    removed."""
+    """Pruned-subtree provenance: which bound fired (``"cheapest_edge"`` or
+    ``"cost_model"``) or ``"transposition"`` for dominance skips, mapped to
+    how many subtrees it removed."""
     bound_cache_hits: int = 0
     """Residual bound values served from the fingerprint-keyed bound cache."""
     bound_cache_misses: int = 0
     """Residual bound values that had to be computed."""
-    exact_residuals_solved: int = 0
-    """Distinct residual edge sets the ``exact_small`` bound solved outright
-    (memo misses of the exact mini branch-and-bound)."""
     matching_cache_hits: int = 0
     """Primitive candidate lists inherited from the parent residual."""
     matching_cache_misses: int = 0
@@ -176,7 +169,6 @@ class SearchStatistics:
             "branches_pruned_by": dict(sorted(self.branches_pruned_by.items())),
             "bound_cache_hits": self.bound_cache_hits,
             "bound_cache_misses": self.bound_cache_misses,
-            "exact_residuals_solved": self.exact_residuals_solved,
             "matching_cache_hits": self.matching_cache_hits,
             "matching_cache_misses": self.matching_cache_misses,
             "transposition_hits": self.transposition_hits,
@@ -499,7 +491,6 @@ class BranchAndBoundDecomposer(Decomposer):
                 self.library,
                 cost_model,
                 acg,
-                exact_small_max_edges=self.config.exact_small_max_edges,
                 statistics=statistics,
             )
         search_order = self.library.sorted_for_search()
@@ -742,7 +733,6 @@ class BranchAndBoundDecomposer(Decomposer):
             fallback.statistics.branches_pruned_by = dict(statistics.branches_pruned_by)
             fallback.statistics.bound_cache_hits += statistics.bound_cache_hits
             fallback.statistics.bound_cache_misses += statistics.bound_cache_misses
-            fallback.statistics.exact_residuals_solved += statistics.exact_residuals_solved
             fallback.statistics.matching_cache_hits += statistics.matching_cache_hits
             fallback.statistics.matching_cache_misses += statistics.matching_cache_misses
             fallback.statistics.transposition_hits += statistics.transposition_hits
@@ -793,7 +783,6 @@ def decompose(
                 branches_pruned_by=dict(sorted(statistics.branches_pruned_by.items())),
                 bound_cache_hits=statistics.bound_cache_hits,
                 bound_cache_misses=statistics.bound_cache_misses,
-                exact_residuals_solved=statistics.exact_residuals_solved,
                 truncated=statistics.truncated,
                 truncated_by=statistics.truncated_by,
             )

@@ -85,8 +85,11 @@ from repro.routing.table import RoutingTable
 #: ``lower_bound`` knob (part of the decomposition stage sub-key), search
 #: statistics carry ``branches_pruned_by`` provenance and bound-cache
 #: counters, and truncated searches expand a different tree under the
-#: tighter default bound)
-PIPELINE_VERSION = 5
+#: tighter default bound;
+#: version 6: one residual bound that prunes — ``lower_bound`` defaults to
+#: ``"cheapest_edge"`` (the decomposition sub-key changes) and search
+#: statistics no longer carry ``exact_residuals_solved``)
+PIPELINE_VERSION = 6
 
 #: bump when the decomposition artifact serialization changes shape
 DECOMPOSITION_ARTIFACT_FORMAT = 1

@@ -218,10 +218,10 @@ class EvaluationSettings:
     isomorphism_timeout_seconds: float | None = 2.0
     decomposition_timeout_seconds: float | None = 20.0
     max_nodes_expanded: int | None = 400
-    lower_bound: str = "stacked"
+    lower_bound: str = "cheapest_edge"
     """Which admissible residual bound prunes the branch-and-bound (see
-    :mod:`repro.core.bounds`): ``"cost_model"``, ``"cheapest_edge"``,
-    ``"packing"``, ``"exact_small"`` or ``"stacked"``.  Part of the
+    :mod:`repro.core.bounds`): ``"cheapest_edge"`` (the default) or
+    ``"cost_model"`` (the legacy coarse bound).  Part of the
     decomposition stage sub-key: cached artifacts never mix bound
     configurations (truncated searches expand different trees under
     different bounds)."""

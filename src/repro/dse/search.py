@@ -159,7 +159,7 @@ def default_ladder() -> tuple[RungSpec, ...]:
     """The stock two-rung ladder: screen -> full.
 
     ``screen`` truncates the decomposition node budget to 1/20 (20 nodes
-    at the default 400-node budget — the exact residual bounds of
+    at the default 400-node budget — the cheapest-edge residual bound of
     :mod:`repro.core.bounds` reach the same incumbents in ~3x fewer nodes
     than the pre-bound ladder's 1/6 screen did) and clamps the simulation
     window to one iteration, on the grid's own simulator engine; ``full``

@@ -2,8 +2,9 @@
 
 The admissibility *property* (every bound below the brute-force optimum)
 lives in ``tests/property/test_bound_admissibility.py``; here we pin the
-mechanics: offer tables, dual packing prices, the exact-small solver and
-its memo, the per-search bound cache counters, and the factory surface.
+mechanics: offer tables, the per-edge cheapest-cover bound, the lazy
+max-of-parts composition, the per-search bound cache counters, and the
+factory surface.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import pytest
 
 from repro.core.bounds import (
     BOUND_NAMES,
-    STACKED_PARTS,
     CheapestEdgeBound,
     CostModelBound,
     CoverOffer,
-    ExactSmallBound,
-    PackingBound,
     StackedBound,
     bound_tables,
     build_lower_bound,
@@ -25,7 +23,7 @@ from repro.core.bounds import (
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, SearchStatistics, decompose
 from repro.core.graph import ApplicationGraph, DiGraph
-from repro.core.library import default_library, extended_library
+from repro.core.library import default_library
 from repro.exceptions import DecompositionError
 
 LINK = LinkCountCostModel()
@@ -37,11 +35,6 @@ def acg_from_edges(edges, name="unit") -> ApplicationGraph:
     for index, (source, target) in enumerate(edges):
         acg.add_communication(source, target, volume=float(8 * (index + 1)))
     return acg
-
-
-def star_acg(leaves: int) -> ApplicationGraph:
-    """A broadcast hub: node 0 sends to every leaf."""
-    return acg_from_edges([(0, leaf) for leaf in range(1, leaves + 1)], name="star")
 
 
 class TestStructuralFingerprint:
@@ -60,21 +53,17 @@ class TestStructuralFingerprint:
 
 
 class TestBoundTables:
-    def test_flat_model_yields_offers_and_prices(self):
+    def test_flat_model_yields_flat_offers(self):
         tables = bound_tables(default_library(), LINK)
-        assert tables.flat
         assert tables.offers
-        assert tables.out_prices and tables.in_prices
         # link count distributes the matching cost evenly over rep edges
         assert all(offer.flat_share is not None for offer in tables.offers)
         # the library's full-duplex primitives contribute paired offers
         assert any(offer.paired for offer in tables.offers)
 
-    def test_additive_model_has_no_packing_prices(self):
+    def test_additive_model_prices_offers_by_route(self):
         tables = bound_tables(default_library(), UNIT)
-        assert not tables.flat
         assert tables.offers
-        assert tables.out_prices == () and tables.in_prices == ()
         assert all(offer.flat_share is None for offer in tables.offers)
 
     def test_tables_are_memoized_per_library_and_cost_model(self):
@@ -82,15 +71,6 @@ class TestBoundTables:
         assert bound_tables(library, LINK) is bound_tables(library, LinkCountCostModel())
         assert bound_tables(library, LINK) is not bound_tables(library, UNIT)
         assert bound_tables(library, LINK) is not bound_tables(default_library(), LINK)
-
-    def test_dual_prices_are_feasible_against_every_offer(self):
-        tables = bound_tables(extended_library(), LINK)
-        remainder = LINK.flat_remainder_edge_cost()
-        for prices in (tables.out_prices, tables.in_prices):
-            for y_bi, y_uni in prices:
-                assert y_bi >= 0 and y_uni >= 0
-                # the remainder link is always an offer: one flexible slot
-                assert max(y_bi, y_uni) <= remainder + 1e-9
 
 
 class TestCoverOffer:
@@ -130,114 +110,96 @@ class TestCheapestEdgeBound:
         bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
         assert bound.value(acg.graph_difference(acg)) == 0.0
 
-
-class TestPackingBound:
-    def test_abstains_for_additive_cost_models(self):
-        acg = star_acg(6)
-        assert PackingBound(bound_tables(default_library(), UNIT)).value(acg) == 0.0
-
-    def test_positive_on_any_nonempty_flat_residual(self):
-        acg = star_acg(6)
-        assert PackingBound(bound_tables(default_library(), LINK)).value(acg) > 0.0
-
-    def test_hub_demand_scales_with_out_degree(self):
-        tables = bound_tables(default_library(), LINK)
-        narrow = PackingBound(tables).value(star_acg(3))
-        wide = PackingBound(tables).value(star_acg(9))
-        assert wide > narrow
-
-
-class TestExactSmallBound:
-    def exhaustive_cost(self, acg, library, cost_model) -> float:
-        config = DecompositionConfig(
-            max_matchings_per_primitive=None,
-            isomorphism_timeout_seconds=None,
-            total_timeout_seconds=None,
-            max_leaves=None,
-            use_lower_bound=False,
-        )
-        return decompose(acg, library, cost_model, config).total_cost
-
-    def test_matches_the_exhaustive_optimum_within_threshold(self):
-        library = default_library()
-        acg = acg_from_edges([(1, 2), (2, 1), (2, 3), (3, 2), (1, 4)])
-        bound = ExactSmallBound(library, LINK, acg, max_edges=8)
-        assert bound.value(acg) == pytest.approx(self.exhaustive_cost(acg, library, LINK))
-
-    def test_abstains_above_the_edge_threshold(self):
-        acg = star_acg(5)
-        bound = ExactSmallBound(default_library(), LINK, acg, max_edges=2)
-        assert bound.value(acg) == 0.0
-
-    def test_memo_counts_hits_and_solves(self):
+    def test_bound_cache_counts_misses_then_hits(self):
         statistics = SearchStatistics()
         acg = acg_from_edges([(1, 2), (2, 1), (2, 3)])
-        bound = ExactSmallBound(default_library(), LINK, acg, 8, statistics=statistics)
+        tables = bound_tables(default_library(), LINK)
+        bound = CheapestEdgeBound(tables, LINK, acg, statistics=statistics)
         first = bound.value(acg)
-        solved_once = statistics.exact_residuals_solved
-        assert solved_once >= 1
-        hits_before = statistics.bound_cache_hits
+        assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 0)
         assert bound.value(acg) == first
-        assert statistics.bound_cache_hits == hits_before + 1
-        assert statistics.exact_residuals_solved == solved_once
+        assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 1)
 
 
 class TestStackedBound:
     def build(self, acg):
-        return build_lower_bound("stacked", default_library(), LINK, acg)
-
-    def test_parts_follow_the_documented_lazy_order(self):
-        stacked = self.build(star_acg(4))
-        assert isinstance(stacked, StackedBound)
-        assert tuple(part.name for part in stacked.parts) == STACKED_PARTS
+        tables = bound_tables(default_library(), LINK)
+        return StackedBound(
+            [CostModelBound(LINK, acg), CheapestEdgeBound(tables, LINK, acg)]
+        )
 
     def test_value_is_the_max_of_the_parts(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         stacked = self.build(acg)
         assert stacked.value(acg) == max(part.value(acg) for part in stacked.parts)
 
-    def test_prune_reason_names_the_firing_part(self):
+    def test_prune_reason_names_the_first_firing_part(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         stacked = self.build(acg)
-        value = stacked.value(acg)
-        assert value > 0
-        reason = stacked.prune_reason(acg, value)
-        assert reason in STACKED_PARTS
-        assert stacked.prune_reason(acg, value + 1.0) is None
+        legacy, cheapest = (part.value(acg) for part in stacked.parts)
+        assert 0 < legacy < cheapest
+        # both parts reach the legacy value: the first part in order fires
+        assert stacked.prune_reason(acg, legacy) == "cost_model"
+        # only the tighter part reaches its own value
+        assert stacked.prune_reason(acg, cheapest) == "cheapest_edge"
+        assert stacked.prune_reason(acg, cheapest + 1.0) is None
 
     def test_infinite_target_never_prunes(self):
         acg = acg_from_edges([(1, 2)])
         stacked = self.build(acg)
         assert stacked.prune_reason(acg, float("inf")) is None
 
+    def test_prune_reason_stops_at_the_first_firing_part(self):
+        acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
+        statistics = SearchStatistics()
+        tables = bound_tables(default_library(), LINK)
+        stacked = StackedBound(
+            [
+                CostModelBound(LINK, acg),
+                CheapestEdgeBound(tables, LINK, acg, statistics=statistics),
+            ]
+        )
+        legacy = stacked.parts[0].value(acg)
+        # the cheap part fires, so the later part is never evaluated
+        assert stacked.prune_reason(acg, legacy) == "cost_model"
+        assert statistics.bound_cache_misses == 0
+        # a target above the cheap part falls through to the next one
+        assert stacked.prune_reason(acg, legacy + 1e-6) == "cheapest_edge"
+        assert statistics.bound_cache_misses == 1
+
 
 class TestBuildLowerBound:
-    def test_unknown_name_raises(self):
+    @pytest.mark.parametrize("name", ["nope", "stacked", "packing", "exact_small"])
+    def test_unknown_name_raises(self, name):
         acg = acg_from_edges([(1, 2)])
         with pytest.raises(DecompositionError, match="unknown lower bound"):
-            build_lower_bound("nope", default_library(), LINK, acg)
+            build_lower_bound(name, default_library(), LINK, acg)
+
+    def test_names_are_the_two_remaining_bounds(self):
+        assert BOUND_NAMES == ("cost_model", "cheapest_edge")
+
+    def test_config_rejects_an_unknown_name_at_construction(self):
+        with pytest.raises(DecompositionError, match="cost_model, cheapest_edge"):
+            DecompositionConfig(lower_bound="stacked")
+
+    def test_config_defaults_to_cheapest_edge(self):
+        assert DecompositionConfig().lower_bound == "cheapest_edge"
+
+    @pytest.mark.parametrize("name", BOUND_NAMES)
+    def test_config_accepts_every_bound_name(self, name):
+        assert DecompositionConfig(lower_bound=name).lower_bound == name
 
     @pytest.mark.parametrize(
         "name, kind",
         [
             ("cost_model", CostModelBound),
             ("cheapest_edge", CheapestEdgeBound),
-            ("packing", PackingBound),
-            ("exact_small", ExactSmallBound),
-            ("stacked", StackedBound),
         ],
     )
     def test_every_name_builds_its_kind(self, name, kind):
         assert name in BOUND_NAMES
         bound = build_lower_bound(name, default_library(), LINK, acg_from_edges([(1, 2)]))
         assert isinstance(bound, kind)
-
-    def test_exact_small_threshold_is_forwarded(self):
-        bound = build_lower_bound(
-            "exact_small", default_library(), LINK, acg_from_edges([(1, 2)]),
-            exact_small_max_edges=3,
-        )
-        assert bound.max_edges == 3
 
 
 class TestSearchIntegration:
@@ -253,7 +215,7 @@ class TestSearchIntegration:
             name="ring",
         )
         config = DecompositionConfig(
-            max_matchings_per_primitive=3, lower_bound="stacked", **self.CONFIG
+            max_matchings_per_primitive=3, lower_bound="cheapest_edge", **self.CONFIG
         )
         statistics = decompose(acg, default_library(), LINK, config).statistics
         assert statistics.branches_pruned > 0
@@ -263,7 +225,7 @@ class TestSearchIntegration:
             if reason != "transposition"
         }
         assert sum(pruned_by_bounds.values()) == statistics.branches_pruned
-        assert set(pruned_by_bounds) <= set(STACKED_PARTS)
+        assert set(pruned_by_bounds) <= {"cheapest_edge"}
         assert statistics.bound_cache_misses > 0
         as_dict = statistics.as_dict()
         assert as_dict["branches_pruned_by"] == statistics.branches_pruned_by

@@ -4,7 +4,7 @@
 the branch-and-bound — nodes expanded, prune provenance, final cost — for
 the two published case studies (the Figure-5 example on the default
 library and the Figure-6 AES graph on its compact library), under both
-the legacy coarse bound and the stacked exact bounds.  A drift in nodes
+the legacy coarse bound and the default ``cheapest_edge`` bound.  A drift in nodes
 expanded means the pruning power changed; a drift in cost means the
 search *answer* changed — both deserve a deliberate fixture update:
 
@@ -37,8 +37,8 @@ GOLDEN_PATH = (
 #: the two published case studies the corpus replays
 CASES = ("figure5", "aes")
 
-#: both the legacy coarse bound and the stacked exact bounds are pinned
-BOUNDS = ("cost_model", "stacked")
+#: both the legacy coarse bound and the default cheapest-edge bound are pinned
+BOUNDS = ("cost_model", "cheapest_edge")
 
 
 def case_inputs(case: str):
@@ -101,7 +101,7 @@ def test_golden_search_shape(case, lower_bound, request):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_stacked_bound_matches_legacy_answer_with_fewer_nodes(case, request):
+def test_cheapest_edge_bound_matches_legacy_answer_with_fewer_nodes(case, request):
     """Across the corpus: same answer, never a larger search tree.
 
     The exact node counts per bound are pinned by the fixture; this test
@@ -111,8 +111,8 @@ def test_stacked_bound_matches_legacy_answer_with_fewer_nodes(case, request):
     if request.config.getoption("--update-golden"):
         pytest.skip("corpus being regenerated in this run")
     corpus = json.loads(GOLDEN_PATH.read_text())
-    legacy, stacked = corpus[case]["cost_model"], corpus[case]["stacked"]
-    assert stacked["total_cost"] == legacy["total_cost"]
-    assert stacked["num_matchings"] == legacy["num_matchings"]
-    assert stacked["remainder_edges"] == legacy["remainder_edges"]
-    assert stacked["nodes_expanded"] <= legacy["nodes_expanded"]
+    legacy, cheapest = corpus[case]["cost_model"], corpus[case]["cheapest_edge"]
+    assert cheapest["total_cost"] == legacy["total_cost"]
+    assert cheapest["num_matchings"] == legacy["num_matchings"]
+    assert cheapest["remainder_edges"] == legacy["remainder_edges"]
+    assert cheapest["nodes_expanded"] <= legacy["nodes_expanded"]

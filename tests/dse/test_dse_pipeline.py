@@ -51,6 +51,12 @@ class TestEvaluationSettings:
         with pytest.raises(ConfigurationError):
             EvaluationSettings(lower_bound="tightest")
 
+    def test_deleted_bound_names_rejected_with_the_valid_ones(self):
+        assert EvaluationSettings().lower_bound == "cheapest_edge"
+        for name in ("stacked", "packing", "exact_small"):
+            with pytest.raises(ConfigurationError, match="'cost_model', 'cheapest_edge'"):
+                EvaluationSettings(lower_bound=name)
+
     def test_canonical_dict_normalizes_irrelevant_axes(self):
         mesh_a = EvaluationSettings(architecture="mesh", library="aes")
         mesh_b = EvaluationSettings(architecture="mesh", library="extended")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dse.cache import ResultCache, cache_key
+from repro.dse.cache import PIPELINE_VERSION, ResultCache, _content_hash, cache_key
 from repro.dse.pipeline import EvaluationSettings
 from repro.dse.records import EvaluationRecord
 from repro.dse.runner import axis_label, expand_grid, plan_sweep, run_cells, run_sweep
@@ -145,6 +145,41 @@ class TestResultCache:
 
         main(["report", "--results", str(path)])
         assert "3 malformed cache line(s) skipped" in capsys.readouterr().out
+
+    def test_version_5_stacked_line_loads_but_is_never_served(self, tmp_path, capsys):
+        """A line cached before the ``stacked`` bound was deleted (pipeline
+        version 5) still parses, but no version-6 cell can hit it."""
+        from repro.dse.__main__ import main
+
+        scenario = planted_scenario(num_nodes=12, seed=11)
+        settings = EvaluationSettings(architecture="custom")
+        legacy_settings = {**settings.canonical_dict(), "lower_bound": "stacked"}
+        legacy_key = _content_hash(
+            {
+                "pipeline_version": 5,
+                "scenario": scenario.fingerprint(),
+                "settings": legacy_settings,
+            }
+        )
+        record = self._record(legacy_key)
+        record.architecture = "custom"
+        record.settings = legacy_settings
+        record.search_statistics = {"exact_residuals_solved": 3, "truncated": False}
+        path = tmp_path / "results.jsonl"
+        path.write_text(record.to_json() + "\n", encoding="utf-8")
+
+        cache = ResultCache(path)
+        assert list(cache.load()) == [legacy_key]
+        assert cache.skipped_lines == 0
+        assert PIPELINE_VERSION > 5
+        assert cache_key(scenario, settings) not in cache
+        sweep = run_sweep([scenario], base=settings, cache=cache)
+        assert (sweep.cache_hits, sweep.cache_misses) == (0, 1)
+        assert sweep.records[0].settings["lower_bound"] == "cheapest_edge"
+        assert "exact_residuals_solved" not in sweep.records[0].search_statistics
+
+        main(["report", "--results", str(path)])
+        assert "malformed" not in capsys.readouterr().out
 
     def test_keyless_record_rejected(self, tmp_path):
         cache = ResultCache(tmp_path / "results.jsonl")

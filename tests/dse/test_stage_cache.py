@@ -56,7 +56,7 @@ _DECOMPOSITION_VARIANTS = {
     "isomorphism_timeout_seconds": (2.0, 4.0),
     "decomposition_timeout_seconds": (20.0, 40.0),
     "max_nodes_expanded": (400, 800),
-    "lower_bound": ("stacked", "cost_model"),
+    "lower_bound": ("cheapest_edge", "cost_model"),
 }
 
 
@@ -124,12 +124,12 @@ class TestSubKeyDerivation:
         # the bound only steers the decomposition search, which mesh
         # baselines never run: canonical_dict must null it out so a
         # lower_bound sweep collapses onto one mesh cell
-        mesh_stacked = EvaluationSettings(architecture="mesh", lower_bound="stacked")
+        mesh_cheapest = EvaluationSettings(architecture="mesh", lower_bound="cheapest_edge")
         mesh_legacy = EvaluationSettings(architecture="mesh", lower_bound="cost_model")
-        assert mesh_stacked.canonical_dict() == mesh_legacy.canonical_dict()
-        custom_stacked = EvaluationSettings(architecture="custom", lower_bound="stacked")
+        assert mesh_cheapest.canonical_dict() == mesh_legacy.canonical_dict()
+        custom_cheapest = EvaluationSettings(architecture="custom", lower_bound="cheapest_edge")
         custom_legacy = EvaluationSettings(architecture="custom", lower_bound="cost_model")
-        assert custom_stacked.canonical_dict() != custom_legacy.canonical_dict()
+        assert custom_cheapest.canonical_dict() != custom_legacy.canonical_dict()
 
     def test_traffic_knobs_do_not_enter_the_key(self):
         driven_harder = tgff_scenario(num_tasks=10, seed=7)

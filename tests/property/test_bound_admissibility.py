@@ -6,8 +6,11 @@ completing the residual.  These tests check that inequality directly
 against a brute-force optimum — an exhaustive branch-and-bound with no
 enumeration clipping, no timeouts and no lower bound — on random
 Erdos-Renyi-style and scale-free ACGs, for both the flat link-count model
-and the additive unit model.  A second property pins the stacked bound to
-the pointwise maximum of its parts (so provenance never changes values).
+and the additive unit model.  A second property pins ``cheapest_edge`` at
+or above the legacy ``cost_model`` bound on every drawn residual, so the
+legacy bound can serve as a cheap pre-test in front of the strong one.
+A third pins an explicit cheap-first stack of the two to the pointwise
+maximum of its parts (so provenance never changes values).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import BOUND_NAMES, STACKED_PARTS, build_lower_bound
+from repro.core.bounds import BOUND_NAMES, StackedBound, build_lower_bound
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.core.graph import ApplicationGraph
@@ -66,6 +69,16 @@ def scale_free_acgs():
     )
 
 
+def assert_cheapest_edge_dominates(acg, model_name):
+    cost_model = _COST_MODELS[model_name]
+    legacy = build_lower_bound("cost_model", _LIBRARY, cost_model, acg).value(acg)
+    cheapest = build_lower_bound("cheapest_edge", _LIBRARY, cost_model, acg).value(acg)
+    assert cheapest >= legacy - 1e-9, (
+        f"cheapest_edge {cheapest} below cost_model {legacy} under {model_name} "
+        f"on edges {sorted(acg.edges())}"
+    )
+
+
 @pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acg=random_acgs())
@@ -73,11 +86,12 @@ def test_every_bound_is_admissible_on_random_acgs(model_name, acg):
     cost_model = _COST_MODELS[model_name]
     optimum = true_optimum(acg, cost_model)
     for name in BOUND_NAMES:
-        bound = build_lower_bound(name, _LIBRARY, cost_model, acg, exact_small_max_edges=8)
+        bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
         assert bound.value(acg) <= optimum + 1e-9, (
             f"bound {name!r} over-estimated under {model_name}: "
             f"{bound.value(acg)} > optimum {optimum}"
         )
+    assert_cheapest_edge_dominates(acg, model_name)
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -86,28 +100,34 @@ def test_every_bound_is_admissible_on_scale_free_acgs(acg):
     cost_model = _COST_MODELS["link_count"]
     optimum = true_optimum(acg, cost_model)
     for name in BOUND_NAMES:
-        bound = build_lower_bound(name, _LIBRARY, cost_model, acg, exact_small_max_edges=8)
+        bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
         assert bound.value(acg) <= optimum + 1e-9, (
             f"bound {name!r} over-estimated on {acg.name}: "
             f"{bound.value(acg)} > optimum {optimum}"
         )
+    assert_cheapest_edge_dominates(acg, "link_count")
 
 
+@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(acg=random_acgs(max_nodes=8, max_edges=14))
+def test_cheapest_edge_dominates_cost_model_on_random_acgs(model_name, acg):
+    assert_cheapest_edge_dominates(acg, model_name)
+
+
+@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(acg=scale_free_acgs())
+def test_cheapest_edge_dominates_cost_model_on_scale_free_acgs(model_name, acg):
+    assert_cheapest_edge_dominates(acg, model_name)
+
+
+@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acg=random_acgs())
-def test_stacked_is_the_pointwise_max_of_its_parts(acg):
-    stacked = build_lower_bound(
-        "stacked", _LIBRARY, _COST_MODELS["link_count"], acg, exact_small_max_edges=8
+def test_stacked_is_the_pointwise_max_of_its_parts(model_name, acg):
+    cost_model = _COST_MODELS[model_name]
+    stacked = StackedBound(
+        [build_lower_bound(name, _LIBRARY, cost_model, acg) for name in BOUND_NAMES]
     )
-    assert tuple(part.name for part in stacked.parts) == STACKED_PARTS
     assert stacked.value(acg) == max(part.value(acg) for part in stacked.parts)
-
-
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(acg=random_acgs(max_nodes=5, max_edges=6))
-def test_exact_small_equals_the_true_optimum_within_threshold(acg):
-    cost_model = _COST_MODELS["link_count"]
-    bound = build_lower_bound(
-        "exact_small", _LIBRARY, cost_model, acg, exact_small_max_edges=8
-    )
-    assert bound.value(acg) == pytest.approx(true_optimum(acg, cost_model))
