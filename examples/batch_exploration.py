@@ -37,7 +37,7 @@ def main() -> None:
                         default=Path("dse_results") / "results.jsonl",
                         help="JSONL result cache")
     parser.add_argument("--parallel", action="store_true",
-                        help="fan decomposition-sharing groups over a process pool")
+                        help="fan stage-sharing groups over a process pool")
     arguments = parser.parse_args()
 
     spec = get_suite(arguments.suite)

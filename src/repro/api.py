@@ -110,6 +110,7 @@ _EXPORTS: dict[str, str] = {
     "TRAFFIC_MODES": "repro.dse.pipeline",
     "SCORES": "repro.dse.pipeline",
     "TrafficModeSpec": "repro.dse.pipeline",
+    "TrafficProgram": "repro.dse.pipeline",
     "get_library": "repro.dse.pipeline",
     "register_library": "repro.dse.pipeline",
     "get_traffic_mode": "repro.dse.pipeline",

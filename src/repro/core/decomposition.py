@@ -378,24 +378,6 @@ class Decomposer:
             return found
         return found[:limit]
 
-    def _any_match_exists(self, residual: DiGraph) -> bool:
-        for entry in self.library.sorted_for_search():
-            primitive = entry.primitive
-            if primitive.size > residual.num_nodes:
-                continue
-            if primitive.num_requirement_edges > residual.num_edges:
-                continue
-            matcher = VF2Matcher(
-                primitive.representation,
-                residual,
-                MatcherOptions(
-                    timeout_seconds=self.config.isomorphism_timeout_seconds,
-                ),
-            )
-            if matcher.exists():
-                return True
-        return False
-
     def _build_result(
         self,
         acg: ApplicationGraph,

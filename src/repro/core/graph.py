@@ -53,13 +53,6 @@ class EdgeData:
     volume: float = 1.0
     bandwidth: float = 0.0
 
-    def merged_with(self, other: "EdgeData") -> "EdgeData":
-        """Combine two parallel requirements (used by graph sum)."""
-        return EdgeData(
-            volume=self.volume + other.volume,
-            bandwidth=self.bandwidth + other.bandwidth,
-        )
-
 
 class DiGraph:
     """A simple directed graph with hashable nodes and at most one edge per pair.

@@ -4,8 +4,9 @@
 exploration engine:
 
 * :mod:`repro.dse.pipeline` — ``evaluate(scenario, settings)`` chains the
-  explicit stages decompose -> synthesize -> route -> simulate -> score
-  and returns every metric (and every failure) as one record;
+  stages decompose -> synthesize -> route -> simulate -> score under a
+  :class:`StageContext` and returns every metric (and every failure) as
+  one record;
 * :mod:`repro.dse.scenarios` — named scenario suites over the AES case
   study, published embedded benchmarks, TGFF/Pajek generators and
   degree-sequence random graphs;
@@ -13,7 +14,7 @@ exploration engine:
   JSONL cell results plus a stage-artifact store that shares one
   serialized decomposition across every cell of a simulator-axis sweep;
 * :mod:`repro.dse.runner` — grid expansion + process-pool fan-out of
-  decomposition-sharing cell groups (re-runs only execute new cells, and
+  stage-sharing cell groups (re-runs only execute new cells, and
   the search runs once per decomposition sub-key);
 * :mod:`repro.dse.search` — multi-fidelity guided search: Pareto-aware
   successive halving over a fidelity ladder (truncated budgets + short
@@ -65,10 +66,10 @@ from repro.dse.pipeline import (
     EvaluationSettings,
     Scenario,
     TrafficModeSpec,
+    TrafficProgram,
     baseline_route_stage,
     build_baseline_fabric,
     build_baseline_mesh,
-    decompose_stage,
     evaluate,
     get_library,
     get_traffic_mode,
@@ -79,7 +80,6 @@ from repro.dse.pipeline import (
     score_stage,
     simulate_acg_traffic,
     simulate_aes_traffic,
-    simulate_stage,
     synthesize_stage,
 )
 from repro.dse.records import (
@@ -135,10 +135,8 @@ from repro.dse.scenarios import (
 
 __all__ = [
     "evaluate",
-    "decompose_stage",
     "synthesize_stage",
     "route_stage",
-    "simulate_stage",
     "score_stage",
     "EvaluationRecord",
     "EvaluationSettings",
@@ -197,6 +195,7 @@ __all__ = [
     "TRAFFIC_MODES",
     "SCORES",
     "TrafficModeSpec",
+    "TrafficProgram",
     "get_library",
     "register_library",
     "get_traffic_mode",

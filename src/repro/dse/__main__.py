@@ -471,7 +471,7 @@ def _add_sweep_options(run: argparse.ArgumentParser) -> None:
                      help="disable the on-disk stage-artifact store; stage reuse "
                           "stays in-memory within this run (default: off)")
     run.add_argument("--parallel", action="store_true",
-                     help="fan decomposition-sharing groups out over a process "
+                     help="fan stage-sharing groups out over a process "
                           "pool (default: serial)")
     run.add_argument("--workers", type=int, default=None,
                      help="process-pool size with --parallel (default: cpu count)")

@@ -55,7 +55,9 @@ from repro.dse.pipeline import (
     CapacityDonor,
     EvaluationSettings,
     Scenario,
+    TrafficProgram,
     baseline_route_stage,
+    get_traffic_mode,
     route_stage,
     run_decomposition_search,
     synthesize_stage,
@@ -243,11 +245,6 @@ class ResultCache:
             stream.write(line + "\n")
         self._records[record.cache_key] = line
 
-    def store_all(self, records: list[EvaluationRecord]) -> None:
-        """Append several records in order."""
-        for record in records:
-            self.store(record)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
@@ -396,12 +393,14 @@ class StageContext:
     Holds an in-memory memo of decompositions (by decomposition sub-key),
     synthesized architectures and routed baseline fabrics (by synthesis
     sub-key), backed by an optional :class:`StageArtifactStore` that
-    persists decompositions across runs and across worker processes.
-    :func:`repro.dse.pipeline.evaluate` consults the context so a
-    simulator-axis sweep runs the decomposition search exactly once per
-    sub-key, routes each baseline fabric once, and simulates a buffer
-    capacity only when no certified sibling run covers it
-    (:attr:`capacity_donors`).
+    persists decompositions across runs and across worker processes, plus
+    each scenario's traffic program and the certified simulations
+    (:attr:`capacity_donors`).  Every cell the pipeline evaluates runs
+    under one (:func:`repro.dse.pipeline.evaluate` makes a fresh one when
+    the caller passes none), so a simulator-axis sweep runs the
+    decomposition search exactly once per sub-key, routes each baseline
+    fabric once, and simulates a buffer capacity only when no certified
+    sibling run covers it.
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
@@ -412,6 +411,19 @@ class StageContext:
         self.capacity_donors: dict[tuple, list[CapacityDonor]] = {}
         """Unblocked simulations by everything they read but the buffer
         capacity (filled and served by the pipeline's simulate stage)."""
+        self._programs: dict[int, tuple[Scenario, TrafficProgram]] = {}
+
+    def traffic_program(self, scenario: Scenario) -> TrafficProgram:
+        """The scenario's traffic program, built once per scenario object.
+
+        The memo keeps the scenario alive beside its program, so no other
+        object can take over its id while the context lives.
+        """
+        memoized = self._programs.get(id(scenario))
+        if memoized is None:
+            program = get_traffic_mode(scenario.traffic).program(scenario)
+            memoized = self._programs[id(scenario)] = (scenario, program)
+        return memoized[1]
 
     def decomposition_for(
         self, scenario: Scenario, settings: EvaluationSettings

@@ -4,18 +4,17 @@ This is the engine the batch design-space exploration is built on — and
 the same engine the Section-5.2 prototype comparison now runs on
 (:mod:`repro.experiments.comparison` delegates its measurements here).
 :func:`evaluate` (one cell) and :func:`evaluate_cells` (many) run the
-same path, prepare -> simulate(cells) -> score.  Prepare chains the
-explicit stage functions
-
-    decompose_stage -> synthesize_stage -> route_stage
-
-for the ``custom`` architecture, or builds the standard-fabric baseline
-(a :mod:`repro.arch.families` topology family compiled against a
+same path, prepare -> simulate -> score, through one
+:class:`~repro.dse.cache.StageContext` (a fresh one per call when the
+caller passes none).  Prepare runs the decomposition search, then
+:func:`synthesize_stage` + :func:`route_stage` for the ``custom``
+architecture, or builds the standard-fabric baseline (a
+:mod:`repro.arch.families` topology family compiled against a
 :mod:`repro.routing.policies` routing policy, via
-:func:`baseline_route_stage`) for ``mesh``; simulate drives the
-cycle-level simulator with the scenario's traffic (plain ACG batches, or
-the dependency-aware AES phases), one cell at a time, and
-:func:`score_stage` captures every figure of merit into an
+:func:`baseline_route_stage`) for ``mesh``; simulate replays the
+scenario's traffic mode — an op program (:class:`TrafficProgram`) — on
+the cycle-level simulator, one cell at a time, and :func:`score_stage`
+captures every figure of merit into an
 :class:`~repro.dse.records.EvaluationRecord`.  Failures at any stage
 become record statuses, not exceptions: an infeasible or deadlocking
 configuration is a *result* of the exploration.
@@ -24,12 +23,12 @@ The stages are separable on purpose: the decompose stage only reads the
 workload graph plus the decomposition knobs, and the synthesize/route
 stages only add the synthesis knobs, so sweep cells that differ in
 simulator-stage axes alone (injection knobs, buffering, cycle budgets)
-share one decomposition — and one synthesized topology — through a
-:class:`~repro.dse.cache.StageContext`.  ``record.stage_reuse`` says per
-cell whether each stage was computed fresh or served from the in-memory
-memo (``"memory"``) or the on-disk artifact store (``"store"``); a cell
-whose simulation was served from a certified sibling run at another
-buffer capacity says ``"capacity:<C>"`` under ``"simulate"``.
+share one decomposition — and one synthesized topology — through the
+context.  ``record.stage_reuse`` says per cell whether each stage was
+computed fresh or served from the in-memory memo (``"memory"``) or the
+on-disk artifact store (``"store"``); a cell whose simulation was served
+from a certified sibling run at another buffer capacity says
+``"capacity:<C>"`` under ``"simulate"``.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
@@ -68,7 +68,6 @@ from repro.core.synthesis import (
     TopologySynthesizer,
 )
 from repro.dse.records import (
-    STAGE_COMPUTED,
     STATUS_DECOMPOSITION_FAILED,
     STATUS_ROUTING_FAILED,
     STATUS_SIMULATION_FAILED,
@@ -85,9 +84,7 @@ from repro.exceptions import (
     SynthesisError,
 )
 from repro.noc.simulator import (
-    ENGINE_BATCH,
     ENGINE_EVENT,
-    ENGINES,
     DrainOp,
     NoCSimulator,
     RunOp,
@@ -101,6 +98,9 @@ from repro.plugins import Registry
 from repro.routing.deadlock import DeadlockReport, analyze_deadlock
 from repro.routing.policies import get_policy
 from repro.routing.table import RoutingTable
+
+if TYPE_CHECKING:
+    from repro.dse.cache import StageContext
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
@@ -143,25 +143,43 @@ def register_library(name: str, factory: Callable[[], CommunicationLibrary]) -> 
 
 
 @dataclass(frozen=True)
+class TrafficProgram:
+    """A scenario's traffic as simulator ops, and how its run is measured.
+
+    ``ops`` replay in order on a fresh
+    :class:`~repro.noc.simulator.NoCSimulator`: a ``ScheduleOp`` schedules
+    messages at the current cycle, a ``DrainOp`` runs until the network
+    drains, a ``RunOp`` runs a fixed number of cycles.  The per-block
+    metrics divide by ``iterations`` (AES blocks, ACG repetitions);
+    ``block_throughput`` selects the paper's 128-bit block-throughput
+    formula over the delivered-bits throughput.
+    """
+
+    ops: tuple[ScheduleOp | DrainOp | RunOp, ...]
+    iterations: int
+    block_throughput: bool = False
+
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise ConfigurationError("a traffic program needs at least one iteration")
+
+
+@dataclass(frozen=True)
 class TrafficModeSpec:
     """One named way to drive the simulator with a scenario's traffic.
 
-    ``simulate(scenario, settings, name, topology, routing)`` runs the
-    workload on one architecture and returns the measured
-    :class:`ArchitectureMetrics`.  The built-in modes are ``"acg"``
-    (inject every ACG edge's volume per repetition, drain between
-    repetitions) and ``"aes_phases"`` (the dependency-aware distributed-AES
-    phase trace); third-party traffic generators register additional modes
-    through the plugin fabric and become usable from any
-    :class:`Scenario`.
+    ``program(scenario)`` builds the workload's :class:`TrafficProgram`.
+    The built-in modes are ``"acg"`` (inject every ACG edge's volume per
+    repetition, drain between repetitions) and ``"aes_phases"`` (the
+    dependency-aware distributed-AES phase trace); third-party traffic
+    generators register additional modes through the plugin fabric and
+    become usable from any :class:`Scenario`.  Every mode runs the same
+    simulate stage, capacity reuse included.
     """
 
     name: str
     description: str
-    simulate: Callable[
-        ["Scenario", "EvaluationSettings", str, Topology, RoutingFunction],
-        "ArchitectureMetrics",
-    ]
+    program: Callable[["Scenario"], TrafficProgram]
 
 
 #: the traffic-mode registry (plugin-fabric cell: third-party traffic
@@ -267,10 +285,10 @@ class EvaluationSettings:
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
         get_family(self.topology)  # raises ConfigurationError when unknown
         get_policy(self.routing_policy)  # raises ConfigurationError when unknown
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulator engine {self.engine!r} (use one of {ENGINES})"
-            )
+        try:
+            self.build_simulator_config()  # engine, buffers, delays, cycle budget
+        except SimulationError as error:
+            raise ConfigurationError(str(error)) from error
         if self.lower_bound not in BOUND_NAMES:
             raise ConfigurationError(
                 f"unknown lower bound {self.lower_bound!r} (use one of {BOUND_NAMES})"
@@ -459,6 +477,10 @@ class Scenario:
         TRAFFIC_MODES.get(self.traffic)  # raises UnknownPluginError when unknown
         if self.repetitions < 1 or self.aes_blocks < 1:
             raise ConfigurationError("repetitions and aes_blocks must be at least 1")
+        if self.packet_size_bits < 1:
+            raise ConfigurationError("packet_size_bits must be at least 1")
+        if self.computation_cycles_per_phase < 0:
+            raise ConfigurationError("computation_cycles_per_phase must be non-negative")
 
     def effective_settings(self, settings: EvaluationSettings) -> EvaluationSettings:
         """The grid cell's settings with this scenario's pins applied."""
@@ -602,57 +624,68 @@ def _flush_probe(probe: SimulatorProbe | None, statistics, name: str) -> None:
         probe.emit_metrics(metrics, statistics, architecture=name)
 
 
-# Each built-in traffic mode is one op program (ScheduleOp / DrainOp /
-# RunOp), replayed on a NoCSimulator of the cell's configured engine.
-def _aes_program(blocks: int, computation_cycles_per_phase: int) -> list[object]:
+def _aes_program(blocks: int, computation_cycles_per_phase: int) -> TrafficProgram:
     """Distributed-AES traffic: per phase of every block, schedule + drain,
     then idle for the local-computation allowance."""
-    if blocks < 1:
-        raise ConfigurationError("the comparison needs at least one block")
     if computation_cycles_per_phase < 0:
         raise SimulationError("computation cycles per phase must be non-negative")
     aes = DistributedAES(FIPS197_KEY)
     plaintext = bytes(range(16))
-    program: list[object] = []
+    ops: list[ScheduleOp | DrainOp | RunOp] = []
     for block_index in range(blocks):
         block = bytes((byte + block_index) % 256 for byte in plaintext)
         for phase in aes.encrypt_block(block).phases:
-            program += [ScheduleOp(tuple(phase)), DrainOp()]
+            ops += [ScheduleOp(tuple(phase)), DrainOp()]
             if computation_cycles_per_phase:
-                program.append(RunOp(computation_cycles_per_phase))
-    return program
+                ops.append(RunOp(computation_cycles_per_phase))
+    return TrafficProgram(tuple(ops), blocks, block_throughput=True)
 
 
 def _acg_program(
     acg: ApplicationGraph, repetitions: int, packet_size_bits: int
-) -> list[object]:
+) -> TrafficProgram:
     """ACG traffic: per repetition, schedule every edge's volume + drain."""
-    if repetitions < 1:
-        raise ConfigurationError("at least one traffic repetition is required")
     messages = tuple(acg_messages(acg, packet_size_bits=packet_size_bits))
-    return [ScheduleOp(messages), DrainOp()] * repetitions
+    return TrafficProgram((ScheduleOp(messages), DrainOp()) * repetitions, repetitions)
+
+
+register_traffic_mode(
+    TrafficModeSpec(
+        name=TRAFFIC_ACG,
+        description="inject every ACG edge's volume per repetition and drain",
+        program=lambda scenario: _acg_program(
+            scenario.acg, scenario.repetitions, scenario.packet_size_bits
+        ),
+    )
+)
+
+register_traffic_mode(
+    TrafficModeSpec(
+        name=TRAFFIC_AES_PHASES,
+        description="dependency-aware distributed-AES phase trace",
+        program=lambda scenario: _aes_program(
+            scenario.aes_blocks, scenario.computation_cycles_per_phase
+        ),
+    )
+)
 
 
 def _replay(
     name: str,
     topology: Topology,
     routing: RoutingFunction,
-    program: list[object],
+    program: TrafficProgram,
     technology: Technology,
     simulator_config: SimulatorConfig,
-    iterations: int,
-    aes_blocks: bool,
 ) -> tuple[ArchitectureMetrics, NoCSimulator, SimulatorProbe | None]:
-    """Run one op program on a fresh :class:`NoCSimulator` and measure it.
+    """Run one traffic program on a fresh :class:`NoCSimulator`, measure it.
 
     Returns the metrics, the simulator (for its ``engine_info``) and the
-    session probe, if one was attached.  ``aes_blocks`` selects the
-    paper's block-throughput formula over the delivered-bits throughput
-    used for generic ACG traffic.
+    session probe, if one was attached.
     """
     simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
     probe = _session_probe(simulator)
-    for op in program:
+    for op in program.ops:
         if isinstance(op, ScheduleOp):
             simulator.schedule_messages(op.messages)
         elif isinstance(op, DrainOp):
@@ -662,8 +695,9 @@ def _replay(
     statistics = simulator.statistics
     _flush_probe(probe, statistics, name)
     total_cycles = statistics.total_cycles
+    iterations = program.iterations
     cycles_per_block = total_cycles / iterations
-    if aes_blocks:
+    if program.block_throughput:
         throughput = throughput_mbps_from_cycles(
             AES_BLOCK_SIZE_BITS, cycles_per_block, technology.frequency_mhz
         )
@@ -698,9 +732,7 @@ def simulate_aes_traffic(
 ) -> ArchitectureMetrics:
     """Run the dependency-aware distributed-AES phases on one architecture."""
     program = _aes_program(blocks, computation_cycles_per_phase)
-    return _replay(
-        name, topology, routing, program, technology, simulator_config, blocks, aes_blocks=True
-    )[0]
+    return _replay(name, topology, routing, program, technology, simulator_config)[0]
 
 
 def simulate_acg_traffic(
@@ -719,16 +751,7 @@ def simulate_acg_traffic(
     network drains, which models one iteration of the application.
     """
     program = _acg_program(acg, repetitions, packet_size_bits)
-    return _replay(
-        name,
-        topology,
-        routing,
-        program,
-        technology,
-        simulator_config,
-        repetitions,
-        aes_blocks=False,
-    )[0]
+    return _replay(name, topology, routing, program, technology, simulator_config)[0]
 
 
 def build_baseline_fabric(
@@ -803,10 +826,10 @@ def run_decomposition_search(
 ) -> DecompositionResult:
     """The uncached decompose stage: run the search on the scenario's ACG.
 
-    This is the expensive part of a custom-architecture evaluation; callers
-    that may share decompositions across cells go through
-    :func:`decompose_stage` with a :class:`~repro.dse.cache.StageContext`
-    instead of calling this directly.
+    This is the expensive part of a custom-architecture evaluation; the
+    pipeline reaches it through
+    :meth:`~repro.dse.cache.StageContext.decomposition_for`, which runs it
+    at most once per decomposition sub-key.
     """
     settings = scenario.effective_settings(settings)
     return decompose(
@@ -815,25 +838,6 @@ def run_decomposition_search(
         cost_model=LinkCountCostModel(),
         config=settings.build_decomposition_config(),
     )
-
-
-def decompose_stage(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    context: "object | None" = None,
-) -> tuple[DecompositionResult, str]:
-    """Stage 1: cover the workload graph with library primitives.
-
-    Returns ``(decomposition, provenance)`` where provenance is one of the
-    :data:`~repro.dse.records.STAGE_COMPUTED` /
-    :data:`~repro.dse.records.STAGE_REUSED_MEMORY` /
-    :data:`~repro.dse.records.STAGE_REUSED_STORE` markers.  With a
-    :class:`~repro.dse.cache.StageContext` the search runs at most once per
-    decomposition sub-key; without one it always runs fresh.
-    """
-    if context is None:
-        return run_decomposition_search(scenario, settings), STAGE_COMPUTED
-    return context.decomposition_for(scenario, settings)
 
 
 def synthesize_stage(
@@ -879,73 +883,6 @@ def route_stage(
     )
 
 
-def simulate_stage(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-) -> ArchitectureMetrics:
-    """Stage 4: drive the cycle-level simulator with the scenario's traffic.
-
-    Dispatches through the :data:`TRAFFIC_MODES` registry, so a scenario
-    whose ``traffic`` names a plugin-registered mode simulates exactly like
-    the built-in ACG-batch and AES-phase modes.
-    """
-    return get_traffic_mode(scenario.traffic).simulate(
-        scenario, settings, name, topology, routing
-    )
-
-
-def _traffic_program(
-    scenario: Scenario, programs: dict[int, tuple[list[object], int]] | None = None
-) -> tuple[list[object], int]:
-    """A built-in traffic mode's op program for the scenario, plus the
-    iteration count (AES blocks or ACG repetitions) its metrics divide by.
-
-    ``programs`` memoizes the result per scenario object, so the cells of
-    one pipeline call build each program (including the Python-AES phase
-    traces) once.
-    """
-    if programs is None:
-        programs = {}
-    key = id(scenario)
-    if key not in programs:
-        if scenario.traffic == TRAFFIC_AES_PHASES:
-            programs[key] = (
-                _aes_program(scenario.aes_blocks, scenario.computation_cycles_per_phase),
-                scenario.aes_blocks,
-            )
-        else:
-            programs[key] = (
-                _acg_program(scenario.acg, scenario.repetitions, scenario.packet_size_bits),
-                scenario.repetitions,
-            )
-    return programs[key]
-
-
-def _simulate_builtin_traffic(
-    scenario: Scenario,
-    settings: EvaluationSettings,
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-    programs: dict[int, tuple[list[object], int]] | None = None,
-) -> ArchitectureMetrics:
-    """The built-in traffic modes: replay the scenario's op program."""
-    program, iterations = _traffic_program(scenario, programs)
-    return _replay(
-        name,
-        topology,
-        routing,
-        program,
-        settings.build_technology(),
-        settings.build_simulator_config(),
-        iterations,
-        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
-    )[0]
-
-
 @dataclass(frozen=True)
 class CapacityDonor:
     """An unblocked simulation that serves its buffer-capacity siblings.
@@ -972,25 +909,19 @@ def _simulate_cell(
     settings: EvaluationSettings,
     topology: Topology,
     table: RoutingTable,
-    programs: dict[int, tuple[list[object], int]],
-    donors: dict[tuple, list[CapacityDonor]] | None,
+    context: StageContext,
 ) -> tuple[ArchitectureMetrics, CapacityDonor | None]:
-    """Simulate a built-in traffic mode, or serve it from a capacity sibling.
+    """Simulate the scenario's traffic program, or serve it from a sibling.
 
-    ``donors`` (a :class:`~repro.dse.cache.StageContext`'s memo) is keyed by
-    everything the run reads except ``buffer_capacity_packets``: the
-    scenario, the routed fabric and the traffic program by identity, the
-    technology and the other simulator settings by value.  A cell whose
-    capacity exceeds a memoized donor's peak occupancy is served that
-    donor's metrics; returns ``(metrics, donor)`` with ``donor`` None for a
-    real run.
+    The context's ``capacity_donors`` memo is keyed by everything the run
+    reads except ``buffer_capacity_packets``: the scenario (whose traffic
+    program the context builds once) and the routed fabric by identity,
+    the technology and the other simulator settings by value.  A cell whose capacity exceeds a
+    memoized donor's peak occupancy is served that donor's metrics; returns
+    ``(metrics, donor)`` with ``donor`` None for a real run.  A run whose
+    ``engine_info()`` carries no ``blocked`` certificate donates nothing.
     """
-    if donors is None or settings.engine == ENGINE_BATCH:
-        metrics = _simulate_builtin_traffic(
-            scenario, settings, topology.name, topology, table.frozen_next_hop(), programs
-        )
-        return metrics, None
-    program, iterations = _traffic_program(scenario, programs)
+    program = context.traffic_program(scenario)
     technology = settings.build_technology()
     config = settings.build_simulator_config()
     capturing = get_session().capture_probes
@@ -999,7 +930,6 @@ def _simulate_cell(
         id(topology),
         id(table),
         table.version,
-        id(program),
         technology,
         capturing,
         *(
@@ -1008,26 +938,19 @@ def _simulate_cell(
             if spec.name != "buffer_capacity_packets"
         ),
     )
-    siblings = donors.setdefault(key, [])
+    siblings = context.capacity_donors.setdefault(key, [])
     for donor in siblings:
         if config.buffer_capacity_packets > donor.peak_occupancy:
             _flush_probe(donor.probe, donor.statistics, topology.name)
             return donor.metrics, donor
     metrics, simulator, probe = _replay(
-        topology.name,
-        topology,
-        table.frozen_next_hop(),
-        program,
-        technology,
-        config,
-        iterations,
-        aes_blocks=scenario.traffic == TRAFFIC_AES_PHASES,
+        topology.name, topology, table.frozen_next_hop(), program, technology, config
     )
     info = simulator.engine_info()
-    if not info["blocked"]:
+    if not info.get("blocked", True):
         siblings.append(
             CapacityDonor(
-                anchors=(scenario, topology, table, program),
+                anchors=(scenario, topology, table),
                 capacity=config.buffer_capacity_packets,
                 peak_occupancy=int(info["peak_occupancy"]),
                 metrics=metrics,
@@ -1036,23 +959,6 @@ def _simulate_cell(
             )
         )
     return metrics, None
-
-
-register_traffic_mode(
-    TrafficModeSpec(
-        name=TRAFFIC_ACG,
-        description="inject every ACG edge's volume per repetition and drain",
-        simulate=_simulate_builtin_traffic,
-    )
-)
-
-register_traffic_mode(
-    TrafficModeSpec(
-        name=TRAFFIC_AES_PHASES,
-        description="dependency-aware distributed-AES phase trace",
-        simulate=_simulate_builtin_traffic,
-    )
-)
 
 
 def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, float]:
@@ -1181,39 +1087,28 @@ def _prepare(
     scenario: Scenario,
     settings: EvaluationSettings,
     record: EvaluationRecord,
-    context: "object | None",
+    context: StageContext,
 ) -> tuple[Topology, RoutingTable]:
     """Decompose -> synthesize -> route, or route the baseline fabric.
 
-    Returns the routed fabric and its routing table.  With a
-    :class:`~repro.dse.cache.StageContext` the decomposition, the
-    synthesize/route product and the routed baseline fabric are reused
-    across cells sharing their stage sub-keys.
+    Returns the routed fabric and its routing table.  The context reuses
+    the decomposition, the synthesize/route product and the routed
+    baseline fabric across cells sharing their stage sub-keys.
     """
     if settings.architecture == "mesh":
         with _stage("route", record):
-            if context is not None:
-                topology, table, deadlock_report = context.baseline_for(scenario, settings)
-            else:
-                topology, table, deadlock_report = baseline_route_stage(scenario, settings)
+            topology, table, deadlock_report = context.baseline_for(scenario, settings)
             _apply_deadlock_gate(record, settings, deadlock_report)
     else:
         with _stage("decompose", record):
-            decomposition, provenance = decompose_stage(scenario, settings, context)
+            decomposition, provenance = context.decomposition_for(scenario, settings)
         record.stage_reuse["decompose"] = provenance
         _record_decomposition(record, decomposition)
-        if context is not None:
-            # the memoized synthesize+route product; one fused stage timing
-            with _stage("synthesize", record):
-                architecture, provenance = context.architecture_for(
-                    scenario, settings, decomposition
-                )
-        else:
-            with _stage("synthesize", record):
-                topology = synthesize_stage(scenario, settings, decomposition)
-            with _stage("route", record):
-                architecture = route_stage(scenario, settings, decomposition, topology)
-            provenance = STAGE_COMPUTED
+        # the memoized synthesize+route product; one fused stage timing
+        with _stage("synthesize", record):
+            architecture, provenance = context.architecture_for(
+                scenario, settings, decomposition
+            )
         record.stage_reuse["synthesize"] = provenance
         if architecture.constraint_report is not None:
             record.constraints_satisfied = architecture.constraint_report.satisfied
@@ -1228,18 +1123,15 @@ def _evaluate_cell(
     key: str,
     axes: dict[str, object] | None,
     label: str,
-    context: "object | None",
-    programs: dict[int, tuple[list[object], int]],
+    context: StageContext,
 ) -> EvaluationRecord:
     """Prepare, simulate and score one cell into its fresh record.
 
     The scenario's pins are applied to the grid ``settings`` first.  The
     cell runs inside its own ``dse.evaluate`` span, annotated with its
-    status.  Built-in traffic modes replay the scenario's op program
-    (memoized in ``programs`` across the cells of one call), or, under a
-    :class:`~repro.dse.cache.StageContext`, are served from a certified
-    buffer-capacity sibling (``stage_reuse["simulate"] = "capacity:<C>"``);
-    plugin traffic modes dispatch through :func:`simulate_stage`.
+    status.  Its traffic program (memoized per scenario on the context) is
+    replayed, or served from a certified buffer-capacity sibling
+    (``stage_reuse["simulate"] = "capacity:<C>"``).
     """
     settings = scenario.effective_settings(settings)
     record = EvaluationRecord(
@@ -1259,22 +1151,23 @@ def _evaluate_cell(
         with _phase(record):
             topology, table = _prepare(scenario, settings, record, context)
             with _stage("simulate", record) as simulate_span:
-                if get_traffic_mode(scenario.traffic).simulate is _simulate_builtin_traffic:
-                    donors = context.capacity_donors if context is not None else None
-                    metrics, donor = _simulate_cell(
-                        scenario, settings, topology, table, programs, donors
-                    )
-                    if donor is not None:
-                        record.stage_reuse["simulate"] = f"capacity:{donor.capacity}"
-                        simulate_span.annotate(donor_capacity=donor.capacity)
-                else:
-                    metrics = simulate_stage(
-                        scenario, settings, topology.name, topology, table.frozen_next_hop()
-                    )
+                metrics, donor = _simulate_cell(scenario, settings, topology, table, context)
+                if donor is not None:
+                    record.stage_reuse["simulate"] = f"capacity:{donor.capacity}"
+                    simulate_span.annotate(donor_capacity=donor.capacity)
             with _stage("score", record):
                 record.metrics.update(score_stage(metrics, topology))
         span.annotate(status=record.status)
     return record
+
+
+def _context_or_fresh(context: StageContext | None) -> StageContext:
+    """The caller's context, or a fresh one for this call alone."""
+    if context is not None:
+        return context
+    from repro.dse.cache import StageContext  # cache.py imports this module
+
+    return StageContext()
 
 
 def evaluate(
@@ -1283,7 +1176,7 @@ def evaluate(
     cache_key: str = "",
     config_label: str = "",
     axes: dict[str, object] | None = None,
-    context: "object | None" = None,
+    context: StageContext | None = None,
 ) -> EvaluationRecord:
     """Run the full pipeline for one (scenario, configuration) cell.
 
@@ -1293,11 +1186,13 @@ def evaluate(
     (e.g. an unknown technology in a hand-built settings object) surface
     as exceptions.
 
-    ``context`` is an optional :class:`~repro.dse.cache.StageContext`; when
-    given, the decompose and synthesize/route stages are reused across every
-    cell sharing the respective stage sub-key instead of being recomputed.
+    ``context`` is the :class:`~repro.dse.cache.StageContext` the cell runs
+    under (a fresh one when omitted); cells evaluated under one context
+    share every stage artifact and capacity sibling they have in common.
     """
-    return _evaluate_cell(scenario, settings, cache_key, axes, config_label, context, {})
+    return _evaluate_cell(
+        scenario, settings, cache_key, axes, config_label, _context_or_fresh(context)
+    )
 
 
 def axis_label(axes: Mapping[str, object]) -> str:
@@ -1309,16 +1204,16 @@ def axis_label(axes: Mapping[str, object]) -> str:
 
 def evaluate_cells(
     cell_payloads: Sequence[tuple[Scenario, EvaluationSettings, dict[str, object], str]],
-    context: "object | None" = None,
+    context: StageContext | None = None,
 ) -> list[EvaluationRecord]:
     """Evaluate a sequence of sweep cells, one after another.
 
     The plural of :func:`evaluate`: records come back in payload order,
-    each labelled with :func:`axis_label` of its axes.  Built-in traffic
-    programs are built once per scenario for the whole call.
+    each labelled with :func:`axis_label` of its axes, all under one
+    context (a fresh one when omitted).
     """
-    programs: dict[int, tuple[list[object], int]] = {}
+    context = _context_or_fresh(context)
     return [
-        _evaluate_cell(scenario, settings, key, axes, axis_label(axes), context, programs)
+        _evaluate_cell(scenario, settings, key, axes, axis_label(axes), context)
         for scenario, settings, axes, key in cell_payloads
     ]

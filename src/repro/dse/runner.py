@@ -4,13 +4,15 @@ A *grid* is a base :class:`EvaluationSettings` plus named axes (field ->
 list of values); its cartesian product crossed with a scenario list
 yields the sweep cells.  The runner resolves every cell against the
 on-disk :class:`~repro.dse.cache.ResultCache` first, groups the misses
-by decomposition sub-key, and fans *groups* — not raw cells — across
-the process pool (module-level worker function so payloads pickle
-cleanly, as in the Figure-4 :mod:`~repro.experiments.runtime_sweep`
-machinery).  Group-granular fan-out is what keeps the stage cache
-effective under parallelism: all cells sharing a decomposition land in
-one worker, whose :class:`~repro.dse.cache.StageContext` runs the
-search exactly once per group.
+by the stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
+on (decomposition sub-key for custom cells, synthesis sub-key for mesh
+cells), and fans *groups* — not raw cells — across the process pool
+(module-level worker function so payloads pickle cleanly, as in the
+Figure-4 :mod:`~repro.experiments.runtime_sweep` machinery).
+Group-granular fan-out is what keeps the stage cache effective under
+parallelism: all cells sharing a decomposition or a routed baseline
+fabric land in one worker, whose context runs the search once per group
+and serves buffer-capacity siblings exactly as a serial run does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.dse.cache import (
     StageContext,
     cache_key,
     decomposition_stage_key,
+    synthesis_stage_key,
 )
 from repro.dse.pipeline import (
     EvaluationSettings,
@@ -83,9 +86,11 @@ class SweepCell:
     axes: dict[str, object]
     key: str
     stage_group: str = ""
-    """Decomposition sub-key for custom-architecture cells; cells sharing it
-    reuse one decomposition search and are scheduled into one worker.  Mesh
-    cells (no decomposition) each form their own single-cell group."""
+    """The stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
+    on: the decomposition sub-key for custom cells, the synthesis sub-key
+    for mesh cells.  Cells sharing it share one decomposition search (or
+    one routed baseline fabric) and its buffer-capacity siblings, and are
+    scheduled into one worker."""
 
     @property
     def label(self) -> str:
@@ -93,11 +98,11 @@ class SweepCell:
         return axis_label(self.axes)
 
 
-def _stage_group(scenario: Scenario, settings: EvaluationSettings, key: str) -> str:
+def _stage_group(scenario: Scenario, settings: EvaluationSettings) -> str:
     effective = scenario.effective_settings(settings)
     if effective.architecture == "custom":
         return decomposition_stage_key(scenario, settings)
-    return f"cell:{key}"
+    return synthesis_stage_key(scenario, settings)
 
 
 def plan_sweep(
@@ -118,7 +123,7 @@ def plan_sweep(
                     settings=settings,
                     axes=axis_values,
                     key=key,
-                    stage_group=_stage_group(scenario, settings, key),
+                    stage_group=_stage_group(scenario, settings),
                 )
             )
     return cells
@@ -218,9 +223,10 @@ def _evaluate_group(
 ) -> tuple[list[EvaluationRecord], GroupEvents]:
     """Evaluate one stage group (module-level so it pickles into workers).
 
-    All cells of the group share a decomposition sub-key, so evaluating them
-    in one process under one :class:`StageContext` runs the search once; the
-    optional artifact directory extends the reuse across groups and runs.
+    All cells of the group share a stage sub-key, so evaluating them in one
+    process under one :class:`StageContext` runs the search (or routes the
+    baseline fabric) once and serves capacity siblings; the optional
+    artifact directory extends decomposition reuse across groups and runs.
 
     Returns ``(records, events)``: when the sweep is traced, ``events``
     carries the worker's serialized span and metric event dicts (plain
@@ -356,8 +362,7 @@ def _run_cells_traced(
         # serial: one context shared across all groups maximizes reuse; the
         # coordinator's own session stays active, so spans and metrics land
         # directly without any adoption step.  Groups are flattened into one
-        # evaluate_cells call (group-major order preserved) so the cells of
-        # one call share each scenario's traffic program.
+        # evaluate_cells call, group-major order preserved.
         context = StageContext(artifacts)
         flattened = [
             payload for cell_payloads, _, _ in payloads for payload in cell_payloads

@@ -151,7 +151,7 @@ class RungSpec:
             settings=settings,
             axes=dict(cell.axes),
             key=key,
-            stage_group=_stage_group(scenario, settings, key),
+            stage_group=_stage_group(scenario, settings),
         )
 
 

@@ -45,10 +45,6 @@ class Registry(Generic[T]):
     which is what lets a test or a plugin shadow a built-in deliberately.
     """
 
-    #: all live registries, newest last — what discovery and the
-    #: ``list-plugins`` style reporting iterate over
-    _instances: list["Registry"] = []
-
     def __init__(
         self,
         kind: str,
@@ -59,7 +55,6 @@ class Registry(Generic[T]):
         self._items: dict[str, T] = {}
         self._providers: dict[str, str] = {}
         self._discover_enabled = discover
-        Registry._instances.append(self)
 
     # ------------------------------------------------------------------
     # registration
@@ -154,11 +149,6 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:
         return f"<Registry kind={self.kind!r} names={sorted(self._items)}>"
-
-    @classmethod
-    def all_registries(cls) -> list["Registry"]:
-        """Every live registry, in creation order."""
-        return list(cls._instances)
 
 
 # ----------------------------------------------------------------------

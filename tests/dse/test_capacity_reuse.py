@@ -11,6 +11,7 @@ import.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,14 +23,26 @@ from hypothesis import strategies as st
 
 import repro.dse.cache as cache_module
 from repro.dse.cache import StageContext
-from repro.dse.pipeline import EvaluationSettings, _replay, evaluate, evaluate_cells
+from repro.dse.pipeline import (
+    TRAFFIC_MODES,
+    EvaluationSettings,
+    Scenario,
+    TrafficModeSpec,
+    TrafficProgram,
+    _replay,
+    evaluate,
+    evaluate_cells,
+    register_traffic_mode,
+)
+from repro.dse.runner import plan_sweep, run_cells
 from repro.dse.scenarios import (
     aes_scenario,
     planted_scenario,
     scale_free_scenario,
     tgff_scenario,
 )
-from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE
+from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, DrainOp, RunOp, ScheduleOp
+from repro.noc.traffic import acg_messages
 from repro.obs import ObsSession, use_session
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -59,9 +72,10 @@ def real_run(scenario, settings: EvaluationSettings):
     return evaluate(scenario, settings, context=StageContext())
 
 
-def rerun_donor(donor, settings: EvaluationSettings):
+def rerun_donor(donor, settings: EvaluationSettings, context: StageContext):
     """A donor's run repeated at its own capacity, for its certificate."""
-    _, topology, table, program = donor.anchors
+    scenario, topology, table = donor.anchors
+    program = context.traffic_program(scenario)
     config = settings.merged({"buffer_capacity_packets": donor.capacity})
     _, simulator, _ = _replay(
         topology.name,
@@ -70,10 +84,17 @@ def rerun_donor(donor, settings: EvaluationSettings):
         program,
         config.build_technology(),
         config.build_simulator_config(),
-        1,
-        aes_blocks=False,
     )
     return simulator.engine_info()
+
+
+def result_view(record) -> dict[str, object]:
+    """Everything a record says about its cell, timings excluded."""
+    view = json.loads(record.to_json())
+    for timing in ("runtime_seconds", "stage_seconds"):
+        view.pop(timing)
+    view["search_statistics"].pop("elapsed_seconds", None)
+    return view
 
 
 class TestServedCells:
@@ -108,11 +129,42 @@ class TestServedCells:
                 )
                 assert record.metrics == expected.metrics
 
-    def test_no_context_means_no_reuse(self):
+    def test_no_context_runs_under_a_fresh_one(self):
         scenario = aes_scenario(blocks=1)
         base = EvaluationSettings(architecture="mesh")
-        records = evaluate_cells(capacity_cells(scenario, base, (2, 4, 8)))
-        assert all("simulate" not in record.stage_reuse for record in records)
+        cells = capacity_cells(scenario, base, (2, 4, 8))
+        records = evaluate_cells(cells)
+        assert [served_capacity(record) for record in records] == [None, 2, 2]
+        assert [result_view(record) for record in records] == [
+            result_view(record) for record in evaluate_cells(cells, StageContext())
+        ]
+
+    def test_solo_calls_sharing_a_context_serve_siblings(self):
+        scenario = aes_scenario(blocks=1)
+        base = EvaluationSettings(architecture="mesh")
+        context = StageContext()
+        first, second = (
+            evaluate(scenario, base.merged({"buffer_capacity_packets": capacity}), context=context)
+            for capacity in (2, 4)
+        )
+        assert first.stage_reuse == {}
+        assert second.stage_reuse == {"simulate": "capacity:2"}
+        expected = real_run(scenario, base.merged({"buffer_capacity_packets": 4}))
+        assert second.metrics == expected.metrics
+
+    def test_parallel_workers_serve_the_same_siblings_as_serial(self):
+        cells = plan_sweep(
+            [aes_scenario(blocks=1)],
+            axes={"architecture": ("mesh", "custom"), "buffer_capacity_packets": (2, 4, 8)},
+        )
+        serial = run_cells(cells)
+        parallel = run_cells(cells, parallel=True, max_workers=2)
+        assert [result_view(record) for record in parallel.records] == [
+            result_view(record) for record in serial.records
+        ]
+        assert [served_capacity(record) for record in serial.records] == [
+            None, 2, 2, None, 2, 2
+        ]
 
 
 scenario_builders = st.one_of(
@@ -158,9 +210,52 @@ def test_served_cells_equal_real_runs(
             assert capacity > donor.peak_occupancy
     # every donor is certified: its run never failed a space test
     for donor in donors.values():
-        info = rerun_donor(donor, base)
+        info = rerun_donor(donor, base, context)
         assert info["blocked"] is False
         assert info["peak_occupancy"] == donor.peak_occupancy
+
+
+def two_batch_program(scenario) -> TrafficProgram:
+    """Two ACG batches with an idle stretch between them."""
+    messages = tuple(acg_messages(scenario.acg, packet_size_bits=scenario.packet_size_bits))
+    ops = (ScheduleOp(messages), DrainOp(), RunOp(16), ScheduleOp(messages), DrainOp())
+    return TrafficProgram(ops, iterations=2)
+
+
+@pytest.fixture
+def two_batch_mode():
+    register_traffic_mode(TrafficModeSpec("two_batches", "test mode", two_batch_program))
+    yield "two_batches"
+    TRAFFIC_MODES.unregister("two_batches")
+
+
+class TestPluginTrafficMode:
+    def test_plugin_mode_runs_the_sweep_path(self, two_batch_mode):
+        scenario = Scenario(
+            name="two", acg=planted_scenario(num_nodes=12, seed=11).acg, traffic=two_batch_mode
+        )
+        cells = plan_sweep([scenario], axes={"buffer_capacity_packets": (2, 3, 4, 8)})
+        swept = run_cells(cells).records
+        context = StageContext()
+        solo = [
+            evaluate(
+                cell.scenario,
+                cell.settings,
+                cache_key=cell.key,
+                config_label=cell.label,
+                axes=cell.axes,
+                context=context,
+            )
+            for cell in cells
+        ]
+        assert [result_view(record) for record in solo] == [
+            result_view(record) for record in swept
+        ]
+        # capacity 3 runs unblocked at peak 3, so capacities 4 and 8 are served
+        assert [served_capacity(record) for record in swept] == [None, None, 3, 3]
+        for record, cell in zip(swept, cells):
+            assert record.succeeded
+            assert record.metrics == real_run(scenario, cell.settings).metrics
 
 
 class TestObservability:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dse.pipeline import (
@@ -121,6 +123,15 @@ class TestScenario:
     def test_invalid_traffic_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             Scenario(name="x", acg=planted_scenario(12, 1).acg, traffic="gravity")
+
+    @pytest.mark.parametrize(
+        "knob", [{"packet_size_bits": 0}, {"computation_cycles_per_phase": -1}]
+    )
+    def test_invalid_traffic_knobs_rejected(self, knob):
+        with pytest.raises(ConfigurationError):
+            Scenario(name="x", acg=planted_scenario(12, 1).acg, **knob)
+        with pytest.raises(ConfigurationError):
+            replace(aes_scenario(), **knob)
 
 
 class TestBaselineMesh:
@@ -288,24 +299,22 @@ class TestEvaluate:
         reference = evaluate(scenario, settings.merged({"engine": "event"}))
         assert record.error == reference.error
 
-    @pytest.mark.parametrize("engine", ["event", "batch"])
     @pytest.mark.parametrize(
         "knob",
         [
             {"buffer_capacity_packets": 0},
             {"router_pipeline_delay_cycles": 0},
             {"max_cycles": 0},
+            {"engine": "warp"},
         ],
     )
-    def test_bad_simulator_config_is_a_simulation_failure(self, engine, knob):
-        """The simulator config rejects a bad knob when it is built, inside
-        the simulate stage, so the cell records ``simulation_failed``.  (A
-        zero flit width fails earlier: it is the fabric's channel width.)"""
-        scenario = embedded_scenario("vopd")
-        settings = EvaluationSettings(architecture="mesh", engine=engine, **knob)
-        record = evaluate(scenario, settings)
-        assert record.status == STATUS_SIMULATION_FAILED
-        assert record.error
+    def test_bad_simulator_config_is_rejected_at_construction(self, knob):
+        """Settings build their simulator config once when constructed, so a
+        bad simulator knob is a caller error, never a cached cell failure."""
+        with pytest.raises(ConfigurationError):
+            EvaluationSettings(architecture="mesh", **knob)
+        with pytest.raises(ConfigurationError):
+            EvaluationSettings().merged(knob)
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_caller_bugs_still_raise(self, engine):

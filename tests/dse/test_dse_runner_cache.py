@@ -202,6 +202,32 @@ class TestRunSweep:
         assert second.cache_hit_fraction == 1.0
         assert [r.cache_key for r in first.records] == [r.cache_key for r in second.records]
 
+    def test_bad_simulator_axis_fails_before_any_search(self, tmp_path, monkeypatch):
+        """A bad simulator knob raises while the grid is planned: no
+        decomposition search runs and no failure record is cached."""
+        import repro.dse.cache as cache_module
+
+        searches = []
+        monkeypatch.setattr(
+            cache_module, "run_decomposition_search", lambda *args: searches.append(args)
+        )
+        cache = ResultCache(tmp_path / "results.jsonl")
+        with pytest.raises(ConfigurationError, match="at least one packet"):
+            run_sweep(
+                [aes_scenario()], axes={"buffer_capacity_packets": (4, 0)}, cache=cache
+            )
+        assert searches == []
+        assert not cache.path.exists() or cache.path.read_text() == ""
+
+    def test_cli_rejects_a_bad_simulator_axis(self, tmp_path, capsys):
+        from repro.dse.__main__ import main
+
+        results = tmp_path / "results.jsonl"
+        argv = ["run", "--results", str(results), "--axis", "buffer_capacity_packets=0"]
+        assert main(argv) == 2
+        assert "at least one packet" in capsys.readouterr().err
+        assert not results.exists() or results.read_text() == ""
+
     def test_in_process_cache_hits_are_flagged_and_unaliased(self, tmp_path):
         """A hit served by the cache that stored it reads like a reloaded one."""
         spec = get_suite("smoke")

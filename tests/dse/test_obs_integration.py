@@ -28,8 +28,9 @@ class TestStageTimings:
     def test_custom_cell_records_all_stage_seconds(self, smoke_scenarios):
         record = evaluate(smoke_scenarios[0], EvaluationSettings(architecture="custom"))
         assert record.succeeded
+        # one fused synthesize timing covers synthesis and routing
         assert set(record.stage_seconds) == {
-            "decompose", "synthesize", "route", "simulate", "score"
+            "decompose", "synthesize", "simulate", "score"
         }
         assert all(seconds >= 0.0 for seconds in record.stage_seconds.values())
 

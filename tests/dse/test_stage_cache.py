@@ -231,13 +231,12 @@ class TestStageContext:
         """Regression: calling the stage API with raw (pre-pin) settings must
         resolve the scenario's settings_overrides before searching, or the
         artifact under the pinned key would hold a wrong-library cover."""
-        from repro.dse.pipeline import decompose_stage
         from repro.dse.scenarios import aes_scenario
 
         scenario = aes_scenario()  # pins library='aes' via settings_overrides
         context = StageContext(StageArtifactStore(tmp_path))
         raw = EvaluationSettings()  # library='default'
-        decomposition, provenance = decompose_stage(scenario, raw, context)
+        decomposition, provenance = context.decomposition_for(scenario, raw)
         assert provenance == STAGE_COMPUTED
         # the paper's AES decomposition only falls out of the aes library
         assert decomposition.total_cost == 28.0
@@ -259,11 +258,13 @@ class TestRunnerGrouping:
         custom = [cell for cell in cells if cell.settings.architecture == "custom"]
         mesh = [cell for cell in cells if cell.settings.architecture == "mesh"]
         assert len({cell.stage_group for cell in custom}) == 1
-        # mesh cells do not decompose: each is its own single-cell group
-        assert len({cell.stage_group for cell in mesh}) == len(mesh)
+        # mesh cells do not decompose: they group by the synthesis sub-key,
+        # on which the context shares one routed baseline fabric
+        assert len({cell.stage_group for cell in mesh}) == 1
         assert custom[0].stage_group == decomposition_stage_key(
             SCENARIO, custom[0].settings
         )
+        assert mesh[0].stage_group == synthesis_stage_key(SCENARIO, mesh[0].settings)
 
     def test_sweep_runs_decomposition_once_per_group(self, tmp_path):
         result = run_sweep([SCENARIO], axes=self.AXES, artifacts=tmp_path / "stage")
