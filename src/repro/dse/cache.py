@@ -42,6 +42,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Hashable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.arch.topology import Topology
@@ -52,11 +55,12 @@ from repro.core.library import CommunicationLibrary
 from repro.core.matching import Matching, RemainderGraph
 from repro.core.synthesis import SynthesizedArchitecture
 from repro.dse.pipeline import (
-    CapacityDonor,
     EvaluationSettings,
     Scenario,
+    SimulationRun,
     TrafficProgram,
     baseline_route_stage,
+    fabric_content_key,
     get_traffic_mode,
     route_stage,
     run_decomposition_search,
@@ -97,21 +101,101 @@ PIPELINE_VERSION = 6
 DECOMPOSITION_ARTIFACT_FORMAT = 1
 
 
-def _content_hash(payload: dict[str, object]) -> str:
-    """SHA-256 of the canonical (sorted, compact) JSON encoding."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(value: object) -> str:
+    """The canonical (sorted, compact) JSON encoding of one value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _joined(pieces: dict[str, str]) -> str:
+    """The canonical JSON object whose members' canonical texts are given.
+
+    Byte-identical to :func:`_canonical` of the decoded object: members in
+    sorted key order, compact separators.
+    """
+    return "{" + ",".join(f"{_canonical(key)}:{pieces[key]}" for key in sorted(pieces)) + "}"
+
+
+def _content_hash(payload: dict[str, object], **spliced: str) -> str:
+    """SHA-256 of the canonical JSON of ``payload`` plus the ``spliced``
+    members, which are given already serialized as canonical JSON."""
+    pieces = {key: _canonical(value) for key, value in payload.items()}
+    pieces.update(spliced)
+    return hashlib.sha256(_joined(pieces).encode("utf-8")).hexdigest()
+
+
+class _Fingerprints:
+    """Scenario fingerprints as canonical JSON, each serialized once.
+
+    The workload graph's part is shared by every scenario over the same
+    graph object (a search's capped rung variants share it).  Each memo
+    holds its scenarios and graphs, so no other object can take over
+    their ids while it lives.  It sees no mutation of a graph it has read,
+    so it lives for one sweep or search (:func:`fingerprint_scope`).
+    """
+
+    def __init__(self) -> None:
+        self._workloads: dict[int, tuple[ApplicationGraph, dict[str, str]]] = {}
+        self._scenarios: dict[int, tuple[Scenario, str, str]] = {}
+
+    def texts(self, scenario: Scenario) -> tuple[str, str]:
+        """``(fingerprint, structural fingerprint)`` as canonical JSON."""
+        memoized = self._scenarios.get(id(scenario))
+        if memoized is None:
+            workload = self._workloads.get(id(scenario.acg))
+            if workload is None:
+                structural = scenario.structural_fingerprint()
+                pieces = {key: _canonical(value) for key, value in structural.items()}
+                workload = self._workloads[id(scenario.acg)] = (scenario.acg, pieces)
+            pieces = workload[1]
+            traffic = scenario.traffic_fingerprint()
+            fingerprint = _joined(
+                {**{key: _canonical(value) for key, value in traffic.items()}, **pieces}
+            )
+            memoized = (scenario, fingerprint, _joined(pieces))
+            self._scenarios[id(scenario)] = memoized
+        return memoized[1], memoized[2]
+
+
+_FINGERPRINTS: ContextVar[_Fingerprints | None] = ContextVar(
+    "repro_dse_fingerprints", default=None
+)
+
+
+@contextmanager
+def fingerprint_scope() -> Iterator[None]:
+    """Serialize each scenario's fingerprint at most once inside the block.
+
+    The key functions below read the active memo; a nested scope shares
+    the outermost one.  The memo is context-local and dropped when the
+    outermost scope exits.  Sweeps and searches open one for the length of
+    the call (``@fingerprint_scope()`` on the function), so a workload
+    mutated between two calls keys afresh.
+    """
+    if _FINGERPRINTS.get() is not None:
+        yield
+        return
+    token = _FINGERPRINTS.set(_Fingerprints())
+    try:
+        yield
+    finally:
+        _FINGERPRINTS.reset(token)
+
+
+def _fingerprint_texts(scenario: Scenario) -> tuple[str, str]:
+    """The scenario's fingerprint texts, from the active memo if any."""
+    return (_FINGERPRINTS.get() or _Fingerprints()).texts(scenario)
 
 
 def cache_key(scenario: Scenario, settings: EvaluationSettings) -> str:
     """Stable content hash of one (scenario, configuration) cell."""
     effective = scenario.effective_settings(settings)
+    fingerprint, _ = _fingerprint_texts(scenario)
     return _content_hash(
         {
             "pipeline_version": PIPELINE_VERSION,
-            "scenario": scenario.fingerprint(),
             "settings": effective.canonical_dict(),
-        }
+        },
+        scenario=fingerprint,
     )
 
 
@@ -125,13 +209,14 @@ def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) ->
     decomposition search.
     """
     effective = scenario.effective_settings(settings)
+    _, workload = _fingerprint_texts(scenario)
     return _content_hash(
         {
             "pipeline_version": PIPELINE_VERSION,
             "stage": "decompose",
-            "workload": scenario.structural_fingerprint(),
             "settings": effective.decomposition_stage_dict(),
-        }
+        },
+        workload=workload,
     )
 
 
@@ -145,13 +230,14 @@ def synthesis_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str
     topology and routing table.
     """
     effective = scenario.effective_settings(settings)
+    _, workload = _fingerprint_texts(scenario)
     return _content_hash(
         {
             "pipeline_version": PIPELINE_VERSION,
             "stage": "synthesize",
-            "workload": scenario.structural_fingerprint(),
             "settings": effective.synthesis_stage_dict(),
-        }
+        },
+        workload=workload,
     )
 
 
@@ -392,15 +478,16 @@ class StageContext:
 
     Holds an in-memory memo of decompositions (by decomposition sub-key),
     synthesized architectures and routed baseline fabrics (by synthesis
-    sub-key), backed by an optional :class:`StageArtifactStore` that
-    persists decompositions across runs and across worker processes, plus
-    each scenario's traffic program and the certified simulations
-    (:attr:`capacity_donors`).  Every cell the pipeline evaluates runs
-    under one (:func:`repro.dse.pipeline.evaluate` makes a fresh one when
-    the caller passes none), so a simulator-axis sweep runs the
-    decomposition search exactly once per sub-key, routes each baseline
-    fabric once, and simulates a buffer capacity only when no certified
-    sibling run covers it.
+    sub-key) and their content keys, backed by an optional
+    :class:`StageArtifactStore` that persists decompositions across runs
+    and across worker processes, plus each scenario's traffic program and
+    every finished simulation (:attr:`simulations`).  Every cell the
+    pipeline evaluates runs under one (:func:`repro.dse.pipeline.evaluate`
+    makes a fresh one when the caller passes none; a guided search shares
+    one across its rungs), so a sweep runs the decomposition search
+    exactly once per sub-key, routes each baseline fabric once, and
+    simulates a run only when no earlier run on an equal fabric repeats it
+    or certifies its buffer capacity.
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
@@ -408,10 +495,27 @@ class StageContext:
         self._decompositions: dict[str, DecompositionResult] = {}
         self._architectures: dict[str, SynthesizedArchitecture] = {}
         self._baselines: dict[str, tuple[Topology, RoutingTable, DeadlockReport]] = {}
-        self.capacity_donors: dict[tuple, list[CapacityDonor]] = {}
-        """Unblocked simulations by everything they read but the buffer
+        self._fabric_keys: dict[
+            tuple[int, int], tuple[Topology, RoutingTable, int, Hashable]
+        ] = {}
+        self.simulations: dict[tuple, list[SimulationRun]] = {}
+        """Finished simulations by everything they read but the buffer
         capacity (filled and served by the pipeline's simulate stage)."""
         self._programs: dict[int, tuple[Scenario, TrafficProgram]] = {}
+
+    def fabric_key(self, topology: Topology, table: RoutingTable) -> Hashable:
+        """The routed fabric's content key, computed once per fabric.
+
+        The memo holds the topology and the table, so no other object can
+        take over their ids; a table mutated since its key was computed
+        keys afresh.
+        """
+        ids = (id(topology), id(table))
+        memoized = self._fabric_keys.get(ids)
+        if memoized is None or memoized[2] != table.version:
+            key = fabric_content_key(topology, table)
+            memoized = self._fabric_keys[ids] = (topology, table, table.version, key)
+        return memoized[3]
 
     def traffic_program(self, scenario: Scenario) -> TrafficProgram:
         """The scenario's traffic program, built once per scenario object.

@@ -27,12 +27,14 @@ share one decomposition — and one synthesized topology — through the
 context.  ``record.stage_reuse`` says per cell whether each stage was
 computed fresh or served from the in-memory memo (``"memory"``) or the
 on-disk artifact store (``"store"``); a cell whose simulation was served
-from a certified sibling run at another buffer capacity says
-``"capacity:<C>"`` under ``"simulate"``.
+from an earlier run on an equal fabric says ``"memory"`` under
+``"simulate"``, or ``"capacity:<C>"`` when that run was a certified
+sibling at another buffer capacity.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -68,6 +70,7 @@ from repro.core.synthesis import (
     TopologySynthesizer,
 )
 from repro.dse.records import (
+    STAGE_REUSED_MEMORY,
     STATUS_DECOMPOSITION_FAILED,
     STATUS_ROUTING_FAILED,
     STATUS_SIMULATION_FAILED,
@@ -517,6 +520,10 @@ class Scenario:
         # the display name is deliberately absent: renaming a scenario must
         # not invalidate cached results for a content-identical workload
         # (the runner re-labels shared records with each cell's own name)
+        return {**self.traffic_fingerprint(), **self.structural_fingerprint()}
+
+    def traffic_fingerprint(self) -> dict[str, object]:
+        """The part of :meth:`fingerprint` that says how the graph is driven."""
         return {
             "traffic": self.traffic,
             "repetitions": self.repetitions,
@@ -524,7 +531,6 @@ class Scenario:
             "computation_cycles_per_phase": self.computation_cycles_per_phase,
             "packet_size_bits": self.packet_size_bits,
             "params": {key: self.params[key] for key in sorted(self.params)},
-            **self.structural_fingerprint(),
         }
 
     def structural_fingerprint(self) -> dict[str, object]:
@@ -683,7 +689,10 @@ def _replay(
     Returns the metrics, the simulator (for its ``engine_info``) and the
     session probe, if one was attached.
     """
-    simulator = NoCSimulator(topology, routing, config=simulator_config, technology=technology)
+    with get_tracer().span("noc.setup"):
+        simulator = NoCSimulator(
+            topology, routing, config=simulator_config, technology=technology
+        )
     probe = _session_probe(simulator)
     for op in program.ops:
         if isinstance(op, ScheduleOp):
@@ -883,25 +892,53 @@ def route_stage(
     )
 
 
-@dataclass(frozen=True)
-class CapacityDonor:
-    """An unblocked simulation that serves its buffer-capacity siblings.
+def fabric_content_key(topology: Topology, table: RoutingTable) -> Hashable:
+    """Everything the simulator reads of a routed fabric, as a memo key.
 
-    The run never failed a space test and no input buffer held more than
+    The fabric name (it labels the metrics), the router order and each
+    router's input-port order -- the order channels into it were added,
+    which sets its arbitration order -- plus :meth:`Topology.signature`
+    (routers, positions and channel attributes) and the routing entries.
+    Two separately built fabrics with equal keys simulate identically.
+    """
+    ports: dict[NodeId, list[NodeId]] = {node: [] for node in topology.routers()}
+    for channel in topology.channels():
+        ports[channel.target].append(channel.source)
+    return (
+        topology.name,
+        tuple((node, tuple(sources)) for node, sources in ports.items()),
+        json.dumps(topology.signature(), sort_keys=True),
+        frozenset(table.entries().items()),
+    )
+
+
+@dataclass(frozen=True)
+class SimulationRun:
+    """One finished simulation, kept to serve later cells that repeat it.
+
+    A cell at the run's own capacity repeats it exactly.  An unblocked run
+    never failed a space test and no input buffer held more than
     ``peak_occupancy`` packets, so at any capacity above the peak every
     space test passes exactly as it did here and the run is bit-identical,
     ``cycles_stepped`` included (``docs/simulator.md``).
     """
 
-    anchors: tuple[object, ...]
-    """The objects the memo key names by identity, kept alive so no
-    other object can take over their ids while the memo lives."""
     capacity: int
+    blocked: bool
+    """A space test failed, or the engine reports no certificate."""
     peak_occupancy: int
     metrics: ArchitectureMetrics
     probe: SimulatorProbe | None
     statistics: SimulationStatistics | None
-    """The donor's statistics, kept only beside a probe (re-emission)."""
+    """The run's statistics, kept only beside a probe (re-emission)."""
+
+    def serves(self, capacity: int) -> str | None:
+        """The provenance a cell at ``capacity`` is served under, or None."""
+        if capacity == self.capacity:
+            return STAGE_REUSED_MEMORY
+        if not self.blocked and capacity > self.peak_occupancy:
+            return f"capacity:{self.capacity}"
+        return None
 
 
 def _simulate_cell(
@@ -910,16 +947,17 @@ def _simulate_cell(
     topology: Topology,
     table: RoutingTable,
     context: StageContext,
-) -> tuple[ArchitectureMetrics, CapacityDonor | None]:
-    """Simulate the scenario's traffic program, or serve it from a sibling.
+) -> tuple[ArchitectureMetrics, SimulationRun | None, str | None]:
+    """Simulate the scenario's traffic program, or serve an earlier run.
 
-    The context's ``capacity_donors`` memo is keyed by everything the run
-    reads except ``buffer_capacity_packets``: the scenario (whose traffic
-    program the context builds once) and the routed fabric by identity,
-    the technology and the other simulator settings by value.  A cell whose capacity exceeds a
-    memoized donor's peak occupancy is served that donor's metrics; returns
-    ``(metrics, donor)`` with ``donor`` None for a real run.  A run whose
-    ``engine_info()`` carries no ``blocked`` certificate donates nothing.
+    The context's ``simulations`` memo is keyed by everything a run reads
+    except ``buffer_capacity_packets``: the scenario (whose traffic program
+    the context builds, and keeps alive, once) by identity, the routed
+    fabric by content (:func:`fabric_content_key`), the technology and the
+    other simulator settings by value.  A run at the cell's capacity, or an
+    unblocked run whose peak occupancy is below it, serves the cell (see
+    :meth:`SimulationRun.serves`).  Returns ``(metrics, run, provenance)``,
+    with ``run`` and ``provenance`` None for a real run.
     """
     program = context.traffic_program(scenario)
     technology = settings.build_technology()
@@ -927,9 +965,7 @@ def _simulate_cell(
     capturing = get_session().capture_probes
     key = (
         id(scenario),
-        id(topology),
-        id(table),
-        table.version,
+        context.fabric_key(topology, table),
         technology,
         capturing,
         *(
@@ -938,27 +974,28 @@ def _simulate_cell(
             if spec.name != "buffer_capacity_packets"
         ),
     )
-    siblings = context.capacity_donors.setdefault(key, [])
-    for donor in siblings:
-        if config.buffer_capacity_packets > donor.peak_occupancy:
-            _flush_probe(donor.probe, donor.statistics, topology.name)
-            return donor.metrics, donor
+    capacity = config.buffer_capacity_packets
+    runs = context.simulations.setdefault(key, [])
+    for run in runs:
+        provenance = run.serves(capacity)
+        if provenance is not None:
+            _flush_probe(run.probe, run.statistics, topology.name)
+            return run.metrics, run, provenance
     metrics, simulator, probe = _replay(
         topology.name, topology, table.frozen_next_hop(), program, technology, config
     )
     info = simulator.engine_info()
-    if not info.get("blocked", True):
-        siblings.append(
-            CapacityDonor(
-                anchors=(scenario, topology, table),
-                capacity=config.buffer_capacity_packets,
-                peak_occupancy=int(info["peak_occupancy"]),
-                metrics=metrics,
-                probe=probe,
-                statistics=simulator.statistics if probe is not None else None,
-            )
+    runs.append(
+        SimulationRun(
+            capacity=capacity,
+            blocked=bool(info.get("blocked", True)),
+            peak_occupancy=int(info.get("peak_occupancy", capacity)),
+            metrics=metrics,
+            probe=probe,
+            statistics=simulator.statistics if probe is not None else None,
         )
-    return metrics, None
+    )
+    return metrics, None, None
 
 
 def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, float]:
@@ -1130,8 +1167,9 @@ def _evaluate_cell(
     The scenario's pins are applied to the grid ``settings`` first.  The
     cell runs inside its own ``dse.evaluate`` span, annotated with its
     status.  Its traffic program (memoized per scenario on the context) is
-    replayed, or served from a certified buffer-capacity sibling
-    (``stage_reuse["simulate"] = "capacity:<C>"``).
+    replayed, or served from an earlier run of the same content
+    (``stage_reuse["simulate"] = "memory"``) or a certified buffer-capacity
+    sibling (``"capacity:<C>"``).
     """
     settings = scenario.effective_settings(settings)
     record = EvaluationRecord(
@@ -1151,9 +1189,11 @@ def _evaluate_cell(
         with _phase(record):
             topology, table = _prepare(scenario, settings, record, context)
             with _stage("simulate", record) as simulate_span:
-                metrics, donor = _simulate_cell(scenario, settings, topology, table, context)
+                metrics, donor, provenance = _simulate_cell(
+                    scenario, settings, topology, table, context
+                )
                 if donor is not None:
-                    record.stage_reuse["simulate"] = f"capacity:{donor.capacity}"
+                    record.stage_reuse["simulate"] = provenance
                     simulate_span.annotate(donor_capacity=donor.capacity)
             with _stage("score", record):
                 record.metrics.update(score_stage(metrics, topology))
@@ -1188,7 +1228,7 @@ def evaluate(
 
     ``context`` is the :class:`~repro.dse.cache.StageContext` the cell runs
     under (a fresh one when omitted); cells evaluated under one context
-    share every stage artifact and capacity sibling they have in common.
+    share every stage artifact and simulation run they have in common.
     """
     return _evaluate_cell(
         scenario, settings, cache_key, axes, config_label, _context_or_fresh(context)

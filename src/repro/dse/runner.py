@@ -29,6 +29,7 @@ from repro.dse.cache import (
     StageContext,
     cache_key,
     decomposition_stage_key,
+    fingerprint_scope,
     synthesis_stage_key,
 )
 from repro.dse.pipeline import (
@@ -105,12 +106,17 @@ def _stage_group(scenario: Scenario, settings: EvaluationSettings) -> str:
     return synthesis_stage_key(scenario, settings)
 
 
+@fingerprint_scope()
 def plan_sweep(
     scenarios: Sequence[Scenario],
     base: EvaluationSettings | None = None,
     axes: Mapping[str, Sequence[object]] | None = None,
 ) -> list[SweepCell]:
-    """All cells of scenarios x grid, each with its content-hash key."""
+    """All cells of scenarios x grid, each with its content-hash key.
+
+    Each scenario's fingerprint is serialized once for the whole plan
+    (:func:`~repro.dse.cache.fingerprint_scope`).
+    """
     if not scenarios:
         raise ConfigurationError("a sweep needs at least one scenario")
     cells: list[SweepCell] = []
@@ -218,6 +224,7 @@ CellPayload = tuple[Scenario, EvaluationSettings, dict[str, object], str]
 GroupEvents = dict[str, list[dict[str, object]]]
 
 
+@fingerprint_scope()
 def _evaluate_group(
     payload: tuple[list[CellPayload], str | None, bool],
 ) -> tuple[list[EvaluationRecord], GroupEvents]:
@@ -277,6 +284,7 @@ def run_sweep(
     )
 
 
+@fingerprint_scope()
 def run_cells(
     cells: Sequence[SweepCell],
     *,
@@ -284,6 +292,7 @@ def run_cells(
     parallel: bool = False,
     max_workers: int | None = None,
     artifacts: StageArtifactStore | str | Path | None = None,
+    context: StageContext | None = None,
 ) -> SweepResult:
     """Evaluate an explicit list of planned cells, reusing cached results.
 
@@ -291,13 +300,19 @@ def run_cells(
     the guided searcher (which plans rung-variant subsets of a grid): cache
     resolution, duplicate-key sharing, stage-group fan-out and plan-order
     record labeling all behave identically for any caller-supplied cell list.
+
+    ``context`` is the :class:`~repro.dse.cache.StageContext` the cells run
+    under when they run in this process (a fresh one over ``artifacts``
+    when omitted), the same way :func:`~repro.dse.pipeline.evaluate` takes
+    one; a guided search passes one to every rung.  Pool workers build
+    their own per group.
     """
     if artifacts is not None and not isinstance(artifacts, StageArtifactStore):
         artifacts = StageArtifactStore(artifacts)
     session = get_session()
     with session.tracer.span("dse.sweep") as sweep_span:
         result = _run_cells_traced(
-            cells, cache, parallel, max_workers, artifacts, sweep_span
+            cells, cache, parallel, max_workers, artifacts, context, sweep_span
         )
         if session.tracer.enabled:
             sweep_span.annotate(
@@ -314,6 +329,7 @@ def _run_cells_traced(
     parallel: bool,
     max_workers: int | None,
     artifacts: StageArtifactStore | None,
+    context: StageContext | None,
     sweep_span,
 ) -> SweepResult:
     """The body of :func:`run_cells`, running inside its sweep span."""
@@ -363,11 +379,10 @@ def _run_cells_traced(
         # coordinator's own session stays active, so spans and metrics land
         # directly without any adoption step.  Groups are flattened into one
         # evaluate_cells call, group-major order preserved.
-        context = StageContext(artifacts)
         flattened = [
             payload for cell_payloads, _, _ in payloads for payload in cell_payloads
         ]
-        evaluated_groups = [evaluate_cells(flattened, context)]
+        evaluated_groups = [evaluate_cells(flattened, context or StageContext(artifacts))]
 
     evaluated = [record for group in evaluated_groups for record in group]
     result.count_stage_reuse(evaluated)

@@ -55,7 +55,13 @@ from repro.dse.analysis import (
     dominates,
     pareto_front,
 )
-from repro.dse.cache import ResultCache, StageArtifactStore, cache_key
+from repro.dse.cache import (
+    ResultCache,
+    StageArtifactStore,
+    StageContext,
+    cache_key,
+    fingerprint_scope,
+)
 from repro.dse.pipeline import EvaluationSettings, Scenario
 from repro.dse.records import EvaluationRecord
 from repro.dse.runner import (
@@ -488,6 +494,7 @@ def _select_survivors(
     return survivors, pruned, promotion_order
 
 
+@fingerprint_scope()
 def run_search(
     scenarios: Sequence[Scenario],
     base: EvaluationSettings | None = None,
@@ -506,9 +513,15 @@ def run_search(
     store and the ``parallel`` process-pool fan-out apply to every rung.
     Records land in the cache under their rung-variant content keys, so a
     follow-up ``report`` sees the full provenance and a re-run is ~all
-    cache hits.
+    cache hits.  A serial search runs every rung under one
+    :class:`~repro.dse.cache.StageContext`, so a cell the full rung
+    evaluates on a fabric the screen already simulated is served from that
+    run; each scenario's fingerprint is serialized once for the search.
     """
     config = config or SearchConfig()
+    if artifacts is not None and not isinstance(artifacts, StageArtifactStore):
+        artifacts = StageArtifactStore(artifacts)
+    context = None if parallel else StageContext(artifacts)
     cells = plan_sweep(scenarios, base, axes)
     grid_cells = len({cell.key for cell in cells})
     top_index = len(config.ladder) - 1
@@ -539,6 +552,7 @@ def run_search(
                     parallel=parallel,
                     max_workers=max_workers,
                     artifacts=artifacts,
+                    context=context,
                 )
                 result.sweeps.append(sweep)
                 full_fidelity = rung_index == top_index

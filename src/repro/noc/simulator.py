@@ -265,11 +265,12 @@ class NoCSimulator:
 
     def schedule_messages(self, messages: Iterable[Message], cycle: int | None = None) -> None:
         """Queue messages for injection at ``cycle`` (default: now), in order."""
-        if self._batch is not None:
-            for message in messages:
-                self._batch.schedule_message(0, message, cycle)
-            return
-        self._schedule(messages, cycle)
+        with get_tracer().span("noc.schedule"):
+            if self._batch is not None:
+                for message in messages:
+                    self._batch.schedule_message(0, message, cycle)
+                return
+            self._schedule(messages, cycle)
 
     def _schedule(self, messages: Iterable[Message], cycle: int | None) -> Packet | None:
         """Build and queue one packet per message; returns the last packet.

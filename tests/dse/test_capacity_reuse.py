@@ -1,12 +1,14 @@
-"""Certified buffer-capacity reuse in the cell pipeline.
+"""The simulation memo in the cell pipeline: repeated and certified runs.
 
-Under a :class:`~repro.dse.cache.StageContext`, a cell whose buffer
-capacity exceeds the peak occupancy of an unblocked sibling run (same
-scenario, fabric, traffic, technology and other simulator settings) is
-served that run's metrics with ``stage_reuse["simulate"] = "capacity:<C>"``.
+Under a :class:`~repro.dse.cache.StageContext`, every finished run is kept
+under everything it read but the buffer capacity (the scenario, the routed
+fabric by content, the technology and the other simulator settings).  A
+cell at a kept run's capacity is served that run's metrics with
+``stage_reuse["simulate"] = "memory"``; a cell whose capacity exceeds the
+peak occupancy of an unblocked run is served with ``"capacity:<C>"``.
 These tests hold served cells to real runs and check what the reuse keeps:
-spans, probe metrics, the mesh baseline memo and the light ``repro.dse``
-import.
+the fabric key, spans, probe metrics, the mesh baseline memo and the light
+``repro.dse`` import.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.dse.cache as cache_module
+import repro.dse.pipeline as pipeline_module
+from repro.arch.topology import Topology
+from repro.core.graph import ApplicationGraph
 from repro.dse.cache import StageContext
 from repro.dse.pipeline import (
     TRAFFIC_MODES,
@@ -30,8 +36,10 @@ from repro.dse.pipeline import (
     TrafficModeSpec,
     TrafficProgram,
     _replay,
+    _simulate_cell,
     evaluate,
     evaluate_cells,
+    fabric_content_key,
     register_traffic_mode,
 )
 from repro.dse.runner import plan_sweep, run_cells
@@ -44,6 +52,7 @@ from repro.dse.scenarios import (
 from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, DrainOp, RunOp, ScheduleOp
 from repro.noc.traffic import acg_messages
 from repro.obs import ObsSession, use_session
+from repro.routing.table import RoutingTable
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -72,20 +81,23 @@ def real_run(scenario, settings: EvaluationSettings):
     return evaluate(scenario, settings, context=StageContext())
 
 
-def rerun_donor(donor, settings: EvaluationSettings, context: StageContext):
-    """A donor's run repeated at its own capacity, for its certificate."""
-    scenario, topology, table = donor.anchors
-    program = context.traffic_program(scenario)
-    config = settings.merged({"buffer_capacity_packets": donor.capacity})
-    _, simulator, _ = _replay(
-        topology.name,
-        topology,
-        table.frozen_next_hop(),
-        program,
-        config.build_technology(),
-        config.build_simulator_config(),
-    )
-    return simulator.engine_info()
+def certificate(scenario, settings: EvaluationSettings) -> dict[str, object]:
+    """The ``engine_info()`` of the cell's real run under a fresh context."""
+    infos = []
+
+    def replaying(*args, **kwargs):
+        metrics, simulator, probe = _replay(*args, **kwargs)
+        infos.append(simulator.engine_info())
+        return metrics, simulator, probe
+
+    with patch.object(pipeline_module, "_replay", replaying):
+        real_run(scenario, settings)
+    (info,) = infos
+    return info
+
+
+def kept_runs(context: StageContext) -> list:
+    return [run for group in context.simulations.values() for run in group]
 
 
 def result_view(record) -> dict[str, object]:
@@ -105,8 +117,14 @@ class TestServedCells:
         context = StageContext()
         records = evaluate_cells(capacity_cells(scenario, base, (1, 2, 3, 4, 8)), context)
         assert [served_capacity(record) for record in records] == [None, None, None, 3, 3]
-        donors = [donor for group in context.capacity_donors.values() for donor in group]
-        assert [(donor.capacity, donor.peak_occupancy) for donor in donors] == [(3, 2)]
+        # the memo keeps the blocked runs too; only the unblocked one donates
+        runs = kept_runs(context)
+        assert [(run.capacity, run.blocked) for run in runs] == [
+            (1, True),
+            (2, True),
+            (3, False),
+        ]
+        assert runs[2].peak_occupancy == 2
         for record, capacity in zip(records, (1, 2, 3, 4, 8)):
             expected = real_run(scenario, base.merged({"buffer_capacity_packets": capacity}))
             assert record.metrics == expected.metrics
@@ -167,6 +185,93 @@ class TestServedCells:
         ]
 
 
+def ring_fabric(order) -> tuple[Topology, RoutingTable]:
+    """Four routers, a ring plus a chord into ``c``, channels added in ``order``.
+
+    Router ``c`` takes input from ``b`` and from ``a``: the order the two
+    channels are added in is its input-port (arbitration) order.
+    """
+    topology = Topology(name="ring", flit_width_bits=32)
+    for index, node in enumerate("abcd"):
+        topology.add_router(node, float(index), 0.0)
+    for source, target in order:
+        topology.add_channel(source, target)
+    table = RoutingTable(topology)
+    for path in (("a", "c"), ("b", "c"), ("d", "a", "c"), ("c", "d")):
+        table.install_path(path)
+    return topology, table
+
+
+RING_CHANNELS = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
+
+
+def ring_scenario() -> Scenario:
+    acg = ApplicationGraph(name="ring")
+    for source, target in (("a", "c"), ("b", "c"), ("d", "c"), ("c", "d")):
+        acg.add_communication(source, target, volume=256.0)
+    return Scenario(name="ring", acg=acg)
+
+
+class TestMemoKey:
+    def test_equal_fabrics_synthesized_apart_are_served_from_memory(self):
+        # two decomposition sub-keys, so two searches and two synthesized
+        # fabric objects -- with equal content
+        scenario = tgff_scenario(10, 7)
+        cells = [
+            (
+                scenario,
+                EvaluationSettings(decomposition_timeout_seconds=timeout),
+                {},
+                f"timeout-{timeout}",
+            )
+            for timeout in (20.0, 40.0)
+        ]
+        context = StageContext()
+        first, second = evaluate_cells(cells, context)
+        assert first.stage_reuse == {"decompose": "computed", "synthesize": "computed"}
+        assert second.stage_reuse == {
+            "decompose": "computed",
+            "synthesize": "computed",
+            "simulate": "memory",
+        }
+        fabrics = [architecture.topology for architecture in context._architectures.values()]
+        assert len(fabrics) == 2 and fabrics[0] is not fabrics[1]
+        assert second.metrics == real_run(scenario, cells[1][1]).metrics
+
+    def test_swapped_input_ports_are_not_served(self):
+        scenario = ring_scenario()
+        settings = EvaluationSettings(buffer_capacity_packets=2)
+        fabric = ring_fabric(RING_CHANNELS)
+        copy = ring_fabric(RING_CHANNELS)
+        swapped = ring_fabric(RING_CHANNELS[::-1])
+        assert swapped[0].signature() == fabric[0].signature()
+        assert swapped[1].entries() == fabric[1].entries()
+        assert fabric_content_key(*copy) == fabric_content_key(*fabric)
+        assert fabric_content_key(*swapped) != fabric_content_key(*fabric)
+        context = StageContext()
+        provenance = [
+            _simulate_cell(scenario, settings, *built, context)[2]
+            for built in (fabric, copy, swapped)
+        ]
+        assert provenance == [None, "memory", None]
+
+    def test_a_blocked_run_serves_only_its_own_capacity(self):
+        scenario = planted_scenario(num_nodes=12, seed=11)
+        base = EvaluationSettings(architecture="mesh")
+        capacities = (1, 1, 2, 3, 4)
+        records = evaluate_cells(capacity_cells(scenario, base, capacities), StageContext())
+        assert [record.stage_reuse.get("simulate") for record in records] == [
+            None,
+            "memory",
+            None,
+            None,
+            "capacity:3",
+        ]
+        for record, capacity in zip(records, capacities):
+            expected = real_run(scenario, base.merged({"buffer_capacity_packets": capacity}))
+            assert record.metrics == expected.metrics
+
+
 scenario_builders = st.one_of(
     st.builds(planted_scenario, st.just(12), st.integers(0, 40)),
     st.builds(tgff_scenario, st.just(10), st.integers(0, 40)),
@@ -196,21 +301,24 @@ def test_served_cells_equal_real_runs(
     )
     context = StageContext()
     records = evaluate_cells(capacity_cells(scenario, base, capacities), context)
-    donors = {
-        donor.capacity: donor for group in context.capacity_donors.values() for donor in group
-    }
+    # the memo keeps every run that finished, blocked or not, one per capacity
+    runs = {run.capacity: run for run in kept_runs(context)}
+    donors = {}
     for record, capacity in zip(records, capacities):
         settings_ = base.merged({"buffer_capacity_packets": capacity})
         expected = real_run(scenario, settings_)
         assert record.status == expected.status
         assert record.metrics == expected.metrics
+        # no capacity repeats, so a served cell names a certified sibling
+        assert record.stage_reuse.get("simulate") in (None, *(f"capacity:{c}" for c in runs))
         donor_capacity = served_capacity(record)
         if donor_capacity is not None:
-            donor = donors[donor_capacity]
+            donor = donors[donor_capacity] = runs[donor_capacity]
+            assert not donor.blocked
             assert capacity > donor.peak_occupancy
     # every donor is certified: its run never failed a space test
     for donor in donors.values():
-        info = rerun_donor(donor, base, context)
+        info = certificate(scenario, base.merged({"buffer_capacity_packets": donor.capacity}))
         assert info["blocked"] is False
         assert info["peak_occupancy"] == donor.peak_occupancy
 

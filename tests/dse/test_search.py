@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
+import repro.dse.pipeline as pipeline_module
+import repro.dse.search as search_module
 from repro.dse import get_suite, pareto_front, run_cells
 from repro.dse.cache import ResultCache, decomposition_stage_key
+from repro.dse.pipeline import fabric_content_key
 from repro.dse.records import EvaluationRecord
 from repro.dse.runner import plan_sweep
 from repro.dse.search import (
@@ -331,6 +335,80 @@ class TestRunSearch:
         assert _fronts_by_scenario(result.front_records()) == _fronts_by_scenario(
             record for record in exhaustive.records if record.succeeded
         )
+
+
+def _record_view(record: EvaluationRecord) -> dict[str, object]:
+    """What a record measured, without timings or stage provenance."""
+    statistics = dict(record.search_statistics)
+    statistics.pop("elapsed_seconds", None)
+    return {
+        "key": record.cache_key,
+        "status": record.status,
+        "metrics": record.metrics,
+        "search_statistics": statistics,
+        "search": record.search,
+    }
+
+
+class TestSharedContext:
+    """A serial search runs every rung under one stage context."""
+
+    def traced_search(self, smoke, monkeypatch, context_per_rung: bool):
+        """The search, with every real simulation tagged by its rung."""
+        rung = [-1]
+        current: list[tuple] = []
+        replays: list[tuple[int, tuple]] = []
+        run_cells_ = search_module.run_cells
+        simulate_cell = pipeline_module._simulate_cell
+        replay = pipeline_module._replay
+
+        def per_rung(cells, context=None, **kwargs):
+            rung[0] += 1
+            return run_cells_(cells, context=None if context_per_rung else context, **kwargs)
+
+        def simulating(scenario, settings, topology, table, context):
+            config = astuple(settings.build_simulator_config())
+            fabric = fabric_content_key(topology, table)
+            current[:] = [(id(scenario), fabric, settings.technology, config)]
+            return simulate_cell(scenario, settings, topology, table, context)
+
+        def replaying(*args, **kwargs):
+            replays.append((rung[0], current[0]))
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "run_cells", per_rung)
+        monkeypatch.setattr(pipeline_module, "_simulate_cell", simulating)
+        monkeypatch.setattr(pipeline_module, "_replay", replaying)
+        scenarios, base = smoke
+        result = run_search(scenarios, base, AXES)
+        monkeypatch.undo()
+        return result, replays
+
+    def test_full_rung_simulates_no_run_the_screen_made(self, smoke, monkeypatch):
+        shared, replays = self.traced_search(smoke, monkeypatch, context_per_rung=False)
+        unshared, unshared_replays = self.traced_search(
+            smoke, monkeypatch, context_per_rung=True
+        )
+        # the same records, fronts, rung counts and promotions as rungs that
+        # each build their own context
+        assert [_record_view(record) for record in shared.records] == [
+            _record_view(record) for record in unshared.records
+        ]
+        assert [record.cache_key for record in shared.front_records()] == [
+            record.cache_key for record in unshared.front_records()
+        ]
+        assert shared.rung_counts == unshared.rung_counts == [("screen", 12), ("full", 4)]
+        assert shared.promotions == unshared.promotions
+        # each distinct run is simulated once per search ...
+        screen = [run for index, run in replays if index == 0]
+        full = [run for index, run in replays if index == 1]
+        assert len(set(screen)) == len(screen)
+        assert not set(full) & set(screen)
+        assert len(replays) == 12
+        # ... where per-rung contexts simulated the full rung's cells again
+        assert len(unshared_replays) == 16
+        served = [record.stage_reuse.get("simulate") for record in shared.full_fidelity_records()]
+        assert served.count("memory") == 4
 
 
 class TestSearchObservability:
