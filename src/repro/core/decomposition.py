@@ -449,11 +449,12 @@ class BranchAndBoundDecomposer(Decomposer):
       covered edges survived the subtraction.  When the parent's enumeration
       was provably complete the child filters the parent's list instead of
       re-running VF2;
-    * a **transposition table** keyed by the residual's canonical edge-set
-      signature — the same residual state is reachable through different
-      interleavings of overlapping matchings, and a revisit that is dominated
-      by an earlier visit (higher partial cost, no-looser symmetry key)
-      cannot improve on the subtree already searched.
+    * a **transposition table** keyed by the residual's exact edge set
+      (:meth:`~repro.core.graph.DiGraph.structural_fingerprint`) — the same
+      residual state is reachable through different interleavings of
+      overlapping matchings, and a revisit that is dominated by an earlier
+      visit (higher partial cost, no-looser symmetry key) cannot improve on
+      the subtree already searched.
     """
 
     def decompose(self, acg: ApplicationGraph) -> DecompositionResult:
@@ -476,12 +477,9 @@ class BranchAndBoundDecomposer(Decomposer):
                 statistics=statistics,
             )
         search_order = self.library.sorted_for_search()
-        # signature -> [(exact edge set, [(partial_cost, min_key), ...])];
-        # the exact edge set disambiguates fingerprint collisions, and each
-        # (cost, key) list holds the Pareto-incomparable visits of the state.
-        transposition: dict[
-            tuple[int, int], list[tuple[frozenset[Edge], list[tuple[float, tuple]]]]
-        ] = {}
+        # exact residual edge set -> [(partial_cost, min_key), ...]: the
+        # Pareto-incomparable visits of that residual state
+        transposition: dict[frozenset[Edge], list[tuple[float, tuple]]] = {}
 
         def evaluate_leaf(
             current: DiGraph,
@@ -591,17 +589,7 @@ class BranchAndBoundDecomposer(Decomposer):
             candidate subsets, and pruning would drop branches neither visit
             explored.
             """
-            signature = current.edge_signature()
-            buckets = transposition.setdefault(signature, [])
-            edges = frozenset(current.edges())
-            entries: list[tuple[float, tuple]] | None = None
-            for bucket_edges, bucket_entries in buckets:
-                if bucket_edges == edges:
-                    entries = bucket_entries
-                    break
-            if entries is None:
-                entries = []
-                buckets.append((edges, entries))
+            entries = transposition.setdefault(current.structural_fingerprint(), [])
             for stored_cost, stored_key in entries:
                 if partial_cost >= stored_cost - 1e-9 and min_key >= stored_key:
                     statistics.transposition_hits += 1

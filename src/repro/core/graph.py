@@ -74,9 +74,6 @@ class DiGraph:
         self._num_edges = 0
         self._out_degree: dict[Node, int] = {}
         self._in_degree: dict[Node, int] = {}
-        # Incremental order-independent fingerprint of the edge set; XOR-ing
-        # per-edge hashes keeps it O(1) to maintain under add/remove.
-        self._edge_fingerprint = 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -103,9 +100,9 @@ class DiGraph:
         edge: nodes and successors keep their order, each predecessor map
         lists its sources in node order (the order re-adding the edges
         source by source gives), each edge's attribute dict is copied once
-        and shared by both adjacency maps, and the degree and fingerprint
-        counters carry over.  The decomposition clones every residual, and
-        the VF2 matcher's candidate order follows these orders.
+        and shared by both adjacency maps, and the degree counters carry
+        over.  The decomposition clones every residual, and the VF2
+        matcher's candidate order follows these orders.
         """
         clone = type(self)(name=self.name)
         clone._node_attrs = {node: dict(attrs) for node, attrs in self._node_attrs.items()}
@@ -120,7 +117,6 @@ class DiGraph:
         clone._num_edges = self._num_edges
         clone._out_degree = dict(self._out_degree)
         clone._in_degree = dict(self._in_degree)
-        clone._edge_fingerprint = self._edge_fingerprint
         return clone
 
     # ------------------------------------------------------------------
@@ -198,7 +194,6 @@ class DiGraph:
         self._num_edges += 1
         self._out_degree[source] += 1
         self._in_degree[target] += 1
-        self._edge_fingerprint ^= hash((source, target))
 
     def remove_edge(self, source: Node, target: Node) -> None:
         """Delete one directed edge (the endpoints stay)."""
@@ -209,7 +204,6 @@ class DiGraph:
         self._num_edges -= 1
         self._out_degree[source] -= 1
         self._in_degree[target] -= 1
-        self._edge_fingerprint ^= hash((source, target))
 
     def has_edge(self, source: Node, target: Node) -> bool:
         """True when the directed edge ``source -> target`` exists."""
@@ -237,27 +231,14 @@ class DiGraph:
         """Number of directed edges (O(1), maintained incrementally)."""
         return self._num_edges
 
-    def edge_signature(self) -> tuple[int, int]:
-        """O(1) canonical signature of the current edge set.
-
-        Two graphs over the same vertex set with equal edge sets always have
-        equal signatures, independently of insertion order.  The converse can
-        fail (the fingerprint is a XOR of per-edge hashes), so callers that
-        need exactness — e.g. the decomposition's transposition table — must
-        confirm a signature hit against the actual edges.
-        """
-        return (self._num_edges, self._edge_fingerprint)
-
     def structural_fingerprint(self) -> frozenset[Edge]:
         """Exact, order-independent, hashable identity of the edge set.
 
-        Unlike :meth:`edge_signature` this cannot collide: two graphs have
-        equal fingerprints exactly when their edge sets are equal (isolated
-        nodes are ignored).  It is the memoization key of the decomposition
-        bound caches and the exact-small-residual solver, where a collision
-        would silently reuse a bound computed for a different residual.
-        Costs O(edges) to build, so prefer :meth:`edge_signature` where a
-        confirmable hint suffices.
+        Two graphs have equal fingerprints exactly when their edge sets are
+        equal (isolated nodes are ignored).  It keys the decomposition's
+        transposition table and bound caches, where a collision would
+        silently reuse a result computed for a different residual.  Costs
+        O(edges) to build.
         """
         return frozenset(
             (source, target) for source, targets in self._succ.items() for target in targets

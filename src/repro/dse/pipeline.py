@@ -39,7 +39,8 @@ import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from functools import cache
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
@@ -218,6 +219,27 @@ def register_score(name: str, fn: Callable[["ArchitectureMetrics", Topology], fl
 # ----------------------------------------------------------------------
 # configuration of one grid cell
 # ----------------------------------------------------------------------
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, tuple[type, ...], str], ...]:
+    """Per dataclass field: its name, the types its annotation admits and
+    the annotation as written."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (spec.name, get_args(hints[spec.name]) or (hints[spec.name],), spec.type)
+        for spec in fields(cls)
+    )
+
+
+def _type_matches(value: object, allowed: tuple[type, ...]) -> bool:
+    """``isinstance`` with a bool never passing for a number, and an int
+    passing for a float (JSON and the CLI spell ``2.0`` as ``2``)."""
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
 @dataclass(frozen=True)
 class EvaluationSettings:
     """One point of the configuration space (JSON-serializable by design).
@@ -280,6 +302,14 @@ class EvaluationSettings:
     :class:`~repro.noc.simulator.NoCSimulator` like the other two)."""
 
     def __post_init__(self) -> None:
+        values = vars(self)
+        for name, allowed, annotation in _field_types(type(self)):
+            value = values[name]
+            if type(value) not in allowed and not _type_matches(value, allowed):
+                raise ConfigurationError(
+                    f"setting {name}={value!r} has type {type(value).__name__}, "
+                    f"expected {annotation}"
+                )
         if self.architecture not in ("custom", "mesh"):
             raise ConfigurationError(
                 f"unknown architecture {self.architecture!r} (use 'custom' or 'mesh')"

@@ -284,6 +284,12 @@ def run_sweep(
     )
 
 
+def _check_workers(max_workers: int | None) -> None:
+    """Reject a process-pool size below one before any cell runs."""
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(f"the worker count must be at least 1, got {max_workers}")
+
+
 @fingerprint_scope()
 def run_cells(
     cells: Sequence[SweepCell],
@@ -307,6 +313,7 @@ def run_cells(
     one; a guided search passes one to every rung.  Pool workers build
     their own per group.
     """
+    _check_workers(max_workers)
     if artifacts is not None and not isinstance(artifacts, StageArtifactStore):
         artifacts = StageArtifactStore(artifacts)
     session = get_session()

@@ -67,6 +67,7 @@ from repro.dse.records import EvaluationRecord
 from repro.dse.runner import (
     SweepCell,
     SweepResult,
+    _check_workers,
     _stage_group,
     plan_sweep,
     run_cells,
@@ -518,6 +519,7 @@ def run_search(
     evaluates on a fabric the screen already simulated is served from that
     run; each scenario's fingerprint is serialized once for the search.
     """
+    _check_workers(max_workers)
     config = config or SearchConfig()
     if artifacts is not None and not isinstance(artifacts, StageArtifactStore):
         artifacts = StageArtifactStore(artifacts)

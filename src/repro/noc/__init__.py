@@ -1,12 +1,11 @@
-"""Cycle-based NoC simulation substrate (routers, packets, traffic, stats)."""
+"""Cycle-based NoC simulation substrate (simulator, packets, traffic, stats)."""
 
-from repro.noc.network import Network
 from repro.noc.packet import Message, Packet
-from repro.noc.router import LOCAL_PORT, InputBuffer, Router
 from repro.noc.simulator import (
     ENGINE_EVENT,
     ENGINE_REFERENCE,
     ENGINES,
+    LOCAL_PORT,
     NoCSimulator,
     SimulatorConfig,
 )
@@ -23,10 +22,7 @@ from repro.noc.traffic import (
 __all__ = [
     "Message",
     "Packet",
-    "Router",
-    "InputBuffer",
     "LOCAL_PORT",
-    "Network",
     "NoCSimulator",
     "SimulatorConfig",
     "ENGINE_EVENT",

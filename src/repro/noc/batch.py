@@ -172,7 +172,8 @@ class BatchSimulator:
 
         # ports per router: the local injection port first, then one port
         # per incoming channel in channel-declaration order — the exact
-        # buffer scan order Router builds, which round-robin ranks index
+        # scan order of NoCSimulator.scan_order, which round-robin ranks
+        # index
         port_router: list[int] = []
         port_rank: list[int] = []
         self._local_port: list[int] = []
@@ -767,7 +768,7 @@ class BatchSimulator:
         """Resolve one (router, destination) next hop, validating the channel.
 
         Raises the same errors, with the same messages, as the scalar
-        path (`Network.next_hop`): the routing function's own
+        path (`NoCSimulator.next_hop`): the routing function's own
         :class:`~repro.exceptions.RoutingError` for missing entries, or a
         :class:`SimulationError` when the returned hop has no channel.
         """
@@ -849,7 +850,8 @@ class BatchSimulator:
 
         # round-robin arbitration: per (cell, output) the requesting port
         # with the smallest scan rank wins — "first occupied port in the
-        # scan" is exactly `nominate_at`'s winner.  Outputs come slotted
+        # scan from cycle mod ports", as the scalar kernel picks it
+        # (`NoCSimulator._process_active_cycle`).  Outputs come slotted
         # by the fused table — channel index (forwards) or num_channels +
         # router (local ejection); one argsort of (cell, slot) | key picks
         # every winner (keys are unique, so sort order is deterministic).

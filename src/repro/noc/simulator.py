@@ -8,8 +8,9 @@ comparison of Section 5.2 is apples-to-apples.
 
 Model summary (packet-switched, one-flit-per-cycle links):
 
-* routers are input-buffered with per-port FIFOs and round-robin output
-  arbitration (:mod:`repro.noc.router`);
+* routers are input-buffered with one FIFO per input port (one port per
+  incoming channel plus the local injection queue) and round-robin output
+  arbitration;
 * forwarding a packet over a channel keeps that channel busy for the
   packet's serialization time (``num_flits`` cycles) and delivers it into
   the downstream buffer after serialization plus the router pipeline delay;
@@ -49,6 +50,7 @@ movable packet changes nothing, so skipping it is exact.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -57,14 +59,16 @@ from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import ReproError, SimulationError
-from repro.noc.network import Network
 from repro.noc.packet import Message, Packet
-from repro.noc.router import LOCAL_PORT
 from repro.noc.stats import SimulationStatistics
 from repro.obs import SimulatorProbe, get_tracer
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
+Channel = tuple[NodeId, NodeId]
+
+#: the input port of a router's (unbounded) local injection queue
+LOCAL_PORT = "__local__"
 
 #: event-driven engine: active-router scheduling + idle-cycle skipping
 ENGINE_EVENT = "event"
@@ -134,12 +138,16 @@ class SimulatorConfig:
 
 
 class NoCSimulator:
-    """Drives a :class:`~repro.noc.network.Network` to completion.
+    """Owns one simulated fabric and drives it to completion.
 
-    The public surface (scheduling, :meth:`run`, :meth:`run_until_drained`,
-    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the configured
-    engine only decides *which* cycles are executed, never what happens
-    within one.
+    The fabric state lives here as plain containers the per-cycle kernel
+    reads directly: per router, its input queues by port (the local
+    injection queue first) and their ``(port, queue)`` scan order; per
+    channel, its release cycle and the queue it feeds; the routing memo;
+    and the heap of packets in flight.  The public surface (scheduling,
+    :meth:`run`, :meth:`run_until_drained`, :meth:`run_phases`,
+    :meth:`report`) is engine-agnostic; the configured engine only
+    decides *which* cycles are executed, never what happens within one.
     """
 
     def __init__(
@@ -159,12 +167,28 @@ class NoCSimulator:
         — both engines produce bit-identical output with it attached."""
         self.topology = topology
         self.technology = technology
-        self.network = Network(
-            topology,
-            routing,
-            buffer_capacity_packets=self.config.buffer_capacity_packets,
-            pipeline_delay_cycles=self.config.router_pipeline_delay_cycles,
-        )
+        self._routing = routing
+        self.route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
+        """Resolved, channel-validated ``(node, destination) -> next hop``
+        decisions (:meth:`next_hop` fills it; the kernel reads it)."""
+        self.input_queues: dict[NodeId, dict[object, deque[Packet]]] = {}
+        """Per router, its FIFO input queues by port: :data:`LOCAL_PORT`
+        (the unbounded injection queue) first, then one per incoming
+        channel, keyed by the upstream router."""
+        self.scan_order: dict[NodeId, tuple[tuple[object, deque[Packet]], ...]] = {}
+        """Per router, ``(port, queue)`` in round-robin arbitration order."""
+        self.channel_free_at: dict[Channel, int] = {}
+        """Per channel ``(source, target)``: the cycle it is free again."""
+        self.downstream: dict[Channel, deque[Packet]] = {}
+        """Per channel: the input queue at its target it feeds, whose length
+        against ``config.buffer_capacity_packets`` gates a launch over the
+        channel and an arrival off it (a channel never feeds a local
+        queue, so every gated queue has that one capacity)."""
+        self.in_flight: list[tuple[int, int, Packet, Channel]] = []
+        """Packets traversing a channel: a heap of ``(arrival cycle, launch
+        sequence, packet, channel)``.  The sequence keeps a channel's
+        packets in launch order when a full-buffer retry and a later
+        launch fall due on the same cycle."""
         self.energy = EnergyAccount(technology=technology)
         self.statistics = SimulationStatistics()
         self.current_cycle = 0
@@ -178,17 +202,16 @@ class NoCSimulator:
         # per-channel bit counters, flushed into the EnergyAccount once per
         # finalize instead of two method calls per packet per hop
         self._switch_bits = 0
-        self._link_bits: dict[tuple[NodeId, NodeId], int] = {}
+        self._link_bits: dict[Channel, int] = {}
         # event engine bookkeeping: a stable processing order (the reference
         # loop's router iteration order), the node at each position, and a
         # heap of scheduled wake-ups keyed by position with the earliest
         # wake per position (a later duplicate is never pushed: processing
         # at the earlier cycle re-arms as needed)
-        self._router_order = {node: index for index, node in enumerate(self.network.routers)}
-        self._nodes: list[NodeId] = list(self.network.routers)
+        self._router_order: dict[NodeId, int] = {}
+        self._nodes: list[NodeId] = []
         self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
-        self._scheduled_wake: list[int | None] = [None] * len(self._nodes)
-        self._in_flight = self.network.in_flight
+        self._scheduled_wake: list[int | None] = []
         self._launches = 0  # launch sequence numbers handed out so far
         # the buffer-capacity certificate (engine_info): whether a space
         # test (launch, re-arm or arrival) ever failed, and the largest
@@ -198,11 +221,9 @@ class NoCSimulator:
         # O(1) load tracking, maintained at the three buffer mutation points
         # (injection, arrival, pop) so neither engine ever scans every
         # router's buffers to find work or to decide drainage
-        self._buffered_by_node: dict[NodeId, int] = dict.fromkeys(self.network.routers, 0)
+        self._buffered_by_node: dict[NodeId, int] = {}
         self._buffered_total = 0
-        self._local_queues = {
-            node: router.buffer(LOCAL_PORT).queue for node, router in self.network.routers.items()
-        }
+        self._wire()
         self._batch = None
         if self.config.engine == ENGINE_BATCH:
             from repro.noc.batch import BatchSimulator
@@ -217,17 +238,44 @@ class NoCSimulator:
             if probe is not None:
                 self._batch.attach_probe(0, probe)
 
-    def sync_topology(self) -> None:
-        """Adopt routers/channels added to the topology after construction.
+    def _wire(self) -> None:
+        """Give every router and channel of the topology its state.
 
-        The simulator mirrors :meth:`Network.sync_topology
-        <repro.noc.network.Network.sync_topology>` with its own per-router
-        bookkeeping (processing order, load counters, injection queues),
-        so this is the one entry point to call after mutating a simulated
-        topology; it delegates the fabric re-wiring to the network first.
-        New routers are appended to the processing order — existing
-        routers keep their positions, so an in-flight simulation's
-        arbitration stays stable.
+        Routers and channels already wired keep theirs: a new router is
+        appended to the processing order, so an in-flight simulation's
+        arbitration stays stable, and a new input port joins the end of
+        its router's scan order.
+        """
+        queues_of = self.input_queues
+        for node in self.topology.routers():
+            if node in queues_of:
+                continue
+            queues_of[node] = {LOCAL_PORT: deque()}
+            self._router_order[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._scheduled_wake.append(None)
+            self._buffered_by_node[node] = 0
+        for channel in self.topology.channels():
+            key = (channel.source, channel.target)
+            queues = queues_of[channel.target]
+            if channel.source not in queues:
+                queues[channel.source] = deque()
+            self.channel_free_at.setdefault(key, 0)
+            self.downstream[key] = queues[channel.source]
+        self.scan_order = {node: tuple(queues.items()) for node, queues in queues_of.items()}
+
+    def sync_topology(self) -> None:
+        """Adopt routers and channels added to the topology after construction.
+
+        The fabric state is built at construction, and :meth:`next_hop`
+        memoizes decisions validated against the channels wired then, so
+        a channel or router added afterwards is invisible until this call:
+        routing over it raises :class:`SimulationError`, and a memoized
+        decision that predates the mutation would keep winning.  This wires
+        the new elements in and drops every memoized routing decision.  (A
+        frozen :meth:`~repro.routing.table.RoutingTable.frozen_next_hop`
+        snapshot is a deliberate point-in-time copy: re-freeze the table
+        and assign :attr:`routing` to pick up new table entries.)
         """
         if self._batch is not None:
             raise SimulationError(
@@ -235,15 +283,62 @@ class NoCSimulator:
                 "sync_topology() is only available on the 'event' and "
                 "'reference' engines"
             )
-        self.network.sync_topology()
-        for node in self.network.routers:
-            if node in self._router_order:
-                continue
-            self._router_order[node] = len(self._nodes)
-            self._nodes.append(node)
-            self._scheduled_wake.append(None)
-            self._buffered_by_node[node] = 0
-            self._local_queues[node] = self.network.router(node).buffer(LOCAL_PORT).queue
+        self._wire()
+        self.route_cache.clear()
+
+    @property
+    def routing(self) -> RoutingFunction:
+        """The routing function ``route(current, destination) -> next hop``."""
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing: RoutingFunction) -> None:
+        """Swap the routing function, dropping every memoized decision."""
+        self._routing = routing
+        self.route_cache.clear()
+
+    def next_hop(self, current: NodeId, destination: NodeId) -> NodeId:
+        """The (memoized) routing decision for a packet at ``current``.
+
+        Routing functions must be deterministic and stateless in
+        ``(current, destination)`` — every routing adapter in the library is
+        — so each decision is resolved and validated against the wired
+        channels once and then served from :attr:`route_cache`.
+        """
+        key = (current, destination)
+        cached = self.route_cache.get(key)
+        if cached is not None:
+            return cached
+        next_hop = self._routing(current, destination)
+        if (current, next_hop) not in self.channel_free_at:
+            hint = (
+                " (it was added after construction: call sync_topology())"
+                if self.topology.has_channel(current, next_hop)
+                else ""
+            )
+            raise SimulationError(
+                f"routing function returned {next_hop!r} from {current!r} towards "
+                f"{destination!r}, but that channel does not exist{hint}"
+            )
+        self.route_cache[key] = next_hop
+        return next_hop
+
+    def stuck_packets(self) -> list[tuple[Packet, NodeId]]:
+        """Every undelivered packet with the router it is at (or flying to).
+
+        Used by the drain-budget error so routing-loop and deadlock triage
+        can name the culprits (id, position, destination, hops so far)
+        without a debugger.  Sorted by packet id for stable messages.
+        """
+        stuck = [
+            (packet, node)
+            for node, queues in self.input_queues.items()
+            for queue in queues.values()
+            for packet in queue
+        ]
+        stuck.extend((packet, channel[1]) for _, _, packet, channel in self.in_flight)
+        stuck.sort(key=lambda item: item[0].packet_id)
+        return stuck
 
     def attach_probe(self, probe: SimulatorProbe) -> SimulatorProbe:
         """Attach an observability probe (idempotent; returns the probe)."""
@@ -344,13 +439,13 @@ class NoCSimulator:
         requesting an output wins it (``docs/simulator.md``).
         """
         self.current_cycle = cycle
-        network = self.network
         nodes = self._nodes
         order = self._router_order
         loaded = self._buffered_by_node
         probe = self.probe
-        downstream = network.downstream
-        in_flight = self._in_flight
+        downstream = self.downstream
+        capacity = self.config.buffer_capacity_packets
+        in_flight = self.in_flight
         blocked = False
         active = 0  # bitmask of the positions to visit this cycle
         # inject every due packet into its source's local queue, then
@@ -358,12 +453,12 @@ class NoCSimulator:
         # the receiving router
         pending = self._pending
         if pending and pending[0][0] <= cycle:
-            local_queues = self._local_queues
+            queues_of = self.input_queues
             injected = 0
             while pending and pending[0][0] <= cycle:
                 packet = heappop(pending)[2]
                 source = packet.message.source
-                local_queues[source].append(packet)
+                queues_of[source][LOCAL_PORT].append(packet)
                 loaded[source] += 1
                 if probe is not None:
                     probe.record_enqueue(source, loaded[source])
@@ -376,9 +471,8 @@ class NoCSimulator:
             while in_flight and in_flight[0][0] <= cycle:
                 flight = heappop(in_flight)
                 channel = flight[3]
-                buffer = downstream[channel]
-                queue = buffer.queue
-                if len(queue) >= buffer.capacity_packets:
+                queue = downstream[channel]
+                if len(queue) >= capacity:
                     # full: retry next cycle, keeping the launch sequence
                     blocked = True
                     heappush(in_flight, (cycle + 1, flight[1], flight[2], channel))
@@ -405,10 +499,10 @@ class NoCSimulator:
                     scheduled[index] = None
                 active |= 1 << index
 
-        routers = network.routers
-        route = network.route_cache.get
-        next_hop = network.next_hop
-        free_at = network.channel_free_at
+        scan_order = self.scan_order
+        route = self.route_cache.get
+        next_hop = self.next_hop
+        free_at = self.channel_free_at
         delay = self.config.router_pipeline_delay_cycles
         delivered = self.statistics.delivered_packets
         busy = self.statistics.channel_busy_cycles
@@ -422,7 +516,7 @@ class NoCSimulator:
             node = nodes[index]
             if not loaded[node]:
                 continue  # speculative wake of an emptied router: a no-op
-            scan = routers[node].scan_order
+            scan = scan_order[node]
             count = len(scan)
             start = cycle % count
             claimed = []
@@ -453,8 +547,7 @@ class NoCSimulator:
                     channel = (node, hop)
                     if free_at[channel] > cycle:
                         continue
-                    buffer = downstream[channel]
-                    if len(buffer.queue) >= buffer.capacity_packets:
+                    if len(downstream[channel]) >= capacity:
                         blocked = True
                         continue
                     queue.popleft()
@@ -507,8 +600,7 @@ class NoCSimulator:
                     if wake is None or release < wake:
                         wake = release
                     continue
-                buffer = downstream[channel]
-                if len(buffer.queue) < buffer.capacity_packets:
+                if len(downstream[channel]) < capacity:
                     wake = next_cycle
                     break
                 blocked = True
@@ -544,8 +636,8 @@ class NoCSimulator:
     def _next_event_cycle(self) -> int | None:
         """The next cycle at which anything can possibly progress."""
         candidate: int | None = self._pending[0][0] if self._pending else None
-        if self._in_flight and (candidate is None or self._in_flight[0][0] < candidate):
-            candidate = self._in_flight[0][0]
+        if self.in_flight and (candidate is None or self.in_flight[0][0] < candidate):
+            candidate = self.in_flight[0][0]
         if self._wake_heap and (candidate is None or self._wake_heap[0][0] < candidate):
             candidate = self._wake_heap[0][0]
         if candidate is None:
@@ -567,7 +659,7 @@ class NoCSimulator:
 
     def _drained(self) -> bool:
         """No pending injection, no buffered packet, nothing in flight."""
-        return not (self._pending or self._buffered_total or self._in_flight)
+        return not (self._pending or self._buffered_total or self.in_flight)
 
     def _run_event_until_drained(self, start: int, budget: int) -> None:
         """Event-driven :meth:`run_until_drained`.
@@ -577,7 +669,7 @@ class NoCSimulator:
         """
         self._arm_occupied_routers()
         pending = self._pending
-        in_flight = self._in_flight
+        in_flight = self.in_flight
         wake_heap = self._wake_heap
         process = self._process_active_cycle
         while pending or in_flight or self._buffered_total:
@@ -665,7 +757,7 @@ class NoCSimulator:
 
     def _drain_budget_error(self, budget: int) -> SimulationError:
         """The drain-failure error, naming the packets that are stuck."""
-        stuck = self.network.stuck_packets()
+        stuck = self.stuck_packets()
         named = ", ".join(
             f"#{packet.packet_id} at {where!r} -> {packet.destination!r} "
             f"({packet.hops} hops)"
@@ -689,8 +781,9 @@ class NoCSimulator:
             self.energy.charge_switch(self._switch_bits)
             self._switch_bits = 0
         if self._link_bits:
+            channel_of = self.topology.channel
             for channel, bits in self._link_bits.items():
-                self.energy.charge_link(bits, self.network.channel_length_mm(*channel))
+                self.energy.charge_link(bits, channel_of(*channel).length_mm)
             self._link_bits.clear()
 
     def _finalize(self) -> None:

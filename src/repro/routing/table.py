@@ -97,10 +97,10 @@ class RoutingTable:
         this table are deliberately not visible through the snapshot: a
         frozen function is a point-in-time copy, and consumers that mutate
         the table afterwards must re-freeze (and, for a live
-        :class:`~repro.noc.network.Network`, assign the new function to
-        ``network.routing`` so its route memo is dropped too; see
-        :meth:`~repro.noc.network.Network.sync_topology` for the matching
-        channel-level contract).  The snapshot carries the table's
+        :class:`~repro.noc.simulator.NoCSimulator`, assign the new function
+        to ``simulator.routing`` so its route memo is dropped too; see
+        :meth:`~repro.noc.simulator.NoCSimulator.sync_topology` for the
+        matching channel-level contract).  The snapshot carries the table's
         :attr:`version` at freeze time as ``table_version`` and whether it
         has gone stale is ``table.version != frozen.table_version``.  Raises
         the same :class:`RoutingError` messages as :meth:`next_hop` for

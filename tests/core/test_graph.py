@@ -321,26 +321,26 @@ class TestCachedStructuralCounters:
             graph.successor_map(99)
 
 
-class TestEdgeSignature:
-    def test_signature_is_insertion_order_independent(self):
+class TestStructuralFingerprint:
+    def test_fingerprint_is_insertion_order_independent(self):
         first = DiGraph.from_edges([(1, 2), (2, 3), (3, 1)])
         second = DiGraph.from_edges([(3, 1), (1, 2), (2, 3)])
-        assert first.edge_signature() == second.edge_signature()
+        assert first.structural_fingerprint() == second.structural_fingerprint()
 
-    def test_signature_changes_and_restores_with_edge_set(self):
+    def test_fingerprint_changes_and_restores_with_edge_set(self):
         graph = DiGraph.from_edges([(1, 2), (2, 3)])
-        original = graph.edge_signature()
+        original = graph.structural_fingerprint()
         graph.remove_edge(1, 2)
-        assert graph.edge_signature() != original
+        assert graph.structural_fingerprint() != original
         graph.add_edge(1, 2)
-        assert graph.edge_signature() == original
+        assert graph.structural_fingerprint() == original
 
-    def test_signature_distinguishes_direction(self):
+    def test_fingerprint_distinguishes_direction(self):
         forward = DiGraph.from_edges([(1, 2)])
         backward = DiGraph.from_edges([(2, 1)])
-        assert forward.edge_signature() != backward.edge_signature()
+        assert forward.structural_fingerprint() != backward.structural_fingerprint()
 
-    def test_signature_on_empty_graph(self):
+    def test_fingerprint_on_empty_graph(self):
         graph = DiGraph()
         graph.add_node(1)
-        assert graph.edge_signature() == (0, 0)
+        assert graph.structural_fingerprint() == frozenset()

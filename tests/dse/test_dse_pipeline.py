@@ -88,6 +88,53 @@ class TestEvaluationSettings:
         with pytest.raises(ConfigurationError):
             EvaluationSettings(routing_policy="fully_adaptive")
 
+    @pytest.mark.parametrize(
+        ("name", "value", "expected"),
+        [
+            ("max_cycles", "abc", "int"),
+            ("max_nodes_expanded", "abc", "int | None"),
+            ("mesh_tile_pitch_mm", "wide", "float"),
+            ("require_deadlock_free", "maybe", "bool"),
+            ("max_cycles", 2.5, "int"),
+            ("buffer_capacity_packets", True, "int"),
+            ("architecture", 1, "str"),
+            ("isomorphism_timeout_seconds", "2", "float | None"),
+        ],
+    )
+    def test_mistyped_value_rejected_naming_field_value_and_type(self, name, value, expected):
+        with pytest.raises(ConfigurationError) as caught:
+            EvaluationSettings(**{name: value})
+        message = str(caught.value)
+        assert f"{name}={value!r}" in message
+        assert message.endswith(f"expected {expected}")
+
+    def test_well_typed_values_accepted(self):
+        settings = EvaluationSettings(
+            max_nodes_expanded=None,
+            isomorphism_timeout_seconds=None,
+            mesh_tile_pitch_mm=3,  # an int is a valid float
+            decomposition_timeout_seconds=5,
+            require_deadlock_free=True,
+        )
+        assert settings.mesh_tile_pitch_mm == 3
+
+    def test_settings_from_a_json_cache_still_load(self, tmp_path):
+        """Every stored record's settings, after a JSON round trip, rebuild
+        the settings that produced it."""
+        from repro.dse.cache import ResultCache
+        from repro.dse.runner import run_sweep
+        from repro.dse.scenarios import get_suite
+
+        spec = get_suite("smoke")
+        cache = ResultCache(tmp_path / "results.jsonl")
+        swept = run_sweep(
+            spec.build(), spec.base_settings, {"mesh_tile_pitch_mm": (2.0, 3)}, cache=cache
+        )
+        reloaded = ResultCache(cache.path)
+        for record in swept.records:
+            settings = EvaluationSettings.from_dict(reloaded.get(record.cache_key).settings)
+            assert settings.as_dict() == record.settings
+
     def test_gate_knob_stays_out_of_stage_keys(self):
         """The deadlock gate never changes the decomposition/synthesis
         artifacts, so it must not fragment the stage caches."""

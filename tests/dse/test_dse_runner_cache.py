@@ -228,6 +228,40 @@ class TestRunSweep:
         assert "at least one packet" in capsys.readouterr().err
         assert not results.exists() or results.read_text() == ""
 
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            "max_cycles=abc",
+            "max_nodes_expanded=abc",
+            "mesh_tile_pitch_mm=wide",
+            "require_deadlock_free=maybe",
+        ],
+    )
+    def test_cli_rejects_a_mistyped_axis(self, tmp_path, capsys, axis):
+        from repro.dse.__main__ import main
+
+        results = tmp_path / "results.jsonl"
+        assert main(["run", "--results", str(results), "--axis", axis]) == 2
+        name, _, value = axis.partition("=")
+        assert f"error: setting {name}={value!r} has type str" in capsys.readouterr().err
+        assert not results.exists() or results.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    def test_cli_rejects_a_worker_count_below_one(self, tmp_path, capsys, command):
+        from repro.dse.__main__ import main
+
+        results = tmp_path / "results.jsonl"
+        argv = [command, "--results", str(results), "--parallel", "--workers", "0"]
+        assert main(argv) == 2
+        assert "worker count must be at least 1, got 0" in capsys.readouterr().err
+        assert not results.exists() or results.read_text() == ""
+
+    def test_run_cells_rejects_a_worker_count_below_one(self):
+        spec = get_suite("smoke")
+        cells = plan_sweep(spec.build(), spec.base_settings, spec.default_axes)
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            run_cells(cells, parallel=True, max_workers=0)
+
     def test_in_process_cache_hits_are_flagged_and_unaliased(self, tmp_path):
         """A hit served by the cache that stored it reads like a reloaded one."""
         spec = get_suite("smoke")

@@ -71,7 +71,7 @@ class TestInFlightOrder:
         while simulator.current_cycle < 12:
             due = [
                 packet.packet_id
-                for arrival, _, packet, channel in sorted(simulator.network.in_flight)
+                for arrival, _, packet, channel in sorted(simulator.in_flight)
                 if arrival <= simulator.current_cycle and channel == (0, 1)
             ]
             if len(due) > 1:

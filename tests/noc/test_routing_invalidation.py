@@ -1,11 +1,11 @@
 """Regression tests for the stale-cache bug class around routing snapshots.
 
-PR 4 introduced three layers of memoized routing state: the
-``RoutingTable.frozen_next_hop`` snapshot, the ``Network`` per-pair route
-memo, and the ``Network`` channel wiring (input ports + channel occupancy)
-materialized at construction.  These tests pin down the invalidation
-contract for each layer when table entries or topology channels are added
-after the first freeze.
+Three layers of routing state are memoized: the
+``RoutingTable.frozen_next_hop`` snapshot, the simulator's per-pair route
+memo, and the simulator's fabric wiring (input queues, channel occupancy
+and downstream queues) built at construction.  These tests pin down the
+invalidation contract for each layer when table entries or topology
+channels are added after the first freeze.
 """
 
 from __future__ import annotations
@@ -14,9 +14,14 @@ import pytest
 
 from repro.arch.topology import Topology
 from repro.exceptions import RoutingError, SimulationError
-from repro.noc.network import Network
 from repro.noc.packet import Message
-from repro.noc.simulator import NoCSimulator, SimulatorConfig
+from repro.noc.simulator import (
+    ENGINE_EVENT,
+    ENGINE_REFERENCE,
+    LOCAL_PORT,
+    NoCSimulator,
+    SimulatorConfig,
+)
 from repro.routing.table import RoutingTable
 
 
@@ -60,7 +65,7 @@ class TestFrozenSnapshotContract:
         assert table.version == version
 
 
-class TestNetworkRouteMemo:
+class TestSimulatorRouteMemo:
     def test_swapping_routing_drops_memoized_decisions(self):
         topology = Topology(name="square")
         topology.add_channel("a", "b", bidirectional=True)
@@ -71,22 +76,24 @@ class TestNetworkRouteMemo:
         via_b.install_path(["a", "b", "d"])
         via_c = RoutingTable(topology)
         via_c.install_path(["a", "c", "d"])
-        network = Network(topology, via_b.frozen_next_hop())
-        assert network.next_hop("a", "d") == "b"  # memoized now
-        network.routing = via_c.frozen_next_hop()
-        assert network.next_hop("a", "d") == "c"  # memo was dropped
+        simulator = NoCSimulator(topology, via_b.frozen_next_hop())
+        assert simulator.next_hop("a", "d") == "b"  # memoized now
+        assert simulator.route_cache == {("a", "d"): "b"}
+        simulator.routing = via_c.frozen_next_hop()
+        assert simulator.route_cache == {}
+        assert simulator.next_hop("a", "d") == "c"  # memo was dropped
 
     def test_table_mutation_needs_refreeze_and_reassign(self):
         """The end-to-end recipe for late table entries: re-freeze + assign."""
         topology = _line_topology()
         table = RoutingTable(topology)
         table.install_path([1, 2, 3])
-        network = Network(topology, table.frozen_next_hop())
+        simulator = NoCSimulator(topology, table.frozen_next_hop())
         with pytest.raises(RoutingError):
-            network.next_hop(3, 1)
+            simulator.next_hop(3, 1)
         table.install_path([3, 2, 1])
-        network.routing = table.frozen_next_hop()
-        assert network.next_hop(3, 1) == 2
+        simulator.routing = table.frozen_next_hop()
+        assert simulator.next_hop(3, 1) == 2
 
 
 class TestLateTopologyMutation:
@@ -94,47 +101,87 @@ class TestLateTopologyMutation:
         topology = _line_topology()
         table = RoutingTable(topology)
         table.install_path([1, 2, 3])
-        network = Network(topology, table.frozen_next_hop())
-        topology.add_channel(1, 3)  # added after the network was wired
+        simulator = NoCSimulator(topology, table.frozen_next_hop())
+        topology.add_channel(1, 3)  # added after the fabric was wired
         direct = RoutingTable(topology)  # fresh table: entries may not conflict
         direct.install_path([1, 3])
-        network.routing = direct.frozen_next_hop()
+        simulator.routing = direct.frozen_next_hop()
         # the routing layer resolves the hop, but the fabric was never wired:
-        # router 3 has no input port for the 1 -> 3 channel
-        assert network.next_hop(1, 3) == 3
-        with pytest.raises(SimulationError):
-            network.router(3).can_accept(1)
-        with pytest.raises(SimulationError):
-            network.router(3).accept(1, object())
+        # router 3 has no input queue for the 1 -> 3 channel
+        assert direct.frozen_next_hop()(1, 3) == 3
+        assert 1 not in simulator.input_queues[3]
+        with pytest.raises(SimulationError, match="sync_topology"):
+            simulator.next_hop(1, 3)
+        assert (1, 3) not in simulator.route_cache
+
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+    def test_routing_over_an_unsynced_late_channel_raises(self, engine):
+        """A run that routes over a channel the fabric never wired fails with
+        a :class:`SimulationError`, not a raw ``KeyError`` from the kernel."""
+        topology = _line_topology()
+        table = RoutingTable(topology)
+        table.install_path([1, 2, 3])
+        simulator = NoCSimulator(
+            topology,
+            table.frozen_next_hop(),
+            config=SimulatorConfig(engine=engine, max_cycles=1000),
+        )
+        topology.add_channel(1, 3)
+        direct = RoutingTable(topology)
+        direct.install_path([1, 3])
+        simulator.routing = direct.frozen_next_hop()
+        simulator.schedule_messages([Message(source=1, destination=3, size_bits=32)])
+        with pytest.raises(SimulationError, match="does not exist"):
+            simulator.run_until_drained()
 
     def test_sync_topology_wires_late_channels_and_routers(self):
         topology = _line_topology()
         table = RoutingTable(topology)
         table.install_path([1, 2, 3])
-        network = Network(topology, table.frozen_next_hop())
+        simulator = NoCSimulator(topology, table.frozen_next_hop())
         topology.add_channel(3, 4, bidirectional=True)  # new router + channels
         topology.add_channel(1, 3)
-        network.sync_topology()
-        assert 4 in network.routers
-        assert (3, 4) in network.channel_free_at
-        assert (1, 3) in network.channel_free_at
-        assert network.router(3).can_accept(1)
-        assert network.router(4).can_accept(3)
+        simulator.sync_topology()
+        assert list(simulator.input_queues) == [1, 2, 3, 4]
+        assert (3, 4) in simulator.channel_free_at
+        assert (1, 3) in simulator.channel_free_at
+        assert simulator.downstream[(1, 3)] is simulator.input_queues[3][1]
+        assert simulator.downstream[(3, 4)] is simulator.input_queues[4][3]
+        # the late port joins the end of router 3's arbitration order
+        assert [port for port, _ in simulator.scan_order[3]] == [LOCAL_PORT, 2, 4, 1]
+        assert [port for port, _ in simulator.scan_order[4]] == [LOCAL_PORT, 3]
+
+    def test_sync_topology_keeps_existing_state(self):
+        """Re-wiring adopts new elements only: queued packets, channel
+        release cycles and router positions survive a sync."""
+        topology = _line_topology()
+        table = RoutingTable(topology)
+        table.install_path([1, 2, 3])
+        simulator = NoCSimulator(topology, table.frozen_next_hop())
+        simulator.schedule_messages([Message(source=1, destination=3, size_bits=96)])
+        simulator.step()  # inject and launch onto 1 -> 2
+        busy_until = simulator.channel_free_at[(1, 2)]
+        queue = simulator.input_queues[2][1]
+        topology.add_channel(3, 4, bidirectional=True)
+        simulator.sync_topology()
+        assert simulator.channel_free_at[(1, 2)] == busy_until > 0
+        assert simulator.input_queues[2][1] is queue
+        assert simulator.downstream[(1, 2)] is queue
+        assert [packet.packet_id for packet, _ in simulator.stuck_packets()] == [0]
 
     def test_sync_topology_drops_stale_route_memo(self):
         """A memoized decision must not survive a topology change that makes
         a better (and differently-routed) channel available."""
         topology = _line_topology()
-        table = RoutingTable(topology)
-        table.install_path([1, 2, 3])
-        network = Network(topology, table.frozen_next_hop())
-        assert network.next_hop(1, 3) == 2  # memoized against the old fabric
+        hops = {(1, 3): 2}  # read live by the routing function: no setter call
+        simulator = NoCSimulator(topology, lambda current, destination: hops[current, destination])
+        assert simulator.next_hop(1, 3) == 2  # memoized against the old fabric
         topology.add_channel(1, 3)
-        direct = RoutingTable(topology)  # fresh table: entries may not conflict
-        direct.install_path([1, 3])
-        network.routing = direct.frozen_next_hop()  # also clears the memo
-        network.sync_topology()
-        assert network.next_hop(1, 3) == 3
+        hops[(1, 3)] = 3
+        assert simulator.next_hop(1, 3) == 2  # the stale memo still wins
+        simulator.sync_topology()
+        assert simulator.route_cache == {}
+        assert simulator.next_hop(1, 3) == 3
 
     def test_simulation_crosses_a_late_added_channel_after_sync(self):
         topology = _line_topology()
@@ -145,7 +192,7 @@ class TestLateTopologyMutation:
         )
         topology.add_channel(3, 1)  # close the line into a cycle
         table.install_path([3, 1])
-        simulator.network.routing = table.frozen_next_hop()
+        simulator.routing = table.frozen_next_hop()
         simulator.sync_topology()
         simulator.schedule_messages(
             [Message(source=3, destination=1, size_bits=32, tag="late")]
@@ -165,7 +212,7 @@ class TestLateTopologyMutation:
         )
         topology.add_channel(3, 4, bidirectional=True)  # brand-new router 4
         table.install_path([1, 2, 3, 4])
-        simulator.network.routing = table.frozen_next_hop()
+        simulator.routing = table.frozen_next_hop()
         simulator.sync_topology()
         simulator.schedule_messages(
             [Message(source=1, destination=4, size_bits=32, tag="late-router")]

@@ -90,7 +90,7 @@ class TestBasicDelivery:
         # destination 2: router 2 forwards to 1, router 1 forwards to 2, ... but
         # delivery happens when the packet *is at* its destination, so craft a
         # destination that is never reached by routing to the wrong node.
-        simulator.network.routing = lambda current, dest: 2 if current == 1 else 1
+        simulator.routing = lambda current, dest: 2 if current == 1 else 1
         # make the packet target a third, unreachable router
         topology.add_router(3)
         simulator.schedule_message(Message(1, 3, 8))

@@ -6,7 +6,7 @@ indistinguishable from rebuilding the graph through ``add_node`` /
 ``add_edge`` -- and subtracting a matching from it from the
 ``graph_difference(edge_induced_subgraph(...))`` formulation of
 Definition 2 -- in edge set, attributes, node / successor / predecessor
-order, degrees and ``edge_signature()``.
+order, degrees and ``structural_fingerprint()``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def layout(graph: DiGraph) -> dict[str, object]:
         "predecessors": [graph.predecessors(node) for node in nodes],
         "degrees": [(graph.out_degree(node), graph.in_degree(node)) for node in nodes],
         "num_edges": graph.num_edges,
-        "signature": graph.edge_signature(),
+        "fingerprint": graph.structural_fingerprint(),
         "positions": (
             [graph.position(node) if graph.has_position(node) else None for node in nodes]
             if isinstance(graph, ApplicationGraph)
@@ -142,7 +142,7 @@ def test_copy_matches_rebuilding_and_is_independent(drawn):
     assert graph.has_edge(source, target)
     assert graph.edge_attributes(source, target) == before
     assert graph.node_attributes(source)["label"] == f"n{source}"
-    assert clone.edge_signature() != graph.edge_signature()
+    assert clone.structural_fingerprint() != graph.structural_fingerprint()
 
 
 @_settings
