@@ -7,13 +7,14 @@ library content, on the AES ACG, the Figure-5 example and a random ACG.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.ablation import run_library_ablation, run_strategy_ablation
 
 
+@pytest.mark.smoke
 def test_ablation_search_strategy(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_strategy_ablation(timeout_seconds=30.0), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_strategy_ablation, rounds=1, iterations=1)
     print()
     print(result.describe("Branch-and-bound vs. greedy first-fit"))
 
@@ -27,10 +28,9 @@ def test_ablation_search_strategy(benchmark):
         assert bnb <= greedy + 1e-9
 
 
+@pytest.mark.smoke
 def test_ablation_library_content(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_library_ablation(timeout_seconds=10.0), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_library_ablation, rounds=1, iterations=1)
     print()
     print(result.describe("Library-content sensitivity"))
 

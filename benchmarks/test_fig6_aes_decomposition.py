@@ -65,7 +65,7 @@ def test_fig6_decomposition_runtime(benchmark, aes_synthesis_session):
 
     acg = aes_synthesis_session.acg
     library = aes_library()
-    config = DecompositionConfig(max_matchings_per_primitive=4, total_timeout_seconds=60.0)
+    config = DecompositionConfig(max_matchings_per_primitive=4)
 
     result = benchmark(
         lambda: decompose(acg, library, cost_model=LinkCountCostModel(), config=config)

@@ -46,7 +46,7 @@ def sweep_cost_models() -> None:
             acg,
             library,
             cost_model=cost_model,
-            config=DecompositionConfig(max_matchings_per_primitive=4, total_timeout_seconds=20),
+            config=DecompositionConfig(max_matchings_per_primitive=4),
         )
         runtime = time.perf_counter() - start
         architecture = synthesize_architecture(acg, result)
@@ -65,9 +65,9 @@ def sweep_cost_models() -> None:
 
 
 def sweep_libraries_and_strategies() -> None:
-    print(run_strategy_ablation(timeout_seconds=20).describe("Branch-and-bound vs. greedy"))
+    print(run_strategy_ablation().describe("Branch-and-bound vs. greedy"))
     print()
-    print(run_library_ablation(timeout_seconds=20).describe("Library content sensitivity"))
+    print(run_library_ablation().describe("Library content sensitivity"))
     print()
     rows = []
     for label, library in (

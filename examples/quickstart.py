@@ -61,7 +61,7 @@ def main() -> None:
         acg,
         library,
         cost_model=LinkCountCostModel(),
-        config=DecompositionConfig(max_matchings_per_primitive=4, total_timeout_seconds=30),
+        config=DecompositionConfig(max_matchings_per_primitive=4),
     )
     print("Decomposition (paper-style listing):")
     print(result.describe())

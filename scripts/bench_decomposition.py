@@ -102,15 +102,12 @@ def benchmark_cases() -> list[tuple[str, str, object, object]]:
 def _config(lower_bound: str, max_nodes: int | None = None) -> DecompositionConfig:
     """One benchmark search config: deterministic, untruncated unless capped.
 
-    All budgets that could vary by machine speed are off (wall-clock and
-    VF2 timeouts), so runs reproduce bit-identically anywhere; only the
-    deterministic ``max_nodes_expanded`` counter is used, and only by the
-    budget-quality experiment.
+    Only counter budgets can truncate a search, so runs reproduce
+    bit-identically anywhere; the ``max_nodes_expanded`` counter is used
+    only by the budget-quality experiment.
     """
     return DecompositionConfig(
         max_matchings_per_primitive=4,
-        isomorphism_timeout_seconds=None,
-        total_timeout_seconds=None,
         max_leaves=None,
         max_nodes_expanded=max_nodes,
         lower_bound=lower_bound,

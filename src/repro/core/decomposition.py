@@ -62,20 +62,25 @@ class DecompositionConfig:
         tractable for large random graphs while preserving the best-first
         behaviour because matchings are deduplicated by covered edge set.
     isomorphism_timeout_seconds:
-        Per-isomorphism-query timeout (Section 5.1 suggests terminating the
-        subgraph search after a time-out rather than trying all
-        permutations).
+        Optional abort for one VF2 query (Section 5.1 suggests ending the
+        subgraph search after a time-out).  A query that runs past it
+        raises :class:`DecompositionError`; it never clips a candidate list.
     total_timeout_seconds:
-        Overall wall-clock budget; when exhausted the best decomposition
-        found so far is returned and the result is flagged as truncated.
+        Optional abort for the whole search: running past it raises
+        :class:`DecompositionError` instead of returning a cover.
     max_leaves:
         Stop after this many complete decompositions have been evaluated.
+
+    Only the counter budgets (``max_leaves``, ``max_nodes_expanded``) may
+    cut a search short, so a cover never depends on host speed.  The two
+    clocks default to ``None`` and can only abort.  Counters must be at
+    least 1 and abort times positive; ``None`` lifts a limit.
     """
 
     strategy: SearchStrategy = SearchStrategy.BRANCH_AND_BOUND
     max_matchings_per_primitive: int | None = 4
-    isomorphism_timeout_seconds: float | None = 5.0
-    total_timeout_seconds: float | None = 120.0
+    isomorphism_timeout_seconds: float | None = None
+    total_timeout_seconds: float | None = None
     max_leaves: int | None = 20000
     max_nodes_expanded: int | None = None
     """Optional cap on the number of search-tree nodes expanded; bounds the
@@ -96,8 +101,8 @@ class DecompositionConfig:
     subtracted edges, so the child's matchings of a primitive are exactly the
     parent's matchings whose covered edges survived the subtraction.  The
     inheritance is only applied when the parent's enumeration was provably
-    complete (not clipped by ``max_matchings_per_primitive`` or a timeout);
-    otherwise the child falls back to a fresh VF2 query."""
+    complete (not clipped by ``max_matchings_per_primitive``); otherwise
+    the child falls back to a fresh VF2 query."""
     use_transposition_table: bool = True
     """Prune residual states that were already searched under a dominating
     (cheaper partial cost, no-stricter symmetry key) visit.  Identical
@@ -113,6 +118,18 @@ class DecompositionConfig:
 
     def __post_init__(self) -> None:
         check_bound_name(self.lower_bound)
+        for name in ("max_matchings_per_primitive", "max_leaves", "max_nodes_expanded"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DecompositionError(f"{name} must be at least 1 or None, got {value!r}")
+        if self.cache_overscan < 1:
+            raise DecompositionError(
+                f"cache_overscan must be at least 1, got {self.cache_overscan!r}"
+            )
+        for name in ("isomorphism_timeout_seconds", "total_timeout_seconds"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise DecompositionError(f"{name} must be positive or None, got {value!r}")
 
 
 @dataclass
@@ -152,11 +169,9 @@ class SearchStatistics:
     elapsed_seconds: float = 0.0
     truncated: bool = False
     truncated_by: str | None = None
-    """Which budget cut the search short: ``"timeout"`` (wall clock — the
-    result depends on machine speed), ``"leaves"`` or ``"nodes"`` (both
-    deterministic counter budgets), or ``None`` when the search completed.
-    Fidelity ladders key off this: a ``"nodes"``-truncated rung reproduces
-    bit-identically everywhere, a ``"timeout"``-truncated one may not."""
+    """Which counter budget cut the search short, ``"leaves"`` or
+    ``"nodes"``, or ``None`` when the search completed.  Both are
+    deterministic, so a truncated result reproduces on any host."""
 
     def as_dict(self) -> dict[str, float | int | bool | str | dict[str, int] | None]:
         """Plain-dict view of all counters (what evaluation records store)."""
@@ -265,48 +280,39 @@ class DecompositionResult:
 # engines
 # ----------------------------------------------------------------------
 class _Budget:
-    """Shared wall-clock / leaf budget for one decomposition run."""
+    """Counter budgets and the optional abort clock for one decomposition run."""
 
     def __init__(self, config: DecompositionConfig) -> None:
         self.config = config
         self.start = time.monotonic()
         self.leaves = 0
-        self.exhausted = False
         self.exhausted_by: str | None = None
 
     def elapsed(self) -> float:
         """Seconds since the search started."""
         return time.monotonic() - self.start
 
-    def _exhaust(self, reason: str) -> None:
-        # the first budget to trip names the truncation; later trips keep it
-        self.exhausted = True
-        if self.exhausted_by is None:
-            self.exhausted_by = reason
+    def exhausted(self, nodes_expanded: int) -> bool:
+        """True (and latched) once a counter budget is spent.
 
-    def out_of_time(self) -> bool:
-        """True (and latched) once the wall-clock budget is exhausted."""
-        if self.config.total_timeout_seconds is None:
-            return False
-        if self.elapsed() > self.config.total_timeout_seconds:
-            self._exhaust("timeout")
-        return self.exhausted
-
-    def out_of_leaves(self) -> bool:
-        """True (and latched) once the leaf budget is exhausted."""
-        if self.config.max_leaves is None:
-            return False
-        if self.leaves >= self.config.max_leaves:
-            self._exhaust("leaves")
-        return self.exhausted
-
-    def out_of_nodes(self, nodes_expanded: int) -> bool:
-        """True (and latched) once the node-expansion budget is exhausted."""
-        if self.config.max_nodes_expanded is None:
-            return False
-        if nodes_expanded >= self.config.max_nodes_expanded:
-            self._exhaust("nodes")
-        return self.exhausted
+        The first budget to trip names the truncation.  Running past
+        ``total_timeout_seconds`` raises instead: a clock never shapes a cover.
+        """
+        if self.exhausted_by is not None:
+            return True
+        limit = self.config.total_timeout_seconds
+        if limit is not None and self.elapsed() > limit:
+            raise DecompositionError(
+                f"decomposition search exceeded total_timeout_seconds={limit:g}"
+            )
+        if self.config.max_leaves is not None and self.leaves >= self.config.max_leaves:
+            self.exhausted_by = "leaves"
+        elif (
+            self.config.max_nodes_expanded is not None
+            and nodes_expanded >= self.config.max_nodes_expanded
+        ):
+            self.exhausted_by = "nodes"
+        return self.exhausted_by is not None
 
 
 class Decomposer:
@@ -335,8 +341,9 @@ class Decomposer:
 
         Returns ``(matchings, complete)`` where ``complete`` is True only
         when the enumeration provably produced *every* edge-set-distinct
-        matching: neither clipped by the enumeration limit nor cut short by
-        the per-query timeout.  Completeness is what licenses the
+        matching, i.e. was not clipped by the enumeration limit.  A query
+        that runs past ``isomorphism_timeout_seconds`` raises
+        :class:`DecompositionError`.  Completeness is what licenses the
         candidate-inheritance cache of the branch-and-bound search; only that
         search passes ``overscan=True`` to enumerate past the branching limit
         (the greedy engine has no cache and would pay the extra VF2 work for
@@ -361,9 +368,12 @@ class Decomposer:
         if limit is not None and overscan and self.config.cache_overscan > 1:
             scan_limit = limit * self.config.cache_overscan
         mappings = matcher.find_all(limit=scan_limit)
-        complete = not matcher.timed_out and (
-            scan_limit is None or len(mappings) < scan_limit
-        )
+        if matcher.timed_out:
+            raise DecompositionError(
+                f"VF2 query for {primitive.name} exceeded isomorphism_timeout_seconds="
+                f"{self.config.isomorphism_timeout_seconds:g}"
+            )
+        complete = scan_limit is None or len(mappings) < scan_limit
         return [Matching.from_mapping(primitive, mapping) for mapping in mappings], complete
 
     def _branch_candidates(self, found: list[Matching]) -> list[Matching]:
@@ -614,11 +624,7 @@ class BranchAndBoundDecomposer(Decomposer):
             dead: frozenset[int],
         ) -> None:
             """Expand one search node: branch on every surviving candidate."""
-            if (
-                budget.out_of_time()
-                or budget.out_of_leaves()
-                or budget.out_of_nodes(statistics.nodes_expanded)
-            ):
+            if budget.exhausted(statistics.nodes_expanded):
                 return
             statistics.nodes_expanded += 1
 
@@ -670,11 +676,7 @@ class BranchAndBoundDecomposer(Decomposer):
                     child_dead,
                 )
                 chosen.pop()
-                if (
-                    budget.out_of_time()
-                    or budget.out_of_leaves()
-                    or budget.out_of_nodes(statistics.nodes_expanded)
-                ):
+                if budget.exhausted(statistics.nodes_expanded):
                     return
 
             # Score stopping at this node, whether it is a natural leaf
@@ -687,7 +689,7 @@ class BranchAndBoundDecomposer(Decomposer):
 
         recurse(residual, [], 0.0, (), None, frozenset())
         statistics.elapsed_seconds = budget.elapsed()
-        statistics.truncated = budget.exhausted
+        statistics.truncated = budget.exhausted_by is not None
         statistics.truncated_by = budget.exhausted_by
 
         if best["matchings"] is None:
@@ -695,7 +697,7 @@ class BranchAndBoundDecomposer(Decomposer):
             # a greedy pass so the caller always receives a valid cover.
             fallback = GreedyDecomposer(self.library, cost_model, self.config).decompose(acg)
             fallback.statistics.truncated = True
-            fallback.statistics.truncated_by = budget.exhausted_by or "timeout"
+            fallback.statistics.truncated_by = budget.exhausted_by
             fallback.statistics.nodes_expanded += statistics.nodes_expanded
             fallback.statistics.matchings_tried += statistics.matchings_tried
             fallback.statistics.matchings_enumerated += statistics.matchings_enumerated

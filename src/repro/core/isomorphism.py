@@ -26,9 +26,10 @@ The matcher supports
   (important for symmetric primitives such as gossip graphs, whose
   automorphism group would otherwise multiply the search space of the
   decomposition),
-* a wall-clock timeout, as suggested in Section 5.1 of the paper
+* an optional wall-clock timeout, as suggested in Section 5.1 of the paper
   ("the search for the isomorphism can be terminated after a time-out
-  period rather than trying all permutations").
+  period rather than trying all permutations").  The decomposition treats
+  it as an abort: a timed-out query raises there, it never clips a list.
 """
 
 from __future__ import annotations

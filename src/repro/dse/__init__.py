@@ -22,7 +22,7 @@ exploration engine:
   front with far fewer full-fidelity evaluations;
 * :mod:`repro.dse.analysis` — Pareto fronts over energy/latency/
   throughput, mesh-baseline normalization, stage-reuse summaries and
-  flagging of budget-truncated (machine-speed-dependent) cells;
+  flagging of budget-truncated (approximate) cells;
 * ``python -m repro.dse`` — the ``run`` / ``report`` / ``list-scenarios``
   command line (worked example in ``docs/dse.md``).
 

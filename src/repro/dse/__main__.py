@@ -432,9 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "cheap-to-full. Fields: budget_fraction (scales "
                              "max_nodes_expanded), simulation_cap (clamps "
                              "repetitions/aes_blocks), anything else is a "
-                             "settings override (e.g. engine=reference, "
-                             "decomposition_timeout_seconds=2). A bare final "
-                             "full-fidelity rung is appended if missing "
+                             "settings override (e.g. engine=reference). A "
+                             "bare final full-fidelity rung is appended if missing "
                              "(default: the stock screen/full ladder)")
     search.add_argument("--margin", type=float, default=0.10,
                         help="dominance slack for promotion: prune a point "
@@ -505,8 +504,8 @@ def _add_reporting_commands(commands) -> None:
         help="Pareto/baseline report from cached results",
         description="Print per-scenario Pareto tables with mesh-normalized "
         "columns from the cached results. Budget-truncated decomposition cells "
-        "are marked '!' and called out: their figures are machine-speed-"
-        "dependent (see docs/dse.md).",
+        "are marked '!' and called out: their decomposition is approximate "
+        "(see docs/dse.md).",
     )
     report.add_argument("--results", type=Path, default=DEFAULT_RESULTS,
                         help=f"JSONL result cache file (default: {DEFAULT_RESULTS})")

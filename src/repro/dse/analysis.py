@@ -7,9 +7,9 @@ the standard-mesh baseline evaluated under identical traffic.  All
 helpers operate on :class:`~repro.dse.records.EvaluationRecord` lists
 as produced by the runner or loaded from the JSONL cache.
 
-Cells whose decomposition search hit its budget
+Cells whose decomposition search hit a node or leaf budget
 (:attr:`~repro.dse.records.EvaluationRecord.truncated_search`) carry
-machine-speed-dependent results; :func:`pareto_report` marks them with
+approximate decompositions; :func:`pareto_report` marks them with
 ``!`` and prints a caveat rather than silently mixing them into fronts.
 """
 
@@ -256,12 +256,12 @@ def custom_dominates_mesh(
 
 
 def truncated_cells(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
-    """The records whose decomposition search exhausted its budget.
+    """The records whose decomposition search exhausted a counter budget.
 
-    These results are machine-speed-dependent (a slower host caches a worse
-    decomposition under the same content key), so reports flag them instead
-    of presenting them as exact; re-run them with a larger
-    ``decomposition_timeout_seconds`` to make them reproducible.
+    Node and leaf budgets truncate deterministically, so these results
+    reproduce anywhere, but their decomposition may not be optimal: reports
+    flag them instead of presenting them as exact.  Re-run them with a
+    larger ``max_nodes_expanded`` to close the search.
     """
     return [record for record in records if record.truncated_search]
 
@@ -355,20 +355,11 @@ def pareto_report(
             record for record in truncated_cells(scoped) if not record.low_fidelity
         ]
         if truncated:
-            timed = [
-                record for record in truncated if not record.truncated_deterministic
-            ]
-            flavor = (
-                "results are machine-speed-dependent; "
-                "re-run with a larger decomposition_timeout_seconds"
-                if timed
-                else "deterministic node/leaf budgets: reproducible anywhere, "
-                "but the decomposition is approximate"
-            )
             in_front = [record for record in truncated if id(record) in front]
             caveat = (
                 f"  !  {len(truncated)} cell(s) hit the decomposition search "
-                f"budget (marked '!'): {flavor}"
+                "budget (marked '!'): deterministic node/leaf budgets are "
+                "reproducible anywhere, but the decomposition is approximate"
             )
             if in_front:
                 caveat += (

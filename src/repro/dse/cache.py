@@ -24,17 +24,6 @@ nulling out every simulator- and synthesis-stage field, so all cells of
 a simulator-axis sweep share one serialized decomposition.  A synthesis
 sub-key (:func:`synthesis_stage_key`) layers the synthesis fields back
 on top and memoizes the synthesized topology + routing table in memory.
-
-One caveat on merging result files: a cell whose decomposition search
-exhausted its wall-clock budget (``search_statistics["truncated"]`` is
-true in the record, :attr:`EvaluationRecord.truncated_search`) carries a
-machine-speed-dependent result — a slower host may have cached a worse
-decomposition under the same content key.  Within one cache file this is
-consistent ("newest wins"); when merging files from heterogeneous
-machines, treat truncated cells as approximate or re-run them with a
-larger ``decomposition_timeout_seconds``.  ``report`` flags such cells.
-The same caveat applies to decomposition artifacts copied between
-machines of different speeds.
 """
 
 from __future__ import annotations
@@ -94,8 +83,10 @@ from repro.routing.table import RoutingTable
 #: tighter default bound;
 #: version 6: one residual bound that prunes — ``lower_bound`` defaults to
 #: ``"cheapest_edge"`` (the decomposition sub-key changes) and search
-#: statistics no longer carry ``exact_residuals_solved``)
-PIPELINE_VERSION = 6
+#: statistics no longer carry ``exact_residuals_solved``;
+#: version 7: counter budgets only — settings lost the
+#: ``isomorphism_timeout_seconds`` / ``decomposition_timeout_seconds`` knobs)
+PIPELINE_VERSION = 7
 
 #: bump when the decomposition artifact serialization changes shape
 DECOMPOSITION_ARTIFACT_FORMAT = 1

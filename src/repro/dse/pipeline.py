@@ -258,8 +258,6 @@ class EvaluationSettings:
     strategy: str = "branch_and_bound"
     library: str = "default"
     max_matchings_per_primitive: int | None = 3
-    isomorphism_timeout_seconds: float | None = 2.0
-    decomposition_timeout_seconds: float | None = 20.0
     max_nodes_expanded: int | None = 400
     lower_bound: str = "cheapest_edge"
     """Which admissible residual bound prunes the branch-and-bound (see
@@ -314,18 +312,18 @@ class EvaluationSettings:
             raise ConfigurationError(
                 f"unknown architecture {self.architecture!r} (use 'custom' or 'mesh')"
             )
-        STRATEGIES.get(self.strategy)  # raises UnknownPluginError when unknown
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
         get_family(self.topology)  # raises ConfigurationError when unknown
         get_policy(self.routing_policy)  # raises ConfigurationError when unknown
-        try:
-            self.build_simulator_config()  # engine, buffers, delays, cycle budget
-        except SimulationError as error:
-            raise ConfigurationError(str(error)) from error
         if self.lower_bound not in BOUND_NAMES:
             raise ConfigurationError(
                 f"unknown lower bound {self.lower_bound!r} (use one of {BOUND_NAMES})"
             )
+        try:
+            self.build_simulator_config()  # engine, buffers, delays, cycle budget
+            self.build_decomposition_config()  # strategy, search budgets
+        except (SimulationError, DecompositionError) as error:
+            raise ConfigurationError(str(error)) from error
 
     def as_dict(self) -> dict[str, object]:
         """All fields as a plain JSON-serializable dict."""
@@ -342,8 +340,6 @@ class EvaluationSettings:
         "strategy",
         "library",
         "max_matchings_per_primitive",
-        "isomorphism_timeout_seconds",
-        "decomposition_timeout_seconds",
         "max_nodes_expanded",
         "lower_bound",
         "bidirectional_links",
@@ -416,7 +412,7 @@ class EvaluationSettings:
         """:meth:`synthesis_stage_dict` with the synthesis fields nulled too.
 
         The content identity of the decompose stage: only the search knobs
-        (strategy, library, matching/timeout/node budgets) survive, so every
+        (strategy, library, matching/node budgets, bound) survive, so every
         simulator- or synthesis-axis sweep cell shares one decomposition.
         """
         payload = self.synthesis_stage_dict()
@@ -437,8 +433,6 @@ class EvaluationSettings:
         return DecompositionConfig(
             strategy=STRATEGIES.get(self.strategy),
             max_matchings_per_primitive=self.max_matchings_per_primitive,
-            isomorphism_timeout_seconds=self.isomorphism_timeout_seconds,
-            total_timeout_seconds=self.decomposition_timeout_seconds,
             max_nodes_expanded=self.max_nodes_expanded,
             lower_bound=self.lower_bound,
         )

@@ -90,22 +90,13 @@ class EvaluationRecord:
 
     @property
     def truncated_search(self) -> bool:
-        """True when the decomposition search exhausted its budget.
+        """True when the decomposition search exhausted a counter budget.
 
-        Such a cell's result is machine-speed-dependent (a slower host may
-        have found a worse decomposition under the same content key), so
+        Node and leaf budgets are deterministic, so such a cell reproduces
+        on any host, but its decomposition may be worse than the optimum;
         reports flag it instead of silently mixing it into Pareto fronts.
         """
         return bool(self.search_statistics.get("truncated"))
-
-    @property
-    def truncated_deterministic(self) -> bool:
-        """True when the truncation came from a counter budget (nodes/leaves).
-
-        Counter-budget truncations reproduce bit-identically on any machine —
-        only wall-clock (``timeout``) truncations are machine-speed-dependent.
-        """
-        return self.search_statistics.get("truncated_by") in ("nodes", "leaves")
 
     @property
     def low_fidelity(self) -> bool:

@@ -54,7 +54,6 @@ def aes_scenario(blocks: int = 1) -> Scenario:
             "library": "aes",
             "bidirectional_links": True,
             "max_matchings_per_primitive": 4,
-            "decomposition_timeout_seconds": 60.0,
             "max_nodes_expanded": None,
         },
     )
@@ -335,9 +334,6 @@ register_suite(
             "architecture": ("mesh", "custom"),
             "router_pipeline_delay_cycles": (1, 2),
         },
-        base_settings=EvaluationSettings(
-            decomposition_timeout_seconds=15.0, max_cycles=100_000
-        ),
     )
 )
 

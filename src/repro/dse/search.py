@@ -5,8 +5,7 @@ them instead.  A *fidelity ladder* is an ordered list of
 :class:`RungSpec` configs: low rungs evaluate every design point under
 truncated decomposition budgets (``max_nodes_expanded`` scaled by
 ``budget_fraction`` — a deterministic counter budget, so rung results
-reproduce bit-identically on any machine; explicit wall-clock caps can
-be added per rung via ``overrides``), a short simulation window
+reproduce bit-identically on any machine), a short simulation window
 (:meth:`~repro.dse.pipeline.Scenario.with_simulation_cap`); the top
 rung is exactly today's grid settings.
 Every cell is seeded at the lowest rung, and only cells on — or within a
@@ -91,15 +90,13 @@ class RungSpec:
 
     A rung turns a planned full-fidelity cell into its cheaper variant:
     ``overrides`` are merged into the cell's settings (any
-    :class:`~repro.dse.pipeline.EvaluationSettings` field — engine,
-    explicit ``decomposition_timeout_seconds`` wall caps, ...),
+    :class:`~repro.dse.pipeline.EvaluationSettings` field, e.g. the engine),
     ``simulation_cap`` clamps the scenario's traffic window, and
     ``budget_fraction`` scales the cell's ``max_nodes_expanded``
-    decomposition budget (chosen over a wall-clock scale because a node
-    budget truncates deterministically — the rung's metrics, and hence
-    the promotion decisions, reproduce on any machine).  Per-scenario
-    settings pins still win over rung overrides, exactly as they win
-    over grid axes.
+    decomposition budget (a node budget truncates deterministically, so
+    the rung's metrics, and hence the promotion decisions, reproduce on
+    any machine).  Per-scenario settings pins still win over rung
+    overrides, exactly as they win over grid axes.
     """
 
     name: str
@@ -293,9 +290,7 @@ def _tiebreak(seed: int, rung_index: int, key: str) -> str:
 #: the engines are differentially tested bit-identical, and a completed
 #: branch-and-bound search under a smaller budget proves the budget never
 #: bound — the decomposition equals the full-budget one
-_EXACT_WHEN_UNTRUNCATED = frozenset(
-    {"engine", "max_nodes_expanded", "decomposition_timeout_seconds"}
-)
+_EXACT_WHEN_UNTRUNCATED = frozenset({"engine", "max_nodes_expanded"})
 
 
 def _effective_margin(

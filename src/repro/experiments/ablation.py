@@ -35,6 +35,11 @@ from repro.aes.acg import build_aes_acg
 from repro.workloads.random_acg import figure5_example_acg, random_decomposable_acg
 
 
+#: node budget of every ablation search: a counter, so the ablation
+#: reproduces on any host (AES-16 with ``minimal_library()`` reaches
+#: cost 52 at 2,000 nodes, as a search of ~38.7k nodes does)
+ABLATION_NODE_BUDGET = 2_000
+
 #: explicit seed for the random ablation ACG — threaded (never defaulted) so
 #: the ablation inputs are bit-identical across processes and sessions
 STANDARD_ABLATION_SEED = 3
@@ -99,12 +104,11 @@ def _measure(
     configuration: str,
     strategy: SearchStrategy,
     cost_model: CostModel,
-    timeout_seconds: float,
 ) -> AblationRow:
     config = DecompositionConfig(
         strategy=strategy,
         max_matchings_per_primitive=4,
-        total_timeout_seconds=timeout_seconds,
+        max_nodes_expanded=ABLATION_NODE_BUDGET,
     )
     start = time.perf_counter()
     result = decompose(acg, library, cost_model=cost_model, config=config)
@@ -120,10 +124,7 @@ def _measure(
     )
 
 
-def run_strategy_ablation(
-    acgs: Sequence[ApplicationGraph] | None = None,
-    timeout_seconds: float = 30.0,
-) -> AblationResult:
+def run_strategy_ablation(acgs: Sequence[ApplicationGraph] | None = None) -> AblationResult:
     """Branch-and-bound vs. greedy first-fit on the same library and cost model."""
     acgs = list(acgs) if acgs is not None else standard_ablation_acgs()
     library = default_library()
@@ -136,7 +137,6 @@ def run_strategy_ablation(
                 "branch_and_bound",
                 SearchStrategy.BRANCH_AND_BOUND,
                 LinkCountCostModel(),
-                timeout_seconds,
             )
         )
         result.rows.append(
@@ -146,16 +146,12 @@ def run_strategy_ablation(
                 "greedy",
                 SearchStrategy.GREEDY,
                 LinkCountCostModel(),
-                timeout_seconds,
             )
         )
     return result
 
 
-def run_library_ablation(
-    acgs: Sequence[ApplicationGraph] | None = None,
-    timeout_seconds: float = 30.0,
-) -> AblationResult:
+def run_library_ablation(acgs: Sequence[ApplicationGraph] | None = None) -> AblationResult:
     """Minimal vs. default vs. extended library content on the same ACGs."""
     acgs = list(acgs) if acgs is not None else standard_ablation_acgs()
     libraries = {
@@ -173,7 +169,6 @@ def run_library_ablation(
                     label,
                     SearchStrategy.BRANCH_AND_BOUND,
                     LinkCountCostModel(),
-                    timeout_seconds,
                 )
             )
     return result

@@ -127,10 +127,7 @@ def run_aes_synthesis(
 ) -> AesSynthesisResult:
     """Decompose the AES ACG and synthesize the customized architecture."""
     library = library or aes_library()
-    config = config or DecompositionConfig(
-        max_matchings_per_primitive=4,
-        total_timeout_seconds=60.0,
-    )
+    config = config or DecompositionConfig(max_matchings_per_primitive=4)
     acg = build_aes_acg(blocks=blocks)
     start = time.perf_counter()
     decomposition = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)

@@ -67,10 +67,7 @@ def run_figure5_example(
 ) -> Figure5Result:
     """Decompose the reconstructed Figure-5 ACG and time it."""
     library = library or default_library()
-    config = config or DecompositionConfig(
-        max_matchings_per_primitive=4,
-        total_timeout_seconds=30.0,
-    )
+    config = config or DecompositionConfig(max_matchings_per_primitive=4)
     acg = figure5_example_acg()
     start = time.perf_counter()
     decomposition = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)

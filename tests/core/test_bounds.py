@@ -203,11 +203,7 @@ class TestBuildLowerBound:
 
 
 class TestSearchIntegration:
-    CONFIG = dict(
-        isomorphism_timeout_seconds=None,
-        total_timeout_seconds=None,
-        max_leaves=None,
-    )
+    CONFIG = dict(max_leaves=None)
 
     def test_search_records_bound_cache_and_provenance(self):
         acg = acg_from_edges(

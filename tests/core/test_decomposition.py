@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
+
+import repro.core.decomposition as decomposition_module
+import repro.core.isomorphism as isomorphism_module
 
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import (
@@ -20,9 +26,71 @@ from repro.workloads.random_acg import figure5_example_acg
 
 
 def quick_config(**overrides) -> DecompositionConfig:
-    base = dict(max_matchings_per_primitive=4, total_timeout_seconds=20.0)
+    base = dict(max_matchings_per_primitive=4)
     base.update(overrides)
     return DecompositionConfig(**base)
+
+
+def _jump_clocks(monkeypatch) -> None:
+    """From now on, every clock read of the search and of VF2 leaps an hour."""
+    hours = itertools.count(3600.0, 3600.0)
+    clock = SimpleNamespace(monotonic=lambda: next(hours))
+    monkeypatch.setattr(decomposition_module, "time", clock)
+    monkeypatch.setattr(isomorphism_module, "time", clock)
+
+
+def _outcome(result) -> tuple:
+    """Cover, cost and search statistics, the elapsed time aside."""
+    statistics = result.statistics.as_dict()
+    del statistics["elapsed_seconds"]
+    return (
+        result.total_cost,
+        [matching.sort_key() for matching in result.matchings],
+        sorted(result.remainder.edges()),
+        statistics,
+    )
+
+
+class TestNoClockDecides:
+    @pytest.mark.parametrize("strategy", list(SearchStrategy))
+    @pytest.mark.parametrize("max_nodes", [None, 3])
+    def test_covers_are_identical_under_a_jumping_clock(
+        self, library, monkeypatch, strategy, max_nodes
+    ):
+        acg = figure5_example_acg()
+        config = DecompositionConfig(strategy=strategy, max_nodes_expanded=max_nodes)
+        expected = _outcome(decompose(acg, library, LinkCountCostModel(), config))
+        _jump_clocks(monkeypatch)
+        assert _outcome(decompose(acg, library, LinkCountCostModel(), config)) == expected
+
+    def test_a_dse_cell_is_identical_under_a_jumping_clock(self, monkeypatch):
+        from repro.dse.pipeline import EvaluationSettings, evaluate_cells
+        from repro.dse.scenarios import tgff_scenario
+
+        def run():
+            (record,) = evaluate_cells(
+                [(tgff_scenario(10, 7), EvaluationSettings(), {}, "cell")]
+            )
+            del record.search_statistics["elapsed_seconds"]
+            return record.status, record.metrics, record.search_statistics
+
+        expected = run()
+        assert expected[0] == "ok"
+        _jump_clocks(monkeypatch)
+        assert run() == expected
+
+    @pytest.mark.parametrize("strategy", list(SearchStrategy))
+    def test_a_vf2_abort_raises_instead_of_clipping(self, library, monkeypatch, strategy):
+        _jump_clocks(monkeypatch)
+        config = DecompositionConfig(strategy=strategy, isomorphism_timeout_seconds=60.0)
+        with pytest.raises(DecompositionError, match="isomorphism_timeout_seconds=60"):
+            decompose(figure5_example_acg(), library, LinkCountCostModel(), config)
+
+    def test_a_search_abort_raises_instead_of_truncating(self, library, monkeypatch):
+        _jump_clocks(monkeypatch)
+        config = DecompositionConfig(total_timeout_seconds=60.0)
+        with pytest.raises(DecompositionError, match="total_timeout_seconds=60"):
+            decompose(figure5_example_acg(), library, LinkCountCostModel(), config)
 
 
 class TestDecompositionBasics:
@@ -106,13 +174,6 @@ class TestBranchAndBoundVsGreedy:
 
 
 class TestSearchBudgets:
-    def test_timeout_returns_valid_cover(self, library):
-        acg = figure5_example_acg()
-        config = quick_config(total_timeout_seconds=0.0)
-        result = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)
-        result.validate_cover()
-        assert result.statistics.truncated
-
     def test_max_nodes_expanded_budget(self, library):
         acg = figure5_example_acg()
         config = quick_config(max_nodes_expanded=1)
@@ -131,7 +192,7 @@ class TestSearchBudgets:
         # with the loop check, a second child is never expanded once the
         # budget is exhausted: greedy-fallback node counts aside, the
         # branch-and-bound itself cannot exceed the cap
-        config = quick_config(max_nodes_expanded=4, total_timeout_seconds=None)
+        config = quick_config(max_nodes_expanded=4)
         bnb = BranchAndBoundDecomposer(library, LinkCountCostModel(), config)
         bnb_result = bnb.decompose(acg)
         bnb_result.validate_cover()
@@ -142,6 +203,23 @@ class TestSearchBudgets:
         result = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)
         result.validate_cover()
         assert result.statistics.leaves_evaluated <= 1 or result.statistics.truncated
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("max_matchings_per_primitive", 0),
+            ("max_matchings_per_primitive", -1),
+            ("max_nodes_expanded", -5),
+            ("max_nodes_expanded", 0),
+            ("max_leaves", 0),
+            ("cache_overscan", 0),
+            ("isomorphism_timeout_seconds", 0.0),
+            ("total_timeout_seconds", -1.0),
+        ],
+    )
+    def test_out_of_range_budget_rejected(self, name, value):
+        with pytest.raises(DecompositionError, match=name):
+            DecompositionConfig(**{name: value})
 
     def test_disabling_lower_bound_still_finds_optimum(self, k4_acg, library):
         config = quick_config(use_lower_bound=False)

@@ -10,8 +10,8 @@ search *answer* changed — both deserve a deliberate fixture update:
 
     pytest tests/core/test_golden_decomposition.py --update-golden
 
-The replay config is fully deterministic (no wall-clock or VF2 timeouts,
-no leaf caps), so the fixtures reproduce bit-identically on any machine.
+The replay config has no leaf cap and only counter budgets ever cut a
+search short, so the fixtures reproduce bit-identically on any machine.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ def replay(case: str, lower_bound: str) -> dict[str, object]:
     acg, library = case_inputs(case)
     config = DecompositionConfig(
         max_matchings_per_primitive=4,
-        isomorphism_timeout_seconds=None,
-        total_timeout_seconds=None,
         max_leaves=None,
         lower_bound=lower_bound,
     )

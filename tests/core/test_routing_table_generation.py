@@ -62,7 +62,7 @@ class TestBuildRoutingTable:
             acg,
             library,
             cost_model=LinkCountCostModel(),
-            config=DecompositionConfig(max_matchings_per_primitive=4, total_timeout_seconds=20),
+            config=DecompositionConfig(max_matchings_per_primitive=4),
         )
         topology = TopologySynthesizer().build_topology(acg, result)
         return result, topology

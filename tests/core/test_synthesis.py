@@ -16,7 +16,7 @@ from repro.exceptions import RoutingError
 
 
 def quick_config() -> DecompositionConfig:
-    return DecompositionConfig(max_matchings_per_primitive=4, total_timeout_seconds=20.0)
+    return DecompositionConfig(max_matchings_per_primitive=4)
 
 
 @pytest.fixture()

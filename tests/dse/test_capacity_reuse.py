@@ -220,11 +220,11 @@ class TestMemoKey:
         cells = [
             (
                 scenario,
-                EvaluationSettings(decomposition_timeout_seconds=timeout),
+                EvaluationSettings(max_nodes_expanded=budget),
                 {},
-                f"timeout-{timeout}",
+                f"nodes-{budget}",
             )
-            for timeout in (20.0, 40.0)
+            for budget in (400, 800)
         ]
         context = StageContext()
         first, second = evaluate_cells(cells, context)

@@ -213,7 +213,7 @@ class TestTruncationFlagging:
         text = pareto_report(records)
         assert "trunc" in text  # the marker column materialized
         assert "hit the decomposition search budget" in text
-        assert "machine-speed-dependent" in text
+        assert "reproducible anywhere" in text
         # the truncated cell won the front: the stronger caveat fires too
         assert "treat this frontier as approximate" in text
 
@@ -221,7 +221,7 @@ class TestTruncationFlagging:
         records = [_record("s", "mesh", 10, 2.0, 40), _record("s", "custom", 5, 1.0, 60)]
         text = pareto_report(records)
         assert "trunc" not in text
-        assert "machine-speed-dependent" not in text
+        assert "search budget" not in text
 
 
 class TestStageReuseSummary:
@@ -428,5 +428,3 @@ class TestLowFidelityFlagging:
         winner.search_statistics = {"truncated": True, "truncated_by": "nodes"}
         text = pareto_report([mesh, winner])
         assert "deterministic node/leaf budgets" in text
-        assert "machine-speed-dependent" not in text
-        assert winner.truncated_deterministic

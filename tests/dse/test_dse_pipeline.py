@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -53,6 +54,13 @@ class TestEvaluationSettings:
         with pytest.raises(ConfigurationError):
             EvaluationSettings(lower_bound="tightest")
 
+    @pytest.mark.parametrize(
+        ("name", "value"), [("max_matchings_per_primitive", -1), ("max_nodes_expanded", 0)]
+    )
+    def test_out_of_range_budgets_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be at least 1"):
+            EvaluationSettings(**{name: value})
+
     def test_deleted_bound_names_rejected_with_the_valid_ones(self):
         assert EvaluationSettings().lower_bound == "cheapest_edge"
         for name in ("stacked", "packing", "exact_small"):
@@ -98,7 +106,7 @@ class TestEvaluationSettings:
             ("max_cycles", 2.5, "int"),
             ("buffer_capacity_packets", True, "int"),
             ("architecture", 1, "str"),
-            ("isomorphism_timeout_seconds", "2", "float | None"),
+            ("max_nodes_expanded", 2.0, "int | None"),
         ],
     )
     def test_mistyped_value_rejected_naming_field_value_and_type(self, name, value, expected):
@@ -111,9 +119,8 @@ class TestEvaluationSettings:
     def test_well_typed_values_accepted(self):
         settings = EvaluationSettings(
             max_nodes_expanded=None,
-            isomorphism_timeout_seconds=None,
+            max_matchings_per_primitive=None,
             mesh_tile_pitch_mm=3,  # an int is a valid float
-            decomposition_timeout_seconds=5,
             require_deadlock_free=True,
         )
         assert settings.mesh_tile_pitch_mm == 3
@@ -121,7 +128,7 @@ class TestEvaluationSettings:
     def test_settings_from_a_json_cache_still_load(self, tmp_path):
         """Every stored record's settings, after a JSON round trip, rebuild
         the settings that produced it."""
-        from repro.dse.cache import ResultCache
+        from repro.dse.cache import ResultCache, _content_hash
         from repro.dse.runner import run_sweep
         from repro.dse.scenarios import get_suite
 
@@ -134,6 +141,28 @@ class TestEvaluationSettings:
         for record in swept.records:
             settings = EvaluationSettings.from_dict(reloaded.get(record.cache_key).settings)
             assert settings.as_dict() == record.settings
+
+        # A v6 line: its settings carry the since-deleted clock knobs, and
+        # its key hashes them under pipeline version 6.  It still loads, but
+        # the cell is evaluated afresh instead of served.
+        record = next(
+            r for r in swept.records if r.architecture == "custom" and r.scenario != "aes"
+        )
+        scenario = next(s for s in spec.build() if s.name == record.scenario)
+        clocks = {"isomorphism_timeout_seconds": 2.0, "decomposition_timeout_seconds": 15.0}
+        v6_settings = {**EvaluationSettings.from_dict(record.settings).canonical_dict(), **clocks}
+        v6_key = _content_hash(
+            {"pipeline_version": 6, "settings": v6_settings},
+            scenario=json.dumps(scenario.fingerprint(), sort_keys=True, separators=(",", ":")),
+        )
+        v6_cache = ResultCache(tmp_path / "v6.jsonl")
+        v6_cache.store(replace(record, cache_key=v6_key, settings={**record.settings, **clocks}))
+        v6_cache = ResultCache(v6_cache.path)
+        loaded = EvaluationSettings.from_dict(v6_cache.get(v6_key).settings)
+        assert loaded.as_dict() == record.settings
+        (rerun,) = run_sweep([scenario], spec.base_settings, {}, cache=v6_cache).records
+        assert rerun.cache_key == record.cache_key != v6_key
+        assert not rerun.from_cache
 
     def test_gate_knob_stays_out_of_stage_keys(self):
         """The deadlock gate never changes the decomposition/synthesis

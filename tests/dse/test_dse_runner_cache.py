@@ -228,22 +228,31 @@ class TestRunSweep:
         assert "at least one packet" in capsys.readouterr().err
         assert not results.exists() or results.read_text() == ""
 
-    @pytest.mark.parametrize(
-        "axis",
-        [
-            "max_cycles=abc",
-            "max_nodes_expanded=abc",
-            "mesh_tile_pitch_mm=wide",
-            "require_deadlock_free=maybe",
-        ],
-    )
+    #: a bad ``--axis`` value (or, with a colon, ``--rung`` spec) -> its error
+    BAD_KNOBS = {
+        "max_cycles=abc": "setting max_cycles='abc' has type str",
+        "max_nodes_expanded=abc": "setting max_nodes_expanded='abc' has type str",
+        "mesh_tile_pitch_mm=wide": "setting mesh_tile_pitch_mm='wide' has type str",
+        "require_deadlock_free=maybe": "setting require_deadlock_free='maybe' has type str",
+        "max_matchings_per_primitive=0": (
+            "max_matchings_per_primitive must be at least 1 or None, got 0"
+        ),
+        "decomposition_timeout_seconds=5": (
+            "unknown settings fields: ['decomposition_timeout_seconds']"
+        ),
+        "screen:decomposition_timeout_seconds=2": (
+            "unknown settings fields: ['decomposition_timeout_seconds']"
+        ),
+    }
+
+    @pytest.mark.parametrize("axis", list(BAD_KNOBS))
     def test_cli_rejects_a_mistyped_axis(self, tmp_path, capsys, axis):
         from repro.dse.__main__ import main
 
         results = tmp_path / "results.jsonl"
-        assert main(["run", "--results", str(results), "--axis", axis]) == 2
-        name, _, value = axis.partition("=")
-        assert f"error: setting {name}={value!r} has type str" in capsys.readouterr().err
+        command, option = ("search", "--rung") if ":" in axis else ("run", "--axis")
+        assert main([command, "--results", str(results), option, axis]) == 2
+        assert f"error: {self.BAD_KNOBS[axis]}" in capsys.readouterr().err
         assert not results.exists() or results.read_text() == ""
 
     @pytest.mark.parametrize("command", ["run", "search"])

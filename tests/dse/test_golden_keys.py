@@ -25,42 +25,42 @@ from repro.dse.search import RungSpec
 #: (scenario, architecture) -> (cache key, decomposition sub-key, synthesis sub-key)
 GOLDEN = {
     ("aes", "mesh"): (
-        "cd83703cdd5392a3372abc360c1321290fe1da8f4a7faef0b6a2b9129234b728",
-        "e6c195d7f52aba5cc86653dd326c042a00c26af97c74d84b199daaa606a46043",
-        "04191065ee92b845d38e854f53a0c151c7464f91dc0d03009b9a8b7fe9902d89",
+        "96ff5646c99289952cc20a316878bb8cc7a6e2274c7dff7f1db3947ef12b21ba",
+        "2c1923c6c6b5f3e76ee5aff6f44215803e668516bd8fdc5f075716b5934ccaa3",
+        "42d37cad314212823c35848dd4b946a461bc6036d280b3710f06e41d3b49c38c",
     ),
     ("aes", "custom"): (
-        "7f63603e0d37cc111f31b6586602a260b96649acd63d26581595f2e1e0da37c0",
-        "b41af83c0afa5a85d77ea31d502110fdc9d5317408113aef928c3f864d1153fd",
-        "a73345800abf45b277ec105e3b3b05a9832a0f249c17af8d0a8a47ae5292a700",
+        "28b824756517fb261a6eeb07742ed252da33e478e2bf4e67f3e57681de2c5a71",
+        "84568f503f020c15a3cfe02e5a26dacbe8c0991e9140a11e47c933b5ed54c1c8",
+        "63d6767b20ec9098fa92ef1986f1cb0d8837a97e39f1de0167bf144c9b7af719",
     ),
     ("mpeg4", "mesh"): (
-        "6bfa37494276b6c9a2d934f708c8daba717f442d61befd680b0d16c80455354f",
-        "89eb4ec1baed6180f479f1ec958a8078cf23cb66fa7c9aade47ce0ce2356bc1f",
-        "ece7b421595ce1efd84f1b96d6f64bbb8c2c02b0458853a389744b749ff88512",
+        "0a7218cf17d1e957d512d77b77d486ffa944ea388c6cb152d0246c00b5a57ea5",
+        "c185142c0c6eaa45990474cae73c28435cb1e8c3d525dd2d73b6adc78b1c8ecd",
+        "7e2456968aedce0d8eae75852b7afc89f80024c17aec2a246651ab450fcdbf55",
     ),
     ("mpeg4", "custom"): (
-        "f82f49da5f212ffd9b28327abdcb9941824b00a1297de56e56bbd2710be9afd9",
-        "8cf480e417c5177193b345f6a99ece2b7e1fad4d4faf5499e0fd3aac3ca3bc99",
-        "017084d0e0809e624b17da098362558ad368d60b5f0843d0aae47f144d355477",
+        "7302a64362d836e6a20543afcbe05f09420d197116d2db714380f66337ed519b",
+        "c9f5a078ce085a19bde31107ec8687574a6113b6b76f9c649a2b3d07ee964043",
+        "3b9b079b1aa9eb76ba8d52bae707d083bfde73f6ff1c9aa9eef5c9cfc5101288",
     ),
 }
 
 #: mpeg4 at three repetitions, custom at a 20-node budget: the full cell
 #: and its one-iteration screen variant (same workload graph, so the same
 #: stage sub-keys)
-GOLDEN_REPEATED = "2e549623debebbce7637f6585f4a4ddfb599ebcc930941dc4b495d46bc871ad9"
-GOLDEN_CAPPED = "a04c61a6ec857b0e449f24498c93cb1fcb50a8472e6210da34a0b4dac27ed1f1"
+GOLDEN_REPEATED = "56a9630c76666a595629ec1b1443f76e51fdd52f86fb91411206b12412830ed8"
+GOLDEN_CAPPED = "b3ea05098e42a683fff5d5d695dc6bc768e0e11db61bdf2a20b5088a1961e7c3"
 GOLDEN_BUDGET_DECOMPOSITION = (
-    "475da785810ac80589ebd97e7fadf6d998c9498beac5cc88ba8879e98f66b3e3"
+    "4cbec09a7b5e6df3d95d10e31577b6e728fe496923a509526248f56cd985ef0a"
 )
-GOLDEN_BUDGET_SYNTHESIS = "e7a033b080cdaf88ee0a752dfba9f714a8a63b4b1427fc4e798007a9672803ac"
+GOLDEN_BUDGET_SYNTHESIS = "7495b71d8c55f1da27a1ffdf6a745ace3115db9f9566052605c6c5f4544a4edc"
 
 SCENARIOS = {"aes": lambda: aes_scenario(blocks=1), "mpeg4": lambda: embedded_scenario("mpeg4")}
 
 
 def test_pipeline_version_is_unchanged():
-    assert PIPELINE_VERSION == 6
+    assert PIPELINE_VERSION == 7
 
 
 @pytest.mark.parametrize("name,architecture", sorted(GOLDEN))

@@ -53,8 +53,6 @@ _DECOMPOSITION_VARIANTS = {
     "strategy": ("branch_and_bound", "greedy"),
     "library": ("default", "extended"),
     "max_matchings_per_primitive": (3, 4),
-    "isomorphism_timeout_seconds": (2.0, 4.0),
-    "decomposition_timeout_seconds": (20.0, 40.0),
     "max_nodes_expanded": (400, 800),
     "lower_bound": ("cheapest_edge", "cost_model"),
 }

@@ -19,7 +19,7 @@ from repro.workloads import acg_from_task_graph, automotive_benchmark, random_de
 
 
 def quick_config() -> DecompositionConfig:
-    return DecompositionConfig(max_matchings_per_primitive=3, total_timeout_seconds=20)
+    return DecompositionConfig(max_matchings_per_primitive=3)
 
 
 class TestWorkloadToArchitecture:

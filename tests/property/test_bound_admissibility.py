@@ -32,8 +32,6 @@ _COST_MODELS = {"link_count": LinkCountCostModel(), "unit": UnitCostModel()}
 #: the ground truth: exhaustive search, nothing clipped, no bound pruning
 _EXHAUSTIVE = DecompositionConfig(
     max_matchings_per_primitive=None,
-    isomorphism_timeout_seconds=None,
-    total_timeout_seconds=None,
     max_leaves=None,
     use_lower_bound=False,
 )

@@ -181,9 +181,7 @@ def test_cached_degree_counters_match_recomputation(operations):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acgs())
 def test_decomposition_partitions_the_edge_set(acg):
-    config = DecompositionConfig(
-        max_matchings_per_primitive=2, total_timeout_seconds=5.0, max_nodes_expanded=100
-    )
+    config = DecompositionConfig(max_matchings_per_primitive=2, max_nodes_expanded=100)
     result = decompose(acg, _LIBRARY, cost_model=LinkCountCostModel(), config=config)
     result.validate_cover()  # raises on overlap or missing edges
     covered = set()
@@ -195,9 +193,7 @@ def test_decomposition_partitions_the_edge_set(acg):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acgs())
 def test_decomposition_cost_is_sum_of_parts(acg):
-    config = DecompositionConfig(
-        max_matchings_per_primitive=2, total_timeout_seconds=5.0, max_nodes_expanded=100
-    )
+    config = DecompositionConfig(max_matchings_per_primitive=2, max_nodes_expanded=100)
     result = decompose(acg, _LIBRARY, cost_model=UnitCostModel(), config=config)
     assert result.total_cost >= 0
     assert abs(result.total_cost - (sum(result.matching_costs) + result.remainder_cost)) < 1e-6
@@ -211,7 +207,6 @@ def test_matching_cache_and_transposition_preserve_cost(acg):
     for cache in (True, False):
         config = DecompositionConfig(
             max_matchings_per_primitive=None,
-            total_timeout_seconds=10.0,
             max_nodes_expanded=300,
             use_matching_cache=cache,
             use_transposition_table=cache,
