@@ -9,7 +9,6 @@ and average hop counts.  This module computes those figures for any
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -113,16 +112,23 @@ class BisectionResult:
 def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionResult:
     """Minimum bandwidth crossing a balanced bipartition of the routers.
 
-    For up to ``exact_limit`` routers every balanced bipartition is
-    enumerated (exact); beyond that a coordinate-sweep heuristic is used
-    (sort by x then by y and cut in the middle), which is exact for meshes
-    and a good estimate for floorplan-derived customized topologies.
+    For up to ``exact_limit`` routers the search is exact; beyond that a
+    coordinate-sweep heuristic is used (sort by x then by y and cut in the
+    middle), which is exact for meshes and a good estimate for
+    floorplan-derived customized topologies.
 
     The exact result is the first minimum in the lexicographic order of
-    ``itertools.combinations(routers, count // 2)``.  A cut and its
-    complement cross the same channels, so with an even router count the
-    side holding the first router always comes first and only those
-    partitions are enumerated.
+    ``itertools.combinations(routers, count // 2)``, where a partition's
+    bandwidth is summed in channel order.  A cut and its complement cross
+    the same channels, so with an even router count the side holding the
+    first router always comes first and only those partitions count.  The
+    search is a depth-first branch-and-bound that places routers in order,
+    "in side A" first, which meets the partitions in that same order.  A
+    channel is charged when its later endpoint is placed, and a branch is
+    pruned once its partial cut is at least the best full cut so far.
+    Pruning needs every partial sum to be exact, so it runs only when all
+    bandwidths are non-negative integers summing to at most 2**53; with
+    other bandwidths every partition is scored, in channel order.
     """
     routers = topology.routers()
     count = len(routers)
@@ -150,27 +156,46 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
         )
 
     if count <= exact_limit:
-        # one bit per router; a channel crosses the cut when the partition
-        # holds exactly one of its two endpoint bits
-        bit = {router: 1 << index for index, router in enumerate(routers)}
-        masks = [(bit[source] | bit[target], bandwidth) for source, target, bandwidth in links]
-        if count % 2:
-            fixed, free, size = 0, list(bit.values()), half
-        else:
-            fixed, free, size = 1, list(bit.values())[1:], half - 1
-        best_mask = -1
-        best_bandwidth = 0.0
-        for combo in itertools.combinations(free, size):
-            part = fixed + sum(combo)
-            bandwidth = 0.0
-            for both, link_bandwidth in masks:
-                crossing = part & both
-                if crossing and crossing != both:
-                    bandwidth += link_bandwidth
-            if best_mask < 0 or bandwidth < best_bandwidth:
-                best_bandwidth = bandwidth
-                best_mask = part
-        return result({router for router in routers if best_mask & bit[router]})
+        position = {router: index for index, router in enumerate(routers)}
+        indexed = [(position[source], position[target], bw) for source, target, bw in links]
+        exact = all(bw >= 0 and bw.is_integer() for _, _, bw in indexed) and (
+            sum(int(bw) for _, _, bw in indexed) <= 2**53
+        )
+        # per router: (earlier endpoint, bandwidth) of the channels it closes
+        closes: list[list[tuple[int, float]]] = [[] for _ in routers]
+        for first, second, bw in indexed:
+            if first != second:
+                closes[max(first, second)].append((min(first, second), bw))
+        in_a = [False] * count
+        best: list[object] = [None, None]  # [cut, sides]
+
+        def place(index: int, taken: int, cut: float) -> None:
+            if exact and best[0] is not None and cut >= best[0]:
+                return
+            if index == count:
+                if not exact:
+                    cut = 0.0
+                    for first, second, bw in indexed:
+                        if in_a[first] != in_a[second]:
+                            cut += bw
+                if best[0] is None or cut < best[0]:
+                    best[0], best[1] = cut, list(in_a)
+                return
+            left = count - index
+            # even counts fix the first router in side A
+            for side in (True, False) if index or count % 2 else (True,):
+                if (taken + side > half) or (half - taken - side > left - 1):
+                    continue
+                in_a[index] = side
+                charge = cut
+                for other, bw in closes[index]:
+                    if in_a[other] != side:
+                        charge += bw
+                place(index + 1, taken + side, charge)
+
+        place(0, 0, 0.0)
+        sides = best[1]
+        return result({router for router, side in zip(routers, sides) if side})
 
     # heuristic: axis-aligned sweeps
     candidates: list[set[NodeId]] = []

@@ -111,7 +111,7 @@ class _Cell:
     """In-flight packets as mutable ``[arrival_cycle, pid, channel]`` in
     launch order; a full-buffer retry rewrites the arrival in place so the
     flight keeps its list position, which keeps each channel's launch order
-    exactly as the scalar engines' arrival heap does."""
+    exactly as the scalar engines' sequence-ordered arrivals do."""
     link_bits: dict[int, int] = field(default_factory=dict)
     """Per-channel traversal bits since the last energy flush; insertion
     order is first-launch order, which fixes the ``charge_link`` order."""

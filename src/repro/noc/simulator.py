@@ -39,17 +39,21 @@ Three engines drive the model (``SimulatorConfig.engine``):
   is driven directly.  numpy is a dependency of this engine only — the
   scalar engines stay stdlib-only.
 
-The equivalence rests on two observations: (i) round-robin arbitration in
-the dense loop advances its pointer exactly once per router per cycle, so
-the pointer is the cycle number modulo the port count and can be derived
-rather than stored — idle cycles advance it for free; and (ii) a cycle in
-which no injection is due, no arrival completes and no router holds a
-movable packet changes nothing, so skipping it is exact.
+The equivalence rests on three observations: (i) round-robin arbitration
+in the dense loop advances its pointer exactly once per router per cycle,
+so the pointer is the cycle number modulo the port count and can be
+derived rather than stored — idle cycles advance it for free; (ii) a
+cycle in which no injection is due, no arrival completes and no router
+holds a movable packet changes nothing, so skipping it is exact; and
+(iii) an arrival that finds its buffer full can only succeed on the cycle
+after a pop from that buffer, so it parks until that pop instead of
+retrying every cycle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -142,12 +146,14 @@ class NoCSimulator:
 
     The fabric state lives here as plain containers the per-cycle kernel
     reads directly: per router, its input queues by port (the local
-    injection queue first) and their ``(port, queue)`` scan order; per
-    channel, its release cycle and the queue it feeds; the routing memo;
-    and the heap of packets in flight.  The public surface (scheduling,
-    :meth:`run`, :meth:`run_until_drained`, :meth:`run_phases`,
-    :meth:`report`) is engine-agnostic; the configured engine only
-    decides *which* cycles are executed, never what happens within one.
+    injection queue first), their ``(port, queue)`` scan order and its
+    ``destination -> channel`` routing memo; per channel, its release
+    cycle, the queue it feeds and the arrivals parked on it; and the
+    packets in flight, bucketed by arrival cycle.  The public surface
+    (scheduling, :meth:`run`, :meth:`run_until_drained`,
+    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the
+    configured engine only decides *which* cycles are executed, never
+    what happens within one.
     """
 
     def __init__(
@@ -170,7 +176,11 @@ class NoCSimulator:
         self._routing = routing
         self.route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
         """Resolved, channel-validated ``(node, destination) -> next hop``
-        decisions (:meth:`next_hop` fills it; the kernel reads it)."""
+        decisions (:meth:`next_hop` fills it)."""
+        self._hops: dict[NodeId, dict[NodeId, Channel]] = {}
+        """Per router, the same decisions as ``destination -> channel``:
+        the kernel's lookup, filled by :meth:`next_hop` and dropped with
+        :attr:`route_cache`."""
         self.input_queues: dict[NodeId, dict[object, deque[Packet]]] = {}
         """Per router, its FIFO input queues by port: :data:`LOCAL_PORT`
         (the unbounded injection queue) first, then one per incoming
@@ -184,11 +194,16 @@ class NoCSimulator:
         against ``config.buffer_capacity_packets`` gates a launch over the
         channel and an arrival off it (a channel never feeds a local
         queue, so every gated queue has that one capacity)."""
-        self.in_flight: list[tuple[int, int, Packet, Channel]] = []
-        """Packets traversing a channel: a heap of ``(arrival cycle, launch
-        sequence, packet, channel)``.  The sequence keeps a channel's
-        packets in launch order when a full-buffer retry and a later
-        launch fall due on the same cycle."""
+        self._arrivals: dict[int, list[tuple[int, Packet, Channel]]] = {}
+        """Packets traversing a channel, by arrival cycle: each bucket holds
+        ``(launch sequence, packet, channel)`` in sequence order, which
+        keeps every channel's packets in launch order (see
+        :attr:`in_flight`)."""
+        self._arrival_cycles: list[int] = []  # heap of the buckets' cycles
+        self._parked: dict[Channel, list[tuple[int, Packet, Channel]]] = {}
+        """Per channel, the arrivals that found its downstream queue full,
+        in sequence order; the pop that frees space re-queues them for the
+        next cycle (only non-empty lists are kept)."""
         self.energy = EnergyAccount(technology=technology)
         self.statistics = SimulationStatistics()
         self.current_cycle = 0
@@ -196,7 +211,11 @@ class NoCSimulator:
         """Cycles actually executed (== ``current_cycle`` for the reference
         engine; the event engine's skipped-cycle savings show up here)."""
         self._next_packet_id = 0
-        self._pending: list[tuple[int, int, Packet]] = []  # (cycle, seq, packet) heap
+        self._pending: list[tuple[int, int, list[Packet]]] = []
+        """Scheduled injections: a heap with one ``(cycle, first packet id,
+        packets)`` entry per scheduling call, whose packets carry
+        consecutive ids; popping entries in ``(cycle, first id)`` order
+        injects in ``(cycle, packet id)`` order."""
         self._leakage_charged_until = 0
         # batched energy accounting: per-run switch-traversal bits and
         # per-channel bit counters, flushed into the EnergyAccount once per
@@ -251,6 +270,7 @@ class NoCSimulator:
             if node in queues_of:
                 continue
             queues_of[node] = {LOCAL_PORT: deque()}
+            self._hops[node] = {}
             self._router_order[node] = len(self._nodes)
             self._nodes.append(node)
             self._scheduled_wake.append(None)
@@ -284,7 +304,13 @@ class NoCSimulator:
                 "'reference' engines"
             )
         self._wire()
+        self._drop_routes()
+
+    def _drop_routes(self) -> None:
+        """Forget every memoized routing decision."""
         self.route_cache.clear()
+        for hops in self._hops.values():
+            hops.clear()
 
     @property
     def routing(self) -> RoutingFunction:
@@ -295,7 +321,7 @@ class NoCSimulator:
     def routing(self, routing: RoutingFunction) -> None:
         """Swap the routing function, dropping every memoized decision."""
         self._routing = routing
-        self.route_cache.clear()
+        self._drop_routes()
 
     def next_hop(self, current: NodeId, destination: NodeId) -> NodeId:
         """The (memoized) routing decision for a packet at ``current``.
@@ -306,22 +332,45 @@ class NoCSimulator:
         channels once and then served from :attr:`route_cache`.
         """
         key = (current, destination)
-        cached = self.route_cache.get(key)
-        if cached is not None:
-            return cached
-        next_hop = self._routing(current, destination)
-        if (current, next_hop) not in self.channel_free_at:
-            hint = (
-                " (it was added after construction: call sync_topology())"
-                if self.topology.has_channel(current, next_hop)
-                else ""
-            )
-            raise SimulationError(
-                f"routing function returned {next_hop!r} from {current!r} towards "
-                f"{destination!r}, but that channel does not exist{hint}"
-            )
-        self.route_cache[key] = next_hop
+        next_hop = self.route_cache.get(key)
+        if next_hop is None:
+            next_hop = self._routing(current, destination)
+            if (current, next_hop) not in self.channel_free_at:
+                hint = (
+                    " (it was added after construction: call sync_topology())"
+                    if self.topology.has_channel(current, next_hop)
+                    else ""
+                )
+                raise SimulationError(
+                    f"routing function returned {next_hop!r} from {current!r} towards "
+                    f"{destination!r}, but that channel does not exist{hint}"
+                )
+            self.route_cache[key] = next_hop
+        self._hops[current][destination] = (current, next_hop)
         return next_hop
+
+    @property
+    def in_flight(self) -> list[tuple[int, int, Packet, Channel]]:
+        """Every packet traversing or parked on a channel, as a sorted list
+        of ``(arrival cycle, launch sequence, packet, channel)``.
+
+        A parked packet shows as due at the current cycle, as a per-cycle
+        retry would be.  The sequence orders a channel's packets by launch,
+        so a retry and a later launch due on one cycle keep their order.
+        A read-only view for tests and triage; the kernel never builds it.
+        """
+        flights = [
+            (arrival, seq, packet, channel)
+            for arrival, bucket in self._arrivals.items()
+            for seq, packet, channel in bucket
+        ]
+        flights.extend(
+            (self.current_cycle, seq, packet, channel)
+            for parked in self._parked.values()
+            for seq, packet, channel in parked
+        )
+        flights.sort(key=lambda flight: flight[:2])
+        return flights
 
     def stuck_packets(self) -> list[tuple[Packet, NodeId]]:
         """Every undelivered packet with the router it is at (or flying to).
@@ -368,11 +417,13 @@ class NoCSimulator:
             self._schedule(messages, cycle)
 
     def _schedule(self, messages: Iterable[Message], cycle: int | None) -> Packet | None:
-        """Build and queue one packet per message; returns the last packet.
+        """Build one packet per message and queue them as one pending entry;
+        returns the last packet.
 
-        The cycle is checked once per call and the routers per message; on
-        an unknown router the messages before it stay queued, exactly as if
-        they had been scheduled one call at a time.
+        The cycle is checked once per call, each distinct endpoint router
+        once per call and each distinct message size converted to flits
+        once per call.  On an unknown router the messages before it stay
+        queued, exactly as if they had been scheduled one call at a time.
         """
         if cycle is None:
             cycle = self.current_cycle
@@ -380,28 +431,35 @@ class NoCSimulator:
             raise SimulationError("cannot schedule a message in the past")
         has_router = self.topology.has_router
         flit_width = self.config.flit_width_bits
-        ceil = math.ceil
-        pending = self._pending
-        # appending (cycle, increasing id) entries keeps an empty heap sorted
-        push = heappush if pending else list.append
-        packet_id = self._next_packet_id
+        known: set[NodeId] = set()
+        flits_of: dict[int, int] = {}
+        first_id = packet_id = self._next_packet_id
+        packets: list[Packet] = []
         packet = None
         try:
             for message in messages:
                 source = message.source
-                if not has_router(source):
-                    raise SimulationError(f"unknown source router {source!r}")
-                if not has_router(message.destination):
-                    raise SimulationError(
-                        f"unknown destination router {message.destination!r}"
-                    )
+                destination = message.destination
+                if source not in known:
+                    if not has_router(source):
+                        raise SimulationError(f"unknown source router {source!r}")
+                    known.add(source)
+                if destination not in known:
+                    if not has_router(destination):
+                        raise SimulationError(f"unknown destination router {destination!r}")
+                    known.add(destination)
+                size = message.size_bits
+                num_flits = flits_of.get(size)
+                if num_flits is None:
+                    num_flits = flits_of[size] = max(1, math.ceil(size / flit_width))
                 # the object Packet.from_message builds, without its checks
-                num_flits = max(1, ceil(message.size_bits / flit_width))
                 packet = Packet(packet_id, message, num_flits, cycle, None, 0, [source])
-                push(pending, (cycle, packet_id, packet))
+                packets.append(packet)
                 packet_id += 1
         finally:
-            self.statistics.injected_count += packet_id - self._next_packet_id
+            if packets:
+                heappush(self._pending, (cycle, first_id, packets))
+            self.statistics.injected_count += len(packets)
             self._next_packet_id = packet_id
         return packet
 
@@ -436,7 +494,8 @@ class NoCSimulator:
         is the reference engine's :meth:`step`: every router is visited and
         no wake is scheduled or consumed.  Per visit, the input ports are
         scanned round-robin from ``cycle mod ports`` and the first head
-        requesting an output wins it (``docs/simulator.md``).
+        requesting an output wins it (``docs/simulator.md``); the same scan
+        works out when a still-loaded router must be visited again.
         """
         self.current_cycle = cycle
         nodes = self._nodes
@@ -445,7 +504,9 @@ class NoCSimulator:
         probe = self.probe
         downstream = self.downstream
         capacity = self.config.buffer_capacity_packets
-        in_flight = self.in_flight
+        arrivals = self._arrivals
+        arrival_cycles = self._arrival_cycles
+        parked = self._parked
         blocked = False
         active = 0  # bitmask of the positions to visit this cycle
         # inject every due packet into its source's local queue, then
@@ -454,38 +515,37 @@ class NoCSimulator:
         pending = self._pending
         if pending and pending[0][0] <= cycle:
             queues_of = self.input_queues
-            injected = 0
             while pending and pending[0][0] <= cycle:
-                packet = heappop(pending)[2]
-                source = packet.message.source
-                queues_of[source][LOCAL_PORT].append(packet)
-                loaded[source] += 1
-                if probe is not None:
-                    probe.record_enqueue(source, loaded[source])
-                active |= 1 << order[source]
-                injected += 1
-            self._buffered_total += injected
-        if in_flight and in_flight[0][0] <= cycle:
+                packets = heappop(pending)[2]
+                for packet in packets:
+                    source = packet.message.source
+                    queues_of[source][LOCAL_PORT].append(packet)
+                    loaded[source] += 1
+                    if probe is not None:
+                        probe.record_enqueue(source, loaded[source])
+                    active |= 1 << order[source]
+                self._buffered_total += len(packets)
+        if arrival_cycles and arrival_cycles[0] <= cycle:
             peak = self._peak_occupancy
             arrived = 0
-            while in_flight and in_flight[0][0] <= cycle:
-                flight = heappop(in_flight)
-                channel = flight[3]
-                queue = downstream[channel]
-                if len(queue) >= capacity:
-                    # full: retry next cycle, keeping the launch sequence
-                    blocked = True
-                    heappush(in_flight, (cycle + 1, flight[1], flight[2], channel))
-                    continue
-                queue.append(flight[2])
-                if len(queue) > peak:
-                    peak = len(queue)
-                target = channel[1]
-                loaded[target] += 1
-                if probe is not None:
-                    probe.record_enqueue(target, loaded[target])
-                active |= 1 << order[target]
-                arrived += 1
+            while arrival_cycles and arrival_cycles[0] <= cycle:
+                for flight in arrivals.pop(heappop(arrival_cycles)):
+                    channel = flight[2]
+                    queue = downstream[channel]
+                    if len(queue) >= capacity:
+                        # full: park until a pop from this queue frees space
+                        blocked = True
+                        parked.setdefault(channel, []).append(flight)
+                        continue
+                    queue.append(flight[1])
+                    if len(queue) > peak:
+                        peak = len(queue)
+                    target = channel[1]
+                    loaded[target] += 1
+                    if probe is not None:
+                        probe.record_enqueue(target, loaded[target])
+                    active |= 1 << order[target]
+                    arrived += 1
             self._buffered_total += arrived
             self._peak_occupancy = peak
         wake_heap = self._wake_heap
@@ -500,7 +560,7 @@ class NoCSimulator:
                 active |= 1 << index
 
         scan_order = self.scan_order
-        route = self.route_cache.get
+        hops_of = self._hops
         next_hop = self.next_hop
         free_at = self.channel_free_at
         delay = self.config.router_pipeline_delay_cycles
@@ -508,108 +568,171 @@ class NoCSimulator:
         busy = self.statistics.channel_busy_cycles
         link_bits = self._link_bits
         launches = self._launches
+        moves = 0
+        switch_bits = 0
         next_cycle = cycle + 1
-        while active:
-            lowest = active & -active
-            active ^= lowest
-            index = lowest.bit_length() - 1
-            node = nodes[index]
-            if not loaded[node]:
-                continue  # speculative wake of an emptied router: a no-op
-            scan = scan_order[node]
-            count = len(scan)
-            start = cycle % count
-            claimed = []
-            # scan start, start+1, ..., wrapping around (negative indexing)
-            for i in range(start - count, start):
-                port, queue = scan[i]
-                if not queue:
-                    continue
-                packet = queue[0]
-                message = packet.message
-                destination = message.destination
-                if destination == node:
-                    if LOCAL_PORT in claimed:
-                        continue
-                    claimed.append(LOCAL_PORT)
-                    queue.popleft()
-                    packet.delivery_cycle = cycle
-                    delivered.append(packet)
-                    if probe is not None:
-                        probe.record_delivery(node, cycle - packet.injection_cycle)
-                else:
-                    hop = route((node, destination))
-                    if hop is None:
-                        hop = next_hop(node, destination)
-                    if hop in claimed:
-                        continue
-                    claimed.append(hop)
-                    channel = (node, hop)
-                    if free_at[channel] > cycle:
-                        continue
-                    if len(downstream[channel]) >= capacity:
-                        blocked = True
-                        continue
-                    queue.popleft()
-                    flits = packet.num_flits
-                    free_at[channel] = cycle + flits
-                    packet.hops += 1
-                    packet.path.append(hop)
-                    heappush(in_flight, (cycle + flits + delay, launches, packet, channel))
-                    launches += 1
-                    link_bits[channel] = link_bits.get(channel, 0) + message.size_bits
-                    busy[channel] = busy.get(channel, 0) + flits
-                # one switch traversal per move (the final one ejects)
-                self._switch_bits += message.size_bits
-                loaded[node] -= 1
-                self._buffered_total -= 1
-                # a pop from a bounded buffer frees space upstream
-                if port is not LOCAL_PORT and not dense and loaded[port]:
-                    upstream = order[port]
-                    if upstream > index:
-                        active |= 1 << upstream
-                    elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
-                        scheduled[upstream] = next_cycle
-                        heappush(wake_heap, (next_cycle, upstream))
-            if dense or not loaded[node]:
-                continue
-            if scheduled[index] is not None and scheduled[index] <= next_cycle:
-                continue  # already due as early as any re-arm could make it
-            # re-arm a still-loaded router: the earliest over its heads of
-            # next cycle (eject, routing error, free channel with downstream
-            # space), a busy channel's release, or none (backpressure: the
-            # downstream pop wakes it)
-            wake = None
-            for port, queue in scan:
-                if not queue:
-                    continue
-                destination = queue[0].message.destination
-                if destination == node:
-                    wake = next_cycle
-                    break
-                hop = route((node, destination))
-                if hop is None:
-                    try:
-                        hop = next_hop(node, destination)
-                    except ReproError:
-                        wake = next_cycle
+        unfull = capacity - 1  # a bounded queue's length after a pop from full
+        try:
+            while active:
+                lowest = active & -active
+                active ^= lowest
+                index = lowest.bit_length() - 1
+                node = nodes[index]
+                if not loaded[node]:
+                    continue  # speculative wake of an emptied router: a no-op
+                scan = scan_order[node]
+                hops = hops_of[node]
+                count = len(scan)
+                start = cycle % count
+                claimed = []
+                popped = []  # scan positions of the queues popped this visit
+                # what the heads that stay ask of the next visit: the lowest
+                # position of one that can move next cycle, and the earliest
+                # busy-channel release (a full channel asks for neither)
+                ready = count
+                wake = None
+                # stop once every queued packet is seen: no queue grows
+                # during a visit, so the ports left are empty
+                unseen = loaded[node]
+                # scan start, start+1, ..., wrapping around (negative indexing)
+                for i in range(start - count, start):
+                    if not unseen:
                         break
-                channel = (node, hop)
-                release = free_at[channel]
-                if release > cycle:
-                    if wake is None or release < wake:
-                        wake = release
+                    port, queue = scan[i]
+                    if not queue:
+                        continue
+                    unseen -= len(queue)
+                    packet = queue[0]
+                    message = packet.message
+                    destination = message.destination
+                    if destination == node:
+                        if LOCAL_PORT in claimed:
+                            position = i % count
+                            if position < ready:
+                                ready = position
+                            continue
+                        claimed.append(LOCAL_PORT)
+                        queue.popleft()
+                        packet.delivery_cycle = cycle
+                        delivered.append(packet)
+                        if probe is not None:
+                            probe.record_delivery(node, cycle - packet.injection_cycle)
+                    else:
+                        channel = hops.get(destination)
+                        if channel is None:
+                            next_hop(node, destination)
+                            channel = hops[destination]
+                        release = free_at[channel]
+                        if channel in claimed:
+                            # lost to an earlier head, which left the channel
+                            # busy (it launched or waits) or full (blocked)
+                            if release > cycle and (wake is None or release < wake):
+                                wake = release
+                            continue
+                        claimed.append(channel)
+                        if release > cycle:
+                            if wake is None or release < wake:
+                                wake = release
+                            continue
+                        if len(downstream[channel]) >= capacity:
+                            blocked = True
+                            continue
+                        queue.popleft()
+                        flits = packet.num_flits
+                        free_at[channel] = cycle + flits
+                        packet.hops += 1
+                        packet.path.append(channel[1])
+                        # launches land two or more cycles ahead: appending
+                        # keeps every bucket in sequence order
+                        arrival = cycle + flits + delay
+                        bucket = arrivals.get(arrival)
+                        if bucket is None:
+                            arrivals[arrival] = [(launches, packet, channel)]
+                            heappush(arrival_cycles, arrival)
+                        else:
+                            bucket.append((launches, packet, channel))
+                        launches += 1
+                        link_bits[channel] = link_bits.get(channel, 0) + message.size_bits
+                        busy[channel] = busy.get(channel, 0) + flits
+                    # one switch traversal per move (the final one ejects)
+                    switch_bits += message.size_bits
+                    moves += 1
+                    loaded[node] -= 1
+                    popped.append(i % count)
+                    if port is LOCAL_PORT:
+                        continue
+                    # a pop from a bounded buffer frees space: the arrivals
+                    # parked on its channel fall due next cycle, and a loaded
+                    # upstream router may launch into it
+                    if parked and len(queue) == unfull:
+                        waiting = parked.pop((port, node), None)
+                        if waiting is not None:
+                            bucket = arrivals.get(next_cycle)
+                            if bucket is None:
+                                arrivals[next_cycle] = waiting
+                                heappush(arrival_cycles, next_cycle)
+                            else:
+                                for flight in waiting:
+                                    insort(bucket, flight)
+                    if not dense and loaded[port]:
+                        upstream = order[port]
+                        if upstream > index:
+                            active |= 1 << upstream
+                        elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
+                            scheduled[upstream] = next_cycle
+                            heappush(wake_heap, (next_cycle, upstream))
+                if dense or not loaded[node]:
                     continue
-                if len(downstream[channel]) < capacity:
+                if scheduled[index] is not None and scheduled[index] <= next_cycle:
+                    continue  # already due as early as any re-arm could make it
+                # re-arm a still-loaded router at the earliest of its heads'
+                # conditions: next cycle (eject, routing error, free channel
+                # with downstream space), a busy channel's release, or none
+                # (backpressure: the downstream pop wakes it).  The heads
+                # that stayed were classified by the scan; a popped queue's
+                # new head is examined here, in port order up to the first
+                # ready head, and a full one before it blocks the run.
+                if len(popped) > 1:
+                    popped.sort()
+                for position in popped:
+                    if position > ready:
+                        break
+                    queue = scan[position][1]
+                    if not queue:
+                        continue
+                    destination = queue[0].message.destination
+                    if destination == node:
+                        ready = position
+                        break
+                    channel = hops.get(destination)
+                    if channel is None:
+                        try:
+                            next_hop(node, destination)
+                        except ReproError:
+                            ready = position
+                            break
+                        channel = hops[destination]
+                    release = free_at[channel]
+                    if release > cycle:
+                        if wake is None or release < wake:
+                            wake = release
+                        continue
+                    if len(downstream[channel]) < capacity:
+                        ready = position
+                        break
+                    blocked = True
+                if ready < count:
                     wake = next_cycle
-                    break
-                blocked = True
-            if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
-                scheduled[index] = wake
-                heappush(wake_heap, (wake, index))
-        self._launches = launches
-        if blocked:
-            self._blocked = True
+                if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
+                    scheduled[index] = wake
+                    heappush(wake_heap, (wake, index))
+        finally:
+            # kept exact even when a routing function raises mid-visit
+            self._launches = launches
+            self._buffered_total -= moves
+            self._switch_bits += switch_bits
+            if blocked:
+                self._blocked = True
         self.cycles_stepped += 1
         self.current_cycle = next_cycle
 
@@ -634,10 +757,18 @@ class NoCSimulator:
                 heappush(self._wake_heap, (cycle, index))
 
     def _next_event_cycle(self) -> int | None:
-        """The next cycle at which anything can possibly progress."""
+        """The next cycle at which anything can possibly progress.
+
+        While an arrival is parked, that is every cycle: the model retries
+        a blocked arrival each cycle, and ``cycles_stepped`` counts those
+        cycles whether or not the retry is carried out.
+        """
+        if self._parked:
+            return self.current_cycle
         candidate: int | None = self._pending[0][0] if self._pending else None
-        if self.in_flight and (candidate is None or self.in_flight[0][0] < candidate):
-            candidate = self.in_flight[0][0]
+        arrival_cycles = self._arrival_cycles
+        if arrival_cycles and (candidate is None or arrival_cycles[0] < candidate):
+            candidate = arrival_cycles[0]
         if self._wake_heap and (candidate is None or self._wake_heap[0][0] < candidate):
             candidate = self._wake_heap[0][0]
         if candidate is None:
@@ -658,8 +789,11 @@ class NoCSimulator:
         self.current_cycle = target
 
     def _drained(self) -> bool:
-        """No pending injection, no buffered packet, nothing in flight."""
-        return not (self._pending or self._buffered_total or self.in_flight)
+        """No pending injection, no buffered packet, nothing in flight or
+        parked."""
+        return not (
+            self._pending or self._buffered_total or self._arrival_cycles or self._parked
+        )
 
     def _run_event_until_drained(self, start: int, budget: int) -> None:
         """Event-driven :meth:`run_until_drained`.
@@ -669,17 +803,21 @@ class NoCSimulator:
         """
         self._arm_occupied_routers()
         pending = self._pending
-        in_flight = self.in_flight
+        arrival_cycles = self._arrival_cycles
+        parked = self._parked
         wake_heap = self._wake_heap
         process = self._process_active_cycle
-        while pending or in_flight or self._buffered_total:
-            next_cycle = pending[0][0] if pending else None
-            if in_flight and (next_cycle is None or in_flight[0][0] < next_cycle):
-                next_cycle = in_flight[0][0]
-            if wake_heap and (next_cycle is None or wake_heap[0][0] < next_cycle):
-                next_cycle = wake_heap[0][0]
-            if next_cycle is not None and next_cycle < self.current_cycle:
+        while pending or arrival_cycles or parked or self._buffered_total:
+            if parked:
                 next_cycle = self.current_cycle
+            else:
+                next_cycle = pending[0][0] if pending else None
+                if arrival_cycles and (next_cycle is None or arrival_cycles[0] < next_cycle):
+                    next_cycle = arrival_cycles[0]
+                if wake_heap and (next_cycle is None or wake_heap[0][0] < next_cycle):
+                    next_cycle = wake_heap[0][0]
+                if next_cycle is not None and next_cycle < self.current_cycle:
+                    next_cycle = self.current_cycle
             if next_cycle is None or next_cycle - start > budget:
                 # the reference engine crawls through the dead cycles and
                 # raises once the budget is crossed; land on the same cycle

@@ -1,4 +1,4 @@
-"""The buffer-capacity certificate and the in-flight heap's FIFO order.
+"""The buffer-capacity certificate and the in-flight packets' FIFO order.
 
 Buffer capacity enters the simulator only through three space tests
 (launch, re-arm and arrival).  A run that never failed one and whose
@@ -41,20 +41,23 @@ def chain_fabric() -> tuple[Topology, object]:
     return topology, lambda node, destination: node + 1
 
 
-def retry_collision_run(engine: str) -> NoCSimulator:
-    """A retried arrival and a later launch due on channel 0->1 together.
+def retry_collision_run(engine: str, capacity: int = 1, delay: int = 4) -> NoCSimulator:
+    """A waiting arrival and a later launch due on channel 0->1 together.
 
-    Q (8 flits) holds channel 1->2 until cycle 8, so P waits in router 1's
-    one-packet buffer from cycle 5.  A (launched at 1) arrives at 6, finds
-    the buffer full and retries; B (launched at 2, while P was still in
-    flight) falls due at 7, the same cycle as A's retry.
+    At the defaults (one-packet buffers, a 4-cycle pipeline): Q (8 flits)
+    holds channel 1->2 until cycle 8, so P waits in router 1's buffer from
+    cycle 5.  A (launched at 1) arrives at 6, finds the buffer full and
+    waits; B (launched at 2, while P was still in flight) falls due at 7,
+    while A still waits.
     """
     topology, routing = chain_fabric()
     simulator = NoCSimulator(
         topology,
         routing,
         config=SimulatorConfig(
-            engine=engine, buffer_capacity_packets=1, router_pipeline_delay_cycles=4
+            engine=engine,
+            buffer_capacity_packets=capacity,
+            router_pipeline_delay_cycles=delay,
         ),
     )
     simulator.schedule_message(Message(1, 2, 256), cycle=0)  # Q, packet 0
@@ -77,8 +80,9 @@ class TestInFlightOrder:
             if len(due) > 1:
                 due_together.append((simulator.current_cycle, due))
             simulator.step()
-        # the scenario exercises the case: A (2) and B (3) due on one cycle,
-        # A first in the heap's (arrival, launch) order
+        # the scenario exercises the case: A (2), parked since cycle 6, and B
+        # (3) due on one cycle, A first in the (arrival, launch) order
+        # (in_flight shows a parked packet as due at the current cycle)
         assert due_together and due_together[0] == (7, [2, 3])
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)

@@ -1,0 +1,161 @@
+"""The per-cycle kernel's bookkeeping: parked arrivals and a mid-scan failure.
+
+An arrival that finds its buffer full parks on its channel until a pop
+from that buffer; the pop re-queues it for the next cycle, the cycle a
+per-cycle retry would first have succeeded on.  And when a routing
+function fails halfway through a router's scan, the moves made before the
+failure stay counted: the load counters, the switch-traversal bits and
+:meth:`NoCSimulator.stuck_packets` must still describe the fabric.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.arch.topology import Topology
+from repro.exceptions import SimulationError
+from repro.noc.packet import Message
+from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from test_capacity_certificate import retry_collision_run
+
+SCALAR_ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE)
+
+
+def queued_packets(simulator: NoCSimulator) -> int:
+    queues = simulator.input_queues.values()
+    return sum(len(queue) for by_port in queues for queue in by_port.values())
+
+
+class TestParkedArrivals:
+    def test_a_full_buffer_parks_the_arrival_until_the_freeing_pop(self):
+        """Router 1's one-packet buffer holds P until P launches at cycle 8.
+        A (due at 6) and B (due at 7) park behind it; P's pop at 8 moves
+        both into cycle 9's arrivals, in launch order: the cycle on which a
+        per-cycle retry would first have found space."""
+        simulator = retry_collision_run(ENGINE_REFERENCE)
+        parked_at = {}
+        while simulator.current_cycle < 9:
+            simulator.step()
+            parked_at[simulator.current_cycle - 1] = [
+                packet.packet_id for _, packet, _ in simulator._parked.get((0, 1), [])
+            ]
+        assert parked_at[5] == []
+        assert parked_at[6] == [2]
+        assert parked_at[7] == [2, 3]
+        assert parked_at[8] == []  # re-queued by P's pop at cycle 8
+        assert [packet.packet_id for _, packet, _ in simulator._arrivals[9]] == [2, 3]
+        # cycle 9: A takes the freed slot and B parks again; A launches on
+        # at once, and that pop re-queues B for cycle 10
+        simulator.step()
+        flying = {packet.packet_id: channel for _, _, packet, channel in simulator.in_flight}
+        assert flying[2] == (1, 2)
+        assert not simulator._parked
+        assert [packet.packet_id for _, packet, _ in simulator._arrivals[10]] == [3]
+
+    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
+    def test_a_parked_flight_keeps_the_run_undrained(self, engine):
+        simulator = retry_collision_run(engine)
+        simulator.run(7)
+        assert simulator._parked
+        assert not simulator._drained()
+        stuck = [packet.packet_id for packet, _ in simulator.stuck_packets()]
+        assert stuck == [0, 1, 2, 3]
+        simulator.run_until_drained()
+        assert not simulator._parked
+        assert simulator.statistics.delivered_count == 4
+
+    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
+    def test_parking_steps_the_cycles_a_retry_would(self, engine):
+        """While a flight is parked every cycle is executed, as when it
+        retried every cycle, so ``cycles_stepped`` is unchanged."""
+        simulator = retry_collision_run(engine)
+        simulator.run_until_drained()
+        stepped = simulator.engine_info()["cycles_stepped"]
+        assert stepped == {ENGINE_EVENT: 13, ENGINE_REFERENCE: 16}[engine]
+
+
+def merge_failure_run(engine: str) -> NoCSimulator:
+    """Routers 0 and 3 feed router 1, which feeds 2 (one-packet buffers).
+
+    H (8 flits, 1 -> 2) holds channel 1 -> 2 until cycle 8, so F (0 -> 2)
+    waits in router 1's port-0 buffer from cycle 2 and G (0 -> 2) parks
+    behind it at cycle 3.  E (3 -> 1) arrives at cycle 8, when router 1
+    scans port 3 first: E ejects, then F's head is routed.
+    """
+    topology = Topology(name="merge")
+    for source, target in ((0, 1), (3, 1), (1, 2)):
+        topology.add_channel(source, target)
+    simulator = NoCSimulator(
+        topology,
+        lambda current, destination: 1 if current in (0, 3) else 2,
+        config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
+    )
+    simulator.schedule_messages([Message(1, 2, 256, tag="H")], cycle=0)
+    simulator.schedule_messages([Message(0, 2, 32, tag="F"), Message(0, 2, 32, tag="G")], cycle=0)
+    simulator.schedule_messages([Message(3, 1, 32, tag="E")], cycle=6)
+    return simulator
+
+
+class TestRoutingFailureMidScan:
+    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
+    def test_counters_stay_consistent(self, engine):
+        simulator = merge_failure_run(engine)
+        simulator.run(8)
+        assert [port for port, _ in simulator.scan_order[1]][8 % 3] == 3
+        # from now on router 1 routes into a channel that does not exist
+        simulator.routing = lambda current, destination: 0 if current == 1 else 1
+        with pytest.raises(SimulationError, match="does not exist"):
+            simulator.run_until_drained()
+        delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
+        assert delivered == ["E"]  # ejected before the failing head was routed
+        assert simulator._switch_bits == 32  # E's ejection, since run(8) flushed
+        queued = queued_packets(simulator)
+        assert queued == 1  # F
+        assert simulator._buffered_total == sum(simulator._buffered_by_node.values()) == queued
+        stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
+        assert len(simulator.stuck_packets()) == len(stuck) == 3
+        assert stuck == {"F": 1, "G": 1, "H": 2}  # G parked, H in flight
+        assert [packet.message.tag for _, packet, _ in simulator._parked[(0, 1)]] == ["G"]
+
+    def test_without_the_failure_the_run_drains(self):
+        simulator = merge_failure_run(ENGINE_EVENT)
+        simulator.run_until_drained()
+        delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
+        assert sorted(delivered) == ["E", "F", "G", "H"]
+        assert simulator.engine_info()["blocked"] is True
+
+
+class TestReArmBlockedRule:
+    def test_a_full_head_after_a_ready_one_does_not_block(self):
+        """The re-arm marks a run blocked only for a full head that comes
+        before the first ready head in port order.
+
+        Router 1's ports are (local, 0, 3).  At cycle 5 its scan starts at
+        port 3: E1 ejects, and E2 at port 0 loses the ejection, so port 0
+        is ready.  Port 3's new head N waits on router 2's full buffer,
+        which router 2 (later in the order) drains that same cycle, so N
+        launches at 6 and no space test of the run ever fails.
+        """
+        topology = Topology(name="re-arm")
+        for source, target in ((0, 1), (3, 1), (1, 2), (2, 5)):
+            topology.add_channel(source, target)
+        simulator = NoCSimulator(
+            topology,
+            lambda current, destination: {0: 1, 3: 1, 1: 2, 2: 5}[current],
+            config=SimulatorConfig(engine=ENGINE_EVENT, buffer_capacity_packets=2),
+        )
+        schedule = simulator.schedule_messages
+        schedule([Message(2, 5, 160, tag="L")], cycle=0)  # holds 2 -> 5 until 5
+        schedule([Message(1, 5, 32, tag="K1"), Message(1, 5, 32, tag="K2")], cycle=0)
+        schedule([Message(0, 1, 32, tag="E0"), Message(0, 1, 32, tag="E2")], cycle=2)
+        schedule([Message(3, 1, 32, tag="E1"), Message(3, 2, 32, tag="N")], cycle=2)
+        simulator.run_until_drained()
+        delivered = {
+            packet.message.tag: packet.delivery_cycle
+            for packet in simulator.statistics.delivered_packets
+        }
+        assert delivered["E0"] == 4 and delivered["E1"] == 5 and delivered["E2"] == 6
+        assert delivered["N"] == 8  # launched from router 1 at cycle 6
+        info = simulator.engine_info()
+        assert info["peak_occupancy"] == 2
+        assert info["blocked"] is False

@@ -83,6 +83,29 @@ class TestSimulatorRouteMemo:
         assert simulator.route_cache == {}
         assert simulator.next_hop("a", "d") == "c"  # memo was dropped
 
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+    def test_a_swap_after_a_run_reroutes_the_next_run(self, engine):
+        """The kernel's per-router memo is dropped with ``route_cache``: a
+        run after the swap takes the new path, not the one memoized by the
+        run before it."""
+        topology = Topology(name="square")
+        for source, target in (("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")):
+            topology.add_channel(source, target, bidirectional=True)
+        via_b = RoutingTable(topology)
+        via_b.install_path(["a", "b", "d"])
+        via_c = RoutingTable(topology)
+        via_c.install_path(["a", "c", "d"])
+        simulator = NoCSimulator(
+            topology, via_b.frozen_next_hop(), config=SimulatorConfig(engine=engine)
+        )
+        simulator.schedule_messages([Message("a", "d", 32)])
+        simulator.run_until_drained()
+        simulator.routing = via_c.frozen_next_hop()
+        simulator.schedule_messages([Message("a", "d", 32)])
+        simulator.run_until_drained()
+        paths = [packet.path for packet in simulator.statistics.delivered_packets]
+        assert paths == [["a", "b", "d"], ["a", "c", "d"]]
+
     def test_table_mutation_needs_refreeze_and_reassign(self):
         """The end-to-end recipe for late table entries: re-freeze + assign."""
         topology = _line_topology()
@@ -182,6 +205,27 @@ class TestLateTopologyMutation:
         simulator.sync_topology()
         assert simulator.route_cache == {}
         assert simulator.next_hop(1, 3) == 3
+
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+    def test_sync_after_a_run_reroutes_the_next_run(self, engine):
+        """A decision the kernel memoized during a run does not outlive
+        ``sync_topology()``: the next run takes the late direct channel."""
+        topology = _line_topology()
+        hops = {(1, 3): 2, (2, 3): 3}  # read live by the routing function
+        simulator = NoCSimulator(
+            topology,
+            lambda current, destination: hops[current, destination],
+            config=SimulatorConfig(engine=engine),
+        )
+        simulator.schedule_messages([Message(1, 3, 32)])
+        simulator.run_until_drained()
+        topology.add_channel(1, 3)
+        hops[(1, 3)] = 3
+        simulator.sync_topology()
+        simulator.schedule_messages([Message(1, 3, 32)])
+        simulator.run_until_drained()
+        paths = [packet.path for packet in simulator.statistics.delivered_packets]
+        assert paths == [[1, 2, 3], [1, 3]]
 
     def test_simulation_crosses_a_late_added_channel_after_sync(self):
         topology = _line_topology()
