@@ -11,21 +11,32 @@ the medians, and on how many pairs HEAD was strictly better (the direction
 comes from HEAD's ``BENCHMARK.json``).  The exit code is 1 when any run
 reads ``correct: false`` or fails to report, else 0.
 
-``setup_s`` times fresh interpreters, so give both checkouts equally fresh
-bytecode caches (``python -m compileall -q src perfbench`` in each) or
-none: a stale or missing cache on one side shows up as a setup difference.
+``setup_s`` times fresh interpreters, so before the first pair both
+checkouts' ``src/`` and ``perfbench/`` are byte-compiled with ``python -m
+compileall -q`` (with ``PYTHONDONTWRITEBYTECODE`` removed from that
+command's environment, since it would leave nothing written): a stale or
+missing bytecode cache on one side shows up as a setup difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("base", "head")
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Write fresh bytecode for a checkout's ``src/`` and ``perfbench/``."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    command = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    subprocess.run(command, cwd=checkout, env=env, check=True)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -92,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
 
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for checkout in checkouts.values():
+        compile_checkout(checkout)
     ok = True
     for seed in args.seeds:
         for side in SIDES:

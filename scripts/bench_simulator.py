@@ -9,6 +9,13 @@ per invocation to ``BENCH_simulator.json`` (wall-clock, simulated
 cycles/sec, stepped-vs-skipped cycle counts) so the speedup trajectory
 is tracked across PRs.
 
+Each workload is sampled ``REPEATS`` times with the engines interleaved
+within every repeat (event, reference[, batch], event, ...), so a slow
+spell of a shared host falls on all engines alike.  Per engine the
+minimum and the median wall are recorded, and ``wall_speedup`` (and
+``batch_wall_speedup``) is the median of the per-repeat ratios of paired
+samples.
+
 The full suite adds ``aes_batched_sweep``: the dense AES operating point
 swept over 16 ``(buffer capacity, pipeline delay)`` configurations,
 measuring one :class:`~repro.noc.batch.BatchSimulator` run of all 16
@@ -51,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -77,13 +85,12 @@ from repro.routing.xy import xy_routing_function  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
-#: repeat each (workload, engine) run this many times; the minimum wall
-#: time is recorded (least-noise estimator for CI runners)
-REPEATS = 3
+#: interleaved samples of each (workload, engine) run; the minimum and
+#: the median wall are recorded, and speedups are medians of paired ratios
+REPEATS = 5
 
-#: outer interleaved repetitions of the off/null/probed observability
-#: measurement (each of which is itself a min-of-REPEATS run)
-OBS_REPEATS = 5
+#: interleaved samples of each off/null/probed observability mode
+OBS_REPEATS = 15
 
 #: the batched sweep's (buffer capacity, pipeline delay) grid — 16 cells
 BATCH_SWEEP_CAPACITIES = (1, 2, 3, 4)
@@ -131,18 +138,13 @@ def aes_phase_runner(engine: str) -> dict[str, float]:
     synthesis = run_aes_synthesis()
     config = default_simulator_config()
     config.engine = engine
-    best_wall = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        comparison = run_prototype_comparison(
-            blocks=2, synthesis=synthesis, simulator_config=config
-        )
-        wall = time.perf_counter() - start
-        best_wall = wall if best_wall is None else min(best_wall, wall)
+    start = time.perf_counter()
+    comparison = run_prototype_comparison(blocks=2, synthesis=synthesis, simulator_config=config)
+    wall = time.perf_counter() - start
     cycles_total = comparison.mesh.total_cycles + comparison.custom.total_cycles
     cycles_stepped = comparison.mesh.cycles_stepped + comparison.custom.cycles_stepped
     return {
-        "wall_seconds": best_wall,
+        "wall_seconds": wall,
         "cycles_total": cycles_total,
         "cycles_stepped": cycles_stepped,
         "report": {
@@ -155,32 +157,27 @@ def aes_phase_runner(engine: str) -> dict[str, float]:
 
 
 def drained_runner(fabric_builder, schedule_builder):
-    """A runner that drains one open-loop schedule on one fabric."""
+    """A runner that drains one open-loop schedule on one fabric (one sample)."""
 
     def run(engine: str, obs_mode: str = "off") -> dict[str, float]:
-        best = None
-        for _ in range(REPEATS):
-            topology, routing = fabric_builder()
-            simulator = NoCSimulator(
-                topology,
-                routing,
-                config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=2),
-            )
-            if obs_mode == "probed":
-                simulator.attach_probe(SimulatorProbe())
-            schedule_builder(topology).schedule_onto(simulator)
-            start = time.perf_counter()
-            if obs_mode == "null":
-                # the disabled observability path every un-traced run pays:
-                # the null session explicitly installed around the hot loop
-                with use_session(NULL_SESSION):
-                    simulator.run_until_drained()
-            else:
+        topology, routing = fabric_builder()
+        simulator = NoCSimulator(
+            topology,
+            routing,
+            config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=2),
+        )
+        if obs_mode == "probed":
+            simulator.attach_probe(SimulatorProbe())
+        schedule_builder(topology).schedule_onto(simulator)
+        start = time.perf_counter()
+        if obs_mode == "null":
+            # the disabled observability path every un-traced run pays:
+            # the null session explicitly installed around the hot loop
+            with use_session(NULL_SESSION):
                 simulator.run_until_drained()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, simulator)
-        wall, simulator = best
+        else:
+            simulator.run_until_drained()
+        wall = time.perf_counter() - start
         return {
             "wall_seconds": wall,
             "cycles_total": simulator.current_cycle,
@@ -232,21 +229,32 @@ def workload_suite(suite: str) -> dict[str, object]:
     return workloads
 
 
+def paired_speedup(slow: list[float], fast: list[float]) -> float:
+    """The median of ``slow[i] / fast[i]`` over paired samples."""
+    return round(statistics.median(a / max(b, 1e-9) for a, b in zip(slow, fast)), 2)
+
+
 def run_suite(
     suite: str, engines: tuple[str, ...] = (ENGINE_EVENT, ENGINE_REFERENCE)
 ) -> dict[str, dict[str, object]]:
     results: dict[str, dict[str, object]] = {}
     for name, runner in workload_suite(suite).items():
+        samples: dict[str, list[dict[str, object]]] = {engine: [] for engine in engines}
+        for _ in range(REPEATS):
+            for engine in engines:
+                samples[engine].append(runner(engine))
+        walls = {
+            engine: [sample["wall_seconds"] for sample in runs]
+            for engine, runs in samples.items()
+        }
         measurements: dict[str, dict[str, object]] = {}
-        reports: dict[str, object] = {}
-        for engine in engines:
-            measurement = runner(engine)
-            cycles = measurement["cycles_total"]
-            stepped = measurement["cycles_stepped"]
-            wall = measurement["wall_seconds"]
-            reports[engine] = measurement["report"]
+        for engine, runs in samples.items():
+            cycles = runs[0]["cycles_total"]
+            stepped = runs[0]["cycles_stepped"]
+            wall = min(walls[engine])
             measurements[engine] = {
                 "wall_seconds": round(wall, 6),
+                "wall_seconds_median": round(statistics.median(walls[engine]), 6),
                 "cycles_total": cycles,
                 "cycles_stepped": stepped,
                 "cycles_skipped": cycles - stepped,
@@ -254,24 +262,20 @@ def run_suite(
                 "stepped_cycles_per_second": round(stepped / wall, 1),
             }
         event, reference = measurements[ENGINE_EVENT], measurements[ENGINE_REFERENCE]
+        expected = samples[ENGINE_EVENT][0]["report"]
         identical = all(
-            report == reports[ENGINE_EVENT] for report in reports.values()
+            sample["report"] == expected for runs in samples.values() for sample in runs
         )
         result: dict[str, object] = {
             **measurements,
             "identical_reports": identical,
-            "wall_speedup": round(
-                reference["wall_seconds"] / max(event["wall_seconds"], 1e-9), 2
-            ),
+            "wall_speedup": paired_speedup(walls[ENGINE_REFERENCE], walls[ENGINE_EVENT]),
             "stepped_cycle_ratio": round(
                 reference["cycles_stepped"] / max(event["cycles_stepped"], 1), 2
             ),
         }
-        batch = measurements.get(ENGINE_BATCH)
-        if batch is not None:
-            result["batch_wall_speedup"] = round(
-                event["wall_seconds"] / max(batch["wall_seconds"], 1e-9), 2
-            )
+        if ENGINE_BATCH in walls:
+            result["batch_wall_speedup"] = paired_speedup(walls[ENGINE_EVENT], walls[ENGINE_BATCH])
         results[name] = result
     return results
 
@@ -399,10 +403,9 @@ def run_batched_sweep() -> dict[str, object]:
 def measure_observability(suite: str) -> dict[str, dict[str, object]]:
     """Interleaved off/null/probed walls per obs-capable workload (event engine).
 
-    The three modes are measured round-robin (one full off/null/probed
-    cycle per outer repetition) so slow drift on a shared CI runner hits
-    every mode equally; each mode keeps its minimum wall across the outer
-    repetitions, and each sample is itself a min-of-``REPEATS`` run.
+    The three modes are sampled round-robin (one off/null/probed sample
+    per repetition) so slow drift on a shared CI runner hits every mode
+    equally; each mode keeps its minimum wall over ``OBS_REPEATS`` samples.
     """
     results: dict[str, dict[str, object]] = {}
     for name, runner in workload_suite(suite).items():

@@ -144,16 +144,22 @@ class SimulatorConfig:
 class NoCSimulator:
     """Owns one simulated fabric and drives it to completion.
 
-    The fabric state lives here as plain containers the per-cycle kernel
-    reads directly: per router, its input queues by port (the local
-    injection queue first), their ``(port, queue)`` scan order and its
-    ``destination -> channel`` routing memo; per channel, its release
-    cycle, the queue it feeds and the arrivals parked on it; and the
-    packets in flight, bucketed by arrival cycle.  The public surface
-    (scheduling, :meth:`run`, :meth:`run_until_drained`,
-    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the
-    configured engine only decides *which* cycles are executed, never
-    what happens within one.
+    The fabric state lives here as flat lists the per-cycle kernel indexes
+    directly.  :meth:`_wire` gives every router a *position* (its index in
+    the reference loop's processing order) and every channel an integer
+    *id*.  Per position: the router's load, its input queues by port (the
+    local injection queue first), their scan tuples ``(port, queue,
+    feeding channel id, upstream position)`` and its ``destination ->
+    channel id`` routing memo.  Per channel id: its release cycle, the
+    queue it feeds, its claim stamp and its busy-cycle and link-bit
+    counters.  In-flight and parked packets carry channel ids.  The
+    node-keyed attributes (:attr:`input_queues`, :attr:`scan_order`,
+    :attr:`downstream`, :attr:`channel_free_at`, :attr:`parked`,
+    :attr:`in_flight`) are read-only views over that state.  The public
+    surface (scheduling, :meth:`run`, :meth:`run_until_drained`,
+    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the configured
+    engine only decides *which* cycles are executed, never what happens
+    within one.
     """
 
     def __init__(
@@ -177,33 +183,65 @@ class NoCSimulator:
         self.route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
         """Resolved, channel-validated ``(node, destination) -> next hop``
         decisions (:meth:`next_hop` fills it)."""
-        self._hops: dict[NodeId, dict[NodeId, Channel]] = {}
-        """Per router, the same decisions as ``destination -> channel``:
-        the kernel's lookup, filled by :meth:`next_hop` and dropped with
-        :attr:`route_cache`."""
-        self.input_queues: dict[NodeId, dict[object, deque[Packet]]] = {}
-        """Per router, its FIFO input queues by port: :data:`LOCAL_PORT`
+        # per router position (the reference loop's processing order)
+        self._router_order: dict[NodeId, int] = {}  # node -> position
+        self._nodes: list[NodeId] = []
+        self._queues: list[dict[object, deque[Packet]]] = []
+        """Per position, its FIFO input queues by port: :data:`LOCAL_PORT`
         (the unbounded injection queue) first, then one per incoming
         channel, keyed by the upstream router."""
-        self.scan_order: dict[NodeId, tuple[tuple[object, deque[Packet]], ...]] = {}
-        """Per router, ``(port, queue)`` in round-robin arbitration order."""
-        self.channel_free_at: dict[Channel, int] = {}
-        """Per channel ``(source, target)``: the cycle it is free again."""
-        self.downstream: dict[Channel, deque[Packet]] = {}
-        """Per channel: the input queue at its target it feeds, whose length
-        against ``config.buffer_capacity_packets`` gates a launch over the
-        channel and an arrival off it (a channel never feeds a local
-        queue, so every gated queue has that one capacity)."""
-        self._arrivals: dict[int, list[tuple[int, Packet, Channel]]] = {}
+        self._scans: list[tuple[tuple[object, deque[Packet], int | None, int | None], ...]] = []
+        """Per position, ``(port, queue, feeding channel id, upstream
+        position)`` in round-robin arbitration order (both ``None`` for the
+        local port)."""
+        self._hops: list[dict[NodeId, int]] = []
+        """Per position, the :attr:`route_cache` decisions as ``destination
+        -> channel id``: the kernel's lookup, filled by :meth:`next_hop` and
+        dropped with :attr:`route_cache`."""
+        self._load: list[int] = []
+        """Per position, its buffered-packet count, maintained at the three
+        buffer mutation points (injection, arrival, pop) so neither engine
+        ever scans every router's buffers to find work or decide drainage."""
+        self._buffered_total = 0
+        self._scheduled_wake: list[int | None] = []
+        """Per position, its earliest scheduled wake (a later duplicate is
+        never pushed: processing at the earlier cycle re-arms as needed)."""
+        self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
+        # per channel id
+        self._channel_ids: dict[Channel, int] = {}
+        self._channels: list[Channel] = []  # id -> (source, target)
+        self._targets: list[int] = []  # id -> position of the target router
+        self._free_at: list[int] = []
+        """Per channel id, the cycle it is free again."""
+        self._fed: list[deque[Packet]] = []
+        """Per channel id, the input queue at its target it feeds, whose
+        length against ``config.buffer_capacity_packets`` gates a launch
+        over the channel and an arrival off it (a channel never feeds a
+        local queue, so every gated queue has that one capacity)."""
+        self._claims: list[int] = []
+        """Per channel id, the number of the router visit that last claimed
+        it: only the channel's source router claims it, so a stamp equal to
+        the current visit means an earlier head of this visit won it."""
+        self._visits = 0  # router visits so far (the claim stamps' clock)
+        # batched accounting: per-channel busy cycles and link bits, plus
+        # the ids launched on since the last flush in first-launch order;
+        # the flush folds them into statistics.channel_busy_cycles and the
+        # EnergyAccount in that order (see _flush_energy_batches)
+        self._busy: list[int] = []
+        self._bits: list[int] = []
+        self._launched: list[int] = []
+        self._switch_bits = 0
+        self._arrivals: dict[int, list[tuple[int, Packet, int]]] = {}
         """Packets traversing a channel, by arrival cycle: each bucket holds
-        ``(launch sequence, packet, channel)`` in sequence order, which
+        ``(launch sequence, packet, channel id)`` in sequence order, which
         keeps every channel's packets in launch order (see
         :attr:`in_flight`)."""
         self._arrival_cycles: list[int] = []  # heap of the buckets' cycles
-        self._parked: dict[Channel, list[tuple[int, Packet, Channel]]] = {}
-        """Per channel, the arrivals that found its downstream queue full,
-        in sequence order; the pop that frees space re-queues them for the
-        next cycle (only non-empty lists are kept)."""
+        self._parked: dict[int, list[tuple[int, Packet, int]]] = {}
+        """Per channel id, the arrivals that found its downstream queue
+        full, in sequence order; the pop that frees space re-queues them for
+        the next cycle (only non-empty lists are kept)."""
+        self._launches = 0  # launch sequence numbers handed out so far
         self.energy = EnergyAccount(technology=technology)
         self.statistics = SimulationStatistics()
         self.current_cycle = 0
@@ -211,37 +249,20 @@ class NoCSimulator:
         """Cycles actually executed (== ``current_cycle`` for the reference
         engine; the event engine's skipped-cycle savings show up here)."""
         self._next_packet_id = 0
-        self._pending: list[tuple[int, int, list[Packet]]] = []
+        self._pending: list[tuple[int, int, int, list[tuple[int, list[Packet]]]]] = []
         """Scheduled injections: a heap with one ``(cycle, first packet id,
-        packets)`` entry per scheduling call, whose packets carry
-        consecutive ids; popping entries in ``(cycle, first id)`` order
-        injects in ``(cycle, packet id)`` order."""
+        packet count, per-source packets)`` entry per scheduling call, whose
+        packets carry consecutive ids; popping entries in ``(cycle, first
+        id)`` order injects in ``(cycle, packet id)`` order.  The
+        per-source part lists ``(source position, its packets)`` in order
+        of each source's first packet, so an injection extends each
+        source's local queue once."""
         self._leakage_charged_until = 0
-        # batched energy accounting: per-run switch-traversal bits and
-        # per-channel bit counters, flushed into the EnergyAccount once per
-        # finalize instead of two method calls per packet per hop
-        self._switch_bits = 0
-        self._link_bits: dict[Channel, int] = {}
-        # event engine bookkeeping: a stable processing order (the reference
-        # loop's router iteration order), the node at each position, and a
-        # heap of scheduled wake-ups keyed by position with the earliest
-        # wake per position (a later duplicate is never pushed: processing
-        # at the earlier cycle re-arms as needed)
-        self._router_order: dict[NodeId, int] = {}
-        self._nodes: list[NodeId] = []
-        self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
-        self._scheduled_wake: list[int | None] = []
-        self._launches = 0  # launch sequence numbers handed out so far
         # the buffer-capacity certificate (engine_info): whether a space
         # test (launch, re-arm or arrival) ever failed, and the largest
         # input-buffer occupancy any arrival produced
         self._blocked = False
         self._peak_occupancy = 0
-        # O(1) load tracking, maintained at the three buffer mutation points
-        # (injection, arrival, pop) so neither engine ever scans every
-        # router's buffers to find work or to decide drainage
-        self._buffered_by_node: dict[NodeId, int] = {}
-        self._buffered_total = 0
         self._wire()
         self._batch = None
         if self.config.engine == ENGINE_BATCH:
@@ -258,31 +279,88 @@ class NoCSimulator:
                 self._batch.attach_probe(0, probe)
 
     def _wire(self) -> None:
-        """Give every router and channel of the topology its state.
+        """Give every router a position and every channel an id and state.
 
         Routers and channels already wired keep theirs: a new router is
         appended to the processing order, so an in-flight simulation's
         arbitration stays stable, and a new input port joins the end of
         its router's scan order.
         """
-        queues_of = self.input_queues
+        order = self._router_order
         for node in self.topology.routers():
-            if node in queues_of:
+            if node in order:
                 continue
-            queues_of[node] = {LOCAL_PORT: deque()}
-            self._hops[node] = {}
-            self._router_order[node] = len(self._nodes)
+            order[node] = len(self._nodes)
             self._nodes.append(node)
+            self._queues.append({LOCAL_PORT: deque()})
+            self._hops.append({})
+            self._load.append(0)
             self._scheduled_wake.append(None)
-            self._buffered_by_node[node] = 0
+        ids = self._channel_ids
         for channel in self.topology.channels():
             key = (channel.source, channel.target)
-            queues = queues_of[channel.target]
+            if key in ids:
+                continue
+            ids[key] = len(self._channels)
+            self._channels.append(key)
+            target = order[channel.target]
+            queues = self._queues[target]
             if channel.source not in queues:
                 queues[channel.source] = deque()
-            self.channel_free_at.setdefault(key, 0)
-            self.downstream[key] = queues[channel.source]
-        self.scan_order = {node: tuple(queues.items()) for node, queues in queues_of.items()}
+            self._targets.append(target)
+            self._fed.append(queues[channel.source])
+            self._free_at.append(0)
+            self._claims.append(0)
+            self._busy.append(0)
+            self._bits.append(0)
+        self._scans = [
+            tuple(
+                (port, queue, None, None)
+                if port is LOCAL_PORT
+                else (port, queue, ids[(port, node)], order[port])
+                for port, queue in queues.items()
+            )
+            for node, queues in zip(self._nodes, self._queues)
+        ]
+
+    # ------------------------------------------------------------------
+    # node-keyed read-only views of the fabric state
+    # ------------------------------------------------------------------
+    @property
+    def input_queues(self) -> dict[NodeId, dict[object, deque[Packet]]]:
+        """Per router, its FIFO input queues by port: :data:`LOCAL_PORT`
+        (the unbounded injection queue) first, then one per incoming
+        channel, keyed by the upstream router."""
+        return dict(zip(self._nodes, self._queues))
+
+    @property
+    def scan_order(self) -> dict[NodeId, tuple[tuple[object, deque[Packet]], ...]]:
+        """Per router, ``(port, queue)`` in round-robin arbitration order."""
+        return {
+            node: tuple((port, queue) for port, queue, _, _ in scan)
+            for node, scan in zip(self._nodes, self._scans)
+        }
+
+    @property
+    def downstream(self) -> dict[Channel, deque[Packet]]:
+        """Per channel ``(source, target)``: the input queue at its target
+        that it feeds."""
+        return dict(zip(self._channels, self._fed))
+
+    @property
+    def channel_free_at(self) -> dict[Channel, int]:
+        """Per channel ``(source, target)``: the cycle it is free again."""
+        return dict(zip(self._channels, self._free_at))
+
+    @property
+    def parked(self) -> dict[Channel, list[tuple[int, Packet, Channel]]]:
+        """Per channel ``(source, target)``, the arrivals parked on it as
+        ``(launch sequence, packet, channel)`` in sequence order."""
+        channels = self._channels
+        return {
+            channels[channel]: [(seq, packet, channels[channel]) for seq, packet, _ in flights]
+            for channel, flights in self._parked.items()
+        }
 
     def sync_topology(self) -> None:
         """Adopt routers and channels added to the topology after construction.
@@ -309,7 +387,7 @@ class NoCSimulator:
     def _drop_routes(self) -> None:
         """Forget every memoized routing decision."""
         self.route_cache.clear()
-        for hops in self._hops.values():
+        for hops in self._hops:
             hops.clear()
 
     @property
@@ -335,7 +413,7 @@ class NoCSimulator:
         next_hop = self.route_cache.get(key)
         if next_hop is None:
             next_hop = self._routing(current, destination)
-            if (current, next_hop) not in self.channel_free_at:
+            if (current, next_hop) not in self._channel_ids:
                 hint = (
                     " (it was added after construction: call sync_topology())"
                     if self.topology.has_channel(current, next_hop)
@@ -346,7 +424,8 @@ class NoCSimulator:
                     f"{destination!r}, but that channel does not exist{hint}"
                 )
             self.route_cache[key] = next_hop
-        self._hops[current][destination] = (current, next_hop)
+        channel = self._channel_ids[(current, next_hop)]
+        self._hops[self._router_order[current]][destination] = channel
         return next_hop
 
     @property
@@ -359,13 +438,14 @@ class NoCSimulator:
         so a retry and a later launch due on one cycle keep their order.
         A read-only view for tests and triage; the kernel never builds it.
         """
+        channels = self._channels
         flights = [
-            (arrival, seq, packet, channel)
+            (arrival, seq, packet, channels[channel])
             for arrival, bucket in self._arrivals.items()
             for seq, packet, channel in bucket
         ]
         flights.extend(
-            (self.current_cycle, seq, packet, channel)
+            (self.current_cycle, seq, packet, channels[channel])
             for parked in self._parked.values()
             for seq, packet, channel in parked
         )
@@ -381,7 +461,7 @@ class NoCSimulator:
         """
         stuck = [
             (packet, node)
-            for node, queues in self.input_queues.items()
+            for node, queues in zip(self._nodes, self._queues)
             for queue in queues.values()
             for packet in queue
         ]
@@ -430,20 +510,27 @@ class NoCSimulator:
         if cycle < self.current_cycle:
             raise SimulationError("cannot schedule a message in the past")
         has_router = self.topology.has_router
+        order = self._router_order
         flit_width = self.config.flit_width_bits
-        known: set[NodeId] = set()
+        known: set[NodeId] = set()  # validated destinations
+        by_source: dict[NodeId, list[Packet]] = {}
         flits_of: dict[int, int] = {}
         first_id = packet_id = self._next_packet_id
-        packets: list[Packet] = []
         packet = None
         try:
             for message in messages:
                 source = message.source
                 destination = message.destination
-                if source not in known:
+                queued = by_source.get(source)
+                if queued is None:
                     if not has_router(source):
                         raise SimulationError(f"unknown source router {source!r}")
-                    known.add(source)
+                    if source not in order:
+                        raise SimulationError(
+                            f"source router {source!r} was added after construction: "
+                            "call sync_topology()"
+                        )
+                    queued = by_source[source] = []
                 if destination not in known:
                     if not has_router(destination):
                         raise SimulationError(f"unknown destination router {destination!r}")
@@ -454,12 +541,14 @@ class NoCSimulator:
                     num_flits = flits_of[size] = max(1, math.ceil(size / flit_width))
                 # the object Packet.from_message builds, without its checks
                 packet = Packet(packet_id, message, num_flits, cycle, None, 0, [source])
-                packets.append(packet)
+                queued.append(packet)
                 packet_id += 1
         finally:
-            if packets:
-                heappush(self._pending, (cycle, first_id, packets))
-            self.statistics.injected_count += len(packets)
+            count = packet_id - first_id
+            if count:
+                groups = [(order[source], queued) for source, queued in by_source.items() if queued]
+                heappush(self._pending, (cycle, first_id, count, groups))
+            self.statistics.injected_count += count
             self._next_packet_id = packet_id
         return packet
 
@@ -469,10 +558,11 @@ class NoCSimulator:
     def step(self) -> None:
         """Advance the simulation by one dense cycle (reference semantics).
 
-        Traversal energy is accumulated in batched counters; callers driving
-        the simulator through ``step()`` directly see it in the
-        :class:`EnergyAccount` after the next :meth:`report` or ``run*()``
-        call, which flush the batches.
+        Traversal energy and channel busy cycles are accumulated in batched
+        counters; callers driving the simulator through ``step()`` directly
+        see them in the :class:`EnergyAccount` and in
+        ``statistics.channel_busy_cycles`` after the next :meth:`report` or
+        ``run*()`` call, which flush the batches.
         """
         if self._batch is not None:
             raise SimulationError(
@@ -498,11 +588,9 @@ class NoCSimulator:
         works out when a still-loaded router must be visited again.
         """
         self.current_cycle = cycle
-        nodes = self._nodes
-        order = self._router_order
-        loaded = self._buffered_by_node
+        loads = self._load
         probe = self.probe
-        downstream = self.downstream
+        fed = self._fed
         capacity = self.config.buffer_capacity_packets
         arrivals = self._arrivals
         arrival_cycles = self._arrival_cycles
@@ -512,26 +600,30 @@ class NoCSimulator:
         # inject every due packet into its source's local queue, then
         # deliver the due arrivals in (arrival, launch) order; both activate
         # the receiving router
+        nodes = self._nodes
         pending = self._pending
         if pending and pending[0][0] <= cycle:
-            queues_of = self.input_queues
+            queues = self._queues
             while pending and pending[0][0] <= cycle:
-                packets = heappop(pending)[2]
-                for packet in packets:
-                    source = packet.message.source
-                    queues_of[source][LOCAL_PORT].append(packet)
-                    loaded[source] += 1
+                _, _, count, groups = heappop(pending)
+                for index, queued in groups:
+                    queues[index][LOCAL_PORT].extend(queued)
+                    load = loads[index]
+                    loads[index] = load + len(queued)
+                    active |= 1 << index
                     if probe is not None:
-                        probe.record_enqueue(source, loaded[source])
-                    active |= 1 << order[source]
-                self._buffered_total += len(packets)
+                        source = nodes[index]
+                        for occupancy in range(load + 1, load + len(queued) + 1):
+                            probe.record_enqueue(source, occupancy)
+                self._buffered_total += count
+        targets = self._targets
         if arrival_cycles and arrival_cycles[0] <= cycle:
             peak = self._peak_occupancy
             arrived = 0
             while arrival_cycles and arrival_cycles[0] <= cycle:
                 for flight in arrivals.pop(heappop(arrival_cycles)):
                     channel = flight[2]
-                    queue = downstream[channel]
+                    queue = fed[channel]
                     if len(queue) >= capacity:
                         # full: park until a pop from this queue frees space
                         blocked = True
@@ -540,11 +632,11 @@ class NoCSimulator:
                     queue.append(flight[1])
                     if len(queue) > peak:
                         peak = len(queue)
-                    target = channel[1]
-                    loaded[target] += 1
+                    target = targets[channel]
+                    loads[target] += 1
                     if probe is not None:
-                        probe.record_enqueue(target, loaded[target])
-                    active |= 1 << order[target]
+                        probe.record_enqueue(nodes[target], loads[target])
+                    active |= 1 << target
                     arrived += 1
             self._buffered_total += arrived
             self._peak_occupancy = peak
@@ -559,15 +651,19 @@ class NoCSimulator:
                     scheduled[index] = None
                 active |= 1 << index
 
-        scan_order = self.scan_order
+        scans = self._scans
         hops_of = self._hops
         next_hop = self.next_hop
-        free_at = self.channel_free_at
+        free_at = self._free_at
+        claims = self._claims
+        channels = self._channels
+        busy = self._busy
+        bits = self._bits
+        launched = self._launched
         delay = self.config.router_pipeline_delay_cycles
         delivered = self.statistics.delivered_packets
-        busy = self.statistics.channel_busy_cycles
-        link_bits = self._link_bits
         launches = self._launches
+        visit = self._visits
         moves = 0
         switch_bits = 0
         next_cycle = cycle + 1
@@ -577,28 +673,29 @@ class NoCSimulator:
                 lowest = active & -active
                 active ^= lowest
                 index = lowest.bit_length() - 1
-                node = nodes[index]
-                if not loaded[node]:
+                # stop the scan once every queued packet is seen: no queue
+                # grows during a visit, so the ports left are empty
+                unseen = loads[index]
+                if not unseen:
                     continue  # speculative wake of an emptied router: a no-op
-                scan = scan_order[node]
-                hops = hops_of[node]
+                node = nodes[index]
+                scan = scans[index]
+                hops = hops_of[index]
                 count = len(scan)
                 start = cycle % count
-                claimed = []
+                visit += 1  # stamps the channels this visit claims
+                ejected = False  # whether a head won the local output
                 popped = []  # scan positions of the queues popped this visit
                 # what the heads that stay ask of the next visit: the lowest
                 # position of one that can move next cycle, and the earliest
                 # busy-channel release (a full channel asks for neither)
                 ready = count
                 wake = None
-                # stop once every queued packet is seen: no queue grows
-                # during a visit, so the ports left are empty
-                unseen = loaded[node]
                 # scan start, start+1, ..., wrapping around (negative indexing)
                 for i in range(start - count, start):
                     if not unseen:
                         break
-                    port, queue = scan[i]
+                    port, queue, feed, upstream = scan[i]
                     if not queue:
                         continue
                     unseen -= len(queue)
@@ -606,12 +703,12 @@ class NoCSimulator:
                     message = packet.message
                     destination = message.destination
                     if destination == node:
-                        if LOCAL_PORT in claimed:
+                        if ejected:
                             position = i % count
                             if position < ready:
                                 ready = position
                             continue
-                        claimed.append(LOCAL_PORT)
+                        ejected = True
                         queue.popleft()
                         packet.delivery_cycle = cycle
                         delivered.append(packet)
@@ -623,25 +720,25 @@ class NoCSimulator:
                             next_hop(node, destination)
                             channel = hops[destination]
                         release = free_at[channel]
-                        if channel in claimed:
+                        if claims[channel] == visit:
                             # lost to an earlier head, which left the channel
                             # busy (it launched or waits) or full (blocked)
                             if release > cycle and (wake is None or release < wake):
                                 wake = release
                             continue
-                        claimed.append(channel)
+                        claims[channel] = visit
                         if release > cycle:
                             if wake is None or release < wake:
                                 wake = release
                             continue
-                        if len(downstream[channel]) >= capacity:
+                        if len(fed[channel]) >= capacity:
                             blocked = True
                             continue
                         queue.popleft()
                         flits = packet.num_flits
                         free_at[channel] = cycle + flits
                         packet.hops += 1
-                        packet.path.append(channel[1])
+                        packet.path.append(channels[channel][1])
                         # launches land two or more cycles ahead: appending
                         # keeps every bucket in sequence order
                         arrival = cycle + flits + delay
@@ -652,20 +749,22 @@ class NoCSimulator:
                         else:
                             bucket.append((launches, packet, channel))
                         launches += 1
-                        link_bits[channel] = link_bits.get(channel, 0) + message.size_bits
-                        busy[channel] = busy.get(channel, 0) + flits
+                        if not bits[channel]:
+                            launched.append(channel)
+                        bits[channel] += message.size_bits
+                        busy[channel] += flits
                     # one switch traversal per move (the final one ejects)
                     switch_bits += message.size_bits
                     moves += 1
-                    loaded[node] -= 1
+                    loads[index] -= 1
                     popped.append(i % count)
-                    if port is LOCAL_PORT:
-                        continue
+                    if feed is None:
+                        continue  # the local queue: unbounded, fed by nobody
                     # a pop from a bounded buffer frees space: the arrivals
                     # parked on its channel fall due next cycle, and a loaded
                     # upstream router may launch into it
                     if parked and len(queue) == unfull:
-                        waiting = parked.pop((port, node), None)
+                        waiting = parked.pop(feed, None)
                         if waiting is not None:
                             bucket = arrivals.get(next_cycle)
                             if bucket is None:
@@ -674,14 +773,13 @@ class NoCSimulator:
                             else:
                                 for flight in waiting:
                                     insort(bucket, flight)
-                    if not dense and loaded[port]:
-                        upstream = order[port]
+                    if not dense and loads[upstream]:
                         if upstream > index:
                             active |= 1 << upstream
                         elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
                             scheduled[upstream] = next_cycle
                             heappush(wake_heap, (next_cycle, upstream))
-                if dense or not loaded[node]:
+                if dense or not loads[index]:
                     continue
                 if scheduled[index] is not None and scheduled[index] <= next_cycle:
                     continue  # already due as early as any re-arm could make it
@@ -717,7 +815,7 @@ class NoCSimulator:
                         if wake is None or release < wake:
                             wake = release
                         continue
-                    if len(downstream[channel]) < capacity:
+                    if len(fed[channel]) < capacity:
                         ready = position
                         break
                     blocked = True
@@ -729,6 +827,7 @@ class NoCSimulator:
         finally:
             # kept exact even when a routing function raises mid-visit
             self._launches = launches
+            self._visits = visit
             self._buffered_total -= moves
             self._switch_bits += switch_bits
             if blocked:
@@ -750,8 +849,7 @@ class NoCSimulator:
             return
         cycle = self.current_cycle
         scheduled = self._scheduled_wake
-        for node, count in self._buffered_by_node.items():
-            index = self._router_order[node]
+        for index, count in enumerate(self._load):
             if count and (scheduled[index] is None or scheduled[index] > cycle):
                 scheduled[index] = cycle
                 heappush(self._wake_heap, (cycle, index))
@@ -909,20 +1007,30 @@ class NoCSimulator:
         )
 
     def _flush_energy_batches(self) -> None:
-        """Fold the batched traversal counters into the energy account.
+        """Fold the batched traversal counters into the energy account and
+        the per-channel busy cycles into ``statistics.channel_busy_cycles``.
 
         Bits are accumulated as exact integers, and channels flush in
         first-launch order, so the flushed totals are independent of which
-        engine produced them.
+        engine produced them, and a channel joins
+        ``channel_busy_cycles`` in the order of its first launch.
         """
         if self._switch_bits:
             self.energy.charge_switch(self._switch_bits)
             self._switch_bits = 0
-        if self._link_bits:
+        launched = self._launched
+        if launched:
             channel_of = self.topology.channel
-            for channel, bits in self._link_bits.items():
-                self.energy.charge_link(bits, channel_of(*channel).length_mm)
-            self._link_bits.clear()
+            channels = self._channels
+            bits = self._bits
+            busy = self._busy
+            busy_cycles = self.statistics.channel_busy_cycles
+            for channel in launched:
+                key = channels[channel]
+                self.energy.charge_link(bits[channel], channel_of(*key).length_mm)
+                bits[channel] = 0
+                busy_cycles[key] = busy[channel]
+            launched.clear()
 
     def _finalize(self) -> None:
         self.statistics.total_cycles = self.current_cycle

@@ -23,13 +23,39 @@ class SimulationStatistics:
     """Aggregated results of one simulation run.
 
     The engines record into the fields directly: delivered packets in
-    delivery order, the injection count and per-channel busy cycles.
+    delivery order, the injection count and per-channel busy cycles.  The
+    per-packet figures come from one walk over ``delivered_packets``
+    (:meth:`_delivered_totals`), reused until the list grows or is replaced.
     """
 
     delivered_packets: list[Packet] = field(default_factory=list)
     total_cycles: int = 0
     injected_count: int = 0
     channel_busy_cycles: dict[tuple[NodeId, NodeId], int] = field(default_factory=dict)
+    _walked: list[Packet] | None = field(default=None, init=False, repr=False, compare=False)
+    _walked_count: int = field(default=0, init=False, repr=False, compare=False)
+    _totals: tuple[int, int, int, int] = field(
+        default=(0, 0, 0, 0), init=False, repr=False, compare=False
+    )
+
+    def _delivered_totals(self) -> tuple[int, int, int, int]:
+        """``(latency sum, max latency, hop sum, bit sum)`` of the delivered
+        packets: one walk, redone only when ``delivered_packets`` has grown,
+        shrunk or been replaced since the last."""
+        packets = self.delivered_packets
+        if packets is not self._walked or len(packets) != self._walked_count:
+            latency = longest = hops = bits = 0
+            for packet in packets:
+                wait = packet.delivery_cycle - packet.injection_cycle
+                latency += wait
+                if wait > longest:
+                    longest = wait
+                hops += packet.hops
+                bits += packet.message.size_bits
+            self._totals = (latency, longest, hops, bits)
+            self._walked = packets
+            self._walked_count = len(packets)
+        return self._totals
 
     # ------------------------------------------------------------------
     # figures of merit
@@ -54,20 +80,20 @@ class SimulationStatistics:
     def average_latency_cycles(self) -> float:
         if not self.delivered_packets:
             raise SimulationError("no packets were delivered; latency is undefined")
-        return sum(packet.latency for packet in self.delivered_packets) / self.delivered_count
+        return self._delivered_totals()[0] / self.delivered_count
 
     def max_latency_cycles(self) -> int:
         if not self.delivered_packets:
             raise SimulationError("no packets were delivered; latency is undefined")
-        return max(packet.latency for packet in self.delivered_packets)
+        return self._delivered_totals()[1]
 
     def average_hops(self) -> float:
         if not self.delivered_packets:
             raise SimulationError("no packets were delivered; hop count is undefined")
-        return sum(packet.hops for packet in self.delivered_packets) / self.delivered_count
+        return self._delivered_totals()[2] / self.delivered_count
 
     def total_bits_delivered(self) -> int:
-        return sum(packet.size_bits for packet in self.delivered_packets)
+        return self._delivered_totals()[3]
 
     def throughput_bits_per_cycle(self) -> float:
         if self.total_cycles <= 0:

@@ -6,8 +6,9 @@ corpus pins the runs where it is not: one-, two-packet buffers, short and
 long router pipelines, single- and multi-flit packets, on the
 retry-collision scenario, the distributed-AES phases on the synthesized
 AES fabric and MPEG-4 on its mesh baseline.  Each fixture entry holds a
-digest of every packet's ``(id, delivery cycle, hops, path)`` and of the
-``report()``, plus each engine's ``engine_info()`` (whose
+digest of every packet's ``(id, delivery cycle, hops, path)``, of the
+``report()`` and of ``statistics.channel_busy_cycles`` items in insertion
+(first-launch) order, plus each engine's ``engine_info()`` (whose
 ``cycles_stepped`` differs between the engines by design).  Both scalar
 engines run the one per-cycle kernel, so this corpus is the oracle for
 any rewrite of it.
@@ -145,6 +146,7 @@ def run_digest(simulator: NoCSimulator) -> dict[str, object]:
     return {
         "packets": _sha256(packets),
         "report": _sha256(simulator.report()),
+        "channels": _sha256(list(simulator.statistics.channel_busy_cycles.items())),
         "delivered": len(packets),
         "engine_info": info,
     }
@@ -162,6 +164,7 @@ def test_blocked_run_matches_the_frozen_corpus(case, engine):
     digest = run_digest(CASES[case](engine))
     assert digest["packets"] == expected["packets"]
     assert digest["report"] == expected["report"]
+    assert digest["channels"] == expected["channels"]
     assert digest["delivered"] == expected["delivered"]
     assert digest["engine_info"] == expected["engine_info"][engine]
 
@@ -184,12 +187,13 @@ def write_corpus() -> None:
         digests = {engine: run_digest(build(engine)) for engine in ENGINES}
         reference = digests[ENGINE_REFERENCE]
         for engine, digest in digests.items():
-            for key in ("packets", "report", "delivered"):
+            for key in ("packets", "report", "channels", "delivered"):
                 if digest[key] != reference[key]:
                     raise SystemExit(f"{case}: {engine} disagrees with reference on {key}")
         entries[case] = {
             "packets": reference["packets"],
             "report": reference["report"],
+            "channels": reference["channels"],
             "delivered": reference["delivered"],
             "engine_info": {engine: digest["engine_info"] for engine, digest in digests.items()},
         }

@@ -37,7 +37,7 @@ class TestParkedArrivals:
         while simulator.current_cycle < 9:
             simulator.step()
             parked_at[simulator.current_cycle - 1] = [
-                packet.packet_id for _, packet, _ in simulator._parked.get((0, 1), [])
+                packet.packet_id for _, packet, _ in simulator.parked.get((0, 1), [])
             ]
         assert parked_at[5] == []
         assert parked_at[6] == [2]
@@ -49,19 +49,19 @@ class TestParkedArrivals:
         simulator.step()
         flying = {packet.packet_id: channel for _, _, packet, channel in simulator.in_flight}
         assert flying[2] == (1, 2)
-        assert not simulator._parked
+        assert not simulator.parked
         assert [packet.packet_id for _, packet, _ in simulator._arrivals[10]] == [3]
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
     def test_a_parked_flight_keeps_the_run_undrained(self, engine):
         simulator = retry_collision_run(engine)
         simulator.run(7)
-        assert simulator._parked
+        assert simulator.parked
         assert not simulator._drained()
         stuck = [packet.packet_id for packet, _ in simulator.stuck_packets()]
         assert stuck == [0, 1, 2, 3]
         simulator.run_until_drained()
-        assert not simulator._parked
+        assert not simulator.parked
         assert simulator.statistics.delivered_count == 4
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
@@ -111,11 +111,11 @@ class TestRoutingFailureMidScan:
         assert simulator._switch_bits == 32  # E's ejection, since run(8) flushed
         queued = queued_packets(simulator)
         assert queued == 1  # F
-        assert simulator._buffered_total == sum(simulator._buffered_by_node.values()) == queued
+        assert simulator._buffered_total == sum(simulator._load) == queued
         stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
         assert len(simulator.stuck_packets()) == len(stuck) == 3
         assert stuck == {"F": 1, "G": 1, "H": 2}  # G parked, H in flight
-        assert [packet.message.tag for _, packet, _ in simulator._parked[(0, 1)]] == ["G"]
+        assert [packet.message.tag for _, packet, _ in simulator.parked[(0, 1)]] == ["G"]
 
     def test_without_the_failure_the_run_drains(self):
         simulator = merge_failure_run(ENGINE_EVENT)

@@ -137,6 +137,18 @@ class TestLateTopologyMutation:
             simulator.next_hop(1, 3)
         assert (1, 3) not in simulator.route_cache
 
+    def test_scheduling_from_an_unsynced_late_router_raises(self):
+        """A source router the fabric never wired fails at scheduling, with
+        the sync hint; the messages before it in the call stay queued."""
+        topology = _line_topology()
+        simulator = NoCSimulator(topology, lambda current, destination: destination)
+        topology.add_channel(4, 3)
+        with pytest.raises(SimulationError, match="sync_topology"):
+            simulator.schedule_messages([Message(1, 2, 32), Message(4, 3, 32)])
+        assert simulator.statistics.injected_count == 1
+        simulator.run_until_drained()
+        assert simulator.statistics.delivered_count == 1
+
     @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
     def test_routing_over_an_unsynced_late_channel_raises(self, engine):
         """A run that routes over a channel the fabric never wired fails with

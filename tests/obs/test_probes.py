@@ -110,3 +110,38 @@ class TestProbeViews:
             probe.emit_metrics(metrics, simulator.statistics)
             snapshots[engine] = metrics.snapshot_events()
         assert snapshots[ENGINE_EVENT] == snapshots[ENGINE_REFERENCE]
+
+
+class RecordingProbe(SimulatorProbe):
+    """A probe that also keeps every ``record_enqueue`` call in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[object, int]] = []
+
+    def record_enqueue(self, node, occupancy: int) -> None:
+        self.calls.append((node, occupancy))
+        super().record_enqueue(node, occupancy)
+
+
+class TestInjectionRecords:
+    def test_one_call_records_each_source_in_order(self):
+        """Injecting a multi-source call records, per source router, the
+        occupancies a packet-by-packet append reaches, and the probe's
+        router order is the order of each source's first packet."""
+        mesh = build_mesh(3, 3)
+        routing = build_xy_routing_table(mesh).frozen_next_hop()
+        nodes = mesh.routers()
+        a, b, c, sink = nodes[4], nodes[0], nodes[7], nodes[8]
+        sources = [a, b, a, c, b, a]
+        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
+            simulator = NoCSimulator(mesh, routing, config=SimulatorConfig(engine=engine))
+            probe = RecordingProbe()
+            simulator.attach_probe(probe)
+            simulator.schedule_messages([Message(source, sink, 32) for source in sources])
+            simulator.step()
+            injected = probe.calls[: len(sources)]
+            for source in (a, b, c):
+                occupancies = [value for node, value in injected if node == source]
+                assert occupancies == list(range(1, sources.count(source) + 1))
+            assert list(probe.occupancy)[:3] == [a, b, c]
