@@ -851,7 +851,7 @@ class BatchSimulator:
         # round-robin arbitration: per (cell, output) the requesting port
         # with the smallest scan rank wins — "first occupied port in the
         # scan from cycle mod ports", as the scalar kernel picks it
-        # (`NoCSimulator._process_active_cycle`).  Outputs come slotted
+        # (`NoCSimulator._advance`).  Outputs come slotted
         # by the fused table — channel index (forwards) or num_channels +
         # router (local ejection); one argsort of (cell, slot) | key picks
         # every winner (keys are unique, so sort order is deterministic).

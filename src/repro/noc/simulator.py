@@ -20,15 +20,18 @@ Model summary (packet-switched, one-flit-per-cycle links):
   :class:`~repro.energy.power.EnergyAccount` at finalize, so the same run
   yields the energy and average-power figures.
 
-Three engines drive the model (``SimulatorConfig.engine``):
+Three engines drive the model (``SimulatorConfig.engine``).  The two
+scalar ones are the same cycle loop, :meth:`NoCSimulator._advance`, which
+drives a whole run, window or drain, and differs between them only in
+which cycles it executes and which routers it visits:
 
 * ``"event"`` (default) — event-driven: only routers that might move a
   packet are visited, and the clock jumps straight to the next cycle where
   anything can progress (next injection, next arrival, next channel-release
   expiry, next scheduled router wake-up).  See ``docs/simulator.md`` for the
   activation conditions and the equivalence argument.
-* ``"reference"`` — the dense cycle-stepped loop that visits every router
-  every cycle.  It is kept forever as the executable specification the
+* ``"reference"`` — dense: every cycle is executed and every router
+  visited.  It is kept forever as the executable specification the
   other engines are tested against: all engines produce bit-identical
   :meth:`NoCSimulator.report` output and per-packet delivery cycles.
 * ``"batch"`` — vectorized numpy engine (:mod:`repro.noc.batch`): router
@@ -144,10 +147,10 @@ class SimulatorConfig:
 class NoCSimulator:
     """Owns one simulated fabric and drives it to completion.
 
-    The fabric state lives here as flat lists the per-cycle kernel indexes
-    directly.  :meth:`_wire` gives every router a *position* (its index in
-    the reference loop's processing order) and every channel an integer
-    *id*.  Per position: the router's load, its input queues by port (the
+    The fabric state lives here as flat lists the cycle loop
+    (:meth:`_advance`) binds once per run and indexes directly.
+    :meth:`_wire` gives every router a *position* (its index in the
+    reference loop's processing order) and every channel an integer *id*.  Per position: the router's load, its input queues by port (the
     local injection queue first), their scan tuples ``(port, queue,
     feeding channel id, upstream position)`` and its ``destination ->
     channel id`` routing memo.  Per channel id: its release cycle, the
@@ -553,7 +556,7 @@ class NoCSimulator:
         return packet
 
     # ------------------------------------------------------------------
-    # the per-cycle model, shared by both scalar engines
+    # the cycle loop, shared by both scalar engines
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance the simulation by one dense cycle (reference semantics).
@@ -569,376 +572,339 @@ class NoCSimulator:
                 "the batch engine executes whole runs; step() is only "
                 "available on the 'event' and 'reference' engines"
             )
-        self._process_active_cycle(self.current_cycle, dense=True)
+        self._advance(self.current_cycle + 1, dense=True)
 
-    def _process_active_cycle(self, cycle: int, dense: bool = False) -> None:
-        """Execute one cycle: inject, deliver arrivals, arbitrate and forward.
+    def _advance(self, until: int | None, dense: bool, budget: int = 0) -> None:
+        """Run the cycle loop to the window end ``until``, or until drained.
 
-        The event engine visits only the routers that might progress: those
-        injected into, arrived into or due a scheduled wake.  They are
-        processed in the reference loop's router order, lowest position
-        first off a bitmask of active positions; a router woken mid-cycle by
-        an upstream-space release joins this cycle's mask when its turn has
+        Each executed cycle injects, delivers arrivals, arbitrates and
+        forwards.  ``dense=True`` is the reference engine: it executes every
+        cycle and visits every router, and schedules or consumes no wake.
+        Otherwise the event engine executes only the next cycle at which
+        anything can progress (every cycle while an arrival is parked: the
+        model retries a blocked arrival each cycle, and ``cycles_stepped``
+        counts those cycles) and visits only the routers that might
+        progress: those injected into, arrived into or due a scheduled
+        wake, armed on entry for every loaded router.  They are processed
+        in the reference loop's router order, lowest position first off a
+        bitmask of active positions; a router woken mid-cycle by an
+        upstream-space release joins this cycle's mask when its turn has
         not passed yet (exactly the routers the dense loop would still
-        visit) and is deferred to the next cycle otherwise.  ``dense=True``
-        is the reference engine's :meth:`step`: every router is visited and
-        no wake is scheduled or consumed.  Per visit, the input ports are
-        scanned round-robin from ``cycle mod ports`` and the first head
-        requesting an output wins it (``docs/simulator.md``); the same scan
-        works out when a still-loaded router must be visited again.
-        """
-        self.current_cycle = cycle
-        loads = self._load
-        probe = self.probe
-        fed = self._fed
-        capacity = self.config.buffer_capacity_packets
-        arrivals = self._arrivals
-        arrival_cycles = self._arrival_cycles
-        parked = self._parked
-        blocked = False
-        active = 0  # bitmask of the positions to visit this cycle
-        # inject every due packet into its source's local queue, then
-        # deliver the due arrivals in (arrival, launch) order; both activate
-        # the receiving router
-        nodes = self._nodes
-        pending = self._pending
-        if pending and pending[0][0] <= cycle:
-            queues = self._queues
-            while pending and pending[0][0] <= cycle:
-                _, _, count, groups = heappop(pending)
-                for index, queued in groups:
-                    queues[index][LOCAL_PORT].extend(queued)
-                    load = loads[index]
-                    loads[index] = load + len(queued)
-                    active |= 1 << index
-                    if probe is not None:
-                        source = nodes[index]
-                        for occupancy in range(load + 1, load + len(queued) + 1):
-                            probe.record_enqueue(source, occupancy)
-                self._buffered_total += count
-        targets = self._targets
-        if arrival_cycles and arrival_cycles[0] <= cycle:
-            peak = self._peak_occupancy
-            arrived = 0
-            while arrival_cycles and arrival_cycles[0] <= cycle:
-                for flight in arrivals.pop(heappop(arrival_cycles)):
-                    channel = flight[2]
-                    queue = fed[channel]
-                    if len(queue) >= capacity:
-                        # full: park until a pop from this queue frees space
-                        blocked = True
-                        parked.setdefault(channel, []).append(flight)
-                        continue
-                    queue.append(flight[1])
-                    if len(queue) > peak:
-                        peak = len(queue)
-                    target = targets[channel]
-                    loads[target] += 1
-                    if probe is not None:
-                        probe.record_enqueue(nodes[target], loads[target])
-                    active |= 1 << target
-                    arrived += 1
-            self._buffered_total += arrived
-            self._peak_occupancy = peak
-        wake_heap = self._wake_heap
-        scheduled = self._scheduled_wake
-        if dense:
-            active = (1 << len(nodes)) - 1
-        else:
-            while wake_heap and wake_heap[0][0] <= cycle:
-                wake_cycle, index = heappop(wake_heap)
-                if scheduled[index] == wake_cycle:
-                    scheduled[index] = None
-                active |= 1 << index
+        visit) and is deferred to the next cycle otherwise.  Per visit, the
+        input ports are scanned round-robin from ``cycle mod ports`` and
+        the first head requesting an output wins it
+        (``docs/simulator.md``); the same scan works out when a
+        still-loaded router must be visited again.
 
+        A window run stops before the first next cycle at or past
+        ``until`` (or when nothing is left to happen) and sets the clock
+        to ``until``: idle tails are analytic, their leakage is charged in
+        one call at finalize.  A drain (``until=None``) stops once nothing
+        is pending, buffered, in flight or parked; if the next cycle lies
+        more than ``budget`` past the start, or never comes, the clock
+        lands where the reference engine's crawl would raise,
+        ``start + budget + 1``, and the drain-budget error is raised.  The
+        fabric state is bound once per call and every counter is written
+        back in one ``finally``, so a routing function raising mid-visit
+        leaves the clock on the failing cycle, uncounted in
+        ``cycles_stepped``, and the moves before it counted.
+        """
+        start = cycle = self.current_cycle
+        nodes = self._nodes
+        queues = self._queues
         scans = self._scans
         hops_of = self._hops
-        next_hop = self.next_hop
+        loads = self._load
+        targets = self._targets
+        fed = self._fed
         free_at = self._free_at
         claims = self._claims
         channels = self._channels
         busy = self._busy
         bits = self._bits
         launched = self._launched
-        delay = self.config.router_pipeline_delay_cycles
+        pending = self._pending
+        arrivals = self._arrivals
+        arrival_cycles = self._arrival_cycles
+        parked = self._parked
+        wake_heap = self._wake_heap
+        scheduled = self._scheduled_wake
+        next_hop = self.next_hop
+        probe = self.probe
         delivered = self.statistics.delivered_packets
+        capacity = self.config.buffer_capacity_packets
+        unfull = capacity - 1  # a bounded queue's length after a pop from full
+        delay = self.config.router_pipeline_delay_cycles
+        everyone = (1 << len(nodes)) - 1
+        buffered = self._buffered_total
         launches = self._launches
         visit = self._visits
-        moves = 0
-        switch_bits = 0
-        next_cycle = cycle + 1
-        unfull = capacity - 1  # a bounded queue's length after a pop from full
+        switch_bits = self._switch_bits
+        peak = self._peak_occupancy
+        blocked = self._blocked
+        stepped = self.cycles_stepped
+        overrun = False
+        if not dense and buffered:
+            # a loaded router may hold no wake after manual step() calls
+            for index, load in enumerate(loads):
+                if load and (scheduled[index] is None or scheduled[index] > cycle):
+                    scheduled[index] = cycle
+                    heappush(wake_heap, (cycle, index))
         try:
-            while active:
-                lowest = active & -active
-                active ^= lowest
-                index = lowest.bit_length() - 1
-                # stop the scan once every queued packet is seen: no queue
-                # grows during a visit, so the ports left are empty
-                unseen = loads[index]
-                if not unseen:
-                    continue  # speculative wake of an emptied router: a no-op
-                node = nodes[index]
-                scan = scans[index]
-                hops = hops_of[index]
-                count = len(scan)
-                start = cycle % count
-                visit += 1  # stamps the channels this visit claims
-                ejected = False  # whether a head won the local output
-                popped = []  # scan positions of the queues popped this visit
-                # what the heads that stay ask of the next visit: the lowest
-                # position of one that can move next cycle, and the earliest
-                # busy-channel release (a full channel asks for neither)
-                ready = count
-                wake = None
-                # scan start, start+1, ..., wrapping around (negative indexing)
-                for i in range(start - count, start):
-                    if not unseen:
+            while True:
+                if dense or parked:
+                    due = cycle
+                else:
+                    due = pending[0][0] if pending else None
+                    if arrival_cycles and (due is None or arrival_cycles[0] < due):
+                        due = arrival_cycles[0]
+                    if wake_heap and (due is None or wake_heap[0][0] < due):
+                        due = wake_heap[0][0]
+                    if due is not None and due < cycle:
+                        due = cycle
+                if until is not None:
+                    if due is None or due >= until:
                         break
-                    port, queue, feed, upstream = scan[i]
-                    if not queue:
-                        continue
-                    unseen -= len(queue)
-                    packet = queue[0]
-                    message = packet.message
-                    destination = message.destination
-                    if destination == node:
-                        if ejected:
-                            position = i % count
-                            if position < ready:
-                                ready = position
-                            continue
-                        ejected = True
-                        queue.popleft()
-                        packet.delivery_cycle = cycle
-                        delivered.append(packet)
+                elif not (pending or buffered or arrival_cycles or parked):
+                    break
+                elif due is None or due - start > budget:
+                    overrun = True
+                    break
+                cycle = due
+                next_cycle = cycle + 1
+                active = 0  # bitmask of the positions to visit this cycle
+                # inject every due packet into its source's local queue,
+                # then deliver the due arrivals in (arrival, launch) order;
+                # both activate the receiving router
+                while pending and pending[0][0] <= cycle:
+                    _, _, count, groups = heappop(pending)
+                    for index, queued in groups:
+                        queues[index][LOCAL_PORT].extend(queued)
+                        load = loads[index]
+                        loads[index] = load + len(queued)
+                        active |= 1 << index
                         if probe is not None:
-                            probe.record_delivery(node, cycle - packet.injection_cycle)
-                    else:
+                            source = nodes[index]
+                            for occupancy in range(load + 1, load + len(queued) + 1):
+                                probe.record_enqueue(source, occupancy)
+                    buffered += count
+                while arrival_cycles and arrival_cycles[0] <= cycle:
+                    for flight in arrivals.pop(heappop(arrival_cycles)):
+                        channel = flight[2]
+                        queue = fed[channel]
+                        if len(queue) >= capacity:
+                            # full: park until a pop from this queue frees space
+                            blocked = True
+                            parked.setdefault(channel, []).append(flight)
+                            continue
+                        queue.append(flight[1])
+                        if len(queue) > peak:
+                            peak = len(queue)
+                        target = targets[channel]
+                        loads[target] += 1
+                        if probe is not None:
+                            probe.record_enqueue(nodes[target], loads[target])
+                        active |= 1 << target
+                        buffered += 1
+                if dense:
+                    active = everyone
+                else:
+                    while wake_heap and wake_heap[0][0] <= cycle:
+                        wake_cycle, index = heappop(wake_heap)
+                        if scheduled[index] == wake_cycle:
+                            scheduled[index] = None
+                        active |= 1 << index
+                while active:
+                    lowest = active & -active
+                    active ^= lowest
+                    index = lowest.bit_length() - 1
+                    # stop the scan once every queued packet is seen: no
+                    # queue grows during a visit, so the ports left are empty
+                    unseen = loads[index]
+                    if not unseen:
+                        continue  # speculative wake of an emptied router: a no-op
+                    node = nodes[index]
+                    scan = scans[index]
+                    hops = hops_of[index]
+                    count = len(scan)
+                    first = cycle % count
+                    visit += 1  # stamps the channels this visit claims
+                    ejected = False  # whether a head won the local output
+                    popped = []  # scan positions of the queues popped this visit
+                    # what the heads that stay ask of the next visit: the
+                    # lowest position of one that can move next cycle, and
+                    # the earliest busy-channel release (a full channel asks
+                    # for neither)
+                    ready = count
+                    wake = None
+                    # scan first, first+1, ..., wrapping around (negative indexing)
+                    for i in range(first - count, first):
+                        if not unseen:
+                            break
+                        port, queue, feed, upstream = scan[i]
+                        if not queue:
+                            continue
+                        unseen -= len(queue)
+                        packet = queue[0]
+                        message = packet.message
+                        destination = message.destination
+                        if destination == node:
+                            if ejected:
+                                position = i % count
+                                if position < ready:
+                                    ready = position
+                                continue
+                            ejected = True
+                            queue.popleft()
+                            packet.delivery_cycle = cycle
+                            delivered.append(packet)
+                            if probe is not None:
+                                probe.record_delivery(node, cycle - packet.injection_cycle)
+                        else:
+                            channel = hops.get(destination)
+                            if channel is None:
+                                next_hop(node, destination)
+                                channel = hops[destination]
+                            release = free_at[channel]
+                            if claims[channel] == visit:
+                                # lost to an earlier head, which left the
+                                # channel busy (it launched or waits) or full
+                                if release > cycle and (wake is None or release < wake):
+                                    wake = release
+                                continue
+                            claims[channel] = visit
+                            if release > cycle:
+                                if wake is None or release < wake:
+                                    wake = release
+                                continue
+                            if len(fed[channel]) >= capacity:
+                                blocked = True
+                                continue
+                            queue.popleft()
+                            flits = packet.num_flits
+                            free_at[channel] = cycle + flits
+                            packet.hops += 1
+                            packet.path.append(channels[channel][1])
+                            # launches land two or more cycles ahead:
+                            # appending keeps every bucket in sequence order
+                            arrival = cycle + flits + delay
+                            bucket = arrivals.get(arrival)
+                            if bucket is None:
+                                arrivals[arrival] = [(launches, packet, channel)]
+                                heappush(arrival_cycles, arrival)
+                            else:
+                                bucket.append((launches, packet, channel))
+                            launches += 1
+                            if not bits[channel]:
+                                launched.append(channel)
+                            bits[channel] += message.size_bits
+                            busy[channel] += flits
+                        # one switch traversal per move (the final one ejects)
+                        switch_bits += message.size_bits
+                        buffered -= 1
+                        loads[index] -= 1
+                        popped.append(i % count)
+                        if feed is None:
+                            continue  # the local queue: unbounded, fed by nobody
+                        # a pop from a bounded buffer frees space: the
+                        # arrivals parked on its channel fall due next cycle,
+                        # and a loaded upstream router may launch into it
+                        if parked and len(queue) == unfull:
+                            waiting = parked.pop(feed, None)
+                            if waiting is not None:
+                                bucket = arrivals.get(next_cycle)
+                                if bucket is None:
+                                    arrivals[next_cycle] = waiting
+                                    heappush(arrival_cycles, next_cycle)
+                                else:
+                                    for flight in waiting:
+                                        insort(bucket, flight)
+                        if not dense and loads[upstream]:
+                            if upstream > index:
+                                active |= 1 << upstream
+                            elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
+                                scheduled[upstream] = next_cycle
+                                heappush(wake_heap, (next_cycle, upstream))
+                    if dense or not loads[index]:
+                        continue
+                    if scheduled[index] is not None and scheduled[index] <= next_cycle:
+                        continue  # already due as early as any re-arm could make it
+                    # re-arm a still-loaded router at the earliest of its
+                    # heads' conditions: next cycle (eject, routing error,
+                    # free channel with downstream space), a busy channel's
+                    # release, or none (backpressure: the downstream pop
+                    # wakes it).  The heads that stayed were classified by
+                    # the scan; a popped queue's new head is examined here,
+                    # in port order up to the first ready head, and a full
+                    # one before it blocks the run.
+                    if len(popped) > 1:
+                        popped.sort()
+                    for position in popped:
+                        if position > ready:
+                            break
+                        queue = scan[position][1]
+                        if not queue:
+                            continue
+                        destination = queue[0].message.destination
+                        if destination == node:
+                            ready = position
+                            break
                         channel = hops.get(destination)
                         if channel is None:
-                            next_hop(node, destination)
+                            try:
+                                next_hop(node, destination)
+                            except ReproError:
+                                ready = position
+                                break
                             channel = hops[destination]
                         release = free_at[channel]
-                        if claims[channel] == visit:
-                            # lost to an earlier head, which left the channel
-                            # busy (it launched or waits) or full (blocked)
-                            if release > cycle and (wake is None or release < wake):
-                                wake = release
-                            continue
-                        claims[channel] = visit
                         if release > cycle:
                             if wake is None or release < wake:
                                 wake = release
                             continue
-                        if len(fed[channel]) >= capacity:
-                            blocked = True
-                            continue
-                        queue.popleft()
-                        flits = packet.num_flits
-                        free_at[channel] = cycle + flits
-                        packet.hops += 1
-                        packet.path.append(channels[channel][1])
-                        # launches land two or more cycles ahead: appending
-                        # keeps every bucket in sequence order
-                        arrival = cycle + flits + delay
-                        bucket = arrivals.get(arrival)
-                        if bucket is None:
-                            arrivals[arrival] = [(launches, packet, channel)]
-                            heappush(arrival_cycles, arrival)
-                        else:
-                            bucket.append((launches, packet, channel))
-                        launches += 1
-                        if not bits[channel]:
-                            launched.append(channel)
-                        bits[channel] += message.size_bits
-                        busy[channel] += flits
-                    # one switch traversal per move (the final one ejects)
-                    switch_bits += message.size_bits
-                    moves += 1
-                    loads[index] -= 1
-                    popped.append(i % count)
-                    if feed is None:
-                        continue  # the local queue: unbounded, fed by nobody
-                    # a pop from a bounded buffer frees space: the arrivals
-                    # parked on its channel fall due next cycle, and a loaded
-                    # upstream router may launch into it
-                    if parked and len(queue) == unfull:
-                        waiting = parked.pop(feed, None)
-                        if waiting is not None:
-                            bucket = arrivals.get(next_cycle)
-                            if bucket is None:
-                                arrivals[next_cycle] = waiting
-                                heappush(arrival_cycles, next_cycle)
-                            else:
-                                for flight in waiting:
-                                    insort(bucket, flight)
-                    if not dense and loads[upstream]:
-                        if upstream > index:
-                            active |= 1 << upstream
-                        elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
-                            scheduled[upstream] = next_cycle
-                            heappush(wake_heap, (next_cycle, upstream))
-                if dense or not loads[index]:
-                    continue
-                if scheduled[index] is not None and scheduled[index] <= next_cycle:
-                    continue  # already due as early as any re-arm could make it
-                # re-arm a still-loaded router at the earliest of its heads'
-                # conditions: next cycle (eject, routing error, free channel
-                # with downstream space), a busy channel's release, or none
-                # (backpressure: the downstream pop wakes it).  The heads
-                # that stayed were classified by the scan; a popped queue's
-                # new head is examined here, in port order up to the first
-                # ready head, and a full one before it blocks the run.
-                if len(popped) > 1:
-                    popped.sort()
-                for position in popped:
-                    if position > ready:
-                        break
-                    queue = scan[position][1]
-                    if not queue:
-                        continue
-                    destination = queue[0].message.destination
-                    if destination == node:
-                        ready = position
-                        break
-                    channel = hops.get(destination)
-                    if channel is None:
-                        try:
-                            next_hop(node, destination)
-                        except ReproError:
+                        if len(fed[channel]) < capacity:
                             ready = position
                             break
-                        channel = hops[destination]
-                    release = free_at[channel]
-                    if release > cycle:
-                        if wake is None or release < wake:
-                            wake = release
-                        continue
-                    if len(fed[channel]) < capacity:
-                        ready = position
-                        break
-                    blocked = True
-                if ready < count:
-                    wake = next_cycle
-                if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
-                    scheduled[index] = wake
-                    heappush(wake_heap, (wake, index))
+                        blocked = True
+                    if ready < count:
+                        wake = next_cycle
+                    if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
+                        scheduled[index] = wake
+                        heappush(wake_heap, (wake, index))
+                stepped += 1
+                cycle = next_cycle
         finally:
             # kept exact even when a routing function raises mid-visit
+            self.current_cycle = cycle
+            self.cycles_stepped = stepped
+            self._buffered_total = buffered
             self._launches = launches
             self._visits = visit
-            self._buffered_total -= moves
-            self._switch_bits += switch_bits
-            if blocked:
-                self._blocked = True
-        self.cycles_stepped += 1
-        self.current_cycle = next_cycle
-
-    # ------------------------------------------------------------------
-    # event-driven engine
-    # ------------------------------------------------------------------
-    def _arm_occupied_routers(self) -> None:
-        """Schedule every router currently holding packets for processing.
-
-        Called on entry to every event-driven run so that mixing manual
-        :meth:`step` calls (or successive runs) with the event engine can
-        never leave a loaded router asleep.
-        """
-        if not self._buffered_total:
-            return
-        cycle = self.current_cycle
-        scheduled = self._scheduled_wake
-        for index, count in enumerate(self._load):
-            if count and (scheduled[index] is None or scheduled[index] > cycle):
-                scheduled[index] = cycle
-                heappush(self._wake_heap, (cycle, index))
-
-    def _next_event_cycle(self) -> int | None:
-        """The next cycle at which anything can possibly progress.
-
-        While an arrival is parked, that is every cycle: the model retries
-        a blocked arrival each cycle, and ``cycles_stepped`` counts those
-        cycles whether or not the retry is carried out.
-        """
-        if self._parked:
-            return self.current_cycle
-        candidate: int | None = self._pending[0][0] if self._pending else None
-        arrival_cycles = self._arrival_cycles
-        if arrival_cycles and (candidate is None or arrival_cycles[0] < candidate):
-            candidate = arrival_cycles[0]
-        if self._wake_heap and (candidate is None or self._wake_heap[0][0] < candidate):
-            candidate = self._wake_heap[0][0]
-        if candidate is None:
-            return None
-        return max(candidate, self.current_cycle)
-
-    def _run_event(self, cycles: int) -> None:
-        """Event-driven :meth:`run`: execute only the active cycles of the
-        window, then jump the clock to the end (idle tails are analytic —
-        leakage over the skipped span is charged in one call at finalize)."""
-        target = self.current_cycle + cycles
-        self._arm_occupied_routers()
-        while True:
-            next_cycle = self._next_event_cycle()
-            if next_cycle is None or next_cycle >= target:
-                break
-            self._process_active_cycle(next_cycle)
-        self.current_cycle = target
-
-    def _drained(self) -> bool:
-        """No pending injection, no buffered packet, nothing in flight or
-        parked."""
-        return not (
-            self._pending or self._buffered_total or self._arrival_cycles or self._parked
-        )
-
-    def _run_event_until_drained(self, start: int, budget: int) -> None:
-        """Event-driven :meth:`run_until_drained`.
-
-        The loop inlines :meth:`_drained` and :meth:`_next_event_cycle`:
-        it runs once per executed cycle.
-        """
-        self._arm_occupied_routers()
-        pending = self._pending
-        arrival_cycles = self._arrival_cycles
-        parked = self._parked
-        wake_heap = self._wake_heap
-        process = self._process_active_cycle
-        while pending or arrival_cycles or parked or self._buffered_total:
-            if parked:
-                next_cycle = self.current_cycle
-            else:
-                next_cycle = pending[0][0] if pending else None
-                if arrival_cycles and (next_cycle is None or arrival_cycles[0] < next_cycle):
-                    next_cycle = arrival_cycles[0]
-                if wake_heap and (next_cycle is None or wake_heap[0][0] < next_cycle):
-                    next_cycle = wake_heap[0][0]
-                if next_cycle is not None and next_cycle < self.current_cycle:
-                    next_cycle = self.current_cycle
-            if next_cycle is None or next_cycle - start > budget:
-                # the reference engine crawls through the dead cycles and
-                # raises once the budget is crossed; land on the same cycle
-                self.current_cycle = start + budget + 1
-                raise self._drain_budget_error(budget)
-            process(next_cycle)
+            self._switch_bits = switch_bits
+            self._peak_occupancy = peak
+            self._blocked = blocked
+        if until is not None:
+            self.current_cycle = until
+        elif overrun:
+            self.current_cycle = start + budget + 1
+            raise self._drain_budget_error(budget)
 
     # ------------------------------------------------------------------
     # runs
     # ------------------------------------------------------------------
     def run(self, cycles: int) -> None:
         """Run for a fixed number of cycles."""
+        if cycles < 0:
+            raise SimulationError("cannot run a negative number of cycles")
         tracer = get_tracer()
         with tracer.span("noc.run") as span:
             if self._batch is not None:
                 self._batch.enqueue(0, RunOp(cycles))
                 self._execute_batch()  # the batch core finalizes per op
-            elif self.config.engine == ENGINE_EVENT:
-                self._run_event(cycles)
-                self._finalize()
             else:
-                for _ in range(cycles):
-                    self.step()
+                self._advance(
+                    self.current_cycle + cycles, dense=self.config.engine == ENGINE_REFERENCE
+                )
                 self._finalize()
             if tracer.enabled:
                 span.annotate(
@@ -955,20 +921,16 @@ class NoCSimulator:
         exhausted first (which would indicate a routing loop or deadlock).
         """
         budget = max_cycles if max_cycles is not None else self.config.max_cycles
+        if budget < 0:
+            raise SimulationError(f"the drain budget cannot be negative ({budget})")
         start = self.current_cycle
         tracer = get_tracer()
         with tracer.span("noc.run_until_drained") as span:
             if self._batch is not None:
                 self._batch.enqueue(0, DrainOp(max_cycles))
                 self._execute_batch()  # the batch core finalizes per op
-            elif self.config.engine == ENGINE_EVENT:
-                self._run_event_until_drained(start, budget)
-                self._finalize()
             else:
-                while not self._drained():
-                    if self.current_cycle - start > budget:
-                        raise self._drain_budget_error(budget)
-                    self.step()
+                self._advance(None, dense=self.config.engine == ENGINE_REFERENCE, budget=budget)
                 self._finalize()
             if tracer.enabled:
                 span.annotate(

@@ -11,8 +11,10 @@ Three kinds of traffic are needed by the experiments:
   patterns used by the extended benchmarks.
 
 Dependency-aware traffic (the distributed AES rounds) is produced by
-:mod:`repro.aes.distributed` as explicit phases and fed to
-:meth:`repro.noc.simulator.NoCSimulator.run_phases`.
+:mod:`repro.aes.distributed` as explicit phases.  The DSE pipeline
+(:mod:`repro.dse.pipeline`) turns them into an op program, a schedule and
+a drain per phase plus the computation allowance, and replays it on a
+fresh simulator.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message
 from repro.noc.simulator import (
+    ENGINE_BATCH,
     ENGINE_EVENT,
     ENGINE_REFERENCE,
+    ENGINES,
     NoCSimulator,
     SimulatorConfig,
 )
@@ -294,6 +296,32 @@ class TestStuckPacketDiagnostics:
             errors[engine] = str(excinfo.value)
         assert errors[ENGINE_EVENT] == errors[ENGINE_REFERENCE]
 
+    def test_overrun_lands_both_engines_on_the_same_cycle(self):
+        """A deadlocked ring: every one-packet buffer holds a packet waiting
+        on the next full buffer clockwise.  Both engines give up on the
+        cycle after the budget, with the same message and stuck packets."""
+        outcomes = {}
+        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
+            topology = Topology(name="ring")
+            for node in range(4):
+                topology.add_channel(node, (node + 1) % 4)
+            simulator = NoCSimulator(
+                topology,
+                lambda current, destination: (current + 1) % 4,
+                config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
+            )
+            simulator.schedule_messages(
+                [Message(node, (node + 3) % 4, 32) for node in range(4) for _ in range(3)]
+            )
+            start = simulator.current_cycle
+            with pytest.raises(SimulationError) as excinfo:
+                simulator.run_until_drained(max_cycles=50)
+            assert simulator.current_cycle == start + 51
+            stuck = [(packet.packet_id, where) for packet, where in simulator.stuck_packets()]
+            outcomes[engine] = (str(excinfo.value), stuck)
+        assert "did not drain within 50 cycles (12 packets stuck" in outcomes[ENGINE_EVENT][0]
+        assert outcomes[ENGINE_EVENT] == outcomes[ENGINE_REFERENCE]
+
     def test_many_stuck_packets_are_truncated(self):
         topology = chain_topology()
         topology.add_router(99)
@@ -307,3 +335,33 @@ class TestStuckPacketDiagnostics:
         with pytest.raises(SimulationError) as excinfo:
             simulator.run_until_drained(max_cycles=40)
         assert "more" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestNegativeCycleCounts:
+    """A negative window or drain budget is rejected before anything moves,
+    so no engine's clock can run backwards."""
+
+    def simulator(self, engine: str) -> NoCSimulator:
+        if engine == ENGINE_BATCH:
+            pytest.importorskip("numpy")
+        return chain_simulator(engine=engine)
+
+    def test_negative_run_is_rejected(self, engine):
+        simulator = self.simulator(engine)
+        simulator.schedule_message(Message(0, 2, 64))
+        drained = simulator.run_until_drained()
+        stepped = simulator.cycles_stepped
+        with pytest.raises(SimulationError, match="negative number of cycles"):
+            simulator.run(-5)
+        assert simulator.current_cycle == simulator.statistics.total_cycles == drained
+        assert simulator.cycles_stepped == stepped
+
+    def test_negative_drain_budget_is_rejected(self, engine):
+        simulator = self.simulator(engine)
+        simulator.schedule_message(Message(0, 2, 64), cycle=10)
+        with pytest.raises(SimulationError, match="drain budget cannot be negative"):
+            simulator.run_until_drained(max_cycles=-3)
+        assert simulator.current_cycle == simulator.cycles_stepped == 0
+        assert simulator.run_until_drained() > 10
+        assert simulator.statistics.delivered_count == 1

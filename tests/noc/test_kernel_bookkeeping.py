@@ -57,7 +57,6 @@ class TestParkedArrivals:
         simulator = retry_collision_run(engine)
         simulator.run(7)
         assert simulator.parked
-        assert not simulator._drained()
         stuck = [packet.packet_id for packet, _ in simulator.stuck_packets()]
         assert stuck == [0, 1, 2, 3]
         simulator.run_until_drained()
@@ -116,6 +115,45 @@ class TestRoutingFailureMidScan:
         assert len(simulator.stuck_packets()) == len(stuck) == 3
         assert stuck == {"F": 1, "G": 1, "H": 2}  # G parked, H in flight
         assert [packet.message.tag for _, packet, _ in simulator.parked[(0, 1)]] == ["G"]
+
+    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
+    def test_a_failure_cuts_the_window_short(self, engine):
+        """A routes 0 -> 3 along a chain and fails at router 2 on cycle 4,
+        mid-way through a 10-cycle window.  The clock stays on the failing
+        cycle, which ``cycles_stepped`` does not count, the moves before
+        it stay counted, and once the routing is fixed the run drains."""
+        broken = True
+
+        def forward(current, destination):
+            if broken and (current, destination) == (2, 3):
+                raise SimulationError("no route from 2 to 3 yet")
+            return current + 1 if destination > current else current - 1
+
+        def build() -> NoCSimulator:
+            topology = Topology(name="chain")
+            for node in range(3):
+                topology.add_channel(node, node + 1, bidirectional=True)
+            simulator = NoCSimulator(topology, forward, config=SimulatorConfig(engine=engine))
+            simulator.schedule_messages([Message(0, 3, 32, tag="A"), Message(1, 0, 32, tag="D")])
+            simulator.schedule_messages([Message(0, 2, 32, tag="B")], cycle=1)
+            return simulator
+
+        simulator = build()
+        with pytest.raises(SimulationError, match="no route"):
+            simulator.run(10)
+        assert simulator.current_cycle == 4
+        clean = build()
+        clean.run(4)
+        assert simulator.cycles_stepped == clean.cycles_stepped
+        assert simulator._buffered_total == sum(simulator._load) == queued_packets(simulator)
+        stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
+        assert stuck == {"A": 2, "B": 2}  # A at the failing router, B flying to it
+        assert [packet.message.tag for packet in simulator.statistics.delivered_packets] == ["D"]
+        broken = False
+        simulator.routing = forward
+        simulator.run_until_drained()
+        delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
+        assert sorted(delivered) == ["A", "B", "D"]
 
     def test_without_the_failure_the_run_drains(self):
         simulator = merge_failure_run(ENGINE_EVENT)
