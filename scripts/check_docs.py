@@ -6,8 +6,11 @@ Two modes, combinable:
 ``--links`` (default when no mode is given)
     Scan the curated Markdown files (``README.md`` + ``docs/``; the
     generated ``PAPERS.md``/``SNIPPETS.md`` dumps are excluded) for
-    relative links/images and fail if a target file does not exist.
-    External (``http``/``https``/``mailto``) links are not fetched.
+    relative links/images and fail if a target file does not exist, or
+    if a ``#fragment`` names no heading of the target Markdown file (the
+    linking file itself for a bare ``#fragment``), by GitHub's heading
+    anchors.  External (``http``/``https``/``mailto``) links are not
+    fetched.
 
 ``--examples``
     Extract every fenced ``bash`` block that is immediately preceded by a
@@ -28,13 +31,16 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MARKER = "<!-- smoke-tested: docs-ci -->"
 #: markdown inline links/images: [text](target) / ![alt](target)
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
-EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "#")
+EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: ATX headings (``## Title``), with any closing ``#`` run
+HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
 
 
 def markdown_files() -> list[Path]:
@@ -44,22 +50,56 @@ def markdown_files() -> list[Path]:
     return [path for path in files if path.exists()]
 
 
+@cache
+def heading_anchors(markdown: Path) -> frozenset[str]:
+    """The GitHub-style anchors of a Markdown file's headings.
+
+    An anchor is the heading's text, lower-cased, with link targets and
+    every character but letters, digits, ``-``, ``_`` and spaces dropped
+    and spaces turned into ``-``; a repeated anchor gets ``-1``, ``-2``, ...
+    Headings inside fenced code blocks do not count.
+    """
+    anchors: set[str] = set()
+    seen: dict[str, int] = {}
+    fenced = False
+    for line in markdown.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith(("```", "~~~")):
+            fenced = not fenced
+            continue
+        match = None if fenced else HEADING_PATTERN.match(line)
+        if match is None:
+            continue
+        text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", match.group(1))
+        anchor = re.sub(r"[^\w\- ]", "", text.lower()).replace(" ", "-")
+        repeats = seen.get(anchor, 0)
+        seen[anchor] = repeats + 1
+        anchors.add(f"{anchor}-{repeats}" if repeats else anchor)
+    return frozenset(anchors)
+
+
+def broken_links(markdown: Path) -> list[str]:
+    """The relative link targets of one Markdown file that do not resolve."""
+    broken: list[str] = []
+    for match in LINK_PATTERN.finditer(markdown.read_text(encoding="utf-8")):
+        target = match.group(1)
+        if target.startswith(EXTERNAL_PREFIXES):
+            continue
+        path_part, _, fragment = target.partition("#")
+        resolved = (markdown.parent / path_part).resolve() if path_part else markdown
+        if not resolved.exists():
+            broken.append(target)
+        elif fragment and resolved.suffix == ".md" and fragment not in heading_anchors(resolved):
+            broken.append(target)
+    return broken
+
+
 def check_links() -> list[str]:
     """All broken relative link targets, as ``file: target`` strings."""
-    problems: list[str] = []
-    for markdown in markdown_files():
-        text = markdown.read_text(encoding="utf-8")
-        for match in LINK_PATTERN.finditer(text):
-            target = match.group(1)
-            if target.startswith(EXTERNAL_PREFIXES):
-                continue
-            path_part = target.split("#", 1)[0]
-            if not path_part:
-                continue
-            resolved = (markdown.parent / path_part).resolve()
-            if not resolved.exists():
-                problems.append(f"{markdown.relative_to(REPO_ROOT)}: {target}")
-    return problems
+    return [
+        f"{markdown.relative_to(REPO_ROOT)}: {target}"
+        for markdown in markdown_files()
+        for target in broken_links(markdown)
+    ]
 
 
 def smoke_tested_blocks(markdown: Path) -> list[str]:

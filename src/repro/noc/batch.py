@@ -172,8 +172,7 @@ class BatchSimulator:
 
         # ports per router: the local injection port first, then one port
         # per incoming channel in channel-declaration order — the exact
-        # scan order of NoCSimulator.scan_order, which round-robin ranks
-        # index
+        # scan order of the scalar engines, which round-robin ranks index
         port_router: list[int] = []
         port_rank: list[int] = []
         self._local_port: list[int] = []
@@ -496,8 +495,6 @@ class BatchSimulator:
             cell.drain_budget = budget if budget is not None else cell.config.max_cycles
             return
         if isinstance(op, RunOp):
-            if op.cycles < 0:
-                raise SimulationError("cannot run a negative number of cycles")
             self._mode[index] = _MODE_RUN
             cell.run_target = self._cycle[index] + op.cycles
             return

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -107,12 +107,20 @@ class DrainOp:
 
     max_cycles: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_cycles is not None and self.max_cycles < 0:
+            raise SimulationError(f"the drain budget cannot be negative ({self.max_cycles})")
+
 
 @dataclass(frozen=True)
 class RunOp:
     """Run for a fixed number of cycles (``run``)."""
 
     cycles: int
+
+    def __post_init__(self) -> None:
+        if self.cycles < 0:
+            raise SimulationError("cannot run a negative number of cycles")
 
 
 @dataclass
@@ -147,22 +155,23 @@ class SimulatorConfig:
 class NoCSimulator:
     """Owns one simulated fabric and drives it to completion.
 
-    The fabric state lives here as flat lists the cycle loop
-    (:meth:`_advance`) binds once per run and indexes directly.
-    :meth:`_wire` gives every router a *position* (its index in the
-    reference loop's processing order) and every channel an integer *id*.  Per position: the router's load, its input queues by port (the
+    The fabric and the routing function are fixed at construction, as a
+    prototype's are: to simulate another fabric or routing, build another
+    simulator.  A router or channel added to the topology afterwards is
+    unknown to this one.  The fabric state lives here as flat lists the
+    cycle loop (:meth:`_advance`) binds once per run and indexes
+    directly.  :meth:`_wire` gives every router a *position* (its index
+    in the reference loop's processing order) and every channel an
+    integer *id*.  Per position: the router's load, its input queues by port (the
     local injection queue first), their scan tuples ``(port, queue,
     feeding channel id, upstream position)`` and its ``destination ->
-    channel id`` routing memo.  Per channel id: its release cycle, the
-    queue it feeds, its claim stamp and its busy-cycle and link-bit
-    counters.  In-flight and parked packets carry channel ids.  The
-    node-keyed attributes (:attr:`input_queues`, :attr:`scan_order`,
-    :attr:`downstream`, :attr:`channel_free_at`, :attr:`parked`,
-    :attr:`in_flight`) are read-only views over that state.  The public
-    surface (scheduling, :meth:`run`, :meth:`run_until_drained`,
-    :meth:`run_phases`, :meth:`report`) is engine-agnostic; the configured
-    engine only decides *which* cycles are executed, never what happens
-    within one.
+    channel id`` routing memo, which cannot go stale because nothing it
+    memoizes can change.  Per channel id: its release cycle, the queue it
+    feeds, its claim stamp and its busy-cycle and link-bit counters.
+    In-flight and parked packets carry channel ids.  The public surface
+    (scheduling, :meth:`run`, :meth:`run_until_drained`, :meth:`report`)
+    is engine-agnostic; the configured engine only decides *which* cycles
+    are executed, never what happens within one.
     """
 
     def __init__(
@@ -183,9 +192,6 @@ class NoCSimulator:
         self.topology = topology
         self.technology = technology
         self._routing = routing
-        self.route_cache: dict[tuple[NodeId, NodeId], NodeId] = {}
-        """Resolved, channel-validated ``(node, destination) -> next hop``
-        decisions (:meth:`next_hop` fills it)."""
         # per router position (the reference loop's processing order)
         self._router_order: dict[NodeId, int] = {}  # node -> position
         self._nodes: list[NodeId] = []
@@ -198,9 +204,8 @@ class NoCSimulator:
         position)`` in round-robin arbitration order (both ``None`` for the
         local port)."""
         self._hops: list[dict[NodeId, int]] = []
-        """Per position, the :attr:`route_cache` decisions as ``destination
-        -> channel id``: the kernel's lookup, filled by :meth:`next_hop` and
-        dropped with :attr:`route_cache`."""
+        """Per position, the resolved routing decisions as ``destination ->
+        channel id``: the kernel's lookup, filled by :meth:`_route`."""
         self._load: list[int] = []
         """Per position, its buffered-packet count, maintained at the three
         buffer mutation points (injection, arrival, pop) so neither engine
@@ -237,8 +242,7 @@ class NoCSimulator:
         self._arrivals: dict[int, list[tuple[int, Packet, int]]] = {}
         """Packets traversing a channel, by arrival cycle: each bucket holds
         ``(launch sequence, packet, channel id)`` in sequence order, which
-        keeps every channel's packets in launch order (see
-        :attr:`in_flight`)."""
+        keeps every channel's packets in launch order."""
         self._arrival_cycles: list[int] = []  # heap of the buckets' cycles
         self._parked: dict[int, list[tuple[int, Packet, int]]] = {}
         """Per channel id, the arrivals that found its downstream queue
@@ -284,15 +288,12 @@ class NoCSimulator:
     def _wire(self) -> None:
         """Give every router a position and every channel an id and state.
 
-        Routers and channels already wired keep theirs: a new router is
-        appended to the processing order, so an in-flight simulation's
-        arbitration stays stable, and a new input port joins the end of
-        its router's scan order.
+        Positions follow ``topology.routers()`` and ids
+        ``topology.channels()``; a router's input ports follow the order of
+        the channels into it, after its local port.
         """
         order = self._router_order
         for node in self.topology.routers():
-            if node in order:
-                continue
             order[node] = len(self._nodes)
             self._nodes.append(node)
             self._queues.append({LOCAL_PORT: deque()})
@@ -302,16 +303,12 @@ class NoCSimulator:
         ids = self._channel_ids
         for channel in self.topology.channels():
             key = (channel.source, channel.target)
-            if key in ids:
-                continue
             ids[key] = len(self._channels)
             self._channels.append(key)
             target = order[channel.target]
-            queues = self._queues[target]
-            if channel.source not in queues:
-                queues[channel.source] = deque()
+            queue = self._queues[target][channel.source] = deque()
             self._targets.append(target)
-            self._fed.append(queues[channel.source])
+            self._fed.append(queue)
             self._free_at.append(0)
             self._claims.append(0)
             self._busy.append(0)
@@ -326,134 +323,25 @@ class NoCSimulator:
             for node, queues in zip(self._nodes, self._queues)
         ]
 
-    # ------------------------------------------------------------------
-    # node-keyed read-only views of the fabric state
-    # ------------------------------------------------------------------
-    @property
-    def input_queues(self) -> dict[NodeId, dict[object, deque[Packet]]]:
-        """Per router, its FIFO input queues by port: :data:`LOCAL_PORT`
-        (the unbounded injection queue) first, then one per incoming
-        channel, keyed by the upstream router."""
-        return dict(zip(self._nodes, self._queues))
-
-    @property
-    def scan_order(self) -> dict[NodeId, tuple[tuple[object, deque[Packet]], ...]]:
-        """Per router, ``(port, queue)`` in round-robin arbitration order."""
-        return {
-            node: tuple((port, queue) for port, queue, _, _ in scan)
-            for node, scan in zip(self._nodes, self._scans)
-        }
-
-    @property
-    def downstream(self) -> dict[Channel, deque[Packet]]:
-        """Per channel ``(source, target)``: the input queue at its target
-        that it feeds."""
-        return dict(zip(self._channels, self._fed))
-
-    @property
-    def channel_free_at(self) -> dict[Channel, int]:
-        """Per channel ``(source, target)``: the cycle it is free again."""
-        return dict(zip(self._channels, self._free_at))
-
-    @property
-    def parked(self) -> dict[Channel, list[tuple[int, Packet, Channel]]]:
-        """Per channel ``(source, target)``, the arrivals parked on it as
-        ``(launch sequence, packet, channel)`` in sequence order."""
-        channels = self._channels
-        return {
-            channels[channel]: [(seq, packet, channels[channel]) for seq, packet, _ in flights]
-            for channel, flights in self._parked.items()
-        }
-
-    def sync_topology(self) -> None:
-        """Adopt routers and channels added to the topology after construction.
-
-        The fabric state is built at construction, and :meth:`next_hop`
-        memoizes decisions validated against the channels wired then, so
-        a channel or router added afterwards is invisible until this call:
-        routing over it raises :class:`SimulationError`, and a memoized
-        decision that predates the mutation would keep winning.  This wires
-        the new elements in and drops every memoized routing decision.  (A
-        frozen :meth:`~repro.routing.table.RoutingTable.frozen_next_hop`
-        snapshot is a deliberate point-in-time copy: re-freeze the table
-        and assign :attr:`routing` to pick up new table entries.)
-        """
-        if self._batch is not None:
-            raise SimulationError(
-                "the batch engine freezes the fabric layout at construction; "
-                "sync_topology() is only available on the 'event' and "
-                "'reference' engines"
-            )
-        self._wire()
-        self._drop_routes()
-
-    def _drop_routes(self) -> None:
-        """Forget every memoized routing decision."""
-        self.route_cache.clear()
-        for hops in self._hops:
-            hops.clear()
-
-    @property
-    def routing(self) -> RoutingFunction:
-        """The routing function ``route(current, destination) -> next hop``."""
-        return self._routing
-
-    @routing.setter
-    def routing(self, routing: RoutingFunction) -> None:
-        """Swap the routing function, dropping every memoized decision."""
-        self._routing = routing
-        self._drop_routes()
-
-    def next_hop(self, current: NodeId, destination: NodeId) -> NodeId:
-        """The (memoized) routing decision for a packet at ``current``.
+    def _route(self, position: int, destination: NodeId) -> int:
+        """The output channel id of a packet at ``position`` heading to
+        ``destination``, resolved once and memoized in :attr:`_hops`.
 
         Routing functions must be deterministic and stateless in
-        ``(current, destination)`` — every routing adapter in the library is
-        — so each decision is resolved and validated against the wired
-        channels once and then served from :attr:`route_cache`.
+        ``(current, destination)`` -- every routing adapter in the library
+        is -- and the fabric is fixed at construction, so a decision
+        validated against the wired channels never goes stale.
         """
-        key = (current, destination)
-        next_hop = self.route_cache.get(key)
-        if next_hop is None:
-            next_hop = self._routing(current, destination)
-            if (current, next_hop) not in self._channel_ids:
-                hint = (
-                    " (it was added after construction: call sync_topology())"
-                    if self.topology.has_channel(current, next_hop)
-                    else ""
-                )
-                raise SimulationError(
-                    f"routing function returned {next_hop!r} from {current!r} towards "
-                    f"{destination!r}, but that channel does not exist{hint}"
-                )
-            self.route_cache[key] = next_hop
-        channel = self._channel_ids[(current, next_hop)]
-        self._hops[self._router_order[current]][destination] = channel
-        return next_hop
-
-    @property
-    def in_flight(self) -> list[tuple[int, int, Packet, Channel]]:
-        """Every packet traversing or parked on a channel, as a sorted list
-        of ``(arrival cycle, launch sequence, packet, channel)``.
-
-        A parked packet shows as due at the current cycle, as a per-cycle
-        retry would be.  The sequence orders a channel's packets by launch,
-        so a retry and a later launch due on one cycle keep their order.
-        A read-only view for tests and triage; the kernel never builds it.
-        """
-        channels = self._channels
-        flights = [
-            (arrival, seq, packet, channels[channel])
-            for arrival, bucket in self._arrivals.items()
-            for seq, packet, channel in bucket
-        ]
-        flights.extend(
-            (self.current_cycle, seq, packet, channels[channel])
-            for parked in self._parked.values()
-            for seq, packet, channel in parked
-        )
-        flights.sort(key=lambda flight: flight[:2])
-        return flights
+        current = self._nodes[position]
+        next_hop = self._routing(current, destination)
+        channel = self._channel_ids.get((current, next_hop))
+        if channel is None:
+            raise SimulationError(
+                f"routing function returned {next_hop!r} from {current!r} towards "
+                f"{destination!r}, but that channel does not exist"
+            )
+        self._hops[position][destination] = channel
+        return channel
 
     def stuck_packets(self) -> list[tuple[Packet, NodeId]]:
         """Every undelivered packet with the router it is at (or flying to).
@@ -468,7 +356,10 @@ class NoCSimulator:
             for queue in queues.values()
             for packet in queue
         ]
-        stuck.extend((packet, channel[1]) for _, _, packet, channel in self.in_flight)
+        nodes = self._nodes
+        targets = self._targets
+        for flights in (*self._arrivals.values(), *self._parked.values()):
+            stuck.extend((packet, nodes[targets[channel]]) for _, packet, channel in flights)
         stuck.sort(key=lambda item: item[0].packet_id)
         return stuck
 
@@ -503,19 +394,18 @@ class NoCSimulator:
         """Build one packet per message and queue them as one pending entry;
         returns the last packet.
 
-        The cycle is checked once per call, each distinct endpoint router
-        once per call and each distinct message size converted to flits
-        once per call.  On an unknown router the messages before it stay
-        queued, exactly as if they had been scheduled one call at a time.
+        The cycle is checked once per call and each distinct message size
+        converted to flits once per call.  Sources and destinations must be
+        wired routers (a router added to the topology after construction is
+        unknown).  On an unknown router the messages before it stay queued,
+        exactly as if they had been scheduled one call at a time.
         """
         if cycle is None:
             cycle = self.current_cycle
         if cycle < self.current_cycle:
             raise SimulationError("cannot schedule a message in the past")
-        has_router = self.topology.has_router
         order = self._router_order
         flit_width = self.config.flit_width_bits
-        known: set[NodeId] = set()  # validated destinations
         by_source: dict[NodeId, list[Packet]] = {}
         flits_of: dict[int, int] = {}
         first_id = packet_id = self._next_packet_id
@@ -526,18 +416,11 @@ class NoCSimulator:
                 destination = message.destination
                 queued = by_source.get(source)
                 if queued is None:
-                    if not has_router(source):
-                        raise SimulationError(f"unknown source router {source!r}")
                     if source not in order:
-                        raise SimulationError(
-                            f"source router {source!r} was added after construction: "
-                            "call sync_topology()"
-                        )
+                        raise SimulationError(f"unknown source router {source!r}")
                     queued = by_source[source] = []
-                if destination not in known:
-                    if not has_router(destination):
-                        raise SimulationError(f"unknown destination router {destination!r}")
-                    known.add(destination)
+                if destination not in order:
+                    raise SimulationError(f"unknown destination router {destination!r}")
                 size = message.size_bits
                 num_flits = flits_of.get(size)
                 if num_flits is None:
@@ -629,7 +512,7 @@ class NoCSimulator:
         parked = self._parked
         wake_heap = self._wake_heap
         scheduled = self._scheduled_wake
-        next_hop = self.next_hop
+        route = self._route
         probe = self.probe
         delivered = self.statistics.delivered_packets
         capacity = self.config.buffer_capacity_packets
@@ -763,8 +646,7 @@ class NoCSimulator:
                         else:
                             channel = hops.get(destination)
                             if channel is None:
-                                next_hop(node, destination)
-                                channel = hops[destination]
+                                channel = route(index, destination)
                             release = free_at[channel]
                             if claims[channel] == visit:
                                 # lost to an earlier head, which left the
@@ -852,11 +734,10 @@ class NoCSimulator:
                         channel = hops.get(destination)
                         if channel is None:
                             try:
-                                next_hop(node, destination)
+                                channel = route(index, destination)
                             except ReproError:
                                 ready = position
                                 break
-                            channel = hops[destination]
                         release = free_at[channel]
                         if release > cycle:
                             if wake is None or release < wake:
@@ -1002,46 +883,8 @@ class NoCSimulator:
             # since the previous finalize — including any skipped idle span
             span = self.current_cycle - self._leakage_charged_until
             if span > 0:
-                self.energy.charge_leakage(self.topology.num_routers, span)
+                self.energy.charge_leakage(len(self._nodes), span)
                 self._leakage_charged_until = self.current_cycle
-
-    # ------------------------------------------------------------------
-    # phased execution (dependency-aware workloads such as distributed AES)
-    # ------------------------------------------------------------------
-    def run_phases(
-        self,
-        phases: Sequence[Sequence[Message]],
-        max_cycles_per_phase: int | None = None,
-        computation_cycles_per_phase: int = 0,
-    ) -> list[int]:
-        """Run a sequence of communication phases back to back.
-
-        All messages of a phase are injected simultaneously, and the next
-        phase starts only when the network has drained — which models the
-        data dependencies between computation rounds (e.g. AES rounds: a node
-        cannot start the next round before it received its operands).
-        ``computation_cycles_per_phase`` idles the network after every phase
-        to account for the local computation (e.g. SubBytes / MixColumns
-        arithmetic) that separates communication phases; leakage keeps being
-        charged during those cycles.  With the event engine the idle
-        allowance is analytic — the clock jumps over it — while the
-        reference engine steps through it cycle by cycle; both charge the
-        identical leakage because finalize charges by elapsed span.
-
-        Returns the list of per-phase durations in cycles (including the
-        computation allowance).
-        """
-        if computation_cycles_per_phase < 0:
-            raise SimulationError("computation cycles per phase must be non-negative")
-        durations: list[int] = []
-        for phase in phases:
-            phase_start = self.current_cycle
-            self.schedule_messages(phase, cycle=self.current_cycle)
-            self.run_until_drained(max_cycles=max_cycles_per_phase)
-            if computation_cycles_per_phase:
-                self.run(computation_cycles_per_phase)
-            durations.append(self.current_cycle - phase_start)
-        return durations
 
     # ------------------------------------------------------------------
     # results

@@ -96,15 +96,14 @@ class RoutingTable:
         simulator engines want as their routing source.  Later mutations of
         this table are deliberately not visible through the snapshot: a
         frozen function is a point-in-time copy, and consumers that mutate
-        the table afterwards must re-freeze (and, for a live
-        :class:`~repro.noc.simulator.NoCSimulator`, assign the new function
-        to ``simulator.routing`` so its route memo is dropped too; see
-        :meth:`~repro.noc.simulator.NoCSimulator.sync_topology` for the
-        matching channel-level contract).  The snapshot carries the table's
-        :attr:`version` at freeze time as ``table_version`` and whether it
-        has gone stale is ``table.version != frozen.table_version``.  Raises
-        the same :class:`RoutingError` messages as :meth:`next_hop` for
-        missing entries.
+        the table afterwards must re-freeze.  A
+        :class:`~repro.noc.simulator.NoCSimulator` keeps the routing
+        function it was built with, so to route differently, build a new
+        simulator.  The snapshot carries the table's :attr:`version` at
+        freeze time as ``table_version`` and whether it has gone stale is
+        ``table.version != frozen.table_version``.  Raises the same
+        :class:`RoutingError` messages as :meth:`next_hop` for missing
+        entries.
         """
         entries = dict(self._next_hop)
 
@@ -137,9 +136,6 @@ class RoutingTable:
                     f"routing loop detected while going from {source!r} to {destination!r}: {path}"
                 )
         return path
-
-    def destinations_of(self, router: NodeId) -> list[NodeId]:
-        return [dest for (src, dest) in self._next_hop if src == router]
 
     def entries(self) -> dict[tuple[NodeId, NodeId], NodeId]:
         return dict(self._next_hop)

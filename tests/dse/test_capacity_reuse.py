@@ -28,6 +28,7 @@ import repro.dse.cache as cache_module
 import repro.dse.pipeline as pipeline_module
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
+from repro.dse import STATUS_SIMULATION_FAILED
 from repro.dse.cache import StageContext
 from repro.dse.pipeline import (
     TRAFFIC_MODES,
@@ -364,6 +365,27 @@ class TestPluginTrafficMode:
         for record, cell in zip(swept, cells):
             assert record.succeeded
             assert record.metrics == real_run(scenario, cell.settings).metrics
+
+
+    def test_a_negative_op_fails_the_cell_before_simulating(self):
+        def negative_idle_program(scenario) -> TrafficProgram:
+            messages = tuple(acg_messages(scenario.acg))
+            return TrafficProgram((ScheduleOp(messages), DrainOp(), RunOp(-4)), iterations=1)
+
+        register_traffic_mode(TrafficModeSpec("negative_idle", "test mode", negative_idle_program))
+        try:
+            scenario = Scenario(
+                name="negative",
+                acg=planted_scenario(num_nodes=12, seed=11).acg,
+                traffic="negative_idle",
+            )
+            with patch.object(pipeline_module, "_replay") as replay:
+                record = evaluate(scenario, EvaluationSettings(architecture="mesh"))
+        finally:
+            TRAFFIC_MODES.unregister("negative_idle")
+        assert record.status == STATUS_SIMULATION_FAILED
+        assert "negative number of cycles" in record.error
+        replay.assert_not_called()
 
 
 class TestObservability:

@@ -82,7 +82,10 @@ def aes_run(engine: str, capacity: int, delay: int, flit_width: int) -> NoCSimul
             flit_width_bits=flit_width,
         ),
     )
-    simulator.run_phases(aes_phases(), computation_cycles_per_phase=4)
+    for phase in aes_phases():
+        simulator.schedule_messages(phase)
+        simulator.run_until_drained()
+        simulator.run(4)
     return simulator
 
 

@@ -70,19 +70,21 @@ def retry_collision_run(engine: str, capacity: int = 1, delay: int = 4) -> NoCSi
 class TestInFlightOrder:
     def test_retry_and_later_launch_fall_due_together(self):
         simulator = retry_collision_run(ENGINE_REFERENCE)
+        channel = simulator._channel_ids[(0, 1)]
         due_together = []
         while simulator.current_cycle < 12:
-            due = [
-                packet.packet_id
-                for arrival, _, packet, channel in sorted(simulator.in_flight)
-                if arrival <= simulator.current_cycle and channel == (0, 1)
+            # a parked arrival is due on every cycle until a pop frees its buffer
+            flights = simulator._parked.get(channel, []) + [
+                flight
+                for flight in simulator._arrivals.get(simulator.current_cycle, [])
+                if flight[2] == channel
             ]
+            due = [packet.packet_id for _, packet, _ in sorted(flights, key=lambda f: f[0])]
             if len(due) > 1:
                 due_together.append((simulator.current_cycle, due))
             simulator.step()
         # the scenario exercises the case: A (2), parked since cycle 6, and B
-        # (3) due on one cycle, A first in the (arrival, launch) order
-        # (in_flight shows a parked packet as due at the current cycle)
+        # (3) due on one cycle, A first in launch order
         assert due_together and due_together[0] == (7, [2, 3])
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)

@@ -19,7 +19,9 @@ from repro.noc.simulator import (
     ENGINE_EVENT,
     ENGINE_REFERENCE,
     ENGINES,
+    DrainOp,
     NoCSimulator,
+    RunOp,
     SimulatorConfig,
 )
 from repro.noc.traffic import InjectionSchedule, uniform_random_messages
@@ -365,3 +367,19 @@ class TestNegativeCycleCounts:
         assert simulator.current_cycle == simulator.cycles_stepped == 0
         assert simulator.run_until_drained() > 10
         assert simulator.statistics.delivered_count == 1
+
+
+class TestNegativeOpBudgets:
+    """An op with a negative budget fails when it is built, so no program
+    can hand one to an engine (the batch core included)."""
+
+    def test_negative_drain_op_is_rejected(self):
+        with pytest.raises(SimulationError, match="drain budget cannot be negative"):
+            DrainOp(-3)
+        assert DrainOp().max_cycles is None
+        assert DrainOp(0).max_cycles == 0
+
+    def test_negative_run_op_is_rejected(self):
+        with pytest.raises(SimulationError, match="negative number of cycles"):
+            RunOp(-5)
+        assert RunOp(0).cycles == 0

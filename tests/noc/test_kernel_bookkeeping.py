@@ -22,8 +22,7 @@ SCALAR_ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE)
 
 
 def queued_packets(simulator: NoCSimulator) -> int:
-    queues = simulator.input_queues.values()
-    return sum(len(queue) for by_port in queues for queue in by_port.values())
+    return sum(len(queue) for by_port in simulator._queues for queue in by_port.values())
 
 
 class TestParkedArrivals:
@@ -33,11 +32,12 @@ class TestParkedArrivals:
         both into cycle 9's arrivals, in launch order: the cycle on which a
         per-cycle retry would first have found space."""
         simulator = retry_collision_run(ENGINE_REFERENCE)
+        channel = simulator._channel_ids[(0, 1)]
         parked_at = {}
         while simulator.current_cycle < 9:
             simulator.step()
             parked_at[simulator.current_cycle - 1] = [
-                packet.packet_id for _, packet, _ in simulator.parked.get((0, 1), [])
+                packet.packet_id for _, packet, _ in simulator._parked.get(channel, [])
             ]
         assert parked_at[5] == []
         assert parked_at[6] == [2]
@@ -47,20 +47,24 @@ class TestParkedArrivals:
         # cycle 9: A takes the freed slot and B parks again; A launches on
         # at once, and that pop re-queues B for cycle 10
         simulator.step()
-        flying = {packet.packet_id: channel for _, _, packet, channel in simulator.in_flight}
+        flying = {
+            packet.packet_id: simulator._channels[channel]
+            for bucket in simulator._arrivals.values()
+            for _, packet, channel in bucket
+        }
         assert flying[2] == (1, 2)
-        assert not simulator.parked
+        assert not simulator._parked
         assert [packet.packet_id for _, packet, _ in simulator._arrivals[10]] == [3]
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
     def test_a_parked_flight_keeps_the_run_undrained(self, engine):
         simulator = retry_collision_run(engine)
         simulator.run(7)
-        assert simulator.parked
+        assert simulator._parked
         stuck = [packet.packet_id for packet, _ in simulator.stuck_packets()]
         assert stuck == [0, 1, 2, 3]
         simulator.run_until_drained()
-        assert not simulator.parked
+        assert not simulator._parked
         assert simulator.statistics.delivered_count == 4
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
@@ -79,14 +83,16 @@ def merge_failure_run(engine: str) -> NoCSimulator:
     H (8 flits, 1 -> 2) holds channel 1 -> 2 until cycle 8, so F (0 -> 2)
     waits in router 1's port-0 buffer from cycle 2 and G (0 -> 2) parks
     behind it at cycle 3.  E (3 -> 1) arrives at cycle 8, when router 1
-    scans port 3 first: E ejects, then F's head is routed.
+    scans port 3 first, then its local port.  Router 1 routes destination
+    2 over 1 -> 2 and any other one towards 0, a channel that does not
+    exist.
     """
     topology = Topology(name="merge")
     for source, target in ((0, 1), (3, 1), (1, 2)):
         topology.add_channel(source, target)
     simulator = NoCSimulator(
         topology,
-        lambda current, destination: 1 if current in (0, 3) else 2,
+        lambda current, destination: 1 if current in (0, 3) else 2 if destination == 2 else 0,
         config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
     )
     simulator.schedule_messages([Message(1, 2, 256, tag="H")], cycle=0)
@@ -100,21 +106,23 @@ class TestRoutingFailureMidScan:
     def test_counters_stay_consistent(self, engine):
         simulator = merge_failure_run(engine)
         simulator.run(8)
-        assert [port for port, _ in simulator.scan_order[1]][8 % 3] == 3
-        # from now on router 1 routes into a channel that does not exist
-        simulator.routing = lambda current, destination: 0 if current == 1 else 1
+        scan = simulator._scans[simulator._router_order[1]]
+        assert [port for port, *_ in scan][8 % 3] == 3
+        # X, injected at router 1 on cycle 8, is routed towards 0
+        simulator.schedule_messages([Message(1, 3, 32, tag="X")])
         with pytest.raises(SimulationError, match="does not exist"):
             simulator.run_until_drained()
         delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
         assert delivered == ["E"]  # ejected before the failing head was routed
         assert simulator._switch_bits == 32  # E's ejection, since run(8) flushed
         queued = queued_packets(simulator)
-        assert queued == 1  # F
+        assert queued == 2  # F and X
         assert simulator._buffered_total == sum(simulator._load) == queued
         stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
-        assert len(simulator.stuck_packets()) == len(stuck) == 3
-        assert stuck == {"F": 1, "G": 1, "H": 2}  # G parked, H in flight
-        assert [packet.message.tag for _, packet, _ in simulator.parked[(0, 1)]] == ["G"]
+        assert len(simulator.stuck_packets()) == len(stuck) == 4
+        assert stuck == {"F": 1, "G": 1, "H": 2, "X": 1}  # G parked, H in flight
+        parked = simulator._parked[simulator._channel_ids[(0, 1)]]
+        assert [packet.message.tag for _, packet, _ in parked] == ["G"]
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
     def test_a_failure_cuts_the_window_short(self, engine):
@@ -149,8 +157,7 @@ class TestRoutingFailureMidScan:
         stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
         assert stuck == {"A": 2, "B": 2}  # A at the failing router, B flying to it
         assert [packet.message.tag for packet in simulator.statistics.delivered_packets] == ["D"]
-        broken = False
-        simulator.routing = forward
+        broken = False  # the failed decision was never memoized
         simulator.run_until_drained()
         delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
         assert sorted(delivered) == ["A", "B", "D"]

@@ -81,32 +81,42 @@ def merge_simulator(**config_overrides) -> NoCSimulator:
 
 def launches_from(simulator: NoCSimulator, node) -> list[tuple]:
     """The channels out of ``node`` carrying a packet right now."""
-    return sorted(channel for _, _, _, channel in simulator.in_flight if channel[0] == node)
+    channels = [
+        simulator._channels[channel]
+        for bucket in simulator._arrivals.values()
+        for _, _, channel in bucket
+    ]
+    return sorted(channel for channel in channels if channel[0] == node)
 
 
 class TestInputQueues:
     def test_ports_in_arbitration_order(self):
         simulator = merge_simulator()
-        assert list(simulator.input_queues[1]) == [LOCAL_PORT, 2, 3]
-        assert [port for port, _ in simulator.scan_order[1]] == [LOCAL_PORT, 2, 3]
-        assert list(simulator.input_queues[2]) == [LOCAL_PORT]
-        for port, queue in simulator.scan_order[1]:
-            assert queue is simulator.input_queues[1][port]
-        assert simulator.downstream[(2, 1)] is simulator.input_queues[1][2]
-        assert simulator.downstream[(1, 7)] is simulator.input_queues[7][1]
-        assert set(simulator.channel_free_at) == {(2, 1), (3, 1), (1, 7), (1, 8)}
+        position = simulator._router_order
+        queues = simulator._queues
+        assert list(queues[position[1]]) == [LOCAL_PORT, 2, 3]
+        assert [port for port, *_ in simulator._scans[position[1]]] == [LOCAL_PORT, 2, 3]
+        assert list(queues[position[2]]) == [LOCAL_PORT]
+        for port, queue, _, _ in simulator._scans[position[1]]:
+            assert queue is queues[position[1]][port]
+        channel = simulator._channel_ids
+        assert simulator._fed[channel[(2, 1)]] is queues[position[1]][2]
+        assert simulator._fed[channel[(1, 7)]] is queues[position[7]][1]
+        assert set(channel) == {(2, 1), (3, 1), (1, 7), (1, 8)}
 
     def test_injection_and_arrival_fill_the_queues(self):
         simulator = merge_simulator(router_pipeline_delay_cycles=4)
         simulator.schedule_messages([Message(2, 7, 8), Message(3, 7, 8)], cycle=0)
         simulator.schedule_message(Message(1, 8, 8), cycle=5)
         simulator.run(5)  # both launched at 0, arrive at 0 + 1 + 4
-        assert len(simulator.in_flight) == 2
-        assert all(not queue for queue in simulator.input_queues[1].values())
+        assert launches_from(simulator, 2) == [(2, 1)]
+        assert launches_from(simulator, 3) == [(3, 1)]
+        queues = simulator._queues[simulator._router_order[1]]
+        assert all(not queue for queue in queues.values())
         simulator.step()  # cycle 5: injection and both arrivals, then arbitration
         assert launches_from(simulator, 1) == [(1, 7), (1, 8)]
         # one of the two packets bound for 7 lost the arbitration and waits
-        waiting = [len(simulator.input_queues[1][port]) for port in (2, 3)]
+        waiting = [len(queues[port]) for port in (2, 3)]
         assert sorted(waiting) == [0, 1]
         assert [where for _, where in simulator.stuck_packets()] == [1, 7, 8]
 
@@ -152,7 +162,8 @@ class TestArbitration:
     def test_one_winner_per_output(self):
         simulator = self._contend((7, 7))  # both want output 7
         assert launches_from(simulator, 1) == [(1, 7)]
-        assert sum(len(simulator.input_queues[1][port]) for port in (2, 3)) == 1
+        queues = simulator._queues[simulator._router_order[1]]
+        assert sum(len(queues[port]) for port in (2, 3)) == 1
 
     def test_different_outputs_both_win(self):
         simulator = self._contend((7, 8))
@@ -175,7 +186,7 @@ class TestArbitration:
         simulator = merge_simulator(engine=ENGINE_REFERENCE)
         simulator.step()
         assert simulator.cycles_stepped == 1
-        assert not simulator.in_flight
+        assert not simulator._arrivals and not simulator._parked
         assert simulator.stuck_packets() == []
         assert simulator.statistics.channel_busy_cycles == {}
         assert simulator.energy.total_energy_uj == 0.0

@@ -79,20 +79,16 @@ class TestBasicDelivery:
             simulator.schedule_message(Message(1, 2, 8), cycle=-1)
 
     def test_run_until_drained_detects_stuck_network(self):
-        # routing function sends packets back and forth forever
+        # routing function sends packets back and forth forever towards a
+        # third router that no channel reaches
         topology = two_node_topology()
+        topology.add_router(3)
         simulator = NoCSimulator(
             topology,
             lambda current, dest: 2 if current == 1 else 1,
             config=SimulatorConfig(max_cycles=200),
         )
         simulator.schedule_message(Message(1, 2, 8))
-        # destination 2: router 2 forwards to 1, router 1 forwards to 2, ... but
-        # delivery happens when the packet *is at* its destination, so craft a
-        # destination that is never reached by routing to the wrong node.
-        simulator.routing = lambda current, dest: 2 if current == 1 else 1
-        # make the packet target a third, unreachable router
-        topology.add_router(3)
         simulator.schedule_message(Message(1, 3, 8))
         with pytest.raises(SimulationError):
             simulator.run_until_drained(max_cycles=50)
@@ -152,22 +148,37 @@ class TestEnergyAccounting:
 
 
 class TestPhasedExecution:
+    """Phased traffic is schedule -> drain -> idle, the sequence the DSE
+    pipeline replays as ``ScheduleOp`` / ``DrainOp`` / ``RunOp``."""
+
     def test_phases_run_sequentially(self):
         simulator = pair_simulator()
         phases = [[Message(1, 2, 32)], [Message(2, 1, 32)], [Message(1, 2, 32)]]
-        durations = simulator.run_phases(phases)
-        assert len(durations) == 3
-        assert simulator.statistics.delivered_count == 3
-        assert sum(durations) == simulator.statistics.total_cycles
+        drained = [0]
+        for messages in phases:
+            simulator.schedule_messages(messages)
+            drained.append(simulator.run_until_drained())
+        stats = simulator.statistics
+        assert stats.delivered_count == 3
+        assert drained == sorted(set(drained))  # every phase takes cycles
+        assert drained[-1] == stats.total_cycles
+        # each phase injects at the cycle the previous one drained
+        injected = sorted(packet.injection_cycle for packet in stats.delivered_packets)
+        assert injected == drained[:-1]
 
     def test_computation_cycles_extend_phases(self):
         fast = pair_simulator()
-        fast_durations = fast.run_phases([[Message(1, 2, 32)]])
+        fast.schedule_messages([Message(1, 2, 32)])
+        fast.run_until_drained()
         slow = pair_simulator()
-        slow_durations = slow.run_phases([[Message(1, 2, 32)]], computation_cycles_per_phase=10)
-        assert slow_durations[0] == fast_durations[0] + 10
+        slow.schedule_messages([Message(1, 2, 32)])
+        slow.run_until_drained()
+        slow.run(10)
+        assert slow.statistics.total_cycles == fast.statistics.total_cycles + 10
+        assert slow.energy.dynamic_energy_pj == fast.energy.dynamic_energy_pj
+        assert slow.energy.leakage_energy_pj > fast.energy.leakage_energy_pj
         with pytest.raises(SimulationError):
-            pair_simulator().run_phases([[]], computation_cycles_per_phase=-1)
+            pair_simulator().run(-1)
 
 
 class TestStatisticsObject:

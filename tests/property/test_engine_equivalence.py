@@ -259,7 +259,8 @@ def test_probed_engines_equivalent_and_unperturbed(
     computation=st.integers(min_value=0, max_value=20),
 )
 def test_phased_execution_equivalent(traffic, computation):
-    """run_phases: the analytic idle jump matches the stepped idle crawl."""
+    """Phased traffic (schedule, drain, idle): the analytic idle jump
+    matches the stepped idle crawl."""
     phases: list[list[Message]] = [[], [], []]
     mesh = build_mesh(4, 4)
     nodes = mesh.routers()
@@ -275,14 +276,17 @@ def test_phased_execution_equivalent(traffic, computation):
         simulator = NoCSimulator(
             topology, routing, config=SimulatorConfig(engine=engine)
         )
-        durations = simulator.run_phases(
-            phases, computation_cycles_per_phase=computation
-        )
-        runs[engine] = (simulator, durations)
-    oracle, oracle_durations = runs[ORACLE]
+        drained = []
+        for phase in phases:
+            simulator.schedule_messages(phase)
+            drained.append(simulator.run_until_drained())
+            if computation:
+                simulator.run(computation)
+        runs[engine] = (simulator, drained)
+    oracle, oracle_drained = runs[ORACLE]
     for engine in CANDIDATES:
-        candidate, durations = runs[engine]
-        assert durations == oracle_durations
+        candidate, drained = runs[engine]
+        assert drained == oracle_drained
         assert_equivalent(candidate, oracle)
 
 
@@ -299,10 +303,11 @@ def test_phased_execution_equivalent(traffic, computation):
 def test_phased_grid_point_event_matches_reference(
     traffic, fabric, buffer_capacity, pipeline_delay, computation
 ):
-    """run_phases at a design-space grid point, the event engine's regime in
-    the explorer: schedule a phase, drain it, then jump the computation
-    allowance -- per-phase durations, reports, delivery cycles and paths
-    must match the reference engine, which steps every idle cycle."""
+    """Phased traffic at a design-space grid point, the event engine's
+    regime in the explorer: schedule a phase, drain it, then jump the
+    computation allowance -- per-phase drain cycles, reports, delivery
+    cycles and paths must match the reference engine, which steps every
+    idle cycle."""
     runs = {}
     for engine in (ORACLE, ENGINE_EVENT):
         topology, routing = FABRICS[fabric]()
@@ -323,11 +328,15 @@ def test_phased_grid_point_event_matches_reference(
                 router_pipeline_delay_cycles=pipeline_delay,
             ),
         )
-        durations = simulator.run_phases(phases, computation_cycles_per_phase=computation)
-        runs[engine] = (simulator, durations)
-    oracle, oracle_durations = runs[ORACLE]
-    candidate, durations = runs[ENGINE_EVENT]
-    assert durations == oracle_durations
+        drained = []
+        for phase in phases:
+            simulator.schedule_messages(phase)
+            drained.append(simulator.run_until_drained())
+            simulator.run(computation)
+        runs[engine] = (simulator, drained)
+    oracle, oracle_drained = runs[ORACLE]
+    candidate, drained = runs[ENGINE_EVENT]
+    assert drained == oracle_drained
     assert_equivalent(candidate, oracle)
 
 

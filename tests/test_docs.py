@@ -30,6 +30,26 @@ def test_relative_links_resolve():
     assert completed.returncode == 0, completed.stdout + completed.stderr
 
 
+def test_dangling_anchors_are_reported(tmp_path):
+    """A ``#fragment`` must name a heading of the target Markdown file."""
+    sys.path.insert(0, str(CHECKER.parent))
+    try:
+        from check_docs import broken_links
+    finally:
+        sys.path.pop(0)
+    (tmp_path / "other.md").write_text("# Other\n\n## Section two\n", encoding="utf-8")
+    page = tmp_path / "page.md"
+    page.write_text(
+        "# Page\n\n"
+        "## The cell pipeline: `run_cells`\n\n"
+        "```bash\n# not a heading\n```\n\n"
+        "[good](#the-cell-pipeline-run_cells) [bad](#not-a-heading)\n"
+        "[good](other.md#section-two) [bad](other.md#section-three)\n",
+        encoding="utf-8",
+    )
+    assert broken_links(page) == ["#not-a-heading", "other.md#section-three"]
+
+
 def test_worked_example_blocks_are_marked():
     """The CI docs job runs the marked blocks; make sure they exist."""
     sys.path.insert(0, str(CHECKER.parent))
