@@ -3,9 +3,12 @@
     python scripts/ab_perfbench.py BASE HEAD --workload dse_grid \\
         --seeds 1 2 3 4 5 6 --seconds 6
 
-For each seed, runs ``perfbench/run.py --trace 0`` in BASE and then in HEAD
-(each a checkout directory holding ``perfbench/`` and ``src/``), so host
-drift falls on both sides of every pair alike.  It then prints one row per
+For each seed, runs ``perfbench/run.py --trace 0`` once in BASE and once in
+HEAD (each a checkout directory holding ``perfbench/`` and ``src/``), so
+host drift falls on both sides of every pair alike.  The side that runs
+first alternates: BASE first on even pair indices (the first seed is pair
+0), HEAD first on odd ones, so a warm-up or a drift within a pair does not
+favour one side; each run's line names its order.  It then prints one row per
 end-to-end metric: the median and quartiles on each side, the change of
 the medians, and on how many pairs HEAD was strictly better (the direction
 comes from HEAD's ``BENCHMARK.json``).  The exit code is 1 when any run
@@ -94,8 +97,8 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", type=Path, help="checkout measured first in each pair")
-    parser.add_argument("head", type=Path, help="checkout measured second in each pair")
+    parser.add_argument("base", type=Path, help="checkout measured first in even pairs")
+    parser.add_argument("head", type=Path, help="checkout measured first in odd pairs")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
     parser.add_argument("--seconds", type=float, default=6.0)
@@ -106,8 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     for checkout in checkouts.values():
         compile_checkout(checkout)
     ok = True
-    for seed in args.seeds:
-        for side in SIDES:
+    for pair, seed in enumerate(args.seeds):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for turn, side in enumerate(order, 1):
             result = run_once(checkouts[side], args.workload, seed, args.seconds)
             if result is None or not result.get("correct"):
                 print(f"{side} seed {seed}: run failed or read correct: false", file=sys.stderr)
@@ -115,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             runs[side].append(result)
             print(
-                f"seed {seed} {side}: wall_s {result['metrics']['wall_s']['value']:.4f}",
+                f"seed {seed} {side} (run {turn} of the pair): "
+                f"wall_s {result['metrics']['wall_s']['value']:.4f}",
                 file=sys.stderr,
             )
     if ok:

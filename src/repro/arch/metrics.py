@@ -193,7 +193,10 @@ def bisection_bandwidth(topology: Topology, exact_limit: int = 16) -> BisectionR
                         charge += bw
                 place(index + 1, taken + side, charge)
 
-        place(0, 0, 0.0)
+        try:
+            place(0, 0, 0.0)
+        finally:
+            del place  # the closure refers to itself: free it without the cyclic GC
         sides = best[1]
         return result({router for router, side in zip(routers, sides) if side})
 

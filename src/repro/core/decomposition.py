@@ -687,7 +687,10 @@ class BranchAndBoundDecomposer(Decomposer):
             # (more covering) decomposition found first.
             evaluate_leaf(current, chosen, partial_cost, always_count=not candidates)
 
-        recurse(residual, [], 0.0, (), None, frozenset())
+        try:
+            recurse(residual, [], 0.0, (), None, frozenset())
+        finally:
+            del recurse  # the closure refers to itself: free it without the cyclic GC
         statistics.elapsed_seconds = budget.elapsed()
         statistics.truncated = budget.exhausted_by is not None
         statistics.truncated_by = budget.exhausted_by

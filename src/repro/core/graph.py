@@ -19,6 +19,7 @@ specialisation that attaches volumes, bandwidths and core positions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -548,8 +549,8 @@ class ApplicationGraph(DiGraph):
         accumulate: bool = True,
     ) -> None:
         """Add (or accumulate onto) the communication edge ``source -> target``."""
-        if volume < 0 or bandwidth < 0:
-            raise GraphError("volume and bandwidth must be non-negative")
+        if not (0 <= volume < math.inf and 0 <= bandwidth < math.inf):
+            raise GraphError("volume and bandwidth must be finite and non-negative")
         if self.has_edge(source, target) and accumulate:
             data = self.edge_attributes(source, target)
             data["volume"] = data.get("volume", 0.0) + volume

@@ -162,6 +162,10 @@ class TrafficProgram:
     ops: tuple[ScheduleOp | DrainOp | RunOp, ...]
     iterations: int
     block_throughput: bool = False
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """The ``ScheduleOp`` messages compiled per fabric layout, shared by
+    every replay of the program (``NoCSimulator.schedule_messages``
+    ``memo``); it lives and dies with the program."""
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -720,7 +724,7 @@ def _replay(
     probe = _session_probe(simulator)
     for op in program.ops:
         if isinstance(op, ScheduleOp):
-            simulator.schedule_messages(op.messages)
+            simulator.schedule_messages(op.messages, memo=program.compiled)
         elif isinstance(op, DrainOp):
             simulator.run_until_drained(op.max_cycles)
         else:

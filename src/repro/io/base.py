@@ -19,6 +19,7 @@ round-trips IEEE doubles), and isolated nodes are kept.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +90,12 @@ def format_float(value: float) -> str:
 
 
 def parse_number(text: str) -> float:
-    """Parse a float field, raising :class:`WorkloadError` on garbage."""
+    """Parse a float field, raising :class:`WorkloadError` on garbage or on
+    a non-finite value (``nan``, ``inf``, or a literal that overflows)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as error:
         raise WorkloadError(f"expected a number, got {text!r}") from error
+    if not math.isfinite(value):
+        raise WorkloadError(f"expected a finite number, got {text!r}")
+    return value

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import sub
 
 from repro.exceptions import SimulationError
 
@@ -82,13 +84,103 @@ class Packet:
             raise SimulationError(f"packet {self.packet_id} has not been delivered yet")
         return self.delivery_cycle - self.injection_cycle
 
-    def record_hop(self, node: NodeId) -> None:
-        self.hops += 1
-        self.path.append(node)
-
     def __repr__(self) -> str:
         status = f"delivered@{self.delivery_cycle}" if self.is_delivered else "in-flight"
         return (
             f"<Packet #{self.packet_id} {self.source!r}->{self.destination!r} "
             f"{self.size_bits}b {self.num_flits}flits {status}>"
+        )
+
+
+class PacketTable:
+    """A scalar simulator's packets as flat lists indexed by packet id.
+
+    The cycle loop queues int packet ids and reads and writes these lists
+    directly; a :class:`Packet` is only built as a *view* on demand
+    (:meth:`view`), for :attr:`SimulationStatistics.delivered_packets
+    <repro.noc.stats.SimulationStatistics.delivered_packets>` and
+    ``NoCSimulator.stuck_packets()``.  A view's path is walked through the
+    simulator's routing memo, ``hops`` steps from the packet's source:
+    routing is fixed when the simulator is built, so the memo holds every
+    decision a packet followed, routing loops included.
+
+    The table holds the simulator's wiring lists but never the simulator,
+    so a finished simulator is freed by reference counting alone.
+    """
+
+    __slots__ = (
+        "messages", "destinations", "flits", "bits", "injected", "hops",
+        "delivered_at", "delivered", "_nodes", "_positions", "_routes", "_targets",
+    )
+
+    def __init__(
+        self,
+        nodes: Sequence[NodeId],
+        positions: dict[NodeId, int],
+        routes: Sequence[Sequence[int | None]],
+        targets: Sequence[int],
+    ) -> None:
+        self.messages: list[Message] = []
+        self.destinations: list[int] = []  # the destination router's position
+        self.flits: list[int] = []
+        self.bits: list[int] = []
+        self.injected: list[int] = []  # injection cycle
+        self.hops: list[int] = []
+        self.delivered_at: list[int | None] = []
+        self.delivered: list[int] = []  # ids in delivery order
+        # the simulator's wiring: position -> node, node -> position, the
+        # per-position routing memo (destination position -> channel id)
+        # and channel id -> target position
+        self._nodes = nodes
+        self._positions = positions
+        self._routes = routes
+        self._targets = targets
+
+    def add(
+        self,
+        cycle: int,
+        messages: tuple[Message, ...],
+        destinations: list[int],
+        flits: list[int],
+        bits: list[int],
+    ) -> int:
+        """Append packets injected at ``cycle``; returns the first new id."""
+        first = len(self.messages)
+        count = len(messages)
+        self.messages += messages
+        self.destinations += destinations
+        self.flits += flits
+        self.bits += bits
+        self.injected += repeat(cycle, count)
+        self.hops += repeat(0, count)
+        self.delivered_at += repeat(None, count)
+        return first
+
+    def view(self, packet_id: int) -> Packet:
+        """The packet as a :class:`Packet`, its path walked from the memo."""
+        message = self.messages[packet_id]
+        hops = self.hops[packet_id]
+        destination = self.destinations[packet_id]
+        position = self._positions[message.source]
+        path = [message.source]
+        for _ in range(hops):
+            position = self._targets[self._routes[position][destination]]
+            path.append(self._nodes[position])
+        return Packet(
+            packet_id, message, self.flits[packet_id], self.injected[packet_id],
+            self.delivered_at[packet_id], hops, path,
+        )
+
+    def delivered_totals(self) -> tuple[int, int, int, int]:
+        """``(latency sum, max latency, hop sum, bit sum)`` of the delivered
+        packets, by C-level sums over the lists."""
+        ids = self.delivered
+        waits = list(
+            map(sub, map(self.delivered_at.__getitem__, ids), map(self.injected.__getitem__, ids))
+        )
+        return (
+            sum(waits),
+            max(waits, default=0),
+            sum(map(self.hops.__getitem__, ids)),
+            sum(map(self.bits.__getitem__, ids)),
         )

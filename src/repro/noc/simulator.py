@@ -66,7 +66,7 @@ from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import ReproError, SimulationError
-from repro.noc.packet import Message, Packet
+from repro.noc.packet import Message, Packet, PacketTable
 from repro.noc.stats import SimulationStatistics
 from repro.obs import SimulatorProbe, get_tracer
 
@@ -162,13 +162,21 @@ class NoCSimulator:
     cycle loop (:meth:`_advance`) binds once per run and indexes
     directly.  :meth:`_wire` gives every router a *position* (its index
     in the reference loop's processing order) and every channel an
-    integer *id*.  Per position: the router's load, its input queues by port (the
-    local injection queue first), their scan tuples ``(port, queue,
-    feeding channel id, upstream position)`` and its ``destination ->
-    channel id`` routing memo, which cannot go stale because nothing it
-    memoizes can change.  Per channel id: its release cycle, the queue it
-    feeds, its claim stamp and its busy-cycle and link-bit counters.
-    In-flight and parked packets carry channel ids.  The public surface
+    integer *id*.  Per position: the router's load, its input queues of
+    packet ids by port (the local injection queue first), their scan
+    tuples ``(port, queue, feeding channel id, upstream position)`` and its
+    routing memo, a list from destination position to channel id, which
+    cannot go stale because nothing it memoizes can change.  Per channel
+    id: its release cycle, the queue it feeds, its claim stamp and its
+    busy-cycle and link-bit counters.  Packets are int ids into a
+    :class:`~repro.noc.packet.PacketTable` of flat per-packet lists
+    (destination position, flits, bits, injection cycle, hops, delivery
+    cycle); in-flight and parked ones carry channel ids.  A
+    :class:`~repro.noc.packet.Packet` is built only as a view, when
+    ``statistics.delivered_packets`` or :meth:`stuck_packets` is read.
+    Scheduling compiles each message sequence once per router order and
+    flit width (:meth:`_compile`; ``schedule_messages(memo=)`` shares it
+    between simulators).  The public surface
     (scheduling, :meth:`run`, :meth:`run_until_drained`, :meth:`report`)
     is engine-agnostic; the configured engine only decides *which* cycles
     are executed, never what happens within one.
@@ -195,33 +203,39 @@ class NoCSimulator:
         # per router position (the reference loop's processing order)
         self._router_order: dict[NodeId, int] = {}  # node -> position
         self._nodes: list[NodeId] = []
-        self._queues: list[dict[object, deque[Packet]]] = []
-        """Per position, its FIFO input queues by port: :data:`LOCAL_PORT`
-        (the unbounded injection queue) first, then one per incoming
-        channel, keyed by the upstream router."""
-        self._scans: list[tuple[tuple[object, deque[Packet], int | None, int | None], ...]] = []
+        self._queues: list[dict[object, deque[int]]] = []
+        """Per position, its FIFO input queues of packet ids by port:
+        :data:`LOCAL_PORT` (the unbounded injection queue) first, then one
+        per incoming channel, keyed by the upstream router."""
+        self._scans: list[tuple[tuple[object, deque[int], int | None, int | None], ...]] = []
         """Per position, ``(port, queue, feeding channel id, upstream
         position)`` in round-robin arbitration order (both ``None`` for the
         local port)."""
-        self._hops: list[dict[NodeId, int]] = []
-        """Per position, the resolved routing decisions as ``destination ->
-        channel id``: the kernel's lookup, filled by :meth:`_route`."""
+        self._hops: list[list[int | None]] = []
+        """Per position, the resolved routing decisions as a list from
+        destination position to channel id (``None`` until :meth:`_route`
+        fills it in): the kernel's lookup."""
         self._load: list[int] = []
         """Per position, its buffered-packet count, maintained at the three
         buffer mutation points (injection, arrival, pop) so neither engine
         ever scans every router's buffers to find work or decide drainage."""
         self._buffered_total = 0
+        self._soon = 0
+        """Bitmask of the positions woken for the cycle at
+        :attr:`current_cycle`, the next executed cycle (a wake for the
+        cycle after the one being executed)."""
         self._scheduled_wake: list[int | None] = []
-        """Per position, its earliest scheduled wake (a later duplicate is
-        never pushed: processing at the earlier cycle re-arms as needed)."""
-        self._wake_heap: list[tuple[int, int]] = []  # (cycle, position)
+        """Per position, its earliest wake in :attr:`_wake_heap` (a later
+        duplicate is never pushed: processing at the earlier cycle re-arms
+        as needed); setting its :attr:`_soon` bit clears it."""
+        self._wake_heap: list[tuple[int, int]] = []  # (cycle, position), later wakes
         # per channel id
         self._channel_ids: dict[Channel, int] = {}
         self._channels: list[Channel] = []  # id -> (source, target)
         self._targets: list[int] = []  # id -> position of the target router
         self._free_at: list[int] = []
         """Per channel id, the cycle it is free again."""
-        self._fed: list[deque[Packet]] = []
+        self._fed: list[deque[int]] = []
         """Per channel id, the input queue at its target it feeds, whose
         length against ``config.buffer_capacity_packets`` gates a launch
         over the channel and an arrival off it (a channel never feeds a
@@ -239,31 +253,29 @@ class NoCSimulator:
         self._bits: list[int] = []
         self._launched: list[int] = []
         self._switch_bits = 0
-        self._arrivals: dict[int, list[tuple[int, Packet, int]]] = {}
+        self._arrivals: dict[int, list[tuple[int, int, int]]] = {}
         """Packets traversing a channel, by arrival cycle: each bucket holds
-        ``(launch sequence, packet, channel id)`` in sequence order, which
+        ``(launch sequence, packet id, channel id)`` in sequence order, which
         keeps every channel's packets in launch order."""
         self._arrival_cycles: list[int] = []  # heap of the buckets' cycles
-        self._parked: dict[int, list[tuple[int, Packet, int]]] = {}
+        self._parked: dict[int, list[tuple[int, int, int]]] = {}
         """Per channel id, the arrivals that found its downstream queue
         full, in sequence order; the pop that frees space re-queues them for
         the next cycle (only non-empty lists are kept)."""
         self._launches = 0  # launch sequence numbers handed out so far
         self.energy = EnergyAccount(technology=technology)
-        self.statistics = SimulationStatistics()
         self.current_cycle = 0
         self.cycles_stepped = 0
         """Cycles actually executed (== ``current_cycle`` for the reference
         engine; the event engine's skipped-cycle savings show up here)."""
-        self._next_packet_id = 0
-        self._pending: list[tuple[int, int, int, list[tuple[int, list[Packet]]]]] = []
+        self._pending: list[tuple[int, int, int, tuple[tuple[int, list[int]], ...]]] = []
         """Scheduled injections: a heap with one ``(cycle, first packet id,
-        packet count, per-source packets)`` entry per scheduling call, whose
+        packet count, per-source offsets)`` entry per scheduling call, whose
         packets carry consecutive ids; popping entries in ``(cycle, first
         id)`` order injects in ``(cycle, packet id)`` order.  The
-        per-source part lists ``(source position, its packets)`` in order
-        of each source's first packet, so an injection extends each
-        source's local queue once."""
+        per-source part lists ``(source position, its packets' offsets
+        from the first id)`` in order of each source's first packet, so an
+        injection extends each source's local queue once."""
         self._leakage_charged_until = 0
         # the buffer-capacity certificate (engine_info): whether a space
         # test (launch, re-arm or arrival) ever failed, and the largest
@@ -271,6 +283,9 @@ class NoCSimulator:
         self._blocked = False
         self._peak_occupancy = 0
         self._wire()
+        self._packets = PacketTable(self._nodes, self._router_order, self._hops, self._targets)
+        self.statistics = SimulationStatistics(packets=self._packets)
+        self._layout = (tuple(self._nodes), self.config.flit_width_bits)
         self._batch = None
         if self.config.engine == ENGINE_BATCH:
             from repro.noc.batch import BatchSimulator
@@ -297,9 +312,9 @@ class NoCSimulator:
             order[node] = len(self._nodes)
             self._nodes.append(node)
             self._queues.append({LOCAL_PORT: deque()})
-            self._hops.append({})
             self._load.append(0)
             self._scheduled_wake.append(None)
+        self._hops = [[None] * len(self._nodes) for _ in self._nodes]
         ids = self._channel_ids
         for channel in self.topology.channels():
             key = (channel.source, channel.target)
@@ -323,9 +338,10 @@ class NoCSimulator:
             for node, queues in zip(self._nodes, self._queues)
         ]
 
-    def _route(self, position: int, destination: NodeId) -> int:
-        """The output channel id of a packet at ``position`` heading to
-        ``destination``, resolved once and memoized in :attr:`_hops`.
+    def _route(self, position: int, destination: int) -> int:
+        """The output channel id of a packet at ``position`` heading to the
+        router at position ``destination``, resolved once and memoized in
+        :attr:`_hops`.
 
         Routing functions must be deterministic and stateless in
         ``(current, destination)`` -- every routing adapter in the library
@@ -333,12 +349,13 @@ class NoCSimulator:
         validated against the wired channels never goes stale.
         """
         current = self._nodes[position]
-        next_hop = self._routing(current, destination)
+        target = self._nodes[destination]
+        next_hop = self._routing(current, target)
         channel = self._channel_ids.get((current, next_hop))
         if channel is None:
             raise SimulationError(
                 f"routing function returned {next_hop!r} from {current!r} towards "
-                f"{destination!r}, but that channel does not exist"
+                f"{target!r}, but that channel does not exist"
             )
         self._hops[position][destination] = channel
         return channel
@@ -348,7 +365,8 @@ class NoCSimulator:
 
         Used by the drain-budget error so routing-loop and deadlock triage
         can name the culprits (id, position, destination, hops so far)
-        without a debugger.  Sorted by packet id for stable messages.
+        without a debugger.  Sorted by packet id for stable messages; the
+        packets are views (:meth:`PacketTable.view`).
         """
         stuck = [
             (packet, node)
@@ -360,8 +378,8 @@ class NoCSimulator:
         targets = self._targets
         for flights in (*self._arrivals.values(), *self._parked.values()):
             stuck.extend((packet, nodes[targets[channel]]) for _, packet, channel in flights)
-        stuck.sort(key=lambda item: item[0].packet_id)
-        return stuck
+        stuck.sort()
+        return [(self._packets.view(packet), node) for packet, node in stuck]
 
     def attach_probe(self, probe: SimulatorProbe) -> SimulatorProbe:
         """Attach an observability probe (idempotent; returns the probe)."""
@@ -373,70 +391,109 @@ class NoCSimulator:
     # ------------------------------------------------------------------
     # traffic scheduling
     # ------------------------------------------------------------------
-    def schedule_message(self, message: Message, cycle: int | None = None) -> Packet:
-        """Queue a message for injection at ``cycle`` (default: now)."""
+    def schedule_message(self, message: Message, cycle: int | None = None) -> int:
+        """Queue a message for injection at ``cycle`` (default: now);
+        returns its packet id."""
         if self._batch is not None:
             # the batch core repeats the validations of _schedule verbatim
             # and records the injection on the shared statistics object
-            return self._batch.schedule_message(0, message, cycle)
-        return self._schedule((message,), cycle)
+            return self._batch.schedule_message(0, message, cycle).packet_id
+        self._schedule((message,), cycle)
+        return len(self._packets.messages) - 1
 
-    def schedule_messages(self, messages: Iterable[Message], cycle: int | None = None) -> None:
-        """Queue messages for injection at ``cycle`` (default: now), in order."""
+    def schedule_messages(
+        self,
+        messages: Iterable[Message],
+        cycle: int | None = None,
+        memo: dict | None = None,
+    ) -> None:
+        """Queue messages for injection at ``cycle`` (default: now), in order.
+
+        ``memo`` keeps the compiled form of a tuple of messages (its
+        endpoints' router positions and its flit counts) for every
+        simulator of the same router order and flit width that schedules
+        the same tuple; a caller replaying one traffic program on many
+        simulators passes the program's dict (the DSE pipeline does).
+        """
         with get_tracer().span("noc.schedule"):
             if self._batch is not None:
                 for message in messages:
                     self._batch.schedule_message(0, message, cycle)
                 return
-            self._schedule(messages, cycle)
+            self._schedule(messages, cycle, memo)
 
-    def _schedule(self, messages: Iterable[Message], cycle: int | None) -> Packet | None:
-        """Build one packet per message and queue them as one pending entry;
-        returns the last packet.
+    def _schedule(
+        self, messages: Iterable[Message], cycle: int | None, memo: dict | None = None
+    ) -> None:
+        """Queue the messages as packets with consecutive ids, in one
+        pending entry.
 
-        The cycle is checked once per call and each distinct message size
-        converted to flits once per call.  Sources and destinations must be
-        wired routers (a router added to the topology after construction is
-        unknown).  On an unknown router the messages before it stay queued,
-        exactly as if they had been scheduled one call at a time.
+        Sources and destinations must be wired routers (a router added to
+        the topology after construction is unknown).  On an unknown router
+        the messages before it stay queued, exactly as if they had been
+        scheduled one call at a time.
         """
         if cycle is None:
             cycle = self.current_cycle
         if cycle < self.current_cycle:
             raise SimulationError("cannot schedule a message in the past")
+        if memo is None or type(messages) is not tuple:
+            compiled = self._compile(messages)
+        else:
+            key = (id(messages), self._layout)
+            kept = memo.get(key)
+            if kept is None:
+                # keeping the tuple alive keeps its id from being reused
+                kept = memo[key] = (messages, self._compile(messages))
+            compiled = kept[1]
+        kept_messages, destinations, flits, bits, groups, error = compiled
+        if kept_messages:
+            first = self._packets.add(cycle, kept_messages, destinations, flits, bits)
+            heappush(self._pending, (cycle, first, len(kept_messages), groups))
+            self.statistics.injected_count += len(kept_messages)
+        if error is not None:
+            raise SimulationError(error)
+
+    def _compile(self, messages: Iterable[Message]) -> tuple:
+        """The kernel's form of a message sequence on this fabric:
+        ``(messages, destination positions, flit counts, sizes in bits,
+        per-source offsets, error)``.
+
+        It depends only on the router order and the flit width.  Each
+        distinct message size is converted to flits once.  The per-source
+        offsets list ``(source position, offsets of its messages)`` in
+        order of each source's first message.  On an unknown router the
+        messages stop before it and ``error`` names it (else ``None``).
+        """
+        messages = tuple(messages)
         order = self._router_order
         flit_width = self.config.flit_width_bits
-        by_source: dict[NodeId, list[Packet]] = {}
+        destinations: list[int] = []
+        flits: list[int] = []
+        bits: list[int] = []
+        by_source: dict[int, list[int]] = {}
         flits_of: dict[int, int] = {}
-        first_id = packet_id = self._next_packet_id
-        packet = None
-        try:
-            for message in messages:
-                source = message.source
-                destination = message.destination
-                queued = by_source.get(source)
-                if queued is None:
-                    if source not in order:
-                        raise SimulationError(f"unknown source router {source!r}")
-                    queued = by_source[source] = []
-                if destination not in order:
-                    raise SimulationError(f"unknown destination router {destination!r}")
-                size = message.size_bits
-                num_flits = flits_of.get(size)
-                if num_flits is None:
-                    num_flits = flits_of[size] = max(1, math.ceil(size / flit_width))
-                # the object Packet.from_message builds, without its checks
-                packet = Packet(packet_id, message, num_flits, cycle, None, 0, [source])
-                queued.append(packet)
-                packet_id += 1
-        finally:
-            count = packet_id - first_id
-            if count:
-                groups = [(order[source], queued) for source, queued in by_source.items() if queued]
-                heappush(self._pending, (cycle, first_id, count, groups))
-            self.statistics.injected_count += count
-            self._next_packet_id = packet_id
-        return packet
+        error = None
+        for offset, message in enumerate(messages):
+            source = order.get(message.source)
+            if source is None:
+                error = f"unknown source router {message.source!r}"
+                break
+            destination = order.get(message.destination)
+            if destination is None:
+                error = f"unknown destination router {message.destination!r}"
+                break
+            size = message.size_bits
+            num_flits = flits_of.get(size)
+            if num_flits is None:
+                num_flits = flits_of[size] = max(1, math.ceil(size / flit_width))
+            destinations.append(destination)
+            flits.append(num_flits)
+            bits.append(size)
+            by_source.setdefault(source, []).append(offset)
+        if error is not None:
+            messages = messages[: len(destinations)]
+        return messages, destinations, flits, bits, tuple(by_source.items()), error
 
     # ------------------------------------------------------------------
     # the cycle loop, shared by both scalar engines
@@ -467,8 +524,11 @@ class NoCSimulator:
         anything can progress (every cycle while an arrival is parked: the
         model retries a blocked arrival each cycle, and ``cycles_stepped``
         counts those cycles) and visits only the routers that might
-        progress: those injected into, arrived into or due a scheduled
-        wake, armed on entry for every loaded router.  They are processed
+        progress: those injected into, arrived into or due a wake, armed on
+        entry for every loaded router.  A wake for the next cycle is a bit
+        of the ``soon`` mask, which the next executed cycle ORs into its
+        active set; only later wakes (a busy channel's release) go through
+        the wake heap.  They are processed
         in the reference loop's router order, lowest position first off a
         bitmask of active positions; a router woken mid-cycle by an
         upstream-space release joins this cycle's mask when its turn has
@@ -502,7 +562,6 @@ class NoCSimulator:
         fed = self._fed
         free_at = self._free_at
         claims = self._claims
-        channels = self._channels
         busy = self._busy
         bits = self._bits
         launched = self._launched
@@ -514,12 +573,20 @@ class NoCSimulator:
         scheduled = self._scheduled_wake
         route = self._route
         probe = self.probe
-        delivered = self.statistics.delivered_packets
+        table = self._packets
+        destination_of = table.destinations
+        flits_of = table.flits
+        size_of = table.bits
+        injected = table.injected
+        hop_count = table.hops
+        delivered_at = table.delivered_at
+        delivered = table.delivered
         capacity = self.config.buffer_capacity_packets
         unfull = capacity - 1  # a bounded queue's length after a pop from full
         delay = self.config.router_pipeline_delay_cycles
         everyone = (1 << len(nodes)) - 1
         buffered = self._buffered_total
+        soon = self._soon
         launches = self._launches
         visit = self._visits
         switch_bits = self._switch_bits
@@ -530,12 +597,12 @@ class NoCSimulator:
         if not dense and buffered:
             # a loaded router may hold no wake after manual step() calls
             for index, load in enumerate(loads):
-                if load and (scheduled[index] is None or scheduled[index] > cycle):
-                    scheduled[index] = cycle
-                    heappush(wake_heap, (cycle, index))
+                if load:
+                    soon |= 1 << index
+                    scheduled[index] = None
         try:
             while True:
-                if dense or parked:
+                if dense or parked or soon:
                     due = cycle
                 else:
                     due = pending[0][0] if pending else None
@@ -560,15 +627,15 @@ class NoCSimulator:
                 # then deliver the due arrivals in (arrival, launch) order;
                 # both activate the receiving router
                 while pending and pending[0][0] <= cycle:
-                    _, _, count, groups = heappop(pending)
-                    for index, queued in groups:
-                        queues[index][LOCAL_PORT].extend(queued)
+                    _, base, count, groups = heappop(pending)
+                    for index, offsets in groups:
+                        queues[index][LOCAL_PORT].extend(map(base.__add__, offsets))
                         load = loads[index]
-                        loads[index] = load + len(queued)
+                        loads[index] = load + len(offsets)
                         active |= 1 << index
                         if probe is not None:
                             source = nodes[index]
-                            for occupancy in range(load + 1, load + len(queued) + 1):
+                            for occupancy in range(load + 1, load + len(offsets) + 1):
                                 probe.record_enqueue(source, occupancy)
                     buffered += count
                 while arrival_cycles and arrival_cycles[0] <= cycle:
@@ -592,6 +659,8 @@ class NoCSimulator:
                 if dense:
                     active = everyone
                 else:
+                    active |= soon
+                    soon = 0
                     while wake_heap and wake_heap[0][0] <= cycle:
                         wake_cycle, index = heappop(wake_heap)
                         if scheduled[index] == wake_cycle:
@@ -606,7 +675,6 @@ class NoCSimulator:
                     unseen = loads[index]
                     if not unseen:
                         continue  # speculative wake of an emptied router: a no-op
-                    node = nodes[index]
                     scan = scans[index]
                     hops = hops_of[index]
                     count = len(scan)
@@ -629,9 +697,8 @@ class NoCSimulator:
                             continue
                         unseen -= len(queue)
                         packet = queue[0]
-                        message = packet.message
-                        destination = message.destination
-                        if destination == node:
+                        destination = destination_of[packet]
+                        if destination == index:
                             if ejected:
                                 position = i % count
                                 if position < ready:
@@ -639,12 +706,12 @@ class NoCSimulator:
                                 continue
                             ejected = True
                             queue.popleft()
-                            packet.delivery_cycle = cycle
+                            delivered_at[packet] = cycle
                             delivered.append(packet)
                             if probe is not None:
-                                probe.record_delivery(node, cycle - packet.injection_cycle)
+                                probe.record_delivery(nodes[index], cycle - injected[packet])
                         else:
-                            channel = hops.get(destination)
+                            channel = hops[destination]
                             if channel is None:
                                 channel = route(index, destination)
                             release = free_at[channel]
@@ -663,10 +730,9 @@ class NoCSimulator:
                                 blocked = True
                                 continue
                             queue.popleft()
-                            flits = packet.num_flits
+                            flits = flits_of[packet]
                             free_at[channel] = cycle + flits
-                            packet.hops += 1
-                            packet.path.append(channels[channel][1])
+                            hop_count[packet] += 1
                             # launches land two or more cycles ahead:
                             # appending keeps every bucket in sequence order
                             arrival = cycle + flits + delay
@@ -679,10 +745,10 @@ class NoCSimulator:
                             launches += 1
                             if not bits[channel]:
                                 launched.append(channel)
-                            bits[channel] += message.size_bits
+                            bits[channel] += size_of[packet]
                             busy[channel] += flits
                         # one switch traversal per move (the final one ejects)
-                        switch_bits += message.size_bits
+                        switch_bits += size_of[packet]
                         buffered -= 1
                         loads[index] -= 1
                         popped.append(i % count)
@@ -704,13 +770,11 @@ class NoCSimulator:
                         if not dense and loads[upstream]:
                             if upstream > index:
                                 active |= 1 << upstream
-                            elif scheduled[upstream] is None or scheduled[upstream] > next_cycle:
-                                scheduled[upstream] = next_cycle
-                                heappush(wake_heap, (next_cycle, upstream))
+                            else:
+                                soon |= 1 << upstream
+                                scheduled[upstream] = None
                     if dense or not loads[index]:
                         continue
-                    if scheduled[index] is not None and scheduled[index] <= next_cycle:
-                        continue  # already due as early as any re-arm could make it
                     # re-arm a still-loaded router at the earliest of its
                     # heads' conditions: next cycle (eject, routing error,
                     # free channel with downstream space), a busy channel's
@@ -718,7 +782,8 @@ class NoCSimulator:
                     # wakes it).  The heads that stayed were classified by
                     # the scan; a popped queue's new head is examined here,
                     # in port order up to the first ready head, and a full
-                    # one before it blocks the run.
+                    # one before it blocks the run.  (No router earlier in
+                    # the order can have woken this one for next cycle.)
                     if len(popped) > 1:
                         popped.sort()
                     for position in popped:
@@ -727,11 +792,11 @@ class NoCSimulator:
                         queue = scan[position][1]
                         if not queue:
                             continue
-                        destination = queue[0].message.destination
-                        if destination == node:
+                        destination = destination_of[queue[0]]
+                        if destination == index:
                             ready = position
                             break
-                        channel = hops.get(destination)
+                        channel = hops[destination]
                         if channel is None:
                             try:
                                 channel = route(index, destination)
@@ -747,9 +812,10 @@ class NoCSimulator:
                             ready = position
                             break
                         blocked = True
-                    if ready < count:
-                        wake = next_cycle
-                    if wake is not None and (scheduled[index] is None or scheduled[index] > wake):
+                    if ready < count or wake == next_cycle:
+                        soon |= 1 << index
+                        scheduled[index] = None
+                    elif wake is not None and (scheduled[index] is None or scheduled[index] > wake):
                         scheduled[index] = wake
                         heappush(wake_heap, (wake, index))
                 stepped += 1
@@ -759,6 +825,7 @@ class NoCSimulator:
             self.current_cycle = cycle
             self.cycles_stepped = stepped
             self._buffered_total = buffered
+            self._soon = soon
             self._launches = launches
             self._visits = visit
             self._switch_bits = switch_bits

@@ -13,7 +13,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.exceptions import SimulationError
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, PacketTable
 
 NodeId = Hashable
 
@@ -22,39 +22,52 @@ NodeId = Hashable
 class SimulationStatistics:
     """Aggregated results of one simulation run.
 
-    The engines record into the fields directly: delivered packets in
-    delivery order, the injection count and per-channel busy cycles.  The
-    per-packet figures come from one walk over ``delivered_packets``
-    (:meth:`_delivered_totals`), reused until the list grows or is replaced.
+    The engines record into the fields directly: the injection count and
+    per-channel busy cycles, and the delivered packets in delivery order.
+    The scalar engines keep their packets in a :class:`PacketTable`
+    (``packets``) and :attr:`delivered_packets` builds views of them on
+    each read; the batch engine appends :class:`Packet` objects.  The
+    per-packet figures come from one pass over the delivered packets
+    (:meth:`_delivered_totals`), reused until more are delivered.
     """
 
-    delivered_packets: list[Packet] = field(default_factory=list)
     total_cycles: int = 0
     injected_count: int = 0
     channel_busy_cycles: dict[tuple[NodeId, NodeId], int] = field(default_factory=dict)
-    _walked: list[Packet] | None = field(default=None, init=False, repr=False, compare=False)
+    packets: PacketTable | None = field(default=None, repr=False, compare=False)
+    _delivered: list[Packet] = field(default_factory=list, init=False, repr=False)
     _walked_count: int = field(default=0, init=False, repr=False, compare=False)
     _totals: tuple[int, int, int, int] = field(
         default=(0, 0, 0, 0), init=False, repr=False, compare=False
     )
 
+    @property
+    def delivered_packets(self) -> list[Packet]:
+        """The delivered packets in delivery order (views under the scalar
+        engines, built afresh on each read)."""
+        if self.packets is None:
+            return self._delivered
+        return [*map(self.packets.view, self.packets.delivered)]
+
     def _delivered_totals(self) -> tuple[int, int, int, int]:
         """``(latency sum, max latency, hop sum, bit sum)`` of the delivered
-        packets: one walk, redone only when ``delivered_packets`` has grown,
-        shrunk or been replaced since the last."""
-        packets = self.delivered_packets
-        if packets is not self._walked or len(packets) != self._walked_count:
-            latency = longest = hops = bits = 0
-            for packet in packets:
-                wait = packet.delivery_cycle - packet.injection_cycle
-                latency += wait
-                if wait > longest:
-                    longest = wait
-                hops += packet.hops
-                bits += packet.message.size_bits
-            self._totals = (latency, longest, hops, bits)
-            self._walked = packets
-            self._walked_count = len(packets)
+        packets, recomputed only when more have been delivered since (the
+        delivered list only grows)."""
+        count = self.delivered_count
+        if count != self._walked_count:
+            if self.packets is not None:
+                self._totals = self.packets.delivered_totals()
+            else:
+                latency = longest = hops = bits = 0
+                for packet in self._delivered:
+                    wait = packet.delivery_cycle - packet.injection_cycle
+                    latency += wait
+                    if wait > longest:
+                        longest = wait
+                    hops += packet.hops
+                    bits += packet.message.size_bits
+                self._totals = (latency, longest, hops, bits)
+            self._walked_count = count
         return self._totals
 
     # ------------------------------------------------------------------
@@ -62,7 +75,7 @@ class SimulationStatistics:
     # ------------------------------------------------------------------
     @property
     def delivered_count(self) -> int:
-        return len(self.delivered_packets)
+        return len(self._delivered if self.packets is None else self.packets.delivered)
 
     def delivery_cycles(self) -> dict[int, int | None]:
         """Per-packet delivery cycle keyed by packet id.
@@ -71,24 +84,27 @@ class SimulationStatistics:
         :meth:`summary`): the event-driven and reference engines must agree
         on every packet's delivery cycle, not just on the aggregates.
         """
-        return {packet.packet_id: packet.delivery_cycle for packet in self.delivered_packets}
+        table = self.packets
+        if table is None:
+            return {packet.packet_id: packet.delivery_cycle for packet in self._delivered}
+        return dict(zip(table.delivered, map(table.delivered_at.__getitem__, table.delivered)))
 
     @property
     def all_delivered(self) -> bool:
         return self.delivered_count == self.injected_count
 
     def average_latency_cycles(self) -> float:
-        if not self.delivered_packets:
+        if not self.delivered_count:
             raise SimulationError("no packets were delivered; latency is undefined")
         return self._delivered_totals()[0] / self.delivered_count
 
     def max_latency_cycles(self) -> int:
-        if not self.delivered_packets:
+        if not self.delivered_count:
             raise SimulationError("no packets were delivered; latency is undefined")
         return self._delivered_totals()[1]
 
     def average_hops(self) -> float:
-        if not self.delivered_packets:
+        if not self.delivered_count:
             raise SimulationError("no packets were delivered; hop count is undefined")
         return self._delivered_totals()[2] / self.delivered_count
 

@@ -211,6 +211,16 @@ class TestApplicationGraph:
         with pytest.raises(GraphError):
             acg.add_communication(1, 2, volume=-1)
 
+    @pytest.mark.parametrize(
+        "volume, bandwidth",
+        [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_add_communication_rejects_non_finite(self, volume, bandwidth):
+        acg = ApplicationGraph()
+        with pytest.raises(GraphError, match="finite"):
+            acg.add_communication(1, 2, volume=volume, bandwidth=bandwidth)
+        assert not acg.has_edge(1, 2)
+
     def test_positions_and_link_length(self):
         acg = ApplicationGraph.from_traffic({(1, 2): 1.0})
         acg.set_position(1, 0.0, 0.0)

@@ -107,6 +107,21 @@ class TestFileSuites:
         assert main(["report", "--results", str(results)]) == 0
         assert "pipeline8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("volume", ["nan", "inf"])
+    def test_a_non_finite_volume_exits_2_before_any_cell_runs(self, tmp_path, capsys, volume):
+        workload = tmp_path / "bad.edges"
+        workload.write_text(f"a b {volume}\nb c 64\n", encoding="utf-8")
+        results = tmp_path / "results.jsonl"
+        assert main([
+            "run", "--suite", f"{FILE_SUITE_PREFIX}{workload}",
+            "--axis", "architecture=mesh",
+            "--results", str(results),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+        assert not results.exists()
+
     def test_list_scenarios_accepts_file_suite(self, workload_file, capsys):
         assert main(["list-scenarios", "--suite",
                      f"{FILE_SUITE_PREFIX}{workload_file}"]) == 0

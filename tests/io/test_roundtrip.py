@@ -141,6 +141,21 @@ class TestMalformedInputs:
         with pytest.raises(WorkloadError):
             read_workload(path)
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("nan.edges", "a b nan\n"),
+            ("inf.edges", "a b 64 inf\n"),
+            ("overflow.dot", 'digraph g { "a" -> "b" [volume=1e400]; }\n'),
+            ("nan.net", "*Vertices 2\n1 \"a\"\n2 \"b\"\n*Arcs\n1 2 nan\n"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WorkloadError, match="finite"):
+            read_workload(path)
+
 
 class TestDataclassShape:
     def test_graphformat_is_frozen(self):

@@ -79,7 +79,7 @@ class TestInFlightOrder:
                 for flight in simulator._arrivals.get(simulator.current_cycle, [])
                 if flight[2] == channel
             ]
-            due = [packet.packet_id for _, packet, _ in sorted(flights, key=lambda f: f[0])]
+            due = [packet for _, packet, _ in sorted(flights, key=lambda f: f[0])]
             if len(due) > 1:
                 due_together.append((simulator.current_cycle, due))
             simulator.step()

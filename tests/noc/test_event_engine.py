@@ -298,23 +298,28 @@ class TestStuckPacketDiagnostics:
             errors[engine] = str(excinfo.value)
         assert errors[ENGINE_EVENT] == errors[ENGINE_REFERENCE]
 
+    def deadlocked_ring(self, engine: str) -> NoCSimulator:
+        """Every one-packet buffer of a ring ends up holding a packet
+        waiting on the next full buffer clockwise."""
+        topology = Topology(name="ring")
+        for node in range(4):
+            topology.add_channel(node, (node + 1) % 4)
+        simulator = NoCSimulator(
+            topology,
+            lambda current, destination: (current + 1) % 4,
+            config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
+        )
+        simulator.schedule_messages(
+            [Message(node, (node + 3) % 4, 32) for node in range(4) for _ in range(3)]
+        )
+        return simulator
+
     def test_overrun_lands_both_engines_on_the_same_cycle(self):
-        """A deadlocked ring: every one-packet buffer holds a packet waiting
-        on the next full buffer clockwise.  Both engines give up on the
-        cycle after the budget, with the same message and stuck packets."""
+        """A deadlocked ring: both engines give up on the cycle after the
+        budget, with the same message and stuck packets."""
         outcomes = {}
         for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
-            topology = Topology(name="ring")
-            for node in range(4):
-                topology.add_channel(node, (node + 1) % 4)
-            simulator = NoCSimulator(
-                topology,
-                lambda current, destination: (current + 1) % 4,
-                config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
-            )
-            simulator.schedule_messages(
-                [Message(node, (node + 3) % 4, 32) for node in range(4) for _ in range(3)]
-            )
+            simulator = self.deadlocked_ring(engine)
             start = simulator.current_cycle
             with pytest.raises(SimulationError) as excinfo:
                 simulator.run_until_drained(max_cycles=50)
@@ -323,6 +328,34 @@ class TestStuckPacketDiagnostics:
             outcomes[engine] = (str(excinfo.value), stuck)
         assert "did not drain within 50 cycles (12 packets stuck" in outcomes[ENGINE_EVENT][0]
         assert outcomes[ENGINE_EVENT] == outcomes[ENGINE_REFERENCE]
+
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+    def test_a_stuck_packet_view_walks_its_routing_loop(self, engine):
+        """The packet bounces between routers 2 and 3; its path is walked
+        through the routing memo, once per hop, loop included."""
+        simulator = self.stuck_simulator(engine)
+        with pytest.raises(SimulationError, match=r"#0 at 2 -> 99 \(14 hops\)"):
+            simulator.run_until_drained(max_cycles=40)
+        [(packet, where)] = simulator.stuck_packets()
+        assert (packet.packet_id, where, packet.hops) == (0, 2, 14)
+        assert packet.path == [0, 1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2]
+        assert packet.delivery_cycle is None and packet.injection_cycle == 0
+
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+    def test_deadlocked_packets_keep_their_hops_and_paths(self, engine):
+        simulator = self.deadlocked_ring(engine)
+        with pytest.raises(SimulationError):
+            simulator.run_until_drained(max_cycles=50)
+        stuck = [
+            (packet.packet_id, where, packet.hops, packet.path)
+            for packet, where in simulator.stuck_packets()
+        ]
+        assert stuck == [
+            (0, 1, 1, [0, 1]), (1, 1, 1, [0, 1]), (2, 0, 0, [0]),
+            (3, 2, 1, [1, 2]), (4, 2, 1, [1, 2]), (5, 1, 0, [1]),
+            (6, 3, 1, [2, 3]), (7, 3, 1, [2, 3]), (8, 2, 0, [2]),
+            (9, 0, 1, [3, 0]), (10, 0, 1, [3, 0]), (11, 3, 0, [3]),
+        ]
 
     def test_many_stuck_packets_are_truncated(self):
         topology = chain_topology()

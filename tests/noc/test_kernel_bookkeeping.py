@@ -37,24 +37,24 @@ class TestParkedArrivals:
         while simulator.current_cycle < 9:
             simulator.step()
             parked_at[simulator.current_cycle - 1] = [
-                packet.packet_id for _, packet, _ in simulator._parked.get(channel, [])
+                packet for _, packet, _ in simulator._parked.get(channel, [])
             ]
         assert parked_at[5] == []
         assert parked_at[6] == [2]
         assert parked_at[7] == [2, 3]
         assert parked_at[8] == []  # re-queued by P's pop at cycle 8
-        assert [packet.packet_id for _, packet, _ in simulator._arrivals[9]] == [2, 3]
+        assert [packet for _, packet, _ in simulator._arrivals[9]] == [2, 3]
         # cycle 9: A takes the freed slot and B parks again; A launches on
         # at once, and that pop re-queues B for cycle 10
         simulator.step()
         flying = {
-            packet.packet_id: simulator._channels[channel]
+            packet: simulator._channels[channel]
             for bucket in simulator._arrivals.values()
             for _, packet, channel in bucket
         }
         assert flying[2] == (1, 2)
         assert not simulator._parked
-        assert [packet.packet_id for _, packet, _ in simulator._arrivals[10]] == [3]
+        assert [packet for _, packet, _ in simulator._arrivals[10]] == [3]
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
     def test_a_parked_flight_keeps_the_run_undrained(self, engine):
@@ -122,7 +122,7 @@ class TestRoutingFailureMidScan:
         assert len(simulator.stuck_packets()) == len(stuck) == 4
         assert stuck == {"F": 1, "G": 1, "H": 2, "X": 1}  # G parked, H in flight
         parked = simulator._parked[simulator._channel_ids[(0, 1)]]
-        assert [packet.message.tag for _, packet, _ in parked] == ["G"]
+        assert [simulator._packets.messages[packet].tag for _, packet, _ in parked] == ["G"]
 
     @pytest.mark.parametrize("engine", SCALAR_ENGINES)
     def test_a_failure_cuts_the_window_short(self, engine):

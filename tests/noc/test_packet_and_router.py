@@ -53,13 +53,6 @@ class TestPacket:
         packet.delivery_cycle = 25
         assert packet.latency == 15
 
-    def test_record_hop_tracks_path(self):
-        packet = Packet.from_message(0, Message(1, 3, 8), 32, injection_cycle=0)
-        packet.record_hop(2)
-        packet.record_hop(3)
-        assert packet.hops == 2
-        assert packet.path == [1, 2, 3]
-
 
 def merge_topology() -> Topology:
     """Routers 2 and 3 feed router 1, which feeds 7 and 8."""

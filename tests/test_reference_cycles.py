@@ -1,0 +1,63 @@
+"""Hot paths leave no reference cycles behind.
+
+Objects caught in a reference cycle wait for the cyclic garbage
+collector, whose passes run less often the fewer objects a program
+allocates; until then they hold their memory.  A decomposition search's
+transposition table and bound caches, a bisection search's state and a
+finished simulator must all be freed by reference counting alone.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.arch.metrics import bisection_bandwidth
+from repro.core.decomposition import DecompositionConfig, decompose
+from repro.noc.packet import Message
+from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from repro.routing.xy import xy_routing_function
+
+
+@pytest.fixture()
+def cyclic_gc_off():
+    """Collect what is pending, then keep the cyclic collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_decomposition_leaves_no_cycles(cyclic_gc_off, aes_acg, aes_lib):
+    # a budget keeps the test short; the search state is built all the same
+    result = decompose(aes_acg, aes_lib, config=DecompositionConfig(max_nodes_expanded=50))
+    assert result.statistics.nodes_expanded > 0
+    del result
+    assert gc.collect() == 0
+
+
+def test_bisection_search_leaves_no_cycles(cyclic_gc_off, mesh_4x4):
+    assert bisection_bandwidth(mesh_4x4).bandwidth_bits_per_cycle > 0
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
+def test_a_drained_simulator_is_freed_by_reference_counting(cyclic_gc_off, mesh_4x4, engine):
+    simulator = NoCSimulator(
+        mesh_4x4, xy_routing_function(mesh_4x4), config=SimulatorConfig(engine=engine)
+    )
+    simulator.schedule_messages([Message(1, 16, 64), Message(16, 1, 64), Message(6, 11, 256)])
+    simulator.run_until_drained()
+    assert simulator.report()["delivered"] == 3.0
+    statistics = simulator.statistics
+    gone = weakref.ref(simulator)
+    del simulator
+    assert gone() is None
+    # the statistics outlive their simulator and still build packet views
+    paths = {packet.packet_id: packet.path for packet in statistics.delivered_packets}
+    assert paths[1] == [16, 15, 14, 13, 9, 5, 1]
+    assert gc.collect() == 0
