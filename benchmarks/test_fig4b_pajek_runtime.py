@@ -6,9 +6,9 @@ the averaged run time grows from the small sizes to the large ones and every
 graph stays within the per-graph budget.
 
 As for Figure 4a, the sweep doubles as the hot-path perf guard for the
-matching cache and transposition table on the larger (30-40 node) random
+root enumeration and transposition table on the larger (30-40 node) random
 graphs: VF2-enumerated matchings must stay at least 2x below the recorded
-seed baseline, with the cache counters printed for inspection.
+seed baseline, with the counters printed for inspection.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ PAJEK_SIZES = (10, 15, 20, 25, 30, 35, 40)
 INSTANCES_PER_SIZE = 2
 
 # Seed-implementation total of branch candidates from fresh VF2 queries over
-# this exact sweep (sizes, instances, density, seed), measured without the
-# matching cache and transposition table (there, every enumerated matching
-# was a branch candidate).  The cached search must keep `matchings_tried` at
-# least 2x below it, and its total VF2 enumeration including overscan
-# (`matchings_enumerated`) must not exceed it.
+# this exact sweep (sizes, instances, density, seed), measured with a capped
+# VF2 query at every node and no transposition table (there, every
+# enumerated matching was a branch candidate).  The search enumerates each
+# primitive once, completely, at the root: `matchings_tried` (the capped
+# share of each root list) must stay at least 2x below it, and the total VF2
+# enumeration (`matchings_enumerated`, every root matching) must not exceed
+# it.
 SEED_MATCHINGS_TRIED = 19465
 
 
@@ -60,9 +62,9 @@ def test_fig4b_pajek_runtime_series(benchmark):
     # every decomposition is a valid cover with meaningful coverage
     assert all(point.covered_fraction >= 0.3 for point in result.points)
 
-    # hot path: the matching cache must absorb most candidate enumeration on
-    # the 30+-node random graphs that dominate this sweep's wall-clock, and
-    # the cache-feeding overscan must not cost more total VF2 work than the
+    # hot path: inherited lists must outnumber root VF2 queries on the
+    # 30+-node random graphs that dominate this sweep's wall-clock, and the
+    # complete root enumeration must not cost more total VF2 work than the
     # seed implementation spent
     summary = result.cache_summary()
     assert summary["matchings_tried"] * 2 <= SEED_MATCHINGS_TRIED

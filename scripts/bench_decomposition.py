@@ -25,6 +25,10 @@ Three claims are measured and gated by ``--check``:
   the cheapest-edge bound still reaches final costs at least as good as the
   legacy bound gets with the full budget, on every graph.  This is the
   experiment that licenses the tighter ``default_ladder()`` screen rung.
+* **cover quality** — no graph's ``cheapest_edge`` cover costs more than
+  in the latest trajectory entry that records per-graph costs
+  (``graph_costs``), so a search change cannot quietly settle for worse
+  covers.
 
 Every invocation (without ``--no-write``) appends one entry to
 ``BENCH_decomposition.json`` so the saving trajectory ratchets across PRs.
@@ -209,13 +213,28 @@ def run_benchmark() -> dict[str, object]:
         "branches_pruned_by": dict(sorted(pruned_by_total.items())),
         "baseline_wall_seconds": round(walls[BASELINE_BOUND], 3),
         "candidate_wall_seconds": round(walls[CANDIDATE_BOUND], 3),
+        "graph_costs": {
+            f"{row['suite']}/{row['graph']}": row[f"{CANDIDATE_BOUND}_cost"]
+            for row in per_graph
+        },
         "per_graph": per_graph,
     }
 
 
-def check(result: dict[str, object]) -> list[str]:
-    """The ``--check`` gate: parity + nodes saving + tight-budget quality."""
+def check(result: dict[str, object], entries: list[dict[str, object]]) -> list[str]:
+    """The ``--check`` gate: parity + nodes saving + tight-budget quality,
+    and no cover worse than the latest trajectory entry with ``graph_costs``."""
     failures = []
+    recorded = next(
+        (entry["graph_costs"] for entry in reversed(entries) if "graph_costs" in entry), {}
+    )
+    worse = [
+        f"{graph}: {cost:g} > {recorded[graph]:g}"
+        for graph, cost in result["graph_costs"].items()
+        if graph in recorded and cost > recorded[graph] + 1e-9
+    ]
+    if worse:
+        failures.append("cheapest_edge covers cost more than recorded: " + "; ".join(worse))
     if not result["parity"]:
         failures.append(
             "bounds changed the final decomposition (inadmissible pruning?) on: "
@@ -282,8 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="exit non-zero unless decompositions are bit-identical, the "
-        f"nodes saving reaches {NODES_SAVING_FLOOR}x, and the tight budget "
-        "loses no quality",
+        f"nodes saving reaches {NODES_SAVING_FLOOR}x, the tight budget "
+        "loses no quality and no cover costs more than the trajectory records",
     )
     parser.add_argument(
         "--no-write", action="store_true", help="measure and print only"
@@ -312,13 +331,16 @@ def main(argv: list[str] | None = None) -> int:
     if result["budget_losses"]:
         print(f"budget losses: {result['budget_losses']}")
 
+    payload = {"entries": []}
+    if args.output.exists():
+        try:
+            payload = json.loads(args.output.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            pass
+    # the ratchet compares against the entries recorded before this run
+    failures = check(result, list(payload.get("entries", []))) if args.check else []
+
     if not args.no_write:
-        payload = {"entries": []}
-        if args.output.exists():
-            try:
-                payload = json.loads(args.output.read_text(encoding="utf-8"))
-            except json.JSONDecodeError:
-                pass
         entry = {
             "label": args.label or "bounds vs legacy run",
             "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -332,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
 
     write_job_summary(result)
 
-    failures = check(result) if args.check else []
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

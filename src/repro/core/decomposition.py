@@ -8,12 +8,12 @@ cost (Equation 3) subject to the design constraints.
 Two engines are provided:
 
 :class:`BranchAndBoundDecomposer`
-    The depth-first branch-and-bound of Figure 3.  At every level it tries
-    each library primitive, enumerates the (edge-set-distinct) subgraph
-    isomorphisms into the current residual graph, subtracts the matched
-    edges, and recurses; a branch is abandoned as soon as its accumulated
-    cost plus an admissible lower bound on the residual exceeds the best
-    complete decomposition found so far.
+    The depth-first branch-and-bound of Figure 3.  It enumerates each
+    primitive's (edge-set-distinct) subgraph isomorphisms into the ACG once;
+    at every level it branches on those still in the residual graph,
+    subtracts the matched edges, and recurses.  A branch is abandoned as
+    soon as its accumulated cost plus an admissible lower bound on the
+    residual exceeds the best complete decomposition found so far.
 
 :class:`GreedyDecomposer`
     A first-fit baseline (largest primitive first, first matching found, no
@@ -29,6 +29,7 @@ Section 5 output (primitive ID, name and vertex mapping per line).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,10 +58,12 @@ class DecompositionConfig:
     strategy:
         Branch-and-bound (paper) or greedy first-fit (ablation baseline).
     max_matchings_per_primitive:
-        How many distinct matchings of each primitive are branched on at each
-        level.  ``None`` explores all of them; small values keep the search
-        tractable for large random graphs while preserving the best-first
-        behaviour because matchings are deduplicated by covered edge set.
+        How many matchings of each primitive are branched on at each search
+        node.  The search enumerates every matching once, at the root, and
+        each node takes the first ``limit`` of a primitive's matchings that
+        pass the symmetry filter, in canonical (:meth:`Matching.sort_key`)
+        order, so the cap keeps its width at every depth.  ``None``
+        branches on all of them.
     isomorphism_timeout_seconds:
         Optional abort for one VF2 query (Section 5.1 suggests ending the
         subgraph search after a time-out).  A query that runs past it
@@ -95,26 +98,11 @@ class DecompositionConfig:
     Pruning is exact under every admissible choice — the knob trades bound
     computation against nodes expanded, never solution quality.  An
     unknown name raises :class:`DecompositionError` at construction."""
-    use_matching_cache: bool = True
-    """Inherit a parent residual's matchings into its children instead of
-    re-running VF2: a child residual differs from its parent only by the
-    subtracted edges, so the child's matchings of a primitive are exactly the
-    parent's matchings whose covered edges survived the subtraction.  The
-    inheritance is only applied when the parent's enumeration was provably
-    complete (not clipped by ``max_matchings_per_primitive``); otherwise
-    the child falls back to a fresh VF2 query."""
     use_transposition_table: bool = True
     """Prune residual states that were already searched under a dominating
     (cheaper partial cost, no-stricter symmetry key) visit.  Identical
     residual edge sets are reachable through different interleavings of
     overlapping matchings that the symmetry filter cannot collapse."""
-    cache_overscan: int = 4
-    """When the matching cache is on, fresh VF2 queries enumerate up to
-    ``cache_overscan * max_matchings_per_primitive`` matchings so that
-    completeness (and therefore inheritability) can be proven for primitives
-    whose matching count is moderate.  Branching still uses only the first
-    ``max_matchings_per_primitive`` candidates; the extra matchings only feed
-    the candidate-inheritance cache."""
 
     def __post_init__(self) -> None:
         check_bound_name(self.lower_bound)
@@ -122,10 +110,6 @@ class DecompositionConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise DecompositionError(f"{name} must be at least 1 or None, got {value!r}")
-        if self.cache_overscan < 1:
-            raise DecompositionError(
-                f"cache_overscan must be at least 1, got {self.cache_overscan!r}"
-            )
         for name in ("isomorphism_timeout_seconds", "total_timeout_seconds"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -138,13 +122,11 @@ class SearchStatistics:
 
     nodes_expanded: int = 0
     matchings_tried: int = 0
-    """Branch candidates considered from fresh VF2 enumerations (clipped to
-    ``max_matchings_per_primitive``; cache-served candidate lists are
-    filtered, not re-enumerated, and therefore not counted here)."""
+    """Per fresh VF2 enumeration, the matchings within the branching cap
+    (``min(max_matchings_per_primitive, found)``)."""
     matchings_enumerated: int = 0
-    """Every matching yielded by a fresh VF2 enumeration, including the
-    overscan beyond the branching limit that only feeds the matching cache.
-    This is the true measure of VF2 enumeration work."""
+    """Every matching yielded by a fresh VF2 enumeration: the true measure
+    of VF2 enumeration work."""
     leaves_evaluated: int = 0
     branches_pruned: int = 0
     """Branches abandoned because an admissible bound proved they cannot
@@ -160,9 +142,11 @@ class SearchStatistics:
     bound_cache_misses: int = 0
     """Residual bound values that had to be computed."""
     matching_cache_hits: int = 0
-    """Primitive candidate lists inherited from the parent residual."""
+    """Primitive matching lists inherited from the parent residual (every
+    list below the root of a branch-and-bound search)."""
     matching_cache_misses: int = 0
-    """Primitive candidate lists that required a fresh VF2 enumeration."""
+    """Primitive matching lists that required a fresh VF2 enumeration (one
+    per primitive at the root of a branch-and-bound search)."""
     transposition_hits: int = 0
     """Search nodes skipped because a dominating visit already searched the
     same residual edge set."""
@@ -191,13 +175,6 @@ class SearchStatistics:
             "truncated": self.truncated,
             "truncated_by": self.truncated_by,
         }
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of per-primitive candidate lists served from the cache."""
-        total = self.matching_cache_hits + self.matching_cache_misses
-        if total == 0:
-            return 0.0
-        return self.matching_cache_hits / total
 
 
 @dataclass
@@ -335,25 +312,19 @@ class Decomposer:
         return default_cost_model(acg)
 
     def _enumerate_matchings(
-        self, entry: LibraryEntry, residual: DiGraph, overscan: bool = False
-    ) -> tuple[list[Matching], bool]:
-        """Distinct matchings of one primitive in the residual graph.
+        self, entry: LibraryEntry, residual: DiGraph, limit: int | None
+    ) -> list[Matching]:
+        """Distinct matchings of one primitive in ``residual``, in VF2 order.
 
-        Returns ``(matchings, complete)`` where ``complete`` is True only
-        when the enumeration provably produced *every* edge-set-distinct
-        matching, i.e. was not clipped by the enumeration limit.  A query
-        that runs past ``isomorphism_timeout_seconds`` raises
-        :class:`DecompositionError`.  Completeness is what licenses the
-        candidate-inheritance cache of the branch-and-bound search; only that
-        search passes ``overscan=True`` to enumerate past the branching limit
-        (the greedy engine has no cache and would pay the extra VF2 work for
-        nothing).
+        At most ``limit`` are returned (``None``: all of them).  A query that
+        runs past ``isomorphism_timeout_seconds`` raises
+        :class:`DecompositionError`.
         """
         primitive = entry.primitive
         if primitive.size > residual.num_nodes:
-            return [], True
+            return []
         if primitive.num_requirement_edges > residual.num_edges:
-            return [], True
+            return []
         matcher = VF2Matcher(
             primitive.representation,
             residual,
@@ -363,30 +334,13 @@ class Decomposer:
                 deduplicate_by_edges=True,
             ),
         )
-        limit = self.config.max_matchings_per_primitive
-        scan_limit = limit
-        if limit is not None and overscan and self.config.cache_overscan > 1:
-            scan_limit = limit * self.config.cache_overscan
-        mappings = matcher.find_all(limit=scan_limit)
+        mappings = matcher.find_all(limit=limit)
         if matcher.timed_out:
             raise DecompositionError(
                 f"VF2 query for {primitive.name} exceeded isomorphism_timeout_seconds="
                 f"{self.config.isomorphism_timeout_seconds:g}"
             )
-        complete = scan_limit is None or len(mappings) < scan_limit
-        return [Matching.from_mapping(primitive, mapping) for mapping in mappings], complete
-
-    def _branch_candidates(self, found: list[Matching]) -> list[Matching]:
-        """The candidates actually branched on: the first ``limit`` of a list.
-
-        Enumeration may overscan past the per-primitive limit to prove
-        completeness for the matching cache; the branching width of the
-        search stays at ``max_matchings_per_primitive`` regardless.
-        """
-        limit = self.config.max_matchings_per_primitive
-        if limit is None:
-            return found
-        return found[:limit]
+        return [Matching.from_mapping(primitive, mapping) for mapping in mappings]
 
     def _build_result(
         self,
@@ -430,13 +384,14 @@ class GreedyDecomposer(Decomposer):
         while progress and residual.num_edges > 0:
             progress = False
             for entry in self.library.sorted_for_search():
-                found, _complete = self._enumerate_matchings(entry, residual)
-                candidates = self._branch_candidates(found)
-                statistics.matchings_tried += len(candidates)
+                found = self._enumerate_matchings(
+                    entry, residual, self.config.max_matchings_per_primitive
+                )
+                statistics.matchings_tried += len(found)
                 statistics.matchings_enumerated += len(found)
-                if not candidates:
+                if not found:
                     continue
-                best = min(candidates, key=lambda m: cost_model.matching_cost(m, acg))
+                best = min(found, key=lambda m: cost_model.matching_cost(m, acg))
                 matchings.append(best)
                 residual = best.subtract_from(residual)
                 statistics.nodes_expanded += 1
@@ -447,25 +402,84 @@ class GreedyDecomposer(Decomposer):
         return self._build_result(acg, matchings, residual, cost_model, statistics)
 
 
+def inherit_lists(
+    lists: dict[int, list[Matching]], removed: frozenset[Edge]
+) -> dict[int, list[Matching]]:
+    """A child residual's matching lists: its parent's, minus ``removed``.
+
+    A matching is a monomorphism, so the child's matchings of a primitive
+    are exactly the parent's whose covered edges all survived the
+    subtraction of ``removed``.  Complete lists in :meth:`Matching.sort_key`
+    order therefore stay complete and in order; a primitive left without a
+    matching is dropped.
+    """
+    child: dict[int, list[Matching]] = {}
+    for primitive_id, found in lists.items():
+        surviving = [m for m in found if removed.isdisjoint(m.covered_edges())]
+        if surviving:
+            child[primitive_id] = surviving
+    return child
+
+
+def capped_survivors(
+    lists: dict[int, list[Matching]], min_key: tuple, limit: int | None
+) -> list[Matching]:
+    """The matchings a search node branches on, in canonical order.
+
+    Symmetry breaking: matchings commute, so a branch explores them in
+    non-decreasing :meth:`Matching.sort_key` order only, and a node keeps
+    the matchings at or above its ``min_key``.  Each list is in that order,
+    so those are a suffix of it; the cap takes the suffix's first ``limit``
+    (all of it for ``None``), so a node never runs short while a primitive
+    still has matchings it may take.
+    """
+    survivors: list[Matching] = []
+    for found in lists.values():
+        start = bisect_left(found, min_key, key=Matching.sort_key)
+        survivors.extend(found[start : None if limit is None else start + limit])
+    survivors.sort(key=Matching.sort_key)
+    return survivors
+
+
 class BranchAndBoundDecomposer(Decomposer):
     """The depth-first branch-and-bound NetDecomp algorithm of Figure 3.
 
-    Two structural accelerations keep the VF2 subgraph-isomorphism engine off
-    the hot path:
+    VF2 runs once per primitive per search, at the root and with no limit
+    (:meth:`matching_lists`); every node below filters its parent's lists
+    (:func:`inherit_lists`), so each node sees all the matchings of its
+    residual.  A node branches on the first ``max_matchings_per_primitive``
+    matchings of each primitive at or above its symmetry key, in
+    :meth:`Matching.sort_key` order, so the cap keeps its width at every
+    depth.
 
-    * a **candidate-inheritance matching cache** — a child residual differs
-      from its parent only by the subtracted edge set, so the child's
-      matchings of a primitive are exactly the parent's matchings whose
-      covered edges survived the subtraction.  When the parent's enumeration
-      was provably complete the child filters the parent's list instead of
-      re-running VF2;
-    * a **transposition table** keyed by the residual's exact edge set
-      (:meth:`~repro.core.graph.DiGraph.structural_fingerprint`) — the same
-      residual state is reachable through different interleavings of
-      overlapping matchings, and a revisit that is dominated by an earlier
-      visit (higher partial cost, no-looser symmetry key) cannot improve on
-      the subtree already searched.
+    A **transposition table** keyed by the residual's exact edge set
+    (:meth:`~repro.core.graph.DiGraph.structural_fingerprint`) prunes the
+    rest: the same residual state is reachable through different
+    interleavings of overlapping matchings, and a revisit that is dominated
+    by an earlier visit (higher partial cost, no-looser symmetry key) cannot
+    improve on the subtree already searched.
     """
+
+    def matching_lists(
+        self, graph: DiGraph, statistics: SearchStatistics
+    ) -> dict[int, list[Matching]]:
+        """Every matching of every primitive in ``graph``, by primitive id.
+
+        Each list is complete and in :meth:`Matching.sort_key` order;
+        primitives without a matching are left out.  Each VF2 query is
+        counted in ``statistics``.
+        """
+        limit = self.config.max_matchings_per_primitive
+        lists: dict[int, list[Matching]] = {}
+        for entry in self.library.sorted_for_search():
+            found = self._enumerate_matchings(entry, graph, None)
+            statistics.matching_cache_misses += 1
+            statistics.matchings_enumerated += len(found)
+            statistics.matchings_tried += len(found) if limit is None else min(limit, len(found))
+            if found:
+                found.sort(key=Matching.sort_key)
+                lists[entry.primitive_id] = found
+        return lists
 
     def decompose(self, acg: ApplicationGraph) -> DecompositionResult:
         """Search for the minimum-cost cover of ``acg`` (Figure 3)."""
@@ -475,7 +489,7 @@ class BranchAndBoundDecomposer(Decomposer):
         residual = acg.structural_copy()
 
         best: dict[str, object] = {"cost": float("inf"), "matchings": None, "residual": None}
-        use_cache = self.config.use_matching_cache
+        limit = self.config.max_matchings_per_primitive
         use_table = self.config.use_transposition_table
         bound: ResidualBound | None = None
         if self.config.use_lower_bound:
@@ -486,100 +500,9 @@ class BranchAndBoundDecomposer(Decomposer):
                 acg,
                 statistics=statistics,
             )
-        search_order = self.library.sorted_for_search()
         # exact residual edge set -> [(partial_cost, min_key), ...]: the
         # Pareto-incomparable visits of that residual state
         transposition: dict[frozenset[Edge], list[tuple[float, tuple]]] = {}
-
-        def evaluate_leaf(
-            current: DiGraph,
-            chosen: list[Matching],
-            partial_cost: float,
-            always_count: bool,
-        ) -> None:
-            """Score stopping at ``current`` (remaining edges go to the remainder).
-
-            Natural leaves (no candidate matches at all) always count against
-            the leaf budget, as in the original search.  Stop-early leaves at
-            interior nodes are scored too — the optimum may leave coverable
-            traffic in the remainder — but charged to the budget only when
-            they improve the incumbent, so the extra evaluations cannot
-            exhaust ``max_leaves`` on subtrees the bound has written off.
-            """
-            total = partial_cost + cost_model.remainder_cost(current, acg)
-            improved = total < best["cost"]
-            if always_count or improved:
-                budget.leaves += 1
-                statistics.leaves_evaluated += 1
-            if improved:
-                best["cost"] = total
-                best["matchings"] = list(chosen)
-                best["residual"] = current.copy()
-
-        def enumerate_candidates(
-            current: DiGraph,
-            inherited: dict[int, tuple[list[Matching], bool]] | None,
-            dead: frozenset[int],
-        ) -> tuple[dict[int, tuple[list[Matching], bool]], list[Matching], frozenset[int]]:
-            """Candidate matchings of ``current``, per primitive and flattened.
-
-            ``inherited`` carries the parent's candidate lists already
-            filtered down to matchings that survived the subtraction, each
-            tagged with whether it is provably the complete candidate set;
-            primitives missing from it (the root, or a clipped parent list
-            that no longer fills the branching quota) fall back to a fresh
-            VF2 query.  ``dead`` holds primitives proven matchless in an
-            ancestor residual — a matching is a monomorphism, so a primitive
-            absent from some graph is absent from all of its subgraphs and is
-            skipped for the whole subtree (this also keeps the
-            ``use_matching_cache=False`` baseline from re-querying them).
-            """
-            lists: dict[int, tuple[list[Matching], bool]] = {}
-            candidates: list[Matching] = []
-            newly_dead: set[int] = set()
-            for entry in search_order:
-                primitive_id = entry.primitive_id
-                if primitive_id in dead:
-                    continue
-                cached = inherited.get(primitive_id) if inherited is not None else None
-                if cached is not None:
-                    statistics.matching_cache_hits += 1
-                    found, complete = cached
-                else:
-                    statistics.matching_cache_misses += 1
-                    found, complete = self._enumerate_matchings(
-                        entry, current, overscan=use_cache
-                    )
-                    statistics.matchings_tried += len(self._branch_candidates(found))
-                    statistics.matchings_enumerated += len(found)
-                if complete and not found:
-                    newly_dead.add(primitive_id)
-                    continue
-                lists[primitive_id] = (found, complete)
-                candidates.extend(self._branch_candidates(found))
-            return lists, candidates, dead | frozenset(newly_dead)
-
-        def inherit_lists(
-            lists: dict[int, tuple[list[Matching], bool]], removed: frozenset[Edge]
-        ) -> dict[int, tuple[list[Matching], bool]]:
-            """Filter this node's candidate lists for the child residual.
-
-            A matching survives the subtraction exactly when none of its
-            covered edges was removed.  Complete lists stay complete (every
-            child matching is a parent matching).  A clipped list is still
-            reused when the survivors fill the per-primitive branching quota
-            — a fresh VF2 query would also return ``limit`` candidates, just
-            possibly different ones — and stays tagged incomplete.
-            """
-            limit = self.config.max_matchings_per_primitive
-            child: dict[int, tuple[list[Matching], bool]] = {}
-            for primitive_id, (found, complete) in lists.items():
-                surviving = [m for m in found if not (m.covered_edges() & removed)]
-                if complete:
-                    child[primitive_id] = (surviving, True)
-                elif limit is not None and len(surviving) >= limit:
-                    child[primitive_id] = (surviving, False)
-            return child
 
         def dominated_or_recorded(
             current: DiGraph, partial_cost: float, min_key: tuple
@@ -587,17 +510,10 @@ class BranchAndBoundDecomposer(Decomposer):
             """True when an earlier visit of this residual dominates this one.
 
             A visit with partial cost ``c`` and symmetry key ``k`` dominates a
-            revisit with cost >= c and key >= k: every branch the revisit may
-            take was reachable from the earlier visit at no higher cost.  When
-            not dominated, the visit is recorded (evicting entries it
-            dominates in turn).
-
-            Only nodes whose candidate lists are all provably complete are
-            recorded or pruned: a complete candidate set is a function of the
-            residual alone, so two such visits see identical branches.  With
-            clipped lists the two visits may branch on *different* truncated
-            candidate subsets, and pruning would drop branches neither visit
-            explored.
+            revisit with cost >= c and key >= k: both see every matching of
+            the residual, so every branch the revisit may take was reachable
+            from the earlier visit at no higher cost.  When not dominated,
+            the visit is recorded (evicting entries it dominates in turn).
             """
             entries = transposition.setdefault(current.structural_fingerprint(), [])
             for stored_cost, stored_key in entries:
@@ -620,33 +536,18 @@ class BranchAndBoundDecomposer(Decomposer):
             chosen: list[Matching],
             partial_cost: float,
             min_key: tuple,
-            inherited: dict[int, tuple[list[Matching], bool]] | None,
-            dead: frozenset[int],
+            lists: dict[int, list[Matching]],
         ) -> None:
             """Expand one search node: branch on every surviving candidate."""
             if budget.exhausted(statistics.nodes_expanded):
                 return
             statistics.nodes_expanded += 1
 
-            lists, candidates, child_dead = enumerate_candidates(current, inherited, dead)
-            # Symmetry breaking: matchings commute, so explore them in
-            # non-decreasing canonical order only (see Matching.sort_key),
-            # branching in canonical order so no combination is lost.
-            survivors = [m for m in candidates if m.sort_key() >= min_key]
-            survivors.sort(key=Matching.sort_key)
+            survivors = capped_survivors(lists, min_key, limit)
 
-            # The transposition check sits after candidate enumeration because
-            # its soundness gate needs the lists' completeness flags, which
-            # only exist once the lists do; on a revisited node the
-            # enumeration is almost always served by the inheritance cache,
-            # so the work a hit discards is list filtering, not VF2.
-            all_complete = all(complete for _, complete in lists.values())
-            if (
-                survivors
-                and use_table
-                and all_complete
-                and dominated_or_recorded(current, partial_cost, min_key)
-            ):
+            # A node without survivors is only scored as a leaf below, so it
+            # is neither looked up nor recorded.
+            if survivors and use_table and dominated_or_recorded(current, partial_cost, min_key):
                 return
 
             for matching in survivors:
@@ -663,17 +564,14 @@ class BranchAndBoundDecomposer(Decomposer):
                             statistics.branches_pruned_by.get(fired, 0) + 1
                         )
                         continue
-                child_inherited: dict[int, tuple[list[Matching], bool]] | None = None
-                if use_cache:
-                    child_inherited = inherit_lists(lists, matching.covered_edges())
+                statistics.matching_cache_hits += len(lists)
                 chosen.append(matching)
                 recurse(
                     next_residual,
                     chosen,
                     next_cost,
                     matching.sort_key(),
-                    child_inherited,
-                    child_dead,
+                    inherit_lists(lists, matching.covered_edges()),
                 )
                 chosen.pop()
                 if budget.exhausted(statistics.nodes_expanded):
@@ -684,11 +582,22 @@ class BranchAndBoundDecomposer(Decomposer):
             # all symmetry-filtered or bound-pruned, or an interior node —
             # the optimum may cover less than the library allows.  Scoring
             # after the children keeps ties resolved in favour of the deeper
-            # (more covering) decomposition found first.
-            evaluate_leaf(current, chosen, partial_cost, always_count=not candidates)
+            # (more covering) decomposition found first.  Natural leaves
+            # always count against the leaf budget; the others only when
+            # they improve the incumbent, so they cannot exhaust
+            # ``max_leaves`` on subtrees the bound has written off.
+            total = partial_cost + cost_model.remainder_cost(current, acg)
+            improved = total < best["cost"]
+            if improved or not lists:
+                budget.leaves += 1
+                statistics.leaves_evaluated += 1
+            if improved:
+                best["cost"] = total
+                best["matchings"] = list(chosen)
+                best["residual"] = current.copy()
 
         try:
-            recurse(residual, [], 0.0, (), None, frozenset())
+            recurse(residual, [], 0.0, (), self.matching_lists(residual, statistics))
         finally:
             del recurse  # the closure refers to itself: free it without the cyclic GC
         statistics.elapsed_seconds = budget.elapsed()

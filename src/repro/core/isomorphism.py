@@ -201,16 +201,16 @@ class VF2Matcher:
             self._deadline = None
 
         seen_edge_sets: set[frozenset[Edge]] = set()
+        pattern_edges = self.pattern.edges()
         produced = 0
         try:
             for mapping in self._extend({}, set()):
-                candidate = IsomorphismMapping.from_dict(mapping)
                 if self.options.deduplicate_by_edges:
-                    edge_set = candidate.covered_edges(self.pattern)
+                    edge_set = frozenset((mapping[s], mapping[t]) for s, t in pattern_edges)
                     if edge_set in seen_edge_sets:
                         continue
                     seen_edge_sets.add(edge_set)
-                yield candidate
+                yield IsomorphismMapping.from_dict(mapping)
                 produced += 1
                 if limit is not None and produced >= limit:
                     return
@@ -299,6 +299,10 @@ class VF2Matcher:
             return False
         if self.target.in_degree(target_node) < self.pattern.in_degree(pattern_node):
             return False
+        if not self.options.induced:
+            # _candidate_targets only offers nodes joined to the mapped
+            # neighbours as the pattern requires, so nothing is left to check
+            return True
 
         for mapped_pattern, mapped_target in mapping.items():
             forward_pattern = self.pattern.has_edge(pattern_node, mapped_pattern)
@@ -306,15 +310,8 @@ class VF2Matcher:
             forward_target = self.target.has_edge(target_node, mapped_target)
             backward_target = self.target.has_edge(mapped_target, target_node)
 
-            if forward_pattern and not forward_target:
+            if forward_pattern != forward_target or backward_pattern != backward_target:
                 return False
-            if backward_pattern and not backward_target:
-                return False
-            if self.options.induced:
-                if forward_target and not forward_pattern:
-                    return False
-                if backward_target and not backward_pattern:
-                    return False
         return True
 
 

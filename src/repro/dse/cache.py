@@ -85,8 +85,11 @@ from repro.routing.table import RoutingTable
 #: ``"cheapest_edge"`` (the decomposition sub-key changes) and search
 #: statistics no longer carry ``exact_residuals_solved``;
 #: version 7: counter budgets only — settings lost the
-#: ``isomorphism_timeout_seconds`` / ``decomposition_timeout_seconds`` knobs)
-PIPELINE_VERSION = 7
+#: ``isomorphism_timeout_seconds`` / ``decomposition_timeout_seconds`` knobs;
+#: version 8: one root enumeration per search — the branching cap takes each
+#: primitive's first matchings in canonical order at every depth, so stored
+#: decompositions hold covers (and search statistics) of the old search)
+PIPELINE_VERSION = 8
 
 #: bump when the decomposition artifact serialization changes shape
 DECOMPOSITION_ARTIFACT_FORMAT = 1

@@ -20,13 +20,14 @@ round-trips IEEE doubles), and isolated nodes are kept.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
-from repro.exceptions import WorkloadError
+from repro.exceptions import GraphError, WorkloadError
 from repro.plugins import Registry
 
 
@@ -99,3 +100,17 @@ def parse_number(text: str) -> float:
     if not math.isfinite(value):
         raise WorkloadError(f"expected a finite number, got {text!r}")
     return value
+
+
+@contextmanager
+def reading_line(path: str | Path, number: int) -> Iterator[None]:
+    """Name the file and line in any input error raised inside the block.
+
+    A :class:`WorkloadError` from a reader, or a :class:`GraphError` from
+    building the graph (a self-loop arc, say), leaves as a
+    :class:`WorkloadError` that starts with ``"<path>, line <number>: "``.
+    """
+    try:
+        yield
+    except (WorkloadError, GraphError) as error:
+        raise WorkloadError(f"{path}, line {number}: {error}") from error

@@ -23,7 +23,13 @@ from pathlib import Path
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
-from repro.io.base import GraphFormat, format_float, parse_number, register_format
+from repro.io.base import (
+    GraphFormat,
+    format_float,
+    parse_number,
+    reading_line,
+    register_format,
+)
 
 _ID = r'"(?:[^"\\]|\\.)*"|[A-Za-z0-9_.+-]+'
 _EDGE_RE = re.compile(rf"^({_ID})\s*->\s*({_ID})\s*(?:\[(.*)\])?$")
@@ -104,8 +110,9 @@ def _split_statements(line: str) -> list[str]:
 def _parse(path: str | Path):
     """Parse a digraph file into (graph_attrs, nodes, edges).
 
-    ``nodes`` maps label -> attrs (insertion-ordered); ``edges`` is a list
-    of ``(source, target, attrs)``.
+    ``nodes`` maps label -> (attrs, line number of its last statement),
+    insertion-ordered; ``edges`` is a list of ``(line number, source,
+    target, attrs)``.
     """
     text = Path(path).read_text(encoding="utf-8")
     header = _HEADER_RE.match(text)
@@ -115,32 +122,29 @@ def _parse(path: str | Path):
     graph_attrs: dict[str, str] = {}
     if header.group(1):
         graph_attrs["name"] = _unquote(header.group(1))
-    nodes: dict[str, dict[str, str]] = {}
-    edges: list[tuple[str, str, dict[str, str]]] = []
+    nodes: dict[str, tuple[dict[str, str], int]] = {}
+    edges: list[tuple[int, str, str, dict[str, str]]] = []
     body = stripped[header.end() : -1]
-    for raw_line in body.splitlines():
+    first = text.count("\n", 0, header.end()) + 1
+    for number, raw_line in enumerate(body.splitlines(), start=first):
         line = _strip_line_comment(raw_line).strip()
-        if not line:
-            continue
         for statement in filter(None, (s.strip() for s in _split_statements(line))):
             edge_match = _EDGE_RE.match(statement)
+            node_match = _NODE_RE.match(statement)
             if edge_match:
                 attrs = _parse_attrs(edge_match.group(3))
-                edges.append(
-                    (_unquote(edge_match.group(1)), _unquote(edge_match.group(2)), attrs)
-                )
-                continue
-            node_match = _NODE_RE.match(statement)
-            if node_match:
+                source, target = _unquote(edge_match.group(1)), _unquote(edge_match.group(2))
+                edges.append((number, source, target, attrs))
+            elif node_match:
                 label = _unquote(node_match.group(1))
                 attrs = _parse_attrs(node_match.group(2))
-                if label in ("graph", "node", "edge"):
-                    if label == "graph":
-                        graph_attrs.update(attrs)
-                    continue
-                nodes.setdefault(label, {}).update(attrs)
-                continue
-            raise WorkloadError(f"unsupported DOT statement: {statement!r}")
+                if label == "graph":
+                    graph_attrs.update(attrs)
+                elif label not in ("node", "edge"):
+                    nodes[label] = ({**nodes.get(label, ({}, 0))[0], **attrs}, number)
+            else:
+                with reading_line(path, number):
+                    raise WorkloadError(f"unsupported DOT statement: {statement!r}")
     return graph_attrs, nodes, edges
 
 
@@ -182,17 +186,19 @@ def read_workload(path: str | Path) -> ApplicationGraph:
     """
     _graph_attrs, nodes, edges = _parse(path)
     acg = ApplicationGraph(name=Path(path).stem)
-    for label, attrs in nodes.items():
+    for label, (attrs, number) in nodes.items():
         acg.add_node(label, exist_ok=True)
         if "x" in attrs and "y" in attrs:
-            acg.set_position(label, parse_number(attrs["x"]), parse_number(attrs["y"]))
-    for source, target, attrs in edges:
-        acg.add_communication(
-            source,
-            target,
-            volume=parse_number(attrs.get("volume", "1")),
-            bandwidth=parse_number(attrs.get("bandwidth", "0")),
-        )
+            with reading_line(path, number):
+                acg.set_position(label, parse_number(attrs["x"]), parse_number(attrs["y"]))
+    for number, source, target, attrs in edges:
+        with reading_line(path, number):
+            acg.add_communication(
+                source,
+                target,
+                volume=parse_number(attrs.get("volume", "1")),
+                bandwidth=parse_number(attrs.get("bandwidth", "0")),
+            )
     return acg
 
 
@@ -235,22 +241,25 @@ def read_topology(path: str | Path) -> Topology:
         name=graph_attrs.get("name") or Path(path).stem,
         flit_width_bits=int(graph_attrs.get("flit_width_bits", 32)),
     )
-    for label, attrs in nodes.items():
+    for label, (attrs, number) in nodes.items():
         if "x" in attrs and "y" in attrs:
-            topology.add_router(label, parse_number(attrs["x"]), parse_number(attrs["y"]))
+            with reading_line(path, number):
+                x, y = parse_number(attrs["x"]), parse_number(attrs["y"])
+            topology.add_router(label, x, y)
         else:
             topology.add_router(label)
-    for source, target, attrs in edges:
-        length = parse_number(attrs["length_mm"]) if "length_mm" in attrs else None
-        width = int(parse_number(attrs["width_bits"])) if "width_bits" in attrs else None
-        bandwidth = parse_number(attrs["bandwidth"]) if "bandwidth" in attrs else None
-        topology.add_channel(
-            source,
-            target,
-            length_mm=length,
-            width_bits=width,
-            bandwidth_bits_per_cycle=bandwidth,
-        )
+    for number, source, target, attrs in edges:
+        with reading_line(path, number):
+            length = parse_number(attrs["length_mm"]) if "length_mm" in attrs else None
+            width = int(parse_number(attrs["width_bits"])) if "width_bits" in attrs else None
+            bandwidth = parse_number(attrs["bandwidth"]) if "bandwidth" in attrs else None
+            topology.add_channel(
+                source,
+                target,
+                length_mm=length,
+                width_bits=width,
+                bandwidth_bits_per_cycle=bandwidth,
+            )
     return topology
 
 

@@ -24,7 +24,13 @@ from pathlib import Path
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
-from repro.io.base import GraphFormat, format_float, parse_number, register_format
+from repro.io.base import (
+    GraphFormat,
+    format_float,
+    parse_number,
+    reading_line,
+    register_format,
+)
 
 _DIRECTIVE_PREFIX = "#%"
 
@@ -40,24 +46,32 @@ def _parse_keyvals(fields: list[str]) -> dict[str, str]:
 
 
 def _parse_file(path: str | Path):
-    """Parse the file into (header, nodes, edges) without interpreting kinds."""
+    """Parse the file into (header, nodes, edges) without interpreting kinds.
+
+    Each edge is ``(line number, source, target, extra columns)``.
+    """
     header: dict[str, str] = {}
     nodes: list[tuple[str, tuple[float, float] | None]] = []
-    edges: list[tuple[str, str, list[str]]] = []
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    edges: list[tuple[int, str, str, list[str]]] = []
+    text = Path(path).read_text(encoding="utf-8")
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line:
+        if not line or (line.startswith("#") and not line.startswith(_DIRECTIVE_PREFIX)):
             continue
-        if line.startswith(_DIRECTIVE_PREFIX):
+        with reading_line(path, number):
+            directive = line.startswith(_DIRECTIVE_PREFIX)
             try:
-                fields = shlex.split(line[len(_DIRECTIVE_PREFIX) :])
+                fields = shlex.split(line[len(_DIRECTIVE_PREFIX) :] if directive else line)
             except ValueError as error:
-                raise WorkloadError(f"malformed directive line: {raw_line!r}") from error
-            if not fields:
-                continue
-            if fields[0] == "repro-edgelist":
+                kind = "directive" if directive else "edge"
+                raise WorkloadError(f"malformed {kind} line: {raw_line!r}") from error
+            if not directive:
+                if len(fields) < 2:
+                    raise WorkloadError(f"malformed edge line: {raw_line!r}")
+                edges.append((number, fields[0], fields[1], fields[2:]))
+            elif fields and fields[0] == "repro-edgelist":
                 header.update(_parse_keyvals(fields[1:]))
-            elif fields[0] == "node":
+            elif fields and fields[0] == "node":
                 if len(fields) < 2:
                     raise WorkloadError(f"malformed node directive: {raw_line!r}")
                 keyvals = _parse_keyvals(fields[2:])
@@ -65,16 +79,6 @@ def _parse_file(path: str | Path):
                 if "x" in keyvals and "y" in keyvals:
                     coords = (parse_number(keyvals["x"]), parse_number(keyvals["y"]))
                 nodes.append((fields[1], coords))
-            continue
-        if line.startswith("#"):
-            continue
-        try:
-            fields = shlex.split(line)
-        except ValueError as error:
-            raise WorkloadError(f"malformed edge line: {raw_line!r}") from error
-        if len(fields) < 2:
-            raise WorkloadError(f"malformed edge line: {raw_line!r}")
-        edges.append((fields[0], fields[1], fields[2:]))
     return header, nodes, edges
 
 
@@ -111,10 +115,11 @@ def read_workload(path: str | Path) -> ApplicationGraph:
         acg.add_node(label, exist_ok=True)
         if coords is not None:
             acg.set_position(label, coords[0], coords[1])
-    for source, target, extra in edges:
-        volume = parse_number(extra[0]) if len(extra) > 0 else 1.0
-        bandwidth = parse_number(extra[1]) if len(extra) > 1 else 0.0
-        acg.add_communication(source, target, volume=volume, bandwidth=bandwidth)
+    for number, source, target, extra in edges:
+        with reading_line(path, number):
+            volume = parse_number(extra[0]) if len(extra) > 0 else 1.0
+            bandwidth = parse_number(extra[1]) if len(extra) > 1 else 0.0
+            acg.add_communication(source, target, volume=volume, bandwidth=bandwidth)
     return acg
 
 
@@ -155,17 +160,18 @@ def read_topology(path: str | Path) -> Topology:
             topology.add_router(label, coords[0], coords[1])
         else:
             topology.add_router(label)
-    for source, target, extra in edges:
-        length = parse_number(extra[0]) if len(extra) > 0 else None
-        width = int(parse_number(extra[1])) if len(extra) > 1 else None
-        bandwidth = parse_number(extra[2]) if len(extra) > 2 else None
-        topology.add_channel(
-            source,
-            target,
-            length_mm=length,
-            width_bits=width,
-            bandwidth_bits_per_cycle=bandwidth,
-        )
+    for number, source, target, extra in edges:
+        with reading_line(path, number):
+            length = parse_number(extra[0]) if len(extra) > 0 else None
+            width = int(parse_number(extra[1])) if len(extra) > 1 else None
+            bandwidth = parse_number(extra[2]) if len(extra) > 2 else None
+            topology.add_channel(
+                source,
+                target,
+                length_mm=length,
+                width_bits=width,
+                bandwidth_bits_per_cycle=bandwidth,
+            )
     return topology
 
 

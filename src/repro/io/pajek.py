@@ -12,10 +12,13 @@ Repro extends it backward-compatibly:
   (written only when some edge has a non-zero bandwidth);
 * topology arcs carry ``length_mm width_bits bandwidth`` columns.
 
-Legacy behaviour of :func:`repro.workloads.pajek.read_pajek` is
-preserved: ``*Edges`` sections are read as bidirectional arcs, ``%``
-comment lines are skipped, and an arc line with fewer than two fields
-raises :class:`~repro.exceptions.WorkloadError`.
+Both readers hold a file to one input contract: the ``*Vertices N``
+ids run 1..N, each declared once with a unique label (the id itself when
+the line gives none), and arcs join declared ids only.  ``*Edges``
+sections are read as bidirectional arcs, ``%`` comment lines and a
+``*Network`` title line are skipped, and repeated arcs merge into one
+(volumes add up).  Any other input raises
+:class:`~repro.exceptions.WorkloadError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from pathlib import Path
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
-from repro.io.base import GraphFormat, format_float, parse_number, register_format
+from repro.io.base import (
+    GraphFormat,
+    format_float,
+    parse_number,
+    reading_line,
+    register_format,
+)
 
 _DIRECTIVE_PREFIX = "% repro"
 
@@ -39,11 +48,18 @@ def _quote(label: object) -> str:
 
 def _parse_directive(line: str) -> dict[str, str]:
     """``% repro key=value ...`` -> its key/value mapping (shlex-quoted)."""
-    fields = shlex.split(line[len(_DIRECTIVE_PREFIX) :])
+    try:
+        fields = shlex.split(line[len(_DIRECTIVE_PREFIX) :])
+    except ValueError as error:
+        raise WorkloadError(f"malformed repro directive: {line!r}") from error
     directive: dict[str, str] = {}
     for field in fields:
         key, _, value = field.partition("=")
         directive[key] = value
+    if directive.get("kind", "") not in ("", "topology", "workload"):
+        raise WorkloadError(f"unknown repro payload kind {directive['kind']!r}")
+    if "flit_width_bits" in directive:
+        parse_number(directive["flit_width_bits"])
     return directive
 
 
@@ -63,37 +79,93 @@ def _split_vertex_line(line: str, raw_line: str) -> tuple[int, str, tuple[float,
     coords: tuple[float, float] | None = None
     if len(rest) >= 3:
         try:
-            coords = (float(rest[-2]), float(rest[-1]))
-            rest = rest[:-2]
+            float(rest[-2]), float(rest[-1])
         except ValueError:
-            coords = None
+            pass
+        else:
+            coords = (parse_number(rest[-2]), parse_number(rest[-1]))
+            rest = rest[:-2]
     label = " ".join(rest) if rest else str(index)
     return index, label, coords
 
 
-def _iter_sections(text: str):
-    """Yield ``(section, directive, line, raw_line)`` for payload lines."""
-    section = None
+def _vertex_count(line: str) -> int:
+    """N of a ``*Vertices N`` header."""
+    fields = line.split()
+    try:
+        count = int(fields[1])
+    except (IndexError, ValueError):
+        count = -1
+    if count < 0:
+        raise WorkloadError(f"malformed Pajek *Vertices header: {line!r}")
+    return count
+
+
+def _declared(labels: dict[int, str], token: str) -> str:
+    """The label of the declared vertex id ``token`` names."""
+    try:
+        return labels[int(token)]
+    except (KeyError, ValueError):
+        raise WorkloadError(f"arc endpoint {token!r} is not a declared vertex id") from None
+
+
+def _parse(path: str | Path):
+    """Split a ``.net`` file into (directive, vertices, arcs), checking it.
+
+    ``vertices`` lists ``(label, coordinates or None)`` in id order;
+    ``arcs`` lists ``(line number, source label, target label, extra
+    columns)``, both directions for an ``*Edges`` line.
+    """
     directive: dict[str, str] = {}
-    for raw_line in text.splitlines():
+    section = None
+    count, header_number = 0, 0
+    labels: dict[int, str] = {}
+    positions: dict[int, tuple[float, float] | None] = {}
+    owners: dict[str, int] = {}
+    arcs: list[tuple[int, str, str, list[str]]] = []
+    text = Path(path).read_text(encoding="utf-8")
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
             continue
-        if line.startswith("%"):
-            if line.startswith(_DIRECTIVE_PREFIX):
-                directive.update(_parse_directive(line))
-            continue
-        lowered = line.lower()
-        if lowered.startswith("*vertices"):
-            section = "vertices"
-            continue
-        if lowered.startswith("*arcs"):
-            section = "arcs"
-            continue
-        if lowered.startswith("*edges"):
-            section = "edges"
-            continue
-        yield section, directive, line, raw_line
+        with reading_line(path, number):
+            lowered = line.lower()
+            if line.startswith("%"):
+                if line.startswith(_DIRECTIVE_PREFIX):
+                    directive.update(_parse_directive(line))
+            elif lowered.startswith("*vertices"):
+                section, count, header_number = "vertices", _vertex_count(line), number
+            elif lowered.startswith(("*arcs", "*edges")):
+                section = lowered[1:].split()[0]
+            elif lowered.startswith("*network"):
+                continue
+            elif line.startswith("*") or section is None:
+                raise WorkloadError(f"unsupported Pajek line: {raw_line!r}")
+            elif section == "vertices":
+                index, label, coords = _split_vertex_line(line, raw_line)
+                if not 1 <= index <= count:
+                    raise WorkloadError(f"vertex id {index} is outside 1..{count}")
+                if index in labels:
+                    raise WorkloadError(f"vertex id {index} is declared twice")
+                if label in owners:
+                    raise WorkloadError(
+                        f"vertices {owners[label]} and {index} share the label {label!r}"
+                    )
+                labels[index], positions[index], owners[label] = label, coords, index
+            else:
+                parts = line.split()
+                if len(parts) < 2:
+                    raise WorkloadError(f"malformed Pajek arc line: {raw_line!r}")
+                source, target = _declared(labels, parts[0]), _declared(labels, parts[1])
+                arcs.append((number, source, target, parts[2:]))
+                if section == "edges":
+                    arcs.append((number, target, source, parts[2:]))
+    missing = [index for index in range(1, count + 1) if index not in labels]
+    if missing:
+        with reading_line(path, header_number):
+            raise WorkloadError(f"vertex ids {missing} of *Vertices {count} are never declared")
+    vertices = [(labels[index], positions[index]) for index in range(1, count + 1)]
+    return directive, vertices, arcs
 
 
 # ----------------------------------------------------------------------
@@ -130,36 +202,18 @@ def read_workload(path: str | Path) -> ApplicationGraph:
     ``*Edges`` sections are treated as bidirectional arcs; labels default
     to the vertex index; coordinates become core positions.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    _directive, vertices, arcs = _parse(path)
     acg = ApplicationGraph(name=Path(path).stem)
-    labels: dict[int, str] = {}
-    for section, _directive, line, raw_line in _iter_sections(text):
-        if section == "vertices":
-            index, label, coords = _split_vertex_line(line, raw_line)
-            labels[index] = label
-            acg.add_node(label, exist_ok=True)
-            if coords is not None:
-                acg.set_position(label, coords[0], coords[1])
-        elif section in ("arcs", "edges"):
-            parts = line.split()
-            if len(parts) < 2:
-                raise WorkloadError(f"malformed Pajek arc line: {raw_line!r}")
-            source = labels.get(_as_index(parts[0]), parts[0])
-            target = labels.get(_as_index(parts[1]), parts[1])
-            volume = parse_number(parts[2]) if len(parts) > 2 else 1.0
-            bandwidth = parse_number(parts[3]) if len(parts) > 3 else 0.0
+    for label, coords in vertices:
+        acg.add_node(label)
+        if coords is not None:
+            acg.set_position(label, coords[0], coords[1])
+    for number, source, target, extra in arcs:
+        with reading_line(path, number):
+            volume = parse_number(extra[0]) if len(extra) > 0 else 1.0
+            bandwidth = parse_number(extra[1]) if len(extra) > 1 else 0.0
             acg.add_communication(source, target, volume=volume, bandwidth=bandwidth)
-            if section == "edges":
-                acg.add_communication(target, source, volume=volume, bandwidth=bandwidth)
     return acg
-
-
-def _as_index(token: str) -> int | None:
-    """The vertex index a token names, or ``None`` for non-numeric tokens."""
-    try:
-        return int(token)
-    except ValueError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -197,49 +251,26 @@ def read_topology(path: str | Path) -> Topology:
     Plain Pajek files (no repro directive) are accepted too: arcs become
     unit-length channels at the default flit width.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    labels: dict[int, str] = {}
-    vertices: list[tuple[str, tuple[float, float] | None]] = []
-    arcs: list[tuple[str, str, list[str]]] = []
-    flit_width = 32
-    name = Path(path).stem
-    for section, directive, line, raw_line in _iter_sections(text):
-        if directive.get("kind") not in (None, "", "topology", "workload"):
-            raise WorkloadError(f"unknown repro payload kind {directive['kind']!r}")
-        if "flit_width_bits" in directive:
-            flit_width = int(directive["flit_width_bits"])
-        if directive.get("name"):
-            name = directive["name"]
-        if section == "vertices":
-            index, label, coords = _split_vertex_line(line, raw_line)
-            labels[index] = label
-            vertices.append((label, coords))
-        elif section in ("arcs", "edges"):
-            parts = line.split()
-            if len(parts) < 2:
-                raise WorkloadError(f"malformed Pajek arc line: {raw_line!r}")
-            source = labels.get(_as_index(parts[0]), parts[0])
-            target = labels.get(_as_index(parts[1]), parts[1])
-            arcs.append((source, target, parts[2:]))
-            if section == "edges":
-                arcs.append((target, source, parts[2:]))
-    topology = Topology(name=name, flit_width_bits=flit_width)
+    directive, vertices, arcs = _parse(path)
+    flit_width = int(parse_number(directive.get("flit_width_bits", "32")))
+    topology = Topology(name=directive.get("name") or Path(path).stem, flit_width_bits=flit_width)
     for label, coords in vertices:
         if coords is not None:
             topology.add_router(label, coords[0], coords[1])
         else:
             topology.add_router(label)
-    for source, target, extra in arcs:
-        length = parse_number(extra[0]) if len(extra) > 0 else None
-        width = int(parse_number(extra[1])) if len(extra) > 1 else None
-        bandwidth = parse_number(extra[2]) if len(extra) > 2 else None
-        topology.add_channel(
-            source,
-            target,
-            length_mm=length,
-            width_bits=width,
-            bandwidth_bits_per_cycle=bandwidth,
-        )
+    for number, source, target, extra in arcs:
+        with reading_line(path, number):
+            length = parse_number(extra[0]) if len(extra) > 0 else None
+            width = int(parse_number(extra[1])) if len(extra) > 1 else None
+            bandwidth = parse_number(extra[2]) if len(extra) > 2 else None
+            topology.add_channel(
+                source,
+                target,
+                length_mm=length,
+                width_bits=width,
+                bandwidth_bits_per_cycle=bandwidth,
+            )
     return topology
 
 

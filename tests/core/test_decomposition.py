@@ -22,6 +22,7 @@ from repro.core.graph import ApplicationGraph
 from repro.core.library import CommunicationLibrary, minimal_library
 from repro.core.primitives import make_broadcast_primitive, make_gossip_primitive
 from repro.exceptions import DecompositionError
+from repro.experiments.ablation import standard_ablation_acgs
 from repro.workloads.random_acg import figure5_example_acg
 
 
@@ -212,7 +213,6 @@ class TestSearchBudgets:
             ("max_nodes_expanded", -5),
             ("max_nodes_expanded", 0),
             ("max_leaves", 0),
-            ("cache_overscan", 0),
             ("isomorphism_timeout_seconds", 0.0),
             ("total_timeout_seconds", -1.0),
         ],
@@ -319,12 +319,11 @@ class TestSymmetryFilteredLeaves:
 
 
 class TestSearchAccelerations:
-    """The matching cache and transposition table must not change results."""
+    """The matching inheritance and transposition table must not change results."""
 
     def _all_configs(self):
-        for cache in (True, False):
-            for table in (True, False):
-                yield quick_config(use_matching_cache=cache, use_transposition_table=table)
+        for table in (True, False):
+            yield quick_config(use_transposition_table=table)
 
     def test_cache_and_table_preserve_figure5_result(self, library):
         acg = figure5_example_acg()
@@ -349,22 +348,10 @@ class TestSearchAccelerations:
         stats = result.statistics
         assert stats.matching_cache_hits > 0
         assert stats.matching_cache_misses > 0
-        assert 0.0 < stats.cache_hit_rate() < 1.0
-
-    def test_cache_disabled_reports_no_hits(self, library):
-        acg = figure5_example_acg()
-        result = decompose(
-            acg,
-            library,
-            cost_model=LinkCountCostModel(),
-            config=quick_config(use_matching_cache=False),
-        )
-        assert result.statistics.matching_cache_hits == 0
-        assert result.statistics.matching_cache_misses > 0
 
     @staticmethod
     def _revisiting_acg() -> ApplicationGraph:
-        """A small random digraph whose clipped candidate lists reach the same
+        """A small random digraph whose capped branches reach the same
         residual edge set through different matching interleavings."""
         import random
 
@@ -399,6 +386,66 @@ class TestSearchAccelerations:
         )
         assert baseline.statistics.transposition_hits == 0
         assert baseline.total_cost == pytest.approx(result.total_cost)
+
+
+class TestRootEnumeration:
+    """VF2 runs once per primitive, at the root; the cap keeps its width."""
+
+    @staticmethod
+    def _mgg2_library() -> CommunicationLibrary:
+        library = CommunicationLibrary(name="mgg2-only")
+        library.add(make_gossip_primitive(2, name="MGG2"))
+        return library
+
+    @staticmethod
+    def _record_vf2_limits(monkeypatch) -> list:
+        """From now on, every VF2 ``find_all`` call appends its limit."""
+        limits = []
+        find_all = isomorphism_module.VF2Matcher.find_all
+
+        def recorded(matcher, limit=None):
+            limits.append(limit)
+            return find_all(matcher, limit)
+
+        monkeypatch.setattr(isomorphism_module.VF2Matcher, "find_all", recorded)
+        return limits
+
+    def test_capped_search_reaches_the_uncapped_optimum(self):
+        # AES-16 with pair gossips only: a cap that clipped each VF2 list
+        # before the symmetry filter left deep nodes without candidates and
+        # settled for 49; the uncapped optimum is 34.
+        acg = standard_ablation_acgs()[0]
+        for cap in (4, None):
+            result = decompose(
+                acg,
+                self._mgg2_library(),
+                cost_model=LinkCountCostModel(),
+                config=quick_config(max_matchings_per_primitive=cap),
+            )
+            result.validate_cover()
+            assert result.total_cost == pytest.approx(34.0)
+            assert result.statistics.truncated_by is None
+
+    def test_vf2_runs_only_at_the_root(self, library, monkeypatch):
+        queries = self._record_vf2_limits(monkeypatch)
+        result = decompose(
+            figure5_example_acg(), library, LinkCountCostModel(), quick_config()
+        )
+        statistics = result.statistics
+        assert statistics.nodes_expanded > 1
+        assert queries == [None] * len(library.sorted_for_search())
+        assert statistics.matching_cache_misses == len(queries)
+        assert statistics.matching_cache_hits > 0
+
+    def test_greedy_keeps_the_capped_vf2_order(self, library, monkeypatch):
+        queries = self._record_vf2_limits(monkeypatch)
+        decompose(
+            figure5_example_acg(),
+            library,
+            LinkCountCostModel(),
+            quick_config(strategy=SearchStrategy.GREEDY),
+        )
+        assert queries and set(queries) == {4}
 
 
 class TestMinimalLibraryBehaviour:

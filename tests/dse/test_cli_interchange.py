@@ -122,6 +122,32 @@ class TestFileSuites:
         assert captured.out == ""
         assert not results.exists()
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 5 3\n', 5),
+            ('*Vertices 2\n1 "a"\n1 "b"\n*Arcs\n1 2 3\n', 3),
+            ('*Vertices 2\n1 "a"\n2 "a"\n*Arcs\n1 2 3\n', 3),
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 nan\n', 5),
+        ],
+        ids=["undeclared-arc-id", "repeated-id", "shared-label", "nan-volume"],
+    )
+    def test_a_broken_pajek_file_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, text, line
+    ):
+        workload = tmp_path / "bad.net"
+        workload.write_text(text, encoding="utf-8")
+        results = tmp_path / "results.jsonl"
+        assert main([
+            "run", "--suite", f"{FILE_SUITE_PREFIX}{workload}",
+            "--axis", "architecture=mesh",
+            "--results", str(results),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"{workload}, line {line}: " in captured.err
+        assert captured.out == ""
+        assert not results.exists()
+
     def test_list_scenarios_accepts_file_suite(self, workload_file, capsys):
         assert main(["list-scenarios", "--suite",
                      f"{FILE_SUITE_PREFIX}{workload_file}"]) == 0

@@ -25,42 +25,42 @@ from repro.dse.search import RungSpec
 #: (scenario, architecture) -> (cache key, decomposition sub-key, synthesis sub-key)
 GOLDEN = {
     ("aes", "mesh"): (
-        "96ff5646c99289952cc20a316878bb8cc7a6e2274c7dff7f1db3947ef12b21ba",
-        "2c1923c6c6b5f3e76ee5aff6f44215803e668516bd8fdc5f075716b5934ccaa3",
-        "42d37cad314212823c35848dd4b946a461bc6036d280b3710f06e41d3b49c38c",
+        "5e4475417de8ba383d0a5e4d32fe627da4fa6b296a32e5f8ce79239885495b96",
+        "3916f441f7160f66364a339873fe8fed612c4c88b90afc6ba0843d09d241abd6",
+        "81ddec19ee4e5dafaa60f0c28c4c1d05c0c3ee148dd3bdbcdcdcaa1cda95af7b",
     ),
     ("aes", "custom"): (
-        "28b824756517fb261a6eeb07742ed252da33e478e2bf4e67f3e57681de2c5a71",
-        "84568f503f020c15a3cfe02e5a26dacbe8c0991e9140a11e47c933b5ed54c1c8",
-        "63d6767b20ec9098fa92ef1986f1cb0d8837a97e39f1de0167bf144c9b7af719",
+        "09b6eb566cdca9d2959e055576a8589d976411d9f92ad16cad9e439584ebca86",
+        "a9570cd333bdbb2439b9626cc84f23528b9dac7196d0c67d9157d906f40e442f",
+        "0fdf9757fadf8eda7a42045ed8c193597d39a422139a3c00adfe4a39faaceef0",
     ),
     ("mpeg4", "mesh"): (
-        "0a7218cf17d1e957d512d77b77d486ffa944ea388c6cb152d0246c00b5a57ea5",
-        "c185142c0c6eaa45990474cae73c28435cb1e8c3d525dd2d73b6adc78b1c8ecd",
-        "7e2456968aedce0d8eae75852b7afc89f80024c17aec2a246651ab450fcdbf55",
+        "cebb27119d249407a6c4022302e454165d9a7fad53c2f04803135f4e79d7bf27",
+        "34db77b81c6dc3f4dcc22c386547f53e68b547a31fc5e839c5d7a646d4c67efa",
+        "9d43af6a8550fac21a171fb47ec20787e41907b9102b5e9f35555f6293c4a680",
     ),
     ("mpeg4", "custom"): (
-        "7302a64362d836e6a20543afcbe05f09420d197116d2db714380f66337ed519b",
-        "c9f5a078ce085a19bde31107ec8687574a6113b6b76f9c649a2b3d07ee964043",
-        "3b9b079b1aa9eb76ba8d52bae707d083bfde73f6ff1c9aa9eef5c9cfc5101288",
+        "6e865eefc0b33fdd2983959a0b9bc4c16b77cee1fb40bc1aa49ac3dfd463713d",
+        "5cc79948c5133749b2e577e9433ccefb9216f3b737b4ca4242f4ace5b176103b",
+        "f10f463ddb3ba77c1154b1dcc0751f49679774617d8e35fdf086b263abe04f89",
     ),
 }
 
 #: mpeg4 at three repetitions, custom at a 20-node budget: the full cell
 #: and its one-iteration screen variant (same workload graph, so the same
 #: stage sub-keys)
-GOLDEN_REPEATED = "56a9630c76666a595629ec1b1443f76e51fdd52f86fb91411206b12412830ed8"
-GOLDEN_CAPPED = "b3ea05098e42a683fff5d5d695dc6bc768e0e11db61bdf2a20b5088a1961e7c3"
+GOLDEN_REPEATED = "956fc1f476c119b243592ec17c25e2942fa2ecbcbedf0cac18d78258faaecf12"
+GOLDEN_CAPPED = "68d24f32532a26568acd8e0dee1d9798d0f1d2a48059475e4bc6e3846c4e069a"
 GOLDEN_BUDGET_DECOMPOSITION = (
-    "4cbec09a7b5e6df3d95d10e31577b6e728fe496923a509526248f56cd985ef0a"
+    "9152b96daf122dc9abaf9bff99f34cda0f4ff8448e9ae2774385e6fd9b052d6c"
 )
-GOLDEN_BUDGET_SYNTHESIS = "7495b71d8c55f1da27a1ffdf6a745ace3115db9f9566052605c6c5f4544a4edc"
+GOLDEN_BUDGET_SYNTHESIS = "bf0cbdfc70504d022f264400d0b30befcefb870e51918bf79a1b439d71bd045e"
 
 SCENARIOS = {"aes": lambda: aes_scenario(blocks=1), "mpeg4": lambda: embedded_scenario("mpeg4")}
 
 
 def test_pipeline_version_is_unchanged():
-    assert PIPELINE_VERSION == 7
+    assert PIPELINE_VERSION == 8
 
 
 @pytest.mark.parametrize("name,architecture", sorted(GOLDEN))

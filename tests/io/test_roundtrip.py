@@ -9,6 +9,7 @@ signature in every registered built-in format.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -155,6 +156,78 @@ class TestMalformedInputs:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(WorkloadError, match="finite"):
             read_workload(path)
+
+
+class TestPajekInputContract:
+    """Vertex ids run 1..N, each declared once with a unique label; arcs
+    join declared ids only; every error names the file and the line."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 5 3\n', 5, "'5' is not a declared"),
+            ('*Vertices 2\n1 "a"\n1 "b"\n*Arcs\n1 2 3\n', 3, "declared twice"),
+            ('*Vertices 2\n1 "a"\n2 "a"\n*Arcs\n1 2 3\n', 3, "share the label 'a'"),
+            ('*Vertices 2\n1 "a"\n3 "b"\n*Arcs\n1 3 3\n', 3, "outside 1..2"),
+            ('*Vertices 3\n1 "a"\n2 "b"\n*Arcs\n1 2 3\n', 1, "never declared"),
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 nan\n', 5, "finite number, got 'nan'"),
+            ('*Vertices 2\n1 "a" 0 nan\n2 "b"\n*Arcs\n1 2 3\n', 2, "finite"),
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 1 3\n', 5, "self-loop|to itself"),
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Matrix\n0 1\n', 4, "unsupported Pajek line"),
+            ('1 2 3\n*Vertices 2\n1 "a"\n2 "b"\n', 1, "unsupported Pajek line"),
+        ],
+        ids=[
+            "undeclared-arc-id", "repeated-id", "shared-label", "id-past-n",
+            "missing-id", "nan-volume", "nan-coordinate", "self-loop",
+            "unknown-section", "line-outside-sections",
+        ],
+    )
+    def test_violations_name_the_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.net"
+        path.write_text(text, encoding="utf-8")
+        for read in (read_workload, read_topology):
+            with pytest.raises(WorkloadError) as caught:
+                read(path)
+            assert str(caught.value).startswith(f"{path}, line {line}: ")
+            assert re.search(message, str(caught.value))
+
+    def test_network_title_and_unlabelled_vertices_are_accepted(self, tmp_path):
+        path = tmp_path / "plain.net"
+        path.write_text("*Network demo\n*Vertices 2\n1\n2\n*Arcs\n1 2 3\n", encoding="utf-8")
+        acg = read_workload(path)
+        assert acg.nodes() == ["1", "2"] and acg.volume("1", "2") == 3.0
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("nan.edges", "a b 3\nb c nan\n", 2),
+            ("nan.dot", "digraph g {\n  a -> b [volume=3];\n  b -> c [volume=nan];\n}\n", 3),
+        ],
+    )
+    def test_other_formats_name_the_line_too(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WorkloadError, match=rf"^.*{name}, line {line}: .*finite"):
+            read_workload(path)
+
+
+class TestDuplicateArcs:
+    """Every format merges a repeated arc into one whose volume is the sum."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dup.edges", "a b 3\na b 4\n"),
+            ("dup.dot", "digraph g {\n  a -> b [volume=3];\n  a -> b [volume=4];\n}\n"),
+            ("dup.net", '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 3\n1 2 4\n'),
+        ],
+    )
+    def test_repeated_arcs_merge_their_volumes(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        acg = read_workload(path)
+        assert acg.edges() == [("a", "b")]
+        assert acg.volume("a", "b") == 7.0
 
 
 class TestDataclassShape:
