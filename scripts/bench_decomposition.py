@@ -8,7 +8,7 @@ and once under the per-edge cheapest-cover bound of :mod:`repro.core.bounds`
 the Fig-4b Pajek sweep and the embedded suite (MPEG-4, VOPD, MWD,
 263enc+mp3dec, the Figure-5 example and the AES case study).
 
-Three claims are measured and gated by ``--check``:
+Five claims are measured and gated by ``--check``:
 
 * **parity** — both bounds reach *bit-identical* final decompositions
   (same cost, same cover, same remainder) on every graph.  Admissible
@@ -29,6 +29,8 @@ Three claims are measured and gated by ``--check``:
   in the latest trajectory entry that records per-graph costs
   (``graph_costs``), so a search change cannot quietly settle for worse
   covers.
+* **wall** — the total ``cheapest_edge`` wall over all graphs is at most
+  the legacy bound's: fewer nodes must not be bought with a slower search.
 
 Every invocation (without ``--no-write``) appends one entry to
 ``BENCH_decomposition.json`` so the saving trajectory ratchets across PRs.
@@ -222,8 +224,9 @@ def run_benchmark() -> dict[str, object]:
 
 
 def check(result: dict[str, object], entries: list[dict[str, object]]) -> list[str]:
-    """The ``--check`` gate: parity + nodes saving + tight-budget quality,
-    and no cover worse than the latest trajectory entry with ``graph_costs``."""
+    """The ``--check`` gate: parity + nodes saving + tight-budget quality +
+    a ``cheapest_edge`` wall at most legacy's, and no cover worse than the
+    latest trajectory entry with ``graph_costs``."""
     failures = []
     recorded = next(
         (entry["graph_costs"] for entry in reversed(entries) if "graph_costs" in entry), {}
@@ -247,6 +250,11 @@ def check(result: dict[str, object], entries: list[dict[str, object]]) -> list[s
         failures.append(
             f"nodes saving {result['nodes_saving_factor']:.2f}x (geomean over "
             f"suites: {per_suite}) below the {NODES_SAVING_FLOOR}x floor"
+        )
+    if result["candidate_wall_seconds"] > result["baseline_wall_seconds"]:
+        failures.append(
+            f"{CANDIDATE_BOUND} took {result['candidate_wall_seconds']:.3f}s in total, "
+            f"more than {BASELINE_BOUND}'s {result['baseline_wall_seconds']:.3f}s"
         )
     if not result["budget_quality"]:
         failures.append(
@@ -302,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="exit non-zero unless decompositions are bit-identical, the "
         f"nodes saving reaches {NODES_SAVING_FLOOR}x, the tight budget "
-        "loses no quality and no cover costs more than the trajectory records",
+        f"loses no quality, the {CANDIDATE_BOUND} wall is at most the "
+        f"{BASELINE_BOUND} wall and no cover costs more than the trajectory records",
     )
     parser.add_argument(
         "--no-write", action="store_true", help="measure and print only"

@@ -25,10 +25,13 @@ This module provides the admissible residual bounds selected via
     now stays infeasible in every sub-residual and the bound is admissible
     for the whole subtree.
 
-All bounds memoize their values in a per-search bound cache keyed by the
-residual's exact edge set (``structural_fingerprint``), alongside the
+A residual is an edge mask over the ACG's :class:`~repro.core.graph.EdgeIndex`
+(bit ``i`` is edge ``i`` of ``acg.edges()``).  All bounds memoize their
+values in a per-search bound cache keyed by that mask, alongside the
 transposition table: sibling branches and transposed interleavings hit the
-same residuals over and over.
+same residuals over and over.  Every value is a sequential sum of per-edge
+charges in edge order, the float a loop over the residual graph's
+``edges()`` gives.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.core.graph import ApplicationGraph, DiGraph, Edge, Node
+from repro.core.cost import CostModel
+from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex, Node
 from repro.exceptions import DecompositionError
 
 #: valid values for ``DecompositionConfig.lower_bound``
@@ -176,7 +180,7 @@ def bound_tables(library, cost_model) -> BoundTables:
 class ResidualBound:
     """Interface shared by all residual lower bounds.
 
-    ``value`` is memoized per residual edge set in a per-search bound
+    ``value`` is memoized per residual edge mask in a per-search bound
     cache; ``prune_reason`` is the branch-and-bound entry point: it returns
     the name of the bound that proves ``cost(residual) >= target`` (so the
     branch cannot beat the incumbent), or ``None`` when no prune is proven.
@@ -185,13 +189,12 @@ class ResidualBound:
     name: str = "bound"
 
     def __init__(self, statistics=None) -> None:
-        self._cache: dict[frozenset[Edge], float] = {}
+        self._cache: dict[int, float] = {}
         self._statistics = statistics
 
-    def value(self, residual: DiGraph) -> float:
+    def value(self, residual: int) -> float:
         """Memoized admissible lower bound on the residual's coverage cost."""
-        key = residual.structural_fingerprint()
-        cached = self._cache.get(key)
+        cached = self._cache.get(residual)
         if cached is not None:
             if self._statistics is not None:
                 self._statistics.bound_cache_hits += 1
@@ -199,10 +202,10 @@ class ResidualBound:
         if self._statistics is not None:
             self._statistics.bound_cache_misses += 1
         computed = self._compute(residual)
-        self._cache[key] = computed
+        self._cache[residual] = computed
         return computed
 
-    def prune_reason(self, residual: DiGraph, target: float) -> str | None:
+    def prune_reason(self, residual: int, target: float) -> str | None:
         """Name of the bound proving ``cost >= target``, or ``None``."""
         if target == float("inf"):
             return None
@@ -210,22 +213,52 @@ class ResidualBound:
             return self.name
         return None
 
-    def _compute(self, residual: DiGraph) -> float:
+    def _compute(self, residual: int) -> float:
         raise NotImplementedError
 
 
 class CostModelBound(ResidualBound):
-    """The legacy coarse bound: delegate to :meth:`CostModel.lower_bound`."""
+    """The legacy coarse bound: :meth:`CostModel.lower_bound` of the residual.
+
+    A model that keeps the base ``lower_bound`` (every built-in one) is
+    summed over the mask from its :meth:`CostModel.edge_lower_bound`
+    terms, precomputed per edge and direction state; any other model is
+    handed the residual as a graph.
+    """
 
     name = "cost_model"
 
-    def __init__(self, cost_model, acg: ApplicationGraph, statistics=None) -> None:
+    def __init__(
+        self, cost_model, acg: ApplicationGraph, statistics=None, index: EdgeIndex | None = None
+    ) -> None:
         super().__init__(statistics)
         self._cost_model = cost_model
         self._acg = acg
+        self.index = index or EdgeIndex(acg)
+        # per edge: (its term without, then with its reverse in the residual)
+        self._charges: list[tuple[float, float]] | None = None
+        if type(cost_model).lower_bound is CostModel.lower_bound:
+            self._charges = [
+                (
+                    cost_model.edge_lower_bound(acg, edge, False),
+                    cost_model.edge_lower_bound(acg, edge, True),
+                )
+                for edge in self.index.edges
+            ]
 
-    def _compute(self, residual: DiGraph) -> float:
-        return self._cost_model.lower_bound(residual, self._acg)
+    def _compute(self, residual: int) -> float:
+        charges = self._charges
+        if charges is None:
+            return self._cost_model.lower_bound(self.index.graph_of(residual), self._acg)
+        reverse = self.index.reverse
+        total = 0.0
+        mask = residual
+        while mask:
+            low = mask & -mask
+            edge = low.bit_length() - 1
+            mask ^= low
+            total += charges[edge][residual & reverse[edge] != 0]
+        return total
 
 
 class CheapestEdgeBound(ResidualBound):
@@ -237,15 +270,43 @@ class CheapestEdgeBound(ResidualBound):
     distinct positions, flat matching costs distribute exactly over their
     requirement edges, and additive models charge each covered edge its own
     route — so the per-edge minima sum to an admissible bound.
+
+    An edge's charge depends only on the residual's edges at its two
+    endpoints, so it is memoized per (edge, residual restricted to those
+    edges); a miss reads the endpoint degree triples off popcounts of the
+    nodes' out / in masks and their full-duplex pair masks, and the charge
+    is memoized per (edge, signature) as well.
     """
 
     name = "cheapest_edge"
 
-    def __init__(self, tables: BoundTables, cost_model, acg, statistics=None) -> None:
+    def __init__(
+        self,
+        tables: BoundTables,
+        cost_model,
+        acg,
+        statistics=None,
+        index: EdgeIndex | None = None,
+    ) -> None:
         super().__init__(statistics)
         self._tables = tables
         self._cost_model = cost_model
         self._acg = acg
+        index = self.index = index or EdgeIndex(acg)
+        incident = self._incident = [
+            out | into for out, into in zip(index.out_masks, index.in_masks)
+        ]
+        # per edge: every edge at either endpoint (its charge's whole input)
+        self._local = [
+            incident[source] | incident[target]
+            for source, target in zip(index.sources, index.targets)
+        ]
+        self._charge_by_local: list[dict[int, float]] = [{} for _ in index.edges]
+        # per node: its residual edges -> its degree triple
+        self._degrees_by_local: list[dict[int, tuple[int, int, int]]] = [
+            {} for _ in index.nodes
+        ]
+        self._charges: dict[tuple[int, tuple], float] = {}
         # (paired, source degrees, target degrees) -> the offers feasible for
         # an edge with that signature, in table order; residuals share few
         # signatures, so each offer scan runs once per search
@@ -253,49 +314,66 @@ class CheapestEdgeBound(ResidualBound):
             tuple[bool, tuple[int, int, int], tuple[int, int, int]], tuple[CoverOffer, ...]
         ] = {}
 
-    def _compute(self, residual: DiGraph) -> float:
-        cost_model = self._cost_model
-        acg = self._acg
-        offers = self._tables.offers
-        feasible_offers = self._feasible_offers
-        degrees: dict[Node, tuple[int, int, int]] = {}
-
-        def degrees_of(node: Node) -> tuple[int, int, int]:
-            cached = degrees.get(node)
-            if cached is None:
-                cached = (
-                    residual.out_degree(node),
-                    residual.in_degree(node),
-                    _paired_degree(residual, node),
-                )
-                degrees[node] = cached
-            return cached
-
+    def _compute(self, residual: int) -> float:
+        local = self._local
+        charge_by_local = self._charge_by_local
         total = 0.0
-        for source, target in residual.edges():
-            edge = (source, target)
-            is_bidirectional = residual.has_edge(target, source)
-            source_degrees = degrees_of(source)
-            target_degrees = degrees_of(target)
-            signature = (is_bidirectional, source_degrees, target_degrees)
-            feasible = feasible_offers.get(signature)
+        mask = residual
+        while mask:
+            low = mask & -mask
+            edge = low.bit_length() - 1
+            mask ^= low
+            charge = charge_by_local[edge].get(residual & local[edge])
+            if charge is None:
+                charge = self._charge(edge, residual)
+            total += charge
+        return total
+
+    def _degrees(self, node: int, residual: int) -> tuple[int, int, int]:
+        """(out, in, full-duplex partner) degrees of a node in ``residual``
+        (memoized per node and its residual edges)."""
+        local = residual & self._incident[node]
+        degrees = self._degrees_by_local[node].get(local)
+        if degrees is None:
+            index = self.index
+            degrees = self._degrees_by_local[node][local] = (
+                (local & index.out_masks[node]).bit_count(),
+                (local & index.in_masks[node]).bit_count(),
+                sum(1 for pair in index.pair_masks[node] if local & pair == pair),
+            )
+        return degrees
+
+    def _charge(self, edge: int, residual: int) -> float:
+        """The cheapest feasible charge of one residual edge (memoized)."""
+        index = self.index
+        is_bidirectional = residual & index.reverse[edge] != 0
+        source_degrees = self._degrees(index.sources[edge], residual)
+        target_degrees = self._degrees(index.targets[edge], residual)
+        signature = (is_bidirectional, source_degrees, target_degrees)
+        cheapest = self._charges.get((edge, signature))
+        if cheapest is None:
+            feasible = self._feasible_offers.get(signature)
             if feasible is None:
                 feasible = tuple(
                     offer
-                    for offer in offers
+                    for offer in self._tables.offers
                     if offer.feasible(is_bidirectional, source_degrees, target_degrees)
                 )
-                feasible_offers[signature] = feasible
-            cheapest = cost_model.edge_remainder_cost(acg, edge)
+                self._feasible_offers[signature] = feasible
+            cost_model = self._cost_model
+            acg = self._acg
+            pair = index.edges[edge]
+            cheapest = cost_model.edge_remainder_cost(acg, pair)
             for offer in feasible:
                 if offer.flat_share is not None:
                     charge = offer.flat_share
                 else:
-                    charge = cost_model.edge_cover_cost(acg, edge, offer.hops)
+                    charge = cost_model.edge_cover_cost(acg, pair, offer.hops)
                 if charge < cheapest:
                     cheapest = charge
-            total += cheapest
-        return total
+            self._charges[edge, signature] = cheapest
+        self._charge_by_local[edge][residual & self._local[edge]] = cheapest
+        return cheapest
 
 
 class StackedBound(ResidualBound):
@@ -311,11 +389,11 @@ class StackedBound(ResidualBound):
         super().__init__(statistics=None)
         self.parts = parts
 
-    def value(self, residual: DiGraph) -> float:
+    def value(self, residual: int) -> float:
         """Maximum of the part bounds (each part memoizes its own values)."""
         return max(part.value(residual) for part in self.parts)
 
-    def prune_reason(self, residual: DiGraph, target: float) -> str | None:
+    def prune_reason(self, residual: int, target: float) -> str | None:
         """First part (cheapest first) whose bound reaches ``target``."""
         if target == float("inf"):
             return None
@@ -331,13 +409,18 @@ def build_lower_bound(
     cost_model,
     acg: ApplicationGraph,
     statistics=None,
+    index: EdgeIndex | None = None,
 ) -> ResidualBound:
     """Construct the residual bound selected by ``name``.
 
     ``statistics`` (a :class:`SearchStatistics`) receives the bound-cache
-    hit/miss counters.  Raises :class:`DecompositionError` for unknown names.
+    hit/miss counters.  Residual masks are over ``index``, an
+    :class:`EdgeIndex` of ``acg`` (built when not given).  Raises
+    :class:`DecompositionError` for unknown names.
     """
     check_bound_name(name)
     if name == "cost_model":
-        return CostModelBound(cost_model, acg, statistics)
-    return CheapestEdgeBound(bound_tables(library, cost_model), cost_model, acg, statistics)
+        return CostModelBound(cost_model, acg, statistics, index)
+    return CheapestEdgeBound(
+        bound_tables(library, cost_model), cost_model, acg, statistics, index
+    )

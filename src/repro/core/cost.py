@@ -120,17 +120,27 @@ class CostModel(ABC):
         del primitive
         return None
 
-    def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
-        """Admissible lower bound on the cost of decomposing ``residual``.
+    def edge_lower_bound(self, acg: ApplicationGraph, edge: Edge, is_bidirectional: bool) -> float:
+        """One residual edge's term of :meth:`lower_bound`.
 
         Every remaining edge must be carried over at least one link through
         at least two routers, whichever primitive (or direct link) ends up
         implementing it, so charging each edge its own single-hop cost never
-        overestimates.
+        overestimates (for the energy model the direct Manhattan wire is the
+        shortest possible).  ``is_bidirectional`` says whether the reverse
+        edge is in the residual too.
         """
+        del is_bidirectional
+        return self.route_cost(acg, edge, edge)
+
+    def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
+        """Admissible lower bound on the cost of decomposing ``residual``:
+        the sum of :meth:`edge_lower_bound` over its edges, in edge order."""
         total = 0.0
         for source, target in residual.edges():
-            total += self.route_cost(acg, (source, target), (source, target))
+            total += self.edge_lower_bound(
+                acg, (source, target), residual.has_edge(target, source)
+            )
         return total
 
 
@@ -210,7 +220,7 @@ class LinkCountCostModel(CostModel):
         """Physical link count: the same wherever the matching lands."""
         return float(primitive.num_physical_links)
 
-    def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
+    def edge_lower_bound(self, acg: ApplicationGraph, edge: Edge, is_bidirectional: bool) -> float:
         """Coarse per-edge link bound (the legacy ``"cost_model"`` bound).
 
         .. note:: ``min_links_per_edge`` hard-codes the default library's
@@ -220,14 +230,10 @@ class LinkCountCostModel(CostModel):
            :mod:`repro.core.bounds` for an admissible per-edge charge —
            another reason ``lower_bound="cheapest_edge"`` supersedes this.
         """
-        del acg
-        total = 0.0
-        for source, target in residual.edges():
-            if residual.has_edge(target, source):
-                total += self.min_links_per_edge
-            else:
-                total += self.min_links_per_directed_edge
-        return total
+        del acg, edge
+        if is_bidirectional:
+            return self.min_links_per_edge
+        return self.min_links_per_directed_edge
 
 
 @dataclass
@@ -261,19 +267,6 @@ class EnergyCostModel(CostModel):
         ]
         volume = acg.volume(*edge) if acg.has_edge(*edge) else 1.0
         return self._bit_energy.transfer_energy_pj(volume, lengths)
-
-    def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
-        """Charge every remaining edge its direct-link energy (never higher
-        than any realizable implementation of that edge through the library,
-        because any route has at least one link at least as long as the
-        direct Manhattan distance is short — we use the direct distance,
-        which is the minimum possible wire length between the two cores)."""
-        total = 0.0
-        for source, target in residual.edges():
-            length = self._segment_length(acg, source, target)
-            volume = acg.volume(source, target) if acg.has_edge(source, target) else 1.0
-            total += self._bit_energy.transfer_energy_pj(volume, [length])
-        return total
 
 
 def default_cost_model(acg: ApplicationGraph, technology: Technology | None = None) -> CostModel:

@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.core.bounds import ResidualBound, build_lower_bound, check_bound_name
-from repro.core.cost import CostModel, default_cost_model
-from repro.core.graph import ApplicationGraph, DiGraph, Edge
-from repro.core.isomorphism import MatcherOptions, VF2Matcher
+from repro.core.cost import CostModel, LinkCountCostModel, default_cost_model
+from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
+from repro.core.isomorphism import IsomorphismMapping, MatcherOptions, VF2Matcher
 from repro.core.library import CommunicationLibrary, LibraryEntry
 from repro.core.matching import Matching, RemainderGraph
 from repro.exceptions import DecompositionError
@@ -320,14 +323,25 @@ class Decomposer:
         runs past ``isomorphism_timeout_seconds`` raises
         :class:`DecompositionError`.
         """
+        return [
+            Matching.from_mapping(entry.primitive, mapping)
+            for mapping in self._enumerate_mappings(entry, residual, limit)
+        ]
+
+    def _enumerate_mappings(
+        self, entry: LibraryEntry, target: DiGraph | EdgeIndex, limit: int | None
+    ) -> list[IsomorphismMapping]:
+        """The VF2 mappings behind :meth:`_enumerate_matchings`; ``target``
+        may be an :class:`EdgeIndex` that several queries share."""
         primitive = entry.primitive
+        residual = target.graph if isinstance(target, EdgeIndex) else target
         if primitive.size > residual.num_nodes:
             return []
         if primitive.num_requirement_edges > residual.num_edges:
             return []
         matcher = VF2Matcher(
             primitive.representation,
-            residual,
+            target,
             MatcherOptions(
                 induced=False,
                 timeout_seconds=self.config.isomorphism_timeout_seconds,
@@ -340,16 +354,22 @@ class Decomposer:
                 f"VF2 query for {primitive.name} exceeded isomorphism_timeout_seconds="
                 f"{self.config.isomorphism_timeout_seconds:g}"
             )
-        return [Matching.from_mapping(primitive, mapping) for mapping in mappings]
+        return mappings
 
     def _build_result(
         self,
         acg: ApplicationGraph,
         matchings: list[Matching],
-        residual: DiGraph,
+        residual: DiGraph | None,
         cost_model: CostModel,
         statistics: SearchStatistics,
     ) -> DecompositionResult:
+        """The result of a cover; ``None`` for ``residual`` replays ``matchings``
+        on the ACG to rebuild it."""
+        if residual is None:
+            residual = acg.structural_copy()
+            for matching in matchings:
+                residual = matching.subtract_from(residual)
         remainder = RemainderGraph(residual.without_isolated_nodes())
         matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
         remainder_cost = cost_model.remainder_cost(remainder, acg)
@@ -402,43 +422,84 @@ class GreedyDecomposer(Decomposer):
         return self._build_result(acg, matchings, residual, cost_model, statistics)
 
 
+class Candidate(NamedTuple):
+    """One root matching as the branch-and-bound handles it.
+
+    ``order`` is the matching's place among all the search's matchings in
+    :meth:`Matching.sort_key` order (ties in VF2 order), ``key`` the dense
+    rank of its sort key, ``mask`` its covered edges over the search's
+    :class:`~repro.core.graph.EdgeIndex` and ``cost`` its matching cost.
+    """
+
+    order: int
+    key: int
+    mask: int
+    cost: float
+    matching: Matching
+
+
 def inherit_lists(
-    lists: dict[int, list[Matching]], removed: frozenset[Edge]
-) -> dict[int, list[Matching]]:
-    """A child residual's matching lists: its parent's, minus ``removed``.
+    lists: dict[int, list[Candidate]], removed: int
+) -> dict[int, list[Candidate]]:
+    """A child residual's candidate lists: its parent's, minus ``removed``.
 
     A matching is a monomorphism, so the child's matchings of a primitive
     are exactly the parent's whose covered edges all survived the
-    subtraction of ``removed``.  Complete lists in :meth:`Matching.sort_key`
-    order therefore stay complete and in order; a primitive left without a
-    matching is dropped.
+    subtraction of the edge mask ``removed``.  Complete lists in
+    :meth:`Matching.sort_key` order therefore stay complete and in order;
+    a primitive left without a matching is dropped.
     """
-    child: dict[int, list[Matching]] = {}
+    child: dict[int, list[Candidate]] = {}
     for primitive_id, found in lists.items():
-        surviving = [m for m in found if removed.isdisjoint(m.covered_edges())]
+        surviving = [candidate for candidate in found if not candidate.mask & removed]
         if surviving:
             child[primitive_id] = surviving
     return child
 
 
+_KEY = attrgetter("key")
+
+
 def capped_survivors(
-    lists: dict[int, list[Matching]], min_key: tuple, limit: int | None
-) -> list[Matching]:
-    """The matchings a search node branches on, in canonical order.
+    lists: dict[int, list[Candidate]], min_key: int, limit: int | None
+) -> list[Candidate]:
+    """The candidates a search node branches on, in canonical order.
 
     Symmetry breaking: matchings commute, so a branch explores them in
     non-decreasing :meth:`Matching.sort_key` order only, and a node keeps
-    the matchings at or above its ``min_key``.  Each list is in that order,
-    so those are a suffix of it; the cap takes the suffix's first ``limit``
-    (all of it for ``None``), so a node never runs short while a primitive
-    still has matchings it may take.
+    the candidates whose key rank is at or above its ``min_key``.  Each
+    list is in that order, so those are a suffix of it; the cap takes the
+    suffix's first ``limit`` (all of it for ``None``), so a node never runs
+    short while a primitive still has matchings it may take.
     """
-    survivors: list[Matching] = []
+    survivors: list[Candidate] = []
     for found in lists.values():
-        start = bisect_left(found, min_key, key=Matching.sort_key)
+        start = bisect_left(found, min_key, key=_KEY)
         survivors.extend(found[start : None if limit is None else start + limit])
-    survivors.sort(key=Matching.sort_key)
+    survivors.sort()
     return survivors
+
+
+def remainder_pricer(
+    cost_model: CostModel, acg: ApplicationGraph, index: EdgeIndex
+) -> Callable[[int], float]:
+    """``mask -> cost_model.remainder_cost`` of that residual, over ``index``.
+
+    The base remainder cost (every built-in model but link count) is a
+    sequential sum of per-edge charges in edge order and link count's is
+    its penalty times the edge count; other models get the residual graph.
+    """
+    method = type(cost_model).remainder_cost
+    if method is CostModel.remainder_cost:
+        charges = [
+            cost_model.remainder_penalty * cost_model.route_cost(acg, edge, edge)
+            for edge in index.edges
+        ]
+        return lambda mask: EdgeIndex.sum_over(mask, charges)
+    if method is LinkCountCostModel.remainder_cost:
+        penalty = cost_model.remainder_penalty
+        return lambda mask: penalty * mask.bit_count()
+    return lambda mask: cost_model.remainder_cost(index.graph_of(mask), acg)
 
 
 class BranchAndBoundDecomposer(Decomposer):
@@ -452,33 +513,55 @@ class BranchAndBoundDecomposer(Decomposer):
     :meth:`Matching.sort_key` order, so the cap keeps its width at every
     depth.
 
-    A **transposition table** keyed by the residual's exact edge set
-    (:meth:`~repro.core.graph.DiGraph.structural_fingerprint`) prunes the
-    rest: the same residual state is reachable through different
-    interleavings of overlapping matchings, and a revisit that is dominated
-    by an earlier visit (higher partial cost, no-looser symmetry key) cannot
-    improve on the subtree already searched.
+    The search indexes the ACG's edges once (:class:`EdgeIndex`): a
+    residual and each matching's covered edges are ``int`` masks, and a
+    child's residual is ``residual & ~mask``.  A **transposition table**
+    keyed by the residual mask prunes the rest: the same residual state is
+    reachable through different interleavings of overlapping matchings,
+    and a revisit that is dominated by an earlier visit (higher partial
+    cost, no-looser symmetry key) cannot improve on the subtree already
+    searched.  Only the chosen cover's remainder is built as a graph, by
+    replaying its matchings.
     """
 
     def matching_lists(
-        self, graph: DiGraph, statistics: SearchStatistics
-    ) -> dict[int, list[Matching]]:
-        """Every matching of every primitive in ``graph``, by primitive id.
+        self, index: EdgeIndex, cost_model: CostModel, statistics: SearchStatistics
+    ) -> dict[int, list[Candidate]]:
+        """Every matching of every primitive in ``index.graph``, by primitive id.
 
-        Each list is complete and in :meth:`Matching.sort_key` order;
-        primitives without a matching are left out.  Each VF2 query is
-        counted in ``statistics``.
+        Each list is complete and in :meth:`Matching.sort_key` order (ties
+        in VF2 order); primitives without a matching are left out.  Each
+        VF2 query is counted in ``statistics``.
         """
+        acg = index.graph
         limit = self.config.max_matchings_per_primitive
-        lists: dict[int, list[Matching]] = {}
+        # (primitive id, matching, covered-edge mask): VF2 masks the edges
+        # of its target, the index itself
+        found: list[tuple[int, Matching, int]] = []
         for entry in self.library.sorted_for_search():
-            found = self._enumerate_matchings(entry, graph, None)
+            mappings = self._enumerate_mappings(entry, index, None)
             statistics.matching_cache_misses += 1
-            statistics.matchings_enumerated += len(found)
-            statistics.matchings_tried += len(found) if limit is None else min(limit, len(found))
-            if found:
-                found.sort(key=Matching.sort_key)
-                lists[entry.primitive_id] = found
+            statistics.matchings_enumerated += len(mappings)
+            statistics.matchings_tried += (
+                len(mappings) if limit is None else min(limit, len(mappings))
+            )
+            found.extend(
+                (entry.primitive_id, Matching.from_mapping(entry.primitive, mapping), mapping.edge_mask)
+                for mapping in mappings
+            )
+        found.sort(key=lambda item: item[1].sort_key())
+        ranks = {key: rank for rank, key in enumerate(sorted({m.sort_key() for _, m, _ in found}))}
+        lists: dict[int, list[Candidate]] = {}
+        for order, (primitive_id, matching, mask) in enumerate(found):
+            lists.setdefault(primitive_id, []).append(
+                Candidate(
+                    order,
+                    ranks[matching.sort_key()],
+                    mask,
+                    cost_model.matching_cost(matching, acg),
+                    matching,
+                )
+            )
         return lists
 
     def decompose(self, acg: ApplicationGraph) -> DecompositionResult:
@@ -486,9 +569,11 @@ class BranchAndBoundDecomposer(Decomposer):
         cost_model = self._resolve_cost_model(acg)
         statistics = SearchStatistics()
         budget = _Budget(self.config)
-        residual = acg.structural_copy()
+        index = EdgeIndex(acg)
+        remainder_cost = remainder_pricer(cost_model, acg, index)
 
-        best: dict[str, object] = {"cost": float("inf"), "matchings": None, "residual": None}
+        best_cost = float("inf")
+        best_matchings: list[Matching] | None = None
         limit = self.config.max_matchings_per_primitive
         use_table = self.config.use_transposition_table
         bound: ResidualBound | None = None
@@ -499,14 +584,13 @@ class BranchAndBoundDecomposer(Decomposer):
                 cost_model,
                 acg,
                 statistics=statistics,
+                index=index,
             )
-        # exact residual edge set -> [(partial_cost, min_key), ...]: the
+        # residual edge mask -> [(partial_cost, min_key), ...]: the
         # Pareto-incomparable visits of that residual state
-        transposition: dict[frozenset[Edge], list[tuple[float, tuple]]] = {}
+        transposition: dict[int, list[tuple[float, int]]] = {}
 
-        def dominated_or_recorded(
-            current: DiGraph, partial_cost: float, min_key: tuple
-        ) -> bool:
+        def dominated_or_recorded(residual: int, partial_cost: float, min_key: int) -> bool:
             """True when an earlier visit of this residual dominates this one.
 
             A visit with partial cost ``c`` and symmetry key ``k`` dominates a
@@ -515,7 +599,7 @@ class BranchAndBoundDecomposer(Decomposer):
             from the earlier visit at no higher cost.  When not dominated,
             the visit is recorded (evicting entries it dominates in turn).
             """
-            entries = transposition.setdefault(current.structural_fingerprint(), [])
+            entries = transposition.setdefault(residual, [])
             for stored_cost, stored_key in entries:
                 if partial_cost >= stored_cost - 1e-9 and min_key >= stored_key:
                     statistics.transposition_hits += 1
@@ -532,13 +616,14 @@ class BranchAndBoundDecomposer(Decomposer):
             return False
 
         def recurse(
-            current: DiGraph,
+            residual: int,
             chosen: list[Matching],
             partial_cost: float,
-            min_key: tuple,
-            lists: dict[int, list[Matching]],
+            min_key: int,
+            lists: dict[int, list[Candidate]],
         ) -> None:
             """Expand one search node: branch on every surviving candidate."""
+            nonlocal best_cost, best_matchings
             if budget.exhausted(statistics.nodes_expanded):
                 return
             statistics.nodes_expanded += 1
@@ -547,17 +632,16 @@ class BranchAndBoundDecomposer(Decomposer):
 
             # A node without survivors is only scored as a leaf below, so it
             # is neither looked up nor recorded.
-            if survivors and use_table and dominated_or_recorded(current, partial_cost, min_key):
+            if survivors and use_table and dominated_or_recorded(residual, partial_cost, min_key):
                 return
 
-            for matching in survivors:
-                match_cost = cost_model.matching_cost(matching, acg)
-                next_residual = matching.subtract_from(current)
-                next_cost = partial_cost + match_cost
+            for candidate in survivors:
+                next_residual = residual & ~candidate.mask
+                next_cost = partial_cost + candidate.cost
                 if bound is not None:
                     # prune when next_cost + bound(residual) >= incumbent;
                     # the reason names the (sub-)bound that proved it
-                    fired = bound.prune_reason(next_residual, best["cost"] - next_cost)
+                    fired = bound.prune_reason(next_residual, best_cost - next_cost)
                     if fired is not None:
                         statistics.branches_pruned += 1
                         statistics.branches_pruned_by[fired] = (
@@ -565,13 +649,13 @@ class BranchAndBoundDecomposer(Decomposer):
                         )
                         continue
                 statistics.matching_cache_hits += len(lists)
-                chosen.append(matching)
+                chosen.append(candidate.matching)
                 recurse(
                     next_residual,
                     chosen,
                     next_cost,
-                    matching.sort_key(),
-                    inherit_lists(lists, matching.covered_edges()),
+                    candidate.key,
+                    inherit_lists(lists, candidate.mask),
                 )
                 chosen.pop()
                 if budget.exhausted(statistics.nodes_expanded):
@@ -586,25 +670,25 @@ class BranchAndBoundDecomposer(Decomposer):
             # always count against the leaf budget; the others only when
             # they improve the incumbent, so they cannot exhaust
             # ``max_leaves`` on subtrees the bound has written off.
-            total = partial_cost + cost_model.remainder_cost(current, acg)
-            improved = total < best["cost"]
+            total = partial_cost + remainder_cost(residual)
+            improved = total < best_cost
             if improved or not lists:
                 budget.leaves += 1
                 statistics.leaves_evaluated += 1
             if improved:
-                best["cost"] = total
-                best["matchings"] = list(chosen)
-                best["residual"] = current.copy()
+                best_cost = total
+                best_matchings = list(chosen)
 
         try:
-            recurse(residual, [], 0.0, (), self.matching_lists(residual, statistics))
+            # the root's symmetry key -1 sits below every key rank
+            recurse(index.full, [], 0.0, -1, self.matching_lists(index, cost_model, statistics))
         finally:
             del recurse  # the closure refers to itself: free it without the cyclic GC
         statistics.elapsed_seconds = budget.elapsed()
         statistics.truncated = budget.exhausted_by is not None
         statistics.truncated_by = budget.exhausted_by
 
-        if best["matchings"] is None:
+        if best_matchings is None:
             # The search budget ran out before reaching any leaf; fall back to
             # a greedy pass so the caller always receives a valid cover.
             fallback = GreedyDecomposer(self.library, cost_model, self.config).decompose(acg)
@@ -622,13 +706,7 @@ class BranchAndBoundDecomposer(Decomposer):
             fallback.statistics.transposition_hits += statistics.transposition_hits
             return fallback
 
-        return self._build_result(
-            acg,
-            list(best["matchings"]),  # type: ignore[arg-type]
-            best["residual"],  # type: ignore[arg-type]
-            cost_model,
-            statistics,
-        )
+        return self._build_result(acg, best_matchings, None, cost_model, statistics)
 
 
 def decompose(

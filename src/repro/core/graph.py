@@ -102,8 +102,9 @@ class DiGraph:
         lists its sources in node order (the order re-adding the edges
         source by source gives), each edge's attribute dict is copied once
         and shared by both adjacency maps, and the degree counters carry
-        over.  The decomposition clones every residual, and the VF2
-        matcher's candidate order follows these orders.
+        over.  The greedy decomposition and the replay of a chosen cover
+        (:meth:`Matching.subtract_from`) clone residuals, and the VF2
+        matcher's candidate order follows the node order.
         """
         clone = type(self)(name=self.name)
         clone._node_attrs = {node: dict(attrs) for node, attrs in self._node_attrs.items()}
@@ -236,10 +237,9 @@ class DiGraph:
         """Exact, order-independent, hashable identity of the edge set.
 
         Two graphs have equal fingerprints exactly when their edge sets are
-        equal (isolated nodes are ignored).  It keys the decomposition's
-        transposition table and bound caches, where a collision would
-        silently reuse a result computed for a different residual.  Costs
-        O(edges) to build.
+        equal (isolated nodes are ignored).  Costs O(edges) to build; the
+        decomposition search keys its tables by :class:`EdgeIndex` masks
+        instead.
         """
         return frozenset(
             (source, target) for source, targets in self._succ.items() for target in targets
@@ -270,11 +270,8 @@ class DiGraph:
         return list(seen)
 
     def successor_map(self, node: Node) -> Mapping[Node, dict[str, Any]]:
-        """The internal successor adjacency of ``node`` (treat as read-only).
-
-        Exposed so hot-path consumers such as the VF2 matcher can intersect
-        adjacency dictionaries directly instead of materialising node lists.
-        """
+        """The internal successor adjacency of ``node`` (treat as read-only),
+        without materialising a node list."""
         if node not in self._succ:
             raise NodeNotFoundError(node)
         return self._succ[node]
@@ -484,6 +481,91 @@ class DiGraph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<{type(self).__name__}{label} |V|={self.num_nodes} |E|={self.num_edges}>"
+
+
+class EdgeIndex:
+    """Bit positions for a graph's edges, so an edge subset is one ``int``.
+
+    Edge ``i`` of ``graph.edges()`` is bit ``1 << i``, so iterating a mask
+    from its lowest bit visits its edges in the graph's edge order, the
+    order a :class:`DiGraph` residual of ``graph`` lists them in.  The
+    decomposition search keeps its residuals and matchings as such masks:
+    subtracting a matching is ``residual & ~mask``.  The index is a
+    snapshot; it does not follow later edits of ``graph``.
+    """
+
+    def __init__(self, graph: DiGraph) -> None:
+        self.graph = graph
+        self.nodes: list[Node] = graph.nodes()
+        self.edges: list[Edge] = graph.edges()
+        self.bit: dict[Edge, int] = {edge: index for index, edge in enumerate(self.edges)}
+        self.full = (1 << len(self.edges)) - 1
+        node_index = {node: index for index, node in enumerate(self.nodes)}
+        self.sources = [node_index[source] for source, _ in self.edges]
+        self.targets = [node_index[target] for _, target in self.edges]
+        # per edge: the mask of its reverse edge (0 when the graph has none)
+        self.reverse = [
+            1 << self.bit[target, source] if (target, source) in self.bit else 0
+            for source, target in self.edges
+        ]
+        # per node position: its outgoing and incoming edges, and one mask
+        # per full-duplex partner holding both directions of the pair
+        self.out_masks = [0] * len(self.nodes)
+        self.in_masks = [0] * len(self.nodes)
+        self.pair_masks: list[list[int]] = [[] for _ in self.nodes]
+        # per node position: its successors and predecessors as node-position
+        # masks, and target position -> edge mask for its outgoing edges
+        self.successor_masks = [0] * len(self.nodes)
+        self.predecessor_masks = [0] * len(self.nodes)
+        self.edge_masks: list[dict[int, int]] = [{} for _ in self.nodes]
+        for index, (source, target) in enumerate(zip(self.sources, self.targets)):
+            self.out_masks[source] |= 1 << index
+            self.in_masks[target] |= 1 << index
+            if self.reverse[index]:
+                self.pair_masks[source].append(1 << index | self.reverse[index])
+            self.successor_masks[source] |= 1 << target
+            self.predecessor_masks[target] |= 1 << source
+            self.edge_masks[source][target] = 1 << index
+
+    def mask_of(self, edges: Iterable[Edge]) -> int:
+        """The mask of an edge subset (``KeyError`` for an unknown edge)."""
+        bit = self.bit
+        mask = 0
+        for edge in edges:
+            mask |= 1 << bit[edge]
+        return mask
+
+    def edges_of(self, mask: int) -> list[Edge]:
+        """The edges of ``mask`` in the graph's edge order."""
+        edges = self.edges
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(edges[low.bit_length() - 1])
+            mask ^= low
+        return found
+
+    def graph_of(self, mask: int) -> DiGraph:
+        """``mask`` as a plain :class:`DiGraph` over every node of the graph.
+
+        It equals the residual the graph's structural copy leaves after the
+        complementary edges are removed, node and edge orders included.
+        """
+        return DiGraph.from_edges(self.edges_of(mask), nodes=self.nodes, name=self.graph.name)
+
+    @staticmethod
+    def sum_over(mask: int, charges: list[float]) -> float:
+        """``charges[i]`` summed over the bits of ``mask``, lowest bit first.
+
+        The sum runs sequentially in edge order, as a loop over a residual
+        graph's ``edges()`` does, so both give the same float.
+        """
+        total = 0.0
+        while mask:
+            low = mask & -mask
+            total += charges[low.bit_length() - 1]
+            mask ^= low
+        return total
 
 
 @dataclass(frozen=True)

@@ -35,18 +35,25 @@ The matcher supports
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.graph import DiGraph, Edge, Node
+from repro.core.graph import DiGraph, Edge, EdgeIndex, Node
 
 
 @dataclass(frozen=True)
 class IsomorphismMapping:
-    """An injective mapping from pattern vertices to target vertices."""
+    """An injective mapping from pattern vertices to target vertices.
+
+    A mapping found by :class:`VF2Matcher` also carries ``edge_mask``, the
+    target edges it covers as bits over ``target.edges()`` (bit ``i`` is
+    edge ``i``); it is 0 for a mapping built by hand and takes no part in
+    equality.
+    """
 
     mapping: tuple[tuple[Node, Node], ...]
+    edge_mask: int = field(default=0, compare=False)
 
     @classmethod
     def from_dict(cls, mapping: dict[Node, Node]) -> "IsomorphismMapping":
@@ -109,43 +116,88 @@ class VF2Matcher:
     pattern:
         The library representation graph (the smaller graph).
     target:
-        The application graph (or the remaining graph during decomposition).
+        The application graph (or the remaining graph during decomposition),
+        or an :class:`~repro.core.graph.EdgeIndex` of it: matchers on one
+        target then share its node and edge masks.
     options:
         Matching semantics and limits; see :class:`MatcherOptions`.
+
+    Target nodes are bit positions in the target's node order, so every
+    candidate set is one ``int``: the pattern node placed at a depth may go
+    to the target nodes that host its degrees, minus the used ones, within
+    the successor / predecessor masks of its already-mapped neighbours.  An
+    explicit stack takes each set's lowest bit first, so mappings come out
+    in lexicographic target order.
     """
 
     def __init__(
         self,
         pattern: DiGraph,
-        target: DiGraph,
+        target: DiGraph | EdgeIndex,
         options: MatcherOptions | None = None,
     ) -> None:
+        index = target if isinstance(target, EdgeIndex) else EdgeIndex(target)
         self.pattern = pattern
-        self.target = target
+        self.target = index.graph
         self.options = options or MatcherOptions()
         # Pattern nodes in a fixed search order: most-constrained first
         # (highest total degree), which keeps the search shallow for the
         # dense gossip patterns.
-        self._pattern_order = sorted(
+        order = self._pattern_order = sorted(
             pattern.nodes(), key=lambda n: (-pattern.degree(n), repr(n))
         )
-        # Target node order and adjacency maps are fixed for the lifetime of
-        # one matcher, so they are computed once here instead of per search
-        # state (the decomposition runs thousands of states per query).
-        self._target_order = target.nodes()
-        self._target_index = {node: i for i, node in enumerate(self._target_order)}
-        # For each search depth, the already-mapped pattern nodes adjacent to
-        # the pattern node placed at that depth, split by edge direction.
-        self._mapped_predecessors: list[list[Node]] = []
-        self._mapped_successors: list[list[Node]] = []
-        for depth, pattern_node in enumerate(self._pattern_order):
-            earlier = self._pattern_order[:depth]
-            self._mapped_predecessors.append(
-                [n for n in earlier if pattern.has_edge(n, pattern_node)]
-            )
-            self._mapped_successors.append(
-                [n for n in earlier if pattern.has_edge(pattern_node, n)]
-            )
+        targets = self._target_order = index.nodes
+        successors = index.successor_masks
+        predecessors = index.predecessor_masks
+        # source position -> target position -> the edge's mask
+        self._edge_bits = index.edge_masks
+        degrees = [
+            (out_mask.bit_count(), in_mask.bit_count())
+            for out_mask, in_mask in zip(successors, predecessors)
+        ]
+        # (pattern out-degree, in-degree) -> the target nodes with both
+        hosts_by_degree: dict[tuple[int, int], int] = {}
+        compatible = self.options.node_compatible
+        # Per depth: the target nodes with the degrees to host the pattern
+        # node (a monomorphism gives every pattern edge a distinct target
+        # edge), then the (earlier depth, mask table) pairs its image must
+        # lie in, and -- induced only -- the ones it must avoid.
+        self._hosts: list[int] = []
+        self._required: list[list[tuple[int, list[int]]]] = []
+        self._forbidden: list[list[tuple[int, list[int]]]] = []
+        for depth, pattern_node in enumerate(order):
+            wanted = (pattern.out_degree(pattern_node), pattern.in_degree(pattern_node))
+            hosts = hosts_by_degree.get(wanted)
+            if hosts is None:
+                hosts = hosts_by_degree[wanted] = sum(
+                    1 << position
+                    for position, (out_degree, in_degree) in enumerate(degrees)
+                    if out_degree >= wanted[0] and in_degree >= wanted[1]
+                )
+            if compatible is not None:
+                for position, target_node in enumerate(targets):
+                    if not compatible(pattern_node, target_node):
+                        hosts &= ~(1 << position)
+            self._hosts.append(hosts)
+            required: list[tuple[int, list[int]]] = []
+            forbidden: list[tuple[int, list[int]]] = []
+            for earlier, mapped in enumerate(order[:depth]):
+                for has_edge, table in (
+                    (pattern.has_edge(mapped, pattern_node), successors),
+                    (pattern.has_edge(pattern_node, mapped), predecessors),
+                ):
+                    if has_edge:
+                        required.append((earlier, table))
+                    elif self.options.induced:
+                        forbidden.append((earlier, table))
+            self._required.append(required)
+            self._forbidden.append(forbidden)
+        self._pattern_edges = [
+            (order.index(source), order.index(target_node))
+            for source, target_node in pattern.edges()
+        ]
+        # depths in the order IsomorphismMapping.from_dict sorts their nodes
+        self._assignment_order = sorted(range(len(order)), key=lambda k: repr(order[k]))
         self._deadline: float | None = None
         self._states_explored = 0
         self._timed_out = False
@@ -200,17 +252,26 @@ class VF2Matcher:
         else:
             self._deadline = None
 
-        seen_edge_sets: set[frozenset[Edge]] = set()
-        pattern_edges = self.pattern.edges()
+        deduplicate = self.options.deduplicate_by_edges
+        seen_edge_sets: set[int] = set()
+        order = self._pattern_order
+        targets = self._target_order
+        edge_bits = self._edge_bits
+        pattern_edges = self._pattern_edges
+        assignment_order = self._assignment_order
         produced = 0
         try:
-            for mapping in self._extend({}, set()):
-                if self.options.deduplicate_by_edges:
-                    edge_set = frozenset((mapping[s], mapping[t]) for s, t in pattern_edges)
-                    if edge_set in seen_edge_sets:
+            for images in self._images():
+                covered = 0
+                for source, target_node in pattern_edges:
+                    covered |= edge_bits[images[source]][images[target_node]]
+                if deduplicate:
+                    if covered in seen_edge_sets:
                         continue
-                    seen_edge_sets.add(edge_set)
-                yield IsomorphismMapping.from_dict(mapping)
+                    seen_edge_sets.add(covered)
+                yield IsomorphismMapping(
+                    tuple((order[k], targets[images[k]]) for k in assignment_order), covered
+                )
                 produced += 1
                 if limit is not None and produced >= limit:
                     return
@@ -219,100 +280,54 @@ class VF2Matcher:
             return
 
     # ------------------------------------------------------------------
-    # VF2 recursion
+    # VF2 search
     # ------------------------------------------------------------------
     def _check_deadline(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise SearchTimeout()
 
-    def _extend(
-        self, mapping: dict[Node, Node], used_targets: set[Node]
-    ) -> Iterator[dict[Node, Node]]:
-        """Depth-first extension of a partial mapping."""
-        self._states_explored += 1
-        if self._deadline is not None:
-            self._check_deadline()
+    def _images(self) -> Iterator[list[int]]:
+        """Complete mappings as the target position of each depth's node.
 
-        depth = len(mapping)
-        if depth == len(self._pattern_order):
-            yield dict(mapping)
-            return
-
-        pattern_node = self._pattern_order[depth]
-        for target_node in self._candidate_targets(depth, mapping, used_targets):
-            if not self._feasible(pattern_node, target_node, mapping):
-                continue
-            mapping[pattern_node] = target_node
-            used_targets.add(target_node)
-            yield from self._extend(mapping, used_targets)
-            del mapping[pattern_node]
-            used_targets.discard(target_node)
-
-    def _candidate_targets(
-        self,
-        depth: int,
-        mapping: dict[Node, Node],
-        used_targets: set[Node],
-    ) -> list[Node]:
-        """Candidate target nodes for the pattern node placed at ``depth``.
-
-        When the pattern node is adjacent to an already-mapped pattern node,
-        candidates are restricted to the neighbourhood of the corresponding
-        target node, which is the key VF2 pruning step.  The adjacency
-        dictionaries of the target are intersected directly (smallest first)
-        rather than copied into fresh sets per state, and the result keeps
-        the target's node-insertion order via the precomputed index.
+        The yielded list is the search's own stack: read it before the
+        next step.  Depth-first with an explicit stack of candidate masks.
         """
-        adjacency: list[Mapping[Node, object]] = [
-            self.target.successor_map(mapping[mapped_pattern])
-            for mapped_pattern in self._mapped_predecessors[depth]
-        ]
-        adjacency.extend(
-            self.target.predecessor_map(mapping[mapped_pattern])
-            for mapped_pattern in self._mapped_successors[depth]
-        )
-        if not adjacency:
-            return [node for node in self._target_order if node not in used_targets]
-        adjacency.sort(key=len)
-        smallest, rest = adjacency[0], adjacency[1:]
-        candidates = [
-            node
-            for node in smallest
-            if node not in used_targets and all(node in adj for adj in rest)
-        ]
-        candidates.sort(key=self._target_index.__getitem__)
-        return candidates
-
-    def _feasible(
-        self, pattern_node: Node, target_node: Node, mapping: dict[Node, Node]
-    ) -> bool:
-        """Consistency + look-ahead checks for adding one pair to the mapping."""
-        if self.options.node_compatible is not None and not self.options.node_compatible(
-            pattern_node, target_node
-        ):
-            return False
-
-        # Degree look-ahead: the target node must have enough connectivity
-        # left to host the pattern node (valid for monomorphism because every
-        # pattern edge needs a distinct target edge).
-        if self.target.out_degree(target_node) < self.pattern.out_degree(pattern_node):
-            return False
-        if self.target.in_degree(target_node) < self.pattern.in_degree(pattern_node):
-            return False
-        if not self.options.induced:
-            # _candidate_targets only offers nodes joined to the mapped
-            # neighbours as the pattern requires, so nothing is left to check
-            return True
-
-        for mapped_pattern, mapped_target in mapping.items():
-            forward_pattern = self.pattern.has_edge(pattern_node, mapped_pattern)
-            backward_pattern = self.pattern.has_edge(mapped_pattern, pattern_node)
-            forward_target = self.target.has_edge(target_node, mapped_target)
-            backward_target = self.target.has_edge(mapped_target, target_node)
-
-            if forward_pattern != forward_target or backward_pattern != backward_target:
-                return False
-        return True
+        hosts = self._hosts
+        required = self._required
+        forbidden = self._forbidden
+        last = len(hosts) - 1
+        images = [0] * len(hosts)
+        candidates = [0] * len(hosts)
+        candidates[0] = hosts[0]
+        used = 0
+        depth = 0
+        self._states_explored += 1
+        self._check_deadline()
+        while True:
+            pool = candidates[depth]
+            if not pool:
+                if depth == 0:
+                    return
+                depth -= 1
+                used ^= 1 << images[depth]
+                continue
+            low = pool & -pool
+            candidates[depth] = pool ^ low
+            images[depth] = low.bit_length() - 1
+            self._states_explored += 1
+            if self._deadline is not None:
+                self._check_deadline()
+            if depth == last:
+                yield images
+                continue
+            used |= low
+            depth += 1
+            pool = hosts[depth] & ~used
+            for earlier, table in required[depth]:
+                pool &= table[images[earlier]]
+            for earlier, table in forbidden[depth]:
+                pool &= ~table[images[earlier]]
+            candidates[depth] = pool
 
 
 # ----------------------------------------------------------------------

@@ -100,9 +100,8 @@ class Matching:
     def covered_edges(self) -> frozenset[Edge]:
         """ACG edges that are images of the primitive's requirement edges.
 
-        The set is immutable and queried on every candidate-inheritance
-        filter of the decomposition search, so it is computed once per
-        matching and cached.
+        The set is immutable, so it is computed once per matching and
+        cached.
         """
         return self._covered_edges
 

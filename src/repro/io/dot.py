@@ -136,11 +136,17 @@ def _parse(path: str | Path):
                 source, target = _unquote(edge_match.group(1)), _unquote(edge_match.group(2))
                 edges.append((number, source, target, attrs))
             elif node_match:
-                label = _unquote(node_match.group(1))
+                token = node_match.group(1)
+                label = _unquote(token)
                 attrs = _parse_attrs(node_match.group(2))
-                if label == "graph":
+                # only a bare token is a keyword: "graph", "node" and "edge"
+                # in quotes are node names
+                if token == "graph":
+                    if "flit_width_bits" in attrs:
+                        with reading_line(path, number):
+                            parse_number(attrs["flit_width_bits"])
                     graph_attrs.update(attrs)
-                elif label not in ("node", "edge"):
+                elif token not in ("node", "edge"):
                     nodes[label] = ({**nodes.get(label, ({}, 0))[0], **attrs}, number)
             else:
                 with reading_line(path, number):
@@ -239,7 +245,7 @@ def read_topology(path: str | Path) -> Topology:
     graph_attrs, nodes, edges = _parse(path)
     topology = Topology(
         name=graph_attrs.get("name") or Path(path).stem,
-        flit_width_bits=int(graph_attrs.get("flit_width_bits", 32)),
+        flit_width_bits=int(parse_number(graph_attrs.get("flit_width_bits", "32"))),
     )
     for label, (attrs, number) in nodes.items():
         if "x" in attrs and "y" in attrs:

@@ -71,6 +71,8 @@ def _parse_file(path: str | Path):
                 edges.append((number, fields[0], fields[1], fields[2:]))
             elif fields and fields[0] == "repro-edgelist":
                 header.update(_parse_keyvals(fields[1:]))
+                if "flit_width_bits" in header:
+                    parse_number(header["flit_width_bits"])
             elif fields and fields[0] == "node":
                 if len(fields) < 2:
                     raise WorkloadError(f"malformed node directive: {raw_line!r}")
@@ -153,7 +155,7 @@ def read_topology(path: str | Path) -> Topology:
     header, nodes, edges = _parse_file(path)
     topology = Topology(
         name=header.get("name") or Path(path).stem,
-        flit_width_bits=int(header.get("flit_width_bits", 32)),
+        flit_width_bits=int(parse_number(header.get("flit_width_bits", "32"))),
     )
     for label, coords in nodes:
         if coords is not None:

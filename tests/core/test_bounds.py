@@ -2,9 +2,10 @@
 
 The admissibility *property* (every bound below the brute-force optimum)
 lives in ``tests/property/test_bound_admissibility.py``; here we pin the
-mechanics: offer tables, the per-edge cheapest-cover bound, the lazy
-max-of-parts composition, the per-search bound cache counters, and the
-factory surface.
+mechanics: residual edge masks, offer tables, the per-edge cheapest-cover
+bound, the lazy max-of-parts composition, the per-search bound cache
+counters, and the factory surface.  Bounds take a residual as an edge
+mask over the ACG's ``EdgeIndex``; ``full(acg)`` is the whole ACG.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.bounds import (
 )
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, SearchStatistics, decompose
-from repro.core.graph import ApplicationGraph, DiGraph
+from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.library import default_library
 from repro.exceptions import DecompositionError
 
@@ -37,19 +38,26 @@ def acg_from_edges(edges, name="unit") -> ApplicationGraph:
     return acg
 
 
-class TestStructuralFingerprint:
-    def test_order_independent_and_exact(self):
-        forward = DiGraph.from_edges([(1, 2), (2, 3), (3, 1)])
-        shuffled = DiGraph.from_edges([(3, 1), (1, 2), (2, 3)])
-        assert forward.structural_fingerprint() == shuffled.structural_fingerprint()
-        other = DiGraph.from_edges([(1, 2), (2, 3), (1, 3)])
-        assert forward.structural_fingerprint() != other.structural_fingerprint()
+def full(acg) -> int:
+    """The residual mask of the whole ACG."""
+    return EdgeIndex(acg).full
 
-    def test_isolated_nodes_do_not_enter_the_fingerprint(self):
+
+class TestResidualMask:
+    INDEX = EdgeIndex(DiGraph.from_edges([(1, 2), (2, 3), (3, 1), (1, 3)]))
+
+    def test_order_independent_and_exact(self):
+        forward = self.INDEX.mask_of(DiGraph.from_edges([(1, 2), (2, 3), (3, 1)]).edges())
+        shuffled = self.INDEX.mask_of(DiGraph.from_edges([(3, 1), (1, 2), (2, 3)]).edges())
+        assert forward == shuffled
+        other = self.INDEX.mask_of(DiGraph.from_edges([(1, 2), (2, 3), (1, 3)]).edges())
+        assert forward != other
+
+    def test_isolated_nodes_do_not_enter_the_mask(self):
         graph = DiGraph.from_edges([(1, 2)])
         with_isolate = DiGraph.from_edges([(1, 2)])
         with_isolate.add_node(99)
-        assert graph.structural_fingerprint() == with_isolate.structural_fingerprint()
+        assert self.INDEX.mask_of(graph.edges()) == self.INDEX.mask_of(with_isolate.edges())
 
 
 class TestBoundTables:
@@ -102,22 +110,22 @@ class TestCheapestEdgeBound:
     def test_single_edge_never_beats_the_remainder_charge(self):
         acg = acg_from_edges([(1, 2)])
         bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
-        value = bound.value(acg)
+        value = bound.value(full(acg))
         assert 0 < value <= LINK.edge_remainder_cost(acg, (1, 2)) + 1e-9
 
     def test_empty_residual_is_free(self):
         acg = acg_from_edges([(1, 2)])
         bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
-        assert bound.value(acg.graph_difference(acg)) == 0.0
+        assert bound.value(0) == 0.0
 
     def test_bound_cache_counts_misses_then_hits(self):
         statistics = SearchStatistics()
         acg = acg_from_edges([(1, 2), (2, 1), (2, 3)])
         tables = bound_tables(default_library(), LINK)
         bound = CheapestEdgeBound(tables, LINK, acg, statistics=statistics)
-        first = bound.value(acg)
+        first = bound.value(full(acg))
         assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 0)
-        assert bound.value(acg) == first
+        assert bound.value(full(acg)) == first
         assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 1)
 
 
@@ -131,23 +139,23 @@ class TestStackedBound:
     def test_value_is_the_max_of_the_parts(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         stacked = self.build(acg)
-        assert stacked.value(acg) == max(part.value(acg) for part in stacked.parts)
+        assert stacked.value(full(acg)) == max(part.value(full(acg)) for part in stacked.parts)
 
     def test_prune_reason_names_the_first_firing_part(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         stacked = self.build(acg)
-        legacy, cheapest = (part.value(acg) for part in stacked.parts)
+        legacy, cheapest = (part.value(full(acg)) for part in stacked.parts)
         assert 0 < legacy < cheapest
         # both parts reach the legacy value: the first part in order fires
-        assert stacked.prune_reason(acg, legacy) == "cost_model"
+        assert stacked.prune_reason(full(acg), legacy) == "cost_model"
         # only the tighter part reaches its own value
-        assert stacked.prune_reason(acg, cheapest) == "cheapest_edge"
-        assert stacked.prune_reason(acg, cheapest + 1.0) is None
+        assert stacked.prune_reason(full(acg), cheapest) == "cheapest_edge"
+        assert stacked.prune_reason(full(acg), cheapest + 1.0) is None
 
     def test_infinite_target_never_prunes(self):
         acg = acg_from_edges([(1, 2)])
         stacked = self.build(acg)
-        assert stacked.prune_reason(acg, float("inf")) is None
+        assert stacked.prune_reason(full(acg), float("inf")) is None
 
     def test_prune_reason_stops_at_the_first_firing_part(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
@@ -159,12 +167,12 @@ class TestStackedBound:
                 CheapestEdgeBound(tables, LINK, acg, statistics=statistics),
             ]
         )
-        legacy = stacked.parts[0].value(acg)
+        legacy = stacked.parts[0].value(full(acg))
         # the cheap part fires, so the later part is never evaluated
-        assert stacked.prune_reason(acg, legacy) == "cost_model"
+        assert stacked.prune_reason(full(acg), legacy) == "cost_model"
         assert statistics.bound_cache_misses == 0
         # a target above the cheap part falls through to the next one
-        assert stacked.prune_reason(acg, legacy + 1e-6) == "cheapest_edge"
+        assert stacked.prune_reason(full(acg), legacy + 1e-6) == "cheapest_edge"
         assert statistics.bound_cache_misses == 1
 
 

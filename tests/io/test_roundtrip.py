@@ -14,6 +14,7 @@ import re
 import pytest
 
 from repro.arch.families import FAMILIES, get_family, pad_node_ids
+from repro.core.graph import ApplicationGraph
 from repro.dse.pipeline import Scenario
 from repro.dse.scenarios import SUITES, build_suite
 from repro.exceptions import WorkloadError
@@ -209,6 +210,54 @@ class TestPajekInputContract:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(WorkloadError, match=rf"^.*{name}, line {line}: .*finite"):
             read_workload(path)
+
+
+class TestFlitWidthHeader:
+    """A bad ``flit_width_bits`` header is an input error that names the
+    file and the header's line, in every format."""
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("bad.edges", "#% repro-edgelist kind=topology flit_width_bits=abc\na b\n", 1),
+            ("bad.dot", 'digraph g {\n  graph [flit_width_bits="x"];\n  a -> b;\n}\n', 2),
+            ("bad.net", '% repro kind=topology flit_width_bits=abc\n*Vertices 1\n1 "a"\n', 1),
+        ],
+    )
+    def test_garbage_flit_width_names_the_file_and_line(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WorkloadError) as caught:
+            read_topology(path)
+        assert str(caught.value).startswith(f"{path}, line {line}: ")
+        assert "expected a number" in str(caught.value)
+
+
+class TestDotKeywordNames:
+    """``graph``, ``node`` and ``edge`` are keywords only as bare tokens: a
+    quoted one is a node name and survives a write/read round trip."""
+
+    @pytest.mark.parametrize("keyword", ["graph", "node", "edge"])
+    def test_quoted_keyword_names_are_nodes(self, tmp_path, keyword):
+        acg = ApplicationGraph(name="keywords")
+        acg.add_communication("0", keyword, volume=3.0)
+        acg.add_communication(keyword, "1", volume=5.0)
+        path = tmp_path / "keywords.dot"
+        write_workload(acg, path)
+        back = read_workload(path)
+        assert back.nodes() == ["0", keyword, "1"]
+        assert back.edges() == [("0", keyword), (keyword, "1")]
+        assert back.volume(keyword, "1") == 5.0
+        assert _fingerprint(back) == _fingerprint(acg)
+
+    def test_bare_keywords_still_set_defaults(self, tmp_path):
+        path = tmp_path / "defaults.dot"
+        path.write_text(
+            'digraph g {\n  graph [rankdir="LR"];\n  node [shape=box];\n'
+            "  edge [color=red];\n  a -> b;\n}\n",
+            encoding="utf-8",
+        )
+        assert read_workload(path).nodes() == ["a", "b"]
 
 
 class TestDuplicateArcs:

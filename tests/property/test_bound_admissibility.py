@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.bounds import BOUND_NAMES, StackedBound, build_lower_bound
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, decompose
-from repro.core.graph import ApplicationGraph
+from repro.core.graph import ApplicationGraph, EdgeIndex
 from repro.core.library import default_library
 from repro.workloads.random_acg import scale_free_acg
 
@@ -69,8 +69,9 @@ def scale_free_acgs():
 
 def assert_cheapest_edge_dominates(acg, model_name):
     cost_model = _COST_MODELS[model_name]
-    legacy = build_lower_bound("cost_model", _LIBRARY, cost_model, acg).value(acg)
-    cheapest = build_lower_bound("cheapest_edge", _LIBRARY, cost_model, acg).value(acg)
+    whole = EdgeIndex(acg).full
+    legacy = build_lower_bound("cost_model", _LIBRARY, cost_model, acg).value(whole)
+    cheapest = build_lower_bound("cheapest_edge", _LIBRARY, cost_model, acg).value(whole)
     assert cheapest >= legacy - 1e-9, (
         f"cheapest_edge {cheapest} below cost_model {legacy} under {model_name} "
         f"on edges {sorted(acg.edges())}"
@@ -85,9 +86,10 @@ def test_every_bound_is_admissible_on_random_acgs(model_name, acg):
     optimum = true_optimum(acg, cost_model)
     for name in BOUND_NAMES:
         bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
-        assert bound.value(acg) <= optimum + 1e-9, (
+        whole = EdgeIndex(acg).full
+        assert bound.value(whole) <= optimum + 1e-9, (
             f"bound {name!r} over-estimated under {model_name}: "
-            f"{bound.value(acg)} > optimum {optimum}"
+            f"{bound.value(whole)} > optimum {optimum}"
         )
     assert_cheapest_edge_dominates(acg, model_name)
 
@@ -99,9 +101,10 @@ def test_every_bound_is_admissible_on_scale_free_acgs(acg):
     optimum = true_optimum(acg, cost_model)
     for name in BOUND_NAMES:
         bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
-        assert bound.value(acg) <= optimum + 1e-9, (
+        whole = EdgeIndex(acg).full
+        assert bound.value(whole) <= optimum + 1e-9, (
             f"bound {name!r} over-estimated on {acg.name}: "
-            f"{bound.value(acg)} > optimum {optimum}"
+            f"{bound.value(whole)} > optimum {optimum}"
         )
     assert_cheapest_edge_dominates(acg, "link_count")
 
@@ -128,4 +131,5 @@ def test_stacked_is_the_pointwise_max_of_its_parts(model_name, acg):
     stacked = StackedBound(
         [build_lower_bound(name, _LIBRARY, cost_model, acg) for name in BOUND_NAMES]
     )
-    assert stacked.value(acg) == max(part.value(acg) for part in stacked.parts)
+    whole = EdgeIndex(acg).full
+    assert stacked.value(whole) == max(part.value(whole) for part in stacked.parts)

@@ -1,7 +1,8 @@
 """``DiGraph.copy`` and ``Matching.subtract_from`` against edge-by-edge rebuilding.
 
-The decomposition clones every residual, and the VF2 matcher's candidate
-order follows the clone's iteration orders, so the dict-level clone must be
+The greedy decomposition and the replay that rebuilds a chosen cover's
+remainder clone residuals, and the VF2 matcher's candidate order follows
+the clone's node order, so the dict-level clone must be
 indistinguishable from rebuilding the graph through ``add_node`` /
 ``add_edge`` -- and subtracting a matching from it from the
 ``graph_difference(edge_induced_subgraph(...))`` formulation of

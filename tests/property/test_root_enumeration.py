@@ -5,7 +5,8 @@ every node below filters its parent's lists.  Two properties pin that down
 without going through the search's own code:
 
 * along any path of chosen matchings, each inherited list holds exactly
-  the matchings a fresh, complete VF2 enumeration finds in that residual;
+  the matchings a fresh, complete VF2 enumeration finds in that residual
+  (the search's edge-mask residual, decoded to a graph);
 * on small ACGs, the uncapped search's cost equals the cheapest choice of
   pairwise edge-disjoint root matchings plus the remainder, found by a
   plain exact-cover dynamic program (no bound, no symmetry key, no table),
@@ -29,7 +30,7 @@ from repro.core.decomposition import (
     decompose,
     inherit_lists,
 )
-from repro.core.graph import ApplicationGraph, DiGraph
+from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.isomorphism import MatcherOptions, VF2Matcher
 from repro.core.library import default_library, minimal_library
 from repro.core.matching import Matching
@@ -69,20 +70,22 @@ def _fresh_matchings(library, graph: DiGraph) -> dict[int, set[frozenset]]:
 def test_inherited_lists_equal_a_fresh_enumeration(acg, seed):
     rng = random.Random(seed)
     decomposer = BranchAndBoundDecomposer(_LIBRARY, LinkCountCostModel(), DecompositionConfig())
-    residual: DiGraph = acg.structural_copy()
-    lists = decomposer.matching_lists(residual, SearchStatistics())
+    index = EdgeIndex(acg)
+    residual = index.full
+    lists = decomposer.matching_lists(index, LinkCountCostModel(), SearchStatistics())
     while True:
         assert {
-            primitive_id: {m.covered_edges() for m in found}
+            primitive_id: {c.matching.covered_edges() for c in found}
             for primitive_id, found in lists.items()
-        } == _fresh_matchings(_LIBRARY, residual)
+        } == _fresh_matchings(_LIBRARY, index.graph_of(residual))
         for found in lists.values():
-            assert found == sorted(found, key=Matching.sort_key)
+            matchings = [c.matching for c in found]
+            assert matchings == sorted(matchings, key=Matching.sort_key)
         if not lists:
             return
-        matching = rng.choice([m for found in lists.values() for m in found])
-        residual = matching.subtract_from(residual)
-        lists = inherit_lists(lists, matching.covered_edges())
+        candidate = rng.choice([c for found in lists.values() for c in found])
+        residual &= ~candidate.mask
+        lists = inherit_lists(lists, candidate.mask)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -94,13 +97,14 @@ def test_inherited_lists_equal_a_fresh_enumeration(acg, seed):
 def test_the_cap_takes_its_width_after_the_symmetry_filter(acg, seed, limit):
     rng = random.Random(seed)
     decomposer = BranchAndBoundDecomposer(_LIBRARY, LinkCountCostModel(), DecompositionConfig())
-    lists = decomposer.matching_lists(acg.structural_copy(), SearchStatistics())
-    keys = [()] + [m.sort_key() for found in lists.values() for m in found]
-    for min_key in rng.sample(keys, min(len(keys), 5)):
+    lists = decomposer.matching_lists(EdgeIndex(acg), LinkCountCostModel(), SearchStatistics())
+    # (key rank, sort key) pairs; the root's rank -1 stands for ()
+    keys = [(-1, ())] + [(c.key, c.matching.sort_key()) for found in lists.values() for c in found]
+    for min_rank, min_key in rng.sample(keys, min(len(keys), 5)):
         expected: list[Matching] = []
         for found in lists.values():
-            expected += [m for m in found if m.sort_key() >= min_key][:limit]
-        survivors = capped_survivors(lists, min_key, limit)
+            expected += [c.matching for c in found if c.matching.sort_key() >= min_key][:limit]
+        survivors = [c.matching for c in capped_survivors(lists, min_rank, limit)]
         assert survivors == sorted(expected, key=Matching.sort_key)
 
 
