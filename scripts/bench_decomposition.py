@@ -72,10 +72,10 @@ BASELINE_BOUND = "cost_model"
 CANDIDATE_BOUND = "cheapest_edge"
 
 #: nodes-expanded saving (geometric mean over suites) the --check gate
-#: enforces (measured ~5.5x on this suite at the default branching width:
-#: ~26x on the TGFF sweep, ~5.6x embedded, ~1.15x on the sparse Pajek
-#: sweep where both bounds are already near-tight; the floor leaves room
-#: for workload drift without letting the headline 3x claim regress)
+#: enforces (measured ~12.7x on this suite at the default branching width:
+#: ~53x on the TGFF sweep, ~9x embedded, ~4.3x on the sparse Pajek sweep
+#: where both bounds are closer to tight; the floor leaves room for
+#: workload drift without letting the headline 3x claim regress)
 NODES_SAVING_FLOOR = 3.0
 
 #: the sweep-default node budget and how much the tight run divides it by
