@@ -306,7 +306,7 @@ class CheapestEdgeBound(ResidualBound):
         self._degrees_by_local: list[dict[int, tuple[int, int, int]]] = [
             {} for _ in index.nodes
         ]
-        self._charges: dict[tuple[int, tuple], float] = {}
+        self._charge_by_signature: dict[tuple[int, tuple], float] = {}
         # (paired, source degrees, target degrees) -> the offers feasible for
         # an edge with that signature, in table order; residuals share few
         # signatures, so each offer scan runs once per search
@@ -350,7 +350,7 @@ class CheapestEdgeBound(ResidualBound):
         source_degrees = self._degrees(index.sources[edge], residual)
         target_degrees = self._degrees(index.targets[edge], residual)
         signature = (is_bidirectional, source_degrees, target_degrees)
-        cheapest = self._charges.get((edge, signature))
+        cheapest = self._charge_by_signature.get((edge, signature))
         if cheapest is None:
             feasible = self._feasible_offers.get(signature)
             if feasible is None:
@@ -362,16 +362,16 @@ class CheapestEdgeBound(ResidualBound):
                 self._feasible_offers[signature] = feasible
             cost_model = self._cost_model
             acg = self._acg
-            pair = index.edges[edge]
-            cheapest = cost_model.edge_remainder_cost(acg, pair)
+            endpoints = index.edges[edge]
+            cheapest = cost_model.edge_remainder_cost(acg, endpoints)
             for offer in feasible:
                 if offer.flat_share is not None:
                     charge = offer.flat_share
                 else:
-                    charge = cost_model.edge_cover_cost(acg, pair, offer.hops)
+                    charge = cost_model.edge_cover_cost(acg, endpoints, offer.hops)
                 if charge < cheapest:
                     cheapest = charge
-            self._charges[edge, signature] = cheapest
+            self._charge_by_signature[edge, signature] = cheapest
         self._charge_by_local[edge][residual & self._local[edge]] = cheapest
         return cheapest
 

@@ -360,16 +360,14 @@ class Decomposer:
         self,
         acg: ApplicationGraph,
         matchings: list[Matching],
-        residual: DiGraph | None,
         cost_model: CostModel,
         statistics: SearchStatistics,
     ) -> DecompositionResult:
-        """The result of a cover; ``None`` for ``residual`` replays ``matchings``
-        on the ACG to rebuild it."""
-        if residual is None:
-            residual = acg.structural_copy()
-            for matching in matchings:
-                residual = matching.subtract_from(residual)
+        """The result of a cover, its remainder rebuilt by replaying
+        ``matchings`` on the ACG."""
+        residual: DiGraph = acg.structural_copy()
+        for matching in matchings:
+            residual = matching.subtract_from(residual)
         remainder = RemainderGraph(residual.without_isolated_nodes())
         matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
         remainder_cost = cost_model.remainder_cost(remainder, acg)
@@ -419,7 +417,7 @@ class GreedyDecomposer(Decomposer):
                 break
         statistics.leaves_evaluated = 1
         statistics.elapsed_seconds = time.monotonic() - start
-        return self._build_result(acg, matchings, residual, cost_model, statistics)
+        return self._build_result(acg, matchings, cost_model, statistics)
 
 
 class Candidate(NamedTuple):
@@ -546,8 +544,8 @@ class BranchAndBoundDecomposer(Decomposer):
                 len(mappings) if limit is None else min(limit, len(mappings))
             )
             found.extend(
-                (entry.primitive_id, Matching.from_mapping(entry.primitive, mapping), mapping.edge_mask)
-                for mapping in mappings
+                (entry.primitive_id, Matching.from_mapping(entry.primitive, m), m.edge_mask)
+                for m in mappings
             )
         found.sort(key=lambda item: item[1].sort_key())
         ranks = {key: rank for rank, key in enumerate(sorted({m.sort_key() for _, m, _ in found}))}
@@ -706,7 +704,7 @@ class BranchAndBoundDecomposer(Decomposer):
             fallback.statistics.transposition_hits += statistics.transposition_hits
             return fallback
 
-        return self._build_result(acg, best_matchings, None, cost_model, statistics)
+        return self._build_result(acg, best_matchings, cost_model, statistics)
 
 
 def decompose(

@@ -233,18 +233,6 @@ class DiGraph:
         """Number of directed edges (O(1), maintained incrementally)."""
         return self._num_edges
 
-    def structural_fingerprint(self) -> frozenset[Edge]:
-        """Exact, order-independent, hashable identity of the edge set.
-
-        Two graphs have equal fingerprints exactly when their edge sets are
-        equal (isolated nodes are ignored).  Costs O(edges) to build; the
-        decomposition search keys its tables by :class:`EdgeIndex` masks
-        instead.
-        """
-        return frozenset(
-            (source, target) for source, targets in self._succ.items() for target in targets
-        )
-
     # ------------------------------------------------------------------
     # adjacency / degrees
     # ------------------------------------------------------------------
@@ -268,19 +256,6 @@ class DiGraph:
         for neighbor in self.predecessors(node):
             seen.setdefault(neighbor, None)
         return list(seen)
-
-    def successor_map(self, node: Node) -> Mapping[Node, dict[str, Any]]:
-        """The internal successor adjacency of ``node`` (treat as read-only),
-        without materialising a node list."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        return self._succ[node]
-
-    def predecessor_map(self, node: Node) -> Mapping[Node, dict[str, Any]]:
-        """The internal predecessor adjacency of ``node`` (treat as read-only)."""
-        if node not in self._pred:
-            raise NodeNotFoundError(node)
-        return self._pred[node]
 
     def out_degree(self, node: Node) -> int:
         """Number of outgoing edges of ``node`` (O(1))."""

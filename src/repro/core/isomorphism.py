@@ -150,7 +150,7 @@ class VF2Matcher:
         successors = index.successor_masks
         predecessors = index.predecessor_masks
         # source position -> target position -> the edge's mask
-        self._edge_bits = index.edge_masks
+        self._edge_masks = index.edge_masks
         degrees = [
             (out_mask.bit_count(), in_mask.bit_count())
             for out_mask, in_mask in zip(successors, predecessors)
@@ -256,7 +256,7 @@ class VF2Matcher:
         seen_edge_sets: set[int] = set()
         order = self._pattern_order
         targets = self._target_order
-        edge_bits = self._edge_bits
+        edge_masks = self._edge_masks
         pattern_edges = self._pattern_edges
         assignment_order = self._assignment_order
         produced = 0
@@ -264,7 +264,7 @@ class VF2Matcher:
             for images in self._images():
                 covered = 0
                 for source, target_node in pattern_edges:
-                    covered |= edge_bits[images[source]][images[target_node]]
+                    covered |= edge_masks[images[source]][images[target_node]]
                 if deduplicate:
                     if covered in seen_edge_sets:
                         continue

@@ -10,7 +10,8 @@ nodes, ``volume``/``bandwidth`` on workload edges and
 
 The reader parses the digraph subset the writer emits (quoted or bare
 identifiers, one statement per line or ``;``-separated, ``[]`` attribute
-lists, ``//`` and ``#`` comments).  It is not a full DOT parser —
+lists, ``//`` and ``#`` comments).  ``graph``, ``node`` and ``edge`` are
+attribute statements only as bare keywords; quoted, they name nodes.  It is not a full DOT parser —
 subgraphs, edge chains and HTML labels are out of scope and raise
 :class:`~repro.exceptions.WorkloadError`.
 """
@@ -139,8 +140,6 @@ def _parse(path: str | Path):
                 token = node_match.group(1)
                 label = _unquote(token)
                 attrs = _parse_attrs(node_match.group(2))
-                # only a bare token is a keyword: "graph", "node" and "edge"
-                # in quotes are node names
                 if token == "graph":
                     if "flit_width_bits" in attrs:
                         with reading_line(path, number):

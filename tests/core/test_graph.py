@@ -322,35 +322,3 @@ class TestCachedStructuralCounters:
             graph.out_degree(99)
         with pytest.raises(NodeNotFoundError):
             graph.in_degree(99)
-
-    def test_adjacency_map_accessors(self):
-        graph = DiGraph.from_edges([(1, 2), (1, 3), (3, 1)])
-        assert set(graph.successor_map(1)) == {2, 3}
-        assert set(graph.predecessor_map(1)) == {3}
-        with pytest.raises(NodeNotFoundError):
-            graph.successor_map(99)
-
-
-class TestStructuralFingerprint:
-    def test_fingerprint_is_insertion_order_independent(self):
-        first = DiGraph.from_edges([(1, 2), (2, 3), (3, 1)])
-        second = DiGraph.from_edges([(3, 1), (1, 2), (2, 3)])
-        assert first.structural_fingerprint() == second.structural_fingerprint()
-
-    def test_fingerprint_changes_and_restores_with_edge_set(self):
-        graph = DiGraph.from_edges([(1, 2), (2, 3)])
-        original = graph.structural_fingerprint()
-        graph.remove_edge(1, 2)
-        assert graph.structural_fingerprint() != original
-        graph.add_edge(1, 2)
-        assert graph.structural_fingerprint() == original
-
-    def test_fingerprint_distinguishes_direction(self):
-        forward = DiGraph.from_edges([(1, 2)])
-        backward = DiGraph.from_edges([(2, 1)])
-        assert forward.structural_fingerprint() != backward.structural_fingerprint()
-
-    def test_fingerprint_on_empty_graph(self):
-        graph = DiGraph()
-        graph.add_node(1)
-        assert graph.structural_fingerprint() == frozenset()

@@ -169,10 +169,6 @@ def test_cached_degree_counters_match_recomputation(operations):
     for node in graph.nodes():
         assert graph.out_degree(node) == len(graph.successors(node))
         assert graph.in_degree(node) == len(graph.predecessors(node))
-    # the fingerprint is canonical: rebuilding the same edge set from
-    # scratch (different insertion history) must reproduce it
-    rebuilt = DiGraph.from_edges(sorted(graph.edges()), nodes=graph.nodes())
-    assert rebuilt.structural_fingerprint() == graph.structural_fingerprint()
 
 
 # ----------------------------------------------------------------------
