@@ -28,6 +28,8 @@ from __future__ import annotations
 import warnings
 from importlib import import_module
 
+from repro._lazy import lazy_attributes
+
 #: public name -> defining module; resolution is deferred until access.
 _EXPORTS: dict[str, str] = {
     # core: graphs, library, decomposition, synthesis
@@ -185,12 +187,11 @@ _DEPRECATED: dict[str, tuple[str, str, str]] = {
 __all__ = sorted(_EXPORTS) + sorted(_DEPRECATED)
 
 
+_resolve, __dir__ = lazy_attributes(__name__, _EXPORTS)
+
+
 def __getattr__(name: str) -> object:
     """Resolve a facade name on first access (PEP 562 lazy import)."""
-    if name in _EXPORTS:
-        value = getattr(import_module(_EXPORTS[name]), name)
-        globals()[name] = value  # cache: subsequent access skips __getattr__
-        return value
     if name in _DEPRECATED:
         module, attribute, replacement = _DEPRECATED[name]
         warnings.warn(
@@ -199,9 +200,6 @@ def __getattr__(name: str) -> object:
             stacklevel=2,
         )
         return getattr(import_module(module), attribute)
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    """Advertise the full facade surface to introspection."""
-    return sorted(set(globals()) | set(__all__))
+    value = _resolve(name)
+    globals()[name] = value  # cache: subsequent access skips __getattr__
+    return value

@@ -26,6 +26,10 @@ exploration engine:
 * ``python -m repro.dse`` — the ``run`` / ``report`` / ``list-scenarios``
   command line (worked example in ``docs/dse.md``).
 
+The names of :mod:`~repro.dse.search` and :mod:`~repro.dse.analysis` are
+resolved on first access, so a process that only runs sweeps never
+imports those two modules.
+
 Quickstart::
 
     from repro.dse import build_suite, get_suite, run_sweep, pareto_report, ResultCache
@@ -36,18 +40,7 @@ Quickstart::
     print(pareto_report(result.records))
 """
 
-from repro.dse.analysis import (
-    DEFAULT_MAXIMIZE,
-    DEFAULT_MINIMIZE,
-    custom_dominates_mesh,
-    dominates,
-    mesh_baseline_for,
-    normalize_to_mesh,
-    pareto_front,
-    pareto_report,
-    stage_reuse_summary,
-    truncated_cells,
-)
+from repro._lazy import lazy_attributes
 from repro.dse.cache import (
     PIPELINE_VERSION,
     ResultCache,
@@ -104,14 +97,6 @@ from repro.dse.runner import (
     run_cells,
     run_sweep,
 )
-from repro.dse.search import (
-    RungSpec,
-    SearchConfig,
-    SearchResult,
-    default_ladder,
-    margin_dominated,
-    run_search,
-)
 from repro.dse.scenarios import (
     FILE_SUITE_PREFIX,
     SUITES,
@@ -131,6 +116,40 @@ from repro.dse.scenarios import (
     scenario_rows,
     suite_names,
     tgff_scenario,
+)
+
+# the guided search and the Pareto analysis are not on a sweep's path:
+# their names import the defining module on first access
+__getattr__, __dir__ = lazy_attributes(
+    __name__,
+    {
+        **dict.fromkeys(
+            (
+                "DEFAULT_MAXIMIZE",
+                "DEFAULT_MINIMIZE",
+                "custom_dominates_mesh",
+                "dominates",
+                "mesh_baseline_for",
+                "normalize_to_mesh",
+                "pareto_front",
+                "pareto_report",
+                "stage_reuse_summary",
+                "truncated_cells",
+            ),
+            "repro.dse.analysis",
+        ),
+        **dict.fromkeys(
+            (
+                "RungSpec",
+                "SearchConfig",
+                "SearchResult",
+                "default_ladder",
+                "margin_dominated",
+                "run_search",
+            ),
+            "repro.dse.search",
+        ),
+    },
 )
 
 __all__ = [

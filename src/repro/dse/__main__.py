@@ -47,25 +47,11 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.dse.analysis import (
-    normalize_to_mesh,
-    pareto_report,
-    stage_reuse_summary,
-    truncated_cells,
-)
 from repro.dse.cache import ResultCache, StageArtifactStore
 from repro.dse.runner import run_sweep
 from repro.dse.scenarios import build_suite, describe_suites, resolve_suite, scenario_rows
 from repro.exceptions import ConfigurationError, ReproError
-from repro.obs import (
-    NULL_SESSION,
-    ObsSession,
-    get_exporter,
-    read_event_log,
-    render_trace_summary,
-    use_session,
-    write_event_log,
-)
+from repro.obs import NULL_SESSION, ObsSession, use_session
 
 DEFAULT_RESULTS = Path("dse_results") / "results.jsonl"
 #: stage artifacts default to a sibling directory of the results file
@@ -136,6 +122,8 @@ def _finish_sweep_output(arguments, cache, artifacts, session) -> None:
     if artifacts is not None:
         print(f"stage artifacts: {artifacts.describe()}")
     if arguments.trace is not None:
+        from repro.obs import write_event_log
+
         events = session.events()
         write_event_log(arguments.trace, events)
         print(f"trace: wrote {len(events)} events to {arguments.trace} "
@@ -245,18 +233,29 @@ def _cmd_search(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_trace(arguments: argparse.Namespace) -> int:
+    from repro.obs import read_event_log, render_trace_summary
+
     events = read_event_log(arguments.path)
     print(render_trace_summary(events, top=arguments.top))
     return 0
 
 
 def _cmd_stats(arguments: argparse.Namespace) -> int:
+    from repro.obs import get_exporter, read_event_log
+
     events = read_event_log(arguments.path)
     print(get_exporter(arguments.format).render(events))
     return 0
 
 
 def _cmd_report(arguments: argparse.Namespace) -> int:
+    from repro.dse.analysis import (
+        normalize_to_mesh,
+        pareto_report,
+        stage_reuse_summary,
+        truncated_cells,
+    )
+
     cache = ResultCache(arguments.results)
     records = cache.all_records()
     _report_skipped_lines(cache)

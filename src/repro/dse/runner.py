@@ -18,7 +18,6 @@ and serves buffer-capacity siblings exactly as a serial run does.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -372,6 +371,9 @@ def _run_cells_traced(
         for group in groups.values()
     ]
     if parallel and len(payloads) > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(_evaluate_group, payloads))
         evaluated_groups = [records for records, _ in outcomes]

@@ -1,45 +1,70 @@
 """Experiment drivers: one module per figure/table of the paper's evaluation,
-plus the ablations called out in DESIGN.md."""
+plus the ablations called out in DESIGN.md.
 
-from repro.experiments.ablation import (
-    AblationResult,
-    run_library_ablation,
-    run_strategy_ablation,
-    standard_ablation_acgs,
-)
-from repro.experiments.aes_experiment import (
-    PAPER_AES_COST,
-    PAPER_AES_PRIMITIVES,
-    AesSynthesisResult,
-    run_aes_synthesis,
-)
-from repro.experiments.comparison import (
-    PAPER_RESULTS,
-    ArchitectureMetrics,
-    PrototypeComparison,
-    evaluate_custom,
-    evaluate_fabric,
-    evaluate_mesh,
-    export_comparison_topologies,
-    run_prototype_comparison,
-)
-from repro.experiments.example_decomposition import (
-    EXPECTED_PRIMITIVE_COUNTS,
-    Figure5Result,
-    run_figure5_example,
-)
-from repro.experiments.reporting import (
-    format_series,
-    format_table,
-    improvement_factor,
-    percentage_change,
-    rows_to_csv,
-)
-from repro.experiments.runtime_sweep import (
-    RuntimePoint,
-    RuntimeSweepResult,
-    run_pajek_runtime_sweep,
-    run_tgff_runtime_sweep,
+Each driver module is imported on the first access of one of its names,
+so importing this package loads none of them."""
+
+from repro._lazy import lazy_attributes
+
+# each driver is imported on the first access of one of its names
+__getattr__, __dir__ = lazy_attributes(
+    __name__,
+    {
+        **dict.fromkeys(
+            (
+                "AblationResult",
+                "run_library_ablation",
+                "run_strategy_ablation",
+                "standard_ablation_acgs",
+            ),
+            "repro.experiments.ablation",
+        ),
+        **dict.fromkeys(
+            (
+                "PAPER_AES_COST",
+                "PAPER_AES_PRIMITIVES",
+                "AesSynthesisResult",
+                "run_aes_synthesis",
+            ),
+            "repro.experiments.aes_experiment",
+        ),
+        **dict.fromkeys(
+            (
+                "PAPER_RESULTS",
+                "ArchitectureMetrics",
+                "PrototypeComparison",
+                "evaluate_custom",
+                "evaluate_fabric",
+                "evaluate_mesh",
+                "export_comparison_topologies",
+                "run_prototype_comparison",
+            ),
+            "repro.experiments.comparison",
+        ),
+        **dict.fromkeys(
+            ("EXPECTED_PRIMITIVE_COUNTS", "Figure5Result", "run_figure5_example"),
+            "repro.experiments.example_decomposition",
+        ),
+        **dict.fromkeys(
+            (
+                "format_series",
+                "format_table",
+                "improvement_factor",
+                "percentage_change",
+                "rows_to_csv",
+            ),
+            "repro.experiments.reporting",
+        ),
+        **dict.fromkeys(
+            (
+                "RuntimePoint",
+                "RuntimeSweepResult",
+                "run_pajek_runtime_sweep",
+                "run_tgff_runtime_sweep",
+            ),
+            "repro.experiments.runtime_sweep",
+        ),
+    },
 )
 
 __all__ = [

@@ -20,7 +20,6 @@ wall-clock jitter.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import mean
 from collections.abc import Iterable, Sequence
@@ -164,6 +163,9 @@ def run_sweep(
     payloads = [(name, acg, library, cost_model, config) for name, acg in named_graphs]
     result = RuntimeSweepResult()
     if parallel and len(payloads) > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             result.points.extend(pool.map(_run_one_point, payloads))
     else:

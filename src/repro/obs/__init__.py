@@ -11,7 +11,8 @@ The three pillars:
   spans, serializable across process-pool workers;
 * **metrics** (:mod:`repro.obs.metrics`) — labelled counters / gauges /
   histograms on the :class:`~repro.plugins.Registry` kernel, rendered by
-  the pluggable exporters in :mod:`repro.obs.export`;
+  the pluggable exporters in :mod:`repro.obs.export` (imported on the
+  first access of one of its names);
 * **probes** (:mod:`repro.obs.probes`) — opt-in per-router / per-channel
   simulator instrumentation whose figures are bit-identical across both
   engines.
@@ -20,20 +21,7 @@ See ``docs/observability.md`` for the API tour, the exporter formats and
 the measured overhead numbers.
 """
 
-from repro.obs.export import (
-    EXPORTERS,
-    STAGE_SPAN_NAMES,
-    ExporterSpec,
-    exporter_names,
-    get_exporter,
-    read_event_log,
-    register_exporter,
-    render_jsonl,
-    render_prometheus,
-    render_summary,
-    render_trace_summary,
-    write_event_log,
-)
+from repro._lazy import lazy_attributes
 from repro.obs.metrics import (
     METRIC_EVENT,
     Counter,
@@ -57,6 +45,28 @@ from repro.obs.tracer import (
     Tracer,
     annotate,
     current_span,
+)
+
+# the exporters are only read when events are written or rendered
+__getattr__, __dir__ = lazy_attributes(
+    __name__,
+    dict.fromkeys(
+        (
+            "EXPORTERS",
+            "STAGE_SPAN_NAMES",
+            "ExporterSpec",
+            "exporter_names",
+            "get_exporter",
+            "read_event_log",
+            "register_exporter",
+            "render_jsonl",
+            "render_prometheus",
+            "render_summary",
+            "render_trace_summary",
+            "write_event_log",
+        ),
+        "repro.obs.export",
+    ),
 )
 
 __all__ = [

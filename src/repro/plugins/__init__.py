@@ -12,22 +12,32 @@ contract:
 * **third-party discovery** through the ``repro.plugins`` entry-point
   group (:data:`ENTRY_POINT_GROUP`), loaded lazily on the first lookup
   miss or listing, so external packages extend sweeps without touching
-  ``repro.*``;
+  ``repro.*`` (importing this package does not load
+  :mod:`repro.plugins.discovery`: its names resolve on first access);
 * **provenance**: names registered by a plugin are tagged with the
   providing distribution.
 
 See ``docs/plugins.md`` for the worked third-party example.
 """
 
-from repro.plugins.discovery import (
-    ENTRY_POINT_GROUP,
-    PluginFailure,
-    discover,
-    discovered_plugins,
-    plugin_failures,
-    reset_discovery,
-)
+from repro._lazy import lazy_attributes
 from repro.plugins.registry import BUILTIN_PROVIDER, Registry, providing
+
+# the discovery names load importlib.metadata, so they resolve on first use
+__getattr__, __dir__ = lazy_attributes(
+    __name__,
+    dict.fromkeys(
+        (
+            "ENTRY_POINT_GROUP",
+            "PluginFailure",
+            "discover",
+            "discovered_plugins",
+            "plugin_failures",
+            "reset_discovery",
+        ),
+        "repro.plugins.discovery",
+    ),
+)
 
 __all__ = [
     "Registry",
