@@ -118,18 +118,26 @@ def _content_hash(payload: dict[str, object], **spliced: str) -> str:
 
 
 class _Fingerprints:
-    """Scenario fingerprints as canonical JSON, each serialized once.
+    """Scenario fingerprints as canonical JSON, each serialized once, and
+    the content keys built from them, each hashed once.
 
     The workload graph's part is shared by every scenario over the same
     graph object (a search's capped rung variants share it).  Each memo
     holds its scenarios and graphs, so no other object can take over
     their ids while it lives.  It sees no mutation of a graph it has read,
     so it lives for one sweep or search (:func:`fingerprint_scope`).
+
+    ``digests`` maps a key's inputs to its hex digest: the key kind, the
+    spliced fingerprint text and the settings payload's names and value
+    ``repr``s.  ``repr`` tells apart every pair of values that the
+    canonical JSON tells apart (``2`` and ``2.0``, ``0.0`` and ``-0.0``,
+    ``1`` and ``True``), which the values themselves do not as dict keys.
     """
 
     def __init__(self) -> None:
         self._workloads: dict[int, tuple[ApplicationGraph, dict[str, str]]] = {}
         self._scenarios: dict[int, tuple[Scenario, str, str]] = {}
+        self.digests: dict[tuple[object, ...], str] = {}
 
     def texts(self, scenario: Scenario) -> tuple[str, str]:
         """``(fingerprint, structural fingerprint)`` as canonical JSON."""
@@ -157,7 +165,8 @@ _FINGERPRINTS: ContextVar[_Fingerprints | None] = ContextVar(
 
 @contextmanager
 def fingerprint_scope() -> Iterator[None]:
-    """Serialize each scenario's fingerprint at most once inside the block.
+    """Serialize each scenario's fingerprint, and hash each distinct key,
+    at most once inside the block.
 
     The key functions below read the active memo; a nested scope shares
     the outermost one.  The memo is context-local and dropped when the
@@ -175,6 +184,29 @@ def fingerprint_scope() -> Iterator[None]:
         _FINGERPRINTS.reset(token)
 
 
+def _stage_digest(
+    stage: str | None, settings: dict[str, object], spliced_name: str, spliced: str
+) -> str:
+    """The content hash of one key, from the active memo if any.
+
+    ``stage`` is None for a cell key; ``spliced`` is the scenario's
+    fingerprint text, spliced into the hashed object as ``spliced_name``.
+    """
+    memo = _FINGERPRINTS.get()
+    if memo is not None:
+        memo_key = (stage, spliced, tuple(settings), tuple(map(repr, settings.values())))
+        digest = memo.digests.get(memo_key)
+        if digest is not None:
+            return digest
+    payload: dict[str, object] = {"pipeline_version": PIPELINE_VERSION, "settings": settings}
+    if stage is not None:
+        payload["stage"] = stage
+    digest = _content_hash(payload, **{spliced_name: spliced})
+    if memo is not None:
+        memo.digests[memo_key] = digest
+    return digest
+
+
 def _fingerprint_texts(scenario: Scenario) -> tuple[str, str]:
     """The scenario's fingerprint texts, from the active memo if any."""
     return (_FINGERPRINTS.get() or _Fingerprints()).texts(scenario)
@@ -184,13 +216,7 @@ def cache_key(scenario: Scenario, settings: EvaluationSettings) -> str:
     """Stable content hash of one (scenario, configuration) cell."""
     effective = scenario.effective_settings(settings)
     fingerprint, _ = _fingerprint_texts(scenario)
-    return _content_hash(
-        {
-            "pipeline_version": PIPELINE_VERSION,
-            "settings": effective.canonical_dict(),
-        },
-        scenario=fingerprint,
-    )
+    return _stage_digest(None, effective.canonical_dict(), "scenario", fingerprint)
 
 
 def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str:
@@ -204,13 +230,8 @@ def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) ->
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _content_hash(
-        {
-            "pipeline_version": PIPELINE_VERSION,
-            "stage": "decompose",
-            "settings": effective.decomposition_stage_dict(),
-        },
-        workload=workload,
+    return _stage_digest(
+        "decompose", effective.decomposition_stage_dict(), "workload", workload
     )
 
 
@@ -225,14 +246,7 @@ def synthesis_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _content_hash(
-        {
-            "pipeline_version": PIPELINE_VERSION,
-            "stage": "synthesize",
-            "settings": effective.synthesis_stage_dict(),
-        },
-        workload=workload,
-    )
+    return _stage_digest("synthesize", effective.synthesis_stage_dict(), "workload", workload)
 
 
 class ResultCache:
