@@ -347,6 +347,7 @@ class Decomposer:
                 timeout_seconds=self.config.isomorphism_timeout_seconds,
                 deduplicate_by_edges=True,
             ),
+            entry.pattern_plan,
         )
         mappings = matcher.find_all(limit=limit)
         if matcher.timed_out:

@@ -501,6 +501,22 @@ class EdgeIndex:
             self.successor_masks[source] |= 1 << target
             self.predecessor_masks[target] |= 1 << source
             self.edge_masks[source][target] = 1 << index
+        self._hosts: dict[tuple[int, int], int] = {}
+
+    def hosts(self, degrees: tuple[int, int]) -> int:
+        """The node positions with at least ``degrees`` ``(out, in)``
+        neighbours, as a mask (memoized: every VF2 query on the index asks)."""
+        hosts = self._hosts.get(degrees)
+        if hosts is None:
+            wanted_out, wanted_in = degrees
+            hosts = self._hosts[degrees] = sum(
+                1 << position
+                for position, (out_mask, in_mask) in enumerate(
+                    zip(self.successor_masks, self.predecessor_masks)
+                )
+                if out_mask.bit_count() >= wanted_out and in_mask.bit_count() >= wanted_in
+            )
+        return hosts
 
     def mask_of(self, edges: Iterable[Edge]) -> int:
         """The mask of an edge subset (``KeyError`` for an unknown edge)."""

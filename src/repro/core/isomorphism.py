@@ -108,6 +108,54 @@ class SearchTimeout(Exception):
     """Internal signal: the wall-clock budget for this search is exhausted."""
 
 
+class PatternPlan:
+    """The half of a VF2 search that only the pattern decides.
+
+    Built once per pattern and reused by every matcher over it (a library
+    entry keeps one, :attr:`repro.core.library.LibraryEntry.pattern_plan`);
+    a matcher binds it to its target's masks.  The pattern must not change
+    while a plan of it is in use.
+
+    ``order`` is the search order: most-constrained first (highest total
+    degree, ties by ``repr``), which keeps the search shallow for the dense
+    gossip patterns.  Per depth, ``degrees`` is the ``(out, in)`` degree
+    its host must have, ``required`` the ``(earlier depth, outgoing)``
+    pairs its image must be a successor (``outgoing``) or predecessor of,
+    and ``non_adjacent`` the pairs an induced match forbids.  ``edges``
+    are the pattern edges as depth pairs, and ``assignment_order`` lists
+    the depths in the order :meth:`IsomorphismMapping.from_dict` sorts
+    their nodes.
+    """
+
+    __slots__ = ("order", "degrees", "required", "non_adjacent", "edges", "assignment_order")
+
+    def __init__(self, pattern: DiGraph) -> None:
+        order = self.order = tuple(
+            sorted(pattern.nodes(), key=lambda n: (-pattern.degree(n), repr(n)))
+        )
+        self.degrees = tuple(
+            (pattern.out_degree(node), pattern.in_degree(node)) for node in order
+        )
+        required: list[tuple[tuple[int, bool], ...]] = []
+        non_adjacent: list[tuple[tuple[int, bool], ...]] = []
+        for depth, node in enumerate(order):
+            linked: list[tuple[int, bool]] = []
+            unlinked: list[tuple[int, bool]] = []
+            for earlier, mapped in enumerate(order[:depth]):
+                for has_edge, outgoing in (
+                    (pattern.has_edge(mapped, node), True),
+                    (pattern.has_edge(node, mapped), False),
+                ):
+                    (linked if has_edge else unlinked).append((earlier, outgoing))
+            required.append(tuple(linked))
+            non_adjacent.append(tuple(unlinked))
+        self.required = tuple(required)
+        self.non_adjacent = tuple(non_adjacent)
+        depth_of = {node: depth for depth, node in enumerate(order)}
+        self.edges = tuple((depth_of[source], depth_of[sink]) for source, sink in pattern.edges())
+        self.assignment_order = tuple(sorted(range(len(order)), key=lambda k: repr(order[k])))
+
+
 class VF2Matcher:
     """VF2-style state-space search for directed (sub)graph isomorphism.
 
@@ -121,6 +169,9 @@ class VF2Matcher:
         target then share its node and edge masks.
     options:
         Matching semantics and limits; see :class:`MatcherOptions`.
+    plan:
+        The pattern's :class:`PatternPlan`, when the caller keeps one;
+        built here otherwise.
 
     Target nodes are bit positions in the target's node order, so every
     candidate set is one ``int``: the pattern node placed at a depth may go
@@ -135,69 +186,41 @@ class VF2Matcher:
         pattern: DiGraph,
         target: DiGraph | EdgeIndex,
         options: MatcherOptions | None = None,
+        plan: PatternPlan | None = None,
     ) -> None:
         index = target if isinstance(target, EdgeIndex) else EdgeIndex(target)
         self.pattern = pattern
         self.target = index.graph
         self.options = options or MatcherOptions()
-        # Pattern nodes in a fixed search order: most-constrained first
-        # (highest total degree), which keeps the search shallow for the
-        # dense gossip patterns.
-        order = self._pattern_order = sorted(
-            pattern.nodes(), key=lambda n: (-pattern.degree(n), repr(n))
-        )
+        plan = plan or PatternPlan(pattern)
+        order = self._pattern_order = plan.order
         targets = self._target_order = index.nodes
         successors = index.successor_masks
         predecessors = index.predecessor_masks
         # source position -> target position -> the edge's mask
         self._edge_masks = index.edge_masks
-        degrees = [
-            (out_mask.bit_count(), in_mask.bit_count())
-            for out_mask, in_mask in zip(successors, predecessors)
-        ]
-        # (pattern out-degree, in-degree) -> the target nodes with both
-        hosts_by_degree: dict[tuple[int, int], int] = {}
-        compatible = self.options.node_compatible
+        tables = (predecessors, successors)
         # Per depth: the target nodes with the degrees to host the pattern
         # node (a monomorphism gives every pattern edge a distinct target
         # edge), then the (earlier depth, mask table) pairs its image must
         # lie in, and -- induced only -- the ones it must avoid.
-        self._hosts: list[int] = []
-        self._required: list[list[tuple[int, list[int]]]] = []
-        self._forbidden: list[list[tuple[int, list[int]]]] = []
-        for depth, pattern_node in enumerate(order):
-            wanted = (pattern.out_degree(pattern_node), pattern.in_degree(pattern_node))
-            hosts = hosts_by_degree.get(wanted)
-            if hosts is None:
-                hosts = hosts_by_degree[wanted] = sum(
-                    1 << position
-                    for position, (out_degree, in_degree) in enumerate(degrees)
-                    if out_degree >= wanted[0] and in_degree >= wanted[1]
-                )
-            if compatible is not None:
+        self._hosts = [index.hosts(wanted) for wanted in plan.degrees]
+        compatible = self.options.node_compatible
+        if compatible is not None:
+            for depth, pattern_node in enumerate(order):
                 for position, target_node in enumerate(targets):
                     if not compatible(pattern_node, target_node):
-                        hosts &= ~(1 << position)
-            self._hosts.append(hosts)
-            required: list[tuple[int, list[int]]] = []
-            forbidden: list[tuple[int, list[int]]] = []
-            for earlier, mapped in enumerate(order[:depth]):
-                for has_edge, table in (
-                    (pattern.has_edge(mapped, pattern_node), successors),
-                    (pattern.has_edge(pattern_node, mapped), predecessors),
-                ):
-                    if has_edge:
-                        required.append((earlier, table))
-                    elif self.options.induced:
-                        forbidden.append((earlier, table))
-            self._required.append(required)
-            self._forbidden.append(forbidden)
-        self._pattern_edges = [
-            (order.index(source), order.index(target_node))
-            for source, target_node in pattern.edges()
+                        self._hosts[depth] &= ~(1 << position)
+        self._required = [
+            [(earlier, tables[outgoing]) for earlier, outgoing in row] for row in plan.required
         ]
-        # depths in the order IsomorphismMapping.from_dict sorts their nodes
-        self._assignment_order = sorted(range(len(order)), key=lambda k: repr(order[k]))
+        self._forbidden = [
+            [(earlier, tables[outgoing]) for earlier, outgoing in row] if self.options.induced
+            else []
+            for row in plan.non_adjacent
+        ]
+        self._pattern_edges = plan.edges
+        self._assignment_order = plan.assignment_order
         self._deadline: float | None = None
         self._states_explored = 0
         self._timed_out = False

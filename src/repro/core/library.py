@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+
+from repro.core.isomorphism import PatternPlan
 
 from repro.core.primitives import (
     CommunicationPrimitive,
@@ -48,6 +51,15 @@ class LibraryEntry:
     def size(self) -> int:
         """Number of nodes of the primitive."""
         return self.primitive.size
+
+    @cached_property
+    def pattern_plan(self) -> PatternPlan:
+        """The pattern half of a VF2 search for this primitive, built once.
+
+        Every query of the primitive binds it to its own target, so an
+        entry's representation graph must not change once it is read.
+        """
+        return PatternPlan(self.primitive.representation)
 
 
 class CommunicationLibrary:
