@@ -19,6 +19,12 @@ checkouts' ``src/`` and ``perfbench/`` are byte-compiled with ``python -m
 compileall -q`` (with ``PYTHONDONTWRITEBYTECODE`` removed from that
 command's environment, since it would leave nothing written): a stale or
 missing bytecode cache on one side shows up as a setup difference.
+
+``--no-compile`` measures the other condition, a checkout that has no
+bytecode cache and writes none: it skips the compile step, runs every
+side with ``PYTHONDONTWRITEBYTECODE=1``, and warns when either checkout
+already holds a ``__pycache__`` under ``src/`` or ``perfbench/`` (remove
+it, or A/B two fresh copies, for a like-for-like ``setup_s``).
 """
 
 from __future__ import annotations
@@ -42,13 +48,24 @@ def compile_checkout(checkout: Path) -> None:
     subprocess.run(command, cwd=checkout, env=env, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under a checkout's ``src/`` and ``perfbench/``."""
+    return [
+        path
+        for top in ("src", "perfbench")
+        for path in sorted((checkout / top).rglob("__pycache__"))
+    ]
+
+
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, env: dict[str, str] | None = None
+) -> dict | None:
     """One untraced perfbench run; its final JSON line, or None."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -102,17 +119,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
     parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument(
+        "--no-compile", action="store_true",
+        help="skip byte-compiling; run both sides with PYTHONDONTWRITEBYTECODE=1",
+    )
     args = parser.parse_args(argv)
 
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for checkout in checkouts.values():
-        compile_checkout(checkout)
+    env = None
+    if args.no_compile:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        for side, checkout in checkouts.items():
+            caches = bytecode_caches(checkout)
+            if caches:
+                print(
+                    f"warning: --no-compile, but the {side} checkout holds {len(caches)} "
+                    f"__pycache__ director{'y' if len(caches) == 1 else 'ies'} "
+                    f"(first: {caches[0]}); its setup_s reads them",
+                    file=sys.stderr,
+                )
+    else:
+        for checkout in checkouts.values():
+            compile_checkout(checkout)
     ok = True
     for pair, seed in enumerate(args.seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for turn, side in enumerate(order, 1):
-            result = run_once(checkouts[side], args.workload, seed, args.seconds)
+            result = run_once(checkouts[side], args.workload, seed, args.seconds, env)
             if result is None or not result.get("correct"):
                 print(f"{side} seed {seed}: run failed or read correct: false", file=sys.stderr)
                 ok = False
@@ -124,7 +158,10 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
     if ok:
-        print(f"{args.workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}")
+        condition = "no bytecode cache" if args.no_compile else "byte-compiled"
+        print(
+            f"{args.workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}, {condition}"
+        )
         print("\n".join(summarize(runs, directions(checkouts["head"]))))
     return 0 if ok else 1
 
