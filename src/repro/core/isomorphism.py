@@ -195,11 +195,11 @@ class VF2Matcher:
         plan = plan or PatternPlan(pattern)
         order = self._pattern_order = plan.order
         targets = self._target_order = index.nodes
-        successors = index.successor_masks
-        predecessors = index.predecessor_masks
         # source position -> target position -> the edge's mask
         self._edge_masks = index.edge_masks
-        tables = (predecessors, successors)
+        # indexed by ``outgoing``: an image must be a predecessor (False) or
+        # a successor (True) of the earlier depth's image
+        tables = (index.predecessor_masks, index.successor_masks)
         # Per depth: the target nodes with the degrees to host the pattern
         # node (a monomorphism gives every pattern edge a distinct target
         # edge), then the (earlier depth, mask table) pairs its image must
@@ -211,14 +211,12 @@ class VF2Matcher:
                 for position, target_node in enumerate(targets):
                     if not compatible(pattern_node, target_node):
                         self._hosts[depth] &= ~(1 << position)
-        self._required = [
-            [(earlier, tables[outgoing]) for earlier, outgoing in row] for row in plan.required
-        ]
-        self._forbidden = [
-            [(earlier, tables[outgoing]) for earlier, outgoing in row] if self.options.induced
-            else []
-            for row in plan.non_adjacent
-        ]
+
+        def bound(rows: tuple[tuple[tuple[int, bool], ...], ...]) -> list:
+            return [[(earlier, tables[outgoing]) for earlier, outgoing in row] for row in rows]
+
+        self._required = bound(plan.required)
+        self._forbidden = bound(plan.non_adjacent) if self.options.induced else [[] for _ in order]
         self._pattern_edges = plan.edges
         self._assignment_order = plan.assignment_order
         self._deadline: float | None = None

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.isomorphism import PatternPlan
-
 from repro.core.primitives import (
     CommunicationPrimitive,
     PrimitiveKind,

@@ -184,7 +184,7 @@ def fingerprint_scope() -> Iterator[None]:
         _FINGERPRINTS.reset(token)
 
 
-def _stage_digest(
+def _key_digest(
     stage: str | None, settings: dict[str, object], spliced_name: str, spliced: str
 ) -> str:
     """The content hash of one key, from the active memo if any.
@@ -216,7 +216,7 @@ def cache_key(scenario: Scenario, settings: EvaluationSettings) -> str:
     """Stable content hash of one (scenario, configuration) cell."""
     effective = scenario.effective_settings(settings)
     fingerprint, _ = _fingerprint_texts(scenario)
-    return _stage_digest(None, effective.canonical_dict(), "scenario", fingerprint)
+    return _key_digest(None, effective.canonical_dict(), "scenario", fingerprint)
 
 
 def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str:
@@ -230,9 +230,7 @@ def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) ->
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _stage_digest(
-        "decompose", effective.decomposition_stage_dict(), "workload", workload
-    )
+    return _key_digest("decompose", effective.decomposition_stage_dict(), "workload", workload)
 
 
 def synthesis_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str:
@@ -246,7 +244,7 @@ def synthesis_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _stage_digest("synthesize", effective.synthesis_stage_dict(), "workload", workload)
+    return _key_digest("synthesize", effective.synthesis_stage_dict(), "workload", workload)
 
 
 class ResultCache:
