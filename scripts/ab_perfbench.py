@@ -48,13 +48,9 @@ def compile_checkout(checkout: Path) -> None:
     subprocess.run(command, cwd=checkout, env=env, check=True)
 
 
-def bytecode_caches(checkout: Path) -> list[Path]:
-    """The ``__pycache__`` directories under a checkout's ``src/`` and ``perfbench/``."""
-    return [
-        path
-        for top in ("src", "perfbench")
-        for path in sorted((checkout / top).rglob("__pycache__"))
-    ]
+def holds_bytecode(checkout: Path) -> bool:
+    """Whether a checkout's ``src/`` or ``perfbench/`` holds a ``__pycache__``."""
+    return any(any((checkout / top).rglob("__pycache__")) for top in ("src", "perfbench"))
 
 
 def run_once(
@@ -131,12 +127,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_compile:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         for side, checkout in checkouts.items():
-            caches = bytecode_caches(checkout)
-            if caches:
+            if holds_bytecode(checkout):
                 print(
-                    f"warning: --no-compile, but the {side} checkout holds {len(caches)} "
-                    f"__pycache__ director{'y' if len(caches) == 1 else 'ies'} "
-                    f"(first: {caches[0]}); its setup_s reads them",
+                    f"warning: --no-compile, but the {side} checkout {checkout} holds a "
+                    "__pycache__ under src/ or perfbench/: its setup_s reads that bytecode",
                     file=sys.stderr,
                 )
     else:
