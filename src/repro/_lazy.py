@@ -2,7 +2,7 @@
 
 A facade re-exports names from modules that many processes never call:
 ``repro.dse`` the guided search and the Pareto analysis, ``repro.obs``
-the exporters, ``repro.experiments`` every figure driver,
+the exporters, ``repro.experiments`` every figure's experiment,
 ``repro.plugins`` the entry-point scan, ``repro.api`` the whole library.
 :func:`lazy_attributes` gives such a facade its module ``__getattr__``
 and ``__dir__``: the defining module is imported on the first access of

@@ -1,12 +1,12 @@
 """Experiment drivers: one module per figure/table of the paper's evaluation,
 plus the ablations called out in DESIGN.md.
 
-Each driver module is imported on the first access of one of its names,
+Each experiment module is imported on the first access of one of its names,
 so importing this package loads none of them."""
 
 from repro._lazy import lazy_attributes
 
-# each driver is imported on the first access of one of its names
+# each experiment module is imported on the first access of one of its names
 __getattr__, __dir__ = lazy_attributes(
     __name__,
     {

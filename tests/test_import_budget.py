@@ -59,15 +59,17 @@ def test_importing_a_package_loads_no_heavy_module(package):
 
 
 def test_a_serial_sweep_loads_no_pool_and_discovers_at_the_first_listing():
+    """Planning loads no discovery; the first registry listing does."""
     script = "\n".join(
         [
             "import sys",
             "from repro.dse import SCORES, get_suite, plan_sweep, run_cells",
+            "spec = get_suite('smoke')",
+            "cells = plan_sweep(spec.build(), spec.base_settings, spec.default_axes)",
             "print('discovery' if 'repro.plugins.discovery' in sys.modules else 'lazy')",
             "SCORES.names()",
             "print('discovery' if 'repro.plugins.discovery' in sys.modules else 'lazy')",
-            "spec = get_suite('smoke')",
-            "result = run_cells(plan_sweep(spec.build(), spec.base_settings, spec.default_axes))",
+            "result = run_cells(cells)",
             "assert result.records and all(r.succeeded for r in result.records)",
             loaded(POOL),
         ]
