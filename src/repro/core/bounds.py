@@ -184,13 +184,17 @@ class ResidualBound:
     cache; ``prune_reason`` is the branch-and-bound entry point: it returns
     the name of the bound that proves ``cost(residual) >= target`` (so the
     branch cannot beat the incumbent), or ``None`` when no prune is proven.
+    A miss sums the bound's ``charges`` (:func:`bound_charges`), which are a
+    pure function of the residual: every search of one ACG may share them,
+    while the bound cache and its counters stay with the search.
     """
 
     name: str = "bound"
 
-    def __init__(self, statistics=None) -> None:
+    def __init__(self, statistics=None, charges=None) -> None:
         self._cache: dict[int, float] = {}
         self._statistics = statistics
+        self.charges = charges
 
     def value(self, residual: int) -> float:
         """Memoized admissible lower bound on the residual's coverage cost."""
@@ -201,7 +205,7 @@ class ResidualBound:
             return cached
         if self._statistics is not None:
             self._statistics.bound_cache_misses += 1
-        computed = self._compute(residual)
+        computed = self.charges.total(residual)
         self._cache[residual] = computed
         return computed
 
@@ -213,12 +217,9 @@ class ResidualBound:
             return self.name
         return None
 
-    def _compute(self, residual: int) -> float:
-        raise NotImplementedError
 
-
-class CostModelBound(ResidualBound):
-    """The legacy coarse bound: :meth:`CostModel.lower_bound` of the residual.
+class CostModelCharges:
+    """The ``cost_model`` bound's per-edge terms over one :class:`EdgeIndex`.
 
     A model that keeps the base ``lower_bound`` (every built-in one) is
     summed over the mask from its :meth:`CostModel.edge_lower_bound`
@@ -226,15 +227,10 @@ class CostModelBound(ResidualBound):
     handed the residual as a graph.
     """
 
-    name = "cost_model"
-
-    def __init__(
-        self, cost_model, acg: ApplicationGraph, statistics=None, index: EdgeIndex | None = None
-    ) -> None:
-        super().__init__(statistics)
+    def __init__(self, cost_model, acg: ApplicationGraph, index: EdgeIndex) -> None:
         self._cost_model = cost_model
         self._acg = acg
-        self.index = index or EdgeIndex(acg)
+        self.index = index
         # per edge: (its term without, then with its reverse in the residual)
         self._charges: list[tuple[float, float]] | None = None
         if type(cost_model).lower_bound is CostModel.lower_bound:
@@ -243,10 +239,11 @@ class CostModelBound(ResidualBound):
                     cost_model.edge_lower_bound(acg, edge, False),
                     cost_model.edge_lower_bound(acg, edge, True),
                 )
-                for edge in self.index.edges
+                for edge in index.edges
             ]
 
-    def _compute(self, residual: int) -> float:
+    def total(self, residual: int) -> float:
+        """The bound's value on the residual edge mask ``residual``."""
         charges = self._charges
         if charges is None:
             return self._cost_model.lower_bound(self.index.graph_of(residual), self._acg)
@@ -261,15 +258,8 @@ class CostModelBound(ResidualBound):
         return total
 
 
-class CheapestEdgeBound(ResidualBound):
-    """Per-edge cheapest-cover bound over the library's offer table.
-
-    Every residual edge is charged the minimum over (a) its remainder
-    charge and (b) the charge of every cover offer that is still feasible
-    for it (pairing + endpoint degrees).  Distinct edges are covered by
-    distinct positions, flat matching costs distribute exactly over their
-    requirement edges, and additive models charge each covered edge its own
-    route — so the per-edge minima sum to an admissible bound.
+class EdgeCharges:
+    """The ``cheapest_edge`` bound's per-edge charges over one :class:`EdgeIndex`.
 
     An edge's charge depends only on the residual's edges at its two
     endpoints, so it is memoized per (edge, residual restricted to those
@@ -278,21 +268,11 @@ class CheapestEdgeBound(ResidualBound):
     is memoized per (edge, signature) as well.
     """
 
-    name = "cheapest_edge"
-
-    def __init__(
-        self,
-        tables: BoundTables,
-        cost_model,
-        acg,
-        statistics=None,
-        index: EdgeIndex | None = None,
-    ) -> None:
-        super().__init__(statistics)
-        self._tables = tables
+    def __init__(self, tables: BoundTables, cost_model, acg, index: EdgeIndex) -> None:
+        self.tables = tables
         self._cost_model = cost_model
         self._acg = acg
-        index = self.index = index or EdgeIndex(acg)
+        self.index = index
         incident = self._incident = [
             out | into for out, into in zip(index.out_masks, index.in_masks)
         ]
@@ -309,12 +289,13 @@ class CheapestEdgeBound(ResidualBound):
         self._charge_by_signature: dict[tuple[int, tuple], float] = {}
         # (paired, source degrees, target degrees) -> the offers feasible for
         # an edge with that signature, in table order; residuals share few
-        # signatures, so each offer scan runs once per search
+        # signatures, so each offer scan runs once per ACG
         self._feasible_offers: dict[
             tuple[bool, tuple[int, int, int], tuple[int, int, int]], tuple[CoverOffer, ...]
         ] = {}
 
-    def _compute(self, residual: int) -> float:
+    def total(self, residual: int) -> float:
+        """The bound's value on the residual edge mask ``residual``."""
         local = self._local
         charge_by_local = self._charge_by_local
         total = 0.0
@@ -356,7 +337,7 @@ class CheapestEdgeBound(ResidualBound):
             if feasible is None:
                 feasible = tuple(
                     offer
-                    for offer in self._tables.offers
+                    for offer in self.tables.offers
                     if offer.feasible(is_bidirectional, source_degrees, target_degrees)
                 )
                 self._feasible_offers[signature] = feasible
@@ -374,6 +355,55 @@ class CheapestEdgeBound(ResidualBound):
             self._charge_by_signature[edge, signature] = cheapest
         self._charge_by_local[edge][residual & self._local[edge]] = cheapest
         return cheapest
+
+
+class CostModelBound(ResidualBound):
+    """The legacy coarse bound: :meth:`CostModel.lower_bound` of the residual,
+    summed from :class:`CostModelCharges` (built when not given)."""
+
+    name = "cost_model"
+
+    def __init__(
+        self,
+        cost_model,
+        acg: ApplicationGraph,
+        statistics=None,
+        index: EdgeIndex | None = None,
+        charges: CostModelCharges | None = None,
+    ) -> None:
+        if charges is None:
+            charges = CostModelCharges(cost_model, acg, index or EdgeIndex(acg))
+        super().__init__(statistics, charges)
+        self.index = charges.index
+
+
+class CheapestEdgeBound(ResidualBound):
+    """Per-edge cheapest-cover bound over the library's offer table.
+
+    Every residual edge is charged the minimum over (a) its remainder
+    charge and (b) the charge of every cover offer that is still feasible
+    for it (pairing + endpoint degrees).  Distinct edges are covered by
+    distinct positions, flat matching costs distribute exactly over their
+    requirement edges, and additive models charge each covered edge its own
+    route — so the per-edge minima sum to an admissible bound.  The
+    charges are memoized in :class:`EdgeCharges` (built when not given).
+    """
+
+    name = "cheapest_edge"
+
+    def __init__(
+        self,
+        tables: BoundTables,
+        cost_model,
+        acg,
+        statistics=None,
+        index: EdgeIndex | None = None,
+        charges: EdgeCharges | None = None,
+    ) -> None:
+        if charges is None:
+            charges = EdgeCharges(tables, cost_model, acg, index or EdgeIndex(acg))
+        super().__init__(statistics, charges)
+        self.index = charges.index
 
 
 class StackedBound(ResidualBound):
@@ -403,6 +433,21 @@ class StackedBound(ResidualBound):
         return None
 
 
+def bound_charges(
+    name: str, library, cost_model, acg: ApplicationGraph, index: EdgeIndex
+) -> CostModelCharges | EdgeCharges:
+    """The per-edge tables of the bound selected by ``name``, over ``index``.
+
+    They are a pure function of the residual mask, so every search over
+    the same (ACG, library, cost model) may share them.  Raises
+    :class:`DecompositionError` for unknown names.
+    """
+    check_bound_name(name)
+    if name == "cost_model":
+        return CostModelCharges(cost_model, acg, index)
+    return EdgeCharges(bound_tables(library, cost_model), cost_model, acg, index)
+
+
 def build_lower_bound(
     name: str,
     library,
@@ -410,17 +455,20 @@ def build_lower_bound(
     acg: ApplicationGraph,
     statistics=None,
     index: EdgeIndex | None = None,
+    charges: CostModelCharges | EdgeCharges | None = None,
 ) -> ResidualBound:
     """Construct the residual bound selected by ``name``.
 
     ``statistics`` (a :class:`SearchStatistics`) receives the bound-cache
     hit/miss counters.  Residual masks are over ``index``, an
-    :class:`EdgeIndex` of ``acg`` (built when not given).  Raises
+    :class:`EdgeIndex` of ``acg`` (built when not given).  ``charges`` are
+    the bound's :func:`bound_charges` (built when not given), which a
+    search shares with the others of its basis.  Raises
     :class:`DecompositionError` for unknown names.
     """
     check_bound_name(name)
+    if charges is None:
+        charges = bound_charges(name, library, cost_model, acg, index or EdgeIndex(acg))
     if name == "cost_model":
-        return CostModelBound(cost_model, acg, statistics, index)
-    return CheapestEdgeBound(
-        bound_tables(library, cost_model), cost_model, acg, statistics, index
-    )
+        return CostModelBound(cost_model, acg, statistics, charges=charges)
+    return CheapestEdgeBound(charges.tables, cost_model, acg, statistics, charges=charges)

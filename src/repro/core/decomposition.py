@@ -31,12 +31,19 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from repro.core.bounds import ResidualBound, build_lower_bound, check_bound_name
+from repro.core.bounds import (
+    CostModelCharges,
+    EdgeCharges,
+    ResidualBound,
+    bound_charges,
+    build_lower_bound,
+    check_bound_name,
+)
 from repro.core.cost import CostModel, LinkCountCostModel, default_cost_model
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.isomorphism import IsomorphismMapping, MatcherOptions, VF2Matcher
@@ -384,16 +391,23 @@ class Decomposer:
         result.validate_cover()
         return result
 
-    def decompose(self, acg: ApplicationGraph) -> DecompositionResult:  # pragma: no cover
-        """Cover ``acg`` with library primitives (engine-specific)."""
+    def decompose(
+        self, acg: ApplicationGraph, memo: dict | None = None
+    ) -> DecompositionResult:  # pragma: no cover
+        """Cover ``acg`` with library primitives (engine-specific).
+
+        ``memo`` is a dict the caller owns, in which searches may share
+        work that does not depend on their budgets (:class:`SearchBasis`).
+        """
         raise NotImplementedError
 
 
 class GreedyDecomposer(Decomposer):
     """First-fit decomposition: largest primitive first, no backtracking."""
 
-    def decompose(self, acg: ApplicationGraph) -> DecompositionResult:
-        """Cover ``acg`` greedily: largest primitive first, no backtracking."""
+    def decompose(self, acg: ApplicationGraph, memo: dict | None = None) -> DecompositionResult:
+        """Cover ``acg`` greedily: largest primitive first, no backtracking
+        (``memo`` is unused: every step queries a new residual)."""
         cost_model = self._resolve_cost_model(acg)
         statistics = SearchStatistics()
         start = time.monotonic()
@@ -501,10 +515,52 @@ def remainder_pricer(
     return lambda mask: cost_model.remainder_cost(index.graph_of(mask), acg)
 
 
+def _cost_model_key(cost_model: CostModel) -> tuple:
+    """A cost model as a dict key: its type and its field values.
+
+    Cost models are unhashable dataclasses, so the fields are keyed by
+    their ``repr``, which tells ``2`` from ``2.0``; any other model is
+    keyed by its id (the basis keeps it alive).
+    """
+    if is_dataclass(cost_model):
+        return type(cost_model), tuple(
+            repr(getattr(cost_model, spec.name)) for spec in fields(cost_model)
+        )
+    return type(cost_model), id(cost_model)
+
+
+@dataclass(frozen=True, eq=False)
+class SearchBasis:
+    """What every branch-and-bound search of one ACG shares, whatever its budgets.
+
+    A search's root work depends only on (ACG, library, cost model, lower
+    bound, VF2 timeout) (:meth:`BranchAndBoundDecomposer.search_basis`):
+    searches that differ only in ``max_matchings_per_primitive``,
+    ``max_nodes_expanded`` or ``max_leaves`` build it once through a memo
+    and each replay its enumeration counters.  Every part is read-only or
+    a memo of a pure function, so a search over a shared basis expands,
+    prunes and counts exactly as a fresh one; the transposition table and
+    the bound's residual cache stay with each search.  The basis holds the
+    ACG (``index.graph``), library and cost model, so no other object can
+    take over their ids while a memo keeps it.
+    """
+
+    library: CommunicationLibrary
+    cost_model: CostModel
+    index: EdgeIndex
+    lists: dict[int, list[Candidate]]
+    """The complete root candidate lists (:meth:`BranchAndBoundDecomposer.matching_lists`);
+    a primitive's list length is its VF2 result count."""
+    charges: CostModelCharges | EdgeCharges | None
+    """The bound's per-edge tables (:func:`~repro.core.bounds.bound_charges`),
+    ``None`` for a search without a bound."""
+
+
 class BranchAndBoundDecomposer(Decomposer):
     """The depth-first branch-and-bound NetDecomp algorithm of Figure 3.
 
-    VF2 runs once per primitive per search, at the root and with no limit
+    VF2 runs once per primitive per :class:`SearchBasis` (one per search
+    unless a memo shares it), at the root and with no limit
     (:meth:`matching_lists`); every node below filters its parent's lists
     (:func:`inherit_lists`), so each node sees all the matchings of its
     residual.  A node branches on the first ``max_matchings_per_primitive``
@@ -524,29 +580,22 @@ class BranchAndBoundDecomposer(Decomposer):
     """
 
     def matching_lists(
-        self, index: EdgeIndex, cost_model: CostModel, statistics: SearchStatistics
+        self, index: EdgeIndex, cost_model: CostModel
     ) -> dict[int, list[Candidate]]:
         """Every matching of every primitive in ``index.graph``, by primitive id.
 
         Each list is complete and in :meth:`Matching.sort_key` order (ties
-        in VF2 order); primitives without a matching are left out.  Each
-        VF2 query is counted in ``statistics``.
+        in VF2 order); primitives without a matching are left out.  One VF2
+        query runs per library entry, with no limit.
         """
         acg = index.graph
-        limit = self.config.max_matchings_per_primitive
         # (primitive id, matching, covered-edge mask): VF2 masks the edges
         # of its target, the index itself
         found: list[tuple[int, Matching, int]] = []
         for entry in self.library.sorted_for_search():
-            mappings = self._enumerate_mappings(entry, index, None)
-            statistics.matching_cache_misses += 1
-            statistics.matchings_enumerated += len(mappings)
-            statistics.matchings_tried += (
-                len(mappings) if limit is None else min(limit, len(mappings))
-            )
             found.extend(
                 (entry.primitive_id, Matching.from_mapping(entry.primitive, m), m.edge_mask)
-                for m in mappings
+                for m in self._enumerate_mappings(entry, index, None)
             )
         found.sort(key=lambda item: item[1].sort_key())
         ranks = {key: rank for rank, key in enumerate(sorted({m.sort_key() for _, m, _ in found}))}
@@ -563,12 +612,64 @@ class BranchAndBoundDecomposer(Decomposer):
             )
         return lists
 
-    def decompose(self, acg: ApplicationGraph) -> DecompositionResult:
-        """Search for the minimum-cost cover of ``acg`` (Figure 3)."""
+    def search_basis(
+        self, acg: ApplicationGraph, cost_model: CostModel, memo: dict | None = None
+    ) -> SearchBasis:
+        """This search's :class:`SearchBasis`, from ``memo`` when it holds one.
+
+        A basis built here is stored in ``memo`` (when given) under
+        (ACG, library, cost model, lower bound, VF2 timeout); the ACG and
+        the library are keyed by id, as the basis keeps them alive.
+        """
+        config = self.config
+        bound_name = config.lower_bound if config.use_lower_bound else None
+        key = (
+            id(acg),
+            id(self.library),
+            _cost_model_key(cost_model),
+            bound_name,
+            config.isomorphism_timeout_seconds,
+        )
+        basis = memo.get(key) if memo is not None else None
+        if basis is None:
+            index = EdgeIndex(acg)
+            basis = SearchBasis(
+                self.library,
+                cost_model,
+                index,
+                self.matching_lists(index, cost_model),
+                None
+                if bound_name is None
+                else bound_charges(bound_name, self.library, cost_model, acg, index),
+            )
+            if memo is not None:
+                memo[key] = basis
+        return basis
+
+    def count_enumeration(self, basis: SearchBasis, statistics: SearchStatistics) -> None:
+        """Count the basis's root enumeration into this search's ``statistics``.
+
+        One VF2 query per library entry; ``matchings_tried`` takes each
+        primitive's result count at this search's cap.
+        """
+        limit = self.config.max_matchings_per_primitive
+        statistics.matching_cache_misses += len(self.library)
+        for found in basis.lists.values():
+            statistics.matchings_enumerated += len(found)
+            statistics.matchings_tried += len(found) if limit is None else min(limit, len(found))
+
+    def decompose(self, acg: ApplicationGraph, memo: dict | None = None) -> DecompositionResult:
+        """Search for the minimum-cost cover of ``acg`` (Figure 3).
+
+        The search's :class:`SearchBasis` comes from ``memo`` when an
+        earlier search stored it there (see :meth:`search_basis`).
+        """
         cost_model = self._resolve_cost_model(acg)
         statistics = SearchStatistics()
         budget = _Budget(self.config)
-        index = EdgeIndex(acg)
+        basis = self.search_basis(acg, cost_model, memo)
+        self.count_enumeration(basis, statistics)
+        index = basis.index
         remainder_cost = remainder_pricer(cost_model, acg, index)
 
         best_cost = float("inf")
@@ -576,14 +677,14 @@ class BranchAndBoundDecomposer(Decomposer):
         limit = self.config.max_matchings_per_primitive
         use_table = self.config.use_transposition_table
         bound: ResidualBound | None = None
-        if self.config.use_lower_bound:
+        if basis.charges is not None:
             bound = build_lower_bound(
                 self.config.lower_bound,
                 self.library,
                 cost_model,
                 acg,
                 statistics=statistics,
-                index=index,
+                charges=basis.charges,
             )
         # residual edge mask -> [(partial_cost, min_key), ...]: the
         # Pareto-incomparable visits of that residual state
@@ -680,7 +781,7 @@ class BranchAndBoundDecomposer(Decomposer):
 
         try:
             # the root's symmetry key -1 sits below every key rank
-            recurse(index.full, [], 0.0, -1, self.matching_lists(index, cost_model, statistics))
+            recurse(index.full, [], 0.0, -1, basis.lists)
         finally:
             del recurse  # the closure refers to itself: free it without the cyclic GC
         statistics.elapsed_seconds = budget.elapsed()
@@ -713,12 +814,18 @@ def decompose(
     library: CommunicationLibrary,
     cost_model: CostModel | None = None,
     config: DecompositionConfig | None = None,
+    memo: dict | None = None,
 ) -> DecompositionResult:
     """Decompose ``acg`` into ``library`` primitives (module-level convenience).
 
     The engine is picked from ``config.strategy``; the default is the paper's
     branch-and-bound search with a unit or energy cost model chosen
     automatically from the ACG (energy if floorplan positions are present).
+    ``memo`` is a dict the caller owns: branch-and-bound searches of one
+    ACG that differ only in their budgets share one :class:`SearchBasis`
+    through it (its VF2 enumeration, edge index and bound tables), with
+    results identical to fresh searches.  It lives as long as the caller
+    keeps it.
     """
     # imported lazily so the observability layer stays optional at the
     # module level (repro.core must import standalone in minimal embeddings)
@@ -731,7 +838,7 @@ def decompose(
         engine = BranchAndBoundDecomposer(library, cost_model, config)
     tracer = get_tracer()
     with tracer.span("search.decompose", strategy=config.strategy.value) as span:
-        result = engine.decompose(acg)
+        result = engine.decompose(acg, memo)
         if tracer.enabled:
             statistics = result.statistics
             span.annotate(

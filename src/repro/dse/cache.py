@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.arch.topology import Topology
 from repro.core.cost import LinkCountCostModel
-from repro.core.decomposition import DecompositionResult, SearchStatistics
+from repro.core.decomposition import DecompositionResult, SearchBasis, SearchStatistics
 from repro.core.graph import ApplicationGraph
 from repro.core.library import CommunicationLibrary
 from repro.core.matching import Matching, RemainderGraph
@@ -486,14 +486,16 @@ class StageContext:
     synthesized architectures and routed baseline fabrics (by synthesis
     sub-key) and their content keys, backed by an optional
     :class:`StageArtifactStore` that persists decompositions across runs
-    and across worker processes, plus each scenario's traffic program and
-    every finished simulation (:attr:`simulations`).  Every cell the
+    and across worker processes, plus each scenario's traffic program,
+    every finished simulation (:attr:`simulations`) and each search basis
+    (:attr:`search_bases`).  Every cell the
     pipeline evaluates runs under one (:func:`repro.dse.pipeline.evaluate`
     makes a fresh one when the caller passes none; a guided search shares
     one across its rungs), so a sweep runs the decomposition search
-    exactly once per sub-key, routes each baseline fabric once, and
-    simulates a run only when no earlier run on an equal fabric repeats it
-    or certifies its buffer capacity.
+    exactly once per sub-key, enumerates each workload graph's matchings
+    once across its budget-axis searches, routes each baseline fabric
+    once, and simulates a run only when no earlier run on an equal fabric
+    repeats it or certifies its buffer capacity.
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
@@ -507,6 +509,11 @@ class StageContext:
         self.simulations: dict[tuple, list[SimulationRun]] = {}
         """Finished simulations by everything they read but the buffer
         capacity (filled and served by the pipeline's simulate stage)."""
+        self.search_bases: dict[tuple, SearchBasis] = {}
+        """The decomposition searches' shared root work, the ``memo`` of
+        :func:`~repro.core.decomposition.decompose`: searches of one
+        workload graph that differ only in their matching or node budgets
+        enumerate its matchings once."""
         self._programs: dict[int, tuple[Scenario, TrafficProgram]] = {}
 
     def fabric_key(self, topology: Topology, table: RoutingTable) -> Hashable:
@@ -559,7 +566,7 @@ class StageContext:
             if loaded is not None:
                 self._decompositions[key] = loaded
                 return loaded, STAGE_REUSED_STORE
-        computed = run_decomposition_search(scenario, settings)
+        computed = run_decomposition_search(scenario, settings, memo=self.search_bases)
         self._decompositions[key] = computed
         if self.store is not None:
             self.store.store_decomposition(key, computed)

@@ -483,6 +483,10 @@ class EvaluationSettings:
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
+#: stands for a settings field a scenario pin names but the settings lack
+_UNSET = object()
+
+
 @dataclass
 class Scenario:
     """One named workload a sweep evaluates architectures against."""
@@ -514,10 +518,16 @@ class Scenario:
             raise ConfigurationError("computation_cycles_per_phase must be non-negative")
 
     def effective_settings(self, settings: EvaluationSettings) -> EvaluationSettings:
-        """The grid cell's settings with this scenario's pins applied."""
-        if not self.settings_overrides:
+        """The grid cell's settings with this scenario's pins applied.
+
+        Settings that already hold every pinned value (the same objects,
+        so equal canonical JSON) come back as they are: resolving them
+        again, as each content key does, costs no merge.
+        """
+        pins = self.settings_overrides
+        if all(getattr(settings, name, _UNSET) is value for name, value in pins.items()):
             return settings
-        return settings.merged(self.settings_overrides)
+        return settings.merged(pins)
 
     def with_simulation_cap(self, cap: int) -> "Scenario":
         """A copy whose simulation window is capped at ``cap`` iterations.
@@ -859,14 +869,17 @@ def baseline_route_stage(
 # the pipeline, stage by stage
 # ----------------------------------------------------------------------
 def run_decomposition_search(
-    scenario: Scenario, settings: EvaluationSettings
+    scenario: Scenario, settings: EvaluationSettings, memo: dict | None = None
 ) -> DecompositionResult:
     """The uncached decompose stage: run the search on the scenario's ACG.
 
     This is the expensive part of a custom-architecture evaluation; the
     pipeline reaches it through
     :meth:`~repro.dse.cache.StageContext.decomposition_for`, which runs it
-    at most once per decomposition sub-key.
+    at most once per decomposition sub-key and passes its
+    ``search_bases`` as ``memo``, so searches of one graph that differ only
+    in their budgets share one basis (see
+    :func:`~repro.core.decomposition.decompose`).
     """
     settings = scenario.effective_settings(settings)
     return decompose(
@@ -874,6 +887,7 @@ def run_decomposition_search(
         settings.build_library(),
         cost_model=LinkCountCostModel(),
         config=settings.build_decomposition_config(),
+        memo=memo,
     )
 
 

@@ -98,11 +98,11 @@ class SweepCell:
         return axis_label(self.axes)
 
 
-def _stage_group(scenario: Scenario, settings: EvaluationSettings) -> str:
-    effective = scenario.effective_settings(settings)
+def _stage_group(scenario: Scenario, effective: EvaluationSettings) -> str:
+    """The cell's stage sub-key; ``effective`` carries the scenario's pins."""
     if effective.architecture == "custom":
-        return decomposition_stage_key(scenario, settings)
-    return synthesis_stage_key(scenario, settings)
+        return decomposition_stage_key(scenario, effective)
+    return synthesis_stage_key(scenario, effective)
 
 
 @fingerprint_scope()
@@ -113,22 +113,24 @@ def plan_sweep(
 ) -> list[SweepCell]:
     """All cells of scenarios x grid, each with its content-hash key.
 
-    Each scenario's fingerprint is serialized once for the whole plan
-    (:func:`~repro.dse.cache.fingerprint_scope`).
+    The grid is expanded once for all scenarios, each cell's pins are
+    applied once, and each scenario's fingerprint is serialized once for
+    the whole plan (:func:`~repro.dse.cache.fingerprint_scope`).
     """
     if not scenarios:
         raise ConfigurationError("a sweep needs at least one scenario")
+    grid = expand_grid(base, axes)
     cells: list[SweepCell] = []
     for scenario in scenarios:
-        for axis_values, settings in expand_grid(base, axes):
-            key = cache_key(scenario, settings)
+        for axis_values, settings in grid:
+            effective = scenario.effective_settings(settings)
             cells.append(
                 SweepCell(
                     scenario=scenario,
                     settings=settings,
-                    axes=axis_values,
-                    key=key,
-                    stage_group=_stage_group(scenario, settings),
+                    axes=dict(axis_values),
+                    key=cache_key(scenario, effective),
+                    stage_group=_stage_group(scenario, effective),
                 )
             )
     return cells

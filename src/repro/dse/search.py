@@ -149,13 +149,13 @@ class RungSpec:
         settings = cell.settings.merged(merged) if merged else cell.settings
         if scenario is cell.scenario and not merged:
             return cell
-        key = cache_key(scenario, settings)
+        effective = scenario.effective_settings(settings)
         return SweepCell(
             scenario=scenario,
             settings=settings,
             axes=dict(cell.axes),
-            key=key,
-            stage_group=_stage_group(scenario, settings),
+            key=cache_key(scenario, effective),
+            stage_group=_stage_group(scenario, effective),
         )
 
 

@@ -24,7 +24,6 @@ from repro.core.cost import EnergyCostModel, LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import (
     BranchAndBoundDecomposer,
     DecompositionConfig,
-    SearchStatistics,
     inherit_lists,
     remainder_pricer,
 )
@@ -129,7 +128,7 @@ def test_mask_residuals_and_bounds_equal_the_graph_formulas(acg, seed, model_nam
     cost_model = _COST_MODELS[model_name]
     index = EdgeIndex(acg)
     decomposer = BranchAndBoundDecomposer(_LIBRARY, cost_model, DecompositionConfig())
-    lists = decomposer.matching_lists(index, cost_model, SearchStatistics())
+    lists = decomposer.matching_lists(index, cost_model)
     tables = bound_tables(_LIBRARY, cost_model)
     cheapest_edge = CheapestEdgeBound(tables, cost_model, acg)
     legacy = CostModelBound(cost_model, acg)

@@ -25,7 +25,6 @@ from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import (
     BranchAndBoundDecomposer,
     DecompositionConfig,
-    SearchStatistics,
     capped_survivors,
     decompose,
     inherit_lists,
@@ -72,7 +71,7 @@ def test_inherited_lists_equal_a_fresh_enumeration(acg, seed):
     decomposer = BranchAndBoundDecomposer(_LIBRARY, LinkCountCostModel(), DecompositionConfig())
     index = EdgeIndex(acg)
     residual = index.full
-    lists = decomposer.matching_lists(index, LinkCountCostModel(), SearchStatistics())
+    lists = decomposer.matching_lists(index, LinkCountCostModel())
     while True:
         assert {
             primitive_id: {c.matching.covered_edges() for c in found}
@@ -97,7 +96,7 @@ def test_inherited_lists_equal_a_fresh_enumeration(acg, seed):
 def test_the_cap_takes_its_width_after_the_symmetry_filter(acg, seed, limit):
     rng = random.Random(seed)
     decomposer = BranchAndBoundDecomposer(_LIBRARY, LinkCountCostModel(), DecompositionConfig())
-    lists = decomposer.matching_lists(EdgeIndex(acg), LinkCountCostModel(), SearchStatistics())
+    lists = decomposer.matching_lists(EdgeIndex(acg), LinkCountCostModel())
     # (key rank, sort key) pairs; the root's rank -1 stands for ()
     keys = [(-1, ())] + [(c.key, c.matching.sort_key()) for found in lists.values() for c in found]
     for min_rank, min_key in rng.sample(keys, min(len(keys), 5)):
