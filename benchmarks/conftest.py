@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the oracle of the cycle model
 
 import time  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -24,13 +26,9 @@ from dataclasses import dataclass  # noqa: E402
 from repro.arch.mesh import build_mesh  # noqa: E402
 from repro.experiments.aes_experiment import run_aes_synthesis  # noqa: E402
 from repro.experiments.comparison import run_prototype_comparison  # noqa: E402
-from repro.noc.simulator import (  # noqa: E402
-    ENGINE_EVENT,
-    ENGINE_REFERENCE,
-    NoCSimulator,
-    SimulatorConfig,
-)
+from repro.noc.simulator import NoCSimulator, SimulatorConfig  # noqa: E402
 from repro.routing.xy import xy_routing_function  # noqa: E402
+from simulator_oracle import OracleSimulator  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -46,39 +44,33 @@ def prototype_comparison(aes_synthesis_session):
 
 
 # ----------------------------------------------------------------------
-# engine comparison harness (event-driven vs reference simulator)
+# engine comparison harness (event-driven engine vs the cycle-model oracle)
 # ----------------------------------------------------------------------
 @dataclass
 class EngineDuel:
-    """One workload run on both simulator engines over one architecture."""
+    """One workload run on the event engine and on the oracle of the cycle
+    model (``tests/simulator_oracle.py``), which steps every cycle."""
 
     fabric: str
     event: NoCSimulator
-    reference: NoCSimulator
+    oracle: OracleSimulator
     event_wall_seconds: float
-    reference_wall_seconds: float
-
-    @property
-    def wall_speedup(self) -> float:
-        return self.reference_wall_seconds / max(self.event_wall_seconds, 1e-9)
 
     @property
     def stepped_ratio(self) -> float:
-        return self.reference.cycles_stepped / max(self.event.cycles_stepped, 1)
+        return self.oracle.cycles_stepped / max(self.event.cycles_stepped, 1)
 
     def assert_identical_reports(self) -> None:
-        assert self.event.report() == self.reference.report(), self.fabric
+        assert self.event.report() == self.oracle.report(), self.fabric
         assert (
             self.event.statistics.delivery_cycles()
-            == self.reference.statistics.delivery_cycles()
+            == self.oracle.statistics.delivery_cycles()
         ), self.fabric
 
     def describe(self) -> str:
         return (
-            f"{self.fabric}: wall {self.wall_speedup:.1f}x "
-            f"(event {self.event_wall_seconds * 1000:.1f}ms / "
-            f"reference {self.reference_wall_seconds * 1000:.1f}ms), "
-            f"stepped cycles {self.reference.cycles_stepped}/"
+            f"{self.fabric}: event {self.event_wall_seconds * 1000:.1f}ms, "
+            f"stepped cycles {self.oracle.cycles_stepped}/"
             f"{self.event.cycles_stepped} = {self.stepped_ratio:.1f}x "
             f"over {self.event.current_cycle} simulated cycles"
         )
@@ -86,11 +78,13 @@ class EngineDuel:
 
 @pytest.fixture(scope="session")
 def engine_duel(aes_synthesis_session):
-    """Run a traffic builder on both engines over the mesh or custom fabric.
+    """Run a traffic builder on the event engine and the oracle over the
+    mesh or custom fabric.
 
     Returns ``run(fabric, schedule) -> EngineDuel`` where ``schedule(sim)``
-    loads the traffic; both engines then drain the identical workload and the
-    duel carries reports, per-engine wall-clock and stepped-cycle counts.
+    loads the traffic; both then drain the identical workload and the duel
+    carries the reports, the event engine's wall-clock and both
+    stepped-cycle counts.
     """
 
     def fabric_parts(fabric):
@@ -102,25 +96,22 @@ def engine_duel(aes_synthesis_session):
 
     def run(fabric, schedule, pipeline_delay_cycles=2):
         runs = {}
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
+        for simulator_class in (NoCSimulator, OracleSimulator):
             topology, routing = fabric_parts(fabric)
-            simulator = NoCSimulator(
+            simulator = simulator_class(
                 topology,
                 routing,
-                config=SimulatorConfig(
-                    engine=engine, router_pipeline_delay_cycles=pipeline_delay_cycles
-                ),
+                config=SimulatorConfig(router_pipeline_delay_cycles=pipeline_delay_cycles),
             )
             schedule(simulator)
             start = time.perf_counter()
             simulator.run_until_drained()
-            runs[engine] = (simulator, time.perf_counter() - start)
+            runs[simulator_class] = (simulator, time.perf_counter() - start)
         return EngineDuel(
             fabric=fabric,
-            event=runs[ENGINE_EVENT][0],
-            reference=runs[ENGINE_REFERENCE][0],
-            event_wall_seconds=runs[ENGINE_EVENT][1],
-            reference_wall_seconds=runs[ENGINE_REFERENCE][1],
+            event=runs[NoCSimulator][0],
+            oracle=runs[OracleSimulator][0],
+            event_wall_seconds=runs[NoCSimulator][1],
         )
 
     return run

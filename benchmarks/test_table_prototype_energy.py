@@ -52,13 +52,14 @@ def test_table_power_and_energy(benchmark, prototype_comparison):
 
 @pytest.mark.smoke
 def test_energy_multiflit_engine_speedup(engine_duel, aes_synthesis_session):
-    """Event-driven vs reference engine on the energy characterization.
+    """Event-driven engine vs the oracle on the energy characterization.
 
     Large packets (512 bits = 16 flits) hold every traversed channel for
     their full serialization time, so the network spends most cycles just
     shifting flits — pure dead time for the scheduler, while the batched
-    energy counters must still land on bit-identical totals: >=3x
-    wall-clock or >=5x fewer stepped cycles (measured: both, ~8x/15x).
+    energy counters must still land on bit-identical totals: >=5x fewer
+    stepped cycles than the oracle, which steps every cycle (measured:
+    7.5x on the mesh, 8.8x on the custom fabric).
     """
     messages = acg_messages(aes_synthesis_session.acg, packet_size_bits=512) * 4
     schedule = InjectionSchedule.periodic(messages, period_cycles=20, seed=2, jitter=2)
@@ -67,7 +68,7 @@ def test_energy_multiflit_engine_speedup(engine_duel, aes_synthesis_session):
         duel.assert_identical_reports()
         print()
         print("multi-flit energy workload:", duel.describe())
-        assert duel.wall_speedup >= 3.0 or duel.stepped_ratio >= 5.0, duel.describe()
+        assert duel.stepped_ratio >= 5.0, duel.describe()
         total_pj = duel.event.energy.total_energy_pj
-        assert total_pj == duel.reference.energy.total_energy_pj
+        assert total_pj == duel.oracle.energy.total_energy_pj
         assert total_pj > 0

@@ -20,7 +20,7 @@ from repro.experiments.comparison import (
     run_prototype_comparison,
 )
 from repro.experiments.reporting import format_table
-from repro.noc.simulator import ENGINE_REFERENCE
+from repro.noc.simulator import ENGINE_BATCH, ENGINE_EVENT
 from repro.noc.traffic import InjectionSchedule, acg_messages
 
 
@@ -53,12 +53,13 @@ def test_table_throughput(benchmark, aes_synthesis_session):
 
 @pytest.mark.smoke
 def test_throughput_open_loop_engine_speedup(engine_duel, aes_synthesis_session):
-    """Event-driven vs reference engine on the throughput characterization.
+    """Event-driven engine vs the oracle on the throughput characterization.
 
     Open-loop ACG traffic at a sustained injection rate — the workload of a
     throughput sweep towards saturation.  The event engine must produce a
     bit-identical report while skipping the inter-injection dead time:
-    >=3x wall-clock or >=5x fewer stepped cycles (measured: both).
+    >=5x fewer stepped cycles than the oracle, which steps every cycle
+    (measured: 6.0x on the mesh, 7.1x on the custom fabric).
     """
     messages = acg_messages(aes_synthesis_session.acg, packet_size_bits=32) * 4
     schedule = InjectionSchedule.periodic(messages, period_cycles=16, seed=2, jitter=2)
@@ -67,7 +68,7 @@ def test_throughput_open_loop_engine_speedup(engine_duel, aes_synthesis_session)
         duel.assert_identical_reports()
         print()
         print("open-loop throughput:", duel.describe())
-        assert duel.wall_speedup >= 3.0 or duel.stepped_ratio >= 5.0, duel.describe()
+        assert duel.stepped_ratio >= 5.0, duel.describe()
 
 
 @pytest.mark.smoke
@@ -75,18 +76,20 @@ def test_prototype_operating_point_engine_equivalence(aes_synthesis_session):
     """At the paper's AES operating point the traffic is dense single-flit
     bursts — little dead time to skip — so the contract here is exactness:
     identical tables from both engines, with the idle/serialization gaps
-    that do exist (computation allowances, drain tails) skipped."""
+    that do exist (computation allowances, drain tails) skipped: the event
+    engine steps >=1.3x fewer cycles than a run stepping all of them."""
+    pytest.importorskip("numpy")
     results = {}
-    for engine in ("event", ENGINE_REFERENCE):
+    for engine in (ENGINE_EVENT, ENGINE_BATCH):
         config = default_simulator_config()
         config.engine = engine
         results[engine] = run_prototype_comparison(
             blocks=1, synthesis=aes_synthesis_session, simulator_config=config
         )
-    event, reference = results["event"], results[ENGINE_REFERENCE]
+    event, batch = results[ENGINE_EVENT], results[ENGINE_BATCH]
     for side in ("mesh", "custom"):
         event_metrics = getattr(event, side)
-        reference_metrics = getattr(reference, side)
+        batch_metrics = getattr(batch, side)
         for field in (
             "total_cycles",
             "cycles_per_block",
@@ -97,10 +100,10 @@ def test_prototype_operating_point_engine_equivalence(aes_synthesis_session):
             "energy_per_block_uj",
             "max_channel_utilization",
         ):
-            assert getattr(event_metrics, field) == getattr(reference_metrics, field), (
+            assert getattr(event_metrics, field) == getattr(batch_metrics, field), (
                 side,
                 field,
             )
-        stepped_ratio = reference_metrics.cycles_stepped / event_metrics.cycles_stepped
+        stepped_ratio = event_metrics.total_cycles / event_metrics.cycles_stepped
         print(f"{side}: operating-point stepped-cycle reduction {stepped_ratio:.2f}x")
         assert stepped_ratio >= 1.3

@@ -3,18 +3,20 @@
 
 Runs the prototype benchmark workloads (AES operating point, open-loop
 throughput, zero-load latency probes, multi-flit energy traffic) on the
-event-driven, reference and (when numpy is available) batched numpy
-engines, verifies their reports are bit-identical, and appends one entry
-per invocation to ``BENCH_simulator.json`` (wall-clock, simulated
+event-driven and (when numpy is available) batched numpy engines,
+verifies their reports are bit-identical, and appends one entry per
+invocation to ``BENCH_simulator.json`` (wall-clock, simulated
 cycles/sec, stepped-vs-skipped cycle counts) so the speedup trajectory
 is tracked across PRs.
 
 Each workload is sampled ``REPEATS`` times with the engines interleaved
-within every repeat (event, reference[, batch], event, ...), so a slow
-spell of a shared host falls on all engines alike.  Per engine the
-minimum and the median wall are recorded, and ``wall_speedup`` (and
-``batch_wall_speedup``) is the median of the per-repeat ratios of paired
-samples.
+within every repeat (event[, batch], event, ...), so a slow spell of a
+shared host falls on all engines alike.  Per engine the minimum and the
+median wall are recorded, and ``batch_wall_speedup`` is the median of
+the per-repeat ratios of paired samples.  ``stepped_cycle_ratio`` is
+``cycles_total`` over the event engine's ``cycles_stepped``: how many
+cycles a run stepping every cycle executes per cycle the event engine
+executes.
 
 The full suite adds ``aes_batched_sweep``: the dense AES operating point
 swept over 16 ``(buffer capacity, pipeline delay)`` configurations,
@@ -28,9 +30,10 @@ Usage::
     PYTHONPATH=src python scripts/bench_simulator.py --suite full   # + custom AES
     PYTHONPATH=src python scripts/bench_simulator.py --check        # CI gate
 
-``--check`` exits non-zero unless, on every workload, the engines'
-reports are identical and the event engine executed strictly fewer cycles
-than the reference engine.
+``--check`` exits non-zero unless, on every workload, the reports are
+identical across engines and repeats and the event engine executed
+strictly fewer cycles than it simulated (``cycles_stepped`` below
+``cycles_total``).
 
 ``--check-batch`` (requires ``--suite full`` and numpy) additionally
 gates the batch engine on *wall clock*, not just stepped cycles: the
@@ -71,7 +74,6 @@ from repro.experiments.comparison import default_simulator_config  # noqa: E402
 from repro.noc.simulator import (  # noqa: E402
     ENGINE_BATCH,
     ENGINE_EVENT,
-    ENGINE_REFERENCE,
     NoCSimulator,
     SimulatorConfig,
 )
@@ -113,8 +115,8 @@ def available_engines() -> tuple[str, ...]:
     try:
         import numpy  # noqa: F401
     except ImportError:
-        return (ENGINE_EVENT, ENGINE_REFERENCE)
-    return (ENGINE_EVENT, ENGINE_REFERENCE, ENGINE_BATCH)
+        return (ENGINE_EVENT,)
+    return (ENGINE_EVENT, ENGINE_BATCH)
 
 
 def mesh_fabric():
@@ -235,7 +237,7 @@ def paired_speedup(slow: list[float], fast: list[float]) -> float:
 
 
 def run_suite(
-    suite: str, engines: tuple[str, ...] = (ENGINE_EVENT, ENGINE_REFERENCE)
+    suite: str, engines: tuple[str, ...] = (ENGINE_EVENT,)
 ) -> dict[str, dict[str, object]]:
     results: dict[str, dict[str, object]] = {}
     for name, runner in workload_suite(suite).items():
@@ -261,7 +263,7 @@ def run_suite(
                 "simulated_cycles_per_second": round(cycles / wall, 1),
                 "stepped_cycles_per_second": round(stepped / wall, 1),
             }
-        event, reference = measurements[ENGINE_EVENT], measurements[ENGINE_REFERENCE]
+        event = measurements[ENGINE_EVENT]
         expected = samples[ENGINE_EVENT][0]["report"]
         identical = all(
             sample["report"] == expected for runs in samples.values() for sample in runs
@@ -269,9 +271,8 @@ def run_suite(
         result: dict[str, object] = {
             **measurements,
             "identical_reports": identical,
-            "wall_speedup": paired_speedup(walls[ENGINE_REFERENCE], walls[ENGINE_EVENT]),
             "stepped_cycle_ratio": round(
-                reference["cycles_stepped"] / max(event["cycles_stepped"], 1), 2
+                event["cycles_total"] / max(event["cycles_stepped"], 1), 2
             ),
         }
         if ENGINE_BATCH in walls:
@@ -437,15 +438,17 @@ def measure_observability(suite: str) -> dict[str, dict[str, object]]:
 
 
 def check(results: dict[str, dict[str, object]]) -> list[str]:
-    """CI gate: identical reports + fewer stepped cycles, per workload."""
+    """CI gate, per workload: identical reports across engines and
+    repeats, and fewer stepped cycles than simulated ones."""
     failures = []
     for name, result in results.items():
         if not result["identical_reports"]:
             failures.append(f"{name}: engine reports differ")
-        if result["event"]["cycles_stepped"] >= result["reference"]["cycles_stepped"]:
+        event = result[ENGINE_EVENT]
+        if event["cycles_stepped"] >= event["cycles_total"]:
             failures.append(
-                f"{name}: event engine stepped {result['event']['cycles_stepped']} "
-                f">= reference {result['reference']['cycles_stepped']}"
+                f"{name}: event engine stepped {event['cycles_stepped']} "
+                f">= the {event['cycles_total']} cycles it simulated"
             )
     return failures
 
@@ -512,19 +515,18 @@ def write_job_summary(
     lines = [
         "### Simulator engine walls (seconds, min of repeats)",
         "",
-        "| workload | event | reference | batch | ref/event | event/batch |",
-        "|---|---|---|---|---|---|",
+        "| workload | event | batch | total/stepped | event/batch |",
+        "|---|---|---|---|---|",
     ]
     for name, result in results.items():
         batch = result.get(ENGINE_BATCH)
         lines.append(
-            "| {name} | {event:.4f} | {reference:.4f} | {batch} | "
-            "{speedup:.2f}x | {batch_speedup} |".format(
+            "| {name} | {event:.4f} | {batch} | "
+            "{stepped:.2f}x | {batch_speedup} |".format(
                 name=name,
                 event=result[ENGINE_EVENT]["wall_seconds"],
-                reference=result[ENGINE_REFERENCE]["wall_seconds"],
                 batch=f"{batch['wall_seconds']:.4f}" if batch else "n/a",
-                speedup=result["wall_speedup"],
+                stepped=result["stepped_cycle_ratio"],
                 batch_speedup=(
                     f"{result['batch_wall_speedup']:.2f}x" if batch else "n/a"
                 ),
@@ -579,8 +581,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless the event engine beats the reference "
-        "engine on stepped cycles with identical reports",
+        help="exit non-zero unless the reports are identical and the "
+        "event engine steps fewer cycles than it simulates",
     )
     parser.add_argument(
         "--check-obs",
@@ -612,10 +614,8 @@ def main(argv: list[str] | None = None) -> int:
             else ""
         )
         print(
-            f"{name:20s} wall {result['wall_speedup']:6.2f}x  "
-            f"stepped {result['stepped_cycle_ratio']:6.2f}x  "
+            f"{name:20s} stepped {result['stepped_cycle_ratio']:6.2f}x  "
             f"event {result['event']['simulated_cycles_per_second']:>12,.0f} cyc/s  "
-            f"reference {result['reference']['simulated_cycles_per_second']:>12,.0f} cyc/s  "
             f"identical={result['identical_reports']}{batch_note}"
         )
 

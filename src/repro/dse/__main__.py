@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "cheap-to-full. Fields: budget_fraction (scales "
                              "max_nodes_expanded), simulation_cap (clamps "
                              "repetitions/aes_blocks), anything else is a "
-                             "settings override (e.g. engine=reference). A "
+                             "settings override (e.g. engine=batch). A "
                              "bare final full-fidelity rung is appended if missing "
                              "(default: the stock screen/full ladder)")
     search.add_argument("--margin", type=float, default=0.10,
@@ -488,8 +488,8 @@ def _add_sweep_options(run: argparse.ArgumentParser) -> None:
                           "list-fabrics; default: the suite's grid)")
     run.add_argument("--engine", default=None, metavar="ENG1,ENG2",
                      help="simulator engines to sweep (shorthand for --axis "
-                          "engine=...; 'event', 'reference' or 'batch' — all "
-                          "three give identical figures; default: the suite's grid)")
+                          "engine=...; 'event' or 'batch' — both give "
+                          "identical figures; default: the suite's grid)")
     run.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="record an observability event log (spans + metrics, "
                           "JSONL) of this sweep to FILE; inspect it with the "

@@ -299,9 +299,9 @@ class EvaluationSettings:
     buffer_capacity_packets: int = 4
     max_cycles: int = 100_000
     engine: str = ENGINE_EVENT
-    """Simulator engine: ``"event"`` (skip dead time), ``"reference"``
-    (dense cycle loop) or ``"batch"`` (vectorized numpy, one cell per
-    :class:`~repro.noc.simulator.NoCSimulator` like the other two)."""
+    """Simulator engine: ``"event"`` (skip dead time) or ``"batch"``
+    (vectorized numpy, one cell per
+    :class:`~repro.noc.simulator.NoCSimulator`)."""
 
     def __post_init__(self) -> None:
         values = vars(self)

@@ -3,7 +3,6 @@
 from repro.noc.packet import Message, Packet
 from repro.noc.simulator import (
     ENGINE_EVENT,
-    ENGINE_REFERENCE,
     ENGINES,
     LOCAL_PORT,
     NoCSimulator,
@@ -26,7 +25,6 @@ __all__ = [
     "NoCSimulator",
     "SimulatorConfig",
     "ENGINE_EVENT",
-    "ENGINE_REFERENCE",
     "ENGINES",
     "SimulationStatistics",
     "throughput_mbps_from_cycles",

@@ -12,7 +12,7 @@ per cell.  Per-cell completion masks stop finished cells from
 contributing work, so a batch is exactly as expensive as its slowest
 member, amortized.
 
-Bit-exactness with the scalar engines is by construction, not by
+Bit-exactness with the event engine is by construction, not by
 sampling:
 
 * cells are fully independent, and every per-cell comparison (arbitration
@@ -29,8 +29,8 @@ sampling:
   pre-cycle state allows it (counts only shrink during the router phase,
   so those are certainly correct), then blocked forwards are re-admitted
   exactly when the freeing pop happened at a router *earlier* in the
-  processing order — the same state the dense loop would have observed;
-* energy flushes reuse the scalar :class:`~repro.energy.power
+  processing order — the same state the cycle model would have observed;
+* energy flushes reuse the event engine's :class:`~repro.energy.power
   .EnergyAccount` call sequence verbatim (integer switch/link-bit
   counters, one ``charge_link`` per channel in first-launch order per
   finalize interval), so the floating-point totals are bit-identical.
@@ -43,7 +43,7 @@ packet is a strict no-op — the event engine's own skipping argument).
 workload, never of who else shares the batch.
 
 numpy is imported lazily on first use and is a dependency of this batch
-path only — the scalar engines, and ``import repro.api``, stay
+path only — the event engine, and ``import repro.api``, stay
 numpy-free.
 """
 
@@ -80,7 +80,7 @@ def require_numpy():
     """Import numpy on first use; a clear error when it is unavailable.
 
     numpy is deliberately a dependency of the batch engine alone: the
-    scalar engines and the ``repro.api`` facade must keep working (and
+    event engine and the ``repro.api`` facade must keep working (and
     importing) without it.
     """
     global _numpy
@@ -90,7 +90,7 @@ def require_numpy():
         except ImportError as error:  # pragma: no cover - numpy ships in CI
             raise SimulationError(
                 "the 'batch' simulator engine requires numpy, which is not "
-                "installed; use the 'event' or 'reference' engine instead"
+                "installed; use the 'event' engine instead"
             ) from error
         _numpy = numpy
     return _numpy
@@ -111,7 +111,7 @@ class _Cell:
     """In-flight packets as mutable ``[arrival_cycle, pid, channel]`` in
     launch order; a full-buffer retry rewrites the arrival in place so the
     flight keeps its list position, which keeps each channel's launch order
-    exactly as the scalar engines' sequence-ordered arrivals do."""
+    exactly as the event engine's sequence-ordered arrivals do."""
     link_bits: dict[int, int] = field(default_factory=dict)
     """Per-channel traversal bits since the last energy flush; insertion
     order is first-launch order, which fixes the ``charge_link`` order."""
@@ -172,7 +172,7 @@ class BatchSimulator:
 
         # ports per router: the local injection port first, then one port
         # per incoming channel in channel-declaration order — the exact
-        # scan order of the scalar engines, which round-robin ranks index
+        # scan order of the event engine, which round-robin ranks index
         port_router: list[int] = []
         port_rank: list[int] = []
         self._local_port: list[int] = []
@@ -211,7 +211,7 @@ class BatchSimulator:
         # lazily resolved routing: (router, destination) -> channel index.
         # -1 = not yet asked; resolution failures are cached so every cell
         # whose head first requests the broken pair fails with the same
-        # error the scalar engines raise at their own first nomination.
+        # error the event engine raises at its own first nomination.
         self._route_chan = np.full(
             (self._num_routers, self._num_routers), -1, dtype=np.int64
         )
@@ -350,7 +350,7 @@ class BatchSimulator:
     def schedule_message(
         self, index: int, message: Message, cycle: int | None = None
     ) -> Packet:
-        """Queue one message for injection (the scalar engines' contract)."""
+        """Queue one message for injection (the event engine's contract)."""
         cell = self._cells[index]
         now = self._cycle[index]
         if cycle is None:
@@ -402,7 +402,7 @@ class BatchSimulator:
 
         With ``raise_errors`` the first failed cell's captured exception is
         re-raised after the batch settles — the single-cell facade uses
-        this to reproduce the scalar engines' raise-from-``run_*``
+        this to reproduce the event engine's raise-from-``run_*``
         behaviour exactly.
         """
         np = self._np
@@ -645,7 +645,7 @@ class BatchSimulator:
         self._busy.discard(index)
 
     def _drain_budget_error(self, index: int) -> SimulationError:
-        """The scalar engines' drain-failure error, byte for byte."""
+        """The event engine's drain-failure error, byte for byte."""
         from repro.noc.simulator import _STUCK_PACKETS_NAMED
 
         cell = self._cells[index]
@@ -716,7 +716,7 @@ class BatchSimulator:
 
         Flights are visited in launch order; a due flight whose downstream
         buffer is full retries next cycle without losing its position.  Per
-        channel this is the scalar engines' ``(arrival, launch sequence)``
+        channel this is the event engine's ``(arrival, launch sequence)``
         delivery order.
         """
         cell = self._cells[index]
@@ -872,7 +872,7 @@ class BatchSimulator:
         down_port = self._chan_dst_port[safe_chan]
         moved = ~forward | (free & (cnt_np[win_cell, down_port] < self._cap[win_cell]))
 
-        # order-gated fixpoint: a pop at a router that the dense loop
+        # order-gated fixpoint: a pop at a router that the cycle model
         # processes *earlier* frees one buffer slot the blocked forward is
         # allowed to see.  Counts shrink by at most one per (cell, port)
         # per cycle, so the recheck is a plain subtraction.
@@ -897,7 +897,7 @@ class BatchSimulator:
         rows = moved.nonzero()[0]
         if not rows.size:
             return
-        # apply effects in the dense loop's order: routers in global order,
+        # apply effects in the cycle model's order: routers in global order,
         # winners in round-robin scan order within each router
         rows = rows[np.lexsort((win_rank[rows], self._port_router[win_port[rows]], win_cell[rows]))]
         eff_cell = win_cell[rows]

@@ -1,4 +1,4 @@
-"""Cycle-accurate NoC simulator with three interchangeable engines.
+"""Cycle-accurate NoC simulator with two interchangeable engines.
 
 This is the measurement substrate that replaces the paper's Virtex-2 FPGA
 prototype: the same architecture-agnostic fabric simulates both the 4x4 mesh
@@ -20,37 +20,35 @@ Model summary (packet-switched, one-flit-per-cycle links):
   :class:`~repro.energy.power.EnergyAccount` at finalize, so the same run
   yields the energy and average-power figures.
 
-Three engines drive the model (``SimulatorConfig.engine``).  The two
-scalar ones are the same cycle loop, :meth:`NoCSimulator._advance`, which
-drives a whole run, window or drain, and differs between them only in
-which cycles it executes and which routers it visits:
+Two engines drive the model (``SimulatorConfig.engine``):
 
-* ``"event"`` (default) — event-driven: only routers that might move a
-  packet are visited, and the clock jumps straight to the next cycle where
-  anything can progress (next injection, next arrival, next channel-release
-  expiry, next scheduled router wake-up).  See ``docs/simulator.md`` for the
-  activation conditions and the equivalence argument.
-* ``"reference"`` — dense: every cycle is executed and every router
-  visited.  It is kept forever as the executable specification the
-  other engines are tested against: all engines produce bit-identical
-  :meth:`NoCSimulator.report` output and per-packet delivery cycles.
+* ``"event"`` (default) — the cycle loop :meth:`NoCSimulator._advance`,
+  which drives a whole run, window or drain: only routers that might move
+  a packet are visited, and the clock jumps straight to the next cycle
+  where anything can progress (next injection, next arrival, next
+  channel-release expiry, next scheduled router wake-up).  See
+  ``docs/simulator.md`` for the activation conditions and the
+  equivalence argument.
 * ``"batch"`` — vectorized numpy engine (:mod:`repro.noc.batch`): router
   and channel state laid out as flat arrays so a whole batch of sweep
   cells advances per array operation.  Through :class:`NoCSimulator` it
   runs as a batch of one, which is how the DSE pipeline runs every cell;
   multi-cell batches exist only when :class:`~repro.noc.batch.BatchSimulator`
   is driven directly.  numpy is a dependency of this engine only — the
-  scalar engines stay stdlib-only.
+  event engine stays stdlib-only.
 
-The equivalence rests on three observations: (i) round-robin arbitration
-in the dense loop advances its pointer exactly once per router per cycle,
-so the pointer is the cycle number modulo the port count and can be
-derived rather than stored — idle cycles advance it for free; (ii) a
-cycle in which no injection is due, no arrival completes and no router
-holds a movable packet changes nothing, so skipping it is exact; and
-(iii) an arrival that finds its buffer full can only succeed on the cycle
-after a pop from that buffer, so it parks until that pop instead of
-retrying every cycle.
+Both must produce the :meth:`NoCSimulator.report` output, per-packet
+delivery cycles and paths of the cycle model, which the test suite runs
+as a plain oracle that steps every cycle and visits every router.  The
+event engine's equivalence to that model rests on three observations:
+(i) round-robin arbitration in the model advances its pointer exactly
+once per router per cycle, so the pointer is the cycle number modulo the
+port count and can be derived rather than stored — idle cycles advance
+it for free; (ii) a cycle in which no injection is due, no arrival
+completes and no router holds a movable packet changes nothing, so
+skipping it is exact; and (iii) an arrival that finds its buffer full
+can only succeed on the cycle after a pop from that buffer, so it parks
+until that pop instead of retrying every cycle.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from heapq import heappop, heappush
 from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
-from repro.exceptions import ReproError, SimulationError
+from repro.exceptions import SimulationError
 from repro.noc.packet import Message, Packet, PacketTable
 from repro.noc.stats import SimulationStatistics
 from repro.obs import SimulatorProbe, get_tracer
@@ -79,12 +77,10 @@ LOCAL_PORT = "__local__"
 
 #: event-driven engine: active-router scheduling + idle-cycle skipping
 ENGINE_EVENT = "event"
-#: dense cycle-stepped engine: the executable specification
-ENGINE_REFERENCE = "reference"
 #: vectorized numpy engine: flat (cell, port/channel) arrays, batchable
 ENGINE_BATCH = "batch"
 
-ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE, ENGINE_BATCH)
+ENGINES = (ENGINE_EVENT, ENGINE_BATCH)
 
 #: how many stuck packets the drain-budget error names individually
 _STUCK_PACKETS_NAMED = 8
@@ -133,9 +129,9 @@ class SimulatorConfig:
     max_cycles: int = 1_000_000
     charge_leakage: bool = True
     engine: str = ENGINE_EVENT
-    """``"event"`` (skip dead time), ``"reference"`` (dense cycle loop) or
-    ``"batch"`` (vectorized numpy arrays; a batch of one here, several cells
-    only through :class:`~repro.noc.batch.BatchSimulator` directly)."""
+    """``"event"`` (skip dead time) or ``"batch"`` (vectorized numpy
+    arrays; a batch of one here, several cells only through
+    :class:`~repro.noc.batch.BatchSimulator` directly)."""
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -161,7 +157,7 @@ class NoCSimulator:
     unknown to this one.  The fabric state lives here as flat lists the
     cycle loop (:meth:`_advance`) binds once per run and indexes
     directly.  :meth:`_wire` gives every router a *position* (its index
-    in the reference loop's processing order) and every channel an
+    in the processing order) and every channel an
     integer *id*.  Per position: the router's load, its input queues of
     packet ids by port (the local injection queue first), their scan
     tuples ``(port, queue, feeding channel id, upstream position)`` and its
@@ -200,7 +196,7 @@ class NoCSimulator:
         self.topology = topology
         self.technology = technology
         self._routing = routing
-        # per router position (the reference loop's processing order)
+        # per router position (the processing order)
         self._router_order: dict[NodeId, int] = {}  # node -> position
         self._nodes: list[NodeId] = []
         self._queues: list[dict[object, deque[int]]] = []
@@ -217,8 +213,8 @@ class NoCSimulator:
         fills it in): the kernel's lookup."""
         self._load: list[int] = []
         """Per position, its buffered-packet count, maintained at the three
-        buffer mutation points (injection, arrival, pop) so neither engine
-        ever scans every router's buffers to find work or decide drainage."""
+        buffer mutation points (injection, arrival, pop) so the cycle loop
+        never scans every router's buffers to find work or decide drainage."""
         self._buffered_total = 0
         self._soon = 0
         """Bitmask of the positions woken for the cycle at
@@ -266,8 +262,8 @@ class NoCSimulator:
         self.energy = EnergyAccount(technology=technology)
         self.current_cycle = 0
         self.cycles_stepped = 0
-        """Cycles actually executed (== ``current_cycle`` for the reference
-        engine; the event engine's skipped-cycle savings show up here)."""
+        """Cycles actually executed: ``current_cycle`` minus the idle cycles
+        the event engine skipped."""
         self._pending: list[tuple[int, int, int, tuple[tuple[int, list[int]], ...]]] = []
         """Scheduled injections: a heap with one ``(cycle, first packet id,
         packet count, per-source offsets)`` entry per scheduling call, whose
@@ -496,44 +492,26 @@ class NoCSimulator:
         return messages, destinations, flits, bits, tuple(by_source.items()), error
 
     # ------------------------------------------------------------------
-    # the cycle loop, shared by both scalar engines
+    # the cycle loop of the event engine
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the simulation by one dense cycle (reference semantics).
-
-        Traversal energy and channel busy cycles are accumulated in batched
-        counters; callers driving the simulator through ``step()`` directly
-        see them in the :class:`EnergyAccount` and in
-        ``statistics.channel_busy_cycles`` after the next :meth:`report` or
-        ``run*()`` call, which flush the batches.
-        """
-        if self._batch is not None:
-            raise SimulationError(
-                "the batch engine executes whole runs; step() is only "
-                "available on the 'event' and 'reference' engines"
-            )
-        self._advance(self.current_cycle + 1, dense=True)
-
-    def _advance(self, until: int | None, dense: bool, budget: int = 0) -> None:
+    def _advance(self, until: int | None, budget: int = 0) -> None:
         """Run the cycle loop to the window end ``until``, or until drained.
 
         Each executed cycle injects, delivers arrivals, arbitrates and
-        forwards.  ``dense=True`` is the reference engine: it executes every
-        cycle and visits every router, and schedules or consumes no wake.
-        Otherwise the event engine executes only the next cycle at which
-        anything can progress (every cycle while an arrival is parked: the
-        model retries a blocked arrival each cycle, and ``cycles_stepped``
-        counts those cycles) and visits only the routers that might
-        progress: those injected into, arrived into or due a wake, armed on
-        entry for every loaded router.  A wake for the next cycle is a bit
+        forwards.  Only the next cycle at which anything can progress is
+        executed (every cycle while an arrival is parked: the model retries
+        a blocked arrival each cycle, and ``cycles_stepped`` counts those
+        cycles), and only the routers that might progress are visited:
+        those injected into, arrived into or due a wake, armed on entry for
+        every loaded router.  A wake for the next cycle is a bit
         of the ``soon`` mask, which the next executed cycle ORs into its
         active set; only later wakes (a busy channel's release) go through
         the wake heap.  They are processed
-        in the reference loop's router order, lowest position first off a
-        bitmask of active positions; a router woken mid-cycle by an
-        upstream-space release joins this cycle's mask when its turn has
-        not passed yet (exactly the routers the dense loop would still
-        visit) and is deferred to the next cycle otherwise.  Per visit, the
+        in the fixed router order, lowest position first off a bitmask of
+        active positions; a router woken mid-cycle by an upstream-space
+        release joins this cycle's mask when its turn has not passed yet
+        (exactly the routers a cycle-by-cycle loop would still visit) and is
+        deferred to the next cycle otherwise.  Per visit, the
         input ports are scanned round-robin from ``cycle mod ports`` and
         the first head requesting an output wins it
         (``docs/simulator.md``); the same scan works out when a
@@ -545,7 +523,7 @@ class NoCSimulator:
         one call at finalize.  A drain (``until=None``) stops once nothing
         is pending, buffered, in flight or parked; if the next cycle lies
         more than ``budget`` past the start, or never comes, the clock
-        lands where the reference engine's crawl would raise,
+        lands where a cycle-by-cycle crawl would raise,
         ``start + budget + 1``, and the drain-budget error is raised.  The
         fabric state is bound once per call and every counter is written
         back in one ``finally``, so a routing function raising mid-visit
@@ -584,7 +562,6 @@ class NoCSimulator:
         capacity = self.config.buffer_capacity_packets
         unfull = capacity - 1  # a bounded queue's length after a pop from full
         delay = self.config.router_pipeline_delay_cycles
-        everyone = (1 << len(nodes)) - 1
         buffered = self._buffered_total
         soon = self._soon
         launches = self._launches
@@ -594,15 +571,17 @@ class NoCSimulator:
         blocked = self._blocked
         stepped = self.cycles_stepped
         overrun = False
-        if not dense and buffered:
-            # a loaded router may hold no wake after manual step() calls
+        if buffered:
+            # a routing error cuts a cycle short, dropping the wakes of the
+            # routers not yet visited; run again, the cycle is executed
+            # anew, visiting every loaded router
             for index, load in enumerate(loads):
                 if load:
                     soon |= 1 << index
                     scheduled[index] = None
         try:
             while True:
-                if dense or parked or soon:
+                if parked or soon:
                     due = cycle
                 else:
                     due = pending[0][0] if pending else None
@@ -656,16 +635,13 @@ class NoCSimulator:
                             probe.record_enqueue(nodes[target], loads[target])
                         active |= 1 << target
                         buffered += 1
-                if dense:
-                    active = everyone
-                else:
-                    active |= soon
-                    soon = 0
-                    while wake_heap and wake_heap[0][0] <= cycle:
-                        wake_cycle, index = heappop(wake_heap)
-                        if scheduled[index] == wake_cycle:
-                            scheduled[index] = None
-                        active |= 1 << index
+                active |= soon
+                soon = 0
+                while wake_heap and wake_heap[0][0] <= cycle:
+                    wake_cycle, index = heappop(wake_heap)
+                    if scheduled[index] == wake_cycle:
+                        scheduled[index] = None
+                    active |= 1 << index
                 while active:
                     lowest = active & -active
                     active ^= lowest
@@ -767,13 +743,13 @@ class NoCSimulator:
                                 else:
                                     for flight in waiting:
                                         insort(bucket, flight)
-                        if not dense and loads[upstream]:
+                        if loads[upstream]:
                             if upstream > index:
                                 active |= 1 << upstream
                             else:
                                 soon |= 1 << upstream
                                 scheduled[upstream] = None
-                    if dense or not loads[index]:
+                    if not loads[index]:
                         continue
                     # re-arm a still-loaded router at the earliest of its
                     # heads' conditions: next cycle (eject, routing error,
@@ -800,7 +776,7 @@ class NoCSimulator:
                         if channel is None:
                             try:
                                 channel = route(index, destination)
-                            except ReproError:
+                            except Exception:  # raised again by next cycle's scan
                                 ready = position
                                 break
                         release = free_at[channel]
@@ -850,9 +826,7 @@ class NoCSimulator:
                 self._batch.enqueue(0, RunOp(cycles))
                 self._execute_batch()  # the batch core finalizes per op
             else:
-                self._advance(
-                    self.current_cycle + cycles, dense=self.config.engine == ENGINE_REFERENCE
-                )
+                self._advance(self.current_cycle + cycles)
                 self._finalize()
             if tracer.enabled:
                 span.annotate(
@@ -878,7 +852,7 @@ class NoCSimulator:
                 self._batch.enqueue(0, DrainOp(max_cycles))
                 self._execute_batch()  # the batch core finalizes per op
             else:
-                self._advance(None, dense=self.config.engine == ENGINE_REFERENCE, budget=budget)
+                self._advance(None, budget=budget)
                 self._finalize()
             if tracer.enabled:
                 span.annotate(
@@ -892,7 +866,7 @@ class NoCSimulator:
         """Drive the single-cell batch core, mirroring its counters back.
 
         The core captures per-cell failures; re-raising here reproduces the
-        scalar engines' raise-from-``run*()`` behaviour (including the
+        event engine's raise-from-``run*()`` behaviour (including the
         post-failure cycle counters, which the ``finally`` keeps in sync).
         """
         try:
@@ -922,7 +896,7 @@ class NoCSimulator:
 
         Bits are accumulated as exact integers, and channels flush in
         first-launch order, so the flushed totals are independent of which
-        engine produced them, and a channel joins
+        cycles were skipped, and a channel joins
         ``channel_busy_cycles`` in the order of its first launch.
         """
         if self._switch_bits:
@@ -964,7 +938,7 @@ class NoCSimulator:
         skipped.  Deliberately not part of :meth:`report`, whose output is
         engine-independent by contract.
 
-        The scalar engines add the buffer-capacity certificate:
+        The event engine adds the buffer-capacity certificate:
         ``blocked`` (a launch, re-arm or arrival space test failed) and
         ``peak_occupancy`` (the fullest any input buffer got).  An
         unblocked run is bit-identical at every buffer capacity above its
@@ -989,8 +963,8 @@ class NoCSimulator:
         appended; the pre-existing keys are byte-for-byte unaffected, so
         probed and unprobed runs agree on everything but the extra keys.
         """
-        # catch up the batched traversal counters so manual step() loops
-        # (or runs that raised before finalize) still read complete figures
+        # catch up the batched traversal counters so runs that raised
+        # before finalize still read complete figures
         if self._batch is not None:
             self._batch.flush_energy(0)
         self._flush_energy_batches()

@@ -24,7 +24,7 @@ class SimulationStatistics:
 
     The engines record into the fields directly: the injection count and
     per-channel busy cycles, and the delivered packets in delivery order.
-    The scalar engines keep their packets in a :class:`PacketTable`
+    The event engine keeps its packets in a :class:`PacketTable`
     (``packets``) and :attr:`delivered_packets` builds views of them on
     each read; the batch engine appends :class:`Packet` objects.  The
     per-packet figures come from one pass over the delivered packets
@@ -81,8 +81,8 @@ class SimulationStatistics:
         """Per-packet delivery cycle keyed by packet id.
 
         The engine-equivalence contract is defined over this mapping (plus
-        :meth:`summary`): the event-driven and reference engines must agree
-        on every packet's delivery cycle, not just on the aggregates.
+        :meth:`summary`): every engine must agree with the cycle model on
+        every packet's delivery cycle, not just on the aggregates.
         """
         table = self.packets
         if table is None:

@@ -15,7 +15,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store_true",
         default=False,
         help="rewrite the golden report fixtures under tests/fixtures/golden/ "
-        "from the current reference engine instead of asserting against them",
+        "from the current event engine instead of asserting against them",
     )
 
 from repro.aes.acg import build_aes_acg

@@ -50,7 +50,7 @@ from repro.dse.scenarios import (
     scale_free_scenario,
     tgff_scenario,
 )
-from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, DrainOp, RunOp, ScheduleOp
+from repro.noc.simulator import ENGINE_EVENT, DrainOp, RunOp, ScheduleOp
 from repro.noc.traffic import acg_messages
 from repro.obs import ObsSession, use_session
 from repro.routing.table import RoutingTable
@@ -286,7 +286,7 @@ scenario_builders = st.one_of(
     scenario=scenario_builders,
     repetitions=st.integers(1, 2),
     architecture=st.sampled_from(["mesh", "custom"]),
-    engine=st.sampled_from([ENGINE_EVENT, ENGINE_REFERENCE]),
+    engine=st.just(ENGINE_EVENT),
     delay=st.sampled_from([1, 2, 4]),
     capacities=st.permutations([1, 2, 3, 4, 6, 8]),
 )

@@ -181,6 +181,28 @@ class TestResultCache:
         main(["report", "--results", str(path)])
         assert "malformed" not in capsys.readouterr().out
 
+    def test_a_record_of_the_retired_reference_engine_still_loads(self, tmp_path, capsys):
+        """Records stored when ``engine="reference"`` was an engine keep
+        loading, and ``report`` still reads them."""
+        from repro.dse.__main__ import main
+
+        path = tmp_path / "results.jsonl"
+        scenario = planted_scenario(num_nodes=12, seed=11)
+        run_sweep([scenario], axes=TestRunSweep.AXES, cache=ResultCache(path))
+        lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            payload = json.loads(line)
+            payload["settings"]["engine"] = "reference"
+            lines.append(json.dumps(payload))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        cache = ResultCache(path)
+        records = cache.all_records()
+        assert len(records) == 2 and cache.skipped_lines == 0
+        assert {record.settings["engine"] for record in records} == {"reference"}
+        assert main(["report", "--results", str(path)]) == 0
+        assert scenario.name in capsys.readouterr().out
+
     def test_keyless_record_rejected(self, tmp_path):
         cache = ResultCache(tmp_path / "results.jsonl")
         with pytest.raises(ValueError):
@@ -253,6 +275,28 @@ class TestRunSweep:
         command, option = ("search", "--rung") if ":" in axis else ("run", "--axis")
         assert main([command, "--results", str(results), option, axis]) == 2
         assert f"error: {self.BAD_KNOBS[axis]}" in capsys.readouterr().err
+        assert not results.exists() or results.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "option", [["--engine", "reference"], ["--axis", "engine=reference"]]
+    )
+    def test_cli_rejects_the_retired_reference_engine(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        """``reference`` is no engine any more: the sweep exits 2 while the
+        grid is planned, naming the engines there are, before any cell runs."""
+        import repro.dse.cache as cache_module
+        from repro.dse.__main__ import main
+
+        searches = []
+        monkeypatch.setattr(
+            cache_module, "run_decomposition_search", lambda *args: searches.append(args)
+        )
+        results = tmp_path / "results.jsonl"
+        assert main(["run", "--results", str(results), *option]) == 2
+        error = capsys.readouterr().err
+        assert "unknown simulator engine 'reference' (use one of ('event', 'batch'))" in error
+        assert searches == []
         assert not results.exists() or results.read_text() == ""
 
     @pytest.mark.parametrize("command", ["run", "search"])

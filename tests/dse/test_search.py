@@ -127,7 +127,7 @@ class TestRungSpec:
         artifact: promotion pays only the incremental simulation cost."""
         scenarios, base = smoke
         cell = plan_sweep(scenarios, base, AXES)[0]
-        variant = RungSpec("confirm", overrides={"engine": "reference"}).apply(cell)
+        variant = RungSpec("confirm", overrides={"engine": "batch"}).apply(cell)
         assert variant.key != cell.key
         assert decomposition_stage_key(
             variant.scenario, variant.settings

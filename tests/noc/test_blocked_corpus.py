@@ -1,4 +1,5 @@
-"""Frozen per-packet corpus of blocked runs, replayed on both scalar engines.
+"""Frozen per-packet corpus of blocked runs, replayed on the event engine
+and on the oracle of the cycle model.
 
 The golden report corpus (``test_golden_reports.py``) pins aggregate
 reports at the default buffer capacity, where backpressure is rare.  This
@@ -8,10 +9,10 @@ retry-collision scenario, the distributed-AES phases on the synthesized
 AES fabric and MPEG-4 on its mesh baseline.  Each fixture entry holds a
 digest of every packet's ``(id, delivery cycle, hops, path)``, of the
 ``report()`` and of ``statistics.channel_busy_cycles`` items in insertion
-(first-launch) order, plus each engine's ``engine_info()`` (whose
-``cycles_stepped`` differs between the engines by design).  Both scalar
-engines run the one per-cycle kernel, so this corpus is the oracle for
-any rewrite of it.
+(first-launch) order, plus the ``engine_info()`` of the event engine and
+of the oracle (``tests/simulator_oracle.py``, kept under the key
+``reference``), whose ``cycles_stepped`` differ by design: the oracle
+steps every cycle.
 
 Regenerate the fixture only when simulation semantics change on purpose:
 
@@ -24,23 +25,30 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Callable
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+if __name__ == "__main__":  # run as a script: the oracle's module is one level up
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
 from repro.dse.pipeline import EvaluationSettings, baseline_route_stage
 from repro.dse.scenarios import embedded_scenario
 from repro.experiments.aes_experiment import run_aes_synthesis
-from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import NoCSimulator, SimulatorConfig
 from repro.noc.traffic import acg_messages
+from simulator_oracle import OracleSimulator
 from test_capacity_certificate import retry_collision_run
 
 CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "blocked_runs.json"
-ENGINES = (ENGINE_REFERENCE, ENGINE_EVENT)
+#: the fixture's engine_info keys and the simulators that replay them
+ENGINES = {"reference": OracleSimulator, "event": NoCSimulator}
+ORACLE = "reference"
 CAPACITIES = (1, 2)
 DELAYS = (1, 4)
 
@@ -70,13 +78,12 @@ def mpeg4_fabric():
     return scenario.acg, fabric, table.frozen_next_hop()
 
 
-def aes_run(engine: str, capacity: int, delay: int, flit_width: int) -> NoCSimulator:
+def aes_run(simulator: type, capacity: int, delay: int, flit_width: int) -> NoCSimulator:
     topology, routing = aes_fabric()
-    simulator = NoCSimulator(
+    simulator = simulator(
         topology,
         routing,
         config=SimulatorConfig(
-            engine=engine,
             buffer_capacity_packets=capacity,
             router_pipeline_delay_cycles=delay,
             flit_width_bits=flit_width,
@@ -89,13 +96,13 @@ def aes_run(engine: str, capacity: int, delay: int, flit_width: int) -> NoCSimul
     return simulator
 
 
-def mpeg4_run(engine: str, capacity: int, delay: int, packet_bits: int) -> NoCSimulator:
+def mpeg4_run(simulator: type, capacity: int, delay: int, packet_bits: int) -> NoCSimulator:
     acg, fabric, routing = mpeg4_fabric()
-    simulator = NoCSimulator(
+    simulator = simulator(
         fabric,
         routing,
         config=SimulatorConfig(
-            engine=engine, buffer_capacity_packets=capacity, router_pipeline_delay_cycles=delay
+            buffer_capacity_packets=capacity, router_pipeline_delay_cycles=delay
         ),
     )
     for _ in range(2):
@@ -104,28 +111,32 @@ def mpeg4_run(engine: str, capacity: int, delay: int, packet_bits: int) -> NoCSi
     return simulator
 
 
-def retry_run(engine: str, capacity: int, delay: int) -> NoCSimulator:
-    simulator = retry_collision_run(engine, capacity=capacity, delay=delay)
+def retry_run(simulator: type, capacity: int, delay: int) -> NoCSimulator:
+    simulator = retry_collision_run(capacity, delay, simulator)
     simulator.run_until_drained()
     return simulator
 
 
-def _cases() -> dict[str, Callable[[str], NoCSimulator]]:
-    cases: dict[str, Callable[[str], NoCSimulator]] = {}
+def _cases() -> dict[str, Callable[[type], NoCSimulator]]:
+    cases: dict[str, Callable[[type], NoCSimulator]] = {}
     for capacity in CAPACITIES:
         for delay in DELAYS:
             tag = f"cap{capacity}-delay{delay}"
             cases[f"retry_collision-{tag}"] = (
-                lambda engine, c=capacity, d=delay: retry_run(engine, c, d)
+                lambda simulator, c=capacity, d=delay: retry_run(simulator, c, d)
             )
             # 8-bit AES messages: one flit at 8-bit flits, four at 2-bit flits
             for flit_width, flits in ((8, 1), (2, 4)):
                 cases[f"aes_custom-{tag}-{flits}flit"] = (
-                    lambda engine, c=capacity, d=delay, w=flit_width: aes_run(engine, c, d, w)
+                    lambda simulator, c=capacity, d=delay, w=flit_width: aes_run(
+                        simulator, c, d, w
+                    )
                 )
             for packet_bits, flits in ((32, 1), (128, 4)):
                 cases[f"mpeg4_mesh-{tag}-{flits}flit"] = (
-                    lambda engine, c=capacity, d=delay, b=packet_bits: mpeg4_run(engine, c, d, b)
+                    lambda simulator, c=capacity, d=delay, b=packet_bits: mpeg4_run(
+                        simulator, c, d, b
+                    )
                 )
     return cases
 
@@ -164,7 +175,7 @@ def corpus() -> dict[str, dict[str, object]]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_blocked_run_matches_the_frozen_corpus(case, engine):
     expected = corpus()[case]
-    digest = run_digest(CASES[case](engine))
+    digest = run_digest(CASES[case](ENGINES[engine]))
     assert digest["packets"] == expected["packets"]
     assert digest["report"] == expected["report"]
     assert digest["channels"] == expected["channels"]
@@ -173,7 +184,7 @@ def test_blocked_run_matches_the_frozen_corpus(case, engine):
 
 
 def test_the_corpus_exercises_backpressure():
-    """Every one-packet-buffer case blocked on both engines, so the fixture
+    """Every one-packet-buffer case blocked in both replays, so the fixture
     pins the retry and backpressure paths rather than free-flowing runs."""
     assert sorted(corpus()) == sorted(CASES)
     for case, entry in corpus().items():
@@ -183,21 +194,21 @@ def test_the_corpus_exercises_backpressure():
 
 
 def write_corpus() -> None:
-    """Regenerate the fixture from the reference engine, checking that the
-    event engine agrees on every packet and report."""
+    """Regenerate the fixture from the oracle, checking that the event
+    engine agrees on every packet and report."""
     entries: dict[str, dict[str, object]] = {}
     for case, build in sorted(CASES.items()):
-        digests = {engine: run_digest(build(engine)) for engine in ENGINES}
-        reference = digests[ENGINE_REFERENCE]
+        digests = {engine: run_digest(build(simulator)) for engine, simulator in ENGINES.items()}
+        oracle = digests[ORACLE]
         for engine, digest in digests.items():
             for key in ("packets", "report", "channels", "delivered"):
-                if digest[key] != reference[key]:
-                    raise SystemExit(f"{case}: {engine} disagrees with reference on {key}")
+                if digest[key] != oracle[key]:
+                    raise SystemExit(f"{case}: {engine} disagrees with the oracle on {key}")
         entries[case] = {
-            "packets": reference["packets"],
-            "report": reference["report"],
-            "channels": reference["channels"],
-            "delivered": reference["delivered"],
+            "packets": oracle["packets"],
+            "report": oracle["report"],
+            "channels": oracle["channels"],
+            "delivered": oracle["delivered"],
             "engine_info": {engine: digest["engine_info"] for engine, digest in digests.items()},
         }
     CORPUS.write_text(json.dumps(entries, sort_keys=True, indent=2) + "\n")

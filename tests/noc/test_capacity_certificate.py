@@ -5,7 +5,8 @@ Buffer capacity enters the simulator only through three space tests
 input buffers never held more than ``peak_occupancy`` packets is therefore
 bit-identical at every capacity above that peak.  The differential test
 below checks that claim against real runs on random fabrics, traffic and
-capacities, on both scalar engines.
+capacities.  The event engine's certificate is its own: the oracle of the
+cycle model (``tests/simulator_oracle.py``) makes no re-arm test.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from hypothesis import strategies as st
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message
-from repro.noc.simulator import (
-    ENGINE_EVENT,
-    ENGINE_REFERENCE,
-    NoCSimulator,
-    SimulatorConfig,
-)
+from repro.noc.simulator import NoCSimulator, SimulatorConfig
 from repro.routing.shortest_path import all_pairs_shortest_paths
 from repro.routing.table import RoutingTable
+from simulator_oracle import OracleSimulator
 
-SCALAR_ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE)
 CAPACITIES = range(1, 9)
 
 #: drain budget of the random runs: dense traffic on a ring can deadlock
@@ -41,23 +37,23 @@ def chain_fabric() -> tuple[Topology, object]:
     return topology, lambda node, destination: node + 1
 
 
-def retry_collision_run(engine: str, capacity: int = 1, delay: int = 4) -> NoCSimulator:
+def retry_collision_run(
+    capacity: int = 1, delay: int = 4, simulator: type = NoCSimulator
+) -> NoCSimulator:
     """A waiting arrival and a later launch due on channel 0->1 together.
 
     At the defaults (one-packet buffers, a 4-cycle pipeline): Q (8 flits)
     holds channel 1->2 until cycle 8, so P waits in router 1's buffer from
     cycle 5.  A (launched at 1) arrives at 6, finds the buffer full and
     waits; B (launched at 2, while P was still in flight) falls due at 7,
-    while A still waits.
+    while A still waits.  ``simulator`` may be the oracle's class.
     """
     topology, routing = chain_fabric()
-    simulator = NoCSimulator(
+    simulator = simulator(
         topology,
         routing,
         config=SimulatorConfig(
-            engine=engine,
-            buffer_capacity_packets=capacity,
-            router_pipeline_delay_cycles=delay,
+            buffer_capacity_packets=capacity, router_pipeline_delay_cycles=delay
         ),
     )
     simulator.schedule_message(Message(1, 2, 256), cycle=0)  # Q, packet 0
@@ -69,7 +65,7 @@ def retry_collision_run(engine: str, capacity: int = 1, delay: int = 4) -> NoCSi
 
 class TestInFlightOrder:
     def test_retry_and_later_launch_fall_due_together(self):
-        simulator = retry_collision_run(ENGINE_REFERENCE)
+        simulator = retry_collision_run()
         channel = simulator._channel_ids[(0, 1)]
         due_together = []
         while simulator.current_cycle < 12:
@@ -82,34 +78,32 @@ class TestInFlightOrder:
             due = [packet for _, packet, _ in sorted(flights, key=lambda f: f[0])]
             if len(due) > 1:
                 due_together.append((simulator.current_cycle, due))
-            simulator.step()
+            simulator.run(1)
         # the scenario exercises the case: A (2), parked since cycle 6, and B
         # (3) due on one cycle, A first in launch order
         assert due_together and due_together[0] == (7, [2, 3])
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_channel_fifo_order_is_kept(self, engine):
-        simulator = retry_collision_run(engine)
+    def test_channel_fifo_order_is_kept(self):
+        simulator = retry_collision_run()
         simulator.run_until_drained()
         cycles = simulator.statistics.delivery_cycles()
         assert cycles[1] < cycles[2] < cycles[3]  # P, A, B in launch order
         assert simulator.engine_info()["blocked"] is True
 
-    def test_event_engine_matches_reference(self):
-        event = retry_collision_run(ENGINE_EVENT)
-        reference = retry_collision_run(ENGINE_REFERENCE)
+    def test_event_engine_matches_the_oracle(self):
+        event = retry_collision_run()
+        oracle = retry_collision_run(simulator=OracleSimulator)
         event.run_until_drained()
-        reference.run_until_drained()
-        assert event.report() == reference.report()
-        assert event.statistics.delivery_cycles() == reference.statistics.delivery_cycles()
-        assert event.current_cycle == reference.current_cycle
+        oracle.run_until_drained()
+        assert event.report() == oracle.report()
+        assert event.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
+        assert event.current_cycle == oracle.current_cycle
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_light_load_is_unblocked(self, engine):
+    def test_light_load_is_unblocked(self):
         topology, routing = chain_fabric()
-        simulator = NoCSimulator(topology, routing, config=SimulatorConfig(engine=engine))
+        simulator = NoCSimulator(topology, routing)
         simulator.schedule_message(Message(0, 2, 32), cycle=0)
         simulator.schedule_message(Message(0, 2, 32), cycle=5)
         simulator.run_until_drained()
@@ -161,16 +155,13 @@ traffic_entries = st.tuples(
 )
 
 
-def certified_run(
-    fabric, traffic, engine: str, capacity: int, delay: int
-) -> NoCSimulator | None:
+def certified_run(fabric, traffic, capacity: int, delay: int) -> NoCSimulator | None:
     """The run at one capacity, or None when it deadlocked."""
     topology, routing = fabric
     simulator = NoCSimulator(
         topology,
         routing,
         config=SimulatorConfig(
-            engine=engine,
             buffer_capacity_packets=capacity,
             router_pipeline_delay_cycles=delay,
             max_cycles=DRAIN_BUDGET,
@@ -198,12 +189,11 @@ def certified_run(
 @given(
     fabric=random_fabrics(),
     traffic=st.lists(traffic_entries, min_size=4, max_size=48),
-    engine=st.sampled_from(SCALAR_ENGINES),
     capacity=st.sampled_from(list(CAPACITIES)),
     delay=st.sampled_from([1, 2, 4]),
 )
-def test_certified_capacity_equals_a_real_run(fabric, traffic, engine, capacity, delay):
-    donor = certified_run(fabric, traffic, engine, capacity, delay)
+def test_certified_capacity_equals_a_real_run(fabric, traffic, capacity, delay):
+    donor = certified_run(fabric, traffic, capacity, delay)
     if donor is None:
         return  # deadlocked: blocked, so it certifies nothing
     info = donor.engine_info()
@@ -213,7 +203,7 @@ def test_certified_capacity_equals_a_real_run(fabric, traffic, engine, capacity,
     for sibling_capacity in CAPACITIES:
         if sibling_capacity <= info["peak_occupancy"]:
             continue
-        sibling = certified_run(fabric, traffic, engine, sibling_capacity, delay)
+        sibling = certified_run(fabric, traffic, sibling_capacity, delay)
         assert sibling.report() == donor.report()
         assert sibling.statistics.delivery_cycles() == donor.statistics.delivery_cycles()
         assert sibling.cycles_stepped == donor.cycles_stepped

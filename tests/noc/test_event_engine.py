@@ -1,7 +1,8 @@
 """Unit tests for the event-driven engine's bookkeeping and the satellites.
 
 The equivalence property suite (``tests/property/test_engine_equivalence``)
-establishes that the engines agree; this file pins down the mechanisms —
+establishes that the engines agree with the oracle of the cycle model
+(``tests/simulator_oracle.py``); this file pins down the mechanisms —
 active-set wake-ups, idle-cycle skipping, leakage finalization, stuck-packet
 diagnostics — with deterministic scenarios.
 """
@@ -17,7 +18,6 @@ from repro.noc.packet import Message
 from repro.noc.simulator import (
     ENGINE_BATCH,
     ENGINE_EVENT,
-    ENGINE_REFERENCE,
     ENGINES,
     DrainOp,
     NoCSimulator,
@@ -26,6 +26,7 @@ from repro.noc.simulator import (
 )
 from repro.noc.traffic import InjectionSchedule, uniform_random_messages
 from repro.routing.xy import xy_routing_function
+from simulator_oracle import OracleSimulator
 
 
 def chain_topology(length: int = 4) -> Topology:
@@ -44,11 +45,10 @@ def chain_simulator(**config_overrides) -> NoCSimulator:
     return NoCSimulator(topology, forward, config=SimulatorConfig(**config_overrides))
 
 
-def mesh_simulator(**config_overrides) -> NoCSimulator:
+def mesh_simulator(simulator: type = NoCSimulator) -> NoCSimulator:
+    """The 4x4 mesh under XY routing; ``simulator`` may be the oracle's class."""
     mesh = build_mesh(4, 4)
-    return NoCSimulator(
-        mesh, xy_routing_function(mesh), config=SimulatorConfig(**config_overrides)
-    )
+    return simulator(mesh, xy_routing_function(mesh))
 
 
 class TestEngineConfig:
@@ -95,12 +95,6 @@ class TestEngineConfig:
         # the 100 idle warm-up cycles must not have been executed
         assert info["cycles_skipped"] >= 100
 
-    def test_reference_engine_steps_every_cycle(self):
-        simulator = chain_simulator(engine=ENGINE_REFERENCE)
-        simulator.schedule_message(Message(0, 3, 32), cycle=50)
-        simulator.run_until_drained()
-        assert simulator.cycles_stepped == simulator.current_cycle
-
 
 class TestActiveSetBookkeeping:
     """A router never sleeps while it can make progress."""
@@ -109,7 +103,7 @@ class TestActiveSetBookkeeping:
         """A single multi-flit packet is only processed at launch/arrival
         cycles; the serialization + pipeline dead time in between is
         skipped — and the packet still arrives."""
-        simulator = chain_simulator(engine=ENGINE_EVENT, router_pipeline_delay_cycles=2)
+        simulator = chain_simulator(router_pipeline_delay_cycles=2)
         simulator.schedule_message(Message(0, 3, 32 * 8))  # 8 flits
         simulator.run_until_drained()
         assert simulator.statistics.all_delivered
@@ -118,7 +112,7 @@ class TestActiveSetBookkeeping:
     def test_backpressure_wake_on_space(self):
         """With one-packet buffers, every forward depends on the downstream
         pop; only the pop-side wake can keep upstream routers moving."""
-        simulator = chain_simulator(engine=ENGINE_EVENT, buffer_capacity_packets=1)
+        simulator = chain_simulator(buffer_capacity_packets=1)
         for _ in range(12):
             simulator.schedule_message(Message(0, 3, 64))
         simulator.run_until_drained()
@@ -130,9 +124,7 @@ class TestActiveSetBookkeeping:
         topology = Topology(name="fan_in")
         topology.add_channel(1, 0, length_mm=1.0)
         topology.add_channel(2, 0, length_mm=1.0)
-        simulator = NoCSimulator(
-            topology, lambda current, dest: 0, config=SimulatorConfig(engine=ENGINE_EVENT)
-        )
+        simulator = NoCSimulator(topology, lambda current, dest: 0)
         for source in (1, 2):
             for _ in range(3):
                 simulator.schedule_message(Message(source, 0, 32))
@@ -145,15 +137,15 @@ class TestActiveSetBookkeeping:
         packet behind the 8-flit launch on R->X) when, at cycle 5, U's and
         R's own packets for Y contend: the loser must wake at 6, not 8."""
 
-        def run(engine: str) -> NoCSimulator:
+        def run(simulator_class: type) -> NoCSimulator:
             topology = Topology(name="rearm")
             for source, target in (("U", "R"), ("V", "R"), ("R", "X"), ("R", "Y")):
                 topology.add_channel(source, target, length_mm=1.0)
             hops = {("U", "Y"): "R", ("V", "X"): "R", ("R", "X"): "X", ("R", "Y"): "Y"}
-            simulator = NoCSimulator(
+            simulator = simulator_class(
                 topology,
                 lambda current, destination: hops[current, destination],
-                config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=1),
+                config=SimulatorConfig(router_pipeline_delay_cycles=1),
             )
             simulator.schedule_message(Message("R", "X", 256), cycle=0)
             simulator.schedule_message(Message("V", "X", 32), cycle=0)
@@ -162,17 +154,17 @@ class TestActiveSetBookkeeping:
             simulator.run_until_drained()
             return simulator
 
-        event, reference = run(ENGINE_EVENT), run(ENGINE_REFERENCE)
-        assert reference.statistics.delivery_cycles() == {0: 9, 1: 10, 2: 8, 3: 7}
-        assert event.statistics.delivery_cycles() == reference.statistics.delivery_cycles()
-        assert event.report() == reference.report()
+        event, oracle = run(NoCSimulator), run(OracleSimulator)
+        assert oracle.statistics.delivery_cycles() == {0: 9, 1: 10, 2: 8, 3: 7}
+        assert event.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
+        assert event.report() == oracle.report()
 
     def test_no_wake_leaks_after_drain(self):
         """After draining, any leftover speculative wakes must be harmless:
-        a fresh run on the same simulator still matches the reference."""
+        a fresh run on the same simulator still matches the oracle."""
         runs = {}
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
-            simulator = mesh_simulator(engine=engine)
+        for simulator_class in (NoCSimulator, OracleSimulator):
+            simulator = mesh_simulator(simulator_class)
             simulator.schedule_messages(
                 uniform_random_messages(simulator.topology.routers(), 30, seed=3)
             )
@@ -181,23 +173,11 @@ class TestActiveSetBookkeeping:
                 uniform_random_messages(simulator.topology.routers(), 30, seed=4)
             )
             simulator.run_until_drained()
-            runs[engine] = simulator
-        assert runs[ENGINE_EVENT].report() == runs[ENGINE_REFERENCE].report()
-
-    def test_manual_steps_then_event_run(self):
-        """Mixing dense step() calls with an event run must not strand the
-        packets the steps loaded into the buffers."""
-        simulator = mesh_simulator(engine=ENGINE_EVENT)
-        simulator.schedule_messages(
-            uniform_random_messages(simulator.topology.routers(), 10, seed=9)
-        )
-        for _ in range(3):
-            simulator.step()
-        simulator.run_until_drained()
-        assert simulator.statistics.all_delivered
+            runs[simulator_class] = simulator
+        assert runs[NoCSimulator].report() == runs[OracleSimulator].report()
 
     def test_open_loop_schedule_skips_idle_gaps(self):
-        simulator = mesh_simulator(engine=ENGINE_EVENT)
+        simulator = mesh_simulator()
         messages = uniform_random_messages(simulator.topology.routers(), 40, seed=1)
         InjectionSchedule.periodic(messages, period_cycles=25, seed=1).schedule_onto(
             simulator
@@ -222,9 +202,8 @@ class TestLeakageFinalization:
             * technology.cycle_time_ns
         )
 
-    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
-    def test_interleaved_runs_charge_leakage_exactly_once(self, engine):
-        simulator = chain_simulator(engine=engine)
+    def test_interleaved_runs_charge_leakage_exactly_once(self):
+        simulator = chain_simulator()
         simulator.schedule_message(Message(0, 3, 64))
         simulator.run_until_drained()
         simulator.run(17)  # idle stretch
@@ -239,21 +218,6 @@ class TestLeakageFinalization:
         simulator = chain_simulator()
         assert simulator._leakage_charged_until == 0
 
-    def test_manual_step_energy_visible_in_report(self):
-        """Traversals from bare step() calls after a finalize must reach the
-        next report() — the batched counters may not sit unflushed."""
-        simulator = chain_simulator()
-        simulator.schedule_message(Message(0, 1, 64))
-        simulator.run_until_drained()
-        charged = simulator.energy.dynamic_energy_pj
-        simulator.schedule_message(Message(1, 0, 64))
-        for _ in range(10):
-            simulator.step()
-        assert simulator.statistics.delivered_count == 2
-        report = simulator.report()
-        assert simulator.energy.dynamic_energy_pj > charged
-        assert report["switch_energy_pj"] == simulator.energy.switch_energy_pj
-
     def test_repeated_finalize_is_idempotent(self):
         simulator = chain_simulator()
         simulator.schedule_message(Message(0, 2, 64))
@@ -267,20 +231,19 @@ class TestLeakageFinalization:
 class TestStuckPacketDiagnostics:
     """Satellite: drain-budget errors name the stuck packets."""
 
-    def stuck_simulator(self, engine: str) -> NoCSimulator:
+    def stuck_simulator(self, simulator_class: type = NoCSimulator) -> NoCSimulator:
         topology = chain_topology()
         topology.add_router(99)  # unreachable destination
-        simulator = NoCSimulator(
+        simulator = simulator_class(
             topology,
             lambda current, dest: current + 1 if current < 3 else current - 1,
-            config=SimulatorConfig(engine=engine, max_cycles=60),
+            config=SimulatorConfig(max_cycles=60),
         )
         simulator.schedule_message(Message(0, 99, 64))
         return simulator
 
-    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
-    def test_error_names_packet_position_destination_hops(self, engine):
-        simulator = self.stuck_simulator(engine)
+    def test_error_names_packet_position_destination_hops(self):
+        simulator = self.stuck_simulator()
         with pytest.raises(SimulationError) as excinfo:
             simulator.run_until_drained(max_cycles=40)
         message = str(excinfo.value)
@@ -289,51 +252,51 @@ class TestStuckPacketDiagnostics:
         assert "-> 99" in message  # destination
         assert "hops" in message
 
-    def test_engines_raise_identical_messages(self):
+    def test_engine_raises_the_oracles_message(self):
         errors = {}
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
-            simulator = self.stuck_simulator(engine)
+        for simulator_class in (NoCSimulator, OracleSimulator):
+            simulator = self.stuck_simulator(simulator_class)
             with pytest.raises(SimulationError) as excinfo:
                 simulator.run_until_drained(max_cycles=40)
-            errors[engine] = str(excinfo.value)
-        assert errors[ENGINE_EVENT] == errors[ENGINE_REFERENCE]
+            errors[simulator_class] = str(excinfo.value)
+        assert errors[NoCSimulator] == errors[OracleSimulator]
 
-    def deadlocked_ring(self, engine: str) -> NoCSimulator:
+    def deadlocked_ring(self, simulator_class: type = NoCSimulator) -> NoCSimulator:
         """Every one-packet buffer of a ring ends up holding a packet
         waiting on the next full buffer clockwise."""
         topology = Topology(name="ring")
         for node in range(4):
             topology.add_channel(node, (node + 1) % 4)
-        simulator = NoCSimulator(
+        simulator = simulator_class(
             topology,
             lambda current, destination: (current + 1) % 4,
-            config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
+            config=SimulatorConfig(buffer_capacity_packets=1),
         )
         simulator.schedule_messages(
             [Message(node, (node + 3) % 4, 32) for node in range(4) for _ in range(3)]
         )
         return simulator
 
-    def test_overrun_lands_both_engines_on_the_same_cycle(self):
-        """A deadlocked ring: both engines give up on the cycle after the
-        budget, with the same message and stuck packets."""
+    def test_overrun_lands_on_the_oracles_cycle(self):
+        """A deadlocked ring: the engine gives up on the cycle after the
+        budget, as the oracle does, with the same message and stuck
+        packets."""
         outcomes = {}
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
-            simulator = self.deadlocked_ring(engine)
+        for simulator_class in (NoCSimulator, OracleSimulator):
+            simulator = self.deadlocked_ring(simulator_class)
             start = simulator.current_cycle
             with pytest.raises(SimulationError) as excinfo:
                 simulator.run_until_drained(max_cycles=50)
             assert simulator.current_cycle == start + 51
             stuck = [(packet.packet_id, where) for packet, where in simulator.stuck_packets()]
-            outcomes[engine] = (str(excinfo.value), stuck)
-        assert "did not drain within 50 cycles (12 packets stuck" in outcomes[ENGINE_EVENT][0]
-        assert outcomes[ENGINE_EVENT] == outcomes[ENGINE_REFERENCE]
+            outcomes[simulator_class] = (str(excinfo.value), stuck)
+        assert "did not drain within 50 cycles (12 packets stuck" in outcomes[NoCSimulator][0]
+        assert outcomes[NoCSimulator] == outcomes[OracleSimulator]
 
-    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
-    def test_a_stuck_packet_view_walks_its_routing_loop(self, engine):
+    def test_a_stuck_packet_view_walks_its_routing_loop(self):
         """The packet bounces between routers 2 and 3; its path is walked
         through the routing memo, once per hop, loop included."""
-        simulator = self.stuck_simulator(engine)
+        simulator = self.stuck_simulator()
         with pytest.raises(SimulationError, match=r"#0 at 2 -> 99 \(14 hops\)"):
             simulator.run_until_drained(max_cycles=40)
         [(packet, where)] = simulator.stuck_packets()
@@ -341,9 +304,8 @@ class TestStuckPacketDiagnostics:
         assert packet.path == [0, 1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2]
         assert packet.delivery_cycle is None and packet.injection_cycle == 0
 
-    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_REFERENCE])
-    def test_deadlocked_packets_keep_their_hops_and_paths(self, engine):
-        simulator = self.deadlocked_ring(engine)
+    def test_deadlocked_packets_keep_their_hops_and_paths(self):
+        simulator = self.deadlocked_ring()
         with pytest.raises(SimulationError):
             simulator.run_until_drained(max_cycles=50)
         stuck = [

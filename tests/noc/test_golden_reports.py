@@ -2,12 +2,13 @@
 
 ``tests/fixtures/golden/<benchmark>.json`` holds the canonical probed
 ``report()`` of each published embedded benchmark (MPEG-4, VOPD, MWD,
-263enc+mp3dec) on its mesh baseline.  Every simulator engine — reference,
-event and batch — is replayed against the same fixture, so the corpus
-pins two properties at once: the engines agree with each other, and none
-of them drifts over time.  Where the differential harness catches a
-divergence *between* engines, this corpus catches a divergence that all
-engines share (a semantics change smuggled into the common substrate).
+263enc+mp3dec) on its mesh baseline.  Both simulator engines — event
+and batch — are replayed against the same fixture, so the corpus pins
+two properties at once: the engines agree with each other, and neither
+drifts over time.  Where the differential harness catches a divergence
+from the oracle of the cycle model, this corpus catches a drift that the
+oracle would share (a semantics change smuggled into the common
+substrate, such as the energy model).
 
 Updating the corpus is a deliberate act: when a PR intentionally changes
 simulation semantics, regenerate the fixtures with
@@ -15,7 +16,7 @@ simulation semantics, regenerate the fixtures with
     pytest tests/noc/test_golden_reports.py --update-golden
 
 and commit the diff — the fixture churn *is* the review surface.  The
-update path always regenerates from the dense reference engine.
+update path always regenerates from the event engine.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 
 from repro.dse.pipeline import EvaluationSettings, baseline_route_stage
 from repro.dse.scenarios import embedded_scenario
-from repro.noc.simulator import ENGINES, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator
 from repro.noc.traffic import acg_messages
 from repro.obs import SimulatorProbe
 from repro.workloads.benchmarks import embedded_benchmark_names
@@ -70,7 +71,7 @@ def test_update_golden_corpus(workload, request):
     if not request.config.getoption("--update-golden"):
         pytest.skip("corpus update not requested (pass --update-golden)")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    report = canonical(replay_report(workload, ENGINE_REFERENCE))
+    report = canonical(replay_report(workload, ENGINE_EVENT))
     path = GOLDEN_DIR / f"{workload}.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 

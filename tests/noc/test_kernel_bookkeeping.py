@@ -15,10 +15,8 @@ import pytest
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message
-from repro.noc.simulator import ENGINE_EVENT, ENGINE_REFERENCE, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import NoCSimulator, SimulatorConfig
 from test_capacity_certificate import retry_collision_run
-
-SCALAR_ENGINES = (ENGINE_EVENT, ENGINE_REFERENCE)
 
 
 def queued_packets(simulator: NoCSimulator) -> int:
@@ -31,11 +29,11 @@ class TestParkedArrivals:
         A (due at 6) and B (due at 7) park behind it; P's pop at 8 moves
         both into cycle 9's arrivals, in launch order: the cycle on which a
         per-cycle retry would first have found space."""
-        simulator = retry_collision_run(ENGINE_REFERENCE)
+        simulator = retry_collision_run()
         channel = simulator._channel_ids[(0, 1)]
         parked_at = {}
         while simulator.current_cycle < 9:
-            simulator.step()
+            simulator.run(1)
             parked_at[simulator.current_cycle - 1] = [
                 packet for _, packet, _ in simulator._parked.get(channel, [])
             ]
@@ -46,7 +44,7 @@ class TestParkedArrivals:
         assert [packet for _, packet, _ in simulator._arrivals[9]] == [2, 3]
         # cycle 9: A takes the freed slot and B parks again; A launches on
         # at once, and that pop re-queues B for cycle 10
-        simulator.step()
+        simulator.run(1)
         flying = {
             packet: simulator._channels[channel]
             for bucket in simulator._arrivals.values()
@@ -56,9 +54,8 @@ class TestParkedArrivals:
         assert not simulator._parked
         assert [packet for _, packet, _ in simulator._arrivals[10]] == [3]
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_a_parked_flight_keeps_the_run_undrained(self, engine):
-        simulator = retry_collision_run(engine)
+    def test_a_parked_flight_keeps_the_run_undrained(self):
+        simulator = retry_collision_run()
         simulator.run(7)
         assert simulator._parked
         stuck = [packet.packet_id for packet, _ in simulator.stuck_packets()]
@@ -67,17 +64,15 @@ class TestParkedArrivals:
         assert not simulator._parked
         assert simulator.statistics.delivered_count == 4
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_parking_steps_the_cycles_a_retry_would(self, engine):
+    def test_parking_steps_the_cycles_a_retry_would(self):
         """While a flight is parked every cycle is executed, as when it
         retried every cycle, so ``cycles_stepped`` is unchanged."""
-        simulator = retry_collision_run(engine)
+        simulator = retry_collision_run()
         simulator.run_until_drained()
-        stepped = simulator.engine_info()["cycles_stepped"]
-        assert stepped == {ENGINE_EVENT: 13, ENGINE_REFERENCE: 16}[engine]
+        assert simulator.engine_info()["cycles_stepped"] == 13
 
 
-def merge_failure_run(engine: str) -> NoCSimulator:
+def merge_failure_run() -> NoCSimulator:
     """Routers 0 and 3 feed router 1, which feeds 2 (one-packet buffers).
 
     H (8 flits, 1 -> 2) holds channel 1 -> 2 until cycle 8, so F (0 -> 2)
@@ -93,7 +88,7 @@ def merge_failure_run(engine: str) -> NoCSimulator:
     simulator = NoCSimulator(
         topology,
         lambda current, destination: 1 if current in (0, 3) else 2 if destination == 2 else 0,
-        config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
+        config=SimulatorConfig(buffer_capacity_packets=1),
     )
     simulator.schedule_messages([Message(1, 2, 256, tag="H")], cycle=0)
     simulator.schedule_messages([Message(0, 2, 32, tag="F"), Message(0, 2, 32, tag="G")], cycle=0)
@@ -102,9 +97,8 @@ def merge_failure_run(engine: str) -> NoCSimulator:
 
 
 class TestRoutingFailureMidScan:
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_counters_stay_consistent(self, engine):
-        simulator = merge_failure_run(engine)
+    def test_counters_stay_consistent(self):
+        simulator = merge_failure_run()
         simulator.run(8)
         scan = simulator._scans[simulator._router_order[1]]
         assert [port for port, *_ in scan][8 % 3] == 3
@@ -124,8 +118,7 @@ class TestRoutingFailureMidScan:
         parked = simulator._parked[simulator._channel_ids[(0, 1)]]
         assert [simulator._packets.messages[packet].tag for _, packet, _ in parked] == ["G"]
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_a_failure_cuts_the_window_short(self, engine):
+    def test_a_failure_cuts_the_window_short(self):
         """A routes 0 -> 3 along a chain and fails at router 2 on cycle 4,
         mid-way through a 10-cycle window.  The clock stays on the failing
         cycle, which ``cycles_stepped`` does not count, the moves before
@@ -141,7 +134,7 @@ class TestRoutingFailureMidScan:
             topology = Topology(name="chain")
             for node in range(3):
                 topology.add_channel(node, node + 1, bidirectional=True)
-            simulator = NoCSimulator(topology, forward, config=SimulatorConfig(engine=engine))
+            simulator = NoCSimulator(topology, forward)
             simulator.schedule_messages([Message(0, 3, 32, tag="A"), Message(1, 0, 32, tag="D")])
             simulator.schedule_messages([Message(0, 2, 32, tag="B")], cycle=1)
             return simulator
@@ -163,7 +156,7 @@ class TestRoutingFailureMidScan:
         assert sorted(delivered) == ["A", "B", "D"]
 
     def test_without_the_failure_the_run_drains(self):
-        simulator = merge_failure_run(ENGINE_EVENT)
+        simulator = merge_failure_run()
         simulator.run_until_drained()
         delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
         assert sorted(delivered) == ["E", "F", "G", "H"]
@@ -187,7 +180,7 @@ class TestReArmBlockedRule:
         simulator = NoCSimulator(
             topology,
             lambda current, destination: {0: 1, 3: 1, 1: 2, 2: 5}[current],
-            config=SimulatorConfig(engine=ENGINE_EVENT, buffer_capacity_packets=2),
+            config=SimulatorConfig(buffer_capacity_packets=2),
         )
         schedule = simulator.schedule_messages
         schedule([Message(2, 5, 160, tag="L")], cycle=0)  # holds 2 -> 5 until 5

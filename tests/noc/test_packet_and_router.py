@@ -7,15 +7,7 @@ import pytest
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message, Packet
-from repro.noc.simulator import (
-    ENGINE_EVENT,
-    ENGINE_REFERENCE,
-    LOCAL_PORT,
-    NoCSimulator,
-    SimulatorConfig,
-)
-
-SCALAR_ENGINES = [ENGINE_EVENT, ENGINE_REFERENCE]
+from repro.noc.simulator import LOCAL_PORT, NoCSimulator, SimulatorConfig
 
 
 class TestMessage:
@@ -106,25 +98,23 @@ class TestInputQueues:
         assert launches_from(simulator, 3) == [(3, 1)]
         queues = simulator._queues[simulator._router_order[1]]
         assert all(not queue for queue in queues.values())
-        simulator.step()  # cycle 5: injection and both arrivals, then arbitration
+        simulator.run(1)  # cycle 5: injection and both arrivals, then arbitration
         assert launches_from(simulator, 1) == [(1, 7), (1, 8)]
         # one of the two packets bound for 7 lost the arbitration and waits
         waiting = [len(queues[port]) for port in (2, 3)]
         assert sorted(waiting) == [0, 1]
         assert [where for _, where in simulator.stuck_packets()] == [1, 7, 8]
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_each_port_is_fifo(self, engine):
-        simulator = merge_simulator(engine=engine)
+    def test_each_port_is_fifo(self):
+        simulator = merge_simulator()
         messages = [Message(2, 7, 8, tag=f"p{index}") for index in range(6)]
         simulator.schedule_messages(messages, cycle=0)
         simulator.run_until_drained()
         delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
         assert delivered == [message.tag for message in messages]
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_backpressure_bounds_every_queue(self, engine):
-        simulator = merge_simulator(engine=engine, buffer_capacity_packets=1)
+    def test_backpressure_bounds_every_queue(self):
+        simulator = merge_simulator(buffer_capacity_packets=1)
         simulator.schedule_messages(
             [Message(source, 7, 96) for source in (2, 3) for _ in range(4)], cycle=0
         )
@@ -144,12 +134,12 @@ class TestInputQueues:
 class TestArbitration:
     def _contend(self, destinations: tuple, **config_overrides) -> NoCSimulator:
         """Packets from 2 and 3 meet in router 1's queues at cycle 2."""
-        simulator = merge_simulator(engine=ENGINE_REFERENCE, **config_overrides)
+        simulator = merge_simulator(**config_overrides)
         simulator.schedule_messages(
             [Message(2, destinations[0], 8), Message(3, destinations[1], 8)], cycle=0
         )
         for _ in range(3):
-            simulator.step()
+            simulator.run(1)
         return simulator
 
     def test_one_winner_per_output(self):
@@ -162,11 +152,10 @@ class TestArbitration:
         simulator = self._contend((7, 8))
         assert launches_from(simulator, 1) == [(1, 7), (1, 8)]
 
-    @pytest.mark.parametrize("engine", SCALAR_ENGINES)
-    def test_round_robin_serves_both_ports(self, engine):
+    def test_round_robin_serves_both_ports(self):
         """Two ports contending for one output both deliver, interleaved:
         neither waits for the other to empty."""
-        simulator = merge_simulator(engine=engine)
+        simulator = merge_simulator()
         simulator.schedule_messages(
             [Message(source, 7, 8) for source in (2, 3) for _ in range(4)], cycle=0
         )
@@ -175,11 +164,11 @@ class TestArbitration:
         assert sorted(sources) == [2] * 4 + [3] * 4
         assert set(sources[:4]) == {2, 3}
 
-    def test_idle_step_moves_nothing(self):
-        simulator = merge_simulator(engine=ENGINE_REFERENCE)
-        simulator.step()
-        assert simulator.cycles_stepped == 1
+    def test_idle_cycle_moves_nothing(self):
+        simulator = merge_simulator()
+        simulator.run(1)
+        assert (simulator.current_cycle, simulator.cycles_stepped) == (1, 0)
         assert not simulator._arrivals and not simulator._parked
         assert simulator.stuck_packets() == []
         assert simulator.statistics.channel_busy_cycles == {}
-        assert simulator.energy.total_energy_uj == 0.0
+        assert simulator.energy.dynamic_energy_pj == 0.0  # leakage only

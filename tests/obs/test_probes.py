@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.arch.mesh import build_mesh
 from repro.noc.packet import Message
 from repro.noc.simulator import (
+    ENGINE_BATCH,
     ENGINE_EVENT,
-    ENGINE_REFERENCE,
     NoCSimulator,
     SimulatorConfig,
 )
@@ -35,9 +37,10 @@ def drained_mesh(engine: str, probed: bool) -> tuple[NoCSimulator, SimulatorProb
 
 class TestBitIdentity:
     def test_probed_reports_identical_across_engines(self):
+        pytest.importorskip("numpy")
         event, _ = drained_mesh(ENGINE_EVENT, probed=True)
-        reference, _ = drained_mesh(ENGINE_REFERENCE, probed=True)
-        assert event.report() == reference.report()
+        batch, _ = drained_mesh(ENGINE_BATCH, probed=True)
+        assert event.report() == batch.report()
 
     def test_probe_does_not_perturb_simulation(self):
         probed, _ = drained_mesh(ENGINE_EVENT, probed=True)
@@ -103,13 +106,14 @@ class TestProbeViews:
 
     def test_probe_metrics_identical_across_engines(self):
         """The probe's own figures are part of the equivalence contract."""
+        pytest.importorskip("numpy")
         snapshots = {}
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
+        for engine in (ENGINE_EVENT, ENGINE_BATCH):
             simulator, probe = drained_mesh(engine, probed=True)
             metrics = MetricsRegistry()
             probe.emit_metrics(metrics, simulator.statistics)
             snapshots[engine] = metrics.snapshot_events()
-        assert snapshots[ENGINE_EVENT] == snapshots[ENGINE_REFERENCE]
+        assert snapshots[ENGINE_EVENT] == snapshots[ENGINE_BATCH]
 
 
 class RecordingProbe(SimulatorProbe):
@@ -134,14 +138,13 @@ class TestInjectionRecords:
         nodes = mesh.routers()
         a, b, c, sink = nodes[4], nodes[0], nodes[7], nodes[8]
         sources = [a, b, a, c, b, a]
-        for engine in (ENGINE_EVENT, ENGINE_REFERENCE):
-            simulator = NoCSimulator(mesh, routing, config=SimulatorConfig(engine=engine))
-            probe = RecordingProbe()
-            simulator.attach_probe(probe)
-            simulator.schedule_messages([Message(source, sink, 32) for source in sources])
-            simulator.step()
-            injected = probe.calls[: len(sources)]
-            for source in (a, b, c):
-                occupancies = [value for node, value in injected if node == source]
-                assert occupancies == list(range(1, sources.count(source) + 1))
-            assert list(probe.occupancy)[:3] == [a, b, c]
+        simulator = NoCSimulator(mesh, routing)
+        probe = RecordingProbe()
+        simulator.attach_probe(probe)
+        simulator.schedule_messages([Message(source, sink, 32) for source in sources])
+        simulator.run(1)
+        injected = probe.calls[: len(sources)]
+        for source in (a, b, c):
+            occupancies = [value for node, value in injected if node == source]
+            assert occupancies == list(range(1, sources.count(source) + 1))
+        assert list(probe.occupancy)[:3] == [a, b, c]
