@@ -1,6 +1,6 @@
 """Batched numpy NoC engine: many sweep cells advance per array operation.
 
-The third simulator engine (``SimulatorConfig.engine="batch"``) lays the
+The second simulator engine (``SimulatorConfig.engine="batch"``) lays the
 router/channel state of a whole *batch* of simulations out as flat numpy
 arrays over ``(cell, port)`` and ``(cell, channel)`` and vectorizes the
 per-cycle scan — occupancy, route lookup, round-robin arbitration,
@@ -18,8 +18,8 @@ sampling:
 * cells are fully independent, and every per-cell comparison (arbitration
   pointer, channel release, injection due-ness) uses that cell's own
   cycle counter, so batching can never couple two simulations;
-* within one executed cycle the vectorized phases replay the reference
-  engine's order exactly — injections in ``(cycle, packet_id)`` order,
+* within one executed cycle the vectorized phases replay the cycle model's
+  order exactly — injections in ``(cycle, packet_id)`` order,
   in-flight arrivals in launch order with full-buffer retries keeping
   their list position, then per-router arbitration in the global router
   order with winners applied in round-robin scan order.  The one
@@ -644,23 +644,45 @@ class BatchSimulator:
         self._alive_py[index] = False
         self._busy.discard(index)
 
-    def _drain_budget_error(self, index: int) -> SimulationError:
-        """The event engine's drain-failure error, byte for byte."""
-        from repro.noc.simulator import _STUCK_PACKETS_NAMED
-
-        cell = self._cells[index]
+    def stuck_packets(self, index: int) -> list[tuple[Packet, NodeId]]:
+        """Every undelivered packet of a cell with the router it is at (or
+        flying to), sorted by packet id: ``NoCSimulator.stuck_packets()``
+        for this engine.  The packets are fresh views whose path is walked
+        from the source through the resolved routes, ``hops`` steps."""
         stuck: list[tuple[int, NodeId]] = []
         for port in range(self._num_ports):
             node = self._routers[int(self._port_router[port])]
             for pid in self._queues[index][port]:
                 stuck.append((pid, node))
-        for flight in cell.flights:
+        for flight in self._cells[index].flights:
             stuck.append((flight[1], self._routers[self._chan_dst_py[flight[2]]]))
         stuck.sort(key=lambda item: self._pk_local[item[0]])
+        views = []
+        for pid, node in stuck:
+            packet = self._pk_obj[pid]
+            destination = self._pk_dest[pid]
+            current = self._pk_src[pid]
+            path = [self._routers[current]]
+            for _ in range(self._pk_hops[pid]):
+                current = self._chan_dst_py[int(self._route_chan[current, destination])]
+                path.append(self._routers[current])
+            view = Packet(
+                packet.packet_id, packet.message, packet.num_flits,
+                packet.injection_cycle, None, self._pk_hops[pid], path,
+            )
+            views.append((view, node))
+        return views
+
+    def _drain_budget_error(self, index: int) -> SimulationError:
+        """The event engine's drain-failure error, byte for byte."""
+        from repro.noc.simulator import _STUCK_PACKETS_NAMED
+
+        cell = self._cells[index]
+        stuck = self.stuck_packets(index)
         named = ", ".join(
-            f"#{self._pk_local[pid]} at {where!r} -> "
-            f"{self._routers[self._pk_dest[pid]]!r} ({self._pk_hops[pid]} hops)"
-            for pid, where in stuck[:_STUCK_PACKETS_NAMED]
+            f"#{packet.packet_id} at {where!r} -> "
+            f"{packet.destination!r} ({packet.hops} hops)"
+            for packet, where in stuck[:_STUCK_PACKETS_NAMED]
         )
         if len(stuck) > _STUCK_PACKETS_NAMED:
             named += f", and {len(stuck) - _STUCK_PACKETS_NAMED} more"

@@ -362,8 +362,11 @@ class NoCSimulator:
         Used by the drain-budget error so routing-loop and deadlock triage
         can name the culprits (id, position, destination, hops so far)
         without a debugger.  Sorted by packet id for stable messages; the
-        packets are views (:meth:`PacketTable.view`).
+        packets are views (:meth:`PacketTable.view`, or the batch engine's
+        :meth:`~repro.noc.batch.BatchSimulator.stuck_packets`).
         """
+        if self._batch is not None:
+            return self._batch.stuck_packets(0)
         stuck = [
             (packet, node)
             for node, queues in zip(self._nodes, self._queues)

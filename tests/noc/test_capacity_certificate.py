@@ -18,12 +18,17 @@ from hypothesis import strategies as st
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message
-from repro.noc.simulator import NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
 from repro.routing.shortest_path import all_pairs_shortest_paths
 from repro.routing.table import RoutingTable
 from simulator_oracle import OracleSimulator
 
 CAPACITIES = range(1, 9)
+
+#: the implementations that keep a capacity certificate, by test id
+CERTIFYING = pytest.mark.parametrize(
+    "simulator_class", [NoCSimulator, OracleSimulator], ids=["event", "oracle"]
+)
 
 #: drain budget of the random runs: dense traffic on a ring can deadlock
 #: (every buffer on a cycle full), which only a blocked run can do
@@ -38,7 +43,10 @@ def chain_fabric() -> tuple[Topology, object]:
 
 
 def retry_collision_run(
-    capacity: int = 1, delay: int = 4, simulator: type = NoCSimulator
+    capacity: int = 1,
+    delay: int = 4,
+    simulator: type = NoCSimulator,
+    engine: str = ENGINE_EVENT,
 ) -> NoCSimulator:
     """A waiting arrival and a later launch due on channel 0->1 together.
 
@@ -53,7 +61,9 @@ def retry_collision_run(
         topology,
         routing,
         config=SimulatorConfig(
-            buffer_capacity_packets=capacity, router_pipeline_delay_cycles=delay
+            engine=engine,
+            buffer_capacity_packets=capacity,
+            router_pipeline_delay_cycles=delay,
         ),
     )
     simulator.schedule_message(Message(1, 2, 256), cycle=0)  # Q, packet 0
@@ -83,27 +93,30 @@ class TestInFlightOrder:
         # (3) due on one cycle, A first in launch order
         assert due_together and due_together[0] == (7, [2, 3])
 
-    def test_channel_fifo_order_is_kept(self):
-        simulator = retry_collision_run()
+    @CERTIFYING
+    def test_channel_fifo_order_is_kept(self, simulator_class):
+        simulator = retry_collision_run(simulator=simulator_class)
         simulator.run_until_drained()
         cycles = simulator.statistics.delivery_cycles()
         assert cycles[1] < cycles[2] < cycles[3]  # P, A, B in launch order
         assert simulator.engine_info()["blocked"] is True
 
-    def test_event_engine_matches_the_oracle(self):
-        event = retry_collision_run()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_matches_the_oracle(self, engine):
+        candidate = retry_collision_run(engine=engine)
         oracle = retry_collision_run(simulator=OracleSimulator)
-        event.run_until_drained()
+        candidate.run_until_drained()
         oracle.run_until_drained()
-        assert event.report() == oracle.report()
-        assert event.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
-        assert event.current_cycle == oracle.current_cycle
+        assert candidate.report() == oracle.report()
+        assert candidate.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
+        assert candidate.current_cycle == oracle.current_cycle
 
 
 class TestCertificate:
-    def test_light_load_is_unblocked(self):
+    @CERTIFYING
+    def test_light_load_is_unblocked(self, simulator_class):
         topology, routing = chain_fabric()
-        simulator = NoCSimulator(topology, routing)
+        simulator = simulator_class(topology, routing)
         simulator.schedule_message(Message(0, 2, 32), cycle=0)
         simulator.schedule_message(Message(0, 2, 32), cycle=5)
         simulator.run_until_drained()

@@ -84,12 +84,13 @@ class TestEngineConfig:
     def test_smallest_valid_config_accepted(self, field):
         assert getattr(SimulatorConfig(**{field: 1}), field) == 1
 
-    def test_engine_info_reports_skipped_cycles(self):
-        simulator = chain_simulator(engine=ENGINE_EVENT)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_info_reports_skipped_cycles(self, engine):
+        simulator = chain_simulator(engine=engine)
         simulator.schedule_message(Message(0, 3, 32), cycle=100)
         simulator.run_until_drained()
         info = simulator.engine_info()
-        assert info["engine"] == ENGINE_EVENT
+        assert info["engine"] == engine
         assert info["cycles_total"] == simulator.current_cycle
         assert info["cycles_stepped"] + info["cycles_skipped"] == info["cycles_total"]
         # the 100 idle warm-up cycles must not have been executed
@@ -109,22 +110,26 @@ class TestActiveSetBookkeeping:
         assert simulator.statistics.all_delivered
         assert simulator.cycles_stepped < simulator.current_cycle
 
-    def test_backpressure_wake_on_space(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_backpressure_wake_on_space(self, engine):
         """With one-packet buffers, every forward depends on the downstream
         pop; only the pop-side wake can keep upstream routers moving."""
-        simulator = chain_simulator(buffer_capacity_packets=1)
+        simulator = chain_simulator(engine=engine, buffer_capacity_packets=1)
         for _ in range(12):
             simulator.schedule_message(Message(0, 3, 64))
         simulator.run_until_drained()
         assert simulator.statistics.all_delivered
 
-    def test_arbitration_loser_is_rearmed(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_arbitration_loser_is_rearmed(self, engine):
         """Two sources feeding one ejection port: the round-robin loser must
         wake again by itself (no arrival or channel event helps it)."""
         topology = Topology(name="fan_in")
         topology.add_channel(1, 0, length_mm=1.0)
         topology.add_channel(2, 0, length_mm=1.0)
-        simulator = NoCSimulator(topology, lambda current, dest: 0)
+        simulator = NoCSimulator(
+            topology, lambda current, dest: 0, config=SimulatorConfig(engine=engine)
+        )
         for source in (1, 2):
             for _ in range(3):
                 simulator.schedule_message(Message(source, 0, 32))
@@ -202,8 +207,9 @@ class TestLeakageFinalization:
             * technology.cycle_time_ns
         )
 
-    def test_interleaved_runs_charge_leakage_exactly_once(self):
-        simulator = chain_simulator()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_interleaved_runs_charge_leakage_exactly_once(self, engine):
+        simulator = chain_simulator(engine=engine)
         simulator.schedule_message(Message(0, 3, 64))
         simulator.run_until_drained()
         simulator.run(17)  # idle stretch
@@ -231,19 +237,22 @@ class TestLeakageFinalization:
 class TestStuckPacketDiagnostics:
     """Satellite: drain-budget errors name the stuck packets."""
 
-    def stuck_simulator(self, simulator_class: type = NoCSimulator) -> NoCSimulator:
+    def stuck_simulator(
+        self, simulator_class: type = NoCSimulator, engine: str = ENGINE_EVENT
+    ) -> NoCSimulator:
         topology = chain_topology()
         topology.add_router(99)  # unreachable destination
         simulator = simulator_class(
             topology,
             lambda current, dest: current + 1 if current < 3 else current - 1,
-            config=SimulatorConfig(max_cycles=60),
+            config=SimulatorConfig(engine=engine, max_cycles=60),
         )
         simulator.schedule_message(Message(0, 99, 64))
         return simulator
 
-    def test_error_names_packet_position_destination_hops(self):
-        simulator = self.stuck_simulator()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_error_names_packet_position_destination_hops(self, engine):
+        simulator = self.stuck_simulator(engine=engine)
         with pytest.raises(SimulationError) as excinfo:
             simulator.run_until_drained(max_cycles=40)
         message = str(excinfo.value)
@@ -252,16 +261,19 @@ class TestStuckPacketDiagnostics:
         assert "-> 99" in message  # destination
         assert "hops" in message
 
-    def test_engine_raises_the_oracles_message(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_raises_the_oracles_message(self, engine):
         errors = {}
         for simulator_class in (NoCSimulator, OracleSimulator):
-            simulator = self.stuck_simulator(simulator_class)
+            simulator = self.stuck_simulator(simulator_class, engine)
             with pytest.raises(SimulationError) as excinfo:
                 simulator.run_until_drained(max_cycles=40)
             errors[simulator_class] = str(excinfo.value)
         assert errors[NoCSimulator] == errors[OracleSimulator]
 
-    def deadlocked_ring(self, simulator_class: type = NoCSimulator) -> NoCSimulator:
+    def deadlocked_ring(
+        self, simulator_class: type = NoCSimulator, engine: str = ENGINE_EVENT
+    ) -> NoCSimulator:
         """Every one-packet buffer of a ring ends up holding a packet
         waiting on the next full buffer clockwise."""
         topology = Topology(name="ring")
@@ -270,7 +282,7 @@ class TestStuckPacketDiagnostics:
         simulator = simulator_class(
             topology,
             lambda current, destination: (current + 1) % 4,
-            config=SimulatorConfig(buffer_capacity_packets=1),
+            config=SimulatorConfig(engine=engine, buffer_capacity_packets=1),
         )
         simulator.schedule_messages(
             [Message(node, (node + 3) % 4, 32) for node in range(4) for _ in range(3)]
@@ -278,25 +290,32 @@ class TestStuckPacketDiagnostics:
         return simulator
 
     def test_overrun_lands_on_the_oracles_cycle(self):
-        """A deadlocked ring: the engine gives up on the cycle after the
+        """A deadlocked ring: both engines give up on the cycle after the
         budget, as the oracle does, with the same message and stuck
         packets."""
         outcomes = {}
-        for simulator_class in (NoCSimulator, OracleSimulator):
-            simulator = self.deadlocked_ring(simulator_class)
+        for simulator_class, engine in (
+            (NoCSimulator, ENGINE_EVENT),
+            (NoCSimulator, ENGINE_BATCH),
+            (OracleSimulator, ENGINE_EVENT),
+        ):
+            simulator = self.deadlocked_ring(simulator_class, engine)
             start = simulator.current_cycle
             with pytest.raises(SimulationError) as excinfo:
                 simulator.run_until_drained(max_cycles=50)
             assert simulator.current_cycle == start + 51
             stuck = [(packet.packet_id, where) for packet, where in simulator.stuck_packets()]
-            outcomes[simulator_class] = (str(excinfo.value), stuck)
-        assert "did not drain within 50 cycles (12 packets stuck" in outcomes[NoCSimulator][0]
-        assert outcomes[NoCSimulator] == outcomes[OracleSimulator]
+            outcomes[simulator_class, engine] = (str(excinfo.value), stuck)
+        event = outcomes[NoCSimulator, ENGINE_EVENT]
+        assert "did not drain within 50 cycles (12 packets stuck" in event[0]
+        assert event == outcomes[NoCSimulator, ENGINE_BATCH]
+        assert event == outcomes[OracleSimulator, ENGINE_EVENT]
 
-    def test_a_stuck_packet_view_walks_its_routing_loop(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_stuck_packet_view_walks_its_routing_loop(self, engine):
         """The packet bounces between routers 2 and 3; its path is walked
-        through the routing memo, once per hop, loop included."""
-        simulator = self.stuck_simulator()
+        through the resolved routes, once per hop, loop included."""
+        simulator = self.stuck_simulator(engine=engine)
         with pytest.raises(SimulationError, match=r"#0 at 2 -> 99 \(14 hops\)"):
             simulator.run_until_drained(max_cycles=40)
         [(packet, where)] = simulator.stuck_packets()
@@ -304,8 +323,9 @@ class TestStuckPacketDiagnostics:
         assert packet.path == [0, 1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2]
         assert packet.delivery_cycle is None and packet.injection_cycle == 0
 
-    def test_deadlocked_packets_keep_their_hops_and_paths(self):
-        simulator = self.deadlocked_ring()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deadlocked_packets_keep_their_hops_and_paths(self, engine):
+        simulator = self.deadlocked_ring(engine=engine)
         with pytest.raises(SimulationError):
             simulator.run_until_drained(max_cycles=50)
         stuck = [
@@ -319,13 +339,14 @@ class TestStuckPacketDiagnostics:
             (9, 0, 1, [3, 0]), (10, 0, 1, [3, 0]), (11, 3, 0, [3]),
         ]
 
-    def test_many_stuck_packets_are_truncated(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_many_stuck_packets_are_truncated(self, engine):
         topology = chain_topology()
         topology.add_router(99)
         simulator = NoCSimulator(
             topology,
             lambda current, dest: current + 1 if current < 3 else current - 1,
-            config=SimulatorConfig(max_cycles=60),
+            config=SimulatorConfig(engine=engine, max_cycles=60),
         )
         for _ in range(12):
             simulator.schedule_message(Message(0, 99, 64))

@@ -7,7 +7,8 @@ import pytest
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message, Packet
-from repro.noc.simulator import LOCAL_PORT, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINES, LOCAL_PORT, NoCSimulator, SimulatorConfig
+from simulator_oracle import OracleSimulator
 
 
 class TestMessage:
@@ -54,10 +55,11 @@ def merge_topology() -> Topology:
     return topology
 
 
-def merge_simulator(**config_overrides) -> NoCSimulator:
-    """Every packet goes to router 1 first, then straight to its destination."""
+def merge_simulator(simulator_class: type = NoCSimulator, **config_overrides) -> NoCSimulator:
+    """Every packet goes to router 1 first, then straight to its destination;
+    ``simulator_class`` may be the oracle's."""
     config = SimulatorConfig(**config_overrides)
-    return NoCSimulator(
+    return simulator_class(
         merge_topology(),
         lambda current, destination: 1 if current in (2, 3) else destination,
         config=config,
@@ -105,16 +107,20 @@ class TestInputQueues:
         assert sorted(waiting) == [0, 1]
         assert [where for _, where in simulator.stuck_packets()] == [1, 7, 8]
 
-    def test_each_port_is_fifo(self):
-        simulator = merge_simulator()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_each_port_is_fifo(self, engine):
+        simulator = merge_simulator(engine=engine)
         messages = [Message(2, 7, 8, tag=f"p{index}") for index in range(6)]
         simulator.schedule_messages(messages, cycle=0)
         simulator.run_until_drained()
         delivered = [packet.message.tag for packet in simulator.statistics.delivered_packets]
         assert delivered == [message.tag for message in messages]
 
-    def test_backpressure_bounds_every_queue(self):
-        simulator = merge_simulator(buffer_capacity_packets=1)
+    @pytest.mark.parametrize(
+        "simulator_class", [NoCSimulator, OracleSimulator], ids=["event", "oracle"]
+    )
+    def test_backpressure_bounds_every_queue(self, simulator_class):
+        simulator = merge_simulator(simulator_class, buffer_capacity_packets=1)
         simulator.schedule_messages(
             [Message(source, 7, 96) for source in (2, 3) for _ in range(4)], cycle=0
         )
@@ -152,10 +158,11 @@ class TestArbitration:
         simulator = self._contend((7, 8))
         assert launches_from(simulator, 1) == [(1, 7), (1, 8)]
 
-    def test_round_robin_serves_both_ports(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_round_robin_serves_both_ports(self, engine):
         """Two ports contending for one output both deliver, interleaved:
         neither waits for the other to empty."""
-        simulator = merge_simulator()
+        simulator = merge_simulator(engine=engine)
         simulator.schedule_messages(
             [Message(source, 7, 8) for source in (2, 3) for _ in range(4)], cycle=0
         )

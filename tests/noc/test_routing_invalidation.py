@@ -16,7 +16,7 @@ import pytest
 from repro.arch.topology import Topology
 from repro.exceptions import RoutingError, SimulationError
 from repro.noc.packet import Message
-from repro.noc.simulator import ENGINE_EVENT, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
 from repro.routing.table import RoutingTable
 
 
@@ -79,7 +79,7 @@ class TestSimulatorRouteMemo:
         assert [packet.path for packet in rebuilt.statistics.delivered_packets] == [[3, 2, 1]]
 
 
-@pytest.mark.parametrize("engine", [ENGINE_EVENT])
+@pytest.mark.parametrize("engine", ENGINES)
 class TestLateTopologyMutation:
     """The fabric is wired once, at construction."""
 

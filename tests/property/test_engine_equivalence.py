@@ -215,17 +215,17 @@ def stuck(simulator) -> list[tuple]:
 def assert_equivalent(candidate: NoCSimulator, oracle: OracleSimulator) -> None:
     """The bit-exactness contract between one engine and the oracle.
 
-    The batch engine keeps neither the stuck packets nor a capacity
-    certificate.  The event engine's peak occupancy is the model's; its
-    ``blocked`` flag may also be set by its re-arm space test, which the
-    model does not make, so it must be set whenever the oracle's is.
+    The batch engine keeps no capacity certificate.  The event engine's
+    peak occupancy is the model's; its ``blocked`` flag may also be set
+    by its re-arm space test, which the model does not make, so it must
+    be set whenever the oracle's is.
     """
     assert report_or_error(candidate) == report_or_error(oracle)
     assert candidate.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
     assert paths(candidate) == paths(oracle)
     assert candidate.current_cycle == oracle.current_cycle
+    assert stuck(candidate) == stuck(oracle)
     if candidate.config.engine == ENGINE_EVENT:
-        assert stuck(candidate) == stuck(oracle)
         info, model = candidate.engine_info(), oracle.engine_info()
         assert info["peak_occupancy"] == model["peak_occupancy"]
         assert info["blocked"] or not model["blocked"]
@@ -440,6 +440,7 @@ def test_drain_budget_errors_equivalent(
         else:  # the error names the stuck packets; figures are not final
             assert candidate.statistics.delivery_cycles() == oracle.statistics.delivery_cycles()
             assert candidate.current_cycle == oracle.current_cycle
+            assert stuck(candidate) == stuck(oracle)
 
 
 class Unroutable(LookupError):

@@ -15,7 +15,8 @@ It mirrors the simulator's public surface closely enough for the tests
 to run both on the same traffic: scheduling, ``run``,
 ``run_until_drained``, ``report`` (without probe figures),
 ``engine_info``, ``stuck_packets`` and a ``statistics`` object with the
-delivered packets, their delivery cycles and the channel busy cycles.
+delivered packets and their count, their delivery cycles and the channel
+busy cycles.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class OracleStatistics:
         self.injected_count = 0
         self.delivered_packets = []  # in delivery order
         self.channel_busy_cycles = {}  # in first-launch order
+
+    @property
+    def delivered_count(self):
+        return len(self.delivered_packets)
 
     def delivery_cycles(self):
         return {packet.packet_id: packet.delivery_cycle for packet in self.delivered_packets}

@@ -17,7 +17,7 @@ import pytest
 from repro.arch.metrics import bisection_bandwidth
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.noc.packet import Message
-from repro.noc.simulator import ENGINE_EVENT, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
 from repro.routing.xy import xy_routing_function
 
 
@@ -45,7 +45,7 @@ def test_bisection_search_leaves_no_cycles(cyclic_gc_off, mesh_4x4):
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("engine", [ENGINE_EVENT])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_a_drained_simulator_is_freed_by_reference_counting(cyclic_gc_off, mesh_4x4, engine):
     simulator = NoCSimulator(
         mesh_4x4, xy_routing_function(mesh_4x4), config=SimulatorConfig(engine=engine)
