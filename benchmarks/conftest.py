@@ -27,7 +27,7 @@ from repro.arch.mesh import build_mesh  # noqa: E402
 from repro.experiments.aes_experiment import run_aes_synthesis  # noqa: E402
 from repro.experiments.comparison import run_prototype_comparison  # noqa: E402
 from repro.noc.simulator import NoCSimulator, SimulatorConfig  # noqa: E402
-from repro.routing.xy import xy_routing_function  # noqa: E402
+from repro.routing.policies import get_policy  # noqa: E402
 from simulator_oracle import OracleSimulator  # noqa: E402
 
 
@@ -90,7 +90,7 @@ def engine_duel(aes_synthesis_session):
     def fabric_parts(fabric):
         if fabric == "mesh":
             mesh = build_mesh(4, 4)
-            return mesh, xy_routing_function(mesh)
+            return mesh, get_policy("xy").build(mesh).frozen_next_hop()
         architecture = aes_synthesis_session.architecture
         return architecture.topology, architecture.routing_table.frozen_next_hop()
 

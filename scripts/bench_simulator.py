@@ -83,7 +83,7 @@ from repro.noc.traffic import (  # noqa: E402
     uniform_random_messages,
 )
 from repro.obs import NULL_SESSION, SimulatorProbe, use_session  # noqa: E402
-from repro.routing.xy import xy_routing_function  # noqa: E402
+from repro.routing.policies import get_policy  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
@@ -121,7 +121,7 @@ def available_engines() -> tuple[str, ...]:
 
 def mesh_fabric():
     mesh = build_mesh(4, 4)
-    return mesh, xy_routing_function(mesh)
+    return mesh, get_policy("xy").build(mesh).frozen_next_hop()
 
 
 def aes_fabric():

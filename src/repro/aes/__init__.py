@@ -20,7 +20,6 @@ from repro.aes.distributed import (
     DistributedAES,
     DistributedTrace,
     column_nodes,
-    coordinates_of,
     node_of,
     row_nodes,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DistributedAES",
     "DistributedTrace",
     "node_of",
-    "coordinates_of",
     "column_nodes",
     "row_nodes",
     "build_aes_acg",

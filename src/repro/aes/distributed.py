@@ -52,14 +52,6 @@ def node_of(row: int, column: int) -> int:
     return 4 * row + column + 1
 
 
-def coordinates_of(node: int) -> tuple[int, int]:
-    """Inverse of :func:`node_of`."""
-    if not 1 <= node <= 16:
-        raise WorkloadError("AES byte-slice nodes are numbered 1..16")
-    index = node - 1
-    return index // 4, index % 4
-
-
 def column_nodes(column: int) -> list[int]:
     """The four nodes holding state column ``column`` (e.g. column 0 -> [1, 5, 9, 13])."""
     return [node_of(row, column) for row in range(4)]
@@ -210,11 +202,3 @@ class DistributedAES:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def encrypt_blocks(self, plaintext: bytes) -> list[DistributedTrace]:
-        """Encrypt a multiple-of-16-bytes message block by block."""
-        if len(plaintext) % BLOCK_SIZE_BYTES:
-            raise WorkloadError("input length must be a multiple of the block size")
-        return [
-            self.encrypt_block(plaintext[offset : offset + BLOCK_SIZE_BYTES])
-            for offset in range(0, len(plaintext), BLOCK_SIZE_BYTES)
-        ]

@@ -10,10 +10,6 @@ must not pull in :mod:`repro.noc`, :mod:`repro.dse` or hypothesis-sized
 test dependencies; ``tests/test_api_facade.py`` asserts that budget in a
 subprocess.
 
-Symbols that moved during the plugin-fabric refactor keep working here
-as deprecation shims (:data:`_DEPRECATED`): accessing them warns once
-with the new location and then behaves identically.
-
 Quickstart::
 
     from repro import api
@@ -24,9 +20,6 @@ Quickstart::
 """
 
 from __future__ import annotations
-
-import warnings
-from importlib import import_module
 
 from repro._lazy import lazy_attributes
 
@@ -164,27 +157,7 @@ _EXPORTS: dict[str, str] = {
     "render_trace_summary": "repro.obs",
 }
 
-#: moved/renamed symbols kept alive with a warning: name -> (module,
-#: attribute there, replacement to mention).
-_DEPRECATED: dict[str, tuple[str, str, str]] = {
-    "read_pajek": (
-        "repro.io",
-        "read_workload",
-        "repro.api.read_workload(path, fmt='pajek')",
-    ),
-    "write_pajek": (
-        "repro.io",
-        "write_workload",
-        "repro.api.write_workload(acg, path, fmt='pajek')",
-    ),
-    "get_scenario_suite": (
-        "repro.dse.scenarios",
-        "get_suite",
-        "repro.api.get_suite(name)",
-    ),
-}
-
-__all__ = sorted(_EXPORTS) + sorted(_DEPRECATED)
+__all__ = sorted(_EXPORTS)
 
 
 _resolve, __dir__ = lazy_attributes(__name__, _EXPORTS)
@@ -192,14 +165,6 @@ _resolve, __dir__ = lazy_attributes(__name__, _EXPORTS)
 
 def __getattr__(name: str) -> object:
     """Resolve a facade name on first access (PEP 562 lazy import)."""
-    if name in _DEPRECATED:
-        module, attribute, replacement = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(import_module(module), attribute)
     value = _resolve(name)
     globals()[name] = value  # cache: subsequent access skips __getattr__
     return value

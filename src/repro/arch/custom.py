@@ -75,28 +75,6 @@ class CustomTopology(Topology):
         """All origins that contributed the channel (may be several matchings)."""
         return list(self._origins.get((source, target), []))
 
-    def channels_from_primitives(self) -> list[tuple[NodeId, NodeId]]:
-        return [
-            key
-            for key, origins in self._origins.items()
-            if any(origin.kind == "primitive" for origin in origins)
-        ]
-
-    def channels_from_remainder(self) -> list[tuple[NodeId, NodeId]]:
-        return [
-            key
-            for key, origins in self._origins.items()
-            if all(origin.kind == "remainder" for origin in origins)
-        ]
-
-    def provenance_summary(self) -> dict[str, int]:
-        """Channel counts per origin label (e.g. ``{"MGG4#0": 8, "remainder": 3}``)."""
-        counts: dict[str, int] = {}
-        for origins in self._origins.values():
-            for origin in origins:
-                counts[origin.label] = counts.get(origin.label, 0) + 1
-        return counts
-
     def describe(self) -> str:
         lines = [
             f"Customized topology {self.name!r}: {self.num_routers} routers, "

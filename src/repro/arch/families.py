@@ -110,18 +110,6 @@ class TorusTopology(MeshTopology):
                     bidirectional=True,
                 )
 
-    def torus_hops(self, source: NodeId, target: NodeId) -> int:
-        """Minimum hop count with wraparound taken into account."""
-        source_coords = self.coordinates(source)
-        target_coords = self.coordinates(target)
-        row_delta = abs(source_coords.row - target_coords.row)
-        column_delta = abs(source_coords.column - target_coords.column)
-        if self.rows >= 3:
-            row_delta = min(row_delta, self.rows - row_delta)
-        if self.columns >= 3:
-            column_delta = min(column_delta, self.columns - column_delta)
-        return row_delta + column_delta
-
 
 class RingTopology(Topology):
     """A bidirectional ring of routers placed on a circle.
@@ -170,11 +158,6 @@ class RingTopology(Topology):
 
     def node_at_index(self, index: int) -> NodeId:
         return self._by_index[index % self.ring_size]
-
-    def ring_hops(self, source: NodeId, target: NodeId) -> int:
-        """Minimum hop count around the ring (either direction)."""
-        delta = abs(self.index_of(source) - self.index_of(target))
-        return min(delta, self.ring_size - delta)
 
 
 class SpidergonTopology(RingTopology):

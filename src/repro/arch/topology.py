@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
-from repro.core.graph import CorePosition, DiGraph
+from repro.core.graph import CorePosition
 from repro.exceptions import GraphError, NodeNotFoundError, SynthesisError
 
 NodeId = Hashable
@@ -192,15 +192,6 @@ class Topology:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def connectivity_graph(self) -> DiGraph:
-        """The directed channel graph as a plain :class:`DiGraph`."""
-        graph = DiGraph(name=self.name)
-        for node in self._routers:
-            graph.add_node(node, exist_ok=True)
-        for source, target in self._channels:
-            graph.add_edge(source, target)
-        return graph
-
     def signature(self) -> dict[str, object]:
         """Canonical structural identity of the fabric (interchange contract).
 

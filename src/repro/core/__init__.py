@@ -30,13 +30,7 @@ from repro.core.decomposition import (
     decompose,
 )
 from repro.core.graph import ApplicationGraph, CorePosition, DiGraph, GraphStatistics
-from repro.core.isomorphism import (
-    VF2Matcher,
-    are_isomorphic,
-    find_all_subgraph_isomorphisms,
-    find_subgraph_isomorphism,
-    has_subgraph_isomorphic_to,
-)
+from repro.core.isomorphism import VF2Matcher
 from repro.core.library import (
     CommunicationLibrary,
     aes_library,
@@ -68,10 +62,6 @@ __all__ = [
     "CorePosition",
     "GraphStatistics",
     "VF2Matcher",
-    "are_isomorphic",
-    "find_subgraph_isomorphism",
-    "find_all_subgraph_isomorphisms",
-    "has_subgraph_isomorphic_to",
     "CommunicationPrimitive",
     "PrimitiveKind",
     "make_gossip_primitive",

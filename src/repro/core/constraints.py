@@ -12,8 +12,7 @@ The optimization problem of the paper minimises the decomposition cost
   technology's global-wire metal layers can provide.
 
 This module provides the constraint container, the per-channel load
-calculation, and a checker that produces a structured report (and can raise
-:class:`~repro.exceptions.ConstraintViolationError`).
+calculation, and a checker that produces a structured report.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.arch.metrics import bisection_bandwidth
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
-from repro.exceptions import ConstraintViolationError, RoutingError
+from repro.exceptions import RoutingError
 from repro.routing.table import RoutingTable
 
 NodeId = Hashable
@@ -64,13 +63,6 @@ class ConstraintReport:
     channel_loads: dict[ChannelKey, float] = field(default_factory=dict)
     bisection_bandwidth: float | None = None
     max_router_degree: int = 0
-
-    def raise_if_violated(self) -> None:
-        """Raise :class:`ConstraintViolationError` unless every constraint holds."""
-        if not self.satisfied:
-            raise ConstraintViolationError(
-                f"{len(self.violations)} design constraint(s) violated", self.violations
-            )
 
     def describe(self) -> str:
         """One-line pass/fail summary listing any violations."""

@@ -46,7 +46,7 @@ from repro.core.bounds import (
 )
 from repro.core.cost import CostModel, LinkCountCostModel, default_cost_model
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
-from repro.core.isomorphism import IsomorphismMapping, MatcherOptions, VF2Matcher
+from repro.core.isomorphism import IsomorphismMapping, VF2Matcher
 from repro.core.library import CommunicationLibrary, LibraryEntry
 from repro.core.matching import Matching, RemainderGraph
 from repro.exceptions import DecompositionError
@@ -86,8 +86,10 @@ class DecompositionConfig:
 
     Only the counter budgets (``max_leaves``, ``max_nodes_expanded``) may
     cut a search short, so a cover never depends on host speed.  The two
-    clocks default to ``None`` and can only abort.  Counters must be at
-    least 1 and abort times positive; ``None`` lifts a limit.
+    clocks default to ``None`` and can only abort.  Counters must be
+    ``int`` (not ``bool``) and at least 1, abort times positive ``int`` or
+    ``float``; ``None`` lifts a limit.  A bad value raises
+    :class:`DecompositionError` at construction.
     """
 
     strategy: SearchStrategy = SearchStrategy.BRANCH_AND_BOUND
@@ -115,14 +117,27 @@ class DecompositionConfig:
     overlapping matchings that the symmetry filter cannot collapse."""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, SearchStrategy):
+            valid = ", ".join(repr(strategy.value) for strategy in SearchStrategy)
+            raise DecompositionError(
+                f"strategy must be a SearchStrategy ({valid}), got {self.strategy!r}"
+            )
         check_bound_name(self.lower_bound)
         for name in ("max_matchings_per_primitive", "max_leaves", "max_nodes_expanded"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DecompositionError(f"{name} must be an int or None, got {value!r}")
+            if value < 1:
                 raise DecompositionError(f"{name} must be at least 1 or None, got {value!r}")
         for name in ("isomorphism_timeout_seconds", "total_timeout_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise DecompositionError(f"{name} must be a number or None, got {value!r}")
+            if value <= 0:
                 raise DecompositionError(f"{name} must be positive or None, got {value!r}")
 
 
@@ -206,11 +221,6 @@ class DecompositionResult:
     def num_matchings(self) -> int:
         """How many primitive instances the decomposition uses."""
         return len(self.matchings)
-
-    @property
-    def is_complete_cover(self) -> bool:
-        """True when no application edge was left in the remainder."""
-        return self.remainder.is_empty
 
     def primitives_used(self) -> dict[str, int]:
         """How many instances of each primitive the decomposition uses."""
@@ -349,12 +359,8 @@ class Decomposer:
         matcher = VF2Matcher(
             primitive.representation,
             target,
-            MatcherOptions(
-                induced=False,
-                timeout_seconds=self.config.isomorphism_timeout_seconds,
-                deduplicate_by_edges=True,
-            ),
-            entry.pattern_plan,
+            timeout_seconds=self.config.isomorphism_timeout_seconds,
+            plan=entry.pattern_plan,
         )
         mappings = matcher.find_all(limit=limit)
         if matcher.timed_out:

@@ -37,24 +37,6 @@ Node = Hashable
 Edge = tuple[Node, Node]
 
 
-@dataclass(frozen=True)
-class EdgeData:
-    """Attributes attached to an ACG edge.
-
-    Attributes
-    ----------
-    volume:
-        Total communication volume ``v(e_ij)`` in bits transferred over the
-        lifetime of the application (e.g. one AES block encryption).
-    bandwidth:
-        Required bandwidth ``b(e_ij)`` in bits/cycle (or any consistent unit);
-        used for the constraint check of Section 4.2.
-    """
-
-    volume: float = 1.0
-    bandwidth: float = 0.0
-
-
 class DiGraph:
     """A simple directed graph with hashable nodes and at most one edge per pair.
 
@@ -315,48 +297,9 @@ class DiGraph:
             result.add_edge(source, target, **attrs)
         return result
 
-    def node_induced_subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
-        """Return the subgraph induced by ``nodes`` (all edges among them)."""
-        keep = set(nodes)
-        missing = keep - set(self._succ)
-        if missing:
-            raise NodeNotFoundError(sorted(missing, key=repr)[0])
-        result = type(self)(name=f"{self.name}|sub")
-        for node in self.nodes():
-            if node in keep:
-                result.add_node(node, **dict(self._node_attrs[node]))
-        for source, target, attrs in self.edges(data=True):
-            if source in keep and target in keep:
-                result.add_edge(source, target, **dict(attrs))
-        return result
-
-    def relabeled(self, mapping: Mapping[Node, Node]) -> "DiGraph":
-        """Return a copy with nodes renamed according to ``mapping``.
-
-        Nodes absent from ``mapping`` keep their label.  The mapping must not
-        merge two distinct nodes into one.
-        """
-        new_labels = [mapping.get(node, node) for node in self.nodes()]
-        if len(set(new_labels)) != len(new_labels):
-            raise GraphError("relabeling would merge distinct nodes")
-        result = type(self)(name=self.name)
-        for node in self.nodes():
-            result.add_node(mapping.get(node, node), **dict(self._node_attrs[node]))
-        for source, target, attrs in self.edges(data=True):
-            result.add_edge(
-                mapping.get(source, source), mapping.get(target, target), **dict(attrs)
-            )
-        return result
-
     # ------------------------------------------------------------------
     # traversal / structure queries
     # ------------------------------------------------------------------
-    def is_edge_subgraph_of(self, other: "DiGraph") -> bool:
-        """True when every node and edge of ``self`` also appears in ``other``."""
-        return all(other.has_node(node) for node in self.nodes()) and all(
-            other.has_edge(source, target) for source, target in self.edges()
-        )
-
     def isolated_nodes(self) -> list[Node]:
         """Nodes with neither incoming nor outgoing edges."""
         return [node for node in self.nodes() if self.degree(node) == 0]
@@ -569,10 +512,6 @@ class CorePosition:
     def manhattan_distance(self, other: "CorePosition") -> float:
         """L1 distance to ``other``."""
         return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def euclidean_distance(self, other: "CorePosition") -> float:
-        """L2 distance to ``other``."""
-        return ((self.x - other.x) ** 2 + (self.y - other.y) ** 2) ** 0.5
 
 
 class ApplicationGraph(DiGraph):

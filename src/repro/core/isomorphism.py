@@ -6,26 +6,18 @@ graphs in the communication library?* (Definition 4).  The original tool used
 the C++ VF2 implementation of Cordella et al.; here we implement the same
 state-space search directly in Python.
 
-Two matching semantics are provided:
-
-``monomorphism`` (default)
-    Every *pattern* edge must map to an edge of the target between the mapped
-    endpoints; extra target edges between mapped vertices are allowed.  This
-    is the semantics of Definition 3/4: a subgraph ``S`` of the target (any
-    edge subset) must be isomorphic to the pattern.  It is what the
-    decomposition uses, because only the matched edges are subtracted.
-
-``induced``
-    Additionally, every non-edge of the pattern must be a non-edge of the
-    target between the mapped vertices.
+The matcher finds monomorphisms: every *pattern* edge must map to an edge
+of the target between the mapped endpoints, and extra target edges between
+mapped vertices are allowed.  This is the semantics of Definition 3/4: a
+subgraph ``S`` of the target (any edge subset) must be isomorphic to the
+pattern, and only the matched edges are subtracted.
 
 The matcher supports
 
 * enumeration of one / all / up to *k* matchings,
-* canonical de-duplication of matchings that cover the same edge set
-  (important for symmetric primitives such as gossip graphs, whose
-  automorphism group would otherwise multiply the search space of the
-  decomposition),
+* de-duplication of matchings that cover the same edge set (important for
+  symmetric primitives such as gossip graphs, whose automorphism group
+  would otherwise multiply the search space of the decomposition),
 * an optional wall-clock timeout, as suggested in Section 5.1 of the paper
   ("the search for the isomorphism can be terminated after a time-out
   period rather than trying all permutations").  The decomposition treats
@@ -35,7 +27,7 @@ The matcher supports
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,10 +66,6 @@ class IsomorphismMapping:
         """The target node a pattern node is mapped to."""
         return self._lookup_table[node]
 
-    def target_nodes(self) -> set[Node]:
-        """The set of target nodes used by the mapping."""
-        return {target for _, target in self.mapping}
-
     def covered_edges(self, pattern: DiGraph) -> frozenset[Edge]:
         """The target edges that are images of pattern edges."""
         as_dict = self.as_dict()
@@ -91,17 +79,6 @@ class IsomorphismMapping:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{p!r}->{t!r}" for p, t in self.mapping)
         return f"IsomorphismMapping({pairs})"
-
-
-@dataclass
-class MatcherOptions:
-    """Tuning knobs for the VF2 search."""
-
-    induced: bool = False
-    timeout_seconds: float | None = None
-    max_matches: int | None = None
-    deduplicate_by_edges: bool = True
-    node_compatible: Callable[[Node, Node], bool] | None = None
 
 
 class SearchTimeout(Exception):
@@ -120,14 +97,13 @@ class PatternPlan:
     degree, ties by ``repr``), which keeps the search shallow for the dense
     gossip patterns.  Per depth, ``degrees`` is the ``(out, in)`` degree
     its host must have, ``required`` the ``(earlier depth, outgoing)``
-    pairs its image must be a successor (``outgoing``) or predecessor of,
-    and ``non_adjacent`` the pairs an induced match forbids.  ``edges``
-    are the pattern edges as depth pairs, and ``assignment_order`` lists
-    the depths in the order :meth:`IsomorphismMapping.from_dict` sorts
-    their nodes.
+    pairs its image must be a successor (``outgoing``) or predecessor of.
+    ``edges`` are the pattern edges as depth pairs, and
+    ``assignment_order`` lists the depths in the order
+    :meth:`IsomorphismMapping.from_dict` sorts their nodes.
     """
 
-    __slots__ = ("order", "degrees", "required", "non_adjacent", "edges", "assignment_order")
+    __slots__ = ("order", "degrees", "required", "edges", "assignment_order")
 
     def __init__(self, pattern: DiGraph) -> None:
         order = self.order = tuple(
@@ -137,20 +113,15 @@ class PatternPlan:
             (pattern.out_degree(node), pattern.in_degree(node)) for node in order
         )
         required: list[tuple[tuple[int, bool], ...]] = []
-        non_adjacent: list[tuple[tuple[int, bool], ...]] = []
         for depth, node in enumerate(order):
             linked: list[tuple[int, bool]] = []
-            unlinked: list[tuple[int, bool]] = []
             for earlier, mapped in enumerate(order[:depth]):
-                for has_edge, outgoing in (
-                    (pattern.has_edge(mapped, node), True),
-                    (pattern.has_edge(node, mapped), False),
-                ):
-                    (linked if has_edge else unlinked).append((earlier, outgoing))
+                if pattern.has_edge(mapped, node):
+                    linked.append((earlier, True))
+                if pattern.has_edge(node, mapped):
+                    linked.append((earlier, False))
             required.append(tuple(linked))
-            non_adjacent.append(tuple(unlinked))
         self.required = tuple(required)
-        self.non_adjacent = tuple(non_adjacent)
         depth_of = {node: depth for depth, node in enumerate(order)}
         self.edges = tuple((depth_of[source], depth_of[sink]) for source, sink in pattern.edges())
         self.assignment_order = tuple(sorted(range(len(order)), key=lambda k: repr(order[k])))
@@ -167,8 +138,9 @@ class VF2Matcher:
         The application graph (or the remaining graph during decomposition),
         or an :class:`~repro.core.graph.EdgeIndex` of it: matchers on one
         target then share its node and edge masks.
-    options:
-        Matching semantics and limits; see :class:`MatcherOptions`.
+    timeout_seconds:
+        Wall-clock budget of one enumeration; ``None`` (the default) runs
+        it to completion.
     plan:
         The pattern's :class:`PatternPlan`, when the caller keeps one;
         built here otherwise.
@@ -185,16 +157,16 @@ class VF2Matcher:
         self,
         pattern: DiGraph,
         target: DiGraph | EdgeIndex,
-        options: MatcherOptions | None = None,
+        timeout_seconds: float | None = None,
         plan: PatternPlan | None = None,
     ) -> None:
         index = target if isinstance(target, EdgeIndex) else EdgeIndex(target)
         self.pattern = pattern
         self.target = index.graph
-        self.options = options or MatcherOptions()
+        self.timeout_seconds = timeout_seconds
         plan = plan or PatternPlan(pattern)
-        order = self._pattern_order = plan.order
-        targets = self._target_order = index.nodes
+        self._pattern_order = plan.order
+        self._target_order = index.nodes
         # source position -> target position -> the edge's mask
         self._edge_masks = index.edge_masks
         # indexed by ``outgoing``: an image must be a predecessor (False) or
@@ -203,24 +175,14 @@ class VF2Matcher:
         # Per depth: the target nodes with the degrees to host the pattern
         # node (a monomorphism gives every pattern edge a distinct target
         # edge), then the (earlier depth, mask table) pairs its image must
-        # lie in, and -- induced only -- the ones it must avoid.
+        # lie in.
         self._hosts = [index.hosts(wanted) for wanted in plan.degrees]
-        compatible = self.options.node_compatible
-        if compatible is not None:
-            for depth, pattern_node in enumerate(order):
-                for position, target_node in enumerate(targets):
-                    if not compatible(pattern_node, target_node):
-                        self._hosts[depth] &= ~(1 << position)
-
-        def bound(rows: tuple[tuple[tuple[int, bool], ...], ...]) -> list:
-            return [[(earlier, tables[outgoing]) for earlier, outgoing in row] for row in rows]
-
-        self._required = bound(plan.required)
-        self._forbidden = bound(plan.non_adjacent) if self.options.induced else [[] for _ in order]
+        self._required = [
+            [(earlier, tables[outgoing]) for earlier, outgoing in row] for row in plan.required
+        ]
         self._pattern_edges = plan.edges
         self._assignment_order = plan.assignment_order
         self._deadline: float | None = None
-        self._states_explored = 0
         self._timed_out = False
 
     # ------------------------------------------------------------------
@@ -241,11 +203,6 @@ class VF2Matcher:
         return self.find_one() is not None
 
     @property
-    def states_explored(self) -> int:
-        """Number of search states expanded in the last call (for diagnostics)."""
-        return self._states_explored
-
-    @property
     def timed_out(self) -> bool:
         """True when the last enumeration was cut short by the timeout."""
         return self._timed_out
@@ -254,11 +211,9 @@ class VF2Matcher:
         """Yield matchings lazily.
 
         Matchings whose covered target-edge set has already been produced are
-        suppressed when ``deduplicate_by_edges`` is set, because they would
-        lead to identical branches in the decomposition tree.
+        suppressed, because they would lead to identical branches in the
+        decomposition tree.
         """
-        if limit is None:
-            limit = self.options.max_matches
         if self.pattern.num_nodes == 0:
             return
         if self.pattern.num_nodes > self.target.num_nodes:
@@ -266,14 +221,12 @@ class VF2Matcher:
         if self.pattern.num_edges > self.target.num_edges:
             return
 
-        self._states_explored = 0
         self._timed_out = False
-        if self.options.timeout_seconds is not None:
-            self._deadline = time.monotonic() + self.options.timeout_seconds
+        if self.timeout_seconds is not None:
+            self._deadline = time.monotonic() + self.timeout_seconds
         else:
             self._deadline = None
 
-        deduplicate = self.options.deduplicate_by_edges
         seen_edge_sets: set[int] = set()
         order = self._pattern_order
         targets = self._target_order
@@ -286,10 +239,9 @@ class VF2Matcher:
                 covered = 0
                 for source, target_node in pattern_edges:
                     covered |= edge_masks[images[source]][images[target_node]]
-                if deduplicate:
-                    if covered in seen_edge_sets:
-                        continue
-                    seen_edge_sets.add(covered)
+                if covered in seen_edge_sets:
+                    continue
+                seen_edge_sets.add(covered)
                 yield IsomorphismMapping(
                     tuple((order[k], targets[images[k]]) for k in assignment_order), covered
                 )
@@ -315,14 +267,12 @@ class VF2Matcher:
         """
         hosts = self._hosts
         required = self._required
-        forbidden = self._forbidden
         last = len(hosts) - 1
         images = [0] * len(hosts)
         candidates = [0] * len(hosts)
         candidates[0] = hosts[0]
         used = 0
         depth = 0
-        self._states_explored += 1
         self._check_deadline()
         while True:
             pool = candidates[depth]
@@ -335,7 +285,6 @@ class VF2Matcher:
             low = pool & -pool
             candidates[depth] = pool ^ low
             images[depth] = low.bit_length() - 1
-            self._states_explored += 1
             if self._deadline is not None:
                 self._check_deadline()
             if depth == last:
@@ -346,58 +295,4 @@ class VF2Matcher:
             pool = hosts[depth] & ~used
             for earlier, table in required[depth]:
                 pool &= table[images[earlier]]
-            for earlier, table in forbidden[depth]:
-                pool &= ~table[images[earlier]]
             candidates[depth] = pool
-
-
-# ----------------------------------------------------------------------
-# convenience wrappers
-# ----------------------------------------------------------------------
-def find_subgraph_isomorphism(
-    pattern: DiGraph,
-    target: DiGraph,
-    induced: bool = False,
-    timeout_seconds: float | None = None,
-) -> IsomorphismMapping | None:
-    """Return one subgraph isomorphism from ``pattern`` into ``target``."""
-    matcher = VF2Matcher(
-        pattern,
-        target,
-        MatcherOptions(induced=induced, timeout_seconds=timeout_seconds),
-    )
-    return matcher.find_one()
-
-
-def find_all_subgraph_isomorphisms(
-    pattern: DiGraph,
-    target: DiGraph,
-    induced: bool = False,
-    limit: int | None = None,
-    timeout_seconds: float | None = None,
-) -> list[IsomorphismMapping]:
-    """Return all (edge-set-distinct) subgraph isomorphisms, up to ``limit``."""
-    matcher = VF2Matcher(
-        pattern,
-        target,
-        MatcherOptions(induced=induced, timeout_seconds=timeout_seconds),
-    )
-    return matcher.find_all(limit=limit)
-
-
-def has_subgraph_isomorphic_to(pattern: DiGraph, target: DiGraph) -> bool:
-    """True when ``target`` contains a subgraph isomorphic to ``pattern``."""
-    return find_subgraph_isomorphism(pattern, target) is not None
-
-
-def are_isomorphic(first: DiGraph, second: DiGraph) -> bool:
-    """Full graph isomorphism test (Definition 3): same |V|, |E| and structure."""
-    if first.num_nodes != second.num_nodes or first.num_edges != second.num_edges:
-        return False
-    degree_signature = lambda g: sorted(  # noqa: E731 - tiny local helper
-        (g.in_degree(n), g.out_degree(n)) for n in g.nodes()
-    )
-    if degree_signature(first) != degree_signature(second):
-        return False
-    matcher = VF2Matcher(first, second, MatcherOptions(induced=True))
-    return matcher.exists()

@@ -24,7 +24,6 @@ from functools import cached_property
 from repro.core.isomorphism import PatternPlan
 from repro.core.primitives import (
     CommunicationPrimitive,
-    PrimitiveKind,
     make_broadcast_primitive,
     make_gossip_primitive,
     make_loop_primitive,
@@ -122,17 +121,6 @@ class CommunicationLibrary:
         except KeyError as error:
             raise LibraryError(f"no primitive named {name!r} in library {self.name!r}") from error
 
-    def by_id(self, primitive_id: int) -> CommunicationPrimitive:
-        """Look a primitive up by numeric ID (raises :class:`LibraryError`)."""
-        for entry in self._entries:
-            if entry.primitive_id == primitive_id:
-                return entry.primitive
-        raise LibraryError(f"no primitive with id {primitive_id} in library {self.name!r}")
-
-    def by_kind(self, kind: PrimitiveKind) -> list[CommunicationPrimitive]:
-        """All primitives of one :class:`PrimitiveKind`."""
-        return [entry.primitive for entry in self._entries if entry.primitive.kind is kind]
-
     # ------------------------------------------------------------------
     # search ordering / filtering
     # ------------------------------------------------------------------
@@ -148,15 +136,6 @@ class CommunicationLibrary:
             self._entries,
             key=lambda entry: (-entry.primitive.num_requirement_edges, entry.primitive_id),
         )
-
-    def applicable_to(self, num_nodes: int, num_edges: int) -> list[LibraryEntry]:
-        """Entries that could possibly match a graph of the given size."""
-        return [
-            entry
-            for entry in self.sorted_for_search()
-            if entry.primitive.size <= num_nodes
-            and entry.primitive.num_requirement_edges <= num_edges
-        ]
 
     def max_diameter(self) -> int:
         """Largest internal-route diameter over the library.

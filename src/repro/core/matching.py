@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.graph import ApplicationGraph, DiGraph, Edge, Node
+from repro.core.graph import DiGraph, Edge, Node
 from repro.core.isomorphism import IsomorphismMapping
 from repro.core.primitives import CommunicationPrimitive
 from repro.exceptions import DecompositionError
@@ -76,15 +76,6 @@ class Matching:
         # sidesteps the frozen dataclass' __setattr__.
         return dict(self.assignment)
 
-    def core_of(self, primitive_node: Node) -> Node:
-        """The core a primitive node is bound to."""
-        try:
-            return self._binding_table[primitive_node]
-        except KeyError:
-            raise DecompositionError(
-                f"primitive node {primitive_node!r} is not bound by this matching"
-            ) from None
-
     def cores(self) -> list[Node]:
         """All cores used by this matching."""
         return [core for _, core in self.assignment]
@@ -117,17 +108,6 @@ class Matching:
         """Undirected physical channels (two opposite edges share one link)."""
         return {frozenset(edge) for edge in self.implementation_links()}
 
-    def route_in_cores(self, source_core: Node, target_core: Node) -> tuple[Node, ...]:
-        """Route of the covered ACG edge ``source_core -> target_core`` in core IDs."""
-        binding = self.as_dict()
-        inverse = {core: node for node, core in binding.items()}
-        if source_core not in inverse or target_core not in inverse:
-            raise DecompositionError(
-                f"cores ({source_core!r}, {target_core!r}) are not part of this matching"
-            )
-        route = self.primitive.route_for(inverse[source_core], inverse[target_core])
-        return tuple(binding[node] for node in route)
-
     def routes_in_cores(self) -> dict[Edge, tuple[Node, ...]]:
         """All covered ACG edges with their routes expressed in core IDs."""
         binding = self.as_dict()
@@ -156,10 +136,6 @@ class Matching:
         for source, target in self.covered_edges():
             residual.remove_edge(source, target)
         return residual
-
-    def covered_volume(self, acg: ApplicationGraph) -> float:
-        """Total communication volume (bits) absorbed by this matching."""
-        return sum(acg.volume(source, target) for source, target in self.covered_edges())
 
     def sort_key(self) -> tuple:
         """Canonical ordering key used for symmetry breaking in the search.

@@ -50,7 +50,6 @@ class PrimitiveKind(Enum):
     MULTICAST = "multicast"
     PATH = "path"
     LOOP = "loop"
-    POINT_TO_POINT = "point_to_point"
 
 
 @dataclass
@@ -130,14 +129,6 @@ class CommunicationPrimitive:
                 f"primitive {self.name!r} has no internal route for "
                 f"({source!r} -> {target!r})"
             ) from error
-
-    def implementation_edge_load(self) -> dict[Edge, int]:
-        """How many requirement edges are routed over each implementation edge."""
-        load: dict[Edge, int] = {edge: 0 for edge in self.implementation.edges()}
-        for route in self.internal_routes.values():
-            for hop in zip(route, route[1:]):
-                load[hop] = load.get(hop, 0) + 1
-        return load
 
     # ------------------------------------------------------------------
     # validation

@@ -21,7 +21,7 @@ routes wherever possible.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 
 from repro.arch.topology import Topology
 from repro.core.decomposition import DecompositionResult
@@ -114,14 +114,3 @@ def build_routing_table(
                 install_flow_weakly(table, bfs_shortest_path(topology, source, destination))
 
     return table
-
-
-def routes_for_traffic(
-    table: RoutingTable, pairs: Iterable[tuple[NodeId, NodeId]]
-) -> dict[tuple[NodeId, NodeId], list[NodeId]]:
-    """Resolve the actual route of every traffic pair under the final table."""
-    return {
-        (source, destination): table.route(source, destination)
-        for source, destination in pairs
-        if source != destination
-    }

@@ -67,14 +67,6 @@ class Round:
             transfers.append(Transfer(second, first))
         return cls(tuple(transfers))
 
-    def participants(self) -> set[Node]:
-        """Every node that sends or receives in this round."""
-        nodes: set[Node] = set()
-        for transfer in self.transfers:
-            nodes.add(transfer.sender)
-            nodes.add(transfer.receiver)
-        return nodes
-
     def is_telephone_legal(self) -> bool:
         """Each node participates in at most one *pairwise* transaction.
 
@@ -112,17 +104,6 @@ class CommunicationSchedule:
     def num_rounds(self) -> int:
         """Number of rounds in the schedule."""
         return len(self.rounds)
-
-    def all_transfers(self) -> list[Transfer]:
-        """Every transfer of every round, flattened in order."""
-        return [transfer for round_ in self.rounds for transfer in round_]
-
-    def participants(self) -> set[Node]:
-        """Every node that appears in some round."""
-        nodes: set[Node] = set()
-        for round_ in self.rounds:
-            nodes |= round_.participants()
-        return nodes
 
     # ------------------------------------------------------------------
     # validation
@@ -181,6 +162,7 @@ def broadcast_round_lower_bound(num_nodes: int) -> int:
     if num_nodes < 1:
         raise ScheduleError("broadcast needs at least one node")
     return math.ceil(math.log2(num_nodes)) if num_nodes > 1 else 0
+
 
 def gossip_round_lower_bound(num_nodes: int) -> int:
     """Minimum rounds for all-to-all gossip in the telephone model.

@@ -62,7 +62,6 @@ from repro.dse.pipeline import (
     TrafficProgram,
     baseline_route_stage,
     build_baseline_fabric,
-    build_baseline_mesh,
     evaluate,
     get_library,
     get_traffic_mode,
@@ -71,14 +70,11 @@ from repro.dse.pipeline import (
     register_traffic_mode,
     route_stage,
     score_stage,
-    simulate_acg_traffic,
     simulate_aes_traffic,
     synthesize_stage,
 )
 from repro.dse.records import (
-    ALL_STATUSES,
     STAGE_COMPUTED,
-    STAGE_PROVENANCES,
     STAGE_REUSED_MEMORY,
     STAGE_REUSED_STORE,
     STATUS_DECOMPOSITION_FAILED,
@@ -162,8 +158,6 @@ __all__ = [
     "Scenario",
     "ArchitectureMetrics",
     "simulate_aes_traffic",
-    "simulate_acg_traffic",
-    "build_baseline_mesh",
     "build_baseline_fabric",
     "baseline_route_stage",
     "STATUS_OK",
@@ -171,11 +165,9 @@ __all__ = [
     "STATUS_SYNTHESIS_FAILED",
     "STATUS_ROUTING_FAILED",
     "STATUS_SIMULATION_FAILED",
-    "ALL_STATUSES",
     "STAGE_COMPUTED",
     "STAGE_REUSED_MEMORY",
     "STAGE_REUSED_STORE",
-    "STAGE_PROVENANCES",
     "ResultCache",
     "StageArtifactStore",
     "StageContext",

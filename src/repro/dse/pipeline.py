@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, get_args, get_type_hints
 from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
 from repro.arch.families import get_family, pad_node_ids
-from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.core.bounds import BOUND_NAMES
 from repro.core.cost import LinkCountCostModel
@@ -782,25 +781,6 @@ def simulate_aes_traffic(
     return _replay(name, topology, routing, program, technology, simulator_config)[0]
 
 
-def simulate_acg_traffic(
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-    acg: ApplicationGraph,
-    technology: Technology,
-    simulator_config: SimulatorConfig,
-    repetitions: int = 1,
-    packet_size_bits: int = 32,
-) -> ArchitectureMetrics:
-    """Inject the ACG's communication volumes as packet batches and drain.
-
-    Each repetition injects every ACG edge's volume once and runs until the
-    network drains, which models one iteration of the application.
-    """
-    program = _acg_program(acg, repetitions, packet_size_bits)
-    return _replay(name, topology, routing, program, technology, simulator_config)[0]
-
-
 def build_baseline_fabric(
     acg: ApplicationGraph,
     family: str = "mesh",
@@ -825,17 +805,6 @@ def build_baseline_fabric(
         tile_pitch_mm=tile_pitch_mm,
         flit_width_bits=flit_width_bits,
     )
-
-
-def build_baseline_mesh(
-    acg: ApplicationGraph, tile_pitch_mm: float = 2.0, flit_width_bits: int = 32
-) -> MeshTopology:
-    """The standard-mesh baseline (``build_baseline_fabric`` with ``mesh``)."""
-    fabric = build_baseline_fabric(
-        acg, family="mesh", tile_pitch_mm=tile_pitch_mm, flit_width_bits=flit_width_bits
-    )
-    assert isinstance(fabric, MeshTopology)  # the mesh family builds meshes
-    return fabric
 
 
 def baseline_route_stage(

@@ -21,14 +21,6 @@ STATUS_SYNTHESIS_FAILED = "synthesis_failed"
 STATUS_ROUTING_FAILED = "routing_failed"
 STATUS_SIMULATION_FAILED = "simulation_failed"
 
-ALL_STATUSES = (
-    STATUS_OK,
-    STATUS_DECOMPOSITION_FAILED,
-    STATUS_SYNTHESIS_FAILED,
-    STATUS_ROUTING_FAILED,
-    STATUS_SIMULATION_FAILED,
-)
-
 #: stage provenance markers recorded in :attr:`EvaluationRecord.stage_reuse`
 STAGE_COMPUTED = "computed"
 """The stage ran fresh for this cell."""
@@ -36,8 +28,6 @@ STAGE_REUSED_MEMORY = "memory"
 """The stage's artifact was reused from the in-process stage memo."""
 STAGE_REUSED_STORE = "store"
 """The stage's artifact was deserialized from the on-disk artifact store."""
-
-STAGE_PROVENANCES = (STAGE_COMPUTED, STAGE_REUSED_MEMORY, STAGE_REUSED_STORE)
 
 
 @dataclass

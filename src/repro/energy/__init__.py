@@ -13,7 +13,7 @@ Public entry points:
 
 from repro.energy.bit_energy import BitEnergyModel
 from repro.energy.link_model import LinkEnergyModel
-from repro.energy.power import EnergyAccount, energy_per_block_from_power
+from repro.energy.power import EnergyAccount
 from repro.energy.technology import (
     CMOS_100NM,
     CMOS_130NM,
@@ -29,7 +29,6 @@ __all__ = [
     "BitEnergyModel",
     "LinkEnergyModel",
     "EnergyAccount",
-    "energy_per_block_from_power",
     "Technology",
     "available_technologies",
     "get_technology",

@@ -36,14 +36,6 @@ class BitEnergyModel:
     # ------------------------------------------------------------------
     # Equation 1 in its two forms
     # ------------------------------------------------------------------
-    def bit_energy_uniform(self, num_router_hops: int, link_length_mm: float) -> float:
-        """Equation 1 with a uniform link length (regular grid case), in pJ."""
-        if num_router_hops < 1:
-            raise EnergyModelError("a transfer traverses at least one router")
-        switch = num_router_hops * self.technology.switch_energy_pj_per_bit
-        links = (num_router_hops - 1) * self.link_model.link_energy_pj(link_length_mm)
-        return switch + links
-
     def bit_energy_for_lengths(self, link_lengths_mm: Sequence[float]) -> float:
         """Equation 1 generalised to per-link lengths (customized topologies).
 
@@ -63,11 +55,3 @@ class BitEnergyModel:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def min_bit_energy(self) -> float:
-        """Smallest possible per-bit energy: a single-link transfer of length ~0.
-
-        Used as the admissible per-edge lower bound by the branch-and-bound
-        cost model: no routing of an ACG edge can cost less than pushing its
-        bits through two routers and one (arbitrarily short) link.
-        """
-        return self.bit_energy_for_lengths([0.0])

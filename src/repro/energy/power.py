@@ -61,11 +61,6 @@ class EnergyAccount:
         self.link_events.append((bits, length_mm))
         self._link_energy_pj += bits * pj_per_bit
 
-    def charge_hop(self, bits: float, length_mm: float) -> None:
-        """Charge one switch traversal plus the outgoing link traversal."""
-        self.charge_switch(bits)
-        self.charge_link(bits, length_mm)
-
     def charge_leakage(self, num_routers: int, num_cycles: int) -> None:
         """Charge static energy for ``num_routers`` routers over ``num_cycles``."""
         if num_routers < 0 or num_cycles < 0:
@@ -134,18 +129,3 @@ class EnergyAccount:
             "leakage_energy_pj": self.leakage_energy_pj,
             "total_energy_pj": self.total_energy_pj,
         }
-
-
-def energy_per_block_from_power(
-    cycles_per_block: float, frequency_mhz: float, average_power_mw: float
-) -> float:
-    """The paper's formula ``E = (delta / f) * P_avg`` returning microjoules.
-
-    ``delta`` is in cycles, ``f`` in MHz and ``P_avg`` in mW; the result is
-    converted to microjoules (mW * us = nJ; /1000 -> uJ).
-    """
-    if frequency_mhz <= 0:
-        raise EnergyModelError("frequency must be positive")
-    time_us = cycles_per_block / frequency_mhz
-    energy_nj = time_us * average_power_mw
-    return energy_nj * 1e-3

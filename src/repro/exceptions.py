@@ -70,14 +70,6 @@ class SynthesisError(ReproError):
     """Raised when topology synthesis cannot produce a valid architecture."""
 
 
-class ConstraintViolationError(SynthesisError):
-    """Raised when a synthesized architecture violates a design constraint."""
-
-    def __init__(self, message: str, violations: list[str] | None = None) -> None:
-        super().__init__(message)
-        self.violations = list(violations or [])
-
-
 class RoutingError(ReproError):
     """Raised for unroutable traffic or inconsistent routing tables."""
 

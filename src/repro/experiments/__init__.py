@@ -36,7 +36,6 @@ __getattr__, __dir__ = lazy_attributes(
                 "evaluate_custom",
                 "evaluate_fabric",
                 "evaluate_mesh",
-                "export_comparison_topologies",
                 "run_prototype_comparison",
             ),
             "repro.experiments.comparison",
@@ -49,7 +48,6 @@ __getattr__, __dir__ = lazy_attributes(
             (
                 "format_series",
                 "format_table",
-                "improvement_factor",
                 "percentage_change",
                 "rows_to_csv",
             ),
@@ -80,7 +78,6 @@ __all__ = [
     "PAPER_AES_COST",
     "PAPER_AES_PRIMITIVES",
     "run_prototype_comparison",
-    "export_comparison_topologies",
     "evaluate_fabric",
     "evaluate_mesh",
     "evaluate_custom",
@@ -95,5 +92,4 @@ __all__ = [
     "format_series",
     "rows_to_csv",
     "percentage_change",
-    "improvement_factor",
 ]

@@ -88,9 +88,6 @@ class AblationResult:
     def describe(self, title: str) -> str:
         return format_table(self.to_rows(), title=title)
 
-    def rows_for(self, acg_name: str) -> list[AblationRow]:
-        return [row for row in self.rows if row.acg_name == acg_name]
-
     def cost_of(self, acg_name: str, configuration: str) -> float:
         for row in self.rows:
             if row.acg_name == acg_name and row.configuration == configuration:

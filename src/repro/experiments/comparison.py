@@ -25,15 +25,10 @@ and the same dependency-aware AES traffic (the phases traced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.arch.families import build_fabric, pad_node_ids
 from repro.core.synthesis import SynthesizedArchitecture
-from repro.dse.pipeline import (
-    AES_BLOCK_SIZE_BITS,
-    ArchitectureMetrics,
-    simulate_aes_traffic,
-)
+from repro.dse.pipeline import ArchitectureMetrics, simulate_aes_traffic
 from repro.energy.technology import FPGA_VIRTEX2, Technology
 from repro.experiments.aes_experiment import AesSynthesisResult, run_aes_synthesis
 from repro.experiments.reporting import format_table, percentage_change
@@ -56,7 +51,6 @@ PAPER_RESULTS = {
     },
 }
 
-BLOCK_SIZE_BITS = AES_BLOCK_SIZE_BITS
 
 #: router pipeline depth used for the prototype-style comparison.  The
 #: paper's FPGA routers are multi-stage (buffer write, route computation /
@@ -120,14 +114,6 @@ class PrototypeComparison:
     def energy_reduction_percent(self) -> float:
         return -percentage_change(
             self.mesh.energy_per_block_uj, self.custom.energy_per_block_uj
-        )
-
-    @property
-    def custom_wins_everywhere(self) -> bool:
-        return (
-            self.custom.cycles_per_block < self.mesh.cycles_per_block
-            and self.custom.average_latency_cycles < self.mesh.average_latency_cycles
-            and self.custom.energy_per_block_uj < self.mesh.energy_per_block_uj
         )
 
     def to_rows(self) -> list[dict[str, object]]:
@@ -220,36 +206,6 @@ def evaluate_custom(
         config,
         computation_cycles_per_phase=computation_cycles_per_phase,
     )
-
-
-def export_comparison_topologies(
-    out_dir: str | Path,
-    synthesis: AesSynthesisResult | None = None,
-    fmt: str = "dot",
-    tile_pitch_mm: float = 2.0,
-) -> dict[str, Path]:
-    """Write both Section-5.2 fabrics (mesh baseline and custom) to files.
-
-    The files go through the :mod:`repro.io` format registry, so any
-    registered interchange format works; the default DOT renders the
-    figure-style topology pair directly with Graphviz.  Returns the
-    written paths keyed by architecture name.
-    """
-    from repro.io import get_format, write_topology
-
-    synthesis = synthesis or run_aes_synthesis()
-    extension = get_format(fmt).extensions[0]
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    mesh = build_fabric("mesh", pad_node_ids("mesh", range(1, 17)),
-                        tile_pitch_mm=tile_pitch_mm)
-    paths = {
-        "mesh": directory / f"mesh{extension}",
-        "custom": directory / f"custom{extension}",
-    }
-    write_topology(mesh, paths["mesh"], fmt=fmt)
-    write_topology(synthesis.architecture.topology, paths["custom"], fmt=fmt)
-    return paths
 
 
 def run_prototype_comparison(

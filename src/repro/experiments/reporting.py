@@ -75,13 +75,6 @@ def percentage_change(baseline: float, value: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def improvement_factor(baseline: float, value: float) -> float:
-    """``baseline / value`` — how many times smaller ``value`` is."""
-    if value == 0:
-        raise ValueError("improvement factor is undefined for a zero value")
-    return baseline / value
-
-
 def rows_to_csv(rows: Sequence[Mapping[str, object]], path: str | Path | None = None) -> str:
     """Serialize rows as CSV; optionally also write them to ``path``.
 

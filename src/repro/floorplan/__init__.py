@@ -1,24 +1,20 @@
 """Floorplanning substrate: core footprints, geometry and placement."""
 
-from repro.floorplan.core_spec import CoreSpec, heterogeneous_cores, total_area, uniform_cores
+from repro.floorplan.core_spec import CoreSpec, uniform_cores
 from repro.floorplan.geometry import Rectangle, bounding_box, manhattan
 from repro.floorplan.placement import (
     Floorplan,
     annealed_floorplan,
-    floorplan_from_positions,
     grid_floorplan,
 )
 
 __all__ = [
     "CoreSpec",
     "uniform_cores",
-    "heterogeneous_cores",
-    "total_area",
     "Rectangle",
     "bounding_box",
     "manhattan",
     "Floorplan",
     "grid_floorplan",
     "annealed_floorplan",
-    "floorplan_from_positions",
 ]

@@ -29,29 +29,7 @@ class CoreSpec:
         if self.width_mm <= 0 or self.height_mm <= 0:
             raise FloorplanError(f"core {self.core_id!r} must have positive dimensions")
 
-    @property
-    def area_mm2(self) -> float:
-        return self.width_mm * self.height_mm
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.width_mm / self.height_mm
-
 
 def uniform_cores(core_ids: Iterable[NodeId], size_mm: float = 2.0) -> list[CoreSpec]:
     """Identical square cores — the AES prototype's 16 identical nodes."""
     return [CoreSpec(core_id=core_id, width_mm=size_mm, height_mm=size_mm) for core_id in core_ids]
-
-
-def heterogeneous_cores(
-    sizes: dict[NodeId, tuple[float, float]]
-) -> list[CoreSpec]:
-    """Cores with individual (width, height) footprints."""
-    return [
-        CoreSpec(core_id=core_id, width_mm=width, height_mm=height)
-        for core_id, (width, height) in sizes.items()
-    ]
-
-
-def total_area(cores: Iterable[CoreSpec]) -> float:
-    return sum(core.area_mm2 for core in cores)

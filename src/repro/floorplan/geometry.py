@@ -45,12 +45,6 @@ class Rectangle:
             or other.y_max <= self.y + 1e-12
         )
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x <= x <= self.x_max and self.y <= y <= self.y_max
-
-    def translated(self, dx: float, dy: float) -> "Rectangle":
-        return Rectangle(self.x + dx, self.y + dy, self.width, self.height)
-
 
 def bounding_box(rectangles: list[Rectangle]) -> Rectangle:
     """Smallest rectangle enclosing all given rectangles."""

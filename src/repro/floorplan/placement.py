@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.graph import ApplicationGraph
@@ -59,10 +59,6 @@ class Floorplan:
 
     def distance(self, first: NodeId, second: NodeId) -> float:
         return manhattan(self.center(first), self.center(second))
-
-    @property
-    def num_cores(self) -> int:
-        return len(self.placements)
 
     def die_area_mm2(self) -> float:
         if not self.placements:
@@ -122,17 +118,6 @@ def grid_floorplan(
         floorplan.add(core.core_id, rectangle)
         x_cursor += core.width_mm + spacing_mm
         row_height = max(row_height, core.height_mm)
-    return floorplan
-
-
-def floorplan_from_positions(
-    positions: Mapping[NodeId, tuple[float, float]], core_size_mm: float = 2.0
-) -> Floorplan:
-    """Build a floorplan from explicit core centres (identical square cores)."""
-    floorplan = Floorplan()
-    half = core_size_mm / 2.0
-    for core_id, (x, y) in positions.items():
-        floorplan.add(core_id, Rectangle(x - half, y - half, core_size_mm, core_size_mm))
     return floorplan
 
 

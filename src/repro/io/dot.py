@@ -268,7 +268,7 @@ def read_topology(path: str | Path) -> Topology:
     return topology
 
 
-FORMAT = register_format(
+register_format(
     GraphFormat(
         name="dot",
         description="Graphviz DOT digraph (renders directly with dot/neato)",

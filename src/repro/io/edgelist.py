@@ -177,7 +177,7 @@ def read_topology(path: str | Path) -> Topology:
     return topology
 
 
-FORMAT = register_format(
+register_format(
     GraphFormat(
         name="edgelist",
         description="weighted edge list (#% directives carry metadata)",

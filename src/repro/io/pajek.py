@@ -274,7 +274,7 @@ def read_topology(path: str | Path) -> Topology:
     return topology
 
 
-FORMAT = register_format(
+register_format(
     GraphFormat(
         name="pajek",
         description="Pajek .net (vertices/arcs; repro attribute columns)",

@@ -12,9 +12,7 @@ from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
 from repro.noc.traffic import (
     InjectionSchedule,
     acg_messages,
-    bit_complement_messages,
     split_volume_into_messages,
-    transpose_messages,
     uniform_random_messages,
 )
 
@@ -30,8 +28,6 @@ __all__ = [
     "throughput_mbps_from_cycles",
     "acg_messages",
     "uniform_random_messages",
-    "transpose_messages",
-    "bit_complement_messages",
     "split_volume_into_messages",
     "InjectionSchedule",
 ]

@@ -83,54 +83,6 @@ def uniform_random_messages(
     return messages
 
 
-def transpose_messages(nodes: Sequence[NodeId], size_bits: int = 64) -> list[Message]:
-    """Matrix-transpose pattern: node ``i`` talks to node ``(i*k) mod (n-1)``-style partner.
-
-    For a square arrangement of ``n = k*k`` nodes, node at (row, col) sends to
-    the node at (col, row); nodes on the diagonal stay silent.
-    """
-    count = len(nodes)
-    side = int(round(math.sqrt(count)))
-    if side * side != count:
-        raise WorkloadError("transpose traffic needs a square number of nodes")
-    messages: list[Message] = []
-    for index, node in enumerate(nodes):
-        row, column = divmod(index, side)
-        partner_index = column * side + row
-        if partner_index == index:
-            continue
-        messages.append(
-            Message(
-                source=node,
-                destination=nodes[partner_index],
-                size_bits=size_bits,
-                tag="transpose",
-            )
-        )
-    return messages
-
-
-def bit_complement_messages(nodes: Sequence[NodeId], size_bits: int = 64) -> list[Message]:
-    """Bit-complement pattern: node ``i`` sends to node ``n-1-i``."""
-    count = len(nodes)
-    if count < 2:
-        raise WorkloadError("bit-complement traffic needs at least two nodes")
-    messages: list[Message] = []
-    for index, node in enumerate(nodes):
-        partner = count - 1 - index
-        if partner == index:
-            continue
-        messages.append(
-            Message(
-                source=node,
-                destination=nodes[partner],
-                size_bits=size_bits,
-                tag="bit_complement",
-            )
-        )
-    return messages
-
-
 @dataclass(frozen=True)
 class InjectionSchedule:
     """Messages with explicit injection cycles (open-loop load sweeps)."""
@@ -149,6 +101,8 @@ class InjectionSchedule:
         """
         if period_cycles < 1:
             raise WorkloadError("injection period must be at least one cycle")
+        if jitter < 0:
+            raise WorkloadError(f"injection jitter must be non-negative, got {jitter!r}")
         rng = random.Random(seed)
         entries: list[tuple[int, Message]] = []
         for index, message in enumerate(messages):

@@ -1,11 +1,10 @@
 """Routing substrate: shortest paths, table routing, the routing-policy
-registry (XY/YX, turn models, dateline, up*/down*, shortest path) and
-deadlock analysis."""
+registry (XY/YX, turn models, dateline, up*/down*, shortest path; XY
+routes the paper's standard-mesh baseline) and deadlock analysis."""
 
 from repro.routing.deadlock import (
     DeadlockReport,
     analyze_deadlock,
-    assert_deadlock_free,
     build_channel_dependency_graph,
 )
 from repro.routing.policies import (
@@ -17,14 +16,8 @@ from repro.routing.policies import (
     register_policy,
     supported_policies,
 )
-from repro.routing.shortest_path import (
-    all_pairs_shortest_paths,
-    bfs_shortest_path,
-    dijkstra_shortest_path,
-    path_length_mm,
-)
+from repro.routing.shortest_path import all_pairs_shortest_paths, bfs_shortest_path
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table, xy_next_hop, xy_route
 
 __all__ = [
     "RoutingTable",
@@ -36,14 +29,8 @@ __all__ = [
     "build_policy_table",
     "supported_policies",
     "bfs_shortest_path",
-    "dijkstra_shortest_path",
     "all_pairs_shortest_paths",
-    "path_length_mm",
-    "xy_next_hop",
-    "xy_route",
-    "build_xy_routing_table",
     "DeadlockReport",
     "analyze_deadlock",
-    "assert_deadlock_free",
     "build_channel_dependency_graph",
 ]

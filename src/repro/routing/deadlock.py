@@ -20,7 +20,6 @@ from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
 from repro.core.graph import DiGraph
-from repro.exceptions import DeadlockError
 from repro.routing.table import RoutingTable
 
 NodeId = Hashable
@@ -94,7 +93,6 @@ def _feedback_channels(cdg: DiGraph) -> list[ChannelId]:
 def analyze_deadlock(
     table: RoutingTable,
     pairs: Iterable[tuple[NodeId, NodeId]],
-    raise_on_cycle: bool = False,
 ) -> DeadlockReport:
     """Analyse a routing table for deadlock freedom on the given traffic pairs."""
     pairs = list(pairs)
@@ -107,20 +105,10 @@ def analyze_deadlock(
             num_channels=cdg.num_nodes,
             num_dependencies=cdg.num_edges,
         )
-    report = DeadlockReport(
+    return DeadlockReport(
         is_deadlock_free=False,
         cycle=tuple(cycle),
         num_channels=cdg.num_nodes,
         num_dependencies=cdg.num_edges,
         channels_needing_virtual_channels=tuple(_feedback_channels(cdg)),
     )
-    if raise_on_cycle:
-        raise DeadlockError(list(report.cycle))
-    return report
-
-
-def assert_deadlock_free(
-    table: RoutingTable, pairs: Iterable[tuple[NodeId, NodeId]]
-) -> None:
-    """Raise :class:`DeadlockError` if the routing admits a dependency cycle."""
-    analyze_deadlock(table, pairs, raise_on_cycle=True)

@@ -47,7 +47,6 @@ from repro.arch.topology import Topology
 from repro.exceptions import RoutingError
 from repro.plugins import Registry
 from repro.routing.table import RoutingTable
-from repro.routing.xy import xy_next_hop
 
 NodeId = Hashable
 NextHopFunction = Callable[[Topology, NodeId, NodeId], NodeId]
@@ -78,7 +77,10 @@ def _horizontal_step(mesh: MeshTopology, current, destination) -> NodeId:
 
 
 def _xy_next(topology: Topology, current: NodeId, destination: NodeId) -> NodeId:
-    return xy_next_hop(_require_grid(topology), current, destination)
+    mesh = _require_grid(topology)
+    if mesh.column_of(current) != mesh.column_of(destination):
+        return _horizontal_step(mesh, current, destination)
+    return _vertical_step(mesh, current, destination)
 
 
 def _yx_next(topology: Topology, current: NodeId, destination: NodeId) -> NodeId:

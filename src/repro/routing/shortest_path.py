@@ -9,7 +9,6 @@ that repeated runs produce identical routing tables.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Hashable
 
@@ -47,77 +46,11 @@ def bfs_shortest_path(topology: Topology, source: NodeId, target: NodeId) -> lis
     raise RoutingError(f"no route from {source!r} to {target!r} in {topology.name!r}")
 
 
-def dijkstra_shortest_path(
-    topology: Topology, source: NodeId, target: NodeId, weight: str = "length_mm"
-) -> list[NodeId]:
-    """Minimum-weight path where the weight is a channel attribute.
-
-    ``weight`` may be ``"length_mm"`` (minimum wire length, hence minimum link
-    energy) or ``"hops"`` (equivalent to BFS).
-    """
-    if weight not in ("length_mm", "hops"):
-        raise RoutingError(f"unsupported weight {weight!r}")
-    if not topology.has_router(source):
-        raise RoutingError(f"unknown source router {source!r}")
-    if not topology.has_router(target):
-        raise RoutingError(f"unknown target router {target!r}")
-    if source == target:
-        return [source]
-
-    def channel_weight(a: NodeId, b: NodeId) -> float:
-        if weight == "hops":
-            return 1.0
-        return topology.channel(a, b).length_mm
-
-    distances: dict[NodeId, float] = {source: 0.0}
-    parents: dict[NodeId, NodeId] = {}
-    counter = 0
-    heap: list[tuple[float, int, NodeId]] = [(0.0, counter, source)]
-    visited: set[NodeId] = set()
-    while heap:
-        distance, _, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == target:
-            path = [target]
-            while path[-1] != source:
-                path.append(parents[path[-1]])
-            path.reverse()
-            return path
-        for neighbor in topology.neighbors_out(node):
-            if neighbor in visited:
-                continue
-            candidate = distance + channel_weight(node, neighbor)
-            if candidate < distances.get(neighbor, float("inf")):
-                distances[neighbor] = candidate
-                parents[neighbor] = node
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, neighbor))
-    raise RoutingError(f"no route from {source!r} to {target!r} in {topology.name!r}")
-
-
-def all_pairs_shortest_paths(
-    topology: Topology, weight: str = "hops"
-) -> dict[tuple[NodeId, NodeId], list[NodeId]]:
-    """Shortest paths between every ordered pair of routers."""
-    paths: dict[tuple[NodeId, NodeId], list[NodeId]] = {}
-    for source in topology.routers():
-        for target in topology.routers():
-            if source == target:
-                continue
-            if weight == "hops":
-                paths[(source, target)] = bfs_shortest_path(topology, source, target)
-            else:
-                paths[(source, target)] = dijkstra_shortest_path(
-                    topology, source, target, weight=weight
-                )
-    return paths
-
-
-def path_length_mm(topology: Topology, path: list[NodeId]) -> float:
-    """Total wire length of a router path."""
-    total = 0.0
-    for source, target in zip(path, path[1:]):
-        total += topology.channel(source, target).length_mm
-    return total
+def all_pairs_shortest_paths(topology: Topology) -> dict[tuple[NodeId, NodeId], list[NodeId]]:
+    """Minimum-hop paths between every ordered pair of routers."""
+    return {
+        (source, target): bfs_shortest_path(topology, source, target)
+        for source in topology.routers()
+        for target in topology.routers()
+        if source != target
+    }

@@ -5,7 +5,7 @@ topology synthesis: each node stores, for every destination it needs to talk
 to, the neighbour it must forward packets to, derived from the primitives'
 optimal schedules.  This module holds the table abstraction itself; the
 table *construction* lives in :mod:`repro.core.routing_table` (synthesis) and
-:mod:`repro.routing.xy` (mesh baseline).
+:mod:`repro.routing.policies` (the standard fabrics, XY on the mesh baseline).
 """
 
 from __future__ import annotations
@@ -157,10 +157,6 @@ class RoutingTable:
                 problems.append(str(error))
         if problems:
             raise RoutingError("routing table incomplete: " + "; ".join(problems))
-
-    def used_channels(self) -> set[tuple[NodeId, NodeId]]:
-        """All channels that appear as a next hop for some destination."""
-        return {(router, next_hop) for (router, _), next_hop in self._next_hop.items()}
 
     def describe(self) -> str:
         lines = [f"Routing table for {self.topology.name!r} ({self.num_entries} entries)"]

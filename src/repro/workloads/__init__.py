@@ -2,28 +2,13 @@
 published embedded-benchmark ACGs, curated example ACGs and conversion
 helpers."""
 
-from repro.workloads.acg_builder import (
-    acg_from_task_graph,
-    acg_from_traffic_table,
-    attach_grid_floorplan,
-    set_uniform_bandwidth,
-)
+from repro.workloads.acg_builder import acg_from_task_graph, attach_grid_floorplan
 from repro.workloads.benchmarks import (
     embedded_benchmark_acg,
     embedded_benchmark_names,
     embedded_benchmark_suite,
-    h263enc_mp3dec_acg,
-    mpeg4_decoder_acg,
-    mwd_acg,
-    vopd_acg,
 )
-from repro.workloads.pajek import (
-    erdos_renyi_acg,
-    pajek_benchmark_suite,
-    planted_primitive_acg,
-    read_pajek,
-    write_pajek,
-)
+from repro.workloads.pajek import erdos_renyi_acg, pajek_benchmark_suite, planted_primitive_acg
 from repro.workloads.random_acg import (
     degree_sequence_acg,
     figure2_example_graph,
@@ -49,8 +34,6 @@ __all__ = [
     "erdos_renyi_acg",
     "planted_primitive_acg",
     "pajek_benchmark_suite",
-    "read_pajek",
-    "write_pajek",
     "figure5_example_acg",
     "figure2_example_graph",
     "random_decomposable_acg",
@@ -60,12 +43,6 @@ __all__ = [
     "embedded_benchmark_acg",
     "embedded_benchmark_names",
     "embedded_benchmark_suite",
-    "mpeg4_decoder_acg",
-    "vopd_acg",
-    "mwd_acg",
-    "h263enc_mp3dec_acg",
     "acg_from_task_graph",
-    "acg_from_traffic_table",
     "attach_grid_floorplan",
-    "set_uniform_bandwidth",
 ]

@@ -1,4 +1,4 @@
-"""Helpers that turn task graphs / traffic tables into floorplanned ACGs.
+"""Helpers that turn task graphs into floorplanned ACGs.
 
 The decomposition algorithm expects three things (Section 4): the ACG with
 volumes and bandwidths, and the core coordinates from an initial area-driven
@@ -9,31 +9,11 @@ in one call.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
-
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
 from repro.floorplan.core_spec import CoreSpec, uniform_cores
 from repro.floorplan.placement import Floorplan, grid_floorplan
 from repro.workloads.tgff import TaskGraph
-
-NodeId = Hashable
-
-
-def acg_from_traffic_table(
-    traffic: Mapping[tuple[NodeId, NodeId], float],
-    name: str = "",
-    bandwidth_fraction: float = 0.0,
-    core_size_mm: float = 2.0,
-    floorplanned: bool = True,
-) -> ApplicationGraph:
-    """ACG from a ``{(src, dst): volume}`` table, optionally grid-floorplanned."""
-    acg = ApplicationGraph.from_traffic(
-        traffic, name=name, bandwidth_fraction=bandwidth_fraction
-    )
-    if floorplanned:
-        attach_grid_floorplan(acg, core_size_mm=core_size_mm)
-    return acg
 
 
 def acg_from_task_graph(
@@ -59,11 +39,3 @@ def attach_grid_floorplan(
     floorplan = grid_floorplan(cores, columns=columns)
     floorplan.apply_to(acg)
     return floorplan
-
-
-def set_uniform_bandwidth(acg: ApplicationGraph, bits_per_cycle: float) -> None:
-    """Assign the same bandwidth requirement to every ACG edge."""
-    if bits_per_cycle < 0:
-        raise WorkloadError("bandwidth must be non-negative")
-    for source, target in acg.edges():
-        acg.edge_attributes(source, target)["bandwidth"] = bits_per_cycle

@@ -176,26 +176,6 @@ def embedded_benchmark_acg(
     )
 
 
-def mpeg4_decoder_acg(bits_per_mbs: float = DEFAULT_BITS_PER_MBS) -> ApplicationGraph:
-    """The 12-core MPEG-4 decoder ACG (SDRAM-hub traffic pattern)."""
-    return embedded_benchmark_acg("mpeg4", bits_per_mbs=bits_per_mbs)
-
-
-def vopd_acg(bits_per_mbs: float = DEFAULT_BITS_PER_MBS) -> ApplicationGraph:
-    """The 12-core Video Object Plane Decoder ACG (deep pipeline)."""
-    return embedded_benchmark_acg("vopd", bits_per_mbs=bits_per_mbs)
-
-
-def mwd_acg(bits_per_mbs: float = DEFAULT_BITS_PER_MBS) -> ApplicationGraph:
-    """The 12-core Multi-Window Display ACG (dual scaling pipelines)."""
-    return embedded_benchmark_acg("mwd", bits_per_mbs=bits_per_mbs)
-
-
-def h263enc_mp3dec_acg(bits_per_mbs: float = DEFAULT_BITS_PER_MBS) -> ApplicationGraph:
-    """The 12-core H.263 encoder + MP3 decoder ACG (two clusters)."""
-    return embedded_benchmark_acg("h263enc_mp3dec", bits_per_mbs=bits_per_mbs)
-
-
 def embedded_benchmark_suite(
     bits_per_mbs: float = DEFAULT_BITS_PER_MBS,
 ) -> list[ApplicationGraph]:

@@ -1,11 +1,10 @@
-"""Pajek-style random graphs and the Pajek ``.net`` file format.
+"""Pajek-style random graphs.
 
 The paper's second runtime experiment (Figure 4b) uses "more than 60 larger
 graphs generated by Pajek" with up to 40 nodes.  Pajek is an interactive
-network-analysis tool; what matters for the reproduction is (a) a generator
-of random directed graphs in the same size range and (b) the ``.net`` file
-format so that externally generated Pajek graphs can be imported and graphs
-produced here can be inspected with Pajek.
+network-analysis tool; what matters for the reproduction is a generator of
+random directed graphs in the same size range.  The ``.net`` file format
+itself is one of the interchange formats of :mod:`repro.io`.
 
 Two generators are provided:
 
@@ -20,9 +19,7 @@ Two generators are provided:
 from __future__ import annotations
 
 import random
-import warnings
 from collections.abc import Sequence
-from pathlib import Path
 
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
@@ -164,33 +161,3 @@ def pajek_benchmark_suite(
                     )
                 )
     return suite
-
-
-# ----------------------------------------------------------------------
-# Pajek .net I/O (deprecated shims; the canonical reader/writer moved to
-# repro.io as one format among several behind the interchange registry)
-# ----------------------------------------------------------------------
-def write_pajek(acg: ApplicationGraph, path: str | Path) -> None:
-    """Deprecated: use :func:`repro.io.write_workload` (``fmt="pajek"``)."""
-    warnings.warn(
-        "repro.workloads.write_pajek is deprecated; "
-        "use repro.io.write_workload(acg, path, fmt='pajek')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.io import write_workload
-
-    write_workload(acg, path, fmt="pajek")
-
-
-def read_pajek(path: str | Path, name: str | None = None) -> ApplicationGraph:
-    """Deprecated: use :func:`repro.io.read_workload` (``fmt="pajek"``)."""
-    warnings.warn(
-        "repro.workloads.read_pajek is deprecated; "
-        "use repro.io.read_workload(path, fmt='pajek')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.io import read_workload
-
-    return read_workload(path, fmt="pajek", name=name)

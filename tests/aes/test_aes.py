@@ -27,7 +27,7 @@ from repro.aes.aes_core import (
     state_to_bytes,
     xtime,
 )
-from repro.aes.distributed import DistributedAES, column_nodes, coordinates_of, node_of, row_nodes
+from repro.aes.distributed import DistributedAES, column_nodes, node_of, row_nodes
 from repro.exceptions import WorkloadError
 
 
@@ -95,8 +95,6 @@ class TestNodeMapping:
         assert node_of(0, 0) == 1
         assert node_of(1, 0) == 5
         assert node_of(3, 3) == 16
-        assert coordinates_of(1) == (0, 0)
-        assert coordinates_of(16) == (3, 3)
 
     def test_column_and_row_nodes(self):
         assert column_nodes(0) == [1, 5, 9, 13]  # the paper's first column
@@ -106,8 +104,6 @@ class TestNodeMapping:
     def test_bounds_checked(self):
         with pytest.raises(WorkloadError):
             node_of(4, 0)
-        with pytest.raises(WorkloadError):
-            coordinates_of(17)
 
 
 class TestDistributedAES:
@@ -149,8 +145,9 @@ class TestDistributedAES:
         trace = DistributedAES(FIPS197_KEY).encrypt_block(FIPS197_PLAINTEXT)
         for label, phase in zip(trace.phase_labels, trace.phases):
             for message in phase:
-                source_row, source_col = coordinates_of(message.source)
-                dest_row, dest_col = coordinates_of(message.destination)
+                # nodes are numbered row-major from 1 (node_of)
+                source_row, source_col = divmod(message.source - 1, 4)
+                dest_row, dest_col = divmod(message.destination - 1, 4)
                 if "shiftrows" in label:
                     assert source_row == dest_row
                 else:
@@ -159,13 +156,6 @@ class TestDistributedAES:
     def test_block_length_validation(self):
         with pytest.raises(WorkloadError):
             DistributedAES(FIPS197_KEY).encrypt_block(b"short")
-        with pytest.raises(WorkloadError):
-            DistributedAES(FIPS197_KEY).encrypt_blocks(b"123")
-
-    def test_encrypt_blocks(self):
-        traces = DistributedAES(FIPS197_KEY).encrypt_blocks(FIPS197_PLAINTEXT * 2)
-        assert len(traces) == 2
-        assert all(trace.ciphertext == FIPS197_CIPHERTEXT for trace in traces)
 
 
 class TestAesAcg:

@@ -18,6 +18,7 @@ from repro.arch.families import (
 )
 from repro.arch.metrics import diameter, is_strongly_connected
 from repro.exceptions import ConfigurationError, SynthesisError
+from repro.routing.shortest_path import bfs_shortest_path
 
 
 def _padded_ids(family: str, cores: int) -> list:
@@ -101,7 +102,7 @@ class TestTorus:
         torus = TorusTopology(4, 4)
         corner, opposite = torus.node_at(0, 0), torus.node_at(3, 3)
         assert torus.manhattan_hops(corner, opposite) == 6
-        assert torus.torus_hops(corner, opposite) == 2
+        assert len(bfs_shortest_path(torus, corner, opposite)) - 1 == 2
 
     def test_diameter_beats_the_mesh(self):
         from repro.arch.mesh import MeshTopology
@@ -115,8 +116,8 @@ class TestRingAndSpidergon:
         assert ring.num_routers == 6
         assert ring.num_physical_links == 6
         assert ring.degree("a") == 2
-        assert ring.ring_hops("a", "d") == 3
-        assert ring.ring_hops("a", "f") == 1
+        assert len(bfs_shortest_path(ring, "a", "d")) - 1 == 3
+        assert len(bfs_shortest_path(ring, "a", "f")) - 1 == 1
 
     def test_ring_needs_three_routers(self):
         with pytest.raises(SynthesisError):

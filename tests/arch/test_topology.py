@@ -6,7 +6,6 @@ import pytest
 
 from repro.arch.custom import ChannelOrigin, CustomTopology
 from repro.arch.topology import Channel, Topology
-from repro.core.graph import DiGraph
 from repro.exceptions import GraphError, NodeNotFoundError, SynthesisError
 
 
@@ -81,13 +80,6 @@ class TestTopology:
         with pytest.raises(NodeNotFoundError):
             topology.position(3)
 
-    def test_connectivity_graph(self):
-        topology = Topology()
-        topology.add_channel(1, 2)
-        graph = topology.connectivity_graph()
-        assert isinstance(graph, DiGraph)
-        assert graph.has_edge(1, 2)
-
     def test_total_wire_length_counts_physical_links_once(self):
         topology = Topology()
         topology.add_channel(1, 2, length_mm=3.0, bidirectional=True)
@@ -118,8 +110,7 @@ class TestCustomTopology:
         topology.add_channel_with_origin(3, 4, remainder)
         assert topology.origins(1, 2) == [gossip]
         assert topology.origins(2, 1) == [gossip]
-        assert (3, 4) in topology.channels_from_remainder()
-        assert (1, 2) in topology.channels_from_primitives()
+        assert topology.origins(3, 4) == [remainder]
 
     def test_multiple_origins_accumulate(self):
         topology = CustomTopology()
@@ -130,11 +121,9 @@ class TestCustomTopology:
         assert len(topology.origins(1, 2)) == 2
         assert topology.num_channels == 1  # still one physical channel
 
-    def test_provenance_summary_and_describe(self):
+    def test_describe_lists_origins(self):
         topology = CustomTopology()
         topology.add_channel_with_origin(1, 2, ChannelOrigin("primitive", "MGG4#0"))
         topology.add_channel_with_origin(2, 3, ChannelOrigin("remainder", "remainder"))
-        summary = topology.provenance_summary()
-        assert summary == {"MGG4#0": 1, "remainder": 1}
         text = topology.describe()
         assert "MGG4#0" in text and "remainder" in text

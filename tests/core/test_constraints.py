@@ -12,7 +12,6 @@ from repro.core.constraints import (
     channel_volume_loads,
 )
 from repro.core.graph import ApplicationGraph
-from repro.exceptions import ConstraintViolationError
 from repro.routing.table import RoutingTable
 
 
@@ -67,7 +66,6 @@ class TestConstraintChecker:
         assert report.satisfied
         assert report.violations == []
         assert report.bisection_bandwidth is not None
-        report.raise_if_violated()  # no exception
         assert "satisfied" in report.describe()
 
     def test_link_capacity_violation(self, line_topology, line_table):
@@ -75,8 +73,6 @@ class TestConstraintChecker:
         report = ConstraintChecker(DesignConstraints()).check(line_topology, line_table, acg)
         assert not report.satisfied
         assert any("overloaded" in violation for violation in report.violations)
-        with pytest.raises(ConstraintViolationError):
-            report.raise_if_violated()
 
     def test_explicit_link_capacity_overrides_channel_capacity(self, line_topology, line_table):
         acg = line_acg(bandwidth=10.0)  # 20 on (1,2), above an explicit cap of 16
@@ -112,10 +108,6 @@ class TestConstraintChecker:
         constraints = DesignConstraints(require_connected_traffic=False)
         report = ConstraintChecker(constraints).check(line_topology, table, acg)
         assert report.satisfied
-
-    def test_violation_error_carries_details(self):
-        error = ConstraintViolationError("broken", ["a", "b"])
-        assert error.violations == ["a", "b"]
 
 
 class TestAesArchitectureConstraints(object):

@@ -100,7 +100,6 @@ class TestDecompositionBasics:
         assert result.primitives_used() == {"MGG4": 1}
         assert result.remainder.is_empty
         assert result.total_cost == pytest.approx(4.0)
-        assert result.is_complete_cover
 
     def test_pipeline_decomposes_into_paths(self, pipeline_acg, library):
         result = decompose(
@@ -220,6 +219,27 @@ class TestSearchBudgets:
     def test_out_of_range_budget_rejected(self, name, value):
         with pytest.raises(DecompositionError, match=name):
             DecompositionConfig(**{name: value})
+
+    def test_strategy_given_as_a_string_rejected(self):
+        with pytest.raises(DecompositionError, match="'branch_and_bound', 'greedy'"):
+            DecompositionConfig(strategy="greedy")
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "name", ["max_matchings_per_primitive", "max_leaves", "max_nodes_expanded"]
+    )
+    def test_counter_of_the_wrong_type_rejected(self, name, value):
+        with pytest.raises(DecompositionError, match=f"{name} must be an int"):
+            DecompositionConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["5", True, [1.0]])
+    @pytest.mark.parametrize("name", ["isomorphism_timeout_seconds", "total_timeout_seconds"])
+    def test_timeout_of_the_wrong_type_rejected(self, name, value):
+        with pytest.raises(DecompositionError, match=f"{name} must be a number"):
+            DecompositionConfig(**{name: value})
+
+    def test_integer_timeout_accepted(self):
+        assert DecompositionConfig(total_timeout_seconds=5).total_timeout_seconds == 5
 
     def test_disabling_lower_bound_still_finds_optimum(self, k4_acg, library):
         config = quick_config(use_lower_bound=False)

@@ -145,26 +145,6 @@ class TestGraphOperations:
         with pytest.raises(EdgeNotFoundError):
             graph.edge_induced_subgraph([(9, 9)])
 
-    def test_node_induced_subgraph(self):
-        graph = DiGraph.from_edges([(1, 2), (2, 3), (3, 1), (1, 4)])
-        sub = graph.node_induced_subgraph([1, 2, 3])
-        assert set(sub.edges()) == {(1, 2), (2, 3), (3, 1)}
-        with pytest.raises(NodeNotFoundError):
-            graph.node_induced_subgraph([1, 99])
-
-    def test_relabeled(self):
-        graph = DiGraph.from_edges([(1, 2)])
-        renamed = graph.relabeled({1: "a", 2: "b"})
-        assert renamed.has_edge("a", "b")
-        with pytest.raises(GraphError):
-            graph.relabeled({1: 2})  # merge forbidden
-
-    def test_is_edge_subgraph_of(self):
-        big = DiGraph.from_edges([(1, 2), (2, 3)])
-        small = DiGraph.from_edges([(1, 2)])
-        assert small.is_edge_subgraph_of(big)
-        assert not big.is_edge_subgraph_of(small)
-
     def test_isolated_nodes(self):
         graph = DiGraph.from_edges([(1, 2)], nodes=[3, 4])
         assert set(graph.isolated_nodes()) == {3, 4}
@@ -262,7 +242,6 @@ class TestCorePosition:
         a = CorePosition(0.0, 0.0)
         b = CorePosition(3.0, 4.0)
         assert a.manhattan_distance(b) == pytest.approx(7.0)
-        assert a.euclidean_distance(b) == pytest.approx(5.0)
 
 
 class TestGraphStatistics:

@@ -11,7 +11,7 @@ from repro.core.library import (
     extended_library,
     minimal_library,
 )
-from repro.core.primitives import PrimitiveKind, make_gossip_primitive, make_path_primitive
+from repro.core.primitives import make_gossip_primitive, make_path_primitive
 from repro.exceptions import LibraryError
 
 
@@ -35,14 +35,11 @@ class TestLibraryConstruction:
         library.extend([make_gossip_primitive(4), make_path_primitive(3)])
         assert len(library) == 2
 
-    def test_lookup_by_name_and_id(self):
+    def test_lookup_by_name(self):
         library = default_library()
         assert library.by_name("MGG4").name == "MGG4"
-        assert library.by_id(1).name == "MGG4"
         with pytest.raises(LibraryError):
             library.by_name("does-not-exist")
-        with pytest.raises(LibraryError):
-            library.by_id(999)
 
     def test_contains_and_iteration(self):
         library = default_library()
@@ -51,20 +48,12 @@ class TestLibraryConstruction:
         names = [entry.name for entry in library]
         assert names[0] == "MGG4"
 
-    def test_by_kind(self):
-        library = default_library()
-        gossip = library.by_kind(PrimitiveKind.GOSSIP)
-        assert {primitive.name for primitive in gossip} >= {"MGG4"}
-        assert all(primitive.kind is PrimitiveKind.GOSSIP for primitive in gossip)
-
 
 class TestDefaultLibraries:
     def test_default_library_matches_paper_ids(self):
         """Section 5 listings use ID 1 for MGG4, 2 for G1to4, 3 for G1to3."""
-        library = default_library()
-        assert library.by_id(1).name == "MGG4"
-        assert library.by_id(2).name == "G1to4"
-        assert library.by_id(3).name == "G1to3"
+        names = {entry.primitive_id: entry.name for entry in default_library()}
+        assert (names[1], names[2], names[3]) == ("MGG4", "G1to4", "G1to3")
 
     def test_default_library_all_primitives_valid(self):
         for entry in default_library():
@@ -94,14 +83,6 @@ class TestSearchOrdering:
         edge_counts = [entry.primitive.num_requirement_edges for entry in ordered]
         assert edge_counts == sorted(edge_counts, reverse=True)
         assert ordered[0].name == "MGG4"
-
-    def test_applicable_to_filters_by_size(self):
-        library = default_library()
-        small = library.applicable_to(num_nodes=3, num_edges=3)
-        assert all(entry.primitive.size <= 3 for entry in small)
-        assert all(entry.primitive.num_requirement_edges <= 3 for entry in small)
-        everything = library.applicable_to(num_nodes=100, num_edges=1000)
-        assert len(everything) == len(library)
 
     def test_max_diameter_bounds_hops(self):
         """Section 4.3: the max hop count in any decomposition is bounded by the

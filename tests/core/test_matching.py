@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import DiGraph
-from repro.core.isomorphism import find_subgraph_isomorphism
+from repro.core.isomorphism import VF2Matcher
 from repro.core.matching import Matching, RemainderGraph
 from repro.core.primitives import make_gossip_primitive, make_path_primitive
 from repro.exceptions import DecompositionError
@@ -32,16 +32,13 @@ class TestMatchingConstruction:
             Matching.from_dict(mgg4, {1: 10, 2: 10, 3: 30, 4: 40})
 
     def test_from_mapping_via_isomorphism(self, mgg4, k4_acg):
-        mapping = find_subgraph_isomorphism(mgg4.representation, k4_acg.structural_copy())
+        mapping = VF2Matcher(mgg4.representation, k4_acg.structural_copy()).find_one()
         assert mapping is not None
         matching = Matching.from_mapping(mgg4, mapping)
         assert set(matching.cores()) == {1, 2, 3, 4}
 
-    def test_core_of_and_cores(self, k4_matching):
-        assert k4_matching.core_of(1) == 1
+    def test_cores(self, k4_matching):
         assert sorted(k4_matching.cores()) == [1, 2, 3, 4]
-        with pytest.raises(DecompositionError):
-            k4_matching.core_of(99)
 
 
 class TestMatchingGeometry:
@@ -54,12 +51,6 @@ class TestMatchingGeometry:
         directed = k4_matching.implementation_links()
         assert len(directed) == 8  # MGG-4: 4 full-duplex links
         assert len(k4_matching.physical_links()) == 4
-
-    def test_route_in_cores_follows_primitive_routing(self, mgg4):
-        matching = Matching.from_dict(mgg4, {1: 10, 2: 20, 3: 30, 4: 40})
-        assert matching.route_in_cores(10, 40) == (10, 30, 40)
-        with pytest.raises(DecompositionError):
-            matching.route_in_cores(10, 99)
 
     def test_routes_in_cores_covers_every_edge(self, k4_matching):
         routes = k4_matching.routes_in_cores()
@@ -79,9 +70,6 @@ class TestMatchingGraphOperations:
         sparse = DiGraph.from_edges([(1, 2)])
         with pytest.raises(DecompositionError):
             matching.verify_against(sparse)
-
-    def test_covered_volume(self, k4_matching, k4_acg):
-        assert k4_matching.covered_volume(k4_acg) == pytest.approx(12 * 32.0)
 
 
 class TestMatchingReporting:

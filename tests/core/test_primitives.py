@@ -181,11 +181,3 @@ class TestRouteDerivation:
         implementation = DiGraph.from_edges([(3, 1)], nodes=[1, 3])
         with pytest.raises(LibraryError):
             derive_internal_routes(representation, implementation)
-
-    def test_implementation_edge_load(self):
-        mgg4 = make_gossip_primitive(4)
-        load = mgg4.implementation_edge_load()
-        # every physical direction carries at least its own direct requirement
-        assert all(count >= 1 for count in load.values())
-        # 12 requirement edges, 8 of them direct + 4 two-hop = 16 edge traversals
-        assert sum(load.values()) == 16

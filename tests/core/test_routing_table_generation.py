@@ -7,7 +7,7 @@ import pytest
 from repro.arch.topology import Topology
 from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import DecompositionConfig, decompose
-from repro.core.routing_table import build_routing_table, install_flow_weakly, routes_for_traffic
+from repro.core.routing_table import build_routing_table, install_flow_weakly
 from repro.core.synthesis import TopologySynthesizer
 from repro.routing.table import RoutingTable
 
@@ -71,16 +71,6 @@ class TestBuildRoutingTable:
         result, topology = self._architecture(k4_acg, library)
         table = build_routing_table(result, topology)
         table.validate_pairs(k4_acg.edges())
-
-    def test_routes_resolved_for_traffic(self, k4_acg, library):
-        result, topology = self._architecture(k4_acg, library)
-        table = build_routing_table(result, topology)
-        routes = routes_for_traffic(table, k4_acg.edges())
-        assert set(routes) == set(k4_acg.edges())
-        for (source, target), route in routes.items():
-            assert route[0] == source and route[-1] == target
-            for hop in zip(route, route[1:]):
-                assert topology.has_channel(*hop)
 
     def test_fill_all_pairs_makes_total_function(self, k4_acg, library):
         result, topology = self._architecture(k4_acg, library)

@@ -27,9 +27,6 @@ class TestRound:
         assert len(exchange) == 2
         assert Transfer(1, 2) in exchange.transfers and Transfer(2, 1) in exchange.transfers
 
-    def test_participants(self):
-        assert Round.of((1, 2), (3, 4)).participants() == {1, 2, 3, 4}
-
     def test_telephone_legality(self):
         assert Round.of((1, 2), (3, 4)).is_telephone_legal()
         assert Round.exchanges((1, 2)).is_telephone_legal()  # one pair, both ways
@@ -143,10 +140,3 @@ class TestRingSchedules:
     def test_ring_needs_two_nodes(self):
         with pytest.raises(ScheduleError):
             ring_schedule([1], closed=False)
-
-
-class TestScheduleQueries:
-    def test_all_transfers_and_participants(self):
-        schedule = CommunicationSchedule.from_rounds([Round.of((1, 2)), Round.of((2, 3))])
-        assert len(schedule.all_transfers()) == 2
-        assert schedule.participants() == {1, 2, 3}

@@ -47,8 +47,13 @@ class TestBuildTopology:
 
     def test_provenance_labels(self, k4_acg, k4_result):
         architecture = synthesize_architecture(k4_acg, k4_result)
-        summary = architecture.topology.provenance_summary()
-        assert any(label.startswith("MGG4#") for label in summary)
+        topology = architecture.topology
+        labels = {
+            origin.label
+            for channel in topology.channels()
+            for origin in topology.origins(channel.source, channel.target)
+        }
+        assert any(label.startswith("MGG4#") for label in labels)
 
     def test_remainder_edges_become_direct_links(self, pipeline_acg, library):
         result = decompose(

@@ -14,7 +14,7 @@ import pytest
 from repro.dse.pipeline import EvaluationSettings, Scenario, evaluate, evaluate_cells
 from repro.dse.records import STATUS_SIMULATION_FAILED
 from repro.dse.runner import run_sweep
-from repro.workloads.benchmarks import mpeg4_decoder_acg, vopd_acg
+from repro.workloads.benchmarks import embedded_benchmark_acg
 
 pytestmark = pytest.mark.differential
 
@@ -22,8 +22,8 @@ pytestmark = pytest.mark.differential
 @pytest.fixture(scope="module")
 def scenarios():
     return [
-        Scenario(name="mpeg4", acg=mpeg4_decoder_acg(), repetitions=2),
-        Scenario(name="vopd", acg=vopd_acg(), repetitions=1),
+        Scenario(name="mpeg4", acg=embedded_benchmark_acg("mpeg4"), repetitions=2),
+        Scenario(name="vopd", acg=embedded_benchmark_acg("vopd"), repetitions=1),
     ]
 
 

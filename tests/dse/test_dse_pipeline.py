@@ -12,7 +12,6 @@ from repro.dse.pipeline import (
     Scenario,
     baseline_route_stage,
     build_baseline_fabric,
-    build_baseline_mesh,
     evaluate,
 )
 from repro.dse.records import (
@@ -212,13 +211,13 @@ class TestScenario:
 
 class TestBaselineMesh:
     def test_square_count_gets_exact_grid(self):
-        mesh = build_baseline_mesh(aes_scenario().acg)
+        mesh = build_baseline_fabric(aes_scenario().acg)
         assert mesh.rows == 4 and mesh.columns == 4
         assert mesh.num_routers == 16
 
     def test_non_square_count_is_padded(self):
         scenario = tgff_scenario(num_tasks=10, seed=7)
-        mesh = build_baseline_mesh(scenario.acg)
+        mesh = build_baseline_fabric(scenario.acg)
         assert mesh.num_routers == mesh.rows * mesh.columns >= 10
         pads = [node for node in mesh.routers() if str(node).startswith("__pad")]
         assert len(pads) == mesh.num_routers - 10
@@ -340,28 +339,6 @@ class TestEvaluate:
         assert "deadlock" in strict.error
         reference = evaluate(scenario, strict_settings.merged({"engine": "event"}))
         assert strict.error == reference.error
-
-    def test_mesh_xy_fabric_matches_the_historical_baseline(self):
-        """The refactored table-routed mesh+XY baseline must be metric-
-        identical to the pre-fabric xy_routing_function path."""
-        from dataclasses import asdict
-
-        from repro.dse.pipeline import simulate_acg_traffic
-        from repro.routing.xy import xy_routing_function
-
-        scenario = planted_scenario(num_nodes=12, seed=11)
-        settings = EvaluationSettings(architecture="mesh")
-        mesh = build_baseline_mesh(scenario.acg)
-        legacy = simulate_acg_traffic(
-            "m", mesh, xy_routing_function(mesh), scenario.acg,
-            settings.build_technology(), settings.build_simulator_config(),
-        )
-        fabric, table, _ = baseline_route_stage(scenario, settings)
-        modern = simulate_acg_traffic(
-            "m", fabric, table.frozen_next_hop(), scenario.acg,
-            settings.build_technology(), settings.build_simulator_config(),
-        )
-        assert asdict(legacy) == asdict(modern)
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_failure_becomes_data_not_exception(self, engine):

@@ -6,14 +6,14 @@ import pytest
 
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import FloorplanError
-from repro.floorplan.core_spec import CoreSpec, heterogeneous_cores, total_area, uniform_cores
+from repro.floorplan.core_spec import CoreSpec, uniform_cores
 from repro.floorplan.geometry import Rectangle, bounding_box, manhattan
-from repro.floorplan.placement import (
-    Floorplan,
-    annealed_floorplan,
-    floorplan_from_positions,
-    grid_floorplan,
-)
+from repro.floorplan.placement import Floorplan, annealed_floorplan, grid_floorplan
+
+
+def sized_cores(sizes: dict) -> list[CoreSpec]:
+    """Cores with individual ``(width, height)`` footprints."""
+    return [CoreSpec(core, width, height) for core, (width, height) in sizes.items()]
 
 
 class TestGeometry:
@@ -22,8 +22,6 @@ class TestGeometry:
         assert rect.x_max == 4.0 and rect.y_max == 6.0
         assert rect.area == 12.0
         assert rect.center == (2.5, 4.0)
-        assert rect.contains_point(2.0, 3.0)
-        assert not rect.contains_point(10.0, 10.0)
 
     def test_rectangle_validation(self):
         with pytest.raises(FloorplanError):
@@ -35,9 +33,7 @@ class TestGeometry:
         assert not first.overlaps(Rectangle(2, 0, 2, 2))  # touching edges
         assert not first.overlaps(Rectangle(5, 5, 1, 1))
 
-    def test_translate_and_bounding_box(self):
-        rect = Rectangle(0, 0, 1, 1).translated(2, 3)
-        assert rect.x == 2 and rect.y == 3
+    def test_bounding_box(self):
         box = bounding_box([Rectangle(0, 0, 1, 1), Rectangle(3, 4, 1, 1)])
         assert box.width == 4 and box.height == 5
         with pytest.raises(FloorplanError):
@@ -48,13 +44,10 @@ class TestGeometry:
 
 
 class TestCoreSpec:
-    def test_uniform_and_heterogeneous(self):
+    def test_uniform_cores(self):
         cores = uniform_cores([1, 2, 3], size_mm=2.0)
         assert len(cores) == 3
-        assert cores[0].area_mm2 == 4.0
-        hetero = heterogeneous_cores({"cpu": (4.0, 2.0), "dsp": (1.0, 1.0)})
-        assert total_area(hetero) == pytest.approx(9.0)
-        assert hetero[0].aspect_ratio == pytest.approx(2.0)
+        assert (cores[0].width_mm, cores[0].height_mm) == (2.0, 2.0)
 
     def test_invalid_core_dimensions(self):
         with pytest.raises(FloorplanError):
@@ -100,7 +93,7 @@ class TestGridFloorplan:
     def test_identical_cores_form_square_grid(self):
         cores = uniform_cores(list(range(1, 17)), size_mm=2.0)
         floorplan = grid_floorplan(cores)
-        assert floorplan.num_cores == 16
+        assert len(floorplan.placements) == 16
         assert floorplan.die_area_mm2() == pytest.approx(64.0)
         assert floorplan.utilization() == pytest.approx(1.0)
         # 4x4 arrangement: first row at y-center 1.0
@@ -108,7 +101,7 @@ class TestGridFloorplan:
         assert floorplan.center(16) == (7.0, 7.0)
 
     def test_heterogeneous_cores_do_not_overlap(self):
-        cores = heterogeneous_cores({1: (3, 2), 2: (1, 1), 3: (2, 4), 4: (2, 2), 5: (1, 3)})
+        cores = sized_cores({1: (3, 2), 2: (1, 1), 3: (2, 4), 4: (2, 2), 5: (1, 3)})
         floorplan = grid_floorplan(cores, columns=2)
         rectangles = list(floorplan.placements.values())
         for i, first in enumerate(rectangles):
@@ -125,11 +118,6 @@ class TestGridFloorplan:
             grid_floorplan([])
         with pytest.raises(FloorplanError):
             grid_floorplan(uniform_cores([1]), columns=0)
-
-    def test_floorplan_from_positions(self):
-        floorplan = floorplan_from_positions({1: (1.0, 1.0), 2: (5.0, 1.0)}, core_size_mm=2.0)
-        assert floorplan.center(1) == (1.0, 1.0)
-        assert floorplan.distance(1, 2) == pytest.approx(4.0)
 
 
 class TestAnnealedFloorplan:
@@ -148,7 +136,7 @@ class TestAnnealedFloorplan:
 
     def test_annealing_requires_identical_cores(self):
         acg = self._chain_acg()
-        cores = heterogeneous_cores({1: (1, 1), 2: (2, 2), 3: (1, 1), 4: (1, 1)})
+        cores = sized_cores({1: (1, 1), 2: (2, 2), 3: (1, 1), 4: (1, 1)})
         with pytest.raises(FloorplanError):
             annealed_floorplan(cores, acg)
 

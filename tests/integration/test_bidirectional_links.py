@@ -11,23 +11,26 @@ from __future__ import annotations
 import pytest
 
 from repro.core.decomposition import decompose
+from repro.core.graph import ApplicationGraph
 from repro.core.library import default_library
 from repro.core.synthesis import SynthesisOptions, synthesize_architecture
-from repro.dse.pipeline import EvaluationSettings, evaluate, simulate_acg_traffic
+from repro.dse.pipeline import EvaluationSettings, evaluate
 from repro.dse.scenarios import tgff_scenario
 from repro.energy.technology import FPGA_VIRTEX2
 from repro.exceptions import RoutingError
-from repro.noc.simulator import SimulatorConfig
+from repro.noc.simulator import NoCSimulator
+from repro.noc.traffic import acg_messages
 from repro.routing.shortest_path import bfs_shortest_path
-from repro.workloads.acg_builder import acg_from_traffic_table
+from repro.workloads.acg_builder import attach_grid_floorplan
 
 
 @pytest.fixture(scope="module")
 def chain_architectures():
     """The same 5-stage pipeline synthesized with and without full duplex."""
-    acg = acg_from_traffic_table(
+    acg = ApplicationGraph.from_traffic(
         {(stage, stage + 1): 96.0 for stage in range(1, 5)}, name="chain5"
     )
+    attach_grid_floorplan(acg)
     decomposition = decompose(acg, default_library())
     uni = synthesize_architecture(
         acg, decomposition, options=SynthesisOptions(bidirectional_links=False)
@@ -67,17 +70,16 @@ class TestBidirectionalSynthesis:
         acg, _, bidi = chain_architectures
         assert bidi.is_feasible
         bidi.routing_table.validate_pairs(acg.edges())
-        metrics = simulate_acg_traffic(
-            bidi.topology.name,
-            bidi.topology,
-            bidi.routing_table.next_hop,
-            acg,
-            technology=FPGA_VIRTEX2,
-            simulator_config=SimulatorConfig(),
+        simulator = NoCSimulator(
+            bidi.topology, bidi.routing_table.next_hop, technology=FPGA_VIRTEX2
         )
-        assert metrics.total_cycles > 0
-        assert metrics.average_latency_cycles > 0
-        assert metrics.energy_per_block_uj > 0
+        simulator.schedule_messages(acg_messages(acg))
+        simulator.run_until_drained()
+        statistics = simulator.statistics
+        assert statistics.all_delivered
+        assert statistics.total_cycles > 0
+        assert statistics.average_latency_cycles() > 0
+        assert simulator.energy.total_energy_uj > 0
 
     def test_bidirectional_axis_through_the_dse_pipeline(self):
         """The option is sweepable: the same scenario, both settings, both ok."""

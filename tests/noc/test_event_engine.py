@@ -25,7 +25,7 @@ from repro.noc.simulator import (
     SimulatorConfig,
 )
 from repro.noc.traffic import InjectionSchedule, uniform_random_messages
-from repro.routing.xy import xy_routing_function
+from repro.routing.policies import get_policy
 from simulator_oracle import OracleSimulator
 
 
@@ -48,7 +48,7 @@ def chain_simulator(**config_overrides) -> NoCSimulator:
 def mesh_simulator(simulator: type = NoCSimulator) -> NoCSimulator:
     """The 4x4 mesh under XY routing; ``simulator`` may be the oracle's class."""
     mesh = build_mesh(4, 4)
-    return simulator(mesh, xy_routing_function(mesh))
+    return simulator(mesh, get_policy("xy").build(mesh).frozen_next_hop())
 
 
 class TestEngineConfig:

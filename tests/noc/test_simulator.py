@@ -9,7 +9,7 @@ from repro.exceptions import SimulationError
 from repro.noc.packet import Message
 from repro.noc.simulator import NoCSimulator, SimulatorConfig
 from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
-from repro.routing.xy import xy_next_hop
+from repro.routing.policies import get_policy
 
 
 def two_node_topology(length_mm: float = 2.0) -> Topology:
@@ -27,7 +27,7 @@ def pair_simulator(**config_overrides) -> NoCSimulator:
 def mesh_simulator(mesh, **config_overrides) -> NoCSimulator:
     config = SimulatorConfig(**config_overrides)
     return NoCSimulator(
-        mesh, lambda current, dest: xy_next_hop(mesh, current, dest), config=config
+        mesh, get_policy("xy").build(mesh).frozen_next_hop(), config=config
     )
 
 

@@ -8,9 +8,7 @@ from repro.exceptions import WorkloadError
 from repro.noc.traffic import (
     InjectionSchedule,
     acg_messages,
-    bit_complement_messages,
     split_volume_into_messages,
-    transpose_messages,
     uniform_random_messages,
 )
 
@@ -60,29 +58,6 @@ class TestSyntheticPatterns:
         with pytest.raises(WorkloadError):
             uniform_random_messages([1, 2], -1)
 
-    def test_transpose_pattern(self):
-        nodes = list(range(1, 17))
-        messages = transpose_messages(nodes)
-        # diagonal nodes are silent: 16 - 4 = 12 senders
-        assert len(messages) == 12
-        for message in messages:
-            source_index = nodes.index(message.source)
-            target_index = nodes.index(message.destination)
-            row, column = divmod(source_index, 4)
-            assert target_index == column * 4 + row
-
-    def test_transpose_requires_square_count(self):
-        with pytest.raises(WorkloadError):
-            transpose_messages(list(range(5)))
-
-    def test_bit_complement(self):
-        nodes = list(range(1, 9))
-        messages = bit_complement_messages(nodes)
-        assert len(messages) == 8
-        assert all(m.destination == nodes[len(nodes) - 1 - nodes.index(m.source)] for m in messages)
-        with pytest.raises(WorkloadError):
-            bit_complement_messages([1])
-
 
 class TestInjectionSchedule:
     def test_periodic_schedule(self):
@@ -101,3 +76,8 @@ class TestInjectionSchedule:
     def test_invalid_period(self):
         with pytest.raises(WorkloadError):
             InjectionSchedule.periodic([], period_cycles=0)
+
+    def test_negative_jitter_rejected(self):
+        messages = uniform_random_messages(list(range(1, 5)), 4, seed=1)
+        with pytest.raises(WorkloadError, match="jitter"):
+            InjectionSchedule.periodic(messages, period_cycles=5, jitter=-3)

@@ -13,12 +13,12 @@ from repro.noc.simulator import (
     SimulatorConfig,
 )
 from repro.obs import MetricsRegistry, SimulatorProbe
-from repro.routing.xy import build_xy_routing_table
+from repro.routing.policies import get_policy
 
 
 def drained_mesh(engine: str, probed: bool) -> tuple[NoCSimulator, SimulatorProbe | None]:
     mesh = build_mesh(3, 3)
-    routing = build_xy_routing_table(mesh).frozen_next_hop()
+    routing = get_policy("xy").build(mesh).frozen_next_hop()
     simulator = NoCSimulator(
         mesh, routing, config=SimulatorConfig(engine=engine, router_pipeline_delay_cycles=2)
     )
@@ -134,7 +134,7 @@ class TestInjectionRecords:
         occupancies a packet-by-packet append reaches, and the probe's
         router order is the order of each source's first packet."""
         mesh = build_mesh(3, 3)
-        routing = build_xy_routing_table(mesh).frozen_next_hop()
+        routing = get_policy("xy").build(mesh).frozen_next_hop()
         nodes = mesh.routers()
         a, b, c, sink = nodes[4], nodes[0], nodes[7], nodes[8]
         sources = [a, b, a, c, b, a]

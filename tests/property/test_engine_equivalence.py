@@ -51,7 +51,7 @@ from repro.noc.simulator import (
 from repro.obs import SimulatorProbe
 from repro.routing.shortest_path import all_pairs_shortest_paths
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table
+from repro.routing.policies import get_policy
 from simulator_oracle import OracleSimulator
 
 pytestmark = pytest.mark.differential
@@ -67,7 +67,7 @@ CANDIDATES = (ENGINE_EVENT, ENGINE_BATCH)
 
 def mesh_fabric() -> tuple[Topology, object]:
     mesh = build_mesh(4, 4)
-    return mesh, build_xy_routing_table(mesh).frozen_next_hop()
+    return mesh, get_policy("xy").build(mesh).frozen_next_hop()
 
 
 def custom_fabric() -> tuple[Topology, object]:

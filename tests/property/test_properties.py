@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.core.graph import ApplicationGraph, DiGraph
-from repro.core.isomorphism import MatcherOptions, VF2Matcher, find_subgraph_isomorphism
+from repro.core.isomorphism import VF2Matcher
 from repro.core.library import default_library
 from repro.core.schedules import binomial_broadcast_schedule, broadcast_round_lower_bound
 from repro.energy.bit_energy import BitEnergyModel
@@ -94,7 +94,7 @@ def test_every_edge_subgraph_is_found(graph, data):
         return
     subset_size = data.draw(st.integers(min_value=1, max_value=min(4, len(edges))))
     pattern = graph.edge_induced_subgraph(edges[:subset_size])
-    mapping = find_subgraph_isomorphism(pattern, graph)
+    mapping = VF2Matcher(pattern, graph).find_one()
     assert mapping is not None
     covered = mapping.covered_edges(pattern)
     assert all(graph.has_edge(*edge) for edge in covered)
@@ -105,7 +105,7 @@ def test_isomorphism_mapping_is_injective(graph):
     if graph.num_edges == 0:
         return
     pattern = graph.edge_induced_subgraph(graph.edges()[:2])
-    mapping = find_subgraph_isomorphism(pattern, graph)
+    mapping = VF2Matcher(pattern, graph).find_one()
     assert mapping is not None
     targets = [target for _, target in mapping.mapping]
     assert len(targets) == len(set(targets))
@@ -148,7 +148,7 @@ _VF2_PATTERNS = {
 def test_vf2_find_all_agrees_with_brute_force(target, pattern_name):
     """VF2's de-duplicated enumeration is exactly the brute-force edge sets."""
     pattern = _VF2_PATTERNS[pattern_name]
-    matcher = VF2Matcher(pattern, target, MatcherOptions(deduplicate_by_edges=True))
+    matcher = VF2Matcher(pattern, target)
     found = matcher.find_all(limit=None)
     vf2_edge_sets = {mapping.covered_edges(pattern) for mapping in found}
     assert len(vf2_edge_sets) == len(found)  # de-duplication really is by edges

@@ -30,7 +30,7 @@ from repro.core.decomposition import (
     inherit_lists,
 )
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
-from repro.core.isomorphism import MatcherOptions, VF2Matcher
+from repro.core.isomorphism import VF2Matcher
 from repro.core.library import default_library, minimal_library
 from repro.core.matching import Matching
 
@@ -54,7 +54,7 @@ def _fresh_matchings(library, graph: DiGraph) -> dict[int, set[frozenset]]:
     """Per primitive id, the covered edge sets of every VF2 matching."""
     found: dict[int, set[frozenset]] = {}
     for entry in library.sorted_for_search():
-        matcher = VF2Matcher(entry.primitive.representation, graph, MatcherOptions())
+        matcher = VF2Matcher(entry.primitive.representation, graph)
         covered = {
             Matching.from_mapping(entry.primitive, mapping).covered_edges()
             for mapping in matcher.find_all()
@@ -120,7 +120,7 @@ def _exact_cover_cost(acg: ApplicationGraph, library, cost_model) -> float:
     bit = {edge: 1 << index for index, edge in enumerate(edges)}
     options: dict[int, list[tuple[int, float]]] = {index: [] for index in range(len(edges))}
     for entry in library.sorted_for_search():
-        matcher = VF2Matcher(entry.primitive.representation, acg, MatcherOptions())
+        matcher = VF2Matcher(entry.primitive.representation, acg)
         for mapping in matcher.find_all():
             matching = Matching.from_mapping(entry.primitive, mapping)
             mask = sum(bit[edge] for edge in matching.covered_edges())

@@ -6,7 +6,7 @@ covered edge set (it fixes ``Matching.assignment``), so the order of
 oracle tries every injective assignment of the matcher's pattern order to
 target nodes, lexicographically in the target's node order (the order a
 depth-first search that offers candidates in target-index order visits
-them), keeps the monomorphisms -- or the induced ones -- and drops each
+them), keeps the monomorphisms and drops each
 mapping whose covered edge set an earlier one already produced.
 """
 
@@ -19,13 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import DiGraph
-from repro.core.isomorphism import IsomorphismMapping, MatcherOptions, VF2Matcher
+from repro.core.isomorphism import IsomorphismMapping, VF2Matcher
 from repro.core.library import default_library
 
 
-def oracle(
-    matcher: VF2Matcher, pattern: DiGraph, target: DiGraph, induced: bool
-) -> list[IsomorphismMapping]:
+def oracle(matcher: VF2Matcher, pattern: DiGraph, target: DiGraph) -> list[IsomorphismMapping]:
     """The first mapping of each edge set, in lexicographic target order."""
     order = list(matcher._pattern_order)
     if not order or len(order) > target.num_nodes or pattern.num_edges > target.num_edges:
@@ -35,13 +33,6 @@ def oracle(
     for images in permutations(target.nodes(), len(order)):
         mapping = dict(zip(order, images))
         if not all(target.has_edge(mapping[s], mapping[t]) for s, t in pattern.edges()):
-            continue
-        if induced and any(
-            pattern.has_edge(p, q) != target.has_edge(mapping[p], mapping[q])
-            for p in order
-            for q in order
-            if p != q
-        ):
             continue
         covered = frozenset((mapping[s], mapping[t]) for s, t in pattern.edges())
         if covered in seen:
@@ -76,10 +67,10 @@ def graphs(min_nodes: int, max_nodes: int, max_edges: int):
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(graphs(1, 4, 6), graphs(1, 6, 14), st.booleans())
-def test_find_all_returns_the_oracle_list_in_order(pattern, target, induced):
-    matcher = VF2Matcher(pattern, target, MatcherOptions(induced=induced))
-    assert matcher.find_all() == oracle(matcher, pattern, target, induced)
+@given(graphs(1, 4, 6), graphs(1, 6, 14))
+def test_find_all_returns_the_oracle_list_in_order(pattern, target):
+    matcher = VF2Matcher(pattern, target)
+    assert matcher.find_all() == oracle(matcher, pattern, target)
 
 
 @pytest.mark.parametrize("entry", default_library().sorted_for_search(), ids=lambda e: e.name)
@@ -97,7 +88,7 @@ def test_library_primitives_enumerate_in_oracle_order(entry):
     target.add_edge(5, 6)
     target.add_edge(6, 4)
     target.add_edge(7, 1)
-    matcher = VF2Matcher(pattern, target, MatcherOptions())
-    expected = oracle(matcher, pattern, target, induced=False)
+    matcher = VF2Matcher(pattern, target)
+    expected = oracle(matcher, pattern, target)
     assert matcher.find_all() == expected
     assert matcher.find_all(limit=3) == expected[:3]

@@ -21,7 +21,7 @@ from repro.routing.policies import (
     policy_names,
     supported_policies,
 )
-from repro.routing.xy import build_xy_routing_table
+from repro.routing.shortest_path import bfs_shortest_path
 
 
 def _all_pairs(topology: Topology):
@@ -59,11 +59,23 @@ class TestRegistry:
 
 
 class TestGridPolicies:
-    def test_xy_policy_matches_the_classic_xy_table(self):
-        mesh = MeshTopology(4, 4)
+    @pytest.mark.parametrize("rows, columns", [(2, 2), (3, 3), (3, 4), (4, 4), (4, 5)])
+    def test_xy_policy_goes_columns_first(self, rows, columns):
+        mesh = MeshTopology(rows, columns)
         policy_table = build_policy_table("xy", mesh)
-        classic = build_xy_routing_table(mesh)
-        assert policy_table.entries() == classic.entries()
+        expected = {}
+        for source, destination in _all_pairs(mesh):
+            # walk the columns to the destination's, then the rows
+            here, there = mesh.coordinates(source), mesh.coordinates(destination)
+            row, column = here.row, here.column
+            while (row, column) != (there.row, there.column):
+                at = mesh.node_at(row, column)
+                if column != there.column:
+                    column += 1 if there.column > column else -1
+                else:
+                    row += 1 if there.row > row else -1
+                expected[(at, destination)] = mesh.node_at(row, column)
+        assert policy_table.entries() == expected
 
     def test_yx_differs_from_xy_but_is_minimal(self):
         mesh = MeshTopology(4, 4)
@@ -119,17 +131,15 @@ class TestDateline:
         torus = TorusTopology(4, 4)
         table = build_policy_table("dateline", torus)
         for source, destination in _all_pairs(torus):
-            assert len(table.route(source, destination)) - 1 == torus.torus_hops(
-                source, destination
-            )
+            shortest = bfs_shortest_path(torus, source, destination)
+            assert len(table.route(source, destination)) == len(shortest)
 
     def test_ring_shortest_direction(self):
         ring = RingTopology(list(range(8)))
         table = build_policy_table("dateline", ring)
         for source, destination in _all_pairs(ring):
-            assert len(table.route(source, destination)) - 1 == ring.ring_hops(
-                source, destination
-            )
+            shortest = bfs_shortest_path(ring, source, destination)
+            assert len(table.route(source, destination)) == len(shortest)
 
     def test_needs_vcs_on_full_wrap_traffic(self):
         torus = TorusTopology(4, 4)

@@ -5,20 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.topology import Topology
-from repro.exceptions import DeadlockError, RoutingError
-from repro.routing.deadlock import (
-    analyze_deadlock,
-    assert_deadlock_free,
-    build_channel_dependency_graph,
-)
-from repro.routing.shortest_path import (
-    all_pairs_shortest_paths,
-    bfs_shortest_path,
-    dijkstra_shortest_path,
-    path_length_mm,
-)
+from repro.exceptions import RoutingError
+from repro.routing.deadlock import analyze_deadlock, build_channel_dependency_graph
+from repro.routing.policies import get_policy
+from repro.routing.shortest_path import all_pairs_shortest_paths, bfs_shortest_path
 from repro.routing.table import RoutingTable
-from repro.routing.xy import build_xy_routing_table, xy_next_hop, xy_route
 
 
 @pytest.fixture()
@@ -45,21 +36,10 @@ class TestShortestPaths:
         with pytest.raises(RoutingError):
             bfs_shortest_path(topology, 1, 99)
 
-    def test_dijkstra_minimises_wire_length(self, ring_topology):
-        # by hops 1->3 is direct, but by length the two-hop route is cheaper
-        assert dijkstra_shortest_path(ring_topology, 1, 3, weight="length_mm") == [1, 2, 3]
-        assert dijkstra_shortest_path(ring_topology, 1, 3, weight="hops") == [1, 3]
-        with pytest.raises(RoutingError):
-            dijkstra_shortest_path(ring_topology, 1, 3, weight="bogus")
-
     def test_all_pairs(self, ring_topology):
         paths = all_pairs_shortest_paths(ring_topology)
         assert len(paths) == 4 * 3  # ordered pairs of the four routers
         assert paths[(4, 1)] == [4, 1]
-
-    def test_path_length(self, ring_topology):
-        assert path_length_mm(ring_topology, [1, 2, 3]) == pytest.approx(2.0)
-        assert path_length_mm(ring_topology, [1, 3]) == pytest.approx(10.0)
 
 
 class TestRoutingTable:
@@ -116,36 +96,36 @@ class TestRoutingTable:
         with pytest.raises(RoutingError):
             table.validate_pairs([(3, 1)])
 
-    def test_used_channels_and_describe(self, ring_topology):
+    def test_describe(self, ring_topology):
         table = RoutingTable(ring_topology)
         table.install_path([1, 2, 3])
-        assert table.used_channels() == {(1, 2), (2, 3)}
         assert "via" in table.describe()
 
 
 class TestXYRouting:
     def test_next_hop_moves_along_x_first(self, mesh_4x4):
+        table = get_policy("xy").build(mesh_4x4)
         # node 1 is (0,0), node 16 is (3,3): go east first
-        assert xy_next_hop(mesh_4x4, 1, 16) == 2
+        assert table.next_hop(1, 16) == 2
         # aligned in column -> go south
-        assert xy_next_hop(mesh_4x4, 1, 13) == 5
+        assert table.next_hop(1, 13) == 5
         with pytest.raises(RoutingError):
-            xy_next_hop(mesh_4x4, 1, 1)
+            table.next_hop(1, 1)
 
     def test_route_has_manhattan_length(self, mesh_4x4):
-        route = xy_route(mesh_4x4, 1, 16)
+        route = get_policy("xy").build(mesh_4x4).route(1, 16)
         assert len(route) - 1 == mesh_4x4.manhattan_hops(1, 16)
         assert route[0] == 1 and route[-1] == 16
 
     def test_full_table_is_complete_and_deadlock_free(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4)
+        table = get_policy("xy").build(mesh_4x4)
         pairs = [(s, d) for s in mesh_4x4.routers() for d in mesh_4x4.routers() if s != d]
         table.validate_pairs(pairs)
         report = analyze_deadlock(table, pairs)
         assert report.is_deadlock_free
 
     def test_partial_table(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16)])
+        table = get_policy("xy").build(mesh_4x4, pairs=[(1, 16)])
         assert table.route(1, 16)[-1] == 16
         assert not table.has_route(16, 1)
 
@@ -165,7 +145,7 @@ class TestDeadlockAnalysis:
         return table, pairs
 
     def test_cdg_construction(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16)])
+        table = get_policy("xy").build(mesh_4x4, pairs=[(1, 16)])
         cdg = build_channel_dependency_graph(table, [(1, 16)])
         assert cdg.num_nodes == 6  # six channels on the 6-hop route
         assert cdg.num_edges == 5
@@ -178,13 +158,8 @@ class TestDeadlockAnalysis:
         assert report.channels_needing_virtual_channels
         assert "NOT deadlock-free" in report.describe()
 
-    def test_assert_deadlock_free_raises(self):
-        table, pairs = self._cyclic_table()
-        with pytest.raises(DeadlockError):
-            assert_deadlock_free(table, pairs)
-
     def test_deadlock_free_report_describes_itself(self, mesh_4x4):
-        table = build_xy_routing_table(mesh_4x4, pairs=[(1, 16), (16, 1)])
+        table = get_policy("xy").build(mesh_4x4, pairs=[(1, 16), (16, 1)])
         report = analyze_deadlock(table, [(1, 16), (16, 1)])
         assert report.is_deadlock_free
         assert "deadlock-free" in report.describe()

@@ -27,10 +27,6 @@ class TestExceptionHierarchy:
         dup_edge = exceptions.DuplicateEdgeError(1, 2)
         assert "1" in str(dup_edge)
 
-    def test_constraint_violation_defaults(self):
-        error = exceptions.ConstraintViolationError("bad")
-        assert error.violations == []
-
     def test_deadlock_error_lists_cycle(self):
         error = exceptions.DeadlockError([("a", "b"), ("b", "a")])
         assert len(error.cycle) == 2

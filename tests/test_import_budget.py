@@ -81,13 +81,8 @@ def test_a_serial_sweep_loads_no_pool_and_discovers_at_the_first_listing():
 class TestLazyFacade:
     def test_every_advertised_name_resolves(self, package):
         module = importlib.import_module(package)
-        deprecated = getattr(module, "_DEPRECATED", {})
         for name in module.__all__:
-            if name in deprecated:
-                with pytest.deprecated_call():
-                    assert getattr(module, name) is not None
-            else:
-                assert getattr(module, name) is not None, name
+            assert getattr(module, name) is not None, name
 
     def test_dir_covers_all(self, package):
         module = importlib.import_module(package)

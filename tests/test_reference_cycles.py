@@ -18,7 +18,7 @@ from repro.arch.metrics import bisection_bandwidth
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.noc.packet import Message
 from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
-from repro.routing.xy import xy_routing_function
+from repro.routing.policies import get_policy
 
 
 @pytest.fixture()
@@ -48,7 +48,9 @@ def test_bisection_search_leaves_no_cycles(cyclic_gc_off, mesh_4x4):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_drained_simulator_is_freed_by_reference_counting(cyclic_gc_off, mesh_4x4, engine):
     simulator = NoCSimulator(
-        mesh_4x4, xy_routing_function(mesh_4x4), config=SimulatorConfig(engine=engine)
+        mesh_4x4,
+        get_policy("xy").build(mesh_4x4).frozen_next_hop(),
+        config=SimulatorConfig(engine=engine),
     )
     simulator.schedule_messages([Message(1, 16, 64), Message(16, 1, 64), Message(6, 11, 256)])
     simulator.run_until_drained()

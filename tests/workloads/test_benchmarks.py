@@ -10,8 +10,6 @@ from repro.workloads.benchmarks import (
     embedded_benchmark_acg,
     embedded_benchmark_names,
     embedded_benchmark_suite,
-    mpeg4_decoder_acg,
-    vopd_acg,
 )
 from repro.workloads.random_acg import (
     degree_sequence_acg,
@@ -36,28 +34,28 @@ class TestEmbeddedBenchmarks:
             assert all(acg.volume(s, t) > 0 for s, t in acg.edges())
 
     def test_mpeg4_is_sdram_hub_dominated(self):
-        acg = mpeg4_decoder_acg()
+        acg = embedded_benchmark_acg("mpeg4")
         hub_degree = acg.degree("sdram")
         assert hub_degree == max(acg.degree(node) for node in acg.nodes())
         assert hub_degree >= 8
 
     def test_vopd_pipeline_and_feedback(self):
-        acg = vopd_acg()
+        acg = embedded_benchmark_acg("vopd")
         assert acg.has_edge("vld", "run_le_dec")
         # the stripe-memory feedback loop around AC/DC prediction
         assert acg.has_edge("acdc_pred", "stripe_mem")
         assert acg.has_edge("stripe_mem", "acdc_pred")
 
     def test_volumes_scale_with_bits_per_mbs(self):
-        small = vopd_acg(bits_per_mbs=1.0)
-        large = vopd_acg(bits_per_mbs=8.0)
+        small = embedded_benchmark_acg("vopd", bits_per_mbs=1.0)
+        large = embedded_benchmark_acg("vopd", bits_per_mbs=8.0)
         assert large.volume("iquant", "idct") == pytest.approx(
             8.0 * small.volume("iquant", "idct")
         )
 
     def test_builds_are_deterministic(self):
-        first = mpeg4_decoder_acg()
-        second = mpeg4_decoder_acg()
+        first = embedded_benchmark_acg("mpeg4")
+        second = embedded_benchmark_acg("mpeg4")
         assert first.edges(data=True) == second.edges(data=True)
 
 

@@ -6,19 +6,9 @@ import pytest
 
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
-from repro.workloads.acg_builder import (
-    acg_from_task_graph,
-    acg_from_traffic_table,
-    attach_grid_floorplan,
-    set_uniform_bandwidth,
-)
-from repro.workloads.pajek import (
-    erdos_renyi_acg,
-    pajek_benchmark_suite,
-    planted_primitive_acg,
-    read_pajek,
-    write_pajek,
-)
+from repro.io import read_workload, write_workload
+from repro.workloads.acg_builder import acg_from_task_graph, attach_grid_floorplan
+from repro.workloads.pajek import erdos_renyi_acg, pajek_benchmark_suite, planted_primitive_acg
 from repro.workloads.random_acg import (
     figure2_example_graph,
     figure5_example_acg,
@@ -134,8 +124,8 @@ class TestPajekGenerators:
     def test_pajek_round_trip(self, tmp_path):
         acg = erdos_renyi_acg(8, 0.3, seed=7)
         path = tmp_path / "graph.net"
-        write_pajek(acg, path)
-        loaded = read_pajek(path)
+        write_workload(acg, path, fmt="pajek")
+        loaded = read_workload(path, fmt="pajek")
         assert loaded.num_nodes == acg.num_nodes
         assert loaded.num_edges == acg.num_edges
         original_edges = {(str(s), str(t)) for s, t in acg.edges()}
@@ -147,14 +137,14 @@ class TestPajekGenerators:
     def test_read_pajek_edges_section_is_bidirectional(self, tmp_path):
         path = tmp_path / "undirected.net"
         path.write_text('*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2 5\n', encoding="utf-8")
-        acg = read_pajek(path)
+        acg = read_workload(path, fmt="pajek")
         assert acg.has_edge("a", "b") and acg.has_edge("b", "a")
 
     def test_read_pajek_malformed_arc(self, tmp_path):
         path = tmp_path / "broken.net"
         path.write_text("*Vertices 1\n1 \"a\"\n*Arcs\n1\n", encoding="utf-8")
         with pytest.raises(WorkloadError):
-            read_pajek(path)
+            read_workload(path, fmt="pajek")
 
 
 class TestCuratedAcgs:
@@ -179,12 +169,6 @@ class TestCuratedAcgs:
 
 
 class TestAcgBuilder:
-    def test_acg_from_traffic_table_with_floorplan(self):
-        acg = acg_from_traffic_table({(1, 2): 10.0, (2, 3): 5.0}, name="t", bandwidth_fraction=0.1)
-        assert acg.volume(1, 2) == 10.0
-        assert acg.bandwidth(1, 2) == pytest.approx(1.0)
-        assert all(acg.has_position(node) for node in acg.nodes())
-
     def test_acg_from_task_graph(self):
         graph = automotive_benchmark()
         acg = acg_from_task_graph(graph)
@@ -194,10 +178,3 @@ class TestAcgBuilder:
     def test_attach_grid_floorplan_empty_rejected(self):
         with pytest.raises(WorkloadError):
             attach_grid_floorplan(ApplicationGraph())
-
-    def test_set_uniform_bandwidth(self):
-        acg = ApplicationGraph.from_traffic({(1, 2): 10.0, (2, 3): 5.0})
-        set_uniform_bandwidth(acg, 4.0)
-        assert acg.bandwidth(1, 2) == 4.0 and acg.bandwidth(2, 3) == 4.0
-        with pytest.raises(WorkloadError):
-            set_uniform_bandwidth(acg, -1.0)
