@@ -1,39 +1,20 @@
 #!/usr/bin/env python
-"""Benchmark the cheapest-edge residual bound against the legacy coarse bound.
+"""Time the branch-and-bound decomposition over the benchmark graphs.
 
-Runs the branch-and-bound decomposition twice per benchmark graph — once
-under the legacy per-edge cost-model bound (``lower_bound="cost_model"``)
-and once under the per-edge cheapest-cover bound of :mod:`repro.core.bounds`
-(``lower_bound="cheapest_edge"``, the default) — over the Fig-4a TGFF sweep,
-the Fig-4b Pajek sweep and the embedded suite (MPEG-4, VOPD, MWD,
-263enc+mp3dec, the Figure-5 example and the AES case study).
+Runs the branch-and-bound search, which prunes with the ``cheapest_edge``
+residual bound of :mod:`repro.core.bounds`, once per benchmark graph —
+the Fig-4a TGFF sweep, the Fig-4b Pajek sweep and the embedded suite
+(MPEG-4, VOPD, MWD, 263enc+mp3dec, the Figure-5 example and the AES case
+study) — and reports nodes expanded, prune provenance and wall seconds
+per suite.
 
-Five claims are measured and gated by ``--check``:
-
-* **parity** — both bounds reach *bit-identical* final decompositions
-  (same cost, same cover, same remainder) on every graph.  Admissible
-  pruning removes only subtrees that cannot strictly improve the
-  incumbent, so untruncated searches must agree exactly; a parity break
-  means a bound over-estimated (inadmissible) somewhere.
-* **nodes saving** — the cheapest-edge bound expands at least
-  ``NODES_SAVING_FLOOR``x fewer search nodes, aggregated as the
-  geometric mean of the per-suite savings (SPEC-style), so one
-  node-heavy suite cannot mask or inflate the others.  The pooled raw
-  totals are reported alongside for transparency.
-* **budget quality** — under a ``max_nodes_expanded`` budget ~3x tighter
-  than the sweep default (``BUDGET // BUDGET_TIGHTENING`` vs ``BUDGET``),
-  the cheapest-edge bound still reaches final costs at least as good as the
-  legacy bound gets with the full budget, on every graph.  This is the
-  experiment that licenses the tighter ``default_ladder()`` screen rung.
-* **cover quality** — no graph's ``cheapest_edge`` cover costs more than
-  in the latest trajectory entry that records per-graph costs
-  (``graph_costs``), so a search change cannot quietly settle for worse
-  covers.
-* **wall** — the total ``cheapest_edge`` wall over all graphs is at most
-  the legacy bound's: fewer nodes must not be bought with a slower search.
+``--check`` gates **cover quality**: no graph's cover may cost more than
+in the latest trajectory entry that records per-graph costs
+(``graph_costs``), so a search change cannot quietly settle for worse
+covers.
 
 Every invocation (without ``--no-write``) appends one entry to
-``BENCH_decomposition.json`` so the saving trajectory ratchets across PRs.
+``BENCH_decomposition.json`` so the trajectory ratchets across changes.
 
 Usage::
 
@@ -67,25 +48,14 @@ from repro.workloads.tgff import tgff_benchmark_suite  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decomposition.json"
 
-#: the two bound configurations the benchmark races
-BASELINE_BOUND = "cost_model"
-CANDIDATE_BOUND = "cheapest_edge"
-
-#: nodes-expanded saving (geometric mean over suites) the --check gate
-#: enforces (measured ~12.7x on this suite at the default branching width:
-#: ~53x on the TGFF sweep, ~9x embedded, ~4.3x on the sparse Pajek sweep
-#: where both bounds are closer to tight; the floor leaves room for
-#: workload drift without letting the headline 3x claim regress)
-NODES_SAVING_FLOOR = 3.0
-
-#: the sweep-default node budget and how much the tight run divides it by
-BUDGET = 400
-BUDGET_TIGHTENING = 3
-
 #: Fig-4a / Fig-4b sweep shapes (matching repro.experiments.runtime_sweep)
 TGFF_SIZES = (5, 8, 10, 12, 15, 18)
 PAJEK_SIZES = (10, 15, 20, 25, 30, 35, 40)
 PAJEK_INSTANCES = 2
+
+#: one benchmark search: deterministic and untruncated (only counter
+#: budgets can cut a search short, and none is set)
+CONFIG = DecompositionConfig(max_matchings_per_primitive=4, max_leaves=None)
 
 
 def benchmark_cases() -> list[tuple[str, str, object, object]]:
@@ -105,129 +75,40 @@ def benchmark_cases() -> list[tuple[str, str, object, object]]:
     return cases
 
 
-def _config(lower_bound: str, max_nodes: int | None = None) -> DecompositionConfig:
-    """One benchmark search config: deterministic, untruncated unless capped.
-
-    Only counter budgets can truncate a search, so runs reproduce
-    bit-identically anywhere; the ``max_nodes_expanded`` counter is used
-    only by the budget-quality experiment.
-    """
-    return DecompositionConfig(
-        max_matchings_per_primitive=4,
-        max_leaves=None,
-        max_nodes_expanded=max_nodes,
-        lower_bound=lower_bound,
-    )
-
-
-def _result_identity(result) -> tuple:
-    """Bit-identity key: cost, the exact cover, the exact remainder."""
-    return (
-        result.total_cost,
-        tuple(sorted(m.sort_key() for m in result.matchings)),
-        tuple(sorted(result.remainder.edges())),
-    )
-
-
 def run_benchmark() -> dict[str, object]:
-    """Race the two bounds over the full suite; measure the three claims."""
-    per_graph = []
-    totals = {BASELINE_BOUND: 0, CANDIDATE_BOUND: 0}
-    walls = {BASELINE_BOUND: 0.0, CANDIDATE_BOUND: 0.0}
-    parity_breaks = []
-    budget_losses = []
-    pruned_by_total: dict[str, int] = {}
-    tight_budget = BUDGET // BUDGET_TIGHTENING
-
+    """One search per graph: nodes, walls and cover costs, per suite."""
+    per_suite: dict[str, dict[str, float]] = {}
+    pruned_by: dict[str, int] = {}
+    graph_costs: dict[str, float] = {}
     for suite, name, acg, library in benchmark_cases():
-        row: dict[str, object] = {"suite": suite, "graph": name, "edges": acg.num_edges}
-        identities = {}
-        for bound in (BASELINE_BOUND, CANDIDATE_BOUND):
-            start = time.perf_counter()
-            result = decompose(acg, library, LinkCountCostModel(), _config(bound))
-            wall = time.perf_counter() - start
-            statistics = result.statistics
-            identities[bound] = _result_identity(result)
-            totals[bound] += statistics.nodes_expanded
-            walls[bound] += wall
-            row[f"{bound}_nodes"] = statistics.nodes_expanded
-            row[f"{bound}_wall_s"] = round(wall, 4)
-            row[f"{bound}_cost"] = result.total_cost
-            if bound == CANDIDATE_BOUND:
-                for reason, count in statistics.branches_pruned_by.items():
-                    pruned_by_total[reason] = pruned_by_total.get(reason, 0) + count
-        row["identical"] = identities[BASELINE_BOUND] == identities[CANDIDATE_BOUND]
-        if not row["identical"]:
-            parity_breaks.append(f"{suite}/{name}")
-
-        # equal quality under a ~3x tighter deterministic node budget
-        budget_baseline = decompose(
-            acg, library, LinkCountCostModel(), _config(BASELINE_BOUND, BUDGET)
-        )
-        budget_tight = decompose(
-            acg, library, LinkCountCostModel(), _config(CANDIDATE_BOUND, tight_budget)
-        )
-        row["budget_baseline_cost"] = budget_baseline.total_cost
-        row["budget_tight_cost"] = budget_tight.total_cost
-        if budget_tight.total_cost > budget_baseline.total_cost + 1e-9:
-            budget_losses.append(
-                f"{suite}/{name}: {budget_tight.total_cost:g} @ {tight_budget} nodes vs "
-                f"{budget_baseline.total_cost:g} @ {BUDGET} nodes"
-            )
-        per_graph.append(row)
-
-    suites = sorted({row["suite"] for row in per_graph})
-    per_suite = {
-        suite: {
-            "graphs": sum(1 for row in per_graph if row["suite"] == suite),
-            "baseline_nodes": sum(
-                row[f"{BASELINE_BOUND}_nodes"] for row in per_graph if row["suite"] == suite
-            ),
-            "candidate_nodes": sum(
-                row[f"{CANDIDATE_BOUND}_nodes"] for row in per_graph if row["suite"] == suite
-            ),
-        }
-        for suite in suites
-    }
+        start = time.perf_counter()
+        result = decompose(acg, library, LinkCountCostModel(), CONFIG)
+        wall = time.perf_counter() - start
+        statistics = result.statistics
+        stats = per_suite.setdefault(suite, {"graphs": 0, "nodes": 0, "wall_seconds": 0.0})
+        stats["graphs"] += 1
+        stats["nodes"] += statistics.nodes_expanded
+        stats["wall_seconds"] += wall
+        for reason, count in statistics.branches_pruned_by.items():
+            pruned_by[reason] = pruned_by.get(reason, 0) + count
+        graph_costs[f"{suite}/{name}"] = result.total_cost
+    total_wall = sum(stats["wall_seconds"] for stats in per_suite.values())
     for stats in per_suite.values():
-        stats["saving"] = round(stats["baseline_nodes"] / max(stats["candidate_nodes"], 1), 2)
-    suite_savings = [stats["saving"] for stats in per_suite.values()]
-    geomean = 1.0
-    for ratio in suite_savings:
-        geomean *= ratio
-    geomean **= 1.0 / max(len(suite_savings), 1)
-    pooled = totals[BASELINE_BOUND] / max(totals[CANDIDATE_BOUND], 1)
+        stats["wall_seconds"] = round(stats["wall_seconds"], 3)
     return {
-        "baseline_bound": BASELINE_BOUND,
-        "candidate_bound": CANDIDATE_BOUND,
-        "graphs": len(per_graph),
-        "baseline_nodes": totals[BASELINE_BOUND],
-        "candidate_nodes": totals[CANDIDATE_BOUND],
-        "nodes_saving_factor": round(geomean, 2),
-        "pooled_saving_factor": round(pooled, 2),
-        "per_suite": per_suite,
-        "parity": not parity_breaks,
-        "parity_breaks": parity_breaks,
-        "budget": BUDGET,
-        "tight_budget": tight_budget,
-        "budget_quality": not budget_losses,
-        "budget_losses": budget_losses,
-        "branches_pruned_by": dict(sorted(pruned_by_total.items())),
-        "baseline_wall_seconds": round(walls[BASELINE_BOUND], 3),
-        "candidate_wall_seconds": round(walls[CANDIDATE_BOUND], 3),
-        "graph_costs": {
-            f"{row['suite']}/{row['graph']}": row[f"{CANDIDATE_BOUND}_cost"]
-            for row in per_graph
-        },
-        "per_graph": per_graph,
+        "bound": "cheapest_edge",
+        "graphs": len(graph_costs),
+        "nodes": sum(stats["nodes"] for stats in per_suite.values()),
+        "wall_seconds": round(total_wall, 3),
+        "per_suite": dict(sorted(per_suite.items())),
+        "branches_pruned_by": dict(sorted(pruned_by.items())),
+        "graph_costs": graph_costs,
     }
 
 
 def check(result: dict[str, object], entries: list[dict[str, object]]) -> list[str]:
-    """The ``--check`` gate: parity + nodes saving + tight-budget quality +
-    a ``cheapest_edge`` wall at most legacy's, and no cover worse than the
-    latest trajectory entry with ``graph_costs``."""
-    failures = []
+    """The ``--check`` gate: no cover worse than the latest trajectory
+    entry with ``graph_costs``."""
     recorded = next(
         (entry["graph_costs"] for entry in reversed(entries) if "graph_costs" in entry), {}
     )
@@ -237,65 +118,30 @@ def check(result: dict[str, object], entries: list[dict[str, object]]) -> list[s
         if graph in recorded and cost > recorded[graph] + 1e-9
     ]
     if worse:
-        failures.append("cheapest_edge covers cost more than recorded: " + "; ".join(worse))
-    if not result["parity"]:
-        failures.append(
-            "bounds changed the final decomposition (inadmissible pruning?) on: "
-            + ", ".join(result["parity_breaks"])
-        )
-    if result["nodes_saving_factor"] < NODES_SAVING_FLOOR:
-        per_suite = ", ".join(
-            f"{suite} {stats['saving']:.2f}x" for suite, stats in result["per_suite"].items()
-        )
-        failures.append(
-            f"nodes saving {result['nodes_saving_factor']:.2f}x (geomean over "
-            f"suites: {per_suite}) below the {NODES_SAVING_FLOOR}x floor"
-        )
-    if result["candidate_wall_seconds"] > result["baseline_wall_seconds"]:
-        failures.append(
-            f"{CANDIDATE_BOUND} took {result['candidate_wall_seconds']:.3f}s in total, "
-            f"more than {BASELINE_BOUND}'s {result['baseline_wall_seconds']:.3f}s"
-        )
-    if not result["budget_quality"]:
-        failures.append(
-            f"tight budget ({result['tight_budget']} nodes) lost quality vs the "
-            f"full budget ({result['budget']} nodes) on: "
-            + "; ".join(result["budget_losses"])
-        )
-    return failures
+        return ["covers cost more than recorded: " + "; ".join(worse)]
+    return []
 
 
 def write_job_summary(result: dict[str, object]) -> None:
-    """Append the savings table to the CI job summary, when in CI."""
+    """Append the per-suite table to the CI job summary, when in CI."""
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not summary_path:
         return
     lines = [
-        "### Decomposition bounds: cheapest-edge bound vs legacy coarse bound",
+        "### Decomposition search (cheapest_edge bound)",
         "",
-        "| suite | graphs | legacy nodes | cheapest_edge nodes | saving |",
-        "|---|---|---|---|---|",
+        "| suite | graphs | nodes expanded | wall (s) |",
+        "|---|---|---|---|",
     ]
     for suite, stats in result["per_suite"].items():
         lines.append(
-            f"| {suite} | {stats['graphs']} | {stats['baseline_nodes']} | "
-            f"{stats['candidate_nodes']} | {stats['saving']:.2f}x |"
+            f"| {suite} | {stats['graphs']} | {stats['nodes']} | {stats['wall_seconds']:.3f} |"
         )
     lines += [
-        f"| **all (geomean)** | {result['graphs']} | {result['baseline_nodes']} | "
-        f"{result['candidate_nodes']} | **{result['nodes_saving_factor']:.2f}x** |",
+        f"| **all** | {result['graphs']} | {result['nodes']} | {result['wall_seconds']:.3f} |",
         "",
-        "Parity (bit-identical decompositions): {parity}; tight-budget "
-        "({tight} vs {full} nodes) quality: {quality}.".format(
-            parity=result["parity"],
-            tight=result["tight_budget"],
-            full=result["budget"],
-            quality=result["budget_quality"],
-        ),
         "Prune provenance: "
-        + ", ".join(
-            f"{reason} {count}" for reason, count in result["branches_pruned_by"].items()
-        ),
+        + ", ".join(f"{reason} {count}" for reason, count in result["branches_pruned_by"].items()),
     ]
     with open(summary_path, "a", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -308,37 +154,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless decompositions are bit-identical, the "
-        f"nodes saving reaches {NODES_SAVING_FLOOR}x, the tight budget "
-        f"loses no quality, the {CANDIDATE_BOUND} wall is at most the "
-        f"{BASELINE_BOUND} wall and no cover costs more than the trajectory records",
+        help="exit non-zero when a cover costs more than the trajectory records",
     )
-    parser.add_argument(
-        "--no-write", action="store_true", help="measure and print only"
-    )
+    parser.add_argument("--no-write", action="store_true", help="measure and print only")
     args = parser.parse_args(argv)
 
     result = run_benchmark()
     for suite, stats in result["per_suite"].items():
         print(
-            f"{suite}: {stats['graphs']} graphs, nodes {stats['baseline_nodes']} -> "
-            f"{stats['candidate_nodes']} ({stats['saving']:.2f}x)"
+            f"{suite}: {stats['graphs']} graphs, {stats['nodes']} nodes, "
+            f"{stats['wall_seconds']:.3f}s"
         )
     print(
-        f"saving: {result['nodes_saving_factor']:.2f}x fewer nodes (geomean over "
-        f"suites; pooled {result['baseline_nodes']} -> {result['candidate_nodes']}, "
-        f"{result['pooled_saving_factor']:.2f}x), parity={result['parity']}, "
-        f"tight-budget quality={result['budget_quality']}"
-    )
-    print(
-        f"walls: legacy {result['baseline_wall_seconds']:.3f}s, "
-        f"cheapest_edge {result['candidate_wall_seconds']:.3f}s; prune provenance "
+        f"all: {result['graphs']} graphs, {result['nodes']} nodes, "
+        f"{result['wall_seconds']:.3f}s; prune provenance "
         + json.dumps(result["branches_pruned_by"])
     )
-    if result["parity_breaks"]:
-        print(f"parity breaks: {result['parity_breaks']}")
-    if result["budget_losses"]:
-        print(f"budget losses: {result['budget_losses']}")
 
     payload = {"entries": []}
     if args.output.exists():
@@ -351,9 +182,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.no_write:
         entry = {
-            "label": args.label or "bounds vs legacy run",
+            "label": args.label or "cheapest_edge run",
             "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            **{key: value for key, value in result.items() if key != "per_graph"},
+            **result,
         }
         payload.setdefault("entries", []).append(entry)
         args.output.write_text(

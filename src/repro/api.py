@@ -38,9 +38,7 @@ _EXPORTS: dict[str, str] = {
     "DecompositionConfig": "repro.core",
     "DecompositionResult": "repro.core",
     "decompose": "repro.core",
-    "BOUND_NAMES": "repro.core",
     "ResidualBound": "repro.core",
-    "build_lower_bound": "repro.core",
     "DesignConstraints": "repro.core",
     "SynthesisOptions": "repro.core",
     "SynthesizedArchitecture": "repro.core",

@@ -6,14 +6,7 @@ sibling packages (:mod:`repro.energy`, :mod:`repro.arch`, :mod:`repro.routing`,
 :mod:`repro.noc`, :mod:`repro.floorplan`).
 """
 
-from repro.core.bounds import (
-    BOUND_NAMES,
-    CheapestEdgeBound,
-    CostModelBound,
-    ResidualBound,
-    StackedBound,
-    build_lower_bound,
-)
+from repro.core.bounds import CheapestEdgeBound, ResidualBound, StackedBound
 from repro.core.cost import (
     CostModel,
     EnergyCostModel,
@@ -81,12 +74,9 @@ __all__ = [
     "LinkCountCostModel",
     "EnergyCostModel",
     "default_cost_model",
-    "BOUND_NAMES",
     "ResidualBound",
-    "CostModelBound",
     "CheapestEdgeBound",
     "StackedBound",
-    "build_lower_bound",
     "DecompositionConfig",
     "DecompositionResult",
     "SearchStrategy",

@@ -1,4 +1,4 @@
-"""Admissible lower bounds on the cost of decomposing a residual graph.
+"""The admissible lower bound on the cost of decomposing a residual graph.
 
 The branch-and-bound of Figure 3 prunes a branch as soon as its accumulated
 cost plus a lower bound on the residual's coverage cost reaches the best
@@ -7,27 +7,18 @@ trajectory (final cost and final cover) is bit-identical under any admissible
 bound — so every bit of extra tightness here converts directly into fewer
 nodes expanded without changing the answer.
 
-This module provides the admissible residual bounds selected via
-``DecompositionConfig.lower_bound``:
-
-``"cost_model"``
-    The legacy coarse bound: delegate to :meth:`CostModel.lower_bound`
-    (one direct-link charge per residual edge; 1/3 link for bidirectional
-    traffic under the link-count model).
-
-``"cheapest_edge"`` (the default)
-    Per-edge cheapest-cover bound.  For every residual edge, the minimum
-    cost contribution over the remainder charge and all library *cover
-    offers* — positions of primitive representation edges — whose pairing
-    and endpoint-degree requirements the edge can still satisfy.  Offers
-    are precomputed once per (library, cost-model) pair; degree
-    requirements are monotone under edge removal, so an offer infeasible
-    now stays infeasible in every sub-residual and the bound is admissible
-    for the whole subtree.
+The search prunes with one bound, ``cheapest_edge``: for every residual
+edge, the minimum cost contribution over the remainder charge and all
+library *cover offers* — positions of primitive representation edges —
+whose pairing and endpoint-degree requirements the edge can still satisfy.
+Offers are precomputed once per (library, cost-model) pair; degree
+requirements are monotone under edge removal, so an offer infeasible now
+stays infeasible in every sub-residual and the bound is admissible for the
+whole subtree.
 
 A residual is an edge mask over the ACG's :class:`~repro.core.graph.EdgeIndex`
-(bit ``i`` is edge ``i`` of ``acg.edges()``).  All bounds memoize their
-values in a per-search bound cache keyed by that mask, alongside the
+(bit ``i`` is edge ``i`` of ``acg.edges()``).  Bounds memoize their values
+in a per-search bound cache keyed by that mask, alongside the
 transposition table: sibling branches and transposed interleavings hit the
 same residuals over and over.  Every value is a sequential sum of per-edge
 charges in edge order, the float a loop over the residual graph's
@@ -39,20 +30,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.core.cost import CostModel
-from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex, Node
-from repro.exceptions import DecompositionError
-
-#: valid values for ``DecompositionConfig.lower_bound``
-BOUND_NAMES = ("cost_model", "cheapest_edge")
-
-
-def check_bound_name(name: str) -> None:
-    """Raise :class:`DecompositionError` unless ``name`` is in ``BOUND_NAMES``."""
-    if name not in BOUND_NAMES:
-        raise DecompositionError(
-            f"unknown lower bound {name!r}; expected one of {', '.join(BOUND_NAMES)}"
-        )
+from repro.core.graph import DiGraph, EdgeIndex, Node
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +162,9 @@ class ResidualBound:
     cache; ``prune_reason`` is the branch-and-bound entry point: it returns
     the name of the bound that proves ``cost(residual) >= target`` (so the
     branch cannot beat the incumbent), or ``None`` when no prune is proven.
-    A miss sums the bound's ``charges`` (:func:`bound_charges`), which are a
-    pure function of the residual: every search of one ACG may share them,
-    while the bound cache and its counters stay with the search.
+    A miss sums the bound's ``charges``, which are a pure function of the
+    residual: every search of one ACG may share them, while the bound cache
+    and its counters stay with the search.
     """
 
     name: str = "bound"
@@ -218,46 +196,6 @@ class ResidualBound:
         return None
 
 
-class CostModelCharges:
-    """The ``cost_model`` bound's per-edge terms over one :class:`EdgeIndex`.
-
-    A model that keeps the base ``lower_bound`` (every built-in one) is
-    summed over the mask from its :meth:`CostModel.edge_lower_bound`
-    terms, precomputed per edge and direction state; any other model is
-    handed the residual as a graph.
-    """
-
-    def __init__(self, cost_model, acg: ApplicationGraph, index: EdgeIndex) -> None:
-        self._cost_model = cost_model
-        self._acg = acg
-        self.index = index
-        # per edge: (its term without, then with its reverse in the residual)
-        self._charges: list[tuple[float, float]] | None = None
-        if type(cost_model).lower_bound is CostModel.lower_bound:
-            self._charges = [
-                (
-                    cost_model.edge_lower_bound(acg, edge, False),
-                    cost_model.edge_lower_bound(acg, edge, True),
-                )
-                for edge in index.edges
-            ]
-
-    def total(self, residual: int) -> float:
-        """The bound's value on the residual edge mask ``residual``."""
-        charges = self._charges
-        if charges is None:
-            return self._cost_model.lower_bound(self.index.graph_of(residual), self._acg)
-        reverse = self.index.reverse
-        total = 0.0
-        mask = residual
-        while mask:
-            low = mask & -mask
-            edge = low.bit_length() - 1
-            mask ^= low
-            total += charges[edge][residual & reverse[edge] != 0]
-        return total
-
-
 class EdgeCharges:
     """The ``cheapest_edge`` bound's per-edge charges over one :class:`EdgeIndex`.
 
@@ -268,10 +206,10 @@ class EdgeCharges:
     is memoized per (edge, signature) as well.
     """
 
-    def __init__(self, tables: BoundTables, cost_model, acg, index: EdgeIndex) -> None:
+    def __init__(self, tables: BoundTables, cost_model, index: EdgeIndex) -> None:
         self.tables = tables
         self._cost_model = cost_model
-        self._acg = acg
+        self._acg = index.graph
         self.index = index
         incident = self._incident = [
             out | into for out, into in zip(index.out_masks, index.in_masks)
@@ -357,26 +295,6 @@ class EdgeCharges:
         return cheapest
 
 
-class CostModelBound(ResidualBound):
-    """The legacy coarse bound: :meth:`CostModel.lower_bound` of the residual,
-    summed from :class:`CostModelCharges` (built when not given)."""
-
-    name = "cost_model"
-
-    def __init__(
-        self,
-        cost_model,
-        acg: ApplicationGraph,
-        statistics=None,
-        index: EdgeIndex | None = None,
-        charges: CostModelCharges | None = None,
-    ) -> None:
-        if charges is None:
-            charges = CostModelCharges(cost_model, acg, index or EdgeIndex(acg))
-        super().__init__(statistics, charges)
-        self.index = charges.index
-
-
 class CheapestEdgeBound(ResidualBound):
     """Per-edge cheapest-cover bound over the library's offer table.
 
@@ -386,31 +304,21 @@ class CheapestEdgeBound(ResidualBound):
     distinct positions, flat matching costs distribute exactly over their
     requirement edges, and additive models charge each covered edge its own
     route — so the per-edge minima sum to an admissible bound.  The
-    charges are memoized in :class:`EdgeCharges` (built when not given).
+    charges are memoized in ``charges``, an :class:`EdgeCharges` that every
+    search over one ACG may share.
     """
 
     name = "cheapest_edge"
 
-    def __init__(
-        self,
-        tables: BoundTables,
-        cost_model,
-        acg,
-        statistics=None,
-        index: EdgeIndex | None = None,
-        charges: EdgeCharges | None = None,
-    ) -> None:
-        if charges is None:
-            charges = EdgeCharges(tables, cost_model, acg, index or EdgeIndex(acg))
+    def __init__(self, charges: EdgeCharges, statistics=None) -> None:
         super().__init__(statistics, charges)
-        self.index = charges.index
 
 
 class StackedBound(ResidualBound):
     """Pointwise maximum of several bounds, evaluated lazily cheap-first.
 
-    Not selectable by a ``lower_bound`` name: callers compose the parts
-    explicitly, and ``prune_reason`` reports which part fired.
+    The search never builds one: callers compose the parts explicitly, and
+    ``prune_reason`` reports which part fired.
     """
 
     name = "stacked"
@@ -431,44 +339,3 @@ class StackedBound(ResidualBound):
             if part.value(residual) >= target:
                 return part.name
         return None
-
-
-def bound_charges(
-    name: str, library, cost_model, acg: ApplicationGraph, index: EdgeIndex
-) -> CostModelCharges | EdgeCharges:
-    """The per-edge tables of the bound selected by ``name``, over ``index``.
-
-    They are a pure function of the residual mask, so every search over
-    the same (ACG, library, cost model) may share them.  Raises
-    :class:`DecompositionError` for unknown names.
-    """
-    check_bound_name(name)
-    if name == "cost_model":
-        return CostModelCharges(cost_model, acg, index)
-    return EdgeCharges(bound_tables(library, cost_model), cost_model, acg, index)
-
-
-def build_lower_bound(
-    name: str,
-    library,
-    cost_model,
-    acg: ApplicationGraph,
-    statistics=None,
-    index: EdgeIndex | None = None,
-    charges: CostModelCharges | EdgeCharges | None = None,
-) -> ResidualBound:
-    """Construct the residual bound selected by ``name``.
-
-    ``statistics`` (a :class:`SearchStatistics`) receives the bound-cache
-    hit/miss counters.  Residual masks are over ``index``, an
-    :class:`EdgeIndex` of ``acg`` (built when not given).  ``charges`` are
-    the bound's :func:`bound_charges` (built when not given), which a
-    search shares with the others of its basis.  Raises
-    :class:`DecompositionError` for unknown names.
-    """
-    check_bound_name(name)
-    if charges is None:
-        charges = bound_charges(name, library, cost_model, acg, index or EdgeIndex(acg))
-    if name == "cost_model":
-        return CostModelBound(cost_model, acg, statistics, charges=charges)
-    return CheapestEdgeBound(charges.tables, cost_model, acg, statistics, charges=charges)

@@ -24,9 +24,10 @@ Two interchangeable cost models are provided:
     :class:`~repro.energy.technology.Technology`, link lengths from the
     floorplan positions attached to the ACG.
 
-Both expose an *admissible lower bound* for an arbitrary residual graph,
-which the branch-and-bound uses to prune ("current cost + minimum remaining
-cost >= best cost so far" in Figure 3).
+Each also prices a single edge (``edge_cover_cost`` /
+``edge_remainder_cost``); :mod:`repro.core.bounds` sums those charges into
+the admissible lower bound the branch-and-bound prunes with ("current cost
++ minimum remaining cost >= best cost so far" in Figure 3).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class CostModel(ABC):
         )
 
     # ------------------------------------------------------------------
-    # bounding (see repro.core.bounds for the composable bound family)
+    # bounding (per-edge charges summed by repro.core.bounds)
     # ------------------------------------------------------------------
     def edge_cover_cost(self, acg: ApplicationGraph, edge: Edge, hops: int) -> float:
         """Admissible charge for covering ``edge`` at a position with ``hops``
@@ -119,29 +120,6 @@ class CostModel(ABC):
         """
         del primitive
         return None
-
-    def edge_lower_bound(self, acg: ApplicationGraph, edge: Edge, is_bidirectional: bool) -> float:
-        """One residual edge's term of :meth:`lower_bound`.
-
-        Every remaining edge must be carried over at least one link through
-        at least two routers, whichever primitive (or direct link) ends up
-        implementing it, so charging each edge its own single-hop cost never
-        overestimates (for the energy model the direct Manhattan wire is the
-        shortest possible).  ``is_bidirectional`` says whether the reverse
-        edge is in the residual too.
-        """
-        del is_bidirectional
-        return self.route_cost(acg, edge, edge)
-
-    def lower_bound(self, residual: DiGraph, acg: ApplicationGraph) -> float:
-        """Admissible lower bound on the cost of decomposing ``residual``:
-        the sum of :meth:`edge_lower_bound` over its edges, in edge order."""
-        total = 0.0
-        for source, target in residual.edges():
-            total += self.edge_lower_bound(
-                acg, (source, target), residual.has_edge(target, source)
-            )
-        return total
 
 
 @dataclass
@@ -189,15 +167,6 @@ class LinkCountCostModel(CostModel):
     """
 
     remainder_penalty: float = 1.0
-    min_links_per_edge: float = 1.0 / 3.0
-    """Admissible per-edge lower bound for *bidirectional* traffic: the best
-    link-per-requirement-edge ratio over the default library is MGG-4's
-    4 physical links / 12 requirement edges = 1/3."""
-    min_links_per_directed_edge: float = 1.0
-    """Admissible per-edge lower bound for edges whose reverse is absent:
-    such edges can never be part of a gossip clique, and every other library
-    primitive (broadcast, loop, path) needs at least one physical link per
-    requirement edge, as does a remainder link."""
 
     def route_cost(self, acg: ApplicationGraph, edge: Edge, route: tuple[Node, ...]) -> float:
         # Per-edge route cost is unused by this model; see matching_cost.
@@ -219,21 +188,6 @@ class LinkCountCostModel(CostModel):
     def flat_matching_cost(self, primitive) -> float:
         """Physical link count: the same wherever the matching lands."""
         return float(primitive.num_physical_links)
-
-    def edge_lower_bound(self, acg: ApplicationGraph, edge: Edge, is_bidirectional: bool) -> float:
-        """Coarse per-edge link bound (the legacy ``"cost_model"`` bound).
-
-        .. note:: ``min_links_per_edge`` hard-codes the default library's
-           best ratio (MGG-4: 4 links / 12 requirement edges); libraries
-           with a denser primitive (e.g. ``extended_library``'s MGG-8 at
-           12/56) need the computed per-library offers of
-           :mod:`repro.core.bounds` for an admissible per-edge charge —
-           another reason ``lower_bound="cheapest_edge"`` supersedes this.
-        """
-        del acg, edge
-        if is_bidirectional:
-            return self.min_links_per_edge
-        return self.min_links_per_directed_edge
 
 
 @dataclass

@@ -36,14 +36,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from repro.core.bounds import (
-    CostModelCharges,
-    EdgeCharges,
-    ResidualBound,
-    bound_charges,
-    build_lower_bound,
-    check_bound_name,
-)
+from repro.core.bounds import CheapestEdgeBound, EdgeCharges, bound_tables
 from repro.core.cost import CostModel, LinkCountCostModel, default_cost_model
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.isomorphism import IsomorphismMapping, VF2Matcher
@@ -88,8 +81,9 @@ class DecompositionConfig:
     cut a search short, so a cover never depends on host speed.  The two
     clocks default to ``None`` and can only abort.  Counters must be
     ``int`` (not ``bool``) and at least 1, abort times positive ``int`` or
-    ``float``; ``None`` lifts a limit.  A bad value raises
-    :class:`DecompositionError` at construction.
+    ``float``; ``None`` lifts a limit.  The two ``use_*`` switches must be
+    ``bool``.  A bad value raises :class:`DecompositionError` at
+    construction.
     """
 
     strategy: SearchStrategy = SearchStrategy.BRANCH_AND_BOUND
@@ -102,14 +96,10 @@ class DecompositionConfig:
     total work on large graphs whose decomposition tree is too big to search
     exhaustively (the best decomposition found so far is returned)."""
     use_lower_bound: bool = True
-    lower_bound: str = "cheapest_edge"
-    """Which admissible residual bound prunes branches (see
-    :mod:`repro.core.bounds`): ``"cheapest_edge"`` (per-edge cheapest
-    feasible cover offer, the default) or ``"cost_model"`` (the legacy
-    coarse per-edge charge).  Ignored when ``use_lower_bound`` is False.
-    Pruning is exact under every admissible choice — the knob trades bound
-    computation against nodes expanded, never solution quality.  An
-    unknown name raises :class:`DecompositionError` at construction."""
+    """Prune with the ``cheapest_edge`` residual bound
+    (:mod:`repro.core.bounds`).  Pruning is exact, so switching it off
+    changes the nodes expanded, never the cover: the unbounded search is
+    the reference the bound is checked against."""
     use_transposition_table: bool = True
     """Prune residual states that were already searched under a dominating
     (cheaper partial cost, no-stricter symmetry key) visit.  Identical
@@ -122,7 +112,10 @@ class DecompositionConfig:
             raise DecompositionError(
                 f"strategy must be a SearchStrategy ({valid}), got {self.strategy!r}"
             )
-        check_bound_name(self.lower_bound)
+        for name in ("use_lower_bound", "use_transposition_table"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise DecompositionError(f"{name} must be a bool, got {value!r}")
         for name in ("max_matchings_per_primitive", "max_leaves", "max_nodes_expanded"):
             value = getattr(self, name)
             if value is None:
@@ -159,9 +152,9 @@ class SearchStatistics:
     ``transposition_hits``); ``branches_pruned_by`` attributes every pruned
     subtree — bound prunes *and* transposition skips — to its source."""
     branches_pruned_by: dict[str, int] = field(default_factory=dict)
-    """Pruned-subtree provenance: which bound fired (``"cheapest_edge"`` or
-    ``"cost_model"``) or ``"transposition"`` for dominance skips, mapped to
-    how many subtrees it removed."""
+    """Pruned-subtree provenance: ``"cheapest_edge"`` for bound prunes or
+    ``"transposition"`` for dominance skips, mapped to how many subtrees
+    each removed."""
     bound_cache_hits: int = 0
     """Residual bound values served from the fingerprint-keyed bound cache."""
     bound_cache_misses: int = 0
@@ -273,6 +266,39 @@ class DecompositionResult:
         )
 
 
+def replay_cover(
+    acg: ApplicationGraph,
+    matchings: list[Matching],
+    cost_model: CostModel,
+    statistics: SearchStatistics,
+) -> DecompositionResult:
+    """The validated result of a cover, its remainder rebuilt by replaying
+    ``matchings`` on the ACG.
+
+    Every engine builds its result here, and so does the stage-artifact
+    loader (:func:`repro.dse.cache.rebuild_decomposition`).  A matching
+    whose edges are not all in the residual, or a cover that is not an
+    edge partition of ``acg``, raises :class:`DecompositionError`.
+    """
+    residual: DiGraph = acg.structural_copy()
+    for matching in matchings:
+        residual = matching.subtract_from(residual)
+    remainder = RemainderGraph(residual.without_isolated_nodes())
+    matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
+    remainder_cost = cost_model.remainder_cost(remainder, acg)
+    result = DecompositionResult(
+        acg=acg,
+        matchings=list(matchings),
+        remainder=remainder,
+        total_cost=sum(matching_costs) + remainder_cost,
+        matching_costs=matching_costs,
+        remainder_cost=remainder_cost,
+        statistics=statistics,
+    )
+    result.validate_cover()
+    return result
+
+
 # ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
@@ -370,33 +396,6 @@ class Decomposer:
             )
         return mappings
 
-    def _build_result(
-        self,
-        acg: ApplicationGraph,
-        matchings: list[Matching],
-        cost_model: CostModel,
-        statistics: SearchStatistics,
-    ) -> DecompositionResult:
-        """The result of a cover, its remainder rebuilt by replaying
-        ``matchings`` on the ACG."""
-        residual: DiGraph = acg.structural_copy()
-        for matching in matchings:
-            residual = matching.subtract_from(residual)
-        remainder = RemainderGraph(residual.without_isolated_nodes())
-        matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
-        remainder_cost = cost_model.remainder_cost(remainder, acg)
-        result = DecompositionResult(
-            acg=acg,
-            matchings=list(matchings),
-            remainder=remainder,
-            total_cost=sum(matching_costs) + remainder_cost,
-            matching_costs=matching_costs,
-            remainder_cost=remainder_cost,
-            statistics=statistics,
-        )
-        result.validate_cover()
-        return result
-
     def decompose(
         self, acg: ApplicationGraph, memo: dict | None = None
     ) -> DecompositionResult:  # pragma: no cover
@@ -438,7 +437,7 @@ class GreedyDecomposer(Decomposer):
                 break
         statistics.leaves_evaluated = 1
         statistics.elapsed_seconds = time.monotonic() - start
-        return self._build_result(acg, matchings, cost_model, statistics)
+        return replay_cover(acg, matchings, cost_model, statistics)
 
 
 class Candidate(NamedTuple):
@@ -539,8 +538,8 @@ def _cost_model_key(cost_model: CostModel) -> tuple:
 class SearchBasis:
     """What every branch-and-bound search of one ACG shares, whatever its budgets.
 
-    A search's root work depends only on (ACG, library, cost model, lower
-    bound, VF2 timeout) (:meth:`BranchAndBoundDecomposer.search_basis`):
+    A search's root work depends only on (ACG, library, cost model, whether
+    it bounds, VF2 timeout) (:meth:`BranchAndBoundDecomposer.search_basis`):
     searches that differ only in ``max_matchings_per_primitive``,
     ``max_nodes_expanded`` or ``max_leaves`` build it once through a memo
     and each replay its enumeration counters.  Every part is read-only or
@@ -557,9 +556,8 @@ class SearchBasis:
     lists: dict[int, list[Candidate]]
     """The complete root candidate lists (:meth:`BranchAndBoundDecomposer.matching_lists`);
     a primitive's list length is its VF2 result count."""
-    charges: CostModelCharges | EdgeCharges | None
-    """The bound's per-edge tables (:func:`~repro.core.bounds.bound_charges`),
-    ``None`` for a search without a bound."""
+    charges: EdgeCharges | None
+    """The bound's per-edge charges, ``None`` for a search without a bound."""
 
 
 class BranchAndBoundDecomposer(Decomposer):
@@ -624,16 +622,15 @@ class BranchAndBoundDecomposer(Decomposer):
         """This search's :class:`SearchBasis`, from ``memo`` when it holds one.
 
         A basis built here is stored in ``memo`` (when given) under
-        (ACG, library, cost model, lower bound, VF2 timeout); the ACG and
-        the library are keyed by id, as the basis keeps them alive.
+        (ACG, library, cost model, whether it bounds, VF2 timeout); the ACG
+        and the library are keyed by id, as the basis keeps them alive.
         """
         config = self.config
-        bound_name = config.lower_bound if config.use_lower_bound else None
         key = (
             id(acg),
             id(self.library),
             _cost_model_key(cost_model),
-            bound_name,
+            config.use_lower_bound,
             config.isomorphism_timeout_seconds,
         )
         basis = memo.get(key) if memo is not None else None
@@ -644,9 +641,9 @@ class BranchAndBoundDecomposer(Decomposer):
                 cost_model,
                 index,
                 self.matching_lists(index, cost_model),
-                None
-                if bound_name is None
-                else bound_charges(bound_name, self.library, cost_model, acg, index),
+                EdgeCharges(bound_tables(self.library, cost_model), cost_model, index)
+                if config.use_lower_bound
+                else None,
             )
             if memo is not None:
                 memo[key] = basis
@@ -682,16 +679,7 @@ class BranchAndBoundDecomposer(Decomposer):
         best_matchings: list[Matching] | None = None
         limit = self.config.max_matchings_per_primitive
         use_table = self.config.use_transposition_table
-        bound: ResidualBound | None = None
-        if basis.charges is not None:
-            bound = build_lower_bound(
-                self.config.lower_bound,
-                self.library,
-                cost_model,
-                acg,
-                statistics=statistics,
-                charges=basis.charges,
-            )
+        bound = None if basis.charges is None else CheapestEdgeBound(basis.charges, statistics)
         # residual edge mask -> [(partial_cost, min_key), ...]: the
         # Pareto-incomparable visits of that residual state
         transposition: dict[int, list[tuple[float, int]]] = {}
@@ -746,7 +734,7 @@ class BranchAndBoundDecomposer(Decomposer):
                 next_cost = partial_cost + candidate.cost
                 if bound is not None:
                     # prune when next_cost + bound(residual) >= incumbent;
-                    # the reason names the (sub-)bound that proved it
+                    # the reason names the bound that proved it
                     fired = bound.prune_reason(next_residual, best_cost - next_cost)
                     if fired is not None:
                         statistics.branches_pruned += 1
@@ -812,7 +800,7 @@ class BranchAndBoundDecomposer(Decomposer):
             fallback.statistics.transposition_hits += statistics.transposition_hits
             return fallback
 
-        return self._build_result(acg, best_matchings, cost_model, statistics)
+        return replay_cover(acg, best_matchings, cost_model, statistics)
 
 
 def decompose(

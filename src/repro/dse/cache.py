@@ -38,10 +38,15 @@ from pathlib import Path
 
 from repro.arch.topology import Topology
 from repro.core.cost import LinkCountCostModel
-from repro.core.decomposition import DecompositionResult, SearchBasis, SearchStatistics
+from repro.core.decomposition import (
+    DecompositionResult,
+    SearchBasis,
+    SearchStatistics,
+    replay_cover,
+)
 from repro.core.graph import ApplicationGraph
 from repro.core.library import CommunicationLibrary
-from repro.core.matching import Matching, RemainderGraph
+from repro.core.matching import Matching
 from repro.core.synthesis import SynthesizedArchitecture
 from repro.dse.pipeline import (
     EvaluationSettings,
@@ -88,8 +93,10 @@ from repro.routing.table import RoutingTable
 #: ``isomorphism_timeout_seconds`` / ``decomposition_timeout_seconds`` knobs;
 #: version 8: one root enumeration per search — the branching cap takes each
 #: primitive's first matchings in canonical order at every depth, so stored
-#: decompositions hold covers (and search statistics) of the old search)
-PIPELINE_VERSION = 8
+#: decompositions hold covers (and search statistics) of the old search;
+#: version 9: one residual bound — settings lost the ``lower_bound`` knob,
+#: so the decomposition sub-key and every content key change)
+PIPELINE_VERSION = 9
 
 #: bump when the decomposition artifact serialization changes shape
 DECOMPOSITION_ARTIFACT_FORMAT = 1
@@ -381,7 +388,8 @@ def rebuild_decomposition(
 ) -> DecompositionResult | None:
     """Inverse of :func:`serialize_decomposition`, or None when stale.
 
-    Replays the stored matchings against ``acg`` (which re-validates that
+    Replays the stored matchings against ``acg`` with
+    :func:`~repro.core.decomposition.replay_cover` (which re-validates that
     every covered edge exists and nothing overlaps) and recomputes the cost
     breakdown with the pipeline's cost model; any mismatch with the stored
     total cost — a changed library, cost model or workload — rejects the
@@ -390,21 +398,13 @@ def rebuild_decomposition(
     try:
         if payload.get("format") != DECOMPOSITION_ARTIFACT_FORMAT:
             return None
-        residual = acg.structural_copy()
-        matchings: list[Matching] = []
-        for item in payload["matchings"]:  # type: ignore[index]
-            primitive = library.by_name(item["primitive"])
-            mapping = {node: core for node, core in item["assignment"]}
-            matching = Matching.from_dict(primitive, mapping)
-            residual = matching.subtract_from(residual)
-            matchings.append(matching)
-        cost_model = LinkCountCostModel()
-        remainder = RemainderGraph(residual.without_isolated_nodes())
-        matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
-        remainder_cost = cost_model.remainder_cost(remainder, acg)
-        total_cost = sum(matching_costs) + remainder_cost
-        if abs(total_cost - float(payload["total_cost"])) > 1e-6:  # type: ignore[arg-type]
-            return None
+        matchings = [
+            Matching.from_dict(
+                library.by_name(item["primitive"]),
+                {node: core for node, core in item["assignment"]},
+            )
+            for item in payload["matchings"]  # type: ignore[index]
+        ]
         stored_statistics = payload.get("statistics")
         statistics = SearchStatistics()
         if isinstance(stored_statistics, dict):
@@ -412,16 +412,9 @@ def rebuild_decomposition(
             for key, value in stored_statistics.items():
                 if key in known:
                     setattr(statistics, key, value)
-        result = DecompositionResult(
-            acg=acg,
-            matchings=matchings,
-            remainder=remainder,
-            total_cost=total_cost,
-            matching_costs=matching_costs,
-            remainder_cost=remainder_cost,
-            statistics=statistics,
-        )
-        result.validate_cover()
+        result = replay_cover(acg, matchings, LinkCountCostModel(), statistics)
+        if abs(result.total_cost - float(payload["total_cost"])) > 1e-6:  # type: ignore[arg-type]
+            return None
         return result
     except (ReproError, KeyError, TypeError, ValueError):
         return None

@@ -46,7 +46,6 @@ from repro.aes.aes_core import FIPS197_KEY
 from repro.aes.distributed import DistributedAES
 from repro.arch.families import get_family, pad_node_ids
 from repro.arch.topology import Topology
-from repro.core.bounds import BOUND_NAMES
 from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import (
     DecompositionConfig,
@@ -262,13 +261,6 @@ class EvaluationSettings:
     library: str = "default"
     max_matchings_per_primitive: int | None = 3
     max_nodes_expanded: int | None = 400
-    lower_bound: str = "cheapest_edge"
-    """Which admissible residual bound prunes the branch-and-bound (see
-    :mod:`repro.core.bounds`): ``"cheapest_edge"`` (the default) or
-    ``"cost_model"`` (the legacy coarse bound).  Part of the
-    decomposition stage sub-key: cached artifacts never mix bound
-    configurations (truncated searches expand different trees under
-    different bounds)."""
 
     # -- synthesis -------------------------------------------------------
     flit_width_bits: int = 32
@@ -318,10 +310,6 @@ class EvaluationSettings:
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
         get_family(self.topology)  # raises ConfigurationError when unknown
         get_policy(self.routing_policy)  # raises ConfigurationError when unknown
-        if self.lower_bound not in BOUND_NAMES:
-            raise ConfigurationError(
-                f"unknown lower bound {self.lower_bound!r} (use one of {BOUND_NAMES})"
-            )
         try:
             self.build_simulator_config()  # engine, buffers, delays, cycle budget
             self.build_decomposition_config()  # strategy, search budgets
@@ -344,7 +332,6 @@ class EvaluationSettings:
         "library",
         "max_matchings_per_primitive",
         "max_nodes_expanded",
-        "lower_bound",
         "bidirectional_links",
         "fill_all_pairs_routing",
     )
@@ -415,7 +402,7 @@ class EvaluationSettings:
         """:meth:`synthesis_stage_dict` with the synthesis fields nulled too.
 
         The content identity of the decompose stage: only the search knobs
-        (strategy, library, matching/node budgets, bound) survive, so every
+        (strategy, library, matching/node budgets) survive, so every
         simulator- or synthesis-axis sweep cell shares one decomposition.
         """
         payload = self.synthesis_stage_dict()
@@ -437,7 +424,6 @@ class EvaluationSettings:
             strategy=STRATEGIES.get(self.strategy),
             max_matchings_per_primitive=self.max_matchings_per_primitive,
             max_nodes_expanded=self.max_nodes_expanded,
-            lower_bound=self.lower_bound,
         )
 
     def build_library(self) -> CommunicationLibrary:

@@ -97,8 +97,11 @@ class InjectionSchedule:
 
         ``jitter`` adds a uniform random offset in ``[0, jitter]`` cycles to
         each injection so that synchronized bursts do not artificially
-        serialize on the same channel.
+        serialize on the same channel.  ``period_cycles`` must be an ``int``
+        (not a ``bool``) of at least 1.
         """
+        if not isinstance(period_cycles, int) or isinstance(period_cycles, bool):
+            raise WorkloadError(f"injection period must be an int, got {period_cycles!r}")
         if period_cycles < 1:
             raise WorkloadError("injection period must be at least one cycle")
         if jitter < 0:

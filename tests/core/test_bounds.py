@@ -4,8 +4,8 @@ The admissibility *property* (every bound below the brute-force optimum)
 lives in ``tests/property/test_bound_admissibility.py``; here we pin the
 mechanics: residual edge masks, offer tables, the per-edge cheapest-cover
 bound, the lazy max-of-parts composition, the per-search bound cache
-counters, and the factory surface.  Bounds take a residual as an edge
-mask over the ACG's ``EdgeIndex``; ``full(acg)`` is the whole ACG.
+counters, and how the search uses the bound.  Bounds take a residual as
+an edge mask over the ACG's ``EdgeIndex``; ``full(acg)`` is the whole ACG.
 """
 
 from __future__ import annotations
@@ -13,19 +13,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import (
-    BOUND_NAMES,
     CheapestEdgeBound,
-    CostModelBound,
     CoverOffer,
+    EdgeCharges,
+    ResidualBound,
     StackedBound,
     bound_tables,
-    build_lower_bound,
 )
 from repro.core.cost import LinkCountCostModel, UnitCostModel
-from repro.core.decomposition import DecompositionConfig, SearchStatistics, decompose
+from repro.core.decomposition import (
+    BranchAndBoundDecomposer,
+    DecompositionConfig,
+    SearchStatistics,
+    decompose,
+)
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.library import default_library
-from repro.exceptions import DecompositionError
 
 LINK = LinkCountCostModel()
 UNIT = UnitCostModel()
@@ -41,6 +44,29 @@ def acg_from_edges(edges, name="unit") -> ApplicationGraph:
 def full(acg) -> int:
     """The residual mask of the whole ACG."""
     return EdgeIndex(acg).full
+
+
+def cheapest_edge(acg, statistics=None) -> CheapestEdgeBound:
+    """The search's bound on ``acg``: default library, link-count model."""
+    charges = EdgeCharges(bound_tables(default_library(), LINK), LINK, EdgeIndex(acg))
+    return CheapestEdgeBound(charges, statistics)
+
+
+class HalvedCharges:
+    """Half of another bound's charges: a looser bound, admissible with it."""
+
+    def __init__(self, charges) -> None:
+        self.charges = charges
+
+    def total(self, residual: int) -> float:
+        return self.charges.total(residual) / 2.0
+
+
+class HalvedBound(ResidualBound):
+    name = "halved"
+
+    def __init__(self, bound: ResidualBound) -> None:
+        super().__init__(charges=HalvedCharges(bound.charges))
 
 
 class TestResidualMask:
@@ -109,32 +135,41 @@ class TestCoverOffer:
 class TestCheapestEdgeBound:
     def test_single_edge_never_beats_the_remainder_charge(self):
         acg = acg_from_edges([(1, 2)])
-        bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
-        value = bound.value(full(acg))
+        value = cheapest_edge(acg).value(full(acg))
         assert 0 < value <= LINK.edge_remainder_cost(acg, (1, 2)) + 1e-9
 
     def test_empty_residual_is_free(self):
         acg = acg_from_edges([(1, 2)])
-        bound = CheapestEdgeBound(bound_tables(default_library(), LINK), LINK, acg)
-        assert bound.value(0) == 0.0
+        assert cheapest_edge(acg).value(0) == 0.0
 
     def test_bound_cache_counts_misses_then_hits(self):
         statistics = SearchStatistics()
         acg = acg_from_edges([(1, 2), (2, 1), (2, 3)])
-        tables = bound_tables(default_library(), LINK)
-        bound = CheapestEdgeBound(tables, LINK, acg, statistics=statistics)
+        bound = cheapest_edge(acg, statistics)
         first = bound.value(full(acg))
         assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 0)
         assert bound.value(full(acg)) == first
         assert (statistics.bound_cache_misses, statistics.bound_cache_hits) == (1, 1)
 
 
+    def test_searches_share_charges_but_not_the_bound_cache(self):
+        acg = acg_from_edges([(1, 2), (2, 1), (2, 3), (3, 1)])
+        charges = EdgeCharges(bound_tables(default_library(), LINK), LINK, EdgeIndex(acg))
+        first, second = SearchStatistics(), SearchStatistics()
+        one = CheapestEdgeBound(charges, first)
+        other = CheapestEdgeBound(charges, second)
+        value = one.value(full(acg))
+        assert value == cheapest_edge(acg).value(full(acg))
+        assert other.value(full(acg)) == value
+        # each bound keeps its own residual cache and counters
+        assert (first.bound_cache_misses, second.bound_cache_misses) == (1, 1)
+        assert first.bound_cache_hits == second.bound_cache_hits == 0
+
+
 class TestStackedBound:
-    def build(self, acg):
-        tables = bound_tables(default_library(), LINK)
-        return StackedBound(
-            [CostModelBound(LINK, acg), CheapestEdgeBound(tables, LINK, acg)]
-        )
+    def build(self, acg, statistics=None):
+        tighter = cheapest_edge(acg, statistics)
+        return StackedBound([HalvedBound(tighter), tighter])
 
     def test_value_is_the_max_of_the_parts(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
@@ -144,10 +179,10 @@ class TestStackedBound:
     def test_prune_reason_names_the_first_firing_part(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         stacked = self.build(acg)
-        legacy, cheapest = (part.value(full(acg)) for part in stacked.parts)
-        assert 0 < legacy < cheapest
-        # both parts reach the legacy value: the first part in order fires
-        assert stacked.prune_reason(full(acg), legacy) == "cost_model"
+        halved, cheapest = (part.value(full(acg)) for part in stacked.parts)
+        assert 0 < halved < cheapest
+        # both parts reach the halved value: the first part in order fires
+        assert stacked.prune_reason(full(acg), halved) == "halved"
         # only the tighter part reaches its own value
         assert stacked.prune_reason(full(acg), cheapest) == "cheapest_edge"
         assert stacked.prune_reason(full(acg), cheapest + 1.0) is None
@@ -160,54 +195,14 @@ class TestStackedBound:
     def test_prune_reason_stops_at_the_first_firing_part(self):
         acg = acg_from_edges([(1, 2), (2, 1), (1, 3), (3, 4)])
         statistics = SearchStatistics()
-        tables = bound_tables(default_library(), LINK)
-        stacked = StackedBound(
-            [
-                CostModelBound(LINK, acg),
-                CheapestEdgeBound(tables, LINK, acg, statistics=statistics),
-            ]
-        )
-        legacy = stacked.parts[0].value(full(acg))
+        stacked = self.build(acg, statistics)
+        halved = stacked.parts[0].value(full(acg))
         # the cheap part fires, so the later part is never evaluated
-        assert stacked.prune_reason(full(acg), legacy) == "cost_model"
+        assert stacked.prune_reason(full(acg), halved) == "halved"
         assert statistics.bound_cache_misses == 0
         # a target above the cheap part falls through to the next one
-        assert stacked.prune_reason(full(acg), legacy + 1e-6) == "cheapest_edge"
+        assert stacked.prune_reason(full(acg), halved + 1e-6) == "cheapest_edge"
         assert statistics.bound_cache_misses == 1
-
-
-class TestBuildLowerBound:
-    @pytest.mark.parametrize("name", ["nope", "stacked", "packing", "exact_small"])
-    def test_unknown_name_raises(self, name):
-        acg = acg_from_edges([(1, 2)])
-        with pytest.raises(DecompositionError, match="unknown lower bound"):
-            build_lower_bound(name, default_library(), LINK, acg)
-
-    def test_names_are_the_two_remaining_bounds(self):
-        assert BOUND_NAMES == ("cost_model", "cheapest_edge")
-
-    def test_config_rejects_an_unknown_name_at_construction(self):
-        with pytest.raises(DecompositionError, match="cost_model, cheapest_edge"):
-            DecompositionConfig(lower_bound="stacked")
-
-    def test_config_defaults_to_cheapest_edge(self):
-        assert DecompositionConfig().lower_bound == "cheapest_edge"
-
-    @pytest.mark.parametrize("name", BOUND_NAMES)
-    def test_config_accepts_every_bound_name(self, name):
-        assert DecompositionConfig(lower_bound=name).lower_bound == name
-
-    @pytest.mark.parametrize(
-        "name, kind",
-        [
-            ("cost_model", CostModelBound),
-            ("cheapest_edge", CheapestEdgeBound),
-        ],
-    )
-    def test_every_name_builds_its_kind(self, name, kind):
-        assert name in BOUND_NAMES
-        bound = build_lower_bound(name, default_library(), LINK, acg_from_edges([(1, 2)]))
-        assert isinstance(bound, kind)
 
 
 class TestSearchIntegration:
@@ -218,9 +213,7 @@ class TestSearchIntegration:
             [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (1, 4), (4, 1), (1, 3)],
             name="ring",
         )
-        config = DecompositionConfig(
-            max_matchings_per_primitive=3, lower_bound="cheapest_edge", **self.CONFIG
-        )
+        config = DecompositionConfig(max_matchings_per_primitive=3, **self.CONFIG)
         statistics = decompose(acg, default_library(), LINK, config).statistics
         assert statistics.branches_pruned > 0
         pruned_by_bounds = {
@@ -229,7 +222,7 @@ class TestSearchIntegration:
             if reason != "transposition"
         }
         assert sum(pruned_by_bounds.values()) == statistics.branches_pruned
-        assert set(pruned_by_bounds) <= {"cheapest_edge"}
+        assert set(pruned_by_bounds) == {"cheapest_edge"}
         assert statistics.bound_cache_misses > 0
         as_dict = statistics.as_dict()
         assert as_dict["branches_pruned_by"] == statistics.branches_pruned_by
@@ -244,3 +237,14 @@ class TestSearchIntegration:
         assert statistics.bound_cache_hits == 0
         assert statistics.bound_cache_misses == 0
         assert set(statistics.branches_pruned_by) <= {"transposition"}
+
+    def test_no_bound_name_to_choose(self):
+        with pytest.raises(TypeError, match="lower_bound"):
+            DecompositionConfig(lower_bound="cost_model")
+
+    @pytest.mark.parametrize("bounded, charges", [(True, EdgeCharges), (False, type(None))])
+    def test_the_basis_holds_charges_only_for_a_bounded_search(self, bounded, charges):
+        acg = acg_from_edges([(1, 2), (2, 1), (2, 3)])
+        config = DecompositionConfig(use_lower_bound=bounded)
+        basis = BranchAndBoundDecomposer(default_library(), LINK, config).search_basis(acg, LINK)
+        assert type(basis.charges) is charges

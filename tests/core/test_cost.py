@@ -50,11 +50,13 @@ class TestUnitCostModel:
         total = model.decomposition_cost([k4_matching], remainder, k4_acg)
         assert total == pytest.approx(model.matching_cost(k4_matching, k4_acg))
 
-    def test_lower_bound_is_admissible(self, k4_acg, k4_matching):
+    def test_edge_cover_costs_sum_to_the_matching_cost(self, k4_acg, k4_matching):
         model = UnitCostModel()
-        bound = model.lower_bound(k4_acg.structural_copy(), k4_acg)
-        actual = model.matching_cost(k4_matching, k4_acg)
-        assert bound <= actual
+        charges = sum(
+            model.edge_cover_cost(k4_acg, edge, len(route) - 1)
+            for edge, route in k4_matching.routes_in_cores().items()
+        )
+        assert charges == pytest.approx(model.matching_cost(k4_matching, k4_acg))
 
 
 class TestLinkCountCostModel:
@@ -70,17 +72,11 @@ class TestLinkCountCostModel:
         remainder = RemainderGraph(DiGraph.from_edges([(1, 2), (2, 3)]))
         assert LinkCountCostModel().remainder_cost(remainder, k4_acg) == pytest.approx(2.0)
 
-    def test_lower_bound_discriminates_bidirectional_edges(self, k4_acg):
+    def test_flat_matching_cost_is_the_matching_cost(self, k4_acg, k4_matching):
         model = LinkCountCostModel()
-        bidirectional = DiGraph.from_edges([(1, 2), (2, 1)])
-        one_way = DiGraph.from_edges([(1, 2), (2, 3)])
-        assert model.lower_bound(bidirectional, k4_acg) == pytest.approx(2 / 3)
-        assert model.lower_bound(one_way, k4_acg) == pytest.approx(2.0)
-
-    def test_lower_bound_admissible_for_gossip_cover(self, k4_acg, k4_matching):
-        model = LinkCountCostModel()
-        bound = model.lower_bound(k4_acg.structural_copy(), k4_acg)
-        assert bound <= model.matching_cost(k4_matching, k4_acg)
+        assert model.flat_matching_cost(k4_matching.primitive) == model.matching_cost(
+            k4_matching, k4_acg
+        )
 
 
 class TestEnergyCostModel:
@@ -105,12 +101,13 @@ class TestEnergyCostModel:
         model = EnergyCostModel(fallback_link_length_mm=3.0)
         assert model.route_cost(acg, (1, 2), (1, 2)) > 0.0
 
-    def test_lower_bound_admissible(self, k4_acg):
+    def test_edge_cover_costs_are_admissible(self, k4_acg, k4_matching):
         model = EnergyCostModel()
-        matching = Matching.from_dict(make_gossip_primitive(4), {1: 1, 2: 2, 3: 3, 4: 4})
-        assert model.lower_bound(k4_acg.structural_copy(), k4_acg) <= model.matching_cost(
-            matching, k4_acg
+        charges = sum(
+            model.edge_cover_cost(k4_acg, edge, len(route) - 1)
+            for edge, route in k4_matching.routes_in_cores().items()
         )
+        assert 0.0 < charges <= model.matching_cost(k4_matching, k4_acg)
 
     def test_matching_cost_equation5(self, k4_acg):
         """Equation 5: the matching cost equals summing v(e) * E_bit(route) over

@@ -15,8 +15,10 @@ from repro.core.decomposition import (
     BranchAndBoundDecomposer,
     DecompositionConfig,
     GreedyDecomposer,
+    SearchStatistics,
     SearchStrategy,
     decompose,
+    replay_cover,
 )
 from repro.core.graph import ApplicationGraph
 from repro.core.library import CommunicationLibrary, minimal_library
@@ -214,6 +216,10 @@ class TestSearchBudgets:
             ("max_leaves", 0),
             ("isomorphism_timeout_seconds", 0.0),
             ("total_timeout_seconds", -1.0),
+            ("use_lower_bound", "no"),
+            ("use_lower_bound", 1),
+            ("use_transposition_table", 0.0),
+            ("use_transposition_table", None),
         ],
     )
     def test_out_of_range_budget_rejected(self, name, value):
@@ -386,10 +392,10 @@ class TestSearchAccelerations:
         return acg
 
     def test_transposition_hits_on_commuting_overlaps(self, library):
-        # pinned to the legacy coarse bound: the stacked bound prunes these
-        # commuting interleavings before they ever reach the table
+        # unbounded: the residual bound prunes these commuting
+        # interleavings before they ever reach the table
         acg = self._revisiting_acg()
-        config = quick_config(max_matchings_per_primitive=3, lower_bound="cost_model")
+        config = quick_config(max_matchings_per_primitive=3, use_lower_bound=False)
         result = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)
         result.validate_cover()
         assert result.statistics.transposition_hits > 0
@@ -477,3 +483,31 @@ class TestMinimalLibraryBehaviour:
         assert all(m.primitive.name in {"P3", "P2", "MGG2"} for m in result.matchings)
         # covering a gossip clique with paths needs more links than MGG-4
         assert result.total_cost > 4.0
+
+
+class TestReplayCover:
+    """The one path from chosen matchings to a validated result."""
+
+    def test_replaying_a_search_result_reproduces_it(self, library):
+        acg = figure5_example_acg()
+        cost_model = LinkCountCostModel()
+        searched = decompose(acg, library, cost_model, quick_config())
+        statistics = SearchStatistics()
+        replayed = replay_cover(acg, searched.matchings, cost_model, statistics)
+        assert replayed.statistics is statistics
+        assert replayed.matchings == searched.matchings
+        assert replayed.matching_costs == searched.matching_costs
+        assert replayed.remainder_cost == searched.remainder_cost
+        assert replayed.total_cost == searched.total_cost
+        assert replayed.remainder.edges() == searched.remainder.edges()
+
+    def test_an_empty_cover_leaves_every_edge_in_the_remainder(self, k4_acg):
+        result = replay_cover(k4_acg, [], LinkCountCostModel(), SearchStatistics())
+        assert result.remainder.num_edges == k4_acg.num_edges
+        assert result.total_cost == result.remainder_cost == float(k4_acg.num_edges)
+
+    def test_overlapping_matchings_are_rejected(self, k4_acg):
+        gossip = BranchAndBoundDecomposer(minimal_library()).decompose(k4_acg).matchings
+        assert gossip
+        with pytest.raises(DecompositionError, match="not present in the graph"):
+            replay_cover(k4_acg, gossip + gossip, LinkCountCostModel(), SearchStatistics())

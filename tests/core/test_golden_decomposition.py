@@ -1,12 +1,12 @@
-"""Golden search-shape regression tests for the decomposition bounds.
+"""Golden search-shape regression tests for the decomposition bound.
 
 ``tests/fixtures/golden/decomposition_search.json`` pins the *shape* of
 the branch-and-bound — nodes expanded, prune provenance, final cost — for
 the two published case studies (the Figure-5 example on the default
-library and the Figure-6 AES graph on its compact library), under both
-the legacy coarse bound and the default ``cheapest_edge`` bound.  A drift in nodes
-expanded means the pruning power changed; a drift in cost means the
-search *answer* changed — both deserve a deliberate fixture update:
+library and the Figure-6 AES graph on its compact library), under the
+``cheapest_edge`` bound.  A drift in nodes expanded means the pruning
+power changed; a drift in cost means the search *answer* changed — both
+deserve a deliberate fixture update:
 
     pytest tests/core/test_golden_decomposition.py --update-golden
 
@@ -37,8 +37,8 @@ GOLDEN_PATH = (
 #: the two published case studies the corpus replays
 CASES = ("figure5", "aes")
 
-#: both the legacy coarse bound and the default cheapest-edge bound are pinned
-BOUNDS = ("cost_model", "cheapest_edge")
+#: the corpus key of each case's entry: the bound the search prunes with
+BOUND = "cheapest_edge"
 
 
 def case_inputs(case: str):
@@ -48,13 +48,12 @@ def case_inputs(case: str):
     return build_aes_acg(), aes_library()
 
 
-def replay(case: str, lower_bound: str) -> dict[str, object]:
+def replay(case: str) -> dict[str, object]:
     """One deterministic search; the JSON-shaped fields the corpus pins."""
     acg, library = case_inputs(case)
     config = DecompositionConfig(
         max_matchings_per_primitive=4,
         max_leaves=None,
-        lower_bound=lower_bound,
     )
     result = decompose(acg, library, LinkCountCostModel(), config)
     statistics = result.statistics
@@ -77,16 +76,13 @@ def test_update_golden_corpus(request):
     """Regenerate the corpus with ``--update-golden`` (no-op otherwise)."""
     if not request.config.getoption("--update-golden"):
         pytest.skip("corpus update not requested (pass --update-golden)")
-    corpus = {
-        case: {bound: replay(case, bound) for bound in BOUNDS} for case in CASES
-    }
+    corpus = {case: {BOUND: replay(case)} for case in CASES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(corpus, sort_keys=True, indent=2) + "\n")
 
 
-@pytest.mark.parametrize("lower_bound", BOUNDS)
 @pytest.mark.parametrize("case", CASES)
-def test_golden_search_shape(case, lower_bound, request):
+def test_golden_search_shape(case, request):
     """The search reproduces the committed shape bit for bit."""
     if request.config.getoption("--update-golden"):
         pytest.skip("corpus being regenerated in this run")
@@ -95,22 +91,4 @@ def test_golden_search_shape(case, lower_bound, request):
         "pytest tests/core/test_golden_decomposition.py --update-golden"
     )
     corpus = json.loads(GOLDEN_PATH.read_text())
-    assert replay(case, lower_bound) == corpus[case][lower_bound]
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_cheapest_edge_bound_matches_legacy_answer_with_fewer_nodes(case, request):
-    """Across the corpus: same answer, never a larger search tree.
-
-    The exact node counts per bound are pinned by the fixture; this test
-    states the cross-bound relation (Figure-5 is small enough that both
-    bounds already expand the minimal tree, so the relation is ``<=``).
-    """
-    if request.config.getoption("--update-golden"):
-        pytest.skip("corpus being regenerated in this run")
-    corpus = json.loads(GOLDEN_PATH.read_text())
-    legacy, cheapest = corpus[case]["cost_model"], corpus[case]["cheapest_edge"]
-    assert cheapest["total_cost"] == legacy["total_cost"]
-    assert cheapest["num_matchings"] == legacy["num_matchings"]
-    assert cheapest["remainder_edges"] == legacy["remainder_edges"]
-    assert cheapest["nodes_expanded"] <= legacy["nodes_expanded"]
+    assert replay(case) == corpus[case][BOUND]

@@ -50,8 +50,6 @@ class TestEvaluationSettings:
             EvaluationSettings(strategy="simulated_annealing")
         with pytest.raises(ConfigurationError):
             EvaluationSettings(library="imaginary")
-        with pytest.raises(ConfigurationError):
-            EvaluationSettings(lower_bound="tightest")
 
     @pytest.mark.parametrize(
         ("name", "value"), [("max_matchings_per_primitive", -1), ("max_nodes_expanded", 0)]
@@ -60,11 +58,14 @@ class TestEvaluationSettings:
         with pytest.raises(ConfigurationError, match=f"{name} must be at least 1"):
             EvaluationSettings(**{name: value})
 
-    def test_deleted_bound_names_rejected_with_the_valid_ones(self):
-        assert EvaluationSettings().lower_bound == "cheapest_edge"
-        for name in ("stacked", "packing", "exact_small"):
-            with pytest.raises(ConfigurationError, match="'cost_model', 'cheapest_edge'"):
-                EvaluationSettings(lower_bound=name)
+    @pytest.mark.parametrize("name", ["cheapest_edge", "cost_model", "stacked"])
+    def test_no_bound_name_to_choose(self, name):
+        # a sweep axis or override goes through merged(): a ConfigurationError
+        with pytest.raises(ConfigurationError, match=r"unknown settings fields: \['lower_bound'\]"):
+            EvaluationSettings().merged({"lower_bound": name})
+        # the constructor rejects the keyword as Python does any unknown one
+        with pytest.raises(TypeError, match="lower_bound"):
+            EvaluationSettings(lower_bound=name)
 
     def test_canonical_dict_normalizes_irrelevant_axes(self):
         mesh_a = EvaluationSettings(architecture="mesh", library="aes")
@@ -141,27 +142,39 @@ class TestEvaluationSettings:
             settings = EvaluationSettings.from_dict(reloaded.get(record.cache_key).settings)
             assert settings.as_dict() == record.settings
 
-        # A v6 line: its settings carry the since-deleted clock knobs, and
-        # its key hashes them under pipeline version 6.  It still loads, but
-        # the cell is evaluated afresh instead of served.
+        # A v6 line whose settings carry the since-deleted clock knobs, and
+        # a v8 line whose settings carry the since-deleted bound name; each
+        # key hashes them under its own pipeline version.  Both still load,
+        # but the cell is evaluated afresh instead of served.
         record = next(
             r for r in swept.records if r.architecture == "custom" and r.scenario != "aes"
         )
         scenario = next(s for s in spec.build() if s.name == record.scenario)
-        clocks = {"isomorphism_timeout_seconds": 2.0, "decomposition_timeout_seconds": 15.0}
-        v6_settings = {**EvaluationSettings.from_dict(record.settings).canonical_dict(), **clocks}
-        v6_key = _content_hash(
-            {"pipeline_version": 6, "settings": v6_settings},
-            scenario=json.dumps(scenario.fingerprint(), sort_keys=True, separators=(",", ":")),
-        )
-        v6_cache = ResultCache(tmp_path / "v6.jsonl")
-        v6_cache.store(replace(record, cache_key=v6_key, settings={**record.settings, **clocks}))
-        v6_cache = ResultCache(v6_cache.path)
-        loaded = EvaluationSettings.from_dict(v6_cache.get(v6_key).settings)
-        assert loaded.as_dict() == record.settings
-        (rerun,) = run_sweep([scenario], spec.base_settings, {}, cache=v6_cache).records
-        assert rerun.cache_key == record.cache_key != v6_key
-        assert not rerun.from_cache
+        fingerprint = json.dumps(scenario.fingerprint(), sort_keys=True, separators=(",", ":"))
+        stale_lines = {
+            6: {"isomorphism_timeout_seconds": 2.0, "decomposition_timeout_seconds": 15.0},
+            8: {"lower_bound": "cost_model"},
+        }
+        for version, knobs in stale_lines.items():
+            stale_settings = {
+                **EvaluationSettings.from_dict(record.settings).canonical_dict(),
+                **knobs,
+            }
+            stale_key = _content_hash(
+                {"pipeline_version": version, "settings": stale_settings},
+                scenario=fingerprint,
+            )
+            stale_cache = ResultCache(tmp_path / f"v{version}.jsonl")
+            stale_cache.store(
+                replace(record, cache_key=stale_key, settings={**record.settings, **knobs})
+            )
+            stale_cache = ResultCache(stale_cache.path)
+            loaded = EvaluationSettings.from_dict(stale_cache.get(stale_key).settings)
+            assert loaded.as_dict() == record.settings
+            (rerun,) = run_sweep([scenario], spec.base_settings, {}, cache=stale_cache).records
+            assert rerun.cache_key == record.cache_key != stale_key
+            assert not rerun.from_cache
+            assert not set(knobs) & set(rerun.settings)
 
     def test_gate_knob_stays_out_of_stage_keys(self):
         """The deadlock gate never changes the decomposition/synthesis

@@ -175,7 +175,7 @@ class TestResultCache:
         assert cache_key(scenario, settings) not in cache
         sweep = run_sweep([scenario], base=settings, cache=cache)
         assert (sweep.cache_hits, sweep.cache_misses) == (0, 1)
-        assert sweep.records[0].settings["lower_bound"] == "cheapest_edge"
+        assert "lower_bound" not in sweep.records[0].settings
         assert "exact_residuals_solved" not in sweep.records[0].search_statistics
 
         main(["report", "--results", str(path)])
@@ -265,6 +265,8 @@ class TestRunSweep:
         "screen:decomposition_timeout_seconds=2": (
             "unknown settings fields: ['decomposition_timeout_seconds']"
         ),
+        "lower_bound=cost_model": "unknown settings fields: ['lower_bound']",
+        "screen:lower_bound=cheapest_edge": "unknown settings fields: ['lower_bound']",
     }
 
     @pytest.mark.parametrize("axis", list(BAD_KNOBS))

@@ -25,42 +25,42 @@ from repro.dse.search import RungSpec
 #: (scenario, architecture) -> (cache key, decomposition sub-key, synthesis sub-key)
 GOLDEN = {
     ("aes", "mesh"): (
-        "5e4475417de8ba383d0a5e4d32fe627da4fa6b296a32e5f8ce79239885495b96",
-        "3916f441f7160f66364a339873fe8fed612c4c88b90afc6ba0843d09d241abd6",
-        "81ddec19ee4e5dafaa60f0c28c4c1d05c0c3ee148dd3bdbcdcdcaa1cda95af7b",
+        "9440e6a1119481c58c300e3f2c72faecd7647fee007529b06b6f66dd8e92f142",
+        "9438fa502dda3e4f6515b55f9a36e4f1c26c9eecd4776bf8561964f2361a34cc",
+        "62565b7bc17fd2b84098ef4d3a60d54d27f60b9ee63dfdf1d56178d94a41b2f0",
     ),
     ("aes", "custom"): (
-        "09b6eb566cdca9d2959e055576a8589d976411d9f92ad16cad9e439584ebca86",
-        "a9570cd333bdbb2439b9626cc84f23528b9dac7196d0c67d9157d906f40e442f",
-        "0fdf9757fadf8eda7a42045ed8c193597d39a422139a3c00adfe4a39faaceef0",
+        "1273a8f253e56a484a4203ed5b59647346fd81d036700e40d17e46c1bb1ea087",
+        "b7b7c5a206a6c95697743bfcb129fcf79c6583c8658d44a97ac03d17f8e0bbbf",
+        "762ad5b78cc944fb082192706873bc2605376c087fbcd930fb5adcc0ac109e05",
     ),
     ("mpeg4", "mesh"): (
-        "cebb27119d249407a6c4022302e454165d9a7fad53c2f04803135f4e79d7bf27",
-        "34db77b81c6dc3f4dcc22c386547f53e68b547a31fc5e839c5d7a646d4c67efa",
-        "9d43af6a8550fac21a171fb47ec20787e41907b9102b5e9f35555f6293c4a680",
+        "8122f01629faf7b0639c45bd0f7a5b51ddf22cf25f680262599e4aa827759b05",
+        "0ae3f68c87a7f1994cf33bee990a6126b151b7aee85943c2e2086c3270ad62bf",
+        "01f4650c62b1a4c8acbc3b23d31d75486d376fd4bb3e4c6f13271e535cbcdb1f",
     ),
     ("mpeg4", "custom"): (
-        "6e865eefc0b33fdd2983959a0b9bc4c16b77cee1fb40bc1aa49ac3dfd463713d",
-        "5cc79948c5133749b2e577e9433ccefb9216f3b737b4ca4242f4ace5b176103b",
-        "f10f463ddb3ba77c1154b1dcc0751f49679774617d8e35fdf086b263abe04f89",
+        "9ae7821ffa3cbe16c8c538c2b6c009fda88649f1564d89b5ee5cc8afbdfc29fc",
+        "b50e1d7d45c1f4c39c49ab4cec776c2f2b7ddf34d2b79fac615de589963f8266",
+        "2f296ba7d004e63ab8a38236e30b2f0a7d6eeda33510377ce1b0a64724b6b5c1",
     ),
 }
 
 #: mpeg4 at three repetitions, custom at a 20-node budget: the full cell
 #: and its one-iteration screen variant (same workload graph, so the same
 #: stage sub-keys)
-GOLDEN_REPEATED = "956fc1f476c119b243592ec17c25e2942fa2ecbcbedf0cac18d78258faaecf12"
-GOLDEN_CAPPED = "68d24f32532a26568acd8e0dee1d9798d0f1d2a48059475e4bc6e3846c4e069a"
+GOLDEN_REPEATED = "c50f9e9bb38feb4648ace19c44161dab5dae5a5d31489ca1198723dd65633985"
+GOLDEN_CAPPED = "a5a91855665f5173164f6d19636ba4861bac03a4d7f6c1633b92c64045e666af"
 GOLDEN_BUDGET_DECOMPOSITION = (
-    "9152b96daf122dc9abaf9bff99f34cda0f4ff8448e9ae2774385e6fd9b052d6c"
+    "d42fe49768d22c357a4f88581aa015fc565a19a9b23823bc949ba7139544ec7c"
 )
-GOLDEN_BUDGET_SYNTHESIS = "bf0cbdfc70504d022f264400d0b30befcefb870e51918bf79a1b439d71bd045e"
+GOLDEN_BUDGET_SYNTHESIS = "d91f2c9bda3ce00170c6104a14d2239de812d3c8a685e0320a5066c8538f518e"
 
 SCENARIOS = {"aes": lambda: aes_scenario(blocks=1), "mpeg4": lambda: embedded_scenario("mpeg4")}
 
 
 def test_pipeline_version_is_unchanged():
-    assert PIPELINE_VERSION == 8
+    assert PIPELINE_VERSION == 9
 
 
 @pytest.mark.parametrize("name,architecture", sorted(GOLDEN))

@@ -54,7 +54,6 @@ _DECOMPOSITION_VARIANTS = {
     "library": ("default", "extended"),
     "max_matchings_per_primitive": (3, 4),
     "max_nodes_expanded": (400, 800),
-    "lower_bound": ("cheapest_edge", "cost_model"),
 }
 
 
@@ -118,17 +117,6 @@ class TestSubKeyDerivation:
             other, settings
         )
 
-    def test_lower_bound_is_normalized_away_for_mesh(self):
-        # the bound only steers the decomposition search, which mesh
-        # baselines never run: canonical_dict must null it out so a
-        # lower_bound sweep collapses onto one mesh cell
-        mesh_cheapest = EvaluationSettings(architecture="mesh", lower_bound="cheapest_edge")
-        mesh_legacy = EvaluationSettings(architecture="mesh", lower_bound="cost_model")
-        assert mesh_cheapest.canonical_dict() == mesh_legacy.canonical_dict()
-        custom_cheapest = EvaluationSettings(architecture="custom", lower_bound="cheapest_edge")
-        custom_legacy = EvaluationSettings(architecture="custom", lower_bound="cost_model")
-        assert custom_cheapest.canonical_dict() != custom_legacy.canonical_dict()
-
     def test_traffic_knobs_do_not_enter_the_key(self):
         driven_harder = tgff_scenario(num_tasks=10, seed=7)
         driven_harder.repetitions = 3
@@ -177,6 +165,19 @@ class TestStageArtifactStore:
             rebuild_decomposition(payload, SCENARIO.acg, settings.build_library())
             is None
         )
+
+    def test_artifact_of_another_format_is_rejected(self):
+        settings = EvaluationSettings(architecture="custom")
+        payload = serialize_decomposition(run_decomposition_search(SCENARIO, settings))
+        payload["format"] = int(payload["format"]) + 1
+        assert rebuild_decomposition(payload, SCENARIO.acg, settings.build_library()) is None
+
+    def test_artifact_with_a_repeated_matching_is_rejected(self):
+        settings = EvaluationSettings(architecture="custom")
+        payload = serialize_decomposition(run_decomposition_search(SCENARIO, settings))
+        assert payload["matchings"]
+        payload["matchings"] = payload["matchings"] + payload["matchings"][:1]
+        assert rebuild_decomposition(payload, SCENARIO.acg, settings.build_library()) is None
 
     def test_artifact_against_wrong_workload_is_rejected(self, tmp_path):
         settings = EvaluationSettings(architecture="custom")

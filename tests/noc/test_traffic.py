@@ -73,9 +73,11 @@ class TestInjectionSchedule:
         for index, (cycle, _) in enumerate(schedule):
             assert 10 * index <= cycle <= 10 * index + 3
 
-    def test_invalid_period(self):
-        with pytest.raises(WorkloadError):
-            InjectionSchedule.periodic([], period_cycles=0)
+    @pytest.mark.parametrize("period", [0, -1, 2.5, 2.0, "2", True, None])
+    def test_invalid_period(self, period):
+        messages = uniform_random_messages(list(range(1, 5)), 2, seed=1)
+        with pytest.raises(WorkloadError, match="injection period must be"):
+            InjectionSchedule.periodic(messages, period_cycles=period)
 
     def test_negative_jitter_rejected(self):
         messages = uniform_random_messages(list(range(1, 5)), 4, seed=1)

@@ -7,7 +7,7 @@ random chain of edge-disjoint root matchings:
 * the decoded mask equals the ``Matching.subtract_from`` chain from the
   ACG's structural copy: node, edge, successor and predecessor orders and
   degrees;
-* every bound value, and the leaf's remainder price, is float-equal (not
+* the bound value, and the leaf's remainder price, is float-equal (not
   approximately equal) to the graph formula the search used before, kept
   here as a reference copy, under the three built-in cost models.
 """
@@ -19,7 +19,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import CheapestEdgeBound, CostModelBound, bound_tables
+from repro.core.bounds import CheapestEdgeBound, EdgeCharges, bound_tables
 from repro.core.cost import EnergyCostModel, LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import (
     BranchAndBoundDecomposer,
@@ -69,24 +69,6 @@ def reference_cheapest_edge(tables, cost_model, acg, residual: DiGraph) -> float
     return total
 
 
-def reference_cost_model(cost_model, acg, residual: DiGraph) -> float:
-    """The legacy per-model ``lower_bound`` loops over ``residual.edges()``."""
-    total = 0.0
-    for source, target in residual.edges():
-        if isinstance(cost_model, LinkCountCostModel):
-            if residual.has_edge(target, source):
-                total += cost_model.min_links_per_edge
-            else:
-                total += cost_model.min_links_per_directed_edge
-        elif isinstance(cost_model, EnergyCostModel):
-            length = cost_model._segment_length(acg, source, target)
-            volume = acg.volume(source, target) if acg.has_edge(source, target) else 1.0
-            total += cost_model._bit_energy.transfer_energy_pj(volume, [length])
-        else:
-            total += cost_model.route_cost(acg, (source, target), (source, target))
-    return total
-
-
 def layout(graph: DiGraph) -> dict[str, object]:
     """Everything observable about a residual's structure and its orders."""
     return {
@@ -130,8 +112,7 @@ def test_mask_residuals_and_bounds_equal_the_graph_formulas(acg, seed, model_nam
     decomposer = BranchAndBoundDecomposer(_LIBRARY, cost_model, DecompositionConfig())
     lists = decomposer.matching_lists(index, cost_model)
     tables = bound_tables(_LIBRARY, cost_model)
-    cheapest_edge = CheapestEdgeBound(tables, cost_model, acg)
-    legacy = CostModelBound(cost_model, acg)
+    cheapest_edge = CheapestEdgeBound(EdgeCharges(tables, cost_model, index))
     price = remainder_pricer(cost_model, acg, index)
 
     residual = index.full
@@ -142,7 +123,6 @@ def test_mask_residuals_and_bounds_equal_the_graph_formulas(acg, seed, model_nam
         assert cheapest_edge.value(residual) == reference_cheapest_edge(
             tables, cost_model, acg, graph
         )
-        assert legacy.value(residual) == reference_cost_model(cost_model, acg, graph)
         assert price(residual) == cost_model.remainder_cost(graph, acg)
         if not lists:
             return
@@ -151,19 +131,3 @@ def test_mask_residuals_and_bounds_equal_the_graph_formulas(acg, seed, model_nam
         residual &= ~candidate.mask
         graph = candidate.matching.subtract_from(graph)
         lists = inherit_lists(lists, candidate.mask)
-
-
-def test_a_model_with_its_own_lower_bound_gets_the_residual_graph():
-    class Halved(UnitCostModel):
-        def lower_bound(self, residual, acg):
-            return super().lower_bound(residual, acg) / 2.0
-
-    acg = ApplicationGraph(name="pair")
-    acg.add_communication("a", "b", volume=4.0)
-    acg.add_communication("b", "a", volume=6.0)
-    acg.add_communication("b", "c", volume=10.0)
-    index = EdgeIndex(acg)
-    bound = CostModelBound(Halved(), acg)
-    residual = index.mask_of([("b", "a"), ("b", "c")])
-    assert bound.value(residual) == 8.0
-    assert bound.value(index.full) == 10.0

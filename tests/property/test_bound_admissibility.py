@@ -1,16 +1,14 @@
-"""Admissibility properties of the residual lower bounds (hypothesis).
+"""Admissibility properties of the residual lower bound (hypothesis).
 
 The whole bit-identical-pruning argument of ``repro.core.bounds`` rests on
-one inequality: every bound value is at or below the true optimal cost of
+one inequality: the bound's value is at or below the true optimal cost of
 completing the residual.  These tests check that inequality directly
 against a brute-force optimum — an exhaustive branch-and-bound with no
 enumeration clipping, no timeouts and no lower bound — on random
 Erdos-Renyi-style and scale-free ACGs, for both the flat link-count model
-and the additive unit model.  A second property pins ``cheapest_edge`` at
-or above the legacy ``cost_model`` bound on every drawn residual, so the
-legacy bound can serve as a cheap pre-test in front of the strong one.
-A third pins an explicit cheap-first stack of the two to the pointwise
-maximum of its parts (so provenance never changes values).
+and the additive unit model.  A further property pins an explicit stack of
+bounds to the pointwise maximum of its parts (so provenance never changes
+values).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import BOUND_NAMES, StackedBound, build_lower_bound
+from repro.core.bounds import CheapestEdgeBound, EdgeCharges, StackedBound, bound_tables
 from repro.core.cost import LinkCountCostModel, UnitCostModel
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.core.graph import ApplicationGraph, EdgeIndex
@@ -67,69 +65,40 @@ def scale_free_acgs():
     )
 
 
-def assert_cheapest_edge_dominates(acg, model_name):
+def cheapest_edge(acg: ApplicationGraph, cost_model) -> CheapestEdgeBound:
+    """The search's residual bound on the whole of ``acg``."""
+    return CheapestEdgeBound(
+        EdgeCharges(bound_tables(_LIBRARY, cost_model), cost_model, EdgeIndex(acg))
+    )
+
+
+def assert_admissible(acg: ApplicationGraph, model_name: str) -> None:
     cost_model = _COST_MODELS[model_name]
-    whole = EdgeIndex(acg).full
-    legacy = build_lower_bound("cost_model", _LIBRARY, cost_model, acg).value(whole)
-    cheapest = build_lower_bound("cheapest_edge", _LIBRARY, cost_model, acg).value(whole)
-    assert cheapest >= legacy - 1e-9, (
-        f"cheapest_edge {cheapest} below cost_model {legacy} under {model_name} "
-        f"on edges {sorted(acg.edges())}"
+    optimum = true_optimum(acg, cost_model)
+    value = cheapest_edge(acg, cost_model).value(EdgeIndex(acg).full)
+    assert value <= optimum + 1e-9, (
+        f"cheapest_edge over-estimated under {model_name} on edges "
+        f"{sorted(acg.edges())}: {value} > optimum {optimum}"
     )
 
 
 @pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acg=random_acgs())
-def test_every_bound_is_admissible_on_random_acgs(model_name, acg):
-    cost_model = _COST_MODELS[model_name]
-    optimum = true_optimum(acg, cost_model)
-    for name in BOUND_NAMES:
-        bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
-        whole = EdgeIndex(acg).full
-        assert bound.value(whole) <= optimum + 1e-9, (
-            f"bound {name!r} over-estimated under {model_name}: "
-            f"{bound.value(whole)} > optimum {optimum}"
-        )
-    assert_cheapest_edge_dominates(acg, model_name)
+def test_the_bound_is_admissible_on_random_acgs(model_name, acg):
+    assert_admissible(acg, model_name)
 
 
+@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acg=scale_free_acgs())
-def test_every_bound_is_admissible_on_scale_free_acgs(acg):
-    cost_model = _COST_MODELS["link_count"]
-    optimum = true_optimum(acg, cost_model)
-    for name in BOUND_NAMES:
-        bound = build_lower_bound(name, _LIBRARY, cost_model, acg)
-        whole = EdgeIndex(acg).full
-        assert bound.value(whole) <= optimum + 1e-9, (
-            f"bound {name!r} over-estimated on {acg.name}: "
-            f"{bound.value(whole)} > optimum {optimum}"
-        )
-    assert_cheapest_edge_dominates(acg, "link_count")
+def test_the_bound_is_admissible_on_scale_free_acgs(model_name, acg):
+    assert_admissible(acg, model_name)
 
 
-@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(acg=random_acgs(max_nodes=8, max_edges=14))
-def test_cheapest_edge_dominates_cost_model_on_random_acgs(model_name, acg):
-    assert_cheapest_edge_dominates(acg, model_name)
-
-
-@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(acg=scale_free_acgs())
-def test_cheapest_edge_dominates_cost_model_on_scale_free_acgs(model_name, acg):
-    assert_cheapest_edge_dominates(acg, model_name)
-
-
-@pytest.mark.parametrize("model_name", sorted(_COST_MODELS))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(acg=random_acgs())
-def test_stacked_is_the_pointwise_max_of_its_parts(model_name, acg):
-    cost_model = _COST_MODELS[model_name]
-    stacked = StackedBound(
-        [build_lower_bound(name, _LIBRARY, cost_model, acg) for name in BOUND_NAMES]
-    )
+def test_stacked_is_the_pointwise_max_of_its_parts(acg):
+    stacked = StackedBound([cheapest_edge(acg, model) for model in _COST_MODELS.values()])
     whole = EdgeIndex(acg).full
     assert stacked.value(whole) == max(part.value(whole) for part in stacked.parts)

@@ -7,7 +7,8 @@ tables.  Each search replays the enumeration counters at its own cap, so
 a run of searches through one memo must equal the same searches run
 fresh in cost, matchings (in order), remainder and every
 :class:`SearchStatistics` counter but ``elapsed_seconds``.  A basis is
-never shared across a different ACG, library, bound or cost model.
+never shared across a different ACG, library or cost model, nor between
+a bounded and an unbounded search.
 
 The example budgets scale with the ``REPRO_HYPOTHESIS_BUDGET`` multiplier
 (e.g. ``REPRO_HYPOTHESIS_BUDGET=8``), as in ``test_engine_equivalence.py``.
@@ -20,7 +21,6 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import BOUND_NAMES
 from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import DecompositionConfig, DecompositionResult, decompose
 from repro.core.graph import ApplicationGraph
@@ -50,21 +50,21 @@ def _acgs(max_nodes: int = 7, max_edges: int = 14):
     return st.lists(edges, min_size=1, max_size=max_edges, unique=True).map(build)
 
 
-#: one search of a sequence: (cap, node budget, leaf budget, bound)
+#: one search of a sequence: (cap, node budget, leaf budget, bounded)
 _searches = st.tuples(
     st.integers(min_value=1, max_value=4),
     st.sampled_from([None, 1, 2, 5, 20]),
     st.sampled_from([None, 1, 3]),
-    st.sampled_from(BOUND_NAMES),
+    st.booleans(),
 )
 
 
-def _config(cap, nodes, leaves, bound) -> DecompositionConfig:
+def _config(cap, nodes, leaves, bounded) -> DecompositionConfig:
     return DecompositionConfig(
         max_matchings_per_primitive=cap,
         max_nodes_expanded=nodes,
         max_leaves=leaves,
-        lower_bound=bound,
+        use_lower_bound=bounded,
     )
 
 
@@ -94,8 +94,8 @@ def test_searches_through_one_memo_equal_fresh_searches(acg, searches):
         shared = decompose(acg, _LIBRARY, cost_model, config, memo=memo)
         fresh = decompose(acg, _LIBRARY, LinkCountCostModel(), config)
         assert _outcome(shared) == _outcome(fresh)
-    # one basis per bound: the budgets never split it
-    assert len(memo) == len({bound for *_, bound in searches})
+    # one basis with and one without the bound: the budgets never split it
+    assert len(memo) == len({bounded for *_, bounded in searches})
 
 
 @settings(
@@ -107,21 +107,21 @@ def test_a_different_library_bound_acg_or_cost_model_never_shares_a_basis(acg, c
     for source, target in acg.edges():
         twin.add_communication(source, target, volume=8.0)
     runs = [
-        (acg, _LIBRARY, LinkCountCostModel(), "cheapest_edge"),
-        (acg, minimal_library(), LinkCountCostModel(), "cheapest_edge"),
-        (acg, _LIBRARY, LinkCountCostModel(), "cost_model"),
-        (twin, _LIBRARY, LinkCountCostModel(), "cheapest_edge"),
-        (acg, _LIBRARY, LinkCountCostModel(remainder_penalty=2.0), "cheapest_edge"),
+        (acg, _LIBRARY, LinkCountCostModel(), True),
+        (acg, minimal_library(), LinkCountCostModel(), True),
+        (acg, _LIBRARY, LinkCountCostModel(), False),
+        (twin, _LIBRARY, LinkCountCostModel(), True),
+        (acg, _LIBRARY, LinkCountCostModel(remainder_penalty=2.0), True),
     ]
     memo: dict = {}
-    for graph, library, cost_model, bound in runs:
-        config = _config(cap, None, None, bound)
+    for graph, library, cost_model, bounded in runs:
+        config = _config(cap, None, None, bounded)
         shared = decompose(graph, library, cost_model, config, memo=memo)
         fresh = decompose(graph, library, cost_model, config)
         assert _outcome(shared) == _outcome(fresh)
     assert len(memo) == len(runs)
     assert len({id(basis) for basis in memo.values()}) == len(runs)
     # an equal cost model object with equal fields is the same key
-    config = _config(cap + 1, None, None, "cost_model")
+    config = _config(cap + 1, None, None, False)
     decompose(acg, _LIBRARY, LinkCountCostModel(), config, memo=memo)
     assert len(memo) == len(runs)
