@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-numbers).  Run with::
+(see docs/paper-mapping.md for the figure/table -> experiment -> benchmark
+index and the deviations from the paper's numbers).  Run with::
 
     pytest benchmarks/ --benchmark-only
 

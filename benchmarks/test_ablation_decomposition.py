@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the design choices listed in docs/paper-mapping.md.
 
 Not a paper table — these quantify (a) what the branch-and-bound search buys
 over a greedy first-fit cover and (b) how sensitive the result is to the

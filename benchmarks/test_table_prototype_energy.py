@@ -12,7 +12,7 @@ fewer volume-weighted hops plus less static energy over the shorter runtime,
 while the *average power* of the customized design is not lower (the same
 work happens in less time).  Shape criterion: the customized architecture
 uses 10-70% less energy per block; the power deviation is documented in
-EXPERIMENTS.md.
+docs/paper-mapping.md.
 """
 
 from __future__ import annotations

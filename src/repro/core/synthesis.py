@@ -20,7 +20,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 
 from repro.arch.custom import ChannelOrigin, CustomTopology
-from repro.core.constraints import ConstraintChecker, ConstraintReport, DesignConstraints
+from repro.core.constraints import ConstraintChecker, ConstraintReport
 from repro.core.decomposition import DecompositionResult
 from repro.core.graph import ApplicationGraph
 from repro.core.routing_table import build_routing_table
@@ -29,6 +29,9 @@ from repro.routing.deadlock import DeadlockReport, analyze_deadlock
 from repro.routing.table import RoutingTable
 
 NodeId = Hashable
+
+#: length of a link between cores without floorplan positions
+DEFAULT_LINK_LENGTH_MM = 2.0
 
 
 @dataclass
@@ -47,9 +50,6 @@ class SynthesisOptions:
     synthesized topology strongly connected.
     """
     fill_all_pairs_routing: bool = False
-    default_link_length_mm: float = 2.0
-    check_constraints: bool = True
-    check_deadlock: bool = True
 
 
 @dataclass
@@ -60,15 +60,13 @@ class SynthesizedArchitecture:
     decomposition: DecompositionResult
     topology: CustomTopology
     routing_table: RoutingTable
-    constraint_report: ConstraintReport | None
-    deadlock_report: DeadlockReport | None
+    constraint_report: ConstraintReport
+    deadlock_report: DeadlockReport
 
     @property
     def is_feasible(self) -> bool:
-        """True when all checked constraints hold (unchecked counts as holding)."""
-        constraints_ok = self.constraint_report is None or self.constraint_report.satisfied
-        deadlock_ok = self.deadlock_report is None or self.deadlock_report.is_deadlock_free
-        return constraints_ok and deadlock_ok
+        """True when the design constraints hold and the routing is deadlock-free."""
+        return self.constraint_report.satisfied and self.deadlock_report.is_deadlock_free
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the synthesized design."""
@@ -79,24 +77,17 @@ class SynthesizedArchitecture:
             f"  routers: {self.topology.num_routers}, physical links: "
             f"{self.topology.num_physical_links}",
             f"  routing entries: {self.routing_table.num_entries}",
+            f"  constraints: {self.constraint_report.describe()}",
+            f"  deadlock: {self.deadlock_report.describe()}",
         ]
-        if self.constraint_report is not None:
-            lines.append(f"  constraints: {self.constraint_report.describe()}")
-        if self.deadlock_report is not None:
-            lines.append(f"  deadlock: {self.deadlock_report.describe()}")
         return "\n".join(lines)
 
 
 class TopologySynthesizer:
     """Glues a decomposition into a customized topology and routing table."""
 
-    def __init__(
-        self,
-        options: SynthesisOptions | None = None,
-        constraints: DesignConstraints | None = None,
-    ) -> None:
+    def __init__(self, options: SynthesisOptions | None = None) -> None:
         self.options = options or SynthesisOptions()
-        self.constraints = constraints or DesignConstraints()
 
     # ------------------------------------------------------------------
     # individual steps
@@ -143,7 +134,26 @@ class TopologySynthesizer:
     def _link_length(self, acg: ApplicationGraph, source: NodeId, target: NodeId) -> float:
         if acg.has_position(source) and acg.has_position(target):
             return acg.link_length(source, target)
-        return self.options.default_link_length_mm
+        return DEFAULT_LINK_LENGTH_MM
+
+    def route(
+        self,
+        acg: ApplicationGraph,
+        decomposition: DecompositionResult,
+        topology: CustomTopology,
+    ) -> SynthesizedArchitecture:
+        """Routing table + constraint and deadlock checks for a built topology."""
+        table = build_routing_table(
+            decomposition, topology, fill_all_pairs=self.options.fill_all_pairs_routing
+        )
+        return SynthesizedArchitecture(
+            acg=acg,
+            decomposition=decomposition,
+            topology=topology,
+            routing_table=table,
+            constraint_report=ConstraintChecker().check(topology, table, acg),
+            deadlock_report=analyze_deadlock(table, acg.edges()),
+        )
 
     # ------------------------------------------------------------------
     # full flow
@@ -152,36 +162,13 @@ class TopologySynthesizer:
         self, acg: ApplicationGraph, decomposition: DecompositionResult
     ) -> SynthesizedArchitecture:
         """Topology + routing + constraint and deadlock checks."""
-        topology = self.build_topology(acg, decomposition)
-        table = build_routing_table(
-            decomposition, topology, fill_all_pairs=self.options.fill_all_pairs_routing
-        )
-
-        constraint_report = None
-        if self.options.check_constraints:
-            constraint_report = ConstraintChecker(self.constraints).check(topology, table, acg)
-
-        deadlock_report = None
-        if self.options.check_deadlock:
-            deadlock_report = analyze_deadlock(table, acg.edges())
-
-        return SynthesizedArchitecture(
-            acg=acg,
-            decomposition=decomposition,
-            topology=topology,
-            routing_table=table,
-            constraint_report=constraint_report,
-            deadlock_report=deadlock_report,
-        )
+        return self.route(acg, decomposition, self.build_topology(acg, decomposition))
 
 
 def synthesize_architecture(
     acg: ApplicationGraph,
     decomposition: DecompositionResult,
     options: SynthesisOptions | None = None,
-    constraints: DesignConstraints | None = None,
 ) -> SynthesizedArchitecture:
     """Module-level convenience wrapper around :class:`TopologySynthesizer`."""
-    return TopologySynthesizer(options=options, constraints=constraints).synthesize(
-        acg, decomposition
-    )
+    return TopologySynthesizer(options=options).synthesize(acg, decomposition)

@@ -1,8 +1,13 @@
 """The shared evaluation pipeline: one (scenario, configuration) -> record.
 
-This is the engine the batch design-space exploration is built on — and
-the same engine the Section-5.2 prototype comparison now runs on
-(:mod:`repro.experiments.comparison` delegates its measurements here).
+This is the engine the batch design-space exploration is built on, and
+the one the Section-5.2 experiments run on: :mod:`repro.experiments`
+builds the customized AES fabric with :func:`run_decomposition_search`,
+:func:`synthesize_stage` and :func:`route_stage`, the 4x4 mesh with
+:func:`baseline_route_stage`, and replays both with
+:func:`simulate_aes_traffic`, which replays the ``aes_phases`` program an
+AES sweep cell's simulate stage replays.
+
 :func:`evaluate` (one cell) and :func:`evaluate_cells` (many) run the
 same path, prepare -> simulate -> score, through one
 :class:`~repro.dse.cache.StageContext` (a fresh one per call when the
@@ -61,8 +66,6 @@ from repro.core.library import (
     extended_library,
     minimal_library,
 )
-from repro.core.constraints import ConstraintChecker, DesignConstraints
-from repro.core.routing_table import build_routing_table
 from repro.core.synthesis import (
     SynthesisOptions,
     SynthesizedArchitecture,
@@ -294,6 +297,14 @@ class EvaluationSettings:
     (vectorized numpy, one cell per
     :class:`~repro.noc.simulator.NoCSimulator`)."""
 
+    def __new__(cls, *args: object, **kwargs: object) -> "EvaluationSettings":
+        # checked before the generated __init__, which would raise a bare
+        # TypeError; pickling and dataclasses.replace pass known names only
+        unknown = kwargs.keys() - {name for name, _, _ in _field_types(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown settings fields: {sorted(unknown)}")
+        return super().__new__(cls)
+
     def __post_init__(self) -> None:
         values = vars(self)
         for name, allowed, annotation in _field_types(type(self)):
@@ -412,10 +423,6 @@ class EvaluationSettings:
 
     def merged(self, overrides: dict[str, object]) -> "EvaluationSettings":
         """A copy with the given fields replaced (unknown keys rejected)."""
-        known = {spec.name for spec in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigurationError(f"unknown settings fields: {sorted(unknown)}")
         return replace(self, **overrides)
 
     def build_decomposition_config(self) -> DecompositionConfig:
@@ -865,28 +872,15 @@ def route_stage(
 ) -> SynthesizedArchitecture:
     """Stage 3: routing table + constraint and deadlock analysis.
 
-    Packages the stage outputs as a
-    :class:`~repro.core.synthesis.SynthesizedArchitecture`, exactly what
-    :func:`repro.core.synthesis.synthesize_architecture` would build in one
-    go — the split exists so the synthesize/route product can be memoized
-    under the synthesis sub-key.
+    :meth:`~repro.core.synthesis.TopologySynthesizer.route` on the stage-2
+    topology, so the product is exactly what
+    :func:`repro.core.synthesis.synthesize_architecture` builds in one go —
+    the split exists so the synthesize/route product can be memoized under
+    the synthesis sub-key.
     """
     settings = scenario.effective_settings(settings)
-    table = build_routing_table(
-        decomposition, topology, fill_all_pairs=settings.fill_all_pairs_routing
-    )
-    constraint_report = ConstraintChecker(DesignConstraints()).check(
-        topology, table, scenario.acg
-    )
-    deadlock_report = analyze_deadlock(table, scenario.acg.edges())
-    return SynthesizedArchitecture(
-        acg=scenario.acg,
-        decomposition=decomposition,
-        topology=topology,
-        routing_table=table,
-        constraint_report=constraint_report,
-        deadlock_report=deadlock_report,
-    )
+    synthesizer = TopologySynthesizer(options=settings.build_synthesis_options())
+    return synthesizer.route(scenario.acg, decomposition, topology)
 
 
 def fabric_content_key(topology: Topology, table: RoutingTable) -> Hashable:
@@ -1029,7 +1023,7 @@ def score_stage(metrics: ArchitectureMetrics, topology: Topology) -> dict[str, f
 def _apply_deadlock_gate(
     record: EvaluationRecord,
     settings: EvaluationSettings,
-    deadlock_report: DeadlockReport | None,
+    deadlock_report: DeadlockReport,
 ) -> None:
     """The route-stage CDG gate: record provenance, optionally fail the cell.
 
@@ -1040,8 +1034,6 @@ def _apply_deadlock_gate(
     :func:`evaluate` records as a routing failure — nothing is ever
     silently simulated on a deadlocky table without provenance saying so.
     """
-    if deadlock_report is None:
-        return
     record.deadlock_free = deadlock_report.is_deadlock_free
     record.metrics["vc_channels_needed"] = float(
         len(deadlock_report.channels_needing_virtual_channels)
@@ -1144,8 +1136,7 @@ def _prepare(
                 scenario, settings, decomposition
             )
         record.stage_reuse["synthesize"] = provenance
-        if architecture.constraint_report is not None:
-            record.constraints_satisfied = architecture.constraint_report.satisfied
+        record.constraints_satisfied = architecture.constraint_report.satisfied
         _apply_deadlock_gate(record, settings, architecture.deadlock_report)
         topology, table = architecture.topology, architecture.routing_table
     return topology, table

@@ -7,8 +7,7 @@ on-disk :class:`~repro.dse.cache.ResultCache` first, groups the misses
 by the stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
 on (decomposition sub-key for custom cells, synthesis sub-key for mesh
 cells), and fans *groups* — not raw cells — across the process pool
-(module-level worker function so payloads pickle cleanly, as in the
-Figure-4 :mod:`~repro.experiments.runtime_sweep` machinery).
+(module-level worker function so payloads pickle cleanly).
 Group-granular fan-out is what keeps the stage cache effective under
 parallelism: all cells sharing a decomposition or a routed baseline
 fabric land in one worker, whose context runs the search once per group

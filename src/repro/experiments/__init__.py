@@ -1,5 +1,5 @@
 """Experiment drivers: one module per figure/table of the paper's evaluation,
-plus the ablations called out in DESIGN.md.
+plus the ablations listed in docs/paper-mapping.md.
 
 Each experiment module is imported on the first access of one of its names,
 so importing this package loads none of them."""
@@ -33,9 +33,6 @@ __getattr__, __dir__ = lazy_attributes(
                 "PAPER_RESULTS",
                 "ArchitectureMetrics",
                 "PrototypeComparison",
-                "evaluate_custom",
-                "evaluate_fabric",
-                "evaluate_mesh",
                 "run_prototype_comparison",
             ),
             "repro.experiments.comparison",
@@ -78,9 +75,6 @@ __all__ = [
     "PAPER_AES_COST",
     "PAPER_AES_PRIMITIVES",
     "run_prototype_comparison",
-    "evaluate_fabric",
-    "evaluate_mesh",
-    "evaluate_custom",
     "PrototypeComparison",
     "ArchitectureMetrics",
     "PAPER_RESULTS",

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md.
+"""Ablation studies for the design choices listed in docs/paper-mapping.md.
 
 Two questions the paper leaves implicit are answered quantitatively here:
 

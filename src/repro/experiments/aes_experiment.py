@@ -12,7 +12,10 @@ result.  The paper reports the decomposition
 found in 0.58 s.  :func:`run_aes_synthesis` reproduces exactly that listing
 (including the COST value under the wiring/link-count accounting) and
 packages the synthesized architecture for the prototype-style comparison in
-:mod:`repro.experiments.comparison`.
+:mod:`repro.experiments.comparison`.  It runs the ``aes`` scenario's
+decompose, synthesize and route stages of :mod:`repro.dse.pipeline`, so the
+AES configuration (the ``aes`` library, 4 matchings per primitive,
+full-duplex links) lives in :func:`repro.dse.scenarios.aes_scenario` alone.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.aes.acg import build_aes_acg
 from repro.aes.distributed import column_nodes, row_nodes
-from repro.core.cost import LinkCountCostModel
-from repro.core.decomposition import DecompositionConfig, DecompositionResult, decompose
+from repro.core.decomposition import DecompositionResult
 from repro.core.graph import ApplicationGraph
-from repro.core.library import CommunicationLibrary, aes_library
-from repro.core.synthesis import SynthesisOptions, SynthesizedArchitecture, synthesize_architecture
+from repro.core.synthesis import SynthesizedArchitecture
+from repro.dse.pipeline import (
+    EvaluationSettings,
+    route_stage,
+    run_decomposition_search,
+    synthesize_stage,
+)
+from repro.dse.scenarios import aes_scenario
 
 #: the paper's reported decomposition cost for the AES ACG
 PAPER_AES_COST = 28
@@ -119,26 +126,22 @@ class AesSynthesisResult:
         return "\n".join(lines)
 
 
-def run_aes_synthesis(
-    library: CommunicationLibrary | None = None,
-    config: DecompositionConfig | None = None,
-    blocks: int = 1,
-    flit_width_bits: int = 32,
-) -> AesSynthesisResult:
-    """Decompose the AES ACG and synthesize the customized architecture."""
-    library = library or aes_library()
-    config = config or DecompositionConfig(max_matchings_per_primitive=4)
-    acg = build_aes_acg(blocks=blocks)
+def run_aes_synthesis() -> AesSynthesisResult:
+    """Decompose the AES ACG and synthesize the customized architecture.
+
+    Runs the ``aes`` scenario's pipeline stages under default settings;
+    only the decomposition search is timed.
+    """
+    scenario = aes_scenario()
+    settings = scenario.effective_settings(EvaluationSettings())
+    settings.build_library()  # built once per process, outside the timed search
     start = time.perf_counter()
-    decomposition = decompose(acg, library, cost_model=LinkCountCostModel(), config=config)
+    decomposition = run_decomposition_search(scenario, settings)
     runtime = time.perf_counter() - start
-    architecture = synthesize_architecture(
-        acg,
-        decomposition,
-        options=SynthesisOptions(flit_width_bits=flit_width_bits, bidirectional_links=True),
-    )
+    topology = synthesize_stage(scenario, settings, decomposition)
+    architecture = route_stage(scenario, settings, decomposition, topology)
     return AesSynthesisResult(
-        acg=acg,
+        acg=scenario.acg,
         decomposition=decomposition,
         architecture=architecture,
         runtime_seconds=runtime,

@@ -20,20 +20,31 @@ on every metric by comparable factors.  Both architectures are simulated
 with the same router model, the same flit width, the same technology point
 and the same dependency-aware AES traffic (the phases traced by
 :class:`repro.aes.distributed.DistributedAES`).
+
+Both sides come from the ``aes`` scenario's :mod:`repro.dse.pipeline`
+stages: the customized fabric from :func:`run_aes_synthesis` (decompose,
+synthesize, route), the mesh from :func:`~repro.dse.pipeline.baseline_route_stage`.
+Other fabric families and routing policies under AES traffic are sweep
+cells: ``python -m repro.dse run --suite paper --topology ... --routing-policy ...``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.families import build_fabric, pad_node_ids
-from repro.core.synthesis import SynthesizedArchitecture
-from repro.dse.pipeline import ArchitectureMetrics, simulate_aes_traffic
-from repro.energy.technology import FPGA_VIRTEX2, Technology
+from repro.arch.topology import Topology
+from repro.dse.pipeline import (
+    ArchitectureMetrics,
+    EvaluationSettings,
+    baseline_route_stage,
+    simulate_aes_traffic,
+)
+from repro.dse.scenarios import aes_scenario
+from repro.energy.technology import Technology
 from repro.experiments.aes_experiment import AesSynthesisResult, run_aes_synthesis
 from repro.experiments.reporting import format_table, percentage_change
 from repro.noc.simulator import SimulatorConfig
-from repro.routing.policies import get_policy
+from repro.routing.table import RoutingTable
 
 #: paper-reported reference numbers (Section 5.2)
 PAPER_RESULTS = {
@@ -59,12 +70,6 @@ PAPER_RESULTS = {
 #: (~270 cycles per AES block, ~double-digit packet latencies).
 DEFAULT_PIPELINE_DELAY_CYCLES = 2
 
-#: cycles of local computation (SubBytes / MixColumns / AddRoundKey
-#: arithmetic on the byte-slice nodes) charged after every communication
-#: phase.  Identical for both architectures — it models the part of the
-#: paper's cycles/block that is computation rather than communication.
-DEFAULT_COMPUTATION_CYCLES_PER_PHASE = 4
-
 
 def default_simulator_config() -> SimulatorConfig:
     """Simulator configuration used by the prototype comparison."""
@@ -76,9 +81,6 @@ __all__ = [
     "ArchitectureMetrics",
     "PrototypeComparison",
     "default_simulator_config",
-    "evaluate_fabric",
-    "evaluate_mesh",
-    "evaluate_custom",
     "run_prototype_comparison",
 ]
 
@@ -133,101 +135,38 @@ class PrototypeComparison:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# measurement helpers (the actual simulation lives in repro.dse.pipeline,
-# the shared evaluation pipeline this comparison now runs on)
-# ----------------------------------------------------------------------
-def evaluate_fabric(
-    family: str = "mesh",
-    routing_policy: str = "xy",
-    blocks: int = 4,
-    technology: Technology = FPGA_VIRTEX2,
-    tile_pitch_mm: float = 2.0,
-    simulator_config: SimulatorConfig | None = None,
-    computation_cycles_per_phase: int = DEFAULT_COMPUTATION_CYCLES_PER_PHASE,
-) -> ArchitectureMetrics:
-    """Simulate a 16-core standard fabric of the named family under AES traffic.
-
-    The comparison's standard side generalized beyond the 4x4 mesh: any
-    registered :mod:`repro.arch.families` family routed by any compatible
-    :mod:`repro.routing.policies` policy (the policy registry raises
-    :class:`~repro.exceptions.RoutingError` for unsupported pairs).
-    """
-    node_ids = pad_node_ids(family, range(1, 17))
-    fabric = build_fabric(family, node_ids, tile_pitch_mm=tile_pitch_mm)
-    table = get_policy(routing_policy).build(fabric)
-    config = simulator_config or default_simulator_config()
-    return simulate_aes_traffic(
-        fabric.name,
-        fabric,
-        table.frozen_next_hop(),
-        blocks,
-        technology,
-        config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
-    )
-
-
-def evaluate_mesh(
-    blocks: int = 4,
-    technology: Technology = FPGA_VIRTEX2,
-    tile_pitch_mm: float = 2.0,
-    simulator_config: SimulatorConfig | None = None,
-    computation_cycles_per_phase: int = DEFAULT_COMPUTATION_CYCLES_PER_PHASE,
-) -> ArchitectureMetrics:
-    """Simulate the 4x4 mesh baseline (XY routing) under AES traffic."""
-    return evaluate_fabric(
-        family="mesh",
-        routing_policy="xy",
-        blocks=blocks,
-        technology=technology,
-        tile_pitch_mm=tile_pitch_mm,
-        simulator_config=simulator_config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
-    )
-
-
-def evaluate_custom(
-    architecture: SynthesizedArchitecture,
-    blocks: int = 4,
-    technology: Technology = FPGA_VIRTEX2,
-    simulator_config: SimulatorConfig | None = None,
-    computation_cycles_per_phase: int = DEFAULT_COMPUTATION_CYCLES_PER_PHASE,
-) -> ArchitectureMetrics:
-    """Simulate the synthesized customized architecture under AES traffic."""
-    table = architecture.routing_table
-    config = simulator_config or default_simulator_config()
-    return simulate_aes_traffic(
-        architecture.topology.name,
-        architecture.topology,
-        table.frozen_next_hop(),
-        blocks,
-        technology,
-        config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
-    )
-
-
 def run_prototype_comparison(
     blocks: int = 4,
-    technology: Technology = FPGA_VIRTEX2,
     synthesis: AesSynthesisResult | None = None,
     simulator_config: SimulatorConfig | None = None,
-    computation_cycles_per_phase: int = DEFAULT_COMPUTATION_CYCLES_PER_PHASE,
 ) -> PrototypeComparison:
-    """The full Section-5.2 comparison: synthesize, then simulate both designs."""
+    """The full Section-5.2 comparison: synthesize, then simulate both designs.
+
+    Both fabrics replay the ``aes`` scenario's phases for ``blocks`` blocks,
+    with its computation cycles per phase, under ``simulator_config``
+    (:func:`default_simulator_config` when omitted).
+    """
+    scenario = aes_scenario(blocks)
+    settings = EvaluationSettings(architecture="mesh")
+    mesh, mesh_table, _ = baseline_route_stage(scenario, settings)
     synthesis = synthesis or run_aes_synthesis()
-    mesh_metrics = evaluate_mesh(
-        blocks=blocks,
+    custom = synthesis.architecture
+    technology = settings.build_technology()
+    config = simulator_config or default_simulator_config()
+
+    def measure(topology: Topology, table: RoutingTable) -> ArchitectureMetrics:
+        return simulate_aes_traffic(
+            topology.name,
+            topology,
+            table.frozen_next_hop(),
+            blocks,
+            technology,
+            config,
+            computation_cycles_per_phase=scenario.computation_cycles_per_phase,
+        )
+
+    return PrototypeComparison(
+        mesh=measure(mesh, mesh_table),
+        custom=measure(custom.topology, custom.routing_table),
         technology=technology,
-        simulator_config=simulator_config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
     )
-    custom_metrics = evaluate_custom(
-        synthesis.architecture,
-        blocks=blocks,
-        technology=technology,
-        simulator_config=simulator_config,
-        computation_cycles_per_phase=computation_cycles_per_phase,
-    )
-    return PrototypeComparison(mesh=mesh_metrics, custom=custom_metrics, technology=technology)

@@ -10,11 +10,8 @@ implementation, so the reproduction criterion is the *shape*: run time grows
 superlinearly with graph size, small task graphs finish in fractions of a
 second, and the largest random graphs remain tractable (seconds to minutes).
 
-Sweeps run serially by default.  Passing ``parallel=True`` dispatches one
-decomposition per worker process with :mod:`multiprocessing` (via
-``concurrent.futures``) so the Figure-4 sweeps scale with cores; every run is
-independent, so the resulting points are identical to a serial sweep up to
-wall-clock jitter.
+Sweeps run one graph at a time: the figure plots wall time per graph, and
+graphs decomposed side by side would time their contention for the cores.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from statistics import mean
 from collections.abc import Iterable, Sequence
 
 from repro.core.cost import CostModel, LinkCountCostModel
-from repro.core.decomposition import DecompositionConfig, DecompositionResult, decompose
+from repro.core.decomposition import DecompositionConfig, decompose
 from repro.core.graph import ApplicationGraph
 from repro.core.library import CommunicationLibrary, default_library
 from repro.experiments.reporting import format_table
@@ -109,27 +106,17 @@ class RuntimeSweepResult:
         return format_table(rows, title=title)
 
 
-def _measure(
+def _run_point(
+    name: str,
     acg: ApplicationGraph,
     library: CommunicationLibrary,
     cost_model: CostModel,
     config: DecompositionConfig,
-) -> tuple[DecompositionResult, float]:
-    start = time.perf_counter()
-    result = decompose(acg, library, cost_model=cost_model, config=config)
-    return result, time.perf_counter() - start
-
-
-def _run_one_point(
-    payload: tuple[str, ApplicationGraph, CommunicationLibrary, CostModel, DecompositionConfig],
 ) -> RuntimePoint:
-    """Decompose one graph and package the measurement.
-
-    Module-level (rather than a closure) so it can be pickled into
-    :class:`~concurrent.futures.ProcessPoolExecutor` workers.
-    """
-    name, acg, library, cost_model, config = payload
-    decomposition, runtime = _measure(acg, library, cost_model, config)
+    """Decompose one graph and package the measurement."""
+    start = time.perf_counter()
+    decomposition = decompose(acg, library, cost_model=cost_model, config=config)
+    runtime = time.perf_counter() - start
     return RuntimePoint(
         name=name,
         num_nodes=acg.num_nodes,
@@ -148,29 +135,14 @@ def run_sweep(
     library: CommunicationLibrary | None = None,
     cost_model: CostModel | None = None,
     config: DecompositionConfig | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
-    """Decompose every graph and collect one :class:`RuntimePoint` each.
-
-    With ``parallel=True`` each decomposition runs in its own worker process
-    (one graph per task); the points come back in input order either way, so
-    serial and parallel sweeps produce identical results.
-    """
+    """Decompose every graph, in order, and collect one :class:`RuntimePoint` each."""
     library = library or default_library()
     cost_model = cost_model or LinkCountCostModel()
     config = config or default_sweep_config()
-    payloads = [(name, acg, library, cost_model, config) for name, acg in named_graphs]
-    result = RuntimeSweepResult()
-    if parallel and len(payloads) > 1:
-        # imported here: a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            result.points.extend(pool.map(_run_one_point, payloads))
-    else:
-        result.points.extend(_run_one_point(payload) for payload in payloads)
-    return result
+    return RuntimeSweepResult(
+        points=[_run_point(name, acg, library, cost_model, config) for name, acg in named_graphs]
+    )
 
 
 def default_sweep_config() -> DecompositionConfig:
@@ -194,8 +166,6 @@ def run_tgff_runtime_sweep(
     library: CommunicationLibrary | None = None,
     config: DecompositionConfig | None = None,
     seed: int = 7,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
     """Figure 4a: run time over TGFF-style task graphs up to the 18-node case."""
     named = [
@@ -207,8 +177,6 @@ def run_tgff_runtime_sweep(
         library=library,
         cost_model=LinkCountCostModel(),
         config=config,
-        parallel=parallel,
-        max_workers=max_workers,
     )
 
 
@@ -219,8 +187,6 @@ def run_pajek_runtime_sweep(
     library: CommunicationLibrary | None = None,
     config: DecompositionConfig | None = None,
     seed: int = 11,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> RuntimeSweepResult:
     """Figure 4b: average run time over Pajek-style random graphs (10-40 nodes)."""
     named = [
@@ -237,6 +203,4 @@ def run_pajek_runtime_sweep(
         library=library,
         cost_model=LinkCountCostModel(),
         config=config,
-        parallel=parallel,
-        max_workers=max_workers,
     )

@@ -115,13 +115,6 @@ class TestArchitectureChecks:
         assert architecture.deadlock_report is not None
         assert architecture.is_feasible
 
-    def test_checks_can_be_disabled(self, k4_acg, k4_result):
-        options = SynthesisOptions(check_constraints=False, check_deadlock=False)
-        architecture = synthesize_architecture(k4_acg, k4_result, options=options)
-        assert architecture.constraint_report is None
-        assert architecture.deadlock_report is None
-        assert architecture.is_feasible  # unchecked counts as holding
-
     def test_describe_mentions_primitives_and_links(self, k4_acg, k4_result):
         architecture = synthesize_architecture(k4_acg, k4_result)
         text = architecture.describe()

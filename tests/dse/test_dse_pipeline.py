@@ -60,12 +60,24 @@ class TestEvaluationSettings:
 
     @pytest.mark.parametrize("name", ["cheapest_edge", "cost_model", "stacked"])
     def test_no_bound_name_to_choose(self, name):
-        # a sweep axis or override goes through merged(): a ConfigurationError
-        with pytest.raises(ConfigurationError, match=r"unknown settings fields: \['lower_bound'\]"):
+        unknown = r"unknown settings fields: \['lower_bound'\]"
+        with pytest.raises(ConfigurationError, match=unknown):
             EvaluationSettings().merged({"lower_bound": name})
-        # the constructor rejects the keyword as Python does any unknown one
-        with pytest.raises(TypeError, match="lower_bound"):
+        with pytest.raises(ConfigurationError, match=unknown):
             EvaluationSettings(lower_bound=name)
+
+    def test_unknown_field_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match=r"unknown settings fields: \['engin'\]"):
+            EvaluationSettings(engin="event")
+        with pytest.raises(ConfigurationError, match=r"\['a', 'b'\]"):
+            EvaluationSettings(architecture="mesh", b=1, a=2)
+
+    def test_pickle_and_replace_keep_working(self):
+        import pickle
+
+        settings = EvaluationSettings(architecture="mesh", router_pipeline_delay_cycles=3)
+        assert pickle.loads(pickle.dumps(settings)) == settings
+        assert replace(settings, engine="batch").engine == "batch"
 
     def test_canonical_dict_normalizes_irrelevant_axes(self):
         mesh_a = EvaluationSettings(architecture="mesh", library="aes")

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dse.pipeline import EvaluationSettings, evaluate
+from repro.dse.scenarios import aes_scenario
+from repro.exceptions import ConfigurationError
 from repro.experiments.ablation import run_library_ablation, run_strategy_ablation
 from repro.experiments.aes_experiment import (
     PAPER_AES_COST,
     PAPER_AES_PRIMITIVES,
     PAPER_AES_REMAINDER_EDGES,
 )
-from repro.experiments.comparison import (
-    PAPER_RESULTS,
-    evaluate_custom,
-    evaluate_mesh,
-    run_prototype_comparison,
-)
+from repro.experiments.comparison import PAPER_RESULTS, run_prototype_comparison
 from repro.experiments.example_decomposition import EXPECTED_PRIMITIVE_COUNTS, run_figure5_example
 from repro.experiments.reporting import (
     format_series,
@@ -100,33 +98,6 @@ class TestFigure4Sweeps:
         assert summary["matchings_tried"] > 0
         assert summary["matching_cache_hits"] >= 0
 
-    def test_parallel_sweep_matches_serial(self):
-        serial = run_tgff_runtime_sweep(sizes=(5, 8, 10))
-        parallel = run_tgff_runtime_sweep(
-            sizes=(5, 8, 10), parallel=True, max_workers=2
-        )
-        assert [point.name for point in serial.points] == [
-            point.name for point in parallel.points
-        ]
-        assert [point.total_cost for point in serial.points] == [
-            point.total_cost for point in parallel.points
-        ]
-        assert [point.num_matchings for point in serial.points] == [
-            point.num_matchings for point in parallel.points
-        ]
-
-    def test_parallel_pajek_sweep_matches_serial(self):
-        serial = run_pajek_runtime_sweep(sizes=(10, 15), instances_per_size=1)
-        parallel = run_pajek_runtime_sweep(
-            sizes=(10, 15), instances_per_size=1, parallel=True, max_workers=2
-        )
-        assert [point.total_cost for point in serial.points] == [
-            point.total_cost for point in parallel.points
-        ]
-        # only counter budgets cut a search short, so the cache counters
-        # are deterministic too
-        assert serial.cache_summary() == parallel.cache_summary()
-
 
 class TestFigure5Example:
     def test_matches_paper_listing(self):
@@ -197,18 +168,47 @@ class TestPrototypeComparison:
         assert "paper: +36%" in text
         assert "paper: -51%" in text
 
-    def test_evaluate_helpers_reject_invalid_blocks(self, aes_synthesis):
-        from repro.exceptions import ConfigurationError
-
+    def test_rejects_invalid_blocks(self, aes_synthesis):
         with pytest.raises(ConfigurationError):
-            evaluate_mesh(blocks=0)
-        with pytest.raises(ConfigurationError):
-            evaluate_custom(aes_synthesis.architecture, blocks=0)
+            run_prototype_comparison(blocks=0, synthesis=aes_synthesis)
 
     def test_rows_export(self, comparison):
         rows = comparison.to_rows()
         assert len(rows) == 2
         assert rows[0]["architecture"] == "mesh_4x4"
+
+
+class TestOneSection52Path:
+    """The comparison and the ``paper`` suite's AES cells are one measurement."""
+
+    @pytest.mark.parametrize("architecture", ["mesh", "custom"])
+    def test_comparison_equals_the_paper_suite_cell(self, aes_synthesis, architecture):
+        comparison = run_prototype_comparison(blocks=2, synthesis=aes_synthesis)
+        record = evaluate(
+            aes_scenario(2),
+            EvaluationSettings(architecture=architecture, router_pipeline_delay_cycles=2),
+        )
+        measured = getattr(comparison, architecture).as_dict()
+        metrics = record.metrics
+        assert metrics["cycles_per_iteration"] == measured["cycles_per_block"]
+        assert metrics["throughput_mbps"] == measured["throughput_mbps"]
+        assert metrics["avg_latency_cycles"] == measured["avg_latency_cycles"]
+        assert metrics["avg_power_mw"] == measured["avg_power_mw"]
+        assert metrics["energy_per_iteration_uj"] == measured["energy_per_block_uj"]
+
+    def test_synthesis_cover_equals_the_decompose_stage(self, aes_synthesis):
+        from repro.dse.cache import StageContext
+
+        decomposition, _ = StageContext().decomposition_for(
+            aes_scenario(2),
+            EvaluationSettings(architecture="custom", router_pipeline_delay_cycles=2),
+        )
+        assert aes_synthesis.decomposition.describe() == decomposition.describe()
+
+        def cover(result):
+            return [(matching.primitive.name, matching.assignment) for matching in result.matchings]
+
+        assert cover(aes_synthesis.decomposition) == cover(decomposition)
 
 
 class TestAblations:
