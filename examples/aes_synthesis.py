@@ -12,7 +12,8 @@ Run with:  python examples/aes_synthesis.py
 
 from __future__ import annotations
 
-from repro.aes import DistributedAES, FIPS197_CIPHERTEXT, FIPS197_KEY, FIPS197_PLAINTEXT
+from repro.aes.aes_core import FIPS197_CIPHERTEXT, FIPS197_KEY, FIPS197_PLAINTEXT
+from repro.aes.distributed import DistributedAES
 from repro.experiments import run_aes_synthesis, run_prototype_comparison
 
 

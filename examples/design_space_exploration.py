@@ -27,7 +27,7 @@ from repro import (
     decompose,
     synthesize_architecture,
 )
-from repro.aes import build_aes_acg
+from repro.aes.acg import build_aes_acg
 from repro.core.library import aes_library, default_library, extended_library
 from repro.experiments import format_table, run_library_ablation, run_strategy_ablation
 

@@ -26,8 +26,9 @@ from repro import (
     synthesize_architecture,
 )
 from repro.arch.metrics import topology_report
-from repro.noc import NoCSimulator, SimulatorConfig, acg_messages
-from repro.workloads import attach_grid_floorplan
+from repro.noc.simulator import NoCSimulator, SimulatorConfig
+from repro.noc.traffic import acg_messages
+from repro.workloads.acg_builder import attach_grid_floorplan
 
 
 def build_application() -> ApplicationGraph:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.aes import build_aes_acg  # noqa: E402
+from repro.aes.acg import build_aes_acg  # noqa: E402
 from repro.core.cost import LinkCountCostModel  # noqa: E402
 from repro.core.decomposition import DecompositionConfig, decompose  # noqa: E402
 from repro.core.library import aes_library, default_library  # noqa: E402

@@ -1,7 +1,7 @@
 """repro: energy- and performance-driven NoC communication architecture
 synthesis using a decomposition approach (DATE 2005 reproduction).
 
-The public API is organised in subpackages:
+The code is organised in subpackages:
 
 * :mod:`repro.core` — ACGs, the communication library, the branch-and-bound
   decomposition, and topology synthesis (the paper's contribution).
@@ -22,11 +22,17 @@ The public API is organised in subpackages:
   and ``repro.plugins`` entry-point discovery for third-party packages.
 * :mod:`repro.io` — graph interchange (Pajek, Graphviz DOT, weighted edge
   lists) with exact round-trips for workloads and fabrics.
-* :mod:`repro.api` — the stable, lazily-imported facade for downstream code.
 * :mod:`repro.experiments` — the experiments behind every figure and table.
 * :mod:`repro.dse` — batch design-space exploration: scenario suites
   (including ``file:`` suites over interchange files), a cached sweep
   runner and Pareto-front reporting (``python -m repro.dse``).
+
+Import rule: an application imports public names from :mod:`repro.api`,
+or as ``repro.X``, which resolves through the same table; nothing is
+loaded before a name is first touched.  Library code, tests and scripts
+import each name from the module that defines it
+(``from repro.noc.simulator import NoCSimulator``); the subpackages
+re-export nothing.
 
 Quickstart::
 
@@ -39,65 +45,11 @@ Quickstart::
     print(architecture.describe())
 """
 
-from repro.core import (
-    ApplicationGraph,
-    BranchAndBoundDecomposer,
-    CommunicationLibrary,
-    CommunicationPrimitive,
-    CostModel,
-    DecompositionConfig,
-    DecompositionResult,
-    DesignConstraints,
-    DiGraph,
-    EnergyCostModel,
-    GreedyDecomposer,
-    LinkCountCostModel,
-    Matching,
-    PrimitiveKind,
-    RemainderGraph,
-    SearchStrategy,
-    SynthesisOptions,
-    SynthesizedArchitecture,
-    TopologySynthesizer,
-    UnitCostModel,
-    aes_library,
-    decompose,
-    default_library,
-    extended_library,
-    minimal_library,
-    synthesize_architecture,
-)
-from repro.exceptions import ReproError
+from repro._lazy import lazy_attributes
+from repro.api import _EXPORTS
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "ApplicationGraph",
-    "DiGraph",
-    "CommunicationPrimitive",
-    "PrimitiveKind",
-    "CommunicationLibrary",
-    "default_library",
-    "aes_library",
-    "extended_library",
-    "minimal_library",
-    "Matching",
-    "RemainderGraph",
-    "CostModel",
-    "UnitCostModel",
-    "LinkCountCostModel",
-    "EnergyCostModel",
-    "DecompositionConfig",
-    "DecompositionResult",
-    "SearchStrategy",
-    "BranchAndBoundDecomposer",
-    "GreedyDecomposer",
-    "decompose",
-    "DesignConstraints",
-    "SynthesisOptions",
-    "SynthesizedArchitecture",
-    "TopologySynthesizer",
-    "synthesize_architecture",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

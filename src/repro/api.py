@@ -6,9 +6,9 @@ synthesis, fabric families, routing policies, interchange IO, the DSE
 pipeline registries and the plugin kernel — is reachable here by name,
 but nothing heavy is imported until the name is actually touched
 (PEP 562 module ``__getattr__``).  In particular ``import repro.api``
-must not pull in :mod:`repro.noc`, :mod:`repro.dse` or hypothesis-sized
-test dependencies; ``tests/test_api_facade.py`` asserts that budget in a
-subprocess.
+must not pull in :mod:`repro.core`, :mod:`repro.noc`, :mod:`repro.dse`
+or hypothesis-sized test dependencies; ``tests/test_api_facade.py`` and
+``tests/test_import_budget.py`` assert that budget in a subprocess.
 
 Quickstart::
 
@@ -23,26 +23,37 @@ from __future__ import annotations
 
 from repro._lazy import lazy_attributes
 
-#: public name -> defining module; resolution is deferred until access.
+#: public name -> the module that defines it; ``repro.X`` resolves through
+#: this table too.  A name is imported on its first access.
 _EXPORTS: dict[str, str] = {
     # core: graphs, library, decomposition, synthesis
-    "ApplicationGraph": "repro.core",
-    "DiGraph": "repro.core",
-    "CommunicationLibrary": "repro.core",
-    "CommunicationPrimitive": "repro.core",
-    "PrimitiveKind": "repro.core",
-    "minimal_library": "repro.core",
-    "default_library": "repro.core",
-    "extended_library": "repro.core",
-    "aes_library": "repro.core",
-    "DecompositionConfig": "repro.core",
-    "DecompositionResult": "repro.core",
-    "decompose": "repro.core",
-    "ResidualBound": "repro.core",
-    "DesignConstraints": "repro.core",
-    "SynthesisOptions": "repro.core",
-    "SynthesizedArchitecture": "repro.core",
-    "synthesize_architecture": "repro.core",
+    "ApplicationGraph": "repro.core.graph",
+    "DiGraph": "repro.core.graph",
+    "CommunicationPrimitive": "repro.core.primitives",
+    "PrimitiveKind": "repro.core.primitives",
+    "CommunicationLibrary": "repro.core.library",
+    "minimal_library": "repro.core.library",
+    "default_library": "repro.core.library",
+    "extended_library": "repro.core.library",
+    "aes_library": "repro.core.library",
+    "Matching": "repro.core.matching",
+    "RemainderGraph": "repro.core.matching",
+    "CostModel": "repro.core.cost",
+    "UnitCostModel": "repro.core.cost",
+    "LinkCountCostModel": "repro.core.cost",
+    "EnergyCostModel": "repro.core.cost",
+    "DecompositionConfig": "repro.core.decomposition",
+    "DecompositionResult": "repro.core.decomposition",
+    "SearchStrategy": "repro.core.decomposition",
+    "BranchAndBoundDecomposer": "repro.core.decomposition",
+    "GreedyDecomposer": "repro.core.decomposition",
+    "decompose": "repro.core.decomposition",
+    "ResidualBound": "repro.core.bounds",
+    "DesignConstraints": "repro.core.constraints",
+    "SynthesisOptions": "repro.core.synthesis",
+    "SynthesizedArchitecture": "repro.core.synthesis",
+    "TopologySynthesizer": "repro.core.synthesis",
+    "synthesize_architecture": "repro.core.synthesis",
     # exceptions
     "ReproError": "repro.exceptions",
     "ConfigurationError": "repro.exceptions",
@@ -50,14 +61,14 @@ _EXPORTS: dict[str, str] = {
     "PluginError": "repro.exceptions",
     "UnknownPluginError": "repro.exceptions",
     # plugin kernel
-    "Registry": "repro.plugins",
-    "providing": "repro.plugins",
-    "BUILTIN_PROVIDER": "repro.plugins",
-    "ENTRY_POINT_GROUP": "repro.plugins",
-    "PluginFailure": "repro.plugins",
-    "discover": "repro.plugins",
-    "discovered_plugins": "repro.plugins",
-    "plugin_failures": "repro.plugins",
+    "Registry": "repro.plugins.registry",
+    "providing": "repro.plugins.registry",
+    "BUILTIN_PROVIDER": "repro.plugins.registry",
+    "ENTRY_POINT_GROUP": "repro.plugins.discovery",
+    "PluginFailure": "repro.plugins.discovery",
+    "discover": "repro.plugins.discovery",
+    "discovered_plugins": "repro.plugins.discovery",
+    "plugin_failures": "repro.plugins.discovery",
     # fabric families
     "Topology": "repro.arch.topology",
     "Channel": "repro.arch.topology",
@@ -78,12 +89,12 @@ _EXPORTS: dict[str, str] = {
     "build_policy_table": "repro.routing.policies",
     "supported_policies": "repro.routing.policies",
     # graph interchange
-    "FORMATS": "repro.io",
-    "GraphFormat": "repro.io",
-    "register_format": "repro.io",
-    "format_names": "repro.io",
-    "get_format": "repro.io",
-    "detect_format": "repro.io",
+    "FORMATS": "repro.io.base",
+    "GraphFormat": "repro.io.base",
+    "register_format": "repro.io.base",
+    "format_names": "repro.io.base",
+    "get_format": "repro.io.base",
+    "detect_format": "repro.io.base",
     "read_workload": "repro.io",
     "write_workload": "repro.io",
     "read_topology": "repro.io",
@@ -92,8 +103,7 @@ _EXPORTS: dict[str, str] = {
     "erdos_renyi_acg": "repro.workloads.pajek",
     "planted_primitive_acg": "repro.workloads.pajek",
     "pajek_benchmark_suite": "repro.workloads.pajek",
-    # DSE pipeline + registries (imported only on access — these pull in
-    # the simulator, so they must stay out of the module import itself)
+    # DSE pipeline + registries (these pull in the simulator on access)
     "evaluate": "repro.dse.pipeline",
     "EvaluationSettings": "repro.dse.pipeline",
     "Scenario": "repro.dse.pipeline",
@@ -133,26 +143,26 @@ _EXPORTS: dict[str, str] = {
     "default_ladder": "repro.dse.search",
     "margin_dominated": "repro.dse.search",
     # observability (stdlib-only: safe to resolve without the simulator)
-    "Tracer": "repro.obs",
-    "NullTracer": "repro.obs",
-    "NULL_TRACER": "repro.obs",
-    "Span": "repro.obs",
-    "get_tracer": "repro.obs",
-    "annotate": "repro.obs",
-    "ObsSession": "repro.obs",
-    "NULL_SESSION": "repro.obs",
-    "use_session": "repro.obs",
-    "get_session": "repro.obs",
-    "MetricsRegistry": "repro.obs",
-    "SimulatorProbe": "repro.obs",
-    "EXPORTERS": "repro.obs",
-    "ExporterSpec": "repro.obs",
-    "register_exporter": "repro.obs",
-    "get_exporter": "repro.obs",
-    "exporter_names": "repro.obs",
-    "write_event_log": "repro.obs",
-    "read_event_log": "repro.obs",
-    "render_trace_summary": "repro.obs",
+    "Tracer": "repro.obs.tracer",
+    "NullTracer": "repro.obs.tracer",
+    "NULL_TRACER": "repro.obs.tracer",
+    "Span": "repro.obs.tracer",
+    "annotate": "repro.obs.tracer",
+    "get_tracer": "repro.obs.session",
+    "ObsSession": "repro.obs.session",
+    "NULL_SESSION": "repro.obs.session",
+    "use_session": "repro.obs.session",
+    "get_session": "repro.obs.session",
+    "MetricsRegistry": "repro.obs.metrics",
+    "SimulatorProbe": "repro.obs.probes",
+    "EXPORTERS": "repro.obs.export",
+    "ExporterSpec": "repro.obs.export",
+    "register_exporter": "repro.obs.export",
+    "get_exporter": "repro.obs.export",
+    "exporter_names": "repro.obs.export",
+    "write_event_log": "repro.obs.export",
+    "read_event_log": "repro.obs.export",
+    "render_trace_summary": "repro.obs.export",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.exceptions import SynthesisError
-from repro.plugins import Registry
+from repro.plugins.registry import Registry
 
 NodeId = Hashable
 

@@ -823,7 +823,7 @@ def decompose(
     """
     # imported lazily so the observability layer stays optional at the
     # module level (repro.core must import standalone in minimal embeddings)
-    from repro.obs import get_tracer
+    from repro.obs.session import get_tracer
 
     config = config or DecompositionConfig()
     if config.strategy is SearchStrategy.GREEDY:

@@ -26,9 +26,9 @@ exploration engine:
 * ``python -m repro.dse`` — the ``run`` / ``report`` / ``list-scenarios``
   command line (worked example in ``docs/dse.md``).
 
-The names of :mod:`~repro.dse.search` and :mod:`~repro.dse.analysis` are
-resolved on first access, so a process that only runs sweeps never
-imports those two modules.
+Every name here is resolved on first access, so ``import repro.dse``
+loads none of these modules, and a process that only runs sweeps never
+imports :mod:`~repro.dse.search` or :mod:`~repro.dse.analysis`.
 
 Quickstart::
 
@@ -41,190 +41,88 @@ Quickstart::
 """
 
 from repro._lazy import lazy_attributes
-from repro.dse.cache import (
-    PIPELINE_VERSION,
-    ResultCache,
-    StageArtifactStore,
-    StageContext,
-    cache_key,
-    decomposition_stage_key,
-    synthesis_stage_key,
-)
-from repro.dse.pipeline import (
-    LIBRARIES,
-    SCORES,
-    STRATEGIES,
-    TRAFFIC_MODES,
-    ArchitectureMetrics,
-    EvaluationSettings,
-    Scenario,
-    TrafficModeSpec,
-    TrafficProgram,
-    baseline_route_stage,
-    build_baseline_fabric,
-    evaluate,
-    get_library,
-    get_traffic_mode,
-    register_library,
-    register_score,
-    register_traffic_mode,
-    route_stage,
-    score_stage,
-    simulate_aes_traffic,
-    synthesize_stage,
-)
-from repro.dse.records import (
-    STAGE_COMPUTED,
-    STAGE_REUSED_MEMORY,
-    STAGE_REUSED_STORE,
-    STATUS_DECOMPOSITION_FAILED,
-    STATUS_OK,
-    STATUS_ROUTING_FAILED,
-    STATUS_SIMULATION_FAILED,
-    STATUS_SYNTHESIS_FAILED,
-    EvaluationRecord,
-)
-from repro.dse.runner import (
-    SweepCell,
-    SweepResult,
-    axis_label,
-    expand_grid,
-    plan_sweep,
-    run_cells,
-    run_sweep,
-)
-from repro.dse.scenarios import (
-    FILE_SUITE_PREFIX,
-    SUITES,
-    SuiteSpec,
-    aes_scenario,
-    build_suite,
-    describe_suites,
-    embedded_scenario,
-    erdos_renyi_scenario,
-    file_scenario,
-    file_suite,
-    get_suite,
-    planted_scenario,
-    register_suite,
-    resolve_suite,
-    scale_free_scenario,
-    scenario_rows,
-    suite_names,
-    tgff_scenario,
-)
 
-# the guided search and the Pareto analysis are not on a sweep's path:
-# their names import the defining module on first access
-__getattr__, __dir__ = lazy_attributes(
-    __name__,
-    {
-        **dict.fromkeys(
-            (
-                "DEFAULT_MAXIMIZE",
-                "DEFAULT_MINIMIZE",
-                "custom_dominates_mesh",
-                "dominates",
-                "mesh_baseline_for",
-                "normalize_to_mesh",
-                "pareto_front",
-                "pareto_report",
-                "stage_reuse_summary",
-                "truncated_cells",
-            ),
-            "repro.dse.analysis",
-        ),
-        **dict.fromkeys(
-            (
-                "RungSpec",
-                "SearchConfig",
-                "SearchResult",
-                "default_ladder",
-                "margin_dominated",
-                "run_search",
-            ),
-            "repro.dse.search",
-        ),
-    },
-)
+#: public name -> the module that defines it, imported on first access
+_EXPORTS: dict[str, str] = {
+    "evaluate": "repro.dse.pipeline",
+    "synthesize_stage": "repro.dse.pipeline",
+    "route_stage": "repro.dse.pipeline",
+    "score_stage": "repro.dse.pipeline",
+    "EvaluationSettings": "repro.dse.pipeline",
+    "Scenario": "repro.dse.pipeline",
+    "ArchitectureMetrics": "repro.dse.pipeline",
+    "build_baseline_fabric": "repro.dse.pipeline",
+    "baseline_route_stage": "repro.dse.pipeline",
+    "axis_label": "repro.dse.pipeline",
+    "LIBRARIES": "repro.dse.pipeline",
+    "STRATEGIES": "repro.dse.pipeline",
+    "TRAFFIC_MODES": "repro.dse.pipeline",
+    "SCORES": "repro.dse.pipeline",
+    "TrafficModeSpec": "repro.dse.pipeline",
+    "TrafficProgram": "repro.dse.pipeline",
+    "get_library": "repro.dse.pipeline",
+    "register_library": "repro.dse.pipeline",
+    "get_traffic_mode": "repro.dse.pipeline",
+    "register_traffic_mode": "repro.dse.pipeline",
+    "register_score": "repro.dse.pipeline",
+    "EvaluationRecord": "repro.dse.records",
+    "STATUS_OK": "repro.dse.records",
+    "STATUS_DECOMPOSITION_FAILED": "repro.dse.records",
+    "STATUS_SYNTHESIS_FAILED": "repro.dse.records",
+    "STATUS_ROUTING_FAILED": "repro.dse.records",
+    "STATUS_SIMULATION_FAILED": "repro.dse.records",
+    "STAGE_COMPUTED": "repro.dse.records",
+    "STAGE_REUSED_MEMORY": "repro.dse.records",
+    "STAGE_REUSED_STORE": "repro.dse.records",
+    "ResultCache": "repro.dse.cache",
+    "StageArtifactStore": "repro.dse.cache",
+    "StageContext": "repro.dse.cache",
+    "cache_key": "repro.dse.cache",
+    "decomposition_stage_key": "repro.dse.cache",
+    "synthesis_stage_key": "repro.dse.cache",
+    "PIPELINE_VERSION": "repro.dse.cache",
+    "run_sweep": "repro.dse.runner",
+    "run_cells": "repro.dse.runner",
+    "plan_sweep": "repro.dse.runner",
+    "expand_grid": "repro.dse.runner",
+    "SweepCell": "repro.dse.runner",
+    "SweepResult": "repro.dse.runner",
+    "SuiteSpec": "repro.dse.scenarios",
+    "register_suite": "repro.dse.scenarios",
+    "get_suite": "repro.dse.scenarios",
+    "resolve_suite": "repro.dse.scenarios",
+    "build_suite": "repro.dse.scenarios",
+    "suite_names": "repro.dse.scenarios",
+    "describe_suites": "repro.dse.scenarios",
+    "SUITES": "repro.dse.scenarios",
+    "FILE_SUITE_PREFIX": "repro.dse.scenarios",
+    "file_scenario": "repro.dse.scenarios",
+    "file_suite": "repro.dse.scenarios",
+    "scenario_rows": "repro.dse.scenarios",
+    "aes_scenario": "repro.dse.scenarios",
+    "embedded_scenario": "repro.dse.scenarios",
+    "tgff_scenario": "repro.dse.scenarios",
+    "planted_scenario": "repro.dse.scenarios",
+    "erdos_renyi_scenario": "repro.dse.scenarios",
+    "scale_free_scenario": "repro.dse.scenarios",
+    "run_search": "repro.dse.search",
+    "SearchConfig": "repro.dse.search",
+    "SearchResult": "repro.dse.search",
+    "RungSpec": "repro.dse.search",
+    "default_ladder": "repro.dse.search",
+    "margin_dominated": "repro.dse.search",
+    "stage_reuse_summary": "repro.dse.analysis",
+    "truncated_cells": "repro.dse.analysis",
+    "pareto_front": "repro.dse.analysis",
+    "pareto_report": "repro.dse.analysis",
+    "dominates": "repro.dse.analysis",
+    "custom_dominates_mesh": "repro.dse.analysis",
+    "normalize_to_mesh": "repro.dse.analysis",
+    "mesh_baseline_for": "repro.dse.analysis",
+    "DEFAULT_MINIMIZE": "repro.dse.analysis",
+    "DEFAULT_MAXIMIZE": "repro.dse.analysis",
+}
 
-__all__ = [
-    "evaluate",
-    "synthesize_stage",
-    "route_stage",
-    "score_stage",
-    "EvaluationRecord",
-    "EvaluationSettings",
-    "Scenario",
-    "ArchitectureMetrics",
-    "simulate_aes_traffic",
-    "build_baseline_fabric",
-    "baseline_route_stage",
-    "STATUS_OK",
-    "STATUS_DECOMPOSITION_FAILED",
-    "STATUS_SYNTHESIS_FAILED",
-    "STATUS_ROUTING_FAILED",
-    "STATUS_SIMULATION_FAILED",
-    "STAGE_COMPUTED",
-    "STAGE_REUSED_MEMORY",
-    "STAGE_REUSED_STORE",
-    "ResultCache",
-    "StageArtifactStore",
-    "StageContext",
-    "cache_key",
-    "decomposition_stage_key",
-    "synthesis_stage_key",
-    "PIPELINE_VERSION",
-    "stage_reuse_summary",
-    "truncated_cells",
-    "run_sweep",
-    "run_cells",
-    "plan_sweep",
-    "expand_grid",
-    "axis_label",
-    "SweepCell",
-    "SweepResult",
-    "run_search",
-    "SearchConfig",
-    "SearchResult",
-    "RungSpec",
-    "default_ladder",
-    "margin_dominated",
-    "SuiteSpec",
-    "register_suite",
-    "get_suite",
-    "resolve_suite",
-    "build_suite",
-    "suite_names",
-    "describe_suites",
-    "SUITES",
-    "FILE_SUITE_PREFIX",
-    "file_scenario",
-    "file_suite",
-    "LIBRARIES",
-    "STRATEGIES",
-    "TRAFFIC_MODES",
-    "SCORES",
-    "TrafficModeSpec",
-    "TrafficProgram",
-    "get_library",
-    "register_library",
-    "get_traffic_mode",
-    "register_traffic_mode",
-    "register_score",
-    "scenario_rows",
-    "aes_scenario",
-    "embedded_scenario",
-    "tgff_scenario",
-    "planted_scenario",
-    "erdos_renyi_scenario",
-    "scale_free_scenario",
-    "pareto_front",
-    "pareto_report",
-    "dominates",
-    "custom_dominates_mesh",
-    "normalize_to_mesh",
-    "mesh_baseline_for",
-    "DEFAULT_MINIMIZE",
-    "DEFAULT_MAXIMIZE",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

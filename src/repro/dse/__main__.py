@@ -51,7 +51,7 @@ from repro.dse.cache import ResultCache, StageArtifactStore
 from repro.dse.runner import run_sweep
 from repro.dse.scenarios import build_suite, describe_suites, resolve_suite, scenario_rows
 from repro.exceptions import ConfigurationError, ReproError
-from repro.obs import NULL_SESSION, ObsSession, use_session
+from repro.obs.session import NULL_SESSION, ObsSession, use_session
 
 DEFAULT_RESULTS = Path("dse_results") / "results.jsonl"
 #: stage artifacts default to a sibling directory of the results file
@@ -122,7 +122,7 @@ def _finish_sweep_output(arguments, cache, artifacts, session) -> None:
     if artifacts is not None:
         print(f"stage artifacts: {artifacts.describe()}")
     if arguments.trace is not None:
-        from repro.obs import write_event_log
+        from repro.obs.export import write_event_log
 
         events = session.events()
         write_event_log(arguments.trace, events)
@@ -233,7 +233,7 @@ def _cmd_search(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_trace(arguments: argparse.Namespace) -> int:
-    from repro.obs import read_event_log, render_trace_summary
+    from repro.obs.export import read_event_log, render_trace_summary
 
     events = read_event_log(arguments.path)
     print(render_trace_summary(events, top=arguments.top))
@@ -241,7 +241,7 @@ def _cmd_trace(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_stats(arguments: argparse.Namespace) -> int:
-    from repro.obs import get_exporter, read_event_log
+    from repro.obs.export import get_exporter, read_event_log
 
     events = read_event_log(arguments.path)
     print(get_exporter(arguments.format).render(events))

@@ -4,9 +4,8 @@ This is the engine the batch design-space exploration is built on, and
 the one the Section-5.2 experiments run on: :mod:`repro.experiments`
 builds the customized AES fabric with :func:`run_decomposition_search`,
 :func:`synthesize_stage` and :func:`route_stage`, the 4x4 mesh with
-:func:`baseline_route_stage`, and replays both with
-:func:`simulate_aes_traffic`, which replays the ``aes_phases`` program an
-AES sweep cell's simulate stage replays.
+:func:`baseline_route_stage`, and replays the ``aes_phases`` program an
+AES sweep cell's simulate stage replays on both with :func:`_replay`.
 
 :func:`evaluate` (one cell) and :func:`evaluate_cells` (many) run the
 same path, prepare -> simulate -> score, through one
@@ -40,6 +39,7 @@ sibling at another buffer capacity.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -84,6 +84,7 @@ from repro.exceptions import (
     ConfigurationError,
     DeadlockError,
     DecompositionError,
+    EnergyModelError,
     RoutingError,
     SimulationError,
     SynthesisError,
@@ -98,8 +99,9 @@ from repro.noc.simulator import (
 )
 from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
 from repro.noc.traffic import acg_messages
-from repro.obs import SimulatorProbe, get_session, get_tracer
-from repro.plugins import Registry
+from repro.obs.probes import SimulatorProbe
+from repro.obs.session import get_session, get_tracer
+from repro.plugins.registry import Registry
 from repro.routing.deadlock import DeadlockReport, analyze_deadlock
 from repro.routing.policies import get_policy
 from repro.routing.table import RoutingTable
@@ -321,10 +323,15 @@ class EvaluationSettings:
         LIBRARIES.get(self.library)  # raises UnknownPluginError when unknown
         get_family(self.topology)  # raises ConfigurationError when unknown
         get_policy(self.routing_policy)  # raises ConfigurationError when unknown
+        if not (math.isfinite(self.mesh_tile_pitch_mm) and self.mesh_tile_pitch_mm > 0):
+            raise ConfigurationError(
+                f"mesh_tile_pitch_mm must be positive and finite, got {self.mesh_tile_pitch_mm!r}"
+            )
         try:
+            self.build_technology()
             self.build_simulator_config()  # engine, buffers, delays, cycle budget
             self.build_decomposition_config()  # strategy, search budgets
-        except (SimulationError, DecompositionError) as error:
+        except (SimulationError, DecompositionError, EnergyModelError) as error:
             raise ConfigurationError(str(error)) from error
 
     def as_dict(self) -> dict[str, object]:
@@ -502,6 +509,15 @@ class Scenario:
 
     def __post_init__(self) -> None:
         TRAFFIC_MODES.get(self.traffic)  # raises UnknownPluginError when unknown
+        for name in (
+            "repetitions",
+            "aes_blocks",
+            "computation_cycles_per_phase",
+            "packet_size_bits",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if self.repetitions < 1 or self.aes_blocks < 1:
             raise ConfigurationError("repetitions and aes_blocks must be at least 1")
         if self.packet_size_bits < 1:
@@ -758,20 +774,6 @@ def _replay(
         cycles_stepped=simulator.cycles_stepped,
     )
     return metrics, simulator, probe
-
-
-def simulate_aes_traffic(
-    name: str,
-    topology: Topology,
-    routing: RoutingFunction,
-    blocks: int,
-    technology: Technology,
-    simulator_config: SimulatorConfig,
-    computation_cycles_per_phase: int = 4,
-) -> ArchitectureMetrics:
-    """Run the dependency-aware distributed-AES phases on one architecture."""
-    program = _aes_program(blocks, computation_cycles_per_phase)
-    return _replay(name, topology, routing, program, technology, simulator_config)[0]
 
 
 def build_baseline_fabric(

@@ -38,7 +38,7 @@ from repro.dse.pipeline import (
 )
 from repro.dse.records import STAGE_COMPUTED, EvaluationRecord
 from repro.exceptions import ConfigurationError
-from repro.obs import ObsSession, get_session, use_session
+from repro.obs.session import ObsSession, get_session, use_session
 
 __all__ = [
     "CellPayload",

@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.aes.acg import build_aes_acg
 from repro.core.graph import ApplicationGraph
 from repro.dse.pipeline import TRAFFIC_AES_PHASES, EvaluationSettings, Scenario
-from repro.plugins import Registry
+from repro.plugins.registry import Registry
 from repro.workloads.acg_builder import attach_grid_floorplan
 from repro.workloads.benchmarks import embedded_benchmark_acg, embedded_benchmark_names
 from repro.workloads.pajek import erdos_renyi_acg, planted_primitive_acg

@@ -72,7 +72,7 @@ from repro.dse.runner import (
     run_cells,
 )
 from repro.exceptions import ConfigurationError
-from repro.obs import get_session
+from repro.obs.session import get_session
 
 __all__ = [
     "RungSpec",

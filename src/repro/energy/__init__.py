@@ -10,31 +10,3 @@ Public entry points:
 * :class:`repro.energy.power.EnergyAccount` — traffic-driven energy/power
   accounting used by the simulator-based comparisons.
 """
-
-from repro.energy.bit_energy import BitEnergyModel
-from repro.energy.link_model import LinkEnergyModel
-from repro.energy.power import EnergyAccount
-from repro.energy.technology import (
-    CMOS_100NM,
-    CMOS_130NM,
-    CMOS_180NM,
-    DEFAULT_TECHNOLOGY,
-    FPGA_VIRTEX2,
-    Technology,
-    available_technologies,
-    get_technology,
-)
-
-__all__ = [
-    "BitEnergyModel",
-    "LinkEnergyModel",
-    "EnergyAccount",
-    "Technology",
-    "available_technologies",
-    "get_technology",
-    "CMOS_100NM",
-    "CMOS_130NM",
-    "CMOS_180NM",
-    "FPGA_VIRTEX2",
-    "DEFAULT_TECHNOLOGY",
-]

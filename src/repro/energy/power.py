@@ -6,8 +6,7 @@ XPower using actual simulation traces and (ii) the energy per encrypted
 same accounting on top of the cycle-based simulator: every router traversal
 and every link traversal of every bit is charged to an :class:`EnergyAccount`
 using the technology's ``E_Sbit`` / ``E_Lbit`` figures, leakage is charged
-per router per cycle, and the account converts totals into average power and
-energy-per-block numbers.
+per router per cycle, and the account converts totals into average power.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ class EnergyAccount:
 
     technology: Technology = DEFAULT_TECHNOLOGY
     switch_events_bits: float = 0.0
-    link_events: list[tuple[float, float]] = field(default_factory=list)
-    """(bits, link_length_mm) pairs for every link traversal batch."""
     _link_energy_pj: float = 0.0
     _leakage_pj: float = 0.0
     _link_model: LinkEnergyModel | None = field(
@@ -58,7 +55,6 @@ class EnergyAccount:
                 self._link_model = LinkEnergyModel(self.technology)
             pj_per_bit = self._link_model.link_energy_pj(length_mm)
             self._link_pj_per_bit[length_mm] = pj_per_bit
-        self.link_events.append((bits, length_mm))
         self._link_energy_pj += bits * pj_per_bit
 
     def charge_leakage(self, num_routers: int, num_cycles: int) -> None:
@@ -110,17 +106,6 @@ class EnergyAccount:
             raise EnergyModelError("average power needs a positive cycle count")
         elapsed_ns = num_cycles * self.technology.cycle_time_ns
         return self.total_energy_pj / elapsed_ns  # pJ / ns == mW
-
-    def energy_per_block_uj(self, cycles_per_block: float, num_blocks: int) -> float:
-        """Energy per processed block, in microjoules.
-
-        Mirrors the paper's ``E = delta/f * P_avg`` with ``delta`` the
-        cycles per block: total energy is divided evenly over the blocks.
-        """
-        if num_blocks <= 0:
-            raise EnergyModelError("need at least one block")
-        del cycles_per_block  # implied by the totals; kept for interface clarity
-        return self.total_energy_uj / num_blocks
 
     def summary(self) -> dict[str, float]:
         return {

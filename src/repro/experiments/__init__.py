@@ -6,84 +6,33 @@ so importing this package loads none of them."""
 
 from repro._lazy import lazy_attributes
 
-# each experiment module is imported on the first access of one of its names
-__getattr__, __dir__ = lazy_attributes(
-    __name__,
-    {
-        **dict.fromkeys(
-            (
-                "AblationResult",
-                "run_library_ablation",
-                "run_strategy_ablation",
-                "standard_ablation_acgs",
-            ),
-            "repro.experiments.ablation",
-        ),
-        **dict.fromkeys(
-            (
-                "PAPER_AES_COST",
-                "PAPER_AES_PRIMITIVES",
-                "AesSynthesisResult",
-                "run_aes_synthesis",
-            ),
-            "repro.experiments.aes_experiment",
-        ),
-        **dict.fromkeys(
-            (
-                "PAPER_RESULTS",
-                "ArchitectureMetrics",
-                "PrototypeComparison",
-                "run_prototype_comparison",
-            ),
-            "repro.experiments.comparison",
-        ),
-        **dict.fromkeys(
-            ("EXPECTED_PRIMITIVE_COUNTS", "Figure5Result", "run_figure5_example"),
-            "repro.experiments.example_decomposition",
-        ),
-        **dict.fromkeys(
-            (
-                "format_series",
-                "format_table",
-                "percentage_change",
-                "rows_to_csv",
-            ),
-            "repro.experiments.reporting",
-        ),
-        **dict.fromkeys(
-            (
-                "RuntimePoint",
-                "RuntimeSweepResult",
-                "run_pajek_runtime_sweep",
-                "run_tgff_runtime_sweep",
-            ),
-            "repro.experiments.runtime_sweep",
-        ),
-    },
-)
+#: public name -> the module that defines it, imported on first access
+_EXPORTS: dict[str, str] = {
+    "run_tgff_runtime_sweep": "repro.experiments.runtime_sweep",
+    "run_pajek_runtime_sweep": "repro.experiments.runtime_sweep",
+    "RuntimePoint": "repro.experiments.runtime_sweep",
+    "RuntimeSweepResult": "repro.experiments.runtime_sweep",
+    "run_figure5_example": "repro.experiments.example_decomposition",
+    "Figure5Result": "repro.experiments.example_decomposition",
+    "EXPECTED_PRIMITIVE_COUNTS": "repro.experiments.example_decomposition",
+    "run_aes_synthesis": "repro.experiments.aes_experiment",
+    "AesSynthesisResult": "repro.experiments.aes_experiment",
+    "PAPER_AES_COST": "repro.experiments.aes_experiment",
+    "PAPER_AES_PRIMITIVES": "repro.experiments.aes_experiment",
+    "run_prototype_comparison": "repro.experiments.comparison",
+    "PrototypeComparison": "repro.experiments.comparison",
+    "PAPER_RESULTS": "repro.experiments.comparison",
+    "ArchitectureMetrics": "repro.dse.pipeline",
+    "run_strategy_ablation": "repro.experiments.ablation",
+    "run_library_ablation": "repro.experiments.ablation",
+    "standard_ablation_acgs": "repro.experiments.ablation",
+    "AblationResult": "repro.experiments.ablation",
+    "format_table": "repro.experiments.reporting",
+    "format_series": "repro.experiments.reporting",
+    "rows_to_csv": "repro.experiments.reporting",
+    "percentage_change": "repro.experiments.reporting",
+}
 
-__all__ = [
-    "run_tgff_runtime_sweep",
-    "run_pajek_runtime_sweep",
-    "RuntimePoint",
-    "RuntimeSweepResult",
-    "run_figure5_example",
-    "Figure5Result",
-    "EXPECTED_PRIMITIVE_COUNTS",
-    "run_aes_synthesis",
-    "AesSynthesisResult",
-    "PAPER_AES_COST",
-    "PAPER_AES_PRIMITIVES",
-    "run_prototype_comparison",
-    "PrototypeComparison",
-    "ArchitectureMetrics",
-    "PAPER_RESULTS",
-    "run_strategy_ablation",
-    "run_library_ablation",
-    "standard_ablation_acgs",
-    "AblationResult",
-    "format_table",
-    "format_series",
-    "rows_to_csv",
-    "percentage_change",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

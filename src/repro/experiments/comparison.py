@@ -36,8 +36,9 @@ from repro.arch.topology import Topology
 from repro.dse.pipeline import (
     ArchitectureMetrics,
     EvaluationSettings,
+    _replay,
     baseline_route_stage,
-    simulate_aes_traffic,
+    get_traffic_mode,
 )
 from repro.dse.scenarios import aes_scenario
 from repro.energy.technology import Technology
@@ -142,8 +143,9 @@ def run_prototype_comparison(
 ) -> PrototypeComparison:
     """The full Section-5.2 comparison: synthesize, then simulate both designs.
 
-    Both fabrics replay the ``aes`` scenario's phases for ``blocks`` blocks,
-    with its computation cycles per phase, under ``simulator_config``
+    The ``aes`` scenario's traffic program (its phases for ``blocks``
+    blocks, with its computation cycles per phase) is built once and
+    replayed on both fabrics under ``simulator_config``
     (:func:`default_simulator_config` when omitted).
     """
     scenario = aes_scenario(blocks)
@@ -153,17 +155,11 @@ def run_prototype_comparison(
     custom = synthesis.architecture
     technology = settings.build_technology()
     config = simulator_config or default_simulator_config()
+    program = get_traffic_mode(scenario.traffic).program(scenario)
 
     def measure(topology: Topology, table: RoutingTable) -> ArchitectureMetrics:
-        return simulate_aes_traffic(
-            topology.name,
-            topology,
-            table.frozen_next_hop(),
-            blocks,
-            technology,
-            config,
-            computation_cycles_per_phase=scenario.computation_cycles_per_phase,
-        )
+        routing = table.frozen_next_hop()
+        return _replay(topology.name, topology, routing, program, technology, config)[0]
 
     return PrototypeComparison(
         mesh=measure(mesh, mesh_table),

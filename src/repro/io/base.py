@@ -28,7 +28,7 @@ from pathlib import Path
 from repro.arch.topology import Topology
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import GraphError, WorkloadError
-from repro.plugins import Registry
+from repro.plugins.registry import Registry
 
 
 @dataclass(frozen=True)

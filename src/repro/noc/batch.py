@@ -62,7 +62,7 @@ from repro.exceptions import ReproError, SimulationError
 from repro.noc.packet import Message, Packet
 from repro.noc.simulator import DrainOp, RunOp, ScheduleOp
 from repro.noc.stats import SimulationStatistics
-from repro.obs import SimulatorProbe
+from repro.obs.probes import SimulatorProbe
 
 NodeId = Hashable
 

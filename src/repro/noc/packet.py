@@ -13,6 +13,12 @@ from repro.exceptions import SimulationError
 NodeId = Hashable
 
 
+def require_int(value: object, what: str) -> None:
+    """Raise :class:`SimulationError` unless ``value`` is an ``int`` (not a ``bool``)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SimulationError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """An application-level transfer request (one logical message)."""
@@ -23,6 +29,7 @@ class Message:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        require_int(self.size_bits, "a message size in bits")
         if self.size_bits <= 0:
             raise SimulationError("a message must carry at least one bit")
         if self.source == self.destination:

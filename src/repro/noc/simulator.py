@@ -64,9 +64,10 @@ from repro.arch.topology import Topology
 from repro.energy.power import EnergyAccount
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import SimulationError
-from repro.noc.packet import Message, Packet, PacketTable
+from repro.noc.packet import Message, Packet, PacketTable, require_int
 from repro.noc.stats import SimulationStatistics
-from repro.obs import SimulatorProbe, get_tracer
+from repro.obs.probes import SimulatorProbe
+from repro.obs.session import get_tracer
 
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
@@ -104,8 +105,10 @@ class DrainOp:
     max_cycles: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_cycles is not None and self.max_cycles < 0:
-            raise SimulationError(f"the drain budget cannot be negative ({self.max_cycles})")
+        if self.max_cycles is not None:
+            require_int(self.max_cycles, "the drain budget")
+            if self.max_cycles < 0:
+                raise SimulationError(f"the drain budget cannot be negative ({self.max_cycles})")
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,7 @@ class RunOp:
     cycles: int
 
     def __post_init__(self) -> None:
+        require_int(self.cycles, "the cycles to run")
         if self.cycles < 0:
             raise SimulationError("cannot run a negative number of cycles")
 
@@ -138,6 +142,13 @@ class SimulatorConfig:
             raise SimulationError(
                 f"unknown simulator engine {self.engine!r} (use one of {ENGINES})"
             )
+        for name in (
+            "flit_width_bits",
+            "buffer_capacity_packets",
+            "router_pipeline_delay_cycles",
+            "max_cycles",
+        ):
+            require_int(getattr(self, name), name)
         if self.flit_width_bits <= 0:
             raise SimulationError("flit width must be positive")
         if self.buffer_capacity_packets < 1:
@@ -393,6 +404,8 @@ class NoCSimulator:
     def schedule_message(self, message: Message, cycle: int | None = None) -> int:
         """Queue a message for injection at ``cycle`` (default: now);
         returns its packet id."""
+        if cycle is not None:
+            require_int(cycle, "the schedule cycle")
         if self._batch is not None:
             # the batch core repeats the validations of _schedule verbatim
             # and records the injection on the shared statistics object
@@ -414,6 +427,8 @@ class NoCSimulator:
         the same tuple; a caller replaying one traffic program on many
         simulators passes the program's dict (the DSE pipeline does).
         """
+        if cycle is not None:
+            require_int(cycle, "the schedule cycle")
         with get_tracer().span("noc.schedule"):
             if self._batch is not None:
                 for message in messages:
@@ -821,6 +836,7 @@ class NoCSimulator:
     # ------------------------------------------------------------------
     def run(self, cycles: int) -> None:
         """Run for a fixed number of cycles."""
+        require_int(cycles, "the cycles to run")
         if cycles < 0:
             raise SimulationError("cannot run a negative number of cycles")
         tracer = get_tracer()
@@ -846,6 +862,7 @@ class NoCSimulator:
         exhausted first (which would indicate a routing loop or deadlock).
         """
         budget = max_cycles if max_cycles is not None else self.config.max_cycles
+        require_int(budget, "the drain budget")
         if budget < 0:
             raise SimulationError(f"the drain budget cannot be negative ({budget})")
         start = self.current_cycle

@@ -11,8 +11,7 @@ The three pillars:
   spans, serializable across process-pool workers;
 * **metrics** (:mod:`repro.obs.metrics`) — labelled counters / gauges /
   histograms on the :class:`~repro.plugins.Registry` kernel, rendered by
-  the pluggable exporters in :mod:`repro.obs.export` (imported on the
-  first access of one of its names);
+  the pluggable exporters in :mod:`repro.obs.export`;
 * **probes** (:mod:`repro.obs.probes`) — opt-in per-router / per-channel
   simulator instrumentation whose figures are bit-identical across both
   engines.
@@ -22,82 +21,41 @@ the measured overhead numbers.
 """
 
 from repro._lazy import lazy_attributes
-from repro.obs.metrics import (
-    METRIC_EVENT,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.probes import SimulatorProbe
-from repro.obs.session import (
-    NULL_SESSION,
-    ObsSession,
-    get_session,
-    get_tracer,
-    use_session,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    SPAN_EVENT,
-    NullTracer,
-    Span,
-    Tracer,
-    annotate,
-    current_span,
-)
 
-# the exporters are only read when events are written or rendered
-__getattr__, __dir__ = lazy_attributes(
-    __name__,
-    dict.fromkeys(
-        (
-            "EXPORTERS",
-            "STAGE_SPAN_NAMES",
-            "ExporterSpec",
-            "exporter_names",
-            "get_exporter",
-            "read_event_log",
-            "register_exporter",
-            "render_jsonl",
-            "render_prometheus",
-            "render_summary",
-            "render_trace_summary",
-            "write_event_log",
-        ),
-        "repro.obs.export",
-    ),
-)
+#: public name -> the module that defines it, imported on first access
+_EXPORTS: dict[str, str] = {
+    "SPAN_EVENT": "repro.obs.tracer",
+    "Span": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+    "NullTracer": "repro.obs.tracer",
+    "NULL_TRACER": "repro.obs.tracer",
+    "annotate": "repro.obs.tracer",
+    "current_span": "repro.obs.tracer",
+    "METRIC_EVENT": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "SimulatorProbe": "repro.obs.probes",
+    "ObsSession": "repro.obs.session",
+    "NULL_SESSION": "repro.obs.session",
+    "get_session": "repro.obs.session",
+    "get_tracer": "repro.obs.session",
+    "use_session": "repro.obs.session",
+    "EXPORTERS": "repro.obs.export",
+    "ExporterSpec": "repro.obs.export",
+    "register_exporter": "repro.obs.export",
+    "get_exporter": "repro.obs.export",
+    "exporter_names": "repro.obs.export",
+    "render_jsonl": "repro.obs.export",
+    "render_prometheus": "repro.obs.export",
+    "render_summary": "repro.obs.export",
+    "render_trace_summary": "repro.obs.export",
+    "STAGE_SPAN_NAMES": "repro.obs.export",
+    "write_event_log": "repro.obs.export",
+    "read_event_log": "repro.obs.export",
+}
 
-__all__ = [
-    "SPAN_EVENT",
-    "METRIC_EVENT",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "annotate",
-    "current_span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SimulatorProbe",
-    "ObsSession",
-    "NULL_SESSION",
-    "get_session",
-    "get_tracer",
-    "use_session",
-    "EXPORTERS",
-    "ExporterSpec",
-    "register_exporter",
-    "get_exporter",
-    "exporter_names",
-    "render_jsonl",
-    "render_prometheus",
-    "render_summary",
-    "render_trace_summary",
-    "STAGE_SPAN_NAMES",
-    "write_event_log",
-    "read_event_log",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

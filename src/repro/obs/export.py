@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.obs.metrics import METRIC_EVENT
 from repro.obs.tracer import SPAN_EVENT
-from repro.plugins import Registry
+from repro.plugins.registry import Registry
 
 #: the DSE pipeline stages, in pipeline order (the stage-breakdown rows)
 STAGE_SPAN_NAMES = (

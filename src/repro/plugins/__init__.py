@@ -21,32 +21,20 @@ See ``docs/plugins.md`` for the worked third-party example.
 """
 
 from repro._lazy import lazy_attributes
-from repro.plugins.registry import BUILTIN_PROVIDER, Registry, providing
 
-# the discovery names load importlib.metadata, so they resolve on first use
-__getattr__, __dir__ = lazy_attributes(
-    __name__,
-    dict.fromkeys(
-        (
-            "ENTRY_POINT_GROUP",
-            "PluginFailure",
-            "discover",
-            "discovered_plugins",
-            "plugin_failures",
-            "reset_discovery",
-        ),
-        "repro.plugins.discovery",
-    ),
-)
+#: public name -> the module that defines it, imported on first access
+_EXPORTS: dict[str, str] = {
+    "Registry": "repro.plugins.registry",
+    "providing": "repro.plugins.registry",
+    "BUILTIN_PROVIDER": "repro.plugins.registry",
+    "ENTRY_POINT_GROUP": "repro.plugins.discovery",
+    "PluginFailure": "repro.plugins.discovery",
+    "discover": "repro.plugins.discovery",
+    "discovered_plugins": "repro.plugins.discovery",
+    "plugin_failures": "repro.plugins.discovery",
+    "reset_discovery": "repro.plugins.discovery",
+}
 
-__all__ = [
-    "Registry",
-    "providing",
-    "BUILTIN_PROVIDER",
-    "ENTRY_POINT_GROUP",
-    "PluginFailure",
-    "discover",
-    "discovered_plugins",
-    "plugin_failures",
-    "reset_discovery",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

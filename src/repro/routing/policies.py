@@ -45,7 +45,7 @@ from repro.arch.families import RingTopology, TorusTopology
 from repro.arch.mesh import MeshTopology
 from repro.arch.topology import Topology
 from repro.exceptions import RoutingError
-from repro.plugins import Registry
+from repro.plugins.registry import Registry
 from repro.routing.table import RoutingTable
 
 NodeId = Hashable

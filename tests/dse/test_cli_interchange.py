@@ -11,7 +11,7 @@ from repro.dse.__main__ import main
 from repro.dse.scenarios import FILE_SUITE_PREFIX, file_scenario, resolve_suite
 from repro.exceptions import ConfigurationError
 from repro.io import read_topology, read_workload, write_workload
-from repro.workloads import planted_primitive_acg
+from repro.workloads.pajek import planted_primitive_acg
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLE = REPO_ROOT / "examples" / "graphs" / "pipeline8.net"

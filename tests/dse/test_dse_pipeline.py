@@ -108,6 +108,15 @@ class TestEvaluationSettings:
         with pytest.raises(ConfigurationError):
             EvaluationSettings(routing_policy="fully_adaptive")
 
+    def test_unknown_technology_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown technology 'nope'"):
+            EvaluationSettings(technology="nope")
+
+    @pytest.mark.parametrize("pitch", [-1.0, 0.0, -0.0, 0, float("nan"), float("inf")])
+    def test_tile_pitch_must_be_positive_and_finite(self, pitch):
+        with pytest.raises(ConfigurationError, match="mesh_tile_pitch_mm must be positive"):
+            EvaluationSettings(mesh_tile_pitch_mm=pitch)
+
     @pytest.mark.parametrize(
         ("name", "value", "expected"),
         [
@@ -225,7 +234,16 @@ class TestScenario:
             Scenario(name="x", acg=planted_scenario(12, 1).acg, traffic="gravity")
 
     @pytest.mark.parametrize(
-        "knob", [{"packet_size_bits": 0}, {"computation_cycles_per_phase": -1}]
+        "knob",
+        [
+            {"packet_size_bits": 0},
+            {"computation_cycles_per_phase": -1},
+            {"repetitions": 1.5},
+            {"computation_cycles_per_phase": 1.5},
+            {"packet_size_bits": 8.5},
+            {"aes_blocks": True},
+            {"repetitions": "2"},
+        ],
     )
     def test_invalid_traffic_knobs_rejected(self, knob):
         with pytest.raises(ConfigurationError):
@@ -397,15 +415,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_caller_bugs_still_raise(self, engine):
         """Workload failures are data; misconfiguration is an exception —
-        a typo'd technology must not be cached as a simulation failure."""
-        from repro.exceptions import EnergyModelError
-
-        scenario = embedded_scenario("vopd")
-        with pytest.raises(EnergyModelError):
-            evaluate(
-                scenario,
-                EvaluationSettings(architecture="mesh", technology="bogus", engine=engine),
-            )
+        a typo'd technology fails when the settings are built, so it is
+        never cached as a simulation failure."""
+        with pytest.raises(ConfigurationError, match="unknown technology 'bogus'"):
+            EvaluationSettings(architecture="mesh", technology="bogus", engine=engine)
 
     def test_record_json_round_trip(self):
         record = evaluate(

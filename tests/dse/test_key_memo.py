@@ -74,11 +74,9 @@ def test_each_distinct_plan_key_is_hashed_once(grid, monkeypatch):
     assert len(hashed) == len(set(hashed)) == len(distinct)
 
 
-@pytest.mark.parametrize(
-    "first,second",
-    [(2, 2.0), (0.0, -0.0)],
-    ids=["int-vs-float", "zero-vs-negative-zero"],
-)
+# 0.0 and -0.0 are the other such pair, but no settings can hold them:
+# a tile pitch must be positive
+@pytest.mark.parametrize("first,second", [(2, 2.0)], ids=["int-vs-float"])
 def test_values_equal_in_python_but_not_in_json_keep_distinct_keys(grid, first, second):
     scenario = grid[0][0]
     pair = [

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.energy import (
-    BitEnergyModel,
-    EnergyAccount,
-    LinkEnergyModel,
+from repro.energy.bit_energy import BitEnergyModel
+from repro.energy.link_model import LinkEnergyModel
+from repro.energy.power import EnergyAccount
+from repro.energy.technology import (
+    CMOS_100NM,
+    CMOS_180NM,
+    FPGA_VIRTEX2,
     Technology,
     available_technologies,
     get_technology,
 )
-from repro.energy.technology import CMOS_100NM, CMOS_180NM, FPGA_VIRTEX2
 from repro.exceptions import EnergyModelError
 
 
@@ -145,14 +147,6 @@ class TestEnergyAccount:
         assert account.average_power_mw(cycles) == pytest.approx(expected_mw)
         with pytest.raises(EnergyModelError):
             account.average_power_mw(0)
-
-    def test_energy_per_block(self):
-        account = EnergyAccount(technology=FPGA_VIRTEX2)
-        account.charge_switch(10_000)
-        per_block = account.energy_per_block_uj(cycles_per_block=100, num_blocks=4)
-        assert per_block == pytest.approx(account.total_energy_uj / 4)
-        with pytest.raises(EnergyModelError):
-            account.energy_per_block_uj(100, 0)
 
     def test_summary_keys(self):
         account = EnergyAccount()

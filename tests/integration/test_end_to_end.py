@@ -13,9 +13,12 @@ from repro import (
 )
 from repro.arch.metrics import topology_report
 from repro.core.constraints import channel_volume_loads
-from repro.noc import NoCSimulator, SimulatorConfig, acg_messages
+from repro.noc.simulator import NoCSimulator, SimulatorConfig
+from repro.noc.traffic import acg_messages
 from repro.routing.policies import get_policy
-from repro.workloads import acg_from_task_graph, automotive_benchmark, random_decomposable_acg
+from repro.workloads.acg_builder import acg_from_task_graph, attach_grid_floorplan
+from repro.workloads.random_acg import random_decomposable_acg
+from repro.workloads.tgff import automotive_benchmark
 
 
 def quick_config() -> DecompositionConfig:
@@ -27,8 +30,6 @@ class TestWorkloadToArchitecture:
     def test_random_workload_full_flow(self, seed):
         """Workload -> decomposition -> synthesis -> simulation, end to end."""
         acg = random_decomposable_acg(num_nodes=10, seed=seed)
-        from repro.workloads import attach_grid_floorplan
-
         attach_grid_floorplan(acg)
         library = default_library()
         result = decompose(acg, library, cost_model=LinkCountCostModel(), config=quick_config())

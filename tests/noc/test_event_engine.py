@@ -84,6 +84,20 @@ class TestEngineConfig:
     def test_smallest_valid_config_accepted(self, field):
         assert getattr(SimulatorConfig(**{field: 1}), field) == 1
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "flit_width_bits",
+            "buffer_capacity_packets",
+            "router_pipeline_delay_cycles",
+            "max_cycles",
+        ],
+    )
+    @pytest.mark.parametrize("value", [1.5, 8.0, True, "4"])
+    def test_non_int_count_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=f"{field} must be an int"):
+            SimulatorConfig(**{field: value})
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_info_reports_skipped_cycles(self, engine):
         simulator = chain_simulator(engine=engine)
@@ -385,6 +399,41 @@ class TestNegativeCycleCounts:
         assert simulator.statistics.delivered_count == 1
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+class TestNonIntCycleCounts:
+    """A cycle count or budget that is not an ``int`` is rejected before
+    anything moves, alike on both engines."""
+
+    def simulator(self, engine: str) -> NoCSimulator:
+        if engine == ENGINE_BATCH:
+            pytest.importorskip("numpy")
+        return chain_simulator(engine=engine)
+
+    @pytest.mark.parametrize("cycles", [1.5, 2.0, True])
+    def test_run(self, engine, cycles):
+        simulator = self.simulator(engine)
+        with pytest.raises(SimulationError, match="the cycles to run must be an int"):
+            simulator.run(cycles)
+        assert simulator.current_cycle == simulator.cycles_stepped == 0
+
+    @pytest.mark.parametrize("budget", [1.5, 10.0, False])
+    def test_drain_budget(self, engine, budget):
+        simulator = self.simulator(engine)
+        simulator.schedule_message(Message(0, 2, 64))
+        with pytest.raises(SimulationError, match="the drain budget must be an int"):
+            simulator.run_until_drained(budget)
+        assert simulator.current_cycle == simulator.cycles_stepped == 0
+
+    @pytest.mark.parametrize("cycle", [2.5, 3.0, True])
+    def test_schedule_cycle(self, engine, cycle):
+        simulator = self.simulator(engine)
+        with pytest.raises(SimulationError, match="the schedule cycle must be an int"):
+            simulator.schedule_message(Message(0, 2, 64), cycle=cycle)
+        with pytest.raises(SimulationError, match="the schedule cycle must be an int"):
+            simulator.schedule_messages([Message(0, 2, 64)], cycle=cycle)
+        assert simulator.statistics.injected_count == 0
+
+
 class TestNegativeOpBudgets:
     """An op with a negative budget fails when it is built, so no program
     can hand one to an engine (the batch core included)."""
@@ -399,3 +448,10 @@ class TestNegativeOpBudgets:
         with pytest.raises(SimulationError, match="negative number of cycles"):
             RunOp(-5)
         assert RunOp(0).cycles == 0
+
+    @pytest.mark.parametrize("value", [1.5, 3.0, True])
+    def test_non_int_op_budget_is_rejected(self, value):
+        with pytest.raises(SimulationError, match="the cycles to run must be an int"):
+            RunOp(value)
+        with pytest.raises(SimulationError, match="the drain budget must be an int"):
+            DrainOp(value)

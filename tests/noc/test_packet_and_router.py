@@ -22,6 +22,11 @@ class TestMessage:
         with pytest.raises(SimulationError):
             Message(source=1, destination=2, size_bits=0)
 
+    @pytest.mark.parametrize("size_bits", [True, 8.5, 64.0, "64"])
+    def test_non_int_size_rejected(self, size_bits):
+        with pytest.raises(SimulationError, match="a message size in bits must be an int"):
+            Message(source=1, destination=2, size_bits=size_bits)
+
 
 class TestPacket:
     def test_flit_count_rounds_up(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.graph import ApplicationGraph
 from repro.io import get_format, read_workload, write_workload
-from repro.workloads import embedded_benchmark_acg, embedded_benchmark_names
+from repro.workloads.benchmarks import embedded_benchmark_acg, embedded_benchmark_names
 
 # names may contain spaces, quotes-adjacent punctuation and digits, but no
 # double quote / backslash / newline (the documented label restrictions)

@@ -1,9 +1,9 @@
 """What a fresh process loads: the lazy package facades and their budget.
 
-``repro.dse``, ``repro.obs``, ``repro.experiments``, ``repro.plugins`` and
-``repro.api`` resolve part of their names on first access (PEP 562).  The
-budget tests run in a subprocess so this module's own imports cannot
-contaminate ``sys.modules``.
+``repro``, ``repro.api``, ``repro.dse``, ``repro.obs``,
+``repro.experiments`` and ``repro.plugins`` resolve their names on first
+access (PEP 562).  The budget tests run in a subprocess so this module's
+own imports cannot contaminate ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ HEAVY = (
 #: the process-pool modules a serial sweep must not load
 POOL = ("concurrent.futures", "concurrent.futures.process", "multiprocessing")
 
-FACADES = ("repro.dse", "repro.obs", "repro.experiments", "repro.plugins", "repro.api")
+FACADES = ("repro", "repro.dse", "repro.obs", "repro.experiments", "repro.plugins", "repro.api")
+
+#: the packages of the flow itself, which neither top-level facade may load
+FLOW = ("repro.core", "repro.noc", "repro.dse")
 
 
 def run_fresh(script: str) -> str:
@@ -56,6 +59,15 @@ def loaded(names: tuple[str, ...]) -> str:
 @pytest.mark.parametrize("package", ["repro.dse", "repro.experiments", "repro.plugins"])
 def test_importing_a_package_loads_no_heavy_module(package):
     assert run_fresh(f"import sys; import {package}; {loaded(HEAVY)}") == "CLEAN"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.api"])
+def test_the_top_level_facades_load_none_of_the_flow(package):
+    script = (
+        f"import sys; import {package}; "
+        f"print(','.join(m for m in sys.modules if m.startswith({FLOW!r})) or 'CLEAN')"
+    )
+    assert run_fresh(script) == "CLEAN"
 
 
 def test_a_serial_sweep_loads_no_pool_and_discovers_at_the_first_listing():
