@@ -13,6 +13,7 @@ baseline on wall clock.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -22,6 +23,9 @@ from repro.dse.cache import ResultCache
 from repro.dse.pipeline import evaluate
 from repro.dse.runner import plan_sweep, run_sweep
 from repro.dse.scenarios import erdos_renyi_scenario, get_suite, planted_scenario
+
+#: alternating baseline/staged timing repeats of the stage-reuse benchmark
+REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +73,8 @@ def test_simulator_axis_sweep_decomposes_once_per_scenario(tmp_path):
     """The tentpole claim: stage-granular caching makes simulator-axis sweeps
     pay for one decomposition per scenario, with measurable wall-clock savings
     over the cell-granular baseline that re-searched every grid point."""
-    # a search-dominated operating point: the node budget caps the search at a
-    # deterministic ~0.3s, far above this workload's simulation time
+    # the node budget caps each search deterministically; searching is
+    # cheap next to simulating, so each timed section lasts only ~0.04-0.2s
     scenarios = [
         erdos_renyi_scenario(num_nodes=14, edge_probability=0.15, seed=9),
         planted_scenario(num_nodes=16, seed=11),
@@ -80,28 +84,44 @@ def test_simulator_axis_sweep_decomposes_once_per_scenario(tmp_path):
         "max_nodes_expanded": (2000,),
         "buffer_capacity_packets": (2, 4, 8),  # simulator-only axis, 3 values
     }
-
-    # cell-granular baseline: what the runner did before stage sharing —
-    # every cell evaluated in isolation, one search per grid point
     cells = plan_sweep(scenarios, axes=axes)
-    baseline_start = time.perf_counter()
-    baseline_records = [
-        evaluate(cell.scenario, cell.settings, cache_key=cell.key, axes=cell.axes)
-        for cell in cells
-    ]
-    baseline_elapsed = time.perf_counter() - baseline_start
+
+    def cell_granular():
+        """The baseline: every cell evaluated in isolation, one search per
+        grid point, as the runner did before stage sharing."""
+        return [
+            evaluate(cell.scenario, cell.settings, cache_key=cell.key, axes=cell.axes)
+            for cell in cells
+        ]
+
+    def stage_granular(run):
+        """One stage-granular sweep with a fresh result cache and stage store."""
+        return run_sweep(
+            scenarios,
+            axes=axes,
+            cache=ResultCache(tmp_path / f"results{run}.jsonl"),
+            artifacts=tmp_path / f"stage_artifacts{run}",
+        )
+
+    # time alternating repeats (each order half the time) and compare medians,
+    # so one slow spell on a shared host does not decide the ratio
+    baseline_times, staged_times, results = [], [], []
+    for run in range(REPEATS):
+        for side in ("baseline", "staged") if run % 2 == 0 else ("staged", "baseline"):
+            start = time.perf_counter()
+            if side == "baseline":
+                baseline_records = cell_granular()
+                baseline_times.append(time.perf_counter() - start)
+            else:
+                results.append(stage_granular(run))
+                staged_times.append(time.perf_counter() - start)
     assert all(record.succeeded for record in baseline_records)
 
-    cache = ResultCache(tmp_path / "results.jsonl")
-    staged_start = time.perf_counter()
-    result = run_sweep(
-        scenarios, axes=axes, cache=cache, artifacts=tmp_path / "stage_artifacts"
-    )
-    staged_elapsed = time.perf_counter() - staged_start
-
     # exactly one search per scenario; every other cell reused it
-    assert result.decomposition_searches == len(scenarios)
-    assert result.decomposition_reuses == result.num_evaluations - len(scenarios)
+    for result in results:
+        assert result.decomposition_searches == len(scenarios)
+        assert result.decomposition_reuses == result.num_evaluations - len(scenarios)
+    result = results[0]
     per_scenario = {}
     for record in result.records:
         per_scenario.setdefault(record.scenario, []).append(
@@ -112,9 +132,12 @@ def test_simulator_axis_sweep_decomposes_once_per_scenario(tmp_path):
         assert set(provenances) <= {"computed", "memory"}
 
     # the shared search must buy real wall clock against the baseline; the
-    # exact ratio (locally ~0.35) is machine-dependent, so the bound is
+    # exact ratio (locally ~0.3-0.5) is machine-dependent, so the bound is
     # deliberately loose — the stage-reuse counters above pin the invariant
-    print(f"\ncell-granular {baseline_elapsed:.2f}s vs stage-granular {staged_elapsed:.2f}s")
+    baseline_elapsed = statistics.median(baseline_times)
+    staged_elapsed = statistics.median(staged_times)
+    print(f"\ncell-granular {baseline_elapsed:.2f}s vs stage-granular {staged_elapsed:.2f}s "
+          f"(medians of {REPEATS})")
     assert staged_elapsed < 0.85 * baseline_elapsed, (
         f"stage-granular sweep ({staged_elapsed:.2f}s) should clearly beat the "
         f"cell-granular baseline ({baseline_elapsed:.2f}s)"
@@ -134,15 +157,15 @@ def test_simulator_axis_sweep_decomposes_once_per_scenario(tmp_path):
     rerun = run_sweep(
         scenarios,
         axes=axes,
-        cache=ResultCache(cache.path),
-        artifacts=tmp_path / "stage_artifacts",
+        cache=ResultCache(tmp_path / "results0.jsonl"),
+        artifacts=tmp_path / "stage_artifacts0",
     )
     assert rerun.cache_misses == 0 and rerun.cache_hit_fraction == 1.0
     cold_results = run_sweep(
         scenarios,
         axes=axes,
         cache=ResultCache(tmp_path / "fresh.jsonl"),
-        artifacts=tmp_path / "stage_artifacts",
+        artifacts=tmp_path / "stage_artifacts0",
     )
     assert cold_results.decomposition_searches == 0
     assert cold_results.decomposition_reuses == cold_results.num_evaluations

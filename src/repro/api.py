@@ -90,6 +90,7 @@ _EXPORTS: dict[str, str] = {
     "supported_policies": "repro.routing.policies",
     # graph interchange
     "FORMATS": "repro.io.base",
+    "GraphFile": "repro.io.base",
     "GraphFormat": "repro.io.base",
     "register_format": "repro.io.base",
     "format_names": "repro.io.base",

@@ -1,4 +1,4 @@
-"""Graphviz DOT reader/writer for workloads and topologies.
+"""Graphviz DOT syntax for workload and fabric records.
 
 The writer emits a plain ``digraph`` — one node statement per core or
 router, one edge statement per communication or channel — so the files
@@ -21,11 +21,11 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.arch.topology import Topology
-from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
 from repro.io.base import (
+    GraphFile,
     GraphFormat,
+    check_header,
     format_float,
     parse_number,
     reading_line,
@@ -61,59 +61,37 @@ def _attrs_text(attrs: dict[str, object]) -> str:
     return f" [{body}]"
 
 
-def _strip_line_comment(line: str) -> str:
-    """Drop a trailing ``//`` or ``#`` comment, respecting quoted strings."""
+def _statements(line: str) -> list[str]:
+    """Split a line on the ``;`` separators outside quoted strings, up to
+    a ``//`` or ``#`` comment."""
+    statements: list[str] = []
+    start = index = 0
     in_quote = False
-    index = 0
     while index < len(line):
         char = line[index]
         if in_quote:
             if char == "\\":
-                index += 1
+                index += 1  # skip the escaped character
             elif char == '"':
                 in_quote = False
         elif char == '"':
             in_quote = True
-        elif char == "#" or (char == "/" and line[index + 1 : index + 2] == "/"):
-            return line[:index]
-        index += 1
-    return line
-
-
-def _split_statements(line: str) -> list[str]:
-    """Split on ``;`` separators that sit outside quoted strings."""
-    statements: list[str] = []
-    current: list[str] = []
-    in_quote = False
-    index = 0
-    while index < len(line):
-        char = line[index]
-        if in_quote:
-            if char == "\\" and index + 1 < len(line):
-                current.append(char)
-                index += 1
-                char = line[index]
-            elif char == '"':
-                in_quote = False
-        elif char == '"':
-            in_quote = True
+        elif char == "#" or line.startswith("//", index):
+            break
         elif char == ";":
-            statements.append("".join(current))
-            current = []
-            index += 1
-            continue
-        current.append(char)
+            statements.append(line[start:index])
+            start = index + 1
         index += 1
-    statements.append("".join(current))
+    statements.append(line[start:index])
     return statements
 
 
-def _parse(path: str | Path):
-    """Parse a digraph file into (graph_attrs, nodes, edges).
+def parse(path: Path, fields: tuple[str, ...]) -> GraphFile:
+    """Read a digraph file.
 
-    ``nodes`` maps label -> (attrs, line number of its last statement),
-    insertion-ordered; ``edges`` is a list of ``(line number, source,
-    target, attrs)``.
+    The digraph id is the title and the ``graph`` attributes the header;
+    a node's ``x``/``y`` attributes (merged over its statements) are its
+    position, and the edge attributes named by ``fields`` its fields.
     """
     text = Path(path).read_text(encoding="utf-8")
     header = _HEADER_RE.match(text)
@@ -121,36 +99,39 @@ def _parse(path: str | Path):
     if not header or not stripped.endswith("}"):
         raise WorkloadError(f"not a DOT digraph: {path}")
     graph_attrs: dict[str, str] = {}
-    if header.group(1):
-        graph_attrs["name"] = _unquote(header.group(1))
     nodes: dict[str, tuple[dict[str, str], int]] = {}
-    edges: list[tuple[int, str, str, dict[str, str]]] = []
+    edges: list[tuple[int, str, str, tuple[str | None, ...]]] = []
     body = stripped[header.end() : -1]
     first = text.count("\n", 0, header.end()) + 1
     for number, raw_line in enumerate(body.splitlines(), start=first):
-        line = _strip_line_comment(raw_line).strip()
-        for statement in filter(None, (s.strip() for s in _split_statements(line))):
+        for statement in filter(None, (s.strip() for s in _statements(raw_line))):
             edge_match = _EDGE_RE.match(statement)
             node_match = _NODE_RE.match(statement)
             if edge_match:
                 attrs = _parse_attrs(edge_match.group(3))
                 source, target = _unquote(edge_match.group(1)), _unquote(edge_match.group(2))
-                edges.append((number, source, target, attrs))
+                edges.append((number, source, target, tuple(map(attrs.get, fields))))
             elif node_match:
                 token = node_match.group(1)
                 label = _unquote(token)
                 attrs = _parse_attrs(node_match.group(2))
                 if token == "graph":
-                    if "flit_width_bits" in attrs:
-                        with reading_line(path, number):
-                            parse_number(attrs["flit_width_bits"])
-                    graph_attrs.update(attrs)
+                    with reading_line(path, number):
+                        graph_attrs.update(check_header(attrs))
                 elif token not in ("node", "edge"):
                     nodes[label] = ({**nodes.get(label, ({}, 0))[0], **attrs}, number)
             else:
                 with reading_line(path, number):
                     raise WorkloadError(f"unsupported DOT statement: {statement!r}")
-    return graph_attrs, nodes, edges
+    positions = []
+    for label, (attrs, number) in nodes.items():
+        position = None
+        if "x" in attrs and "y" in attrs:
+            with reading_line(path, number):
+                position = (parse_number(attrs["x"]), parse_number(attrs["y"]))
+        positions.append((label, position))
+    title = _unquote(header.group(1)) if header.group(1) else None
+    return GraphFile(graph_attrs, title, positions, edges)
 
 
 def _parse_attrs(text: str | None) -> dict[str, str]:
@@ -160,112 +141,25 @@ def _parse_attrs(text: str | None) -> dict[str, str]:
     return {key: _unquote(value) for key, value in _ATTR_RE.findall(text)}
 
 
-# ----------------------------------------------------------------------
-# workloads
-# ----------------------------------------------------------------------
-def write_workload(acg: ApplicationGraph, path: str | Path) -> None:
-    """Write an ACG as a DOT digraph (volumes/bandwidths as edge attrs)."""
-    lines = [f"digraph {_quote(acg.name or 'workload')} {{"]
-    lines.append('  graph [repro_kind="workload"];')
-    for node in acg.nodes():
-        attrs: dict[str, object] = {}
-        if acg.has_position(node):
-            position = acg.position(node)
-            attrs = {"x": format_float(position.x), "y": format_float(position.y)}
-        lines.append(f"  {_quote(node)}{_attrs_text(attrs)};")
-    for source, target in acg.edges():
-        attrs = {
-            "volume": format_float(acg.volume(source, target)),
-            "bandwidth": format_float(acg.bandwidth(source, target)),
-        }
+def render(record: GraphFile, fields: tuple[str, ...]) -> str:
+    """A digraph titled by the record: the header as ``graph``
+    attributes (``kind`` as ``repro_kind``; the name is the title),
+    positions as ``x``/``y`` node attributes and the fields as edge
+    attributes."""
+    kind = record.header["kind"]
+    extra = {key: text for key, text in record.header.items() if key not in ("kind", "name")}
+    graph = {"repro_kind": kind, **extra}
+    lines = [f"digraph {_quote(record.name or kind)} {{", f"  graph{_attrs_text(graph)};"]
+    for label, position in record.nodes:
+        attrs = {}
+        if position is not None:
+            attrs = {"x": format_float(position[0]), "y": format_float(position[1])}
+        lines.append(f"  {_quote(label)}{_attrs_text(attrs)};")
+    for _, source, target, values in record.edges:
+        attrs = dict(zip(fields, values))
         lines.append(f"  {_quote(source)} -> {_quote(target)}{_attrs_text(attrs)};")
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_workload(path: str | Path) -> ApplicationGraph:
-    """Read a DOT digraph into an ACG.
-
-    Arbitrary digraphs import too: unknown attributes are ignored and
-    missing volumes default to 1 (bandwidth 0).
-    """
-    _graph_attrs, nodes, edges = _parse(path)
-    acg = ApplicationGraph(name=Path(path).stem)
-    for label, (attrs, number) in nodes.items():
-        acg.add_node(label, exist_ok=True)
-        if "x" in attrs and "y" in attrs:
-            with reading_line(path, number):
-                acg.set_position(label, parse_number(attrs["x"]), parse_number(attrs["y"]))
-    for number, source, target, attrs in edges:
-        with reading_line(path, number):
-            acg.add_communication(
-                source,
-                target,
-                volume=parse_number(attrs.get("volume", "1")),
-                bandwidth=parse_number(attrs.get("bandwidth", "0")),
-            )
-    return acg
-
-
-# ----------------------------------------------------------------------
-# topologies
-# ----------------------------------------------------------------------
-def write_topology(topology: Topology, path: str | Path) -> None:
-    """Write a fabric as a DOT digraph (channel attrs on the edges)."""
-    lines = [f"digraph {_quote(topology.name or 'topology')} {{"]
-    lines.append(
-        f'  graph [repro_kind="topology", '
-        f'flit_width_bits="{int(topology.flit_width_bits)}"];'
-    )
-    for node in topology.routers():
-        attrs: dict[str, object] = {}
-        if topology.has_position(node):
-            position = topology.position(node)
-            attrs = {"x": format_float(position.x), "y": format_float(position.y)}
-        lines.append(f"  {_quote(node)}{_attrs_text(attrs)};")
-    for channel in topology.channels():
-        attrs = {
-            "length_mm": format_float(channel.length_mm),
-            "width_bits": str(int(channel.width_bits)),
-            "bandwidth": format_float(channel.bandwidth_bits_per_cycle),
-        }
-        lines.append(
-            f"  {_quote(channel.source)} -> {_quote(channel.target)}{_attrs_text(attrs)};"
-        )
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_topology(path: str | Path) -> Topology:
-    """Read a DOT fabric written by :func:`write_topology`.
-
-    Plain digraphs import as unit-length fabrics at the default flit width.
-    """
-    graph_attrs, nodes, edges = _parse(path)
-    topology = Topology(
-        name=graph_attrs.get("name") or Path(path).stem,
-        flit_width_bits=int(parse_number(graph_attrs.get("flit_width_bits", "32"))),
-    )
-    for label, (attrs, number) in nodes.items():
-        if "x" in attrs and "y" in attrs:
-            with reading_line(path, number):
-                x, y = parse_number(attrs["x"]), parse_number(attrs["y"])
-            topology.add_router(label, x, y)
-        else:
-            topology.add_router(label)
-    for number, source, target, attrs in edges:
-        with reading_line(path, number):
-            length = parse_number(attrs["length_mm"]) if "length_mm" in attrs else None
-            width = int(parse_number(attrs["width_bits"])) if "width_bits" in attrs else None
-            bandwidth = parse_number(attrs["bandwidth"]) if "bandwidth" in attrs else None
-            topology.add_channel(
-                source,
-                target,
-                length_mm=length,
-                width_bits=width,
-                bandwidth_bits_per_cycle=bandwidth,
-            )
-    return topology
+    return "\n".join(lines) + "\n"
 
 
 register_format(
@@ -273,10 +167,8 @@ register_format(
         name="dot",
         description="Graphviz DOT digraph (renders directly with dot/neato)",
         extensions=(".dot", ".gv"),
-        read_workload=read_workload,
-        write_workload=write_workload,
-        read_topology=read_topology,
-        write_topology=write_topology,
+        parse=parse,
+        render=render,
         notes=(
             "Reader covers the emitted digraph subset (no subgraphs or edge "
             "chains); repro data rides as plain node/edge attributes."

@@ -1,4 +1,4 @@
-"""Pajek ``.net`` reader/writer for workloads and topologies.
+"""Pajek ``.net`` syntax for workload and fabric records.
 
 The baseline dialect is the one Pajek itself accepts: a ``*Vertices``
 section numbering the nodes (quoted labels, optional ``x y``
@@ -12,12 +12,11 @@ Repro extends it backward-compatibly:
   (written only when some edge has a non-zero bandwidth);
 * topology arcs carry ``length_mm width_bits bandwidth`` columns.
 
-Both readers hold a file to one input contract: the ``*Vertices N``
+The parser holds a file to one input contract: the ``*Vertices N``
 ids run 1..N, each declared once with a unique label (the id itself when
 the line gives none), and arcs join declared ids only.  ``*Edges``
-sections are read as bidirectional arcs, ``%`` comment lines and a
-``*Network`` title line are skipped, and repeated arcs merge into one
-(volumes add up).  Any other input raises
+sections are read as bidirectional arcs, and ``%`` comment lines and a
+``*Network`` title line are skipped.  Any other input raises
 :class:`~repro.exceptions.WorkloadError` naming the file and line.
 """
 
@@ -26,11 +25,12 @@ from __future__ import annotations
 import shlex
 from pathlib import Path
 
-from repro.arch.topology import Topology
-from repro.core.graph import ApplicationGraph
 from repro.exceptions import WorkloadError
 from repro.io.base import (
+    GraphFile,
     GraphFormat,
+    check_header,
+    columns,
     format_float,
     parse_number,
     reading_line,
@@ -58,9 +58,7 @@ def _parse_directive(line: str) -> dict[str, str]:
         directive[key] = value
     if directive.get("kind", "") not in ("", "topology", "workload"):
         raise WorkloadError(f"unknown repro payload kind {directive['kind']!r}")
-    if "flit_width_bits" in directive:
-        parse_number(directive["flit_width_bits"])
-    return directive
+    return check_header(directive)
 
 
 def _split_vertex_line(line: str, raw_line: str) -> tuple[int, str, tuple[float, float] | None]:
@@ -109,12 +107,12 @@ def _declared(labels: dict[int, str], token: str) -> str:
         raise WorkloadError(f"arc endpoint {token!r} is not a declared vertex id") from None
 
 
-def _parse(path: str | Path):
-    """Split a ``.net`` file into (directive, vertices, arcs), checking it.
+def parse(path: Path, fields: tuple[str, ...]) -> GraphFile:
+    """Read a ``.net`` file, checking it against the input contract.
 
-    ``vertices`` lists ``(label, coordinates or None)`` in id order;
-    ``arcs`` lists ``(line number, source label, target label, extra
-    columns)``, both directions for an ``*Edges`` line.
+    Vertices keep their id order; an ``*Edges`` line yields both
+    directions, and arc columns past the endpoints are the fields in
+    order.
     """
     directive: dict[str, str] = {}
     section = None
@@ -122,7 +120,7 @@ def _parse(path: str | Path):
     labels: dict[int, str] = {}
     positions: dict[int, tuple[float, float] | None] = {}
     owners: dict[str, int] = {}
-    arcs: list[tuple[int, str, str, list[str]]] = []
+    arcs: list[tuple[int, str, str, tuple[str | None, ...]]] = []
     text = Path(path).read_text(encoding="utf-8")
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -157,121 +155,40 @@ def _parse(path: str | Path):
                 if len(parts) < 2:
                     raise WorkloadError(f"malformed Pajek arc line: {raw_line!r}")
                 source, target = _declared(labels, parts[0]), _declared(labels, parts[1])
-                arcs.append((number, source, target, parts[2:]))
+                arcs.append((number, source, target, columns(parts[2:], fields)))
                 if section == "edges":
-                    arcs.append((number, target, source, parts[2:]))
-    missing = [index for index in range(1, count + 1) if index not in labels]
-    if missing:
+                    arcs.append((number, target, source, columns(parts[2:], fields)))
+    if len(labels) < count:
+        # name the first ten missing ids: they lie within 1..len(labels) + 10
+        span = range(1, min(count, len(labels) + 10) + 1)
+        missing = [index for index in span if index not in labels]
         with reading_line(path, header_number):
             raise WorkloadError(f"vertex ids {missing} of *Vertices {count} are never declared")
     vertices = [(labels[index], positions[index]) for index in range(1, count + 1)]
-    return directive, vertices, arcs
+    return GraphFile(directive, None, vertices, arcs)
 
 
-# ----------------------------------------------------------------------
-# workloads
-# ----------------------------------------------------------------------
-def write_workload(acg: ApplicationGraph, path: str | Path) -> None:
-    """Write an ACG as Pajek ``.net`` (volumes as arc weights)."""
-    nodes = acg.nodes()
-    index_of = {node: index + 1 for index, node in enumerate(nodes)}
-    with_bandwidth = any(acg.bandwidth(s, t) != 0.0 for s, t in acg.edges())
-    lines = [f"{_DIRECTIVE_PREFIX} kind=workload"]
-    lines.append(f"*Vertices {len(nodes)}")
-    for node in nodes:
-        line = f"{index_of[node]} {_quote(node)}"
-        if acg.has_position(node):
-            position = acg.position(node)
-            line += f" {format_float(position.x)} {format_float(position.y)}"
+def render(record: GraphFile, fields: tuple[str, ...]) -> str:
+    """A ``.net`` file: the header as a directive, vertices with optional
+    coordinates, one arc per edge with its fields as columns (a
+    workload's bandwidth column only when some arc's is non-zero)."""
+    index_of = {label: index for index, (label, _) in enumerate(record.nodes, start=1)}
+    directive = " ".join(f"{key}={shlex.quote(value)}" for key, value in record.header.items())
+    lines = [f"{_DIRECTIVE_PREFIX} {directive}", f"*Vertices {len(record.nodes)}"]
+    for label, position in record.nodes:
+        line = f"{index_of[label]} {_quote(label)}"
+        if position is not None:
+            line += f" {format_float(position[0])} {format_float(position[1])}"
         lines.append(line)
     lines.append("*Arcs")
-    for source, target in acg.edges():
-        line = (
-            f"{index_of[source]} {index_of[target]} "
-            f"{format_float(acg.volume(source, target))}"
-        )
-        if with_bandwidth:
-            line += f" {format_float(acg.bandwidth(source, target))}"
-        lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_workload(path: str | Path) -> ApplicationGraph:
-    """Read a Pajek ``.net`` file into an ACG.
-
-    ``*Edges`` sections are treated as bidirectional arcs; labels default
-    to the vertex index; coordinates become core positions.
-    """
-    _directive, vertices, arcs = _parse(path)
-    acg = ApplicationGraph(name=Path(path).stem)
-    for label, coords in vertices:
-        acg.add_node(label)
-        if coords is not None:
-            acg.set_position(label, coords[0], coords[1])
-    for number, source, target, extra in arcs:
-        with reading_line(path, number):
-            volume = parse_number(extra[0]) if len(extra) > 0 else 1.0
-            bandwidth = parse_number(extra[1]) if len(extra) > 1 else 0.0
-            acg.add_communication(source, target, volume=volume, bandwidth=bandwidth)
-    return acg
-
-
-# ----------------------------------------------------------------------
-# topologies
-# ----------------------------------------------------------------------
-def write_topology(topology: Topology, path: str | Path) -> None:
-    """Write a fabric as Pajek ``.net`` with repro channel-attribute columns."""
-    routers = topology.routers()
-    index_of = {node: index + 1 for index, node in enumerate(routers)}
-    lines = [
-        f"{_DIRECTIVE_PREFIX} kind=topology "
-        f"flit_width_bits={int(topology.flit_width_bits)} "
-        f"name={shlex.quote(str(topology.name))}"
-    ]
-    lines.append(f"*Vertices {len(routers)}")
-    for node in routers:
-        line = f"{index_of[node]} {_quote(node)}"
-        if topology.has_position(node):
-            position = topology.position(node)
-            line += f" {format_float(position.x)} {format_float(position.y)}"
-        lines.append(line)
-    lines.append("*Arcs")
-    for channel in topology.channels():
-        lines.append(
-            f"{index_of[channel.source]} {index_of[channel.target]} "
-            f"{format_float(channel.length_mm)} {int(channel.width_bits)} "
-            f"{format_float(channel.bandwidth_bits_per_cycle)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_topology(path: str | Path) -> Topology:
-    """Read a Pajek ``.net`` fabric written by :func:`write_topology`.
-
-    Plain Pajek files (no repro directive) are accepted too: arcs become
-    unit-length channels at the default flit width.
-    """
-    directive, vertices, arcs = _parse(path)
-    flit_width = int(parse_number(directive.get("flit_width_bits", "32")))
-    topology = Topology(name=directive.get("name") or Path(path).stem, flit_width_bits=flit_width)
-    for label, coords in vertices:
-        if coords is not None:
-            topology.add_router(label, coords[0], coords[1])
-        else:
-            topology.add_router(label)
-    for number, source, target, extra in arcs:
-        with reading_line(path, number):
-            length = parse_number(extra[0]) if len(extra) > 0 else None
-            width = int(parse_number(extra[1])) if len(extra) > 1 else None
-            bandwidth = parse_number(extra[2]) if len(extra) > 2 else None
-            topology.add_channel(
-                source,
-                target,
-                length_mm=length,
-                width_bits=width,
-                bandwidth_bits_per_cycle=bandwidth,
-            )
-    return topology
+    width = len(fields)
+    if record.header.get("kind") == "workload" and all(
+        float(values[-1]) == 0.0 for *_, values in record.edges
+    ):
+        width -= 1
+    for _, source, target, values in record.edges:
+        lines.append(" ".join([str(index_of[source]), str(index_of[target]), *values[:width]]))
+    return "\n".join(lines) + "\n"
 
 
 register_format(
@@ -279,10 +196,8 @@ register_format(
         name="pajek",
         description="Pajek .net (vertices/arcs; repro attribute columns)",
         extensions=(".net", ".pajek"),
-        read_workload=read_workload,
-        write_workload=write_workload,
-        read_topology=read_topology,
-        write_topology=write_topology,
+        parse=parse,
+        render=render,
         notes=(
             "Coordinates and the 4th/5th arc columns are repro extensions; "
             "plain Pajek tools read the files, repro reads plain Pajek files."

@@ -610,11 +610,10 @@ class BatchSimulator:
         now = self._cycle[index]
         cell.statistics.total_cycles = now
         self.flush_energy(index)
-        if cell.config.charge_leakage:
-            span = now - cell.leakage_charged_until
-            if span > 0:
-                cell.energy.charge_leakage(self._num_routers, span)
-                cell.leakage_charged_until = now
+        span = now - cell.leakage_charged_until
+        if span > 0:
+            cell.energy.charge_leakage(self._num_routers, span)
+            cell.leakage_charged_until = now
         self._mode[index] = _MODE_IDLE
 
     def flush_energy(self, index: int) -> None:

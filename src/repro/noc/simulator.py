@@ -131,7 +131,6 @@ class SimulatorConfig:
     buffer_capacity_packets: int = 4
     router_pipeline_delay_cycles: int = 1
     max_cycles: int = 1_000_000
-    charge_leakage: bool = True
     engine: str = ENGINE_EVENT
     """``"event"`` (skip dead time) or ``"batch"`` (vectorized numpy
     arrays; a batch of one here, several cells only through
@@ -939,13 +938,12 @@ class NoCSimulator:
     def _finalize(self) -> None:
         self.statistics.total_cycles = self.current_cycle
         self._flush_energy_batches()
-        if self.config.charge_leakage:
-            # leakage is charged once per finalize over the cycles simulated
-            # since the previous finalize — including any skipped idle span
-            span = self.current_cycle - self._leakage_charged_until
-            if span > 0:
-                self.energy.charge_leakage(len(self._nodes), span)
-                self._leakage_charged_until = self.current_cycle
+        # leakage is charged once per finalize over the cycles simulated
+        # since the previous finalize — including any skipped idle span
+        span = self.current_cycle - self._leakage_charged_until
+        if span > 0:
+            self.energy.charge_leakage(len(self._nodes), span)
+            self._leakage_charged_until = self.current_cycle
 
     # ------------------------------------------------------------------
     # results

@@ -106,7 +106,7 @@ class TestFormatRegistry:
     def test_formats_are_complete_specs(self):
         for name in format_names():
             spec = get_format(name)
-            for field in ("read_workload", "write_workload", "read_topology", "write_topology"):
+            for field in ("parse", "render"):
                 assert callable(getattr(spec, field)), (name, field)
 
     def test_builtin_registries_cover_the_fabric(self):
@@ -171,6 +171,7 @@ class TestPajekInputContract:
             ('*Vertices 2\n1 "a"\n2 "a"\n*Arcs\n1 2 3\n', 3, "share the label 'a'"),
             ('*Vertices 2\n1 "a"\n3 "b"\n*Arcs\n1 3 3\n', 3, "outside 1..2"),
             ('*Vertices 3\n1 "a"\n2 "b"\n*Arcs\n1 2 3\n', 1, "never declared"),
+            ('*Vertices 1000000000000\n1 "a"\n', 1, r"ids \[2, .*, 11\] of .* never declared"),
             ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 nan\n', 5, "finite number, got 'nan'"),
             ('*Vertices 2\n1 "a" 0 nan\n2 "b"\n*Arcs\n1 2 3\n', 2, "finite"),
             ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 1 3\n', 5, "self-loop|to itself"),
@@ -179,7 +180,7 @@ class TestPajekInputContract:
         ],
         ids=[
             "undeclared-arc-id", "repeated-id", "shared-label", "id-past-n",
-            "missing-id", "nan-volume", "nan-coordinate", "self-loop",
+            "missing-id", "huge-vertex-count", "nan-volume", "nan-coordinate", "self-loop",
             "unknown-section", "line-outside-sections",
         ],
     )
@@ -231,6 +232,66 @@ class TestFlitWidthHeader:
             read_topology(path)
         assert str(caught.value).startswith(f"{path}, line {line}: ")
         assert "expected a number" in str(caught.value)
+
+
+class TestFabricRanges:
+    """A fabric file with an out-of-range channel field or flit width is an
+    input error that names the file and the line, in every format."""
+
+    #: per format: a one-channel fabric template and the lines holding the
+    #: header and the channel
+    TEMPLATES = {
+        "bad.edges": (
+            "#% repro-edgelist kind=topology flit_width_bits={flit}\n"
+            "a b {length} {width} {bandwidth}\n",
+            1, 2,
+        ),
+        "bad.dot": (
+            'digraph g {{\n  graph [flit_width_bits="{flit}"];\n'
+            '  a -> b [length_mm="{length}", width_bits="{width}", bandwidth="{bandwidth}"];\n}}\n',
+            2, 3,
+        ),
+        "bad.net": (
+            '% repro kind=topology flit_width_bits={flit}\n*Vertices 2\n1 "a"\n2 "b"\n'
+            "*Arcs\n1 2 {length} {width} {bandwidth}\n",
+            1, 6,
+        ),
+    }
+    VALID = {"flit": "32", "length": "1.5", "width": "32", "bandwidth": "32.0"}
+
+    def test_the_valid_templates_read(self, tmp_path):
+        for name, (template, _, _) in self.TEMPLATES.items():
+            path = tmp_path / name
+            path.write_text(template.format(**self.VALID), encoding="utf-8")
+            assert read_topology(path).channel("a", "b").length_mm == 1.5
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("length", "-1", "channel length must be non-negative"),
+            ("width", "0", "channel width must be a positive whole number"),
+            ("width", "1.5", "channel width must be a positive whole number"),
+            ("bandwidth", "-2.5", "channel bandwidth must be non-negative"),
+            ("flit", "16.7", "flit_width_bits must be a positive whole number"),
+            ("flit", "0", "flit_width_bits must be a positive whole number"),
+            ("flit", "-8", "flit_width_bits must be a positive whole number"),
+        ],
+        ids=[
+            "negative-length", "zero-width", "fractional-width", "negative-bandwidth",
+            "fractional-flit-width", "zero-flit-width", "negative-flit-width",
+        ],
+    )
+    def test_out_of_range_values_name_the_file_and_line(
+        self, tmp_path, name, field, value, message
+    ):
+        template, header_line, channel_line = self.TEMPLATES[name]
+        path = tmp_path / name
+        path.write_text(template.format(**{**self.VALID, field: value}), encoding="utf-8")
+        with pytest.raises(WorkloadError) as caught:
+            read_topology(path)
+        line = header_line if field == "flit" else channel_line
+        assert str(caught.value).startswith(f"{path}, line {line}: {message}, got '{value}'")
 
 
 class TestDotKeywordNames:

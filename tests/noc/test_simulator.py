@@ -131,12 +131,6 @@ class TestEnergyAccounting:
         far.run_until_drained()
         assert far.energy.dynamic_energy_pj > near.energy.dynamic_energy_pj
 
-    def test_leakage_disabled(self):
-        simulator = pair_simulator(charge_leakage=False)
-        simulator.schedule_message(Message(1, 2, 8))
-        simulator.run_until_drained()
-        assert simulator.energy.leakage_energy_pj == 0.0
-
     def test_report_contains_power_and_energy(self):
         simulator = pair_simulator()
         simulator.schedule_message(Message(1, 2, 8))

@@ -252,7 +252,7 @@ class OracleSimulator:
         self.statistics.total_cycles = self.current_cycle
         self.flush_energy()
         span = self.current_cycle - self.leakage_until
-        if self.config.charge_leakage and span > 0:
+        if span > 0:
             self.energy.charge_leakage(len(self.routers), span)
             self.leakage_until = self.current_cycle
 
