@@ -113,6 +113,8 @@ def _sweep_grid(arguments: argparse.Namespace):
 def _report_skipped_lines(cache: ResultCache) -> None:
     if cache.skipped_lines:
         print(f"{cache.skipped_lines} malformed cache line(s) skipped")
+    if cache.stale_lines:
+        print(f"{cache.stale_lines} cache line(s) of another pipeline version skipped")
 
 
 def _finish_sweep_output(arguments, cache, artifacts, session) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.dse.pipeline import EvaluationSettings
+from repro.dse.pipeline import SETTINGS_READERS
 from repro.dse.records import EvaluationRecord
 
 #: default Pareto objectives (smaller is better)
@@ -117,6 +117,12 @@ def pareto_front(
 #: axes that select a standard-fabric variant rather than an operating point
 _FABRIC_AXES = ("topology", "routing_policy")
 
+#: axes a mesh-baseline match ignores: the architecture, the fabric axes and
+#: every settings field no mesh evaluation reads
+_MESH_IGNORED_AXES = {"architecture", *_FABRIC_AXES} | {
+    name for name, (_, readers) in SETTINGS_READERS.items() if MESH_ARCHITECTURE not in readers
+}
+
 
 def _non_fabric_axes(record: EvaluationRecord) -> dict[str, object]:
     """The record's axes minus the architecture/fabric-selection axes."""
@@ -147,16 +153,7 @@ def _mesh_relevant_axes(record: EvaluationRecord) -> dict[str, object]:
     reference that swept ``topology``/``routing_policy`` must still match
     a record that never carried those axes.
     """
-    excluded = (
-        set(EvaluationSettings._CUSTOM_ONLY_FIELDS)
-        | set(_FABRIC_AXES)
-        | {"architecture"}
-    )
-    return {
-        key: value
-        for key, value in record.axes.items()
-        if key not in excluded
-    }
+    return {key: value for key, value in record.axes.items() if key not in _MESH_IGNORED_AXES}
 
 
 def mesh_baseline_for(

@@ -19,11 +19,12 @@ absent.
 — the pipeline's stages are separable, and the expensive one (the
 decomposition search) only reads the workload graph plus the
 decomposition knobs.  Its output is therefore cached under a *stage
-sub-key* (:func:`decomposition_stage_key`) derived from the cell key by
-nulling out every simulator- and synthesis-stage field, so all cells of
-a simulator-axis sweep share one serialized decomposition.  A synthesis
-sub-key (:func:`synthesis_stage_key`) layers the synthesis fields back
-on top and memoizes the synthesized topology + routing table in memory.
+sub-key* (:func:`decomposition_stage_key`) that hashes only the settings
+the decompose stage reads (``canonical_dict("decompose")``), so all cells
+of a simulator-axis sweep share one serialized decomposition.  A synthesis
+sub-key (:func:`synthesis_stage_key`, ``canonical_dict("synthesize")``)
+adds the synthesis fields and memoizes the synthesized topology + routing
+table in memory.
 """
 
 from __future__ import annotations
@@ -230,28 +231,27 @@ def decomposition_stage_key(scenario: Scenario, settings: EvaluationSettings) ->
     """Stable content hash of the decompose stage's inputs.
 
     Only the workload graph structure and the decomposition-stage settings
-    (:meth:`EvaluationSettings.decomposition_stage_dict`) enter the hash:
+    (``EvaluationSettings.canonical_dict("decompose")``) enter the hash:
     two cells that differ in simulator- or synthesis-stage fields alone —
     or in how the traffic is driven — share this key, and therefore one
     decomposition search.
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _key_digest("decompose", effective.decomposition_stage_dict(), "workload", workload)
+    return _key_digest("decompose", effective.canonical_dict("decompose"), "workload", workload)
 
 
 def synthesis_stage_key(scenario: Scenario, settings: EvaluationSettings) -> str:
     """Stable content hash of the synthesize/route stages' inputs.
 
-    Layers the synthesis-stage fields
-    (:meth:`EvaluationSettings.synthesis_stage_dict`) on top of the
-    decomposition sub-key's inputs; cells that differ only in
-    simulator-stage fields share this key, and therefore one synthesized
-    topology and routing table.
+    Hashes the settings the synthesize/route stages read and those before
+    them read (``EvaluationSettings.canonical_dict("synthesize")``); cells
+    that differ only in simulator-stage fields share this key, and
+    therefore one synthesized topology and routing table.
     """
     effective = scenario.effective_settings(settings)
     _, workload = _fingerprint_texts(scenario)
-    return _key_digest("synthesize", effective.synthesis_stage_dict(), "workload", workload)
+    return _key_digest("synthesize", effective.canonical_dict("synthesize"), "workload", workload)
 
 
 class ResultCache:
@@ -266,6 +266,9 @@ class ResultCache:
         self.skipped_lines = 0
         """Malformed lines :meth:`load` skipped: truncated JSON (a crashed
         writer), non-object JSON, or a record missing fields or its key."""
+        self.stale_lines = 0
+        """Lines :meth:`load` skipped because another pipeline version (or
+        one that stamped no version) wrote them; they stay in the file."""
 
     # ------------------------------------------------------------------
     # loading
@@ -291,6 +294,9 @@ class ResultCache:
                     record = None
                 if record is None or not record.cache_key:
                     self.skipped_lines += 1  # skip (and count), don't die
+                    continue
+                if payload.get("pipeline_version") != PIPELINE_VERSION:
+                    self.stale_lines += 1
                     continue
                 record.from_cache = True
                 self._records[record.cache_key] = record
@@ -328,7 +334,8 @@ class ResultCache:
     # writing
     # ------------------------------------------------------------------
     def store(self, record: EvaluationRecord) -> None:
-        """Append one record (it must carry its cache key).
+        """Append one record (it must carry its cache key), stamped with
+        :data:`PIPELINE_VERSION`.
 
         The cache keeps its own copy, read back from the stored line (on
         first :meth:`get`) and flagged ``from_cache``: a later :meth:`get`
@@ -339,7 +346,8 @@ class ResultCache:
             raise ValueError("cannot cache a record without a cache_key")
         self._read()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = record.to_json()
+        # the stamp becomes the first member of the record's JSON object
+        line = f'{{"pipeline_version": {PIPELINE_VERSION}, {record.to_json()[1:]}'
         with self.path.open("a", encoding="utf-8") as stream:
             stream.write(line + "\n")
         self._records[record.cache_key] = line

@@ -247,6 +247,20 @@ def _type_matches(value: object, allowed: tuple[type, ...]) -> bool:
     return isinstance(value, allowed)
 
 
+#: ``"custom"`` (decompose + synthesize) or ``"mesh"`` (a standard fabric)
+ARCHITECTURES = ("custom", "mesh")
+
+#: the pipeline stages a settings field can feed, in order; a stage's key
+#: holds every field read by that stage or an earlier one
+STAGES = ("decompose", "synthesize", "simulate")
+
+
+def _setting(default: object, stage: str, readers: tuple[str, ...] = ARCHITECTURES):
+    """A settings field: its default, the first stage that reads it and the
+    architectures whose evaluation reads it (see :data:`SETTINGS_READERS`)."""
+    return field(default=default, metadata={"stage": stage, "readers": readers})
+
+
 @dataclass(frozen=True)
 class EvaluationSettings:
     """One point of the configuration space (JSON-serializable by design).
@@ -255,46 +269,49 @@ class EvaluationSettings:
     content-hashed for the result cache and shipped to worker processes.
     """
 
-    architecture: str = "custom"
+    architecture: str = _setting("custom", "decompose")
     """``"custom"`` (decompose + synthesize) or ``"mesh"`` (standard-fabric
     baseline: a :mod:`repro.arch.families` topology family routed by a
     :mod:`repro.routing.policies` policy; the label predates the fabric
     registry and covers every standard family, not just the mesh)."""
 
     # -- decomposition ---------------------------------------------------
-    strategy: str = "branch_and_bound"
-    library: str = "default"
-    max_matchings_per_primitive: int | None = 3
-    max_nodes_expanded: int | None = 400
+    strategy: str = _setting("branch_and_bound", "decompose", ("custom",))
+    library: str = _setting("default", "decompose", ("custom",))
+    max_matchings_per_primitive: int | None = _setting(3, "decompose", ("custom",))
+    max_nodes_expanded: int | None = _setting(400, "decompose", ("custom",))
 
     # -- synthesis -------------------------------------------------------
-    flit_width_bits: int = 32
-    bidirectional_links: bool = False
-    fill_all_pairs_routing: bool = False
+    flit_width_bits: int = _setting(32, "synthesize")
+    """Also feeds the simulator config, but it shapes the topology first."""
+    bidirectional_links: bool = _setting(False, "synthesize", ("custom",))
+    fill_all_pairs_routing: bool = _setting(False, "synthesize", ("custom",))
 
-    # -- standard-fabric baseline ----------------------------------------
-    topology: str = "mesh"
+    # -- standard-fabric baseline (its first-stage inputs) ---------------
+    topology: str = _setting("mesh", "decompose", ("mesh",))
     """Topology family of the baseline fabric (see
     :func:`repro.arch.families.family_names`)."""
-    routing_policy: str = "xy"
+    routing_policy: str = _setting("xy", "decompose", ("mesh",))
     """Routing policy compiled onto the baseline fabric (see
     :func:`repro.routing.policies.policy_names`)."""
-    mesh_tile_pitch_mm: float = 2.0
+    mesh_tile_pitch_mm: float = _setting(2.0, "decompose", ("mesh",))
     """Tile pitch of the baseline fabric (the name predates the fabric
     registry; every family reads it, not just the mesh)."""
 
     # -- routing gate ----------------------------------------------------
-    require_deadlock_free: bool = False
+    require_deadlock_free: bool = _setting(False, "simulate")
     """When true, the route-stage CDG gate fails cells whose routing table
     admits a dependency cycle instead of simulating them; either way the
-    record carries ``deadlock_free`` and ``vc_channels_needed``."""
+    record carries ``deadlock_free`` and ``vc_channels_needed``.  The table
+    and report it inspects do not depend on it, so it is declared with the
+    simulate stage and stage artifacts are shared across gate settings."""
 
     # -- simulation ------------------------------------------------------
-    technology: str = "fpga_virtex2"
-    router_pipeline_delay_cycles: int = 1
-    buffer_capacity_packets: int = 4
-    max_cycles: int = 100_000
-    engine: str = ENGINE_EVENT
+    technology: str = _setting("fpga_virtex2", "simulate")
+    router_pipeline_delay_cycles: int = _setting(1, "simulate")
+    buffer_capacity_packets: int = _setting(4, "simulate")
+    max_cycles: int = _setting(100_000, "simulate")
+    engine: str = _setting(ENGINE_EVENT, "simulate")
     """Simulator engine: ``"event"`` (skip dead time) or ``"batch"``
     (vectorized numpy, one cell per
     :class:`~repro.noc.simulator.NoCSimulator`)."""
@@ -316,7 +333,7 @@ class EvaluationSettings:
                     f"setting {name}={value!r} has type {type(value).__name__}, "
                     f"expected {annotation}"
                 )
-        if self.architecture not in ("custom", "mesh"):
+        if self.architecture not in ARCHITECTURES:
             raise ConfigurationError(
                 f"unknown architecture {self.architecture!r} (use 'custom' or 'mesh')"
             )
@@ -344,87 +361,18 @@ class EvaluationSettings:
         known = {spec.name for spec in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
 
-    #: fields a mesh-baseline evaluation never reads
-    _CUSTOM_ONLY_FIELDS = (
-        "strategy",
-        "library",
-        "max_matchings_per_primitive",
-        "max_nodes_expanded",
-        "bidirectional_links",
-        "fill_all_pairs_routing",
-    )
+    def canonical_dict(self, stage: str = "simulate") -> dict[str, object]:
+        """``as_dict`` with the fields this architecture does not read by
+        ``stage`` (see :data:`SETTINGS_READERS`) nulled out.
 
-    #: fields only the standard-fabric baseline reads
-    _FABRIC_ONLY_FIELDS = (
-        "topology",
-        "routing_policy",
-        "mesh_tile_pitch_mm",
-    )
-
-    def canonical_dict(self) -> dict[str, object]:
-        """``as_dict`` with architecture-irrelevant knobs normalized out.
-
-        Used for content-hash cache keys: a standard-fabric baseline does
-        not depend on decomposition/synthesis knobs (and a custom
-        architecture does not depend on the fabric family, routing policy
-        or tile pitch), so cells differing only in an irrelevant axis share
-        one key — and one evaluation.
+        The content identity of ``stage`` and the stages before it.  The
+        default, ``"simulate"``, is the cell key's: a mesh baseline ignores
+        the search/synthesis knobs and a custom architecture the fabric
+        fields, so cells differing only in an unread axis share one
+        evaluation (and ``"decompose"`` cells one search).
         """
         payload = self.as_dict()
-        if self.architecture == "mesh":
-            for name in self._CUSTOM_ONLY_FIELDS:
-                payload[name] = None
-        else:
-            for name in self._FABRIC_ONLY_FIELDS:
-                payload[name] = None
-        return payload
-
-    #: fields only the simulate/score stages read; changing one never changes
-    #: the decomposition or the synthesized topology.
-    #: ``require_deadlock_free`` rides along: it gates whether a cell
-    #: *proceeds* past the route stage, but the routing table and deadlock
-    #: report it inspects are identical either way, so stage artifacts are
-    #: safely shared across gate settings.
-    _SIMULATOR_STAGE_FIELDS = (
-        "technology",
-        "router_pipeline_delay_cycles",
-        "buffer_capacity_packets",
-        "max_cycles",
-        "engine",
-        "require_deadlock_free",
-    )
-
-    #: fields the synthesize/route stages read on top of the decomposition
-    #: (``flit_width_bits`` also feeds the simulator config, but it shapes the
-    #: topology first, so it is upstream of the simulate stage)
-    _SYNTHESIS_STAGE_FIELDS = (
-        "flit_width_bits",
-        "bidirectional_links",
-        "fill_all_pairs_routing",
-    )
-
-    def synthesis_stage_dict(self) -> dict[str, object]:
-        """:meth:`canonical_dict` with the simulator-stage fields nulled out.
-
-        The content identity of the synthesize/route stages: cells that agree
-        on this dict (and on the workload graph) produce the same synthesized
-        topology, routing table and constraint/deadlock reports, whatever
-        their simulator knobs say.
-        """
-        payload = self.canonical_dict()
-        for name in self._SIMULATOR_STAGE_FIELDS:
-            payload[name] = None
-        return payload
-
-    def decomposition_stage_dict(self) -> dict[str, object]:
-        """:meth:`synthesis_stage_dict` with the synthesis fields nulled too.
-
-        The content identity of the decompose stage: only the search knobs
-        (strategy, library, matching/node budgets) survive, so every
-        simulator- or synthesis-axis sweep cell shares one decomposition.
-        """
-        payload = self.synthesis_stage_dict()
-        for name in self._SYNTHESIS_STAGE_FIELDS:
+        for name in _UNREAD[self.architecture, stage]:
             payload[name] = None
         return payload
 
@@ -477,6 +425,26 @@ class EvaluationSettings:
     def build_technology(self) -> Technology:
         """Resolve the named technology's energy/frequency parameters."""
         return get_technology(self.technology)
+
+
+#: per settings field: (the first stage that reads it, the architectures
+#: that read it); a field declared without :func:`_setting` fails here
+SETTINGS_READERS: dict[str, tuple[str, tuple[str, ...]]] = {
+    spec.name: (spec.metadata["stage"], spec.metadata["readers"])
+    for spec in fields(EvaluationSettings)
+}
+
+#: (architecture, stage) -> the fields that stage's key nulls: those the
+#: architecture never reads and those first read by a later stage
+_UNREAD: dict[tuple[str, str], tuple[str, ...]] = {
+    (architecture, stage): tuple(
+        name
+        for name, (first, readers) in SETTINGS_READERS.items()
+        if architecture not in readers or STAGES.index(first) > STAGES.index(stage)
+    )
+    for architecture in ARCHITECTURES
+    for stage in STAGES
+}
 
 
 # ----------------------------------------------------------------------

@@ -202,8 +202,8 @@ class TestEvaluationSettings:
         artifacts, so it must not fragment the stage caches."""
         lax = EvaluationSettings(architecture="custom")
         strict = EvaluationSettings(architecture="custom", require_deadlock_free=True)
-        assert lax.synthesis_stage_dict() == strict.synthesis_stage_dict()
-        assert lax.decomposition_stage_dict() == strict.decomposition_stage_dict()
+        assert lax.canonical_dict("synthesize") == strict.canonical_dict("synthesize")
+        assert lax.canonical_dict("decompose") == strict.canonical_dict("decompose")
 
 
 class TestScenario:

@@ -90,6 +90,11 @@ class TestCacheKey:
         assert completed.stdout.strip() == cache_key(scenario, settings)
 
 
+def stamped(record: EvaluationRecord) -> str:
+    """The line :meth:`ResultCache.store` writes for ``record``."""
+    return json.dumps({"pipeline_version": PIPELINE_VERSION, **json.loads(record.to_json())})
+
+
 class TestResultCache:
     def _record(self, key: str) -> EvaluationRecord:
         return EvaluationRecord(
@@ -131,13 +136,13 @@ class TestResultCache:
 
         path = tmp_path / "results.jsonl"
         with path.open("w", encoding="utf-8") as stream:
-            stream.write(self._record("k1").to_json() + "\n")
+            stream.write(stamped(self._record("k1")) + "\n")
             stream.write('{"scenario": "trunca\n')  # truncated
-            stream.write(self._record("k2").to_json() + "\n")
+            stream.write(stamped(self._record("k2")) + "\n")
             stream.write("[1, 2, 3]\n")  # not an object
-            stream.write(self._record("k3").to_json() + "\n")
+            stream.write(stamped(self._record("k3")) + "\n")
             stream.write('{"scenario": "s", "cache_key": "k4"}\n')  # fields missing
-            stream.write(self._record("k5").to_json() + "\n")
+            stream.write(stamped(self._record("k5")) + "\n")
         cache = ResultCache(path)
         assert sorted(cache.load()) == ["k1", "k2", "k3", "k5"]
         assert cache.skipped_lines == 3
@@ -148,7 +153,8 @@ class TestResultCache:
 
     def test_version_5_stacked_line_loads_but_is_never_served(self, tmp_path, capsys):
         """A line cached before the ``stacked`` bound was deleted (pipeline
-        version 5) still parses, but no version-6 cell can hit it."""
+        version 5) still parses, but it is skipped as stale and no cell of
+        the current version can hit it."""
         from repro.dse.__main__ import main
 
         scenario = planted_scenario(num_nodes=12, seed=11)
@@ -169,8 +175,8 @@ class TestResultCache:
         path.write_text(record.to_json() + "\n", encoding="utf-8")
 
         cache = ResultCache(path)
-        assert list(cache.load()) == [legacy_key]
-        assert cache.skipped_lines == 0
+        assert cache.load() == {}
+        assert (cache.skipped_lines, cache.stale_lines) == (0, 1)
         assert PIPELINE_VERSION > 5
         assert cache_key(scenario, settings) not in cache
         sweep = run_sweep([scenario], base=settings, cache=cache)
@@ -180,6 +186,36 @@ class TestResultCache:
 
         main(["report", "--results", str(path)])
         assert "malformed" not in capsys.readouterr().out
+
+    def test_records_of_another_pipeline_version_are_skipped(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A results file swept before and after a version bump loads,
+        describes and reports only the current version's records; the
+        older lines stay in the file and are counted."""
+        from repro.dse import cache as cache_module
+        from repro.dse.__main__ import main
+
+        path = tmp_path / "results.jsonl"
+        spec = get_suite("smoke")
+        run_sweep(spec.build(), spec.base_settings, spec.default_axes, cache=ResultCache(path))
+        monkeypatch.setattr(cache_module, "PIPELINE_VERSION", PIPELINE_VERSION + 1)
+        sweep = run_sweep(
+            spec.build(), spec.base_settings, spec.default_axes, cache=ResultCache(path)
+        )
+        assert len(sweep.records) == sweep.cache_misses == 12
+
+        cache = ResultCache(path)
+        assert len(cache.all_records()) == len(cache) == 12
+        assert (cache.skipped_lines, cache.stale_lines) == (0, 12)
+        assert cache.describe().endswith("(12 cached cells)")
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 24
+        main(["report", "--results", str(path)])
+        assert "12 cache line(s) of another pipeline version skipped" in capsys.readouterr().out
+        main(["run", "--suite", "smoke", "--results", str(path), "--no-artifacts"])
+        out = capsys.readouterr().out
+        assert "12 cache line(s) of another pipeline version skipped" in out
+        assert "(12 cached cells)" in out
 
     def test_a_record_of_the_retired_reference_engine_still_loads(self, tmp_path, capsys):
         """Records stored when ``engine="reference"`` was an engine keep
@@ -360,7 +396,8 @@ class TestRunSweep:
         for line in lines:
             stored = cache.get(json.loads(line)["cache_key"])
             assert stored.from_cache
-            assert deep_copy_line(stored) == line == stored.to_json()
+            assert deep_copy_line(stored) == stored.to_json()
+            assert line == stamped(stored)
 
     def test_records_come_back_in_plan_order(self):
         scenarios = [tgff_scenario(10, 7), planted_scenario(12, 11)]

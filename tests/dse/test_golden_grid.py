@@ -17,9 +17,7 @@ holds one compact JSON line per record.  Regenerate it only on purpose:
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +25,7 @@ import pytest
 from repro.dse.cache import ResultCache, StageArtifactStore
 from repro.dse.runner import plan_sweep, run_cells
 from repro.dse.scenarios import get_suite
+from test_perfbench_boundaries import load as load_perfbench
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_PATH = ROOT / "tests" / "fixtures" / "golden" / "grid_records.json"
@@ -43,24 +42,10 @@ PINNED = (
 )
 
 
-def benchmark_grid_axes() -> dict[str, tuple[object, ...]]:
-    """``GRID_AXES`` of ``perfbench/workloads.py``, loaded by path."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:  # leave no cache files in the benchmark's directory
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return module.GRID_AXES
-
-
 @pytest.fixture(scope="module")
 def cells():
     spec = get_suite("embedded")
-    return plan_sweep(spec.build(), spec.base_settings, benchmark_grid_axes())
+    return plan_sweep(spec.build(), spec.base_settings, load_perfbench("workloads").GRID_AXES)
 
 
 def sweep(cells, directory: Path, **options) -> dict[str, dict[str, object]]:
@@ -92,6 +77,18 @@ def render(records: dict[str, dict[str, object]]) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def differences(name: str, actual: object, expected: object) -> list[tuple[str, object, object]]:
+    """``(field, actual, corpus)`` per differing field; a dict field
+    (``metrics``, ``search_statistics``, ...) is compared key by key."""
+    if isinstance(actual, dict) and isinstance(expected, dict):
+        return [
+            difference
+            for key in sorted(actual.keys() | expected.keys())
+            for difference in differences(f"{name}.{key}", actual.get(key), expected.get(key))
+        ]
+    return [] if _canonical(actual) == _canonical(expected) else [(name, actual, expected)]
+
+
 def mismatches(actual, expected, skipped=()) -> list[str]:
     """One line per label missing on either side or pinned field that differs."""
     problems = []
@@ -102,11 +99,12 @@ def mismatches(actual, expected, skipped=()) -> list[str]:
             problems.append(f"{label}: missing from the sweep")
         else:
             problems.extend(
-                f"{label}: {name} is {_canonical(actual[label][name])}, "
-                f"corpus has {_canonical(expected[label][name])}"
+                f"{label}: {field} is {_canonical(value)}, corpus has {_canonical(pinned)}"
                 for name in PINNED
                 if name not in skipped
-                and _canonical(actual[label][name]) != _canonical(expected[label][name])
+                for field, value, pinned in differences(
+                    name, actual[label][name], expected[label][name]
+                )
             )
     return problems
 
@@ -158,11 +156,14 @@ def test_parallel_grid_matches_the_corpus(cells, tmp_path, request):
     assert_matches(records, skipped=("stage_reuse",))
 
 
-def test_a_changed_field_is_named(cells):
+def test_a_changed_field_is_named():
     """A mismatch line names the scenario, the label and the field."""
     corpus = load_corpus()
-    label = next(iter(sorted(corpus)))
-    changed = {**corpus, label: {**corpus[label], "status": "simulation_failed"}}
-    (problem,) = mismatches(changed, corpus)
-    assert problem.startswith(f"{label}: status is ")
+    label = min(corpus)
+    metrics = {**corpus[label]["metrics"], "energy_uj": -1.0}
+    changed = {**corpus, label: {**corpus[label], "status": "failed", "metrics": metrics}}
+    assert mismatches(changed, corpus) == [
+        f'{label}: metrics.energy_uj is -1.0, corpus has {corpus[label]["metrics"]["energy_uj"]!r}',
+        f'{label}: status is "failed", corpus has "ok"',
+    ]
     assert "/" in label and "architecture=" in label
