@@ -35,6 +35,7 @@ import os
 from collections.abc import Hashable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.arch.topology import Topology
@@ -68,6 +69,7 @@ from repro.dse.records import (
     EvaluationRecord,
 )
 from repro.exceptions import ReproError
+from repro.noc.simulator import WiredFabric
 from repro.routing.deadlock import DeadlockReport
 from repro.routing.table import RoutingTable
 
@@ -480,12 +482,25 @@ class StageArtifactStore:
         return f"{self.directory} ({len(self)} stage artifacts)"
 
 
+@dataclass(slots=True)
+class _RoutedFabric:
+    """What a :class:`StageContext` keeps per routed fabric and table
+    version: its content key and its wiring, each made on first use."""
+
+    topology: Topology
+    table: RoutingTable
+    version: int
+    key: Hashable | None = None
+    wired: WiredFabric | None = None
+
+
 class StageContext:
     """Per-process reuse of stage artifacts across the cells of a sweep.
 
     Holds an in-memory memo of decompositions (by decomposition sub-key),
     synthesized architectures and routed baseline fabrics (by synthesis
-    sub-key) and their content keys, backed by an optional
+    sub-key), their content keys and their simulator wiring
+    (:meth:`wired_fabric`), backed by an optional
     :class:`StageArtifactStore` that persists decompositions across runs
     and across worker processes, plus each scenario's traffic program,
     every finished simulation (:attr:`simulations`) and each search basis
@@ -495,8 +510,9 @@ class StageContext:
     one across its rungs), so a sweep runs the decomposition search
     exactly once per sub-key, enumerates each workload graph's matchings
     once across its budget-axis searches, routes each baseline fabric
-    once, and simulates a run only when no earlier run on an equal fabric
-    repeats it or certifies its buffer capacity.
+    once, wires each routed fabric once for all the runs on it, and
+    simulates a run only when no earlier run on an equal fabric repeats it
+    or certifies its buffer capacity.
     """
 
     def __init__(self, store: StageArtifactStore | None = None) -> None:
@@ -504,9 +520,7 @@ class StageContext:
         self._decompositions: dict[str, DecompositionResult] = {}
         self._architectures: dict[str, SynthesizedArchitecture] = {}
         self._baselines: dict[str, tuple[Topology, RoutingTable, DeadlockReport]] = {}
-        self._fabric_keys: dict[
-            tuple[int, int], tuple[Topology, RoutingTable, int, Hashable]
-        ] = {}
+        self._fabrics: dict[tuple[int, int], _RoutedFabric] = {}
         self.simulations: dict[tuple, list[SimulationRun]] = {}
         """Finished simulations by everything they read but the buffer
         capacity (filled and served by the pipeline's simulate stage)."""
@@ -517,19 +531,38 @@ class StageContext:
         enumerate its matchings once."""
         self._programs: dict[int, tuple[Scenario, TrafficProgram]] = {}
 
-    def fabric_key(self, topology: Topology, table: RoutingTable) -> Hashable:
-        """The routed fabric's content key, computed once per fabric.
+    def _routed(self, topology: Topology, table: RoutingTable) -> _RoutedFabric:
+        """The memo entry of a routed fabric, fresh for a table mutated
+        since the entry was made.
 
-        The memo holds the topology and the table, so no other object can
-        take over their ids; a table mutated since its key was computed
-        keys afresh.
+        The entry holds the topology and the table, so no other object can
+        take over their ids.
         """
         ids = (id(topology), id(table))
-        memoized = self._fabric_keys.get(ids)
-        if memoized is None or memoized[2] != table.version:
-            key = fabric_content_key(topology, table)
-            memoized = self._fabric_keys[ids] = (topology, table, table.version, key)
-        return memoized[3]
+        routed = self._fabrics.get(ids)
+        if routed is None or routed.version != table.version:
+            routed = self._fabrics[ids] = _RoutedFabric(topology, table, table.version)
+        return routed
+
+    def fabric_key(self, topology: Topology, table: RoutingTable) -> Hashable:
+        """The routed fabric's content key, computed once per fabric."""
+        routed = self._routed(topology, table)
+        if routed.key is None:
+            routed.key = fabric_content_key(topology, table)
+        return routed.key
+
+    def wired_fabric(self, topology: Topology, table: RoutingTable) -> WiredFabric:
+        """The routed fabric wired for the simulator, once per fabric.
+
+        Every run on the fabric shares its wiring, scan orders and routing
+        memo (:meth:`NoCSimulator.from_fabric
+        <repro.noc.simulator.NoCSimulator.from_fabric>`), routed by one
+        frozen snapshot of the table per table version.
+        """
+        routed = self._routed(topology, table)
+        if routed.wired is None:
+            routed.wired = WiredFabric(topology, table.frozen_next_hop())
+        return routed.wired
 
     def traffic_program(self, scenario: Scenario) -> TrafficProgram:
         """The scenario's traffic program, built once per scenario object.

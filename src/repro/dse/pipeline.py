@@ -96,6 +96,7 @@ from repro.noc.simulator import (
     RunOp,
     ScheduleOp,
     SimulatorConfig,
+    WiredFabric,
 )
 from repro.noc.stats import SimulationStatistics, throughput_mbps_from_cycles
 from repro.noc.traffic import acg_messages
@@ -110,7 +111,6 @@ if TYPE_CHECKING:
     from repro.dse.cache import StageContext
 
 NodeId = Hashable
-RoutingFunction = Callable[[NodeId, NodeId], NodeId]
 
 #: traffic modes a scenario can request
 TRAFFIC_ACG = "acg"
@@ -692,21 +692,26 @@ register_traffic_mode(
 
 def _replay(
     name: str,
-    topology: Topology,
-    routing: RoutingFunction,
+    wire: Callable[[], WiredFabric],
     program: TrafficProgram,
     technology: Technology,
     simulator_config: SimulatorConfig,
 ) -> tuple[ArchitectureMetrics, NoCSimulator, SimulatorProbe | None]:
     """Run one traffic program on a fresh :class:`NoCSimulator`, measure it.
 
-    Returns the metrics, the simulator (for its ``engine_info``) and the
-    session probe, if one was attached.
+    ``wire`` gives the routed fabric, wired now or shared with earlier
+    runs (the ``noc.setup`` span says which).  Returns the metrics, the
+    simulator (for its ``engine_info``) and the session probe, if one was
+    attached.
     """
-    with get_tracer().span("noc.setup"):
-        simulator = NoCSimulator(
-            topology, routing, config=simulator_config, technology=technology
+    tracer = get_tracer()
+    with tracer.span("noc.setup") as span:
+        fabric = wire()
+        simulator = NoCSimulator.from_fabric(
+            fabric, config=simulator_config, technology=technology
         )
+        if tracer.enabled:
+            span.annotate(fabric="wired" if fabric.simulators == 1 else "shared")
     probe = _session_probe(simulator)
     for op in program.ops:
         if isinstance(op, ScheduleOp):
@@ -736,7 +741,7 @@ def _replay(
         average_hops=statistics.average_hops(),
         average_power_mw=simulator.energy.average_power_mw(max(total_cycles, 1)),
         energy_per_block_uj=simulator.energy.total_energy_uj / iterations,
-        num_physical_links=topology.num_physical_links,
+        num_physical_links=fabric.num_physical_links,
         max_channel_utilization=statistics.max_channel_utilization(),
         engine=simulator.config.engine,
         cycles_stepped=simulator.cycles_stepped,
@@ -943,7 +948,11 @@ def _simulate_cell(
             _flush_probe(run.probe, run.statistics, topology.name)
             return run.metrics, run, provenance
     metrics, simulator, probe = _replay(
-        topology.name, topology, table.frozen_next_hop(), program, technology, config
+        topology.name,
+        lambda: context.wired_fabric(topology, table),
+        program,
+        technology,
+        config,
     )
     info = simulator.engine_info()
     runs.append(

@@ -44,7 +44,7 @@ from repro.dse.scenarios import aes_scenario
 from repro.energy.technology import Technology
 from repro.experiments.aes_experiment import AesSynthesisResult, run_aes_synthesis
 from repro.experiments.reporting import format_table, percentage_change
-from repro.noc.simulator import SimulatorConfig
+from repro.noc.simulator import SimulatorConfig, WiredFabric
 from repro.routing.table import RoutingTable
 
 #: paper-reported reference numbers (Section 5.2)
@@ -158,8 +158,10 @@ def run_prototype_comparison(
     program = get_traffic_mode(scenario.traffic).program(scenario)
 
     def measure(topology: Topology, table: RoutingTable) -> ArchitectureMetrics:
-        routing = table.frozen_next_hop()
-        return _replay(topology.name, topology, routing, program, technology, config)[0]
+        def wire() -> WiredFabric:
+            return WiredFabric(topology, table.frozen_next_hop())
+
+        return _replay(topology.name, wire, program, technology, config)[0]
 
     return PrototypeComparison(
         mesh=measure(mesh, mesh_table),

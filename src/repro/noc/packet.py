@@ -107,12 +107,13 @@ class PacketTable:
     (:meth:`view`), for :attr:`SimulationStatistics.delivered_packets
     <repro.noc.stats.SimulationStatistics.delivered_packets>` and
     ``NoCSimulator.stuck_packets()``.  A view's path is walked through the
-    simulator's routing memo, ``hops`` steps from the packet's source:
-    routing is fixed when the simulator is built, so the memo holds every
+    fabric's routing memo, ``hops`` steps from the packet's source:
+    routing is fixed when the fabric is wired, so the memo holds every
     decision a packet followed, routing loops included.
 
-    The table holds the simulator's wiring lists but never the simulator,
-    so a finished simulator is freed by reference counting alone.
+    The table holds the fabric's wiring lists but never the simulator or
+    the fabric, so a finished simulator is freed by reference counting
+    alone.
     """
 
     __slots__ = (
@@ -135,7 +136,7 @@ class PacketTable:
         self.hops: list[int] = []
         self.delivered_at: list[int | None] = []
         self.delivered: list[int] = []  # ids in delivery order
-        # the simulator's wiring: position -> node, node -> position, the
+        # the fabric's wiring: position -> node, node -> position, the
         # per-position routing memo (destination position -> channel id)
         # and channel id -> target position
         self._nodes = nodes
@@ -162,6 +163,20 @@ class PacketTable:
         self.hops += repeat(0, count)
         self.delivered_at += repeat(None, count)
         return first
+
+    def append(
+        self, cycle: int, message: Message, destination: int, flits: int, bits: int
+    ) -> int:
+        """Append one packet injected at ``cycle``; returns its id."""
+        packet = len(self.messages)
+        self.messages.append(message)
+        self.destinations.append(destination)
+        self.flits.append(flits)
+        self.bits.append(bits)
+        self.injected.append(cycle)
+        self.hops.append(0)
+        self.delivered_at.append(None)
+        return packet
 
     def view(self, packet_id: int) -> Packet:
         """The packet as a :class:`Packet`, its path walked from the memo."""

@@ -56,8 +56,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 from repro.arch.topology import Topology
@@ -72,9 +73,6 @@ from repro.obs.session import get_tracer
 NodeId = Hashable
 RoutingFunction = Callable[[NodeId, NodeId], NodeId]
 Channel = tuple[NodeId, NodeId]
-
-#: the input port of a router's (unbounded) local injection queue
-LOCAL_PORT = "__local__"
 
 #: event-driven engine: active-router scheduling + idle-cycle skipping
 ENGINE_EVENT = "event"
@@ -158,23 +156,125 @@ class SimulatorConfig:
             raise SimulationError("the cycle budget must be at least one cycle")
 
 
+class WiredFabric:
+    """A routed fabric wired once, for any number of simulators.
+
+    Everything a run reads of its fabric and nothing it writes: every
+    router's *position* (its index in ``topology.routers()`` order), its
+    input *ports*, the round-robin scan orders over them, the channel
+    lengths and the routing memo.  Ports are numbered router by router in
+    position order, each router's local injection port first and then one
+    per incoming channel in ``topology.channels()`` order, and a channel's
+    id is the id of the input port it feeds, so one per-port list of a
+    run's queues serves both the scan and the backpressure test.
+
+    The fabric is fixed at construction, as a prototype's is: a router or
+    channel added to the topology afterwards is unknown to it.  Routing
+    functions must be deterministic in ``(current, destination)`` -- every
+    routing adapter in the library is -- so a decision resolved by one
+    run is the decision of every run, and the memo (:attr:`hops`) is
+    shared by all the simulators made on this fabric
+    (:meth:`NoCSimulator.from_fabric`).  A decision is memoized only once
+    validated, so a routing function that raises, or names a channel that
+    does not exist, raises in every run that asks for the decision.
+    """
+
+    def __init__(self, topology: Topology, routing: RoutingFunction) -> None:
+        self.topology = topology
+        self.routing = routing
+        nodes = self.nodes = tuple(topology.routers())
+        """Position -> router."""
+        positions = self.positions = {node: index for index, node in enumerate(nodes)}
+        """Router -> position."""
+        channel_ids: dict[Channel, int] = {}
+        channels: list[Channel | None] = []
+        targets: list[int] = []
+        sources: list[int | None] = []
+        lengths: list[float] = []
+        local_ports: list[int] = []
+        scan_orders: list[tuple[tuple[int, ...], ...]] = []
+        incoming: list[list] = [[] for _ in nodes]
+        for channel in topology.channels():
+            incoming[positions[channel.target]].append(channel)
+        for index, into in enumerate(incoming):
+            first = len(channels)
+            local_ports.append(first)
+            channels.append(None)
+            sources.append(None)
+            lengths.append(0.0)
+            for channel in into:
+                key = (channel.source, channel.target)
+                channel_ids[key] = len(channels)
+                channels.append(key)
+                sources.append(positions[channel.source])
+                lengths.append(channel.length_mm)
+            count = len(channels) - first
+            targets += [index] * count
+            twice = tuple(range(first, len(channels))) * 2
+            scan_orders.append(tuple([twice[start : start + count] for start in range(count)]))
+        self.channel_ids = channel_ids
+        """``(source, target)`` -> the id of the input port it feeds."""
+        self.channels = channels
+        """Port id -> its channel, ``None`` for a local port."""
+        self.targets = targets
+        """Port id -> position of the router the port belongs to (a
+        channel's target)."""
+        self.sources = sources
+        """Port id -> position of the upstream router, ``None`` for a
+        local port."""
+        self.lengths = lengths
+        """Port id -> the channel's length in mm (0.0 for a local port)."""
+        self.local_ports = local_ports
+        """Position -> the id of its local injection port."""
+        self.scan_orders = scan_orders
+        """Position -> the port ids in round-robin arbitration order from
+        each ``cycle mod ports``: the scan of a visit on ``cycle`` is
+        ``scan_orders[position][cycle % ports]``."""
+        self.hops: list[list[int | None]] = [[None] * len(nodes) for _ in nodes]
+        """Position -> the routing memo, a list from destination position to
+        channel id (``None`` until :meth:`route` resolves it)."""
+        self.simulators = 0
+        """How many simulators were made on this fabric."""
+
+    @cached_property
+    def num_physical_links(self) -> int:
+        """The topology's :attr:`~repro.arch.topology.Topology.num_physical_links`,
+        counted once for every run on the fabric."""
+        return self.topology.num_physical_links
+
+    def route(self, position: int, destination: int) -> int:
+        """The output channel id of a packet at ``position`` heading to the
+        router at position ``destination``, resolved once and memoized in
+        :attr:`hops` (a channel that does not exist raises
+        :class:`SimulationError`)."""
+        current = self.nodes[position]
+        target = self.nodes[destination]
+        next_hop = self.routing(current, target)
+        channel = self.channel_ids.get((current, next_hop))
+        if channel is None:
+            raise SimulationError(
+                f"routing function returned {next_hop!r} from {current!r} towards "
+                f"{target!r}, but that channel does not exist"
+            )
+        self.hops[position][destination] = channel
+        return channel
+
+
 class NoCSimulator:
-    """Owns one simulated fabric and drives it to completion.
+    """Owns one run on a simulated fabric and drives it to completion.
 
     The fabric and the routing function are fixed at construction, as a
     prototype's are: to simulate another fabric or routing, build another
-    simulator.  A router or channel added to the topology afterwards is
-    unknown to this one.  The fabric state lives here as flat lists the
-    cycle loop (:meth:`_advance`) binds once per run and indexes
-    directly.  :meth:`_wire` gives every router a *position* (its index
-    in the processing order) and every channel an
-    integer *id*.  Per position: the router's load, its input queues of
-    packet ids by port (the local injection queue first), their scan
-    tuples ``(port, queue, feeding channel id, upstream position)`` and its
-    routing memo, a list from destination position to channel id, which
-    cannot go stale because nothing it memoizes can change.  Per channel
-    id: its release cycle, the queue it feeds, its claim stamp and its
-    busy-cycle and link-bit counters.  Packets are int ids into a
+    simulator.  The wiring lives in a :class:`WiredFabric` -- router
+    positions, port and channel ids, scan orders, channel lengths and the
+    routing memo -- which ``NoCSimulator(topology, routing, ...)`` builds
+    and :meth:`from_fabric` shares between runs.  The simulator holds only
+    the run's state, as flat lists the cycle loop (:meth:`_advance`) binds
+    once per run and indexes directly.  Per position: the router's load
+    and its scheduled wake.  Per port id (a channel's id is the id of the
+    port it feeds): the input queue of packet ids, and for a channel its
+    release cycle, its claim stamp and its busy-cycle and link-bit
+    counters.  Packets are int ids into a
     :class:`~repro.noc.packet.PacketTable` of flat per-packet lists
     (destination position, flits, bits, injection cycle, hops, delivery
     cycle); in-flight and parked ones carry channel ids.  A
@@ -196,6 +296,32 @@ class NoCSimulator:
         technology: Technology = DEFAULT_TECHNOLOGY,
         probe: SimulatorProbe | None = None,
     ) -> None:
+        self._start(WiredFabric(topology, routing), config, technology, probe)
+
+    @classmethod
+    def from_fabric(
+        cls,
+        fabric: WiredFabric,
+        config: SimulatorConfig | None = None,
+        technology: Technology = DEFAULT_TECHNOLOGY,
+        probe: SimulatorProbe | None = None,
+    ) -> NoCSimulator:
+        """A simulator on an already wired fabric: it allocates only the
+        run's state, and shares the fabric's routing memo."""
+        simulator = cls.__new__(cls)
+        simulator._start(fabric, config, technology, probe)
+        return simulator
+
+    def _start(
+        self,
+        fabric: WiredFabric,
+        config: SimulatorConfig | None,
+        technology: Technology,
+        probe: SimulatorProbe | None,
+    ) -> None:
+        """Allocate the run's state on ``fabric``."""
+        fabric.simulators += 1
+        self.fabric = fabric
         self.config = config or SimulatorConfig()
         self.probe = probe
         """Optional :class:`~repro.obs.probes.SimulatorProbe`: when attached,
@@ -203,25 +329,16 @@ class NoCSimulator:
         buffer-mutation points and ``probe_*`` figures join :meth:`report`.
         The probe never changes any existing report figure or delivery cycle
         — both engines produce bit-identical output with it attached."""
-        self.topology = topology
+        self.topology = fabric.topology
         self.technology = technology
-        self._routing = routing
-        # per router position (the processing order)
-        self._router_order: dict[NodeId, int] = {}  # node -> position
-        self._nodes: list[NodeId] = []
-        self._queues: list[dict[object, deque[int]]] = []
-        """Per position, its FIFO input queues of packet ids by port:
-        :data:`LOCAL_PORT` (the unbounded injection queue) first, then one
-        per incoming channel, keyed by the upstream router."""
-        self._scans: list[tuple[tuple[object, deque[int], int | None, int | None], ...]] = []
-        """Per position, ``(port, queue, feeding channel id, upstream
-        position)`` in round-robin arbitration order (both ``None`` for the
-        local port)."""
-        self._hops: list[list[int | None]] = []
-        """Per position, the resolved routing decisions as a list from
-        destination position to channel id (``None`` until :meth:`_route`
-        fills it in): the kernel's lookup."""
-        self._load: list[int] = []
+        routers = len(fabric.nodes)
+        ports = len(fabric.channels)
+        self._queues: list[deque[int]] = [deque() for _ in range(ports)]
+        """Per port id, its FIFO input queue of packet ids: a router's local
+        injection queue is unbounded, every other one holds at most
+        ``config.buffer_capacity_packets``, and its length gates a launch
+        over the channel that feeds it and an arrival off that channel."""
+        self._load: list[int] = [0] * routers
         """Per position, its buffered-packet count, maintained at the three
         buffer mutation points (injection, arrival, pop) so the cycle loop
         never scans every router's buffers to find work or decide drainage."""
@@ -230,23 +347,15 @@ class NoCSimulator:
         """Bitmask of the positions woken for the cycle at
         :attr:`current_cycle`, the next executed cycle (a wake for the
         cycle after the one being executed)."""
-        self._scheduled_wake: list[int | None] = []
+        self._scheduled_wake: list[int | None] = [None] * routers
         """Per position, its earliest wake in :attr:`_wake_heap` (a later
         duplicate is never pushed: processing at the earlier cycle re-arms
         as needed); setting its :attr:`_soon` bit clears it."""
         self._wake_heap: list[tuple[int, int]] = []  # (cycle, position), later wakes
         # per channel id
-        self._channel_ids: dict[Channel, int] = {}
-        self._channels: list[Channel] = []  # id -> (source, target)
-        self._targets: list[int] = []  # id -> position of the target router
-        self._free_at: list[int] = []
+        self._free_at: list[int] = [0] * ports
         """Per channel id, the cycle it is free again."""
-        self._fed: list[deque[int]] = []
-        """Per channel id, the input queue at its target it feeds, whose
-        length against ``config.buffer_capacity_packets`` gates a launch
-        over the channel and an arrival off it (a channel never feeds a
-        local queue, so every gated queue has that one capacity)."""
-        self._claims: list[int] = []
+        self._claims: list[int] = [0] * ports
         """Per channel id, the number of the router visit that last claimed
         it: only the channel's source router claims it, so a stamp equal to
         the current visit means an earlier head of this visit won it."""
@@ -255,8 +364,8 @@ class NoCSimulator:
         # the ids launched on since the last flush in first-launch order;
         # the flush folds them into statistics.channel_busy_cycles and the
         # EnergyAccount in that order (see _flush_energy_batches)
-        self._busy: list[int] = []
-        self._bits: list[int] = []
+        self._busy: list[int] = [0] * ports
+        self._bits: list[int] = [0] * ports
         self._launched: list[int] = []
         self._switch_bits = 0
         self._arrivals: dict[int, list[tuple[int, int, int]]] = {}
@@ -274,7 +383,7 @@ class NoCSimulator:
         self.cycles_stepped = 0
         """Cycles actually executed: ``current_cycle`` minus the idle cycles
         the event engine skipped."""
-        self._pending: list[tuple[int, int, int, tuple[tuple[int, list[int]], ...]]] = []
+        self._pending: list[tuple[int, int, int, tuple[tuple[int, Sequence[int]], ...]]] = []
         """Scheduled injections: a heap with one ``(cycle, first packet id,
         packet count, per-source offsets)`` entry per scheduling call, whose
         packets carry consecutive ids; popping entries in ``(cycle, first
@@ -288,16 +397,15 @@ class NoCSimulator:
         # input-buffer occupancy any arrival produced
         self._blocked = False
         self._peak_occupancy = 0
-        self._wire()
-        self._packets = PacketTable(self._nodes, self._router_order, self._hops, self._targets)
+        self._packets = PacketTable(fabric.nodes, fabric.positions, fabric.hops, fabric.targets)
         self.statistics = SimulationStatistics(packets=self._packets)
-        self._layout = (tuple(self._nodes), self.config.flit_width_bits)
+        self._layout = (fabric.nodes, self.config.flit_width_bits)
         self._batch = None
         if self.config.engine == ENGINE_BATCH:
             from repro.noc.batch import BatchSimulator
 
             self._batch = BatchSimulator(
-                topology, routing, [self.config], technologies=[technology]
+                fabric.topology, fabric.routing, [self.config], technologies=[technology]
             )
             # the single batch cell owns the live counters; re-binding its
             # result objects keeps statistics/energy the public surface
@@ -305,66 +413,6 @@ class NoCSimulator:
             self.energy = self._batch.energy(0)
             if probe is not None:
                 self._batch.attach_probe(0, probe)
-
-    def _wire(self) -> None:
-        """Give every router a position and every channel an id and state.
-
-        Positions follow ``topology.routers()`` and ids
-        ``topology.channels()``; a router's input ports follow the order of
-        the channels into it, after its local port.
-        """
-        order = self._router_order
-        for node in self.topology.routers():
-            order[node] = len(self._nodes)
-            self._nodes.append(node)
-            self._queues.append({LOCAL_PORT: deque()})
-            self._load.append(0)
-            self._scheduled_wake.append(None)
-        self._hops = [[None] * len(self._nodes) for _ in self._nodes]
-        ids = self._channel_ids
-        for channel in self.topology.channels():
-            key = (channel.source, channel.target)
-            ids[key] = len(self._channels)
-            self._channels.append(key)
-            target = order[channel.target]
-            queue = self._queues[target][channel.source] = deque()
-            self._targets.append(target)
-            self._fed.append(queue)
-            self._free_at.append(0)
-            self._claims.append(0)
-            self._busy.append(0)
-            self._bits.append(0)
-        self._scans = [
-            tuple(
-                (port, queue, None, None)
-                if port is LOCAL_PORT
-                else (port, queue, ids[(port, node)], order[port])
-                for port, queue in queues.items()
-            )
-            for node, queues in zip(self._nodes, self._queues)
-        ]
-
-    def _route(self, position: int, destination: int) -> int:
-        """The output channel id of a packet at ``position`` heading to the
-        router at position ``destination``, resolved once and memoized in
-        :attr:`_hops`.
-
-        Routing functions must be deterministic and stateless in
-        ``(current, destination)`` -- every routing adapter in the library
-        is -- and the fabric is fixed at construction, so a decision
-        validated against the wired channels never goes stale.
-        """
-        current = self._nodes[position]
-        target = self._nodes[destination]
-        next_hop = self._routing(current, target)
-        channel = self._channel_ids.get((current, next_hop))
-        if channel is None:
-            raise SimulationError(
-                f"routing function returned {next_hop!r} from {current!r} towards "
-                f"{target!r}, but that channel does not exist"
-            )
-        self._hops[position][destination] = channel
-        return channel
 
     def stuck_packets(self) -> list[tuple[Packet, NodeId]]:
         """Every undelivered packet with the router it is at (or flying to).
@@ -377,14 +425,13 @@ class NoCSimulator:
         """
         if self._batch is not None:
             return self._batch.stuck_packets(0)
+        nodes = self.fabric.nodes
+        targets = self.fabric.targets
         stuck = [
-            (packet, node)
-            for node, queues in zip(self._nodes, self._queues)
-            for queue in queues.values()
+            (packet, nodes[targets[port]])
+            for port, queue in enumerate(self._queues)
             for packet in queue
         ]
-        nodes = self._nodes
-        targets = self._targets
         for flights in (*self._arrivals.values(), *self._parked.values()):
             stuck.extend((packet, nodes[targets[channel]]) for _, packet, channel in flights)
         stuck.sort()
@@ -402,15 +449,34 @@ class NoCSimulator:
     # ------------------------------------------------------------------
     def schedule_message(self, message: Message, cycle: int | None = None) -> int:
         """Queue a message for injection at ``cycle`` (default: now);
-        returns its packet id."""
+        returns its packet id.
+
+        A message between wired routers, not in the past, is appended to
+        the packet table as its own pending entry, without compiling a
+        one-message batch; any other goes through :meth:`_schedule`, which
+        raises its error.
+        """
         if cycle is not None:
             require_int(cycle, "the schedule cycle")
         if self._batch is not None:
             # the batch core repeats the validations of _schedule verbatim
             # and records the injection on the shared statistics object
             return self._batch.schedule_message(0, message, cycle).packet_id
-        self._schedule((message,), cycle)
-        return len(self._packets.messages) - 1
+        if cycle is None:
+            cycle = self.current_cycle
+        positions = self.fabric.positions
+        source = positions.get(message.source)
+        destination = positions.get(message.destination)
+        if source is None or destination is None or cycle < self.current_cycle:
+            self._schedule((message,), cycle)
+            return len(self._packets.messages) - 1
+        size = message.size_bits
+        packet = self._packets.append(
+            cycle, message, destination, max(1, math.ceil(size / self.config.flit_width_bits)), size
+        )
+        heappush(self._pending, (cycle, packet, 1, ((source, (0,)),)))
+        self.statistics.injected_count += 1
+        return packet
 
     def schedule_messages(
         self,
@@ -479,7 +545,7 @@ class NoCSimulator:
         messages stop before it and ``error`` names it (else ``None``).
         """
         messages = tuple(messages)
-        order = self._router_order
+        order = self.fabric.positions
         flit_width = self.config.flit_width_bits
         destinations: list[int] = []
         flits: list[int] = []
@@ -548,13 +614,17 @@ class NoCSimulator:
         ``cycles_stepped``, and the moves before it counted.
         """
         start = cycle = self.current_cycle
-        nodes = self._nodes
+        fabric = self.fabric
+        nodes = fabric.nodes
+        orders = fabric.scan_orders
+        hops_of = fabric.hops
+        targets = fabric.targets
+        sources = fabric.sources
+        local_ports = fabric.local_ports
+        route = fabric.route
         queues = self._queues
-        scans = self._scans
-        hops_of = self._hops
+        no_port = len(queues)  # above every port id: "no head is ready"
         loads = self._load
-        targets = self._targets
-        fed = self._fed
         free_at = self._free_at
         claims = self._claims
         busy = self._busy
@@ -566,7 +636,6 @@ class NoCSimulator:
         parked = self._parked
         wake_heap = self._wake_heap
         scheduled = self._scheduled_wake
-        route = self._route
         probe = self.probe
         table = self._packets
         destination_of = table.destinations
@@ -625,7 +694,7 @@ class NoCSimulator:
                 while pending and pending[0][0] <= cycle:
                     _, base, count, groups = heappop(pending)
                     for index, offsets in groups:
-                        queues[index][LOCAL_PORT].extend(map(base.__add__, offsets))
+                        queues[local_ports[index]].extend(map(base.__add__, offsets))
                         load = loads[index]
                         loads[index] = load + len(offsets)
                         active |= 1 << index
@@ -637,7 +706,7 @@ class NoCSimulator:
                 while arrival_cycles and arrival_cycles[0] <= cycle:
                     for flight in arrivals.pop(heappop(arrival_cycles)):
                         channel = flight[2]
-                        queue = fed[channel]
+                        queue = queues[channel]
                         if len(queue) >= capacity:
                             # full: park until a pop from this queue frees space
                             blocked = True
@@ -668,24 +737,23 @@ class NoCSimulator:
                     unseen = loads[index]
                     if not unseen:
                         continue  # speculative wake of an emptied router: a no-op
-                    scan = scans[index]
+                    rotations = orders[index]
                     hops = hops_of[index]
-                    count = len(scan)
-                    first = cycle % count
                     visit += 1  # stamps the channels this visit claims
                     ejected = False  # whether a head won the local output
-                    popped = []  # scan positions of the queues popped this visit
+                    popped = []  # the ports popped this visit
                     # what the heads that stay ask of the next visit: the
-                    # lowest position of one that can move next cycle, and
-                    # the earliest busy-channel release (a full channel asks
-                    # for neither)
-                    ready = count
+                    # lowest port of one that can move next cycle (a
+                    # router's port ids rise in port order), and the
+                    # earliest busy-channel release (a full channel asks for
+                    # neither)
+                    ready = no_port
                     wake = None
-                    # scan first, first+1, ..., wrapping around (negative indexing)
-                    for i in range(first - count, first):
+                    # scan from port cycle mod ports, wrapping around
+                    for port in rotations[cycle % len(rotations)]:
                         if not unseen:
                             break
-                        port, queue, feed, upstream = scan[i]
+                        queue = queues[port]
                         if not queue:
                             continue
                         unseen -= len(queue)
@@ -693,9 +761,8 @@ class NoCSimulator:
                         destination = destination_of[packet]
                         if destination == index:
                             if ejected:
-                                position = i % count
-                                if position < ready:
-                                    ready = position
+                                if port < ready:
+                                    ready = port
                                 continue
                             ejected = True
                             queue.popleft()
@@ -719,7 +786,7 @@ class NoCSimulator:
                                 if wake is None or release < wake:
                                     wake = release
                                 continue
-                            if len(fed[channel]) >= capacity:
+                            if len(queues[channel]) >= capacity:
                                 blocked = True
                                 continue
                             queue.popleft()
@@ -744,14 +811,15 @@ class NoCSimulator:
                         switch_bits += size_of[packet]
                         buffered -= 1
                         loads[index] -= 1
-                        popped.append(i % count)
-                        if feed is None:
+                        popped.append(port)
+                        upstream = sources[port]
+                        if upstream is None:
                             continue  # the local queue: unbounded, fed by nobody
                         # a pop from a bounded buffer frees space: the
                         # arrivals parked on its channel fall due next cycle,
                         # and a loaded upstream router may launch into it
                         if parked and len(queue) == unfull:
-                            waiting = parked.pop(feed, None)
+                            waiting = parked.pop(port, None)
                             if waiting is not None:
                                 bucket = arrivals.get(next_cycle)
                                 if bucket is None:
@@ -779,33 +847,33 @@ class NoCSimulator:
                     # the order can have woken this one for next cycle.)
                     if len(popped) > 1:
                         popped.sort()
-                    for position in popped:
-                        if position > ready:
+                    for port in popped:
+                        if port > ready:
                             break
-                        queue = scan[position][1]
+                        queue = queues[port]
                         if not queue:
                             continue
                         destination = destination_of[queue[0]]
                         if destination == index:
-                            ready = position
+                            ready = port
                             break
                         channel = hops[destination]
                         if channel is None:
                             try:
                                 channel = route(index, destination)
                             except Exception:  # raised again by next cycle's scan
-                                ready = position
+                                ready = port
                                 break
                         release = free_at[channel]
                         if release > cycle:
                             if wake is None or release < wake:
                                 wake = release
                             continue
-                        if len(fed[channel]) < capacity:
-                            ready = position
+                        if len(queues[channel]) < capacity:
+                            ready = port
                             break
                         blocked = True
-                    if ready < count or wake == next_cycle:
+                    if ready < no_port or wake == next_cycle:
                         soon |= 1 << index
                         scheduled[index] = None
                     elif wake is not None and (scheduled[index] is None or scheduled[index] > wake):
@@ -923,16 +991,15 @@ class NoCSimulator:
             self._switch_bits = 0
         launched = self._launched
         if launched:
-            channel_of = self.topology.channel
-            channels = self._channels
+            channels = self.fabric.channels
+            lengths = self.fabric.lengths
             bits = self._bits
             busy = self._busy
             busy_cycles = self.statistics.channel_busy_cycles
             for channel in launched:
-                key = channels[channel]
-                self.energy.charge_link(bits[channel], channel_of(*key).length_mm)
+                self.energy.charge_link(bits[channel], lengths[channel])
                 bits[channel] = 0
-                busy_cycles[key] = busy[channel]
+                busy_cycles[channels[channel]] = busy[channel]
             launched.clear()
 
     def _finalize(self) -> None:
@@ -942,7 +1009,7 @@ class NoCSimulator:
         # since the previous finalize — including any skipped idle span
         span = self.current_cycle - self._leakage_charged_until
         if span > 0:
-            self.energy.charge_leakage(len(self._nodes), span)
+            self.energy.charge_leakage(len(self.fabric.nodes), span)
             self._leakage_charged_until = self.current_cycle
 
     # ------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.dse.scenarios import (
     scale_free_scenario,
     tgff_scenario,
 )
+from repro.exceptions import RoutingError
 from repro.noc.simulator import ENGINE_EVENT, DrainOp, RunOp, ScheduleOp
 from repro.noc.traffic import acg_messages
 from repro.obs import ObsSession, use_session
@@ -424,6 +425,49 @@ class TestObservability:
 
         assert noc_metrics(session)  # the probe published figures at all
         assert noc_metrics(session) == noc_metrics(unshared)
+
+
+class TestWiredFabrics:
+    """A context wires each routed fabric once for all the runs on it."""
+
+    def test_runs_on_one_fabric_share_its_wiring(self):
+        scenario = tgff_scenario(10, 7)
+        cells = [
+            (
+                scenario,
+                EvaluationSettings(architecture="mesh", router_pipeline_delay_cycles=delay),
+                {},
+                f"delay-{delay}",
+            )
+            for delay in (1, 2, 4)
+        ]
+        session = ObsSession.enabled()
+        context = StageContext()
+        with use_session(session):
+            records = evaluate_cells(cells, context)
+        setups = [
+            event["attributes"]["fabric"]
+            for event in session.tracer.export_events()
+            if event["name"] == "noc.setup"
+        ]
+        assert setups == ["wired", "shared", "shared"]
+        (routed,) = context._fabrics.values()
+        assert routed.wired.simulators == 3
+        assert [record.metrics for record in records] == [
+            real_run(scenario, settings).metrics for _, settings, _, _ in cells
+        ]
+
+    def test_a_mutated_table_is_wired_afresh(self):
+        topology, table = ring_fabric(RING_CHANNELS)
+        context = StageContext()
+        wired = context.wired_fabric(topology, table)
+        assert context.wired_fabric(topology, table) is wired
+        with pytest.raises(RoutingError):
+            wired.routing("b", "d")
+        table.install_path(("b", "c", "d"))
+        rewired = context.wired_fabric(topology, table)
+        assert rewired is not wired
+        assert rewired.routing("b", "d") == "c"  # a snapshot of the new version
 
 
 class TestBaselineMemo:

@@ -76,7 +76,7 @@ def retry_collision_run(
 class TestInFlightOrder:
     def test_retry_and_later_launch_fall_due_together(self):
         simulator = retry_collision_run()
-        channel = simulator._channel_ids[(0, 1)]
+        channel = simulator.fabric.channel_ids[(0, 1)]
         due_together = []
         while simulator.current_cycle < 12:
             # a parked arrival is due on every cycle until a pop frees its buffer

@@ -20,7 +20,7 @@ from test_capacity_certificate import retry_collision_run
 
 
 def queued_packets(simulator: NoCSimulator) -> int:
-    return sum(len(queue) for by_port in simulator._queues for queue in by_port.values())
+    return sum(len(queue) for queue in simulator._queues)
 
 
 class TestParkedArrivals:
@@ -30,7 +30,7 @@ class TestParkedArrivals:
         both into cycle 9's arrivals, in launch order: the cycle on which a
         per-cycle retry would first have found space."""
         simulator = retry_collision_run()
-        channel = simulator._channel_ids[(0, 1)]
+        channel = simulator.fabric.channel_ids[(0, 1)]
         parked_at = {}
         while simulator.current_cycle < 9:
             simulator.run(1)
@@ -46,7 +46,7 @@ class TestParkedArrivals:
         # at once, and that pop re-queues B for cycle 10
         simulator.run(1)
         flying = {
-            packet: simulator._channels[channel]
+            packet: simulator.fabric.channels[channel]
             for bucket in simulator._arrivals.values()
             for _, packet, channel in bucket
         }
@@ -100,8 +100,9 @@ class TestRoutingFailureMidScan:
     def test_counters_stay_consistent(self):
         simulator = merge_failure_run()
         simulator.run(8)
-        scan = simulator._scans[simulator._router_order[1]]
-        assert [port for port, *_ in scan][8 % 3] == 3
+        fabric = simulator.fabric
+        scan = fabric.scan_orders[fabric.positions[1]][8 % 3]
+        assert fabric.channels[scan[0]] == (3, 1)
         # X, injected at router 1 on cycle 8, is routed towards 0
         simulator.schedule_messages([Message(1, 3, 32, tag="X")])
         with pytest.raises(SimulationError, match="does not exist"):
@@ -115,7 +116,7 @@ class TestRoutingFailureMidScan:
         stuck = {packet.message.tag: where for packet, where in simulator.stuck_packets()}
         assert len(simulator.stuck_packets()) == len(stuck) == 4
         assert stuck == {"F": 1, "G": 1, "H": 2, "X": 1}  # G parked, H in flight
-        parked = simulator._parked[simulator._channel_ids[(0, 1)]]
+        parked = simulator._parked[simulator.fabric.channel_ids[(0, 1)]]
         assert [simulator._packets.messages[packet].tag for _, packet, _ in parked] == ["G"]
 
     def test_a_failure_cuts_the_window_short(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.arch.topology import Topology
 from repro.exceptions import SimulationError
 from repro.noc.packet import Message, Packet
-from repro.noc.simulator import ENGINES, LOCAL_PORT, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import ENGINES, NoCSimulator, SimulatorConfig
 from simulator_oracle import OracleSimulator
 
 
@@ -74,27 +74,42 @@ def merge_simulator(simulator_class: type = NoCSimulator, **config_overrides) ->
 def launches_from(simulator: NoCSimulator, node) -> list[tuple]:
     """The channels out of ``node`` carrying a packet right now."""
     channels = [
-        simulator._channels[channel]
+        simulator.fabric.channels[channel]
         for bucket in simulator._arrivals.values()
         for _, _, channel in bucket
     ]
     return sorted(channel for channel in channels if channel[0] == node)
 
 
+def input_queues(simulator: NoCSimulator, node) -> dict:
+    """``node``'s input queues, keyed by upstream router (``None``: local)."""
+    fabric = simulator.fabric
+    return {
+        (fabric.channels[port] or (None,))[0]: simulator._queues[port]
+        for port in fabric.scan_orders[fabric.positions[node]][0]
+    }
+
+
 class TestInputQueues:
     def test_ports_in_arbitration_order(self):
-        simulator = merge_simulator()
-        position = simulator._router_order
-        queues = simulator._queues
-        assert list(queues[position[1]]) == [LOCAL_PORT, 2, 3]
-        assert [port for port, *_ in simulator._scans[position[1]]] == [LOCAL_PORT, 2, 3]
-        assert list(queues[position[2]]) == [LOCAL_PORT]
-        for port, queue, _, _ in simulator._scans[position[1]]:
-            assert queue is queues[position[1]][port]
-        channel = simulator._channel_ids
-        assert simulator._fed[channel[(2, 1)]] is queues[position[1]][2]
-        assert simulator._fed[channel[(1, 7)]] is queues[position[7]][1]
+        fabric = merge_simulator().fabric
+        position = fabric.positions
+        assert [fabric.channels[port] for port in fabric.scan_orders[position[2]][0]] == [None]
+        # the local port first, then one per incoming channel; a scan on
+        # cycle c starts at port c mod ports, wrapping around
+        ports = fabric.scan_orders[position[1]]
+        assert [[fabric.channels[port] for port in order] for order in ports] == [
+            [None, (2, 1), (3, 1)],
+            [(2, 1), (3, 1), None],
+            [(3, 1), None, (2, 1)],
+        ]
+        channel = fabric.channel_ids
         assert set(channel) == {(2, 1), (3, 1), (1, 7), (1, 8)}
+        for (source, target), port in channel.items():
+            assert fabric.targets[port] == position[target]
+            assert fabric.sources[port] == position[source]
+        for node, port in zip(fabric.nodes, fabric.local_ports):
+            assert fabric.channels[port] is None and fabric.targets[port] == position[node]
 
     def test_injection_and_arrival_fill_the_queues(self):
         simulator = merge_simulator(router_pipeline_delay_cycles=4)
@@ -103,7 +118,7 @@ class TestInputQueues:
         simulator.run(5)  # both launched at 0, arrive at 0 + 1 + 4
         assert launches_from(simulator, 2) == [(2, 1)]
         assert launches_from(simulator, 3) == [(3, 1)]
-        queues = simulator._queues[simulator._router_order[1]]
+        queues = input_queues(simulator, 1)
         assert all(not queue for queue in queues.values())
         simulator.run(1)  # cycle 5: injection and both arrivals, then arbitration
         assert launches_from(simulator, 1) == [(1, 7), (1, 8)]
@@ -156,7 +171,7 @@ class TestArbitration:
     def test_one_winner_per_output(self):
         simulator = self._contend((7, 7))  # both want output 7
         assert launches_from(simulator, 1) == [(1, 7)]
-        queues = simulator._queues[simulator._router_order[1]]
+        queues = input_queues(simulator, 1)
         assert sum(len(queues[port]) for port in (2, 3)) == 1
 
     def test_different_outputs_both_win(self):

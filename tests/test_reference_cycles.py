@@ -4,7 +4,8 @@ Objects caught in a reference cycle wait for the cyclic garbage
 collector, whose passes run less often the fewer objects a program
 allocates; until then they hold their memory.  A decomposition search's
 transposition table and bound caches, a bisection search's state and a
-finished simulator must all be freed by reference counting alone.
+finished simulator, on its own fabric or a shared one, must all be
+freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import pytest
 from repro.arch.metrics import bisection_bandwidth
 from repro.core.decomposition import DecompositionConfig, decompose
 from repro.noc.packet import Message
-from repro.noc.simulator import ENGINE_EVENT, ENGINES, NoCSimulator, SimulatorConfig
+from repro.noc.simulator import (
+    ENGINE_EVENT,
+    ENGINES,
+    NoCSimulator,
+    SimulatorConfig,
+    WiredFabric,
+)
 from repro.routing.policies import get_policy
 
 
@@ -62,4 +69,27 @@ def test_a_drained_simulator_is_freed_by_reference_counting(cyclic_gc_off, mesh_
     # the statistics outlive their simulator and still build packet views
     paths = {packet.packet_id: packet.path for packet in statistics.delivered_packets}
     assert paths[1] == [16, 15, 14, 13, 9, 5, 1]
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_simulator_on_a_shared_fabric_is_freed_by_reference_counting(
+    cyclic_gc_off, mesh_4x4, engine
+):
+    fabric = WiredFabric(mesh_4x4, get_policy("xy").build(mesh_4x4).frozen_next_hop())
+    for capacity in (1, 4):
+        simulator = NoCSimulator.from_fabric(
+            fabric, SimulatorConfig(engine=engine, buffer_capacity_packets=capacity)
+        )
+        simulator.schedule_messages([Message(1, 16, 64), Message(16, 1, 64)])
+        simulator.run_until_drained()
+        assert simulator.report()["delivered"] == 2.0
+        gone = weakref.ref(simulator)
+        del simulator
+        assert gone() is None
+    # the fabric outlives its simulators, and so does the event engine's
+    # routing memo on it
+    assert fabric.simulators == 2
+    memoized = any(channel is not None for hops in fabric.hops for channel in hops)
+    assert memoized == (engine == ENGINE_EVENT)
     assert gc.collect() == 0
