@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.arch.metrics import bisection_bandwidth
 from repro.arch.topology import Topology
@@ -61,8 +62,22 @@ class ConstraintReport:
     satisfied: bool
     violations: list[str] = field(default_factory=list)
     channel_loads: dict[ChannelKey, float] = field(default_factory=dict)
-    bisection_bandwidth: float | None = None
     max_router_degree: int = 0
+    topology: Topology | None = field(default=None, repr=False, compare=False)
+    """The checked topology, read by :attr:`bisection_bandwidth`."""
+
+    @cached_property
+    def bisection_bandwidth(self) -> float | None:
+        """The topology's bisection bandwidth (bits/cycle), None below two
+        routers.
+
+        The exact search is the costliest part of a check, so it runs here,
+        on the topology as it stands at the first read, unless the check
+        needed it for a bisection limit.
+        """
+        if self.topology is None or self.topology.num_routers < 2:
+            return None
+        return bisection_bandwidth(self.topology).bandwidth_bits_per_cycle
 
     def describe(self) -> str:
         """One-line pass/fail summary listing any violations."""
@@ -145,17 +160,18 @@ class ConstraintChecker:
                     f"required {load:g} > capacity {capacity:g} bits/cycle"
                 )
 
-        # 3. wiring resources via bisection bandwidth
-        bisection = None
-        if topology.num_routers >= 2:
-            bisection = bisection_bandwidth(topology).bandwidth_bits_per_cycle
-            if (
-                self.constraints.max_bisection_bandwidth is not None
-                and bisection > self.constraints.max_bisection_bandwidth + 1e-9
-            ):
+        # 3. wiring resources via bisection bandwidth, searched only for a
+        # limit (the report computes it on first read otherwise)
+        report = ConstraintReport(
+            satisfied=False, violations=violations, channel_loads=loads, topology=topology
+        )
+        limit = self.constraints.max_bisection_bandwidth
+        if limit is not None:
+            bisection = report.bisection_bandwidth
+            if bisection is not None and bisection > limit + 1e-9:
                 violations.append(
                     f"bisection bandwidth {bisection:g} exceeds the technology limit "
-                    f"{self.constraints.max_bisection_bandwidth:g} bits/cycle"
+                    f"{limit:g} bits/cycle"
                 )
 
         # 4. router degree (port count)
@@ -169,10 +185,6 @@ class ConstraintChecker:
                 f"{self.constraints.max_router_degree}"
             )
 
-        return ConstraintReport(
-            satisfied=not violations,
-            violations=violations,
-            channel_loads=loads,
-            bisection_bandwidth=bisection,
-            max_router_degree=max_degree,
-        )
+        report.satisfied = not violations
+        report.max_router_degree = max_degree
+        return report

@@ -21,10 +21,14 @@ decomposition search) only reads the workload graph plus the
 decomposition knobs.  Its output is therefore cached under a *stage
 sub-key* (:func:`decomposition_stage_key`) that hashes only the settings
 the decompose stage reads (``canonical_dict("decompose")``), so all cells
-of a simulator-axis sweep share one serialized decomposition.  A synthesis
-sub-key (:func:`synthesis_stage_key`, ``canonical_dict("synthesize")``)
-adds the synthesis fields and memoizes the synthesized topology + routing
-table in memory.
+of a simulator-axis sweep share one serialized decomposition.  The
+synthesized topology + routing table of a custom cell is memoized in
+memory by what synthesize and route read: the workload graph, the ordered
+cover and the synthesis options, so the cap and budget variants of a
+search that reach one cover share it.  A synthesis sub-key
+(:func:`synthesis_stage_key`, ``canonical_dict("synthesize")``) adds the
+synthesis fields to the decomposition sub-key; it memoizes the routed
+baseline fabric of a mesh cell.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import os
 from collections.abc import Hashable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from repro.arch.topology import Topology
@@ -498,8 +502,9 @@ class StageContext:
     """Per-process reuse of stage artifacts across the cells of a sweep.
 
     Holds an in-memory memo of decompositions (by decomposition sub-key),
-    synthesized architectures and routed baseline fabrics (by synthesis
-    sub-key), their content keys and their simulator wiring
+    synthesized architectures (by workload graph, ordered cover and
+    synthesis options, :meth:`architecture_for`), routed baseline fabrics
+    (by synthesis sub-key), their content keys and their simulator wiring
     (:meth:`wired_fabric`), backed by an optional
     :class:`StageArtifactStore` that persists decompositions across runs
     and across worker processes, plus each scenario's traffic program,
@@ -509,8 +514,8 @@ class StageContext:
     makes a fresh one when the caller passes none; a guided search shares
     one across its rungs), so a sweep runs the decomposition search
     exactly once per sub-key, enumerates each workload graph's matchings
-    once across its budget-axis searches, routes each baseline fabric
-    once, wires each routed fabric once for all the runs on it, and
+    once across its budget-axis searches, synthesizes and routes each
+    distinct cover once, routes each baseline fabric once, wires each routed fabric once for all the runs on it, and
     simulates a run only when no earlier run on an equal fabric repeats it
     or certifies its buffer capacity.
     """
@@ -518,7 +523,7 @@ class StageContext:
     def __init__(self, store: StageArtifactStore | None = None) -> None:
         self.store = store
         self._decompositions: dict[str, DecompositionResult] = {}
-        self._architectures: dict[str, SynthesizedArchitecture] = {}
+        self._architectures: dict[tuple, SynthesizedArchitecture] = {}
         self._baselines: dict[str, tuple[Topology, RoutingTable, DeadlockReport]] = {}
         self._fabrics: dict[tuple[int, int], _RoutedFabric] = {}
         self.simulations: dict[tuple, list[SimulationRun]] = {}
@@ -614,12 +619,26 @@ class StageContext:
     ) -> tuple[SynthesizedArchitecture, str]:
         """The synthesize/route-stage product for one cell, memoized.
 
-        Rebuilding topology + routing table from a decomposition is cheap
-        and deterministic, so this layer is memoized in memory only; across
-        processes it is regenerated from the shared decomposition artifact.
+        Keyed by what the two stages read: the workload graph (by identity;
+        the kept architecture holds it, so no other graph can take over its
+        id), the cover in order (each matching's primitive name and core
+        assignment, which with the graph fix the remainder) and the
+        synthesis options.  Cells whose searches differ only in their cap or
+        budgets and reach one cover share one architecture; each record
+        still takes its search statistics from its own decomposition.
+        Rebuilding is cheap and deterministic, so this layer is memoized in
+        memory only; across processes it is regenerated from the shared
+        decomposition artifact.
         """
-        settings = scenario.effective_settings(settings)  # match the key's view
-        key = synthesis_stage_key(scenario, settings)
+        settings = scenario.effective_settings(settings)
+        key = (
+            id(scenario.acg),
+            tuple(
+                (matching.primitive.name, matching.assignment)
+                for matching in decomposition.matchings
+            ),
+            astuple(settings.build_synthesis_options()),
+        )
         memoized = self._architectures.get(key)
         if memoized is not None:
             return memoized, STAGE_REUSED_MEMORY

@@ -4,20 +4,21 @@ A *grid* is a base :class:`EvaluationSettings` plus named axes (field ->
 list of values); its cartesian product crossed with a scenario list
 yields the sweep cells.  The runner resolves every cell against the
 on-disk :class:`~repro.dse.cache.ResultCache` first, groups the misses
-by the stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
-on (decomposition sub-key for custom cells, synthesis sub-key for mesh
-cells), and fans *groups* — not raw cells — across the process pool
-(module-level worker function so payloads pickle cleanly).
-Group-granular fan-out is what keeps the stage cache effective under
-parallelism: all cells sharing a decomposition or a routed baseline
-fabric land in one worker, whose context runs the search once per group
-and serves buffer-capacity siblings exactly as a serial run does.
+by their pool group (the search basis, workload graph and library, for
+custom cells; the synthesis sub-key for mesh cells), and fans *groups* —
+not raw cells — across the process pool (module-level worker function so
+payloads pickle cleanly).  Group-granular fan-out is what keeps the stage
+cache effective under parallelism: every cap and budget of a graph, and
+every cell sharing a routed baseline fabric, lands in one worker, whose
+context shares the search basis, the decompositions, the synthesized
+architectures and the simulation runs among them exactly as a serial run
+does.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -88,8 +89,12 @@ class SweepCell:
     """The stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
     on: the decomposition sub-key for custom cells, the synthesis sub-key
     for mesh cells.  Cells sharing it share one decomposition search (or
-    one routed baseline fabric) and its buffer-capacity siblings, and are
-    scheduled into one worker."""
+    one routed baseline fabric)."""
+    pool_group: Hashable = ""
+    """The cells scheduled into one worker: a custom cell's search basis
+    (its workload graph, by identity, and its library), so every cap and
+    budget of a graph shares one worker's memos, or a mesh cell's
+    ``stage_group``."""
 
     @property
     def label(self) -> str:
@@ -97,11 +102,16 @@ class SweepCell:
         return axis_label(self.axes)
 
 
-def _stage_group(scenario: Scenario, effective: EvaluationSettings) -> str:
-    """The cell's stage sub-key; ``effective`` carries the scenario's pins."""
+def _cell_groups(scenario: Scenario, effective: EvaluationSettings) -> dict[str, Hashable]:
+    """The cell's ``stage_group`` and ``pool_group`` fields; ``effective``
+    carries the scenario's pins."""
     if effective.architecture == "custom":
-        return decomposition_stage_key(scenario, effective)
-    return synthesis_stage_key(scenario, effective)
+        return {
+            "stage_group": decomposition_stage_key(scenario, effective),
+            "pool_group": (id(scenario.acg), effective.library),
+        }
+    stage_group = synthesis_stage_key(scenario, effective)
+    return {"stage_group": stage_group, "pool_group": stage_group}
 
 
 @fingerprint_scope()
@@ -129,7 +139,7 @@ def plan_sweep(
                     settings=settings,
                     axes=dict(axis_values),
                     key=cache_key(scenario, effective),
-                    stage_group=_stage_group(scenario, effective),
+                    **_cell_groups(scenario, effective),
                 )
             )
     return cells
@@ -228,11 +238,12 @@ GroupEvents = dict[str, list[dict[str, object]]]
 def _evaluate_group(
     payload: tuple[list[CellPayload], str | None, bool],
 ) -> tuple[list[EvaluationRecord], GroupEvents]:
-    """Evaluate one stage group (module-level so it pickles into workers).
+    """Evaluate one pool group (module-level so it pickles into workers).
 
-    All cells of the group share a stage sub-key, so evaluating them in one
-    process under one :class:`StageContext` runs the search (or routes the
-    baseline fabric) once and serves capacity siblings; the optional
+    All cells of the group share a search basis (or a routed baseline
+    fabric), so evaluating them in one process under one
+    :class:`StageContext` runs each search once, synthesizes each cover
+    once and serves every simulation a serial sweep serves; the optional
     artifact directory extends decomposition reuse across groups and runs.
 
     Returns ``(records, events)``: when the sweep is traced, ``events``
@@ -304,7 +315,7 @@ def run_cells(
 
     The engine under both :func:`run_sweep` (which plans the full grid) and
     the guided searcher (which plans rung-variant subsets of a grid): cache
-    resolution, duplicate-key sharing, stage-group fan-out and plan-order
+    resolution, duplicate-key sharing, pool-group fan-out and plan-order
     record labeling all behave identically for any caller-supplied cell list.
 
     ``context`` is the :class:`~repro.dse.cache.StageContext` the cells run
@@ -359,9 +370,9 @@ def _run_cells_traced(
             result.cache_hits += 1
     result.num_evaluations = len(fresh)
 
-    groups: dict[str, list[SweepCell]] = {}
+    groups: dict[Hashable, list[SweepCell]] = {}
     for cell in fresh:
-        groups.setdefault(cell.stage_group, []).append(cell)
+        groups.setdefault(cell.pool_group, []).append(cell)
     artifact_directory = str(artifacts.directory) if artifacts is not None else None
     payloads = [
         (

@@ -67,7 +67,7 @@ from repro.dse.runner import (
     SweepCell,
     SweepResult,
     _check_workers,
-    _stage_group,
+    _cell_groups,
     plan_sweep,
     run_cells,
 )
@@ -129,8 +129,8 @@ class RungSpec:
     def apply(self, cell: SweepCell) -> SweepCell:
         """This rung's fidelity variant of a planned full-fidelity cell.
 
-        The variant is a first-class cell with its own content key and
-        stage group; when the rung is not binding for this particular cell
+        The variant is a first-class cell with its own content key, stage
+        group and pool group; when the rung is not binding for this particular cell
         (identical effective content) the original cell is returned, since
         the evaluation would be bit-identical anyway.
         """
@@ -155,7 +155,7 @@ class RungSpec:
             settings=settings,
             axes=dict(cell.axes),
             key=cache_key(scenario, effective),
-            stage_group=_stage_group(scenario, effective),
+            **_cell_groups(scenario, effective),
         )
 
 

@@ -42,6 +42,9 @@ from repro.dse.pipeline import (
     evaluate_cells,
     fabric_content_key,
     register_traffic_mode,
+    route_stage,
+    run_decomposition_search,
+    synthesize_stage,
 )
 from repro.dse.runner import plan_sweep, run_cells
 from repro.dse.scenarios import (
@@ -216,29 +219,26 @@ def ring_scenario() -> Scenario:
 
 class TestMemoKey:
     def test_equal_fabrics_synthesized_apart_are_served_from_memory(self):
-        # two decomposition sub-keys, so two searches and two synthesized
-        # fabric objects -- with equal content
+        # two searches under different budgets reach one cover; each is
+        # synthesized and routed on its own, outside the context's
+        # architecture memo, so the simulate memo sees two fabric objects
+        # with equal content
         scenario = tgff_scenario(10, 7)
-        cells = [
-            (
-                scenario,
-                EvaluationSettings(max_nodes_expanded=budget),
-                {},
-                f"nodes-{budget}",
-            )
-            for budget in (400, 800)
-        ]
+        settings = EvaluationSettings()
+        fabrics = []
+        for budget in (400, 800):
+            budgeted = settings.merged({"max_nodes_expanded": budget})
+            decomposition = run_decomposition_search(scenario, budgeted)
+            topology = synthesize_stage(scenario, budgeted, decomposition)
+            architecture = route_stage(scenario, budgeted, decomposition, topology)
+            fabrics.append((architecture.topology, architecture.routing_table))
+        assert fabrics[0][0] is not fabrics[1][0]
+        assert fabric_content_key(*fabrics[0]) == fabric_content_key(*fabrics[1])
         context = StageContext()
-        first, second = evaluate_cells(cells, context)
-        assert first.stage_reuse == {"decompose": "computed", "synthesize": "computed"}
-        assert second.stage_reuse == {
-            "decompose": "computed",
-            "synthesize": "computed",
-            "simulate": "memory",
-        }
-        fabrics = [architecture.topology for architecture in context._architectures.values()]
-        assert len(fabrics) == 2 and fabrics[0] is not fabrics[1]
-        assert second.metrics == real_run(scenario, cells[1][1]).metrics
+        outcomes = [_simulate_cell(scenario, settings, *fabric, context) for fabric in fabrics]
+        assert [provenance for _, _, provenance in outcomes] == [None, "memory"]
+        alone, _, _ = _simulate_cell(scenario, settings, *fabrics[1], StageContext())
+        assert outcomes[1][0] == alone
 
     def test_swapped_input_ports_are_not_served(self):
         scenario = ring_scenario()

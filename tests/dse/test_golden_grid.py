@@ -89,7 +89,7 @@ def differences(name: str, actual: object, expected: object) -> list[tuple[str, 
     return [] if _canonical(actual) == _canonical(expected) else [(name, actual, expected)]
 
 
-def mismatches(actual, expected, skipped=()) -> list[str]:
+def mismatches(actual, expected) -> list[str]:
     """One line per label missing on either side or pinned field that differs."""
     problems = []
     for label in sorted(actual.keys() | expected.keys()):
@@ -101,7 +101,6 @@ def mismatches(actual, expected, skipped=()) -> list[str]:
             problems.extend(
                 f"{label}: {field} is {_canonical(value)}, corpus has {_canonical(pinned)}"
                 for name in PINNED
-                if name not in skipped
                 for field, value, pinned in differences(
                     name, actual[label][name], expected[label][name]
                 )
@@ -117,8 +116,8 @@ def load_corpus() -> dict[str, dict[str, object]]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def assert_matches(actual, skipped=()) -> None:
-    problems = mismatches(actual, load_corpus(), skipped)
+def assert_matches(actual) -> None:
+    problems = mismatches(actual, load_corpus())
     assert not problems, f"{len(problems)} differences, first ones:\n" + "\n".join(problems[:10])
 
 
@@ -140,20 +139,14 @@ def test_serial_grid_matches_the_corpus(cells, tmp_path, request):
 
 @pytest.mark.differential
 def test_parallel_grid_matches_the_corpus(cells, tmp_path, request):
-    """A two-worker sweep equals the serial corpus on every result.
-
-    ``stage_reuse`` is not compared: pool workers share the simulation
-    memo only within a stage group, and custom cells are grouped by the
-    decomposition sub-key, which holds the branching cap.  A custom cell
-    whose fabric equals one built under another cap is served from memory
-    (``simulate: memory``) in a serial sweep, but simulated again in its
-    own worker, so its provenance differs while its results do not.
-    """
+    """A two-worker sweep equals the serial corpus on every pinned field,
+    ``stage_reuse`` included: a worker runs every cap of a graph, so it
+    shares the syntheses and simulation runs a serial sweep shares."""
     if request.config.getoption("--update-golden"):
         pytest.skip("corpus being regenerated in this run")
     records = sweep(cells, tmp_path, parallel=True, max_workers=2)
     assert len(records) == len(cells)
-    assert_matches(records, skipped=("stage_reuse",))
+    assert_matches(records)
 
 
 def test_a_changed_field_is_named():

@@ -28,8 +28,24 @@ from repro.noc.simulator import (
 from repro.routing.policies import get_policy
 
 
+@pytest.fixture(scope="module")
+def engines_loaded(mesh_4x4):
+    """Run one throwaway simulation on every engine.
+
+    An engine's first run imports what it needs (the batch engine loads
+    numpy), and imports leave cyclic garbage of their own; doing them here
+    keeps each test's count to what the test itself leaves behind, however
+    the tests are ordered or selected.
+    """
+    table = get_policy("xy").build(mesh_4x4).frozen_next_hop()
+    for engine in ENGINES:
+        simulator = NoCSimulator(mesh_4x4, table, config=SimulatorConfig(engine=engine))
+        simulator.schedule_messages([Message(1, 16, 64)])
+        simulator.run_until_drained()
+
+
 @pytest.fixture()
-def cyclic_gc_off():
+def cyclic_gc_off(engines_loaded):
     """Collect what is pending, then keep the cyclic collector off."""
     gc.collect()
     gc.disable()
