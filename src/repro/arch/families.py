@@ -317,7 +317,7 @@ class FamilySpec:
     list already padded to ``padded_size(count)`` ids; extra infrastructure
     routers (fat-tree switches) are the builder's own business.  ``grid``
     marks families whose routers carry mesh coordinates (dimension-ordered
-    policies apply); ``wraparound`` marks families with dateline channels.
+    policies apply).
     """
 
     name: str
@@ -325,7 +325,6 @@ class FamilySpec:
     builder: Callable[..., Topology]
     padded_size: Callable[[int], int]
     grid: bool = False
-    wraparound: bool = False
 
     def build(
         self,
@@ -478,7 +477,6 @@ register_family(
         builder=_build_torus,
         padded_size=_grid_padded,
         grid=True,
-        wraparound=True,
     )
 )
 
@@ -488,7 +486,6 @@ register_family(
         description="bidirectional ring (degree-2 minimum-cost fabric)",
         builder=_build_ring,
         padded_size=lambda count: max(count, 3),
-        wraparound=True,
     )
 )
 
@@ -498,7 +495,6 @@ register_family(
         description="Spidergon/octagon: ring plus diametral cross links",
         builder=_build_spidergon,
         padded_size=lambda count: max(count + (count % 2), 4),
-        wraparound=True,
     )
 )
 

@@ -61,7 +61,6 @@ class ConstraintReport:
 
     satisfied: bool
     violations: list[str] = field(default_factory=list)
-    channel_loads: dict[ChannelKey, float] = field(default_factory=dict)
     max_router_degree: int = 0
     topology: Topology | None = field(default=None, repr=False, compare=False)
     """The checked topology, read by :attr:`bisection_bandwidth`."""
@@ -162,9 +161,7 @@ class ConstraintChecker:
 
         # 3. wiring resources via bisection bandwidth, searched only for a
         # limit (the report computes it on first read otherwise)
-        report = ConstraintReport(
-            satisfied=False, violations=violations, channel_loads=loads, topology=topology
-        )
+        report = ConstraintReport(satisfied=False, violations=violations, topology=topology)
         limit = self.constraints.max_bisection_bandwidth
         if limit is not None:
             bisection = report.bisection_bandwidth

@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.core.graph import DiGraph, Edge, EdgeIndex, Node
 
@@ -55,16 +54,6 @@ class IsomorphismMapping:
     def as_dict(self) -> dict[Node, Node]:
         """Plain-dict view of the node mapping."""
         return dict(self.mapping)
-
-    @cached_property
-    def _lookup_table(self) -> dict[Node, Node]:
-        # cached_property writes straight into the instance __dict__, which
-        # sidesteps the frozen dataclass' __setattr__.
-        return dict(self.mapping)
-
-    def image(self, node: Node) -> Node:
-        """The target node a pattern node is mapped to."""
-        return self._lookup_table[node]
 
     def covered_edges(self, pattern: DiGraph) -> frozenset[Edge]:
         """The target edges that are images of pattern edges."""

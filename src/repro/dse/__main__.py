@@ -51,6 +51,7 @@ from repro.dse.cache import ResultCache, StageArtifactStore
 from repro.dse.runner import run_sweep
 from repro.dse.scenarios import build_suite, describe_suites, resolve_suite, scenario_rows
 from repro.exceptions import ConfigurationError, ReproError
+from repro.experiments.reporting import format_table, rows_to_csv
 from repro.obs.session import NULL_SESSION, ObsSession, use_session
 
 DEFAULT_RESULTS = Path("dse_results") / "results.jsonl"
@@ -284,9 +285,6 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
         print(f"warning: {len(truncated)} cell(s) were budget-truncated; "
               "see the '!' markers above")
     if arguments.csv:
-        # imported lazily for the same reason as in repro.dse.analysis
-        from repro.experiments.reporting import rows_to_csv
-
         rows_to_csv(normalize_to_mesh(records), arguments.csv)
         print(f"\nwrote {len(records)} rows to {arguments.csv}")
     return 0
@@ -294,7 +292,6 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
 
 def _cmd_list_fabrics(arguments: argparse.Namespace) -> int:
     from repro.arch.families import family_names, get_family, pad_node_ids
-    from repro.experiments.reporting import format_table
     from repro.routing.policies import get_policy, policy_names, supported_policies
 
     probe_cores = arguments.cores
@@ -385,8 +382,6 @@ def _cmd_export_topology(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_list_scenarios(arguments: argparse.Namespace) -> int:
-    from repro.experiments.reporting import format_table
-
     if arguments.suite:
         rows = scenario_rows(build_suite(arguments.suite))
         print(format_table(rows, title=f"suite: {arguments.suite}"))

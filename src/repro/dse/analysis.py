@@ -19,6 +19,7 @@ from collections.abc import Sequence
 
 from repro.dse.pipeline import SETTINGS_READERS
 from repro.dse.records import EvaluationRecord
+from repro.experiments.reporting import format_table
 
 #: default Pareto objectives (smaller is better)
 DEFAULT_MINIMIZE = ("energy_per_iteration_uj", "avg_latency_cycles")
@@ -320,10 +321,6 @@ def pareto_report(
 ) -> str:
     """One table per scenario: all cells, Pareto members starred,
     mesh-normalized ratio columns, and a dominance verdict line."""
-    # imported lazily: repro.experiments pulls in the comparison module,
-    # which itself builds on this package's pipeline
-    from repro.experiments.reporting import format_table
-
     sections: list[str] = []
     for scenario in scenario_names(records):
         scoped = [record for record in records if record.scenario == scenario]

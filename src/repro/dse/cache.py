@@ -271,7 +271,8 @@ class ResultCache:
         self._loaded = False
         self.skipped_lines = 0
         """Malformed lines :meth:`load` skipped: truncated JSON (a crashed
-        writer), non-object JSON, or a record missing fields or its key."""
+        writer), non-object JSON, or a record missing fields or its key or
+        holding a field of the wrong JSON type."""
         self.stale_lines = 0
         """Lines :meth:`load` skipped because another pipeline version (or
         one that stamped no version) wrote them; they stay in the file."""

@@ -12,7 +12,10 @@ the on-disk JSONL cache stores.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 #: evaluation outcome classes (ordered roughly by how far the pipeline got)
 STATUS_OK = "ok"
@@ -147,15 +150,47 @@ class EvaluationRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "EvaluationRecord":
-        """Rebuild a record from a dict, ignoring unknown keys."""
-        known = {name for name in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        return cls(**{key: value for key, value in payload.items() if key in known})
+        """Rebuild a record from a dict, ignoring unknown keys.
+
+        Raises :class:`TypeError` for a missing field or for a value whose
+        JSON type does not match the field's annotation, a dict's values
+        included (``float`` takes any number, but not a bool).
+        """
+        known = {}
+        for key, value in payload.items():
+            check = _FIELD_CHECKS.get(key)
+            if check is None:
+                continue
+            if not check(value):
+                raise TypeError(f"record field {key!r} holds {json.dumps(value)}")
+            known[key] = value
+        return cls(**known)
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationRecord":
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
 
+
+def _json_check(annotation: object) -> Callable[[object], bool]:
+    """A predicate: whether a JSON value fits a field annotation."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is UnionType:
+        arms = [_json_check(arm) for arm in args]
+        return lambda value: any(arm(value) for arm in arms)
+    if origin is dict and args[1] is not object:
+        check = _json_check(args[1])
+        return lambda value: isinstance(value, dict) and all(map(check, value.values()))
+    if annotation is float:
+        return lambda value: isinstance(value, int | float) and not isinstance(value, bool)
+    return lambda value: isinstance(value, origin or annotation)  # type: ignore[arg-type]
+
+
+#: each field's JSON type check, read by :meth:`EvaluationRecord.from_dict`
+_FIELD_CHECKS = {
+    name: _json_check(annotation)
+    for name, annotation in get_type_hints(EvaluationRecord).items()
+}
 
 #: the fields a JSONL line stores: every field but ``from_cache``, which is
 #: a load-time annotation, not state

@@ -27,7 +27,6 @@ from repro.dse.cache import (
     StageArtifactStore,
     StageContext,
     cache_key,
-    decomposition_stage_key,
     fingerprint_scope,
     synthesis_stage_key,
 )
@@ -85,16 +84,13 @@ class SweepCell:
     settings: EvaluationSettings
     axes: dict[str, object]
     key: str
-    stage_group: str = ""
-    """The stage sub-key the :class:`~repro.dse.cache.StageContext` reuses
-    on: the decomposition sub-key for custom cells, the synthesis sub-key
-    for mesh cells.  Cells sharing it share one decomposition search (or
-    one routed baseline fabric)."""
     pool_group: Hashable = ""
     """The cells scheduled into one worker: a custom cell's search basis
     (its workload graph, by identity, and its library), so every cap and
     budget of a graph shares one worker's memos, or a mesh cell's
-    ``stage_group``."""
+    synthesis sub-key, on which the
+    :class:`~repro.dse.cache.StageContext` shares one routed baseline
+    fabric."""
 
     @property
     def label(self) -> str:
@@ -102,16 +98,11 @@ class SweepCell:
         return axis_label(self.axes)
 
 
-def _cell_groups(scenario: Scenario, effective: EvaluationSettings) -> dict[str, Hashable]:
-    """The cell's ``stage_group`` and ``pool_group`` fields; ``effective``
-    carries the scenario's pins."""
+def _pool_group(scenario: Scenario, effective: EvaluationSettings) -> Hashable:
+    """The cell's ``pool_group``; ``effective`` carries the scenario's pins."""
     if effective.architecture == "custom":
-        return {
-            "stage_group": decomposition_stage_key(scenario, effective),
-            "pool_group": (id(scenario.acg), effective.library),
-        }
-    stage_group = synthesis_stage_key(scenario, effective)
-    return {"stage_group": stage_group, "pool_group": stage_group}
+        return (id(scenario.acg), effective.library)
+    return synthesis_stage_key(scenario, effective)
 
 
 @fingerprint_scope()
@@ -139,7 +130,7 @@ def plan_sweep(
                     settings=settings,
                     axes=dict(axis_values),
                     key=cache_key(scenario, effective),
-                    **_cell_groups(scenario, effective),
+                    pool_group=_pool_group(scenario, effective),
                 )
             )
     return cells

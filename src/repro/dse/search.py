@@ -67,7 +67,7 @@ from repro.dse.runner import (
     SweepCell,
     SweepResult,
     _check_workers,
-    _cell_groups,
+    _pool_group,
     plan_sweep,
     run_cells,
 )
@@ -155,7 +155,7 @@ class RungSpec:
             settings=settings,
             axes=dict(cell.axes),
             key=cache_key(scenario, effective),
-            **_cell_groups(scenario, effective),
+            pool_group=_pool_group(scenario, effective),
         )
 
 

@@ -55,8 +55,3 @@ def bounding_box(rectangles: list[Rectangle]) -> Rectangle:
     x_max = max(rect.x_max for rect in rectangles)
     y_max = max(rect.y_max for rect in rectangles)
     return Rectangle(x_min, y_min, x_max - x_min, y_max - y_min)
-
-
-def manhattan(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Manhattan distance between two points."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])

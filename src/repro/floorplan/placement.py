@@ -6,28 +6,22 @@ area"), because the energy cost of a matching depends on the physical link
 lengths.  This module provides
 
 * :class:`Floorplan` — the result object: one placed rectangle per core,
-  total area, wirelength evaluation against an ACG;
+  total area and utilization;
 * :func:`grid_floorplan` — row-major shelf packing, area-driven (the paper's
   "optimized for chip area" assumption; exact for identical cores such as
-  the 16 AES nodes);
-* :func:`annealed_floorplan` — an optional simulated-annealing refinement
-  that swaps grid slots to reduce the volume-weighted wirelength of a given
-  ACG while keeping the same (area-optimal) outline.  This is the hook for
-  the paper's future-work remark about relaxing the fixed-floorplan
-  assumption.
+  the 16 AES nodes).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import FloorplanError
 from repro.floorplan.core_spec import CoreSpec
-from repro.floorplan.geometry import Rectangle, bounding_box, manhattan
+from repro.floorplan.geometry import Rectangle, bounding_box
 
 NodeId = Hashable
 
@@ -57,9 +51,6 @@ class Floorplan:
     def centers(self) -> dict[NodeId, tuple[float, float]]:
         return {core_id: rect.center for core_id, rect in self.placements.items()}
 
-    def distance(self, first: NodeId, second: NodeId) -> float:
-        return manhattan(self.center(first), self.center(second))
-
     def die_area_mm2(self) -> float:
         if not self.placements:
             return 0.0
@@ -71,13 +62,6 @@ class Floorplan:
         if die == 0:
             return 0.0
         return sum(rect.area for rect in self.placements.values()) / die
-
-    def wirelength(self, acg: ApplicationGraph) -> float:
-        """Volume-weighted Manhattan wirelength of the ACG on this floorplan."""
-        total = 0.0
-        for source, target in acg.edges():
-            total += acg.volume(source, target) * self.distance(source, target)
-        return total
 
     def apply_to(self, acg: ApplicationGraph) -> None:
         """Write the core centres into the ACG as positions."""
@@ -119,64 +103,3 @@ def grid_floorplan(
         x_cursor += core.width_mm + spacing_mm
         row_height = max(row_height, core.height_mm)
     return floorplan
-
-
-def annealed_floorplan(
-    cores: Sequence[CoreSpec],
-    acg: ApplicationGraph,
-    columns: int | None = None,
-    iterations: int = 2000,
-    initial_temperature: float = 1.0,
-    seed: int = 0,
-) -> Floorplan:
-    """Wirelength-driven refinement of the grid floorplan by slot swapping.
-
-    The outline (and hence the chip area) stays identical to the grid
-    floorplan; only the assignment of cores to grid slots changes.  The cost
-    being minimised is the volume-weighted Manhattan wirelength of the ACG,
-    i.e. the floorplan is tuned to the application the topology will be
-    synthesized for.  Requires identical core footprints (slot swapping would
-    otherwise create overlaps).
-    """
-    if not cores:
-        raise FloorplanError("cannot floorplan an empty core list")
-    first = cores[0]
-    if any(
-        (core.width_mm, core.height_mm) != (first.width_mm, first.height_mm) for core in cores
-    ):
-        raise FloorplanError("annealed_floorplan requires identical core footprints")
-
-    base = grid_floorplan(cores, columns=columns)
-    slots = [base.placements[core.core_id] for core in cores]
-    assignment = list(range(len(cores)))  # assignment[slot_index] = core index
-    rng = random.Random(seed)
-
-    def build(assign: Sequence[int]) -> Floorplan:
-        plan = Floorplan()
-        for slot_index, core_index in enumerate(assign):
-            plan.add(cores[core_index].core_id, slots[slot_index])
-        return plan
-
-    def cost(assign: Sequence[int]) -> float:
-        return build(assign).wirelength(acg)
-
-    current_cost = cost(assignment)
-    best_assignment = list(assignment)
-    best_cost = current_cost
-    temperature = initial_temperature * max(current_cost, 1.0)
-
-    for step in range(max(iterations, 1)):
-        i, j = rng.sample(range(len(cores)), 2)
-        assignment[i], assignment[j] = assignment[j], assignment[i]
-        candidate_cost = cost(assignment)
-        delta = candidate_cost - current_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-            current_cost = candidate_cost
-            if candidate_cost < best_cost:
-                best_cost = candidate_cost
-                best_assignment = list(assignment)
-        else:
-            assignment[i], assignment[j] = assignment[j], assignment[i]
-        temperature *= 0.999
-
-    return build(best_assignment)

@@ -72,9 +72,6 @@ class GraphFormat:
     """Read a file into a record; errors name the file and the line."""
     render: Callable[[GraphFile, tuple[str, ...]], str]
     """The text of a file holding the record."""
-    notes: str = ""
-    """Interoperability caveats for the docs' format matrix (e.g. which
-    attribute columns are repro extensions to the published format)."""
 
 
 #: the interchange-format registry (plugin-fabric cell: third-party

@@ -169,9 +169,5 @@ register_format(
         extensions=(".dot", ".gv"),
         parse=parse,
         render=render,
-        notes=(
-            "Reader covers the emitted digraph subset (no subgraphs or edge "
-            "chains); repro data rides as plain node/edge attributes."
-        ),
     )
 )

@@ -104,9 +104,5 @@ register_format(
         extensions=(".edges", ".edgelist", ".wel"),
         parse=parse,
         render=render,
-        notes=(
-            "#% directive lines are plain comments to other tools; files "
-            "without them import with edge-implied nodes and default weights."
-        ),
     )
 )

@@ -198,9 +198,5 @@ register_format(
         extensions=(".net", ".pajek"),
         parse=parse,
         render=render,
-        notes=(
-            "Coordinates and the 4th/5th arc columns are repro extensions; "
-            "plain Pajek tools read the files, repro reads plain Pajek files."
-        ),
     )
 )

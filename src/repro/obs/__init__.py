@@ -9,9 +9,9 @@ The three pillars:
 
 * **tracer** (:mod:`repro.obs.tracer`) — hierarchical contextvar-nested
   spans, serializable across process-pool workers;
-* **metrics** (:mod:`repro.obs.metrics`) — labelled counters / gauges /
-  histograms on the :class:`~repro.plugins.Registry` kernel, rendered by
-  the pluggable exporters in :mod:`repro.obs.export`;
+* **metrics** (:mod:`repro.obs.metrics`) — labelled counters and gauges
+  on the :class:`~repro.plugins.Registry` kernel, rendered by the
+  pluggable exporters in :mod:`repro.obs.export`;
 * **probes** (:mod:`repro.obs.probes`) — opt-in per-router / per-channel
   simulator instrumentation whose figures are bit-identical across both
   engines.

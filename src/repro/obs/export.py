@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.exceptions import ReproError
+from repro.experiments.reporting import format_table
 from repro.obs.metrics import METRIC_EVENT
 from repro.obs.tracer import SPAN_EVENT
 from repro.plugins.registry import Registry
@@ -81,14 +83,70 @@ def write_event_log(path: str | Path, events: Iterable[dict]) -> Path:
     return path
 
 
+_NUMBER = (int, float)
+
+#: event type -> the members the renderers read, with their JSON types
+_EVENT_MEMBERS: dict[str, dict[str, tuple[type, ...]]] = {
+    SPAN_EVENT: {
+        "name": (str,),
+        "span_id": (str,),
+        "parent_id": (str, type(None)),
+        "start_s": _NUMBER,
+        "duration_s": _NUMBER,
+        "attributes": (dict,),
+    },
+    METRIC_EVENT: {"name": (str,), "kind": (str,), "labels": (dict,)},
+}
+
+#: metric kinds that carry one numeric ``value``
+_VALUE_KINDS = ("counter", "gauge")
+
+
+def _event_problem(event: object) -> str | None:
+    """Why ``event`` is not an event the renderers can read, or None."""
+    if not isinstance(event, dict):
+        return f"expected a JSON object, got {json.dumps(event)}"
+    event_type = event.get("type")
+    if not isinstance(event_type, str):
+        return "event has no string 'type'"
+    members = dict(_EVENT_MEMBERS.get(event_type, {}))
+    if event_type == METRIC_EVENT and event.get("kind") in _VALUE_KINDS:
+        members["value"] = _NUMBER
+    for member, types in members.items():
+        if member not in event:
+            return f"{event_type} event has no {member!r}"
+        value = event[member]
+        if not isinstance(value, types) or isinstance(value, bool):
+            return f"{event_type} event's {member!r} is {json.dumps(value)}"
+    return None
+
+
 def read_event_log(path: str | Path) -> list[dict]:
-    """Read a JSONL event log back (blank lines are skipped)."""
+    """Read a JSONL event log back (blank lines are skipped).
+
+    Raises :class:`~repro.exceptions.ReproError` naming the path, and the
+    line, for an unreadable file, a line that is not a JSON object, or a
+    span or metric event missing a member the renderers read or holding
+    one of the wrong type.
+    """
     events = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
+    try:
+        with Path(path).open("r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError as error:
+                    raise ReproError(f"{path}, line {number}: not JSON ({error.msg})") from None
+                problem = _event_problem(event)
+                if problem is not None:
+                    raise ReproError(f"{path}, line {number}: {problem}")
+                events.append(event)
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise ReproError(f"{path}: cannot read the event log: {reason}") from None
     return events
 
 
@@ -112,21 +170,19 @@ def _prometheus_name(name: str) -> str:
     return re.sub(r"[^a-zA-Z0-9_:]", "_", name)
 
 
-def _prometheus_labels(labels: dict, extra: dict | None = None) -> str:
-    merged = {**labels, **(extra or {})}
-    if not merged:
+def _prometheus_labels(labels: dict) -> str:
+    if not labels:
         return ""
-    inner = ",".join(f'{_prometheus_name(str(key))}="{merged[key]}"'
-                     for key in sorted(merged))
+    inner = ",".join(f'{_prometheus_name(str(key))}="{labels[key]}"'
+                     for key in sorted(labels))
     return "{" + inner + "}"
 
 
 def render_prometheus(events: Sequence[dict]) -> str:
     """Metric events in the Prometheus text exposition format.
 
-    Counters and gauges become single samples; histograms expand into the
-    conventional cumulative ``_bucket{le=...}`` / ``_sum`` / ``_count``
-    series.  Span events are skipped (they are not metrics).
+    Counters and gauges become single samples.  Span events are skipped
+    (they are not metrics).
     """
     lines: list[str] = []
     typed: set[str] = set()
@@ -139,22 +195,6 @@ def render_prometheus(events: Sequence[dict]) -> str:
                 typed.add(name)
                 lines.append(f"# TYPE {name} {kind}")
             lines.append(f"{name}{_prometheus_labels(labels)} {event['value']:g}")
-        elif kind == "histogram":
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound in sorted(int(b) for b in (event.get("buckets") or {})):
-                cumulative += int(event["buckets"][str(bound)])
-                lines.append(
-                    f"{name}_bucket{_prometheus_labels(labels, {'le': bound})} {cumulative}"
-                )
-            lines.append(
-                f"{name}_bucket{_prometheus_labels(labels, {'le': '+Inf'})} "
-                f"{event.get('count', 0)}"
-            )
-            lines.append(f"{name}_sum{_prometheus_labels(labels)} {event.get('sum', 0):g}")
-            lines.append(f"{name}_count{_prometheus_labels(labels)} {event.get('count', 0)}")
     return "\n".join(lines)
 
 
@@ -183,10 +223,6 @@ def _aggregate_spans(events: Sequence[dict]) -> list[dict]:
 
 def render_summary(events: Sequence[dict]) -> str:
     """Aligned tables over the whole event log: spans, then metrics."""
-    # imported lazily: repro.experiments pulls in the comparison module,
-    # which builds on the DSE pipeline this package instruments
-    from repro.experiments.reporting import format_table
-
     sections: list[str] = []
     aggregated = _aggregate_spans(events)
     if aggregated:
@@ -194,20 +230,14 @@ def render_summary(events: Sequence[dict]) -> str:
     metric_rows = []
     for event in _metrics(events):
         labels = dict(event.get("labels") or {})
-        row: dict[str, object] = {
-            "metric": event["name"],
-            "kind": event.get("kind", ""),
-            "labels": ",".join(f"{key}={labels[key]}" for key in sorted(labels)) or "-",
-        }
-        if event.get("kind") == "histogram":
-            row["count"] = event.get("count", 0)
-            row["mean"] = (
-                float(event.get("sum", 0.0)) / event["count"] if event.get("count") else 0.0
-            )
-            row["max"] = event.get("max", 0.0)
-        else:
-            row["value"] = event.get("value", 0.0)
-        metric_rows.append(row)
+        metric_rows.append(
+            {
+                "metric": event["name"],
+                "kind": event.get("kind", ""),
+                "labels": ",".join(f"{key}={labels[key]}" for key in sorted(labels)) or "-",
+                "value": event.get("value", 0.0),
+            }
+        )
     if metric_rows:
         sections.append(format_table(metric_rows, title="metrics"))
     if not sections:
@@ -249,8 +279,6 @@ def render_trace_summary(events: Sequence[dict], top: int = 10) -> str:
     pipeline stage) and which routers/channels the simulator probes saw
     the most traffic on.
     """
-    from repro.experiments.reporting import format_table
-
     sections: list[str] = []
 
     aggregated = _aggregate_spans(events)

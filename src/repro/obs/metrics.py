@@ -1,4 +1,4 @@
-"""Metric instruments (counters, gauges, histograms) on the registry kernel.
+"""Metric instruments (counters, gauges) on the registry kernel.
 
 A :class:`MetricsRegistry` is a labelled instrument store built on the
 generic :class:`~repro.plugins.registry.Registry` kernel: every
@@ -10,9 +10,9 @@ names plus a nearest-match suggestion).  Instruments flatten to plain
 event-log currency spans use, which is what the pluggable exporters in
 :mod:`repro.obs.export` render.
 
-Histograms bucket observations by the next power of two, so buckets are
-exact integers and the serialized snapshot is bit-identical across
-simulator engines and host machines.
+:class:`Histogram` is the simulator probes' accumulator, not a registry
+instrument: it buckets observations by the next power of two, so buckets
+are exact integers and identical across simulator engines and hosts.
 """
 
 from __future__ import annotations
@@ -89,17 +89,14 @@ class Histogram:
 
     ``buckets`` maps the *upper bound* of each power-of-two bucket to its
     observation count; an observation ``v`` lands in the smallest bucket
-    ``2**k >= max(v, 1)``.  Integer bounds keep snapshots bit-identical
+    ``2**k >= max(v, 1)``.  Integer bounds keep the buckets bit-identical
     wherever they were produced.
     """
 
-    name: str
-    labels: dict[str, str] = field(default_factory=dict)
     buckets: dict[int, int] = field(default_factory=dict)
     count: int = 0
     sum: float = 0.0
     max: float = 0.0
-    kind = "histogram"
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -116,28 +113,15 @@ class Histogram:
         """The arithmetic mean of the observations (0.0 when empty)."""
         return self.sum / self.count if self.count else 0.0
 
-    def as_event(self) -> dict[str, object]:
-        """This histogram as a plain metric event dict (sorted buckets)."""
-        return {
-            "type": METRIC_EVENT,
-            "kind": self.kind,
-            "name": self.name,
-            "labels": dict(self.labels),
-            "count": self.count,
-            "sum": self.sum,
-            "max": self.max,
-            "buckets": {str(bound): self.buckets[bound] for bound in sorted(self.buckets)},
-        }
-
 
 #: every instrument shape the registry can hold
-Metric = Counter | Gauge | Histogram
+Metric = Counter | Gauge
 
 
 class MetricsRegistry:
     """Get-or-create store of labelled instruments with uniform errors.
 
-    ``counter``/``gauge``/``histogram`` return the live instrument for the
+    ``counter``/``gauge`` return the live instrument for the
     ``(name, labels)`` pair, creating it on first use; :meth:`get` looks an
     existing one up and raises the kernel's uniform
     :class:`~repro.exceptions.UnknownPluginError` for unknown keys —
@@ -164,10 +148,6 @@ class MetricsRegistry:
         """The gauge for ``(name, labels)``, created on first use."""
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        """The histogram for ``(name, labels)``, created on first use."""
-        return self._get_or_create(Histogram, name, labels)
-
     def get(self, name: str, **labels: object) -> Metric:
         """Look an existing instrument up (uniform unknown-name errors)."""
         return self.instruments.get(_flat_key(name, {k: str(v) for k, v in labels.items()}))
@@ -179,8 +159,8 @@ class MetricsRegistry:
     def ingest(self, events: list[dict[str, object]]) -> int:
         """Merge metric events exported elsewhere (e.g. by a pool worker).
 
-        Counters add, gauges take the incoming value, histograms merge
-        buckets/count/sum/max.  Returns the number of events merged.
+        Counters add, gauges take the incoming value.  Returns the number
+        of events merged.
         """
         merged = 0
         for event in events:
@@ -193,16 +173,6 @@ class MetricsRegistry:
                 self.counter(name, **labels).add(float(event["value"]))  # type: ignore[arg-type]
             elif kind == "gauge":
                 self.gauge(name, **labels).set(float(event["value"]))  # type: ignore[arg-type]
-            elif kind == "histogram":
-                histogram = self.histogram(name, **labels)
-                histogram.count += int(event.get("count", 0))  # type: ignore[arg-type]
-                histogram.sum += float(event.get("sum", 0.0))  # type: ignore[arg-type]
-                histogram.max = max(histogram.max, float(event.get("max", 0.0)))  # type: ignore[arg-type]
-                for bound, count in (event.get("buckets") or {}).items():  # type: ignore[union-attr]
-                    bound_int = int(bound)
-                    histogram.buckets[bound_int] = (
-                        histogram.buckets.get(bound_int, 0) + int(count)
-                    )
             else:
                 continue
             merged += 1

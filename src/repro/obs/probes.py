@@ -46,9 +46,7 @@ class SimulatorProbe:
         """One packet entered ``node``'s buffers, which now hold ``occupancy``."""
         histogram = self.occupancy.get(node)
         if histogram is None:
-            histogram = self.occupancy[node] = Histogram(
-                "noc.router.occupancy", labels={"router": str(node)}
-            )
+            histogram = self.occupancy[node] = Histogram()
         histogram.observe(occupancy)
         self.enqueues += 1
 
@@ -56,9 +54,7 @@ class SimulatorProbe:
         """``node`` delivered a packet that took ``latency`` cycles end to end."""
         histogram = self.latency.get(node)
         if histogram is None:
-            histogram = self.latency[node] = Histogram(
-                "noc.router.latency_cycles", labels={"router": str(node)}
-            )
+            histogram = self.latency[node] = Histogram()
         histogram.observe(latency)
 
     # ------------------------------------------------------------------

@@ -6,8 +6,7 @@ yet decompose into one MGG-4, three one-to-three broadcasts and one
 one-to-four broadcast with no remainder.  :func:`figure5_example_acg`
 reconstructs an ACG with exactly that primitive content (the paper does not
 publish the exact adjacency, so the instance is rebuilt from its published
-decomposition); :func:`figure2_example_graph` reconstructs the 4/5-node
-walk-through graph of Figure 2.
+decomposition).
 
 :func:`degree_sequence_acg` and :func:`scale_free_acg` generate random ACGs
 with a *controlled out-degree sequence* (cf. the scale-free degree-sequence
@@ -61,25 +60,6 @@ def figure5_example_acg(volume_bits: int = 64) -> ApplicationGraph:
     # 3: G1to3 rooted at 4 -> {5, 6, 7}
     for receiver in (5, 6, 7):
         add(4, receiver)
-    return acg
-
-
-def figure2_example_graph(volume_bits: int = 1) -> ApplicationGraph:
-    """The small walk-through input graph of Figure 2.
-
-    The figure itself is not machine-readable; the reconstruction uses a
-    4-node gossip clique plus one extra fan-out edge, which exhibits the same
-    three decomposition branches discussed in the text (gossip-first,
-    loop-first, broadcast-first).
-    """
-    acg = ApplicationGraph(name="figure2_example")
-    for node in range(1, 6):
-        acg.add_node(node, exist_ok=True)
-    for source in (1, 2, 3, 4):
-        for target in (1, 2, 3, 4):
-            if source != target:
-                acg.add_communication(source, target, volume=volume_bits)
-    acg.add_communication(1, 5, volume=volume_bits)
     return acg
 
 

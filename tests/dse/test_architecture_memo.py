@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.cost import LinkCountCostModel
 from repro.core.decomposition import replay_cover
-from repro.dse.cache import StageContext
+from repro.dse.cache import StageContext, decomposition_stage_key, synthesis_stage_key
 from repro.dse.pipeline import (
     EvaluationSettings,
     evaluate_cells,
@@ -165,13 +165,19 @@ def test_pool_groups_keep_the_serial_order_of_the_benchmark_grid():
             groups.setdefault(group_of(cell), []).append(cell.key)
         return [len(groups), *chain.from_iterable(groups.values())]
 
-    by_stage = flattened(lambda cell: cell.stage_group)
+    def stage_group(cell) -> str:
+        """The decomposition sub-key of a custom cell, the synthesis one of a mesh cell."""
+        custom = cell.settings.architecture == "custom"
+        sub_key = decomposition_stage_key if custom else synthesis_stage_key
+        return sub_key(cell.scenario, cell.settings)
+
+    by_stage = flattened(stage_group)
     by_pool = flattened(lambda cell: cell.pool_group)
     assert (by_stage[0], by_pool[0]) == (18, 10)
     assert by_pool[1:] == by_stage[1:]
     for cell in cells:
         if cell.settings.architecture == "mesh":
-            assert cell.pool_group == cell.stage_group
+            assert cell.pool_group == stage_group(cell)
         else:
             library = cell.scenario.effective_settings(cell.settings).library
             assert cell.pool_group == (id(cell.scenario.acg), library)

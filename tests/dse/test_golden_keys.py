@@ -15,6 +15,7 @@ from repro.dse.cache import (
     PIPELINE_VERSION,
     cache_key,
     decomposition_stage_key,
+    fingerprint_scope,
     synthesis_stage_key,
 )
 from repro.dse.pipeline import EvaluationSettings
@@ -76,12 +77,16 @@ def test_direct_keys_match_the_pinned_digests(name, architecture):
 
 def test_planned_cells_carry_the_pinned_digests():
     scenarios = [SCENARIOS[name]() for name in ("aes", "mpeg4")]
-    cells = plan_sweep(scenarios, axes={"architecture": ("mesh", "custom")})
-    for cell in cells:
-        key, decomposition, synthesis = GOLDEN[(cell.scenario.name, cell.settings.architecture)]
-        assert cell.key == key
-        group = decomposition if cell.settings.architecture == "custom" else synthesis
-        assert cell.stage_group == group
+    with fingerprint_scope():
+        cells = plan_sweep(scenarios, axes={"architecture": ("mesh", "custom")})
+        for cell in cells:
+            assert (
+                cell.key,
+                decomposition_stage_key(cell.scenario, cell.settings),
+                synthesis_stage_key(cell.scenario, cell.settings),
+            ) == GOLDEN[(cell.scenario.name, cell.settings.architecture)]
+            if cell.settings.architecture == "mesh":
+                assert cell.pool_group == GOLDEN[(cell.scenario.name, "mesh")][2]
 
 
 def test_rung_variants_carry_the_pinned_digests():
@@ -92,7 +97,9 @@ def test_rung_variants_carry_the_pinned_digests():
     assert screen.scenario.repetitions == 1
     assert screen.settings.max_nodes_expanded == 20
     assert screen.key == GOLDEN_CAPPED
-    assert screen.stage_group == GOLDEN_BUDGET_DECOMPOSITION
+    assert decomposition_stage_key(screen.scenario, screen.settings) == (
+        GOLDEN_BUDGET_DECOMPOSITION
+    )
     budget = base.merged({"max_nodes_expanded": 20})
     assert cache_key(scenario, budget) == GOLDEN_REPEATED
     assert synthesis_stage_key(screen.scenario, screen.settings) == GOLDEN_BUDGET_SYNTHESIS
@@ -102,10 +109,11 @@ def test_a_mutated_workload_changes_its_keys_between_sweeps():
     scenario = embedded_scenario("mpeg4")
     axes = {"architecture": ("mesh", "custom")}
     before = plan_sweep([scenario], axes=axes)
+    sub_keys = [decomposition_stage_key(scenario, cell.settings) for cell in before]
     source, target = scenario.acg.edges()[0]
     scenario.acg.edge_attributes(source, target)["volume"] += 64.0
     after = plan_sweep([scenario], axes=axes)
-    for old, new in zip(before, after):
+    for old, new, sub_key in zip(before, after, sub_keys):
         assert new.key != old.key
-        assert new.stage_group != old.stage_group
+        assert decomposition_stage_key(scenario, new.settings) != sub_key
         assert new.key == cache_key(scenario, new.settings)

@@ -217,6 +217,63 @@ class TestCli:
             assert list(event) == sorted(event)
 
 
+SPAN = {"type": "span", "name": "dse.route", "span_id": "1.1", "parent_id": None,
+        "start_s": 0.0, "duration_s": 0.5, "attributes": {}}
+COUNTER = {"type": "metric", "kind": "counter", "name": "noc.router.delivered",
+           "labels": {"router": "3"}, "value": 7.0}
+
+
+class TestBadEventLogs:
+    """``trace`` and ``stats`` reject a bad event log with ``error:`` and exit 2."""
+
+    def write(self, tmp_path, *lines: str):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return path
+
+    def assert_rejected(self, capsys, argv, *fragments: str) -> None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        for fragment in fragments:
+            assert fragment in captured.err
+
+    def test_a_good_log_still_renders(self, tmp_path, capsys):
+        path = self.write(tmp_path, json.dumps(SPAN), json.dumps(COUNTER))
+        assert main(["trace", str(path)]) == 0
+        assert main(["stats", str(path), "--format", "prometheus"]) == 0
+        assert 'noc_router_delivered{router="3"} 7' in capsys.readouterr().out
+
+    def test_truncated_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, json.dumps(SPAN), json.dumps(COUNTER)[:20])
+        self.assert_rejected(capsys, ["trace", str(path)], f"{path}, line 2: not JSON")
+
+    def test_span_without_duration(self, tmp_path, capsys):
+        span = {key: value for key, value in SPAN.items() if key != "duration_s"}
+        path = self.write(tmp_path, json.dumps(span))
+        self.assert_rejected(
+            capsys, ["trace", str(path)], f"{path}, line 1: ", "no 'duration_s'"
+        )
+
+    def test_counter_without_value(self, tmp_path, capsys):
+        counter = {key: value for key, value in COUNTER.items() if key != "value"}
+        path = self.write(tmp_path, json.dumps(SPAN), json.dumps(counter))
+        self.assert_rejected(
+            capsys, ["stats", str(path), "--format", "prometheus"],
+            f"{path}, line 2: ", "no 'value'",
+        )
+
+    def test_ill_typed_member(self, tmp_path, capsys):
+        path = self.write(tmp_path, json.dumps({**COUNTER, "value": "7"}))
+        self.assert_rejected(capsys, ["stats", str(path)], f"{path}, line 1: ", "'value'")
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        self.assert_rejected(capsys, ["trace", str(path)], f"{path}: cannot read")
+        self.assert_rejected(capsys, ["stats", str(path)], f"{path}: cannot read")
+
+
 class TestSearchSpan:
     def test_search_decompose_annotations(self, smoke_scenarios):
         session = ObsSession.enabled()

@@ -256,14 +256,12 @@ class TestRunnerGrouping:
         cells = plan_sweep([SCENARIO], axes=self.AXES)
         custom = [cell for cell in cells if cell.settings.architecture == "custom"]
         mesh = [cell for cell in cells if cell.settings.architecture == "mesh"]
-        assert len({cell.stage_group for cell in custom}) == 1
+        assert len({cell.pool_group for cell in custom}) == 1
+        assert len({decomposition_stage_key(SCENARIO, cell.settings) for cell in custom}) == 1
         # mesh cells do not decompose: they group by the synthesis sub-key,
         # on which the context shares one routed baseline fabric
-        assert len({cell.stage_group for cell in mesh}) == 1
-        assert custom[0].stage_group == decomposition_stage_key(
-            SCENARIO, custom[0].settings
-        )
-        assert mesh[0].stage_group == synthesis_stage_key(SCENARIO, mesh[0].settings)
+        assert len({cell.pool_group for cell in mesh}) == 1
+        assert mesh[0].pool_group == synthesis_stage_key(SCENARIO, mesh[0].settings)
 
     def test_sweep_runs_decomposition_once_per_group(self, tmp_path):
         result = run_sweep([SCENARIO], axes=self.AXES, artifacts=tmp_path / "stage")

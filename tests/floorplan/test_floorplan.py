@@ -7,8 +7,8 @@ import pytest
 from repro.core.graph import ApplicationGraph
 from repro.exceptions import FloorplanError
 from repro.floorplan.core_spec import CoreSpec, uniform_cores
-from repro.floorplan.geometry import Rectangle, bounding_box, manhattan
-from repro.floorplan.placement import Floorplan, annealed_floorplan, grid_floorplan
+from repro.floorplan.geometry import Rectangle, bounding_box
+from repro.floorplan.placement import Floorplan, grid_floorplan
 
 
 def sized_cores(sizes: dict) -> list[CoreSpec]:
@@ -39,9 +39,6 @@ class TestGeometry:
         with pytest.raises(FloorplanError):
             bounding_box([])
 
-    def test_manhattan(self):
-        assert manhattan((0, 0), (3, 4)) == 7
-
 
 class TestCoreSpec:
     def test_uniform_cores(self):
@@ -63,12 +60,11 @@ class TestFloorplan:
         with pytest.raises(FloorplanError):
             floorplan.add(2, Rectangle(1, 1, 2, 2))
 
-    def test_center_distance_and_missing_core(self):
+    def test_center_and_missing_core(self):
         floorplan = Floorplan()
         floorplan.add(1, Rectangle(0, 0, 2, 2))
         floorplan.add(2, Rectangle(2, 0, 2, 2))
         assert floorplan.center(1) == (1.0, 1.0)
-        assert floorplan.distance(1, 2) == pytest.approx(2.0)
         with pytest.raises(FloorplanError):
             floorplan.center(99)
 
@@ -79,12 +75,11 @@ class TestFloorplan:
         assert floorplan.die_area_mm2() == pytest.approx(8.0)
         assert floorplan.utilization() == pytest.approx(1.0)
 
-    def test_wirelength_and_apply_to(self):
+    def test_apply_to(self):
         acg = ApplicationGraph.from_traffic({(1, 2): 10.0})
         floorplan = Floorplan()
         floorplan.add(1, Rectangle(0, 0, 2, 2))
         floorplan.add(2, Rectangle(4, 0, 2, 2))
-        assert floorplan.wirelength(acg) == pytest.approx(10.0 * 4.0)
         floorplan.apply_to(acg)
         assert acg.link_length(1, 2) == pytest.approx(4.0)
 
@@ -118,28 +113,3 @@ class TestGridFloorplan:
             grid_floorplan([])
         with pytest.raises(FloorplanError):
             grid_floorplan(uniform_cores([1]), columns=0)
-
-
-class TestAnnealedFloorplan:
-    def _chain_acg(self) -> ApplicationGraph:
-        return ApplicationGraph.from_traffic(
-            {(1, 2): 1000.0, (2, 3): 1000.0, (3, 4): 1000.0, (1, 4): 10.0}
-        )
-
-    def test_annealing_does_not_worsen_wirelength(self):
-        acg = self._chain_acg()
-        cores = uniform_cores([1, 2, 3, 4], size_mm=2.0)
-        baseline = grid_floorplan(cores)
-        annealed = annealed_floorplan(cores, acg, iterations=500, seed=1)
-        assert annealed.wirelength(acg) <= baseline.wirelength(acg) + 1e-9
-        assert annealed.die_area_mm2() == pytest.approx(baseline.die_area_mm2())
-
-    def test_annealing_requires_identical_cores(self):
-        acg = self._chain_acg()
-        cores = sized_cores({1: (1, 1), 2: (2, 2), 3: (1, 1), 4: (1, 1)})
-        with pytest.raises(FloorplanError):
-            annealed_floorplan(cores, acg)
-
-    def test_annealing_empty_rejected(self):
-        with pytest.raises(FloorplanError):
-            annealed_floorplan([], ApplicationGraph())

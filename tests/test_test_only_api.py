@@ -5,9 +5,12 @@ A function, class, method, field or module constant earns its place in
 below parses every module under ``src/repro`` with :mod:`ast` and, for
 each defined name, looks for the name as a whole word in
 
-- ``src/``, skipping the definition itself and package re-exports
+- the code of ``src/``: names and string literals, but not comments,
+  docstrings or other bare string statements, so prose alone keeps no
+  name alive.  The definition itself and package re-exports
   (``import`` statements, ``__all__`` and the lazy name tables of the
-  :mod:`repro._lazy` facades);
+  :mod:`repro._lazy` facades) are skipped too, though a facade's call of
+  :func:`~repro._lazy.lazy_attributes` is code;
 - ``benchmarks/``, ``scripts/``, ``examples/`` and ``perfbench/``;
 - ``docs/*.md`` and ``README.md``.
 
@@ -19,7 +22,9 @@ it as a reference implementation or as a checking tool.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +55,7 @@ ALLOWED: dict[str, str] = {
     "exporter_names": "tests/test_api_facade.py",
     "format_names": "tests/test_api_facade.py",
     "get_library": "tests/test_api_facade.py",
+    "infrastructure_router": "tests/test_api_facade.py",
     "register_score": "tests/test_api_facade.py",
 }
 
@@ -93,6 +99,37 @@ def _is_reexport(node: ast.stmt, lazy: bool) -> bool:
     )
 
 
+def _code_words(source: str, tree: ast.Module) -> list[tuple[str, int]]:
+    """``(word, line)`` for each word of ``source``'s code.
+
+    Comments and bare string statements (docstrings among them) are
+    prose, not code, and yield nothing.
+    """
+    prose = [
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    ]
+    words: list[tuple[str, int]] = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.STRING and any(a <= token.start < b for a, b in prose):
+            continue
+        if token.type in (tokenize.NAME, tokenize.STRING):
+            for offset, text in enumerate(token.string.splitlines()):
+                words += [(word, token.start[0] + offset) for word in WORD.findall(text)]
+    return words
+
+
+def _facade_calls(node: ast.stmt) -> list[tuple[str, int]]:
+    """The callee of a facade's ``lazy_attributes(...)`` statement, a use in code."""
+    value = getattr(node, "value", None)
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return [(value.func.id, value.func.lineno)]
+    return []
+
+
 def _assigned_names(node: ast.stmt) -> list[str]:
     if isinstance(node, ast.Assign):
         return [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -127,11 +164,12 @@ def names_only_tests_reach() -> dict[str, list[str]]:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         lazy = "lazy_attributes" in source
-        skipped = {line for node in tree.body if _is_reexport(node, lazy) for line in _span(node)}
-        for number, text in enumerate(source.splitlines(), start=1):
-            if number not in skipped:
-                for word in WORD.findall(text):
-                    where.setdefault(word, set()).add((path, number))
+        reexports = [node for node in tree.body if _is_reexport(node, lazy)]
+        skipped = {line for node in reexports for line in _span(node)}
+        uses = [(w, n) for w, n in _code_words(source, tree) if n not in skipped]
+        uses += [use for node in reexports for use in _facade_calls(node)]
+        for word, number in uses:
+            where.setdefault(word, set()).add((path, number))
         module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
         for name, qualified, span in _definitions(tree.body, module):
             if span[0] in skipped:

@@ -10,7 +10,6 @@ from repro.io import read_workload, write_workload
 from repro.workloads.acg_builder import acg_from_task_graph, attach_grid_floorplan
 from repro.workloads.pajek import erdos_renyi_acg, pajek_benchmark_suite, planted_primitive_acg
 from repro.workloads.random_acg import (
-    figure2_example_graph,
     figure5_example_acg,
     random_decomposable_acg,
 )
@@ -156,11 +155,6 @@ class TestCuratedAcgs:
             for b in (1, 2, 5, 6):
                 if a != b:
                     assert acg.has_edge(a, b)
-
-    def test_figure2_example(self):
-        acg = figure2_example_graph()
-        assert acg.num_nodes == 5
-        assert acg.num_edges == 13  # K4 (12) + one fan-out edge
 
     def test_random_decomposable_acg(self):
         acg = random_decomposable_acg(num_nodes=12, seed=1)
