@@ -37,7 +37,6 @@ _EXPORTS: dict[str, str] = {
     "extended_library": "repro.core.library",
     "aes_library": "repro.core.library",
     "Matching": "repro.core.matching",
-    "RemainderGraph": "repro.core.matching",
     "CostModel": "repro.core.cost",
     "UnitCostModel": "repro.core.cost",
     "LinkCountCostModel": "repro.core.cost",
@@ -110,7 +109,6 @@ _EXPORTS: dict[str, str] = {
     "Scenario": "repro.dse.pipeline",
     "ArchitectureMetrics": "repro.dse.pipeline",
     "LIBRARIES": "repro.dse.pipeline",
-    "STRATEGIES": "repro.dse.pipeline",
     "TRAFFIC_MODES": "repro.dse.pipeline",
     "SCORES": "repro.dse.pipeline",
     "TrafficModeSpec": "repro.dse.pipeline",

@@ -36,7 +36,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.core.graph import ApplicationGraph, DiGraph, Edge, Node
-from repro.core.matching import Matching, RemainderGraph
+from repro.core.matching import Matching
 from repro.energy.bit_energy import BitEnergyModel
 from repro.energy.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.exceptions import DecompositionError
@@ -68,11 +68,10 @@ class CostModel(ABC):
             total += self.route_cost(acg, edge, route)
         return total
 
-    def remainder_cost(self, remainder: RemainderGraph | DiGraph, acg: ApplicationGraph) -> float:
+    def remainder_cost(self, remainder: DiGraph, acg: ApplicationGraph) -> float:
         """Cost of implementing the unmatched edges as direct links."""
-        graph = remainder.graph if isinstance(remainder, RemainderGraph) else remainder
         total = 0.0
-        for source, target in graph.edges():
+        for source, target in remainder.edges():
             total += self.remainder_penalty * self.route_cost(
                 acg, (source, target), (source, target)
             )
@@ -81,7 +80,7 @@ class CostModel(ABC):
     def decomposition_cost(
         self,
         matchings: list[Matching],
-        remainder: RemainderGraph | DiGraph,
+        remainder: DiGraph,
         acg: ApplicationGraph,
     ) -> float:
         """Equation 3: sum of matching costs plus the remainder cost."""
@@ -133,19 +132,14 @@ class UnitCostModel(CostModel):
     """
 
     remainder_penalty: float = 1.0
-    use_volumes: bool = True
 
     def route_cost(self, acg: ApplicationGraph, edge: Edge, route: tuple[Node, ...]) -> float:
         """Volume-weighted hop count of one routed ACG edge."""
-        hops = max(len(route) - 1, 1)
-        volume = acg.volume(*edge) if (self.use_volumes and acg.has_edge(*edge)) else 1.0
-        if not self.use_volumes:
-            volume = 1.0
-        return volume * hops
+        return self.edge_cover_cost(acg, edge, len(route) - 1)
 
     def edge_cover_cost(self, acg: ApplicationGraph, edge: Edge, hops: int) -> float:
         """Exact ``volume * hops`` charge of covering ``edge`` at a position."""
-        volume = acg.volume(*edge) if (self.use_volumes and acg.has_edge(*edge)) else 1.0
+        volume = acg.volume(*edge) if acg.has_edge(*edge) else 1.0
         return volume * max(hops, 1)
 
 
@@ -179,11 +173,10 @@ class LinkCountCostModel(CostModel):
         del acg
         return float(matching.primitive.num_physical_links)
 
-    def remainder_cost(self, remainder: RemainderGraph | DiGraph, acg: ApplicationGraph) -> float:
+    def remainder_cost(self, remainder: DiGraph, acg: ApplicationGraph) -> float:
         """One dedicated link per remainder edge (times the penalty)."""
         del acg
-        graph = remainder.graph if isinstance(remainder, RemainderGraph) else remainder
-        return self.remainder_penalty * graph.num_edges
+        return self.remainder_penalty * remainder.num_edges
 
     def flat_matching_cost(self, primitive) -> float:
         """Physical link count: the same wherever the matching lands."""

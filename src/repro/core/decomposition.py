@@ -41,7 +41,7 @@ from repro.core.cost import CostModel, LinkCountCostModel, default_cost_model
 from repro.core.graph import ApplicationGraph, DiGraph, EdgeIndex
 from repro.core.isomorphism import IsomorphismMapping, VF2Matcher
 from repro.core.library import CommunicationLibrary, LibraryEntry
-from repro.core.matching import Matching, RemainderGraph
+from repro.core.matching import Matching
 from repro.exceptions import DecompositionError
 
 
@@ -201,7 +201,9 @@ class DecompositionResult:
 
     acg: ApplicationGraph
     matchings: list[Matching]
-    remainder: RemainderGraph
+    remainder: DiGraph
+    """The ACG edges no primitive absorbed, the remainder graph ``R`` of
+    Equation 2; they are implemented as point-to-point links."""
     total_cost: float
     matching_costs: list[float]
     remainder_cost: float
@@ -256,7 +258,8 @@ class DecompositionResult:
             lines.append(f"COST: {self.total_cost:g}")
         for depth, matching in enumerate(self.matchings):
             lines.append(" " * depth + matching.describe())
-        lines.append(" " * len(self.matchings) + self.remainder.describe())
+        edge_text = ", ".join(f"({source} {target})" for source, target in self.remainder.edges())
+        lines.append(" " * len(self.matchings) + f"0: Remaining Graph: {edge_text or '(empty)'}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -283,7 +286,7 @@ def replay_cover(
     residual: DiGraph = acg.structural_copy()
     for matching in matchings:
         residual = matching.subtract_from(residual)
-    remainder = RemainderGraph(residual.without_isolated_nodes())
+    remainder = residual.without_isolated_nodes()
     matching_costs = [cost_model.matching_cost(m, acg) for m in matchings]
     remainder_cost = cost_model.remainder_cost(remainder, acg)
     result = DecompositionResult(
@@ -396,6 +399,34 @@ class Decomposer:
             )
         return mappings
 
+    def greedy_cover(
+        self, acg: ApplicationGraph, cost_model: CostModel, statistics: SearchStatistics
+    ) -> list[Matching]:
+        """First-fit cover of ``acg``, counted into ``statistics``: the
+        cheapest matching of the largest primitive that still matches,
+        until none does (one leaf, no backtracking)."""
+        residual: DiGraph = acg.structural_copy()
+        matchings: list[Matching] = []
+        progress = True
+        while progress and residual.num_edges > 0:
+            progress = False
+            for entry in self.library.sorted_for_search():
+                found = self._enumerate_matchings(
+                    entry, residual, self.config.max_matchings_per_primitive
+                )
+                statistics.matchings_tried += len(found)
+                statistics.matchings_enumerated += len(found)
+                if not found:
+                    continue
+                best = min(found, key=lambda m: cost_model.matching_cost(m, acg))
+                matchings.append(best)
+                residual = best.subtract_from(residual)
+                statistics.nodes_expanded += 1
+                progress = True
+                break
+        statistics.leaves_evaluated += 1
+        return matchings
+
     def decompose(
         self, acg: ApplicationGraph, memo: dict | None = None
     ) -> DecompositionResult:  # pragma: no cover
@@ -416,26 +447,7 @@ class GreedyDecomposer(Decomposer):
         cost_model = self._resolve_cost_model(acg)
         statistics = SearchStatistics()
         start = time.monotonic()
-        residual: DiGraph = acg.structural_copy()
-        matchings: list[Matching] = []
-        progress = True
-        while progress and residual.num_edges > 0:
-            progress = False
-            for entry in self.library.sorted_for_search():
-                found = self._enumerate_matchings(
-                    entry, residual, self.config.max_matchings_per_primitive
-                )
-                statistics.matchings_tried += len(found)
-                statistics.matchings_enumerated += len(found)
-                if not found:
-                    continue
-                best = min(found, key=lambda m: cost_model.matching_cost(m, acg))
-                matchings.append(best)
-                residual = best.subtract_from(residual)
-                statistics.nodes_expanded += 1
-                progress = True
-                break
-        statistics.leaves_evaluated = 1
+        matchings = self.greedy_cover(acg, cost_model, statistics)
         statistics.elapsed_seconds = time.monotonic() - start
         return replay_cover(acg, matchings, cost_model, statistics)
 
@@ -778,28 +790,13 @@ class BranchAndBoundDecomposer(Decomposer):
             recurse(index.full, [], 0.0, -1, basis.lists)
         finally:
             del recurse  # the closure refers to itself: free it without the cyclic GC
-        statistics.elapsed_seconds = budget.elapsed()
-        statistics.truncated = budget.exhausted_by is not None
-        statistics.truncated_by = budget.exhausted_by
-
         if best_matchings is None:
             # The search budget ran out before reaching any leaf; fall back to
             # a greedy pass so the caller always receives a valid cover.
-            fallback = GreedyDecomposer(self.library, cost_model, self.config).decompose(acg)
-            fallback.statistics.truncated = True
-            fallback.statistics.truncated_by = budget.exhausted_by
-            fallback.statistics.nodes_expanded += statistics.nodes_expanded
-            fallback.statistics.matchings_tried += statistics.matchings_tried
-            fallback.statistics.matchings_enumerated += statistics.matchings_enumerated
-            fallback.statistics.branches_pruned += statistics.branches_pruned
-            fallback.statistics.branches_pruned_by = dict(statistics.branches_pruned_by)
-            fallback.statistics.bound_cache_hits += statistics.bound_cache_hits
-            fallback.statistics.bound_cache_misses += statistics.bound_cache_misses
-            fallback.statistics.matching_cache_hits += statistics.matching_cache_hits
-            fallback.statistics.matching_cache_misses += statistics.matching_cache_misses
-            fallback.statistics.transposition_hits += statistics.transposition_hits
-            return fallback
-
+            best_matchings = self.greedy_cover(acg, cost_model, statistics)
+        statistics.elapsed_seconds = budget.elapsed()
+        statistics.truncated = budget.exhausted_by is not None
+        statistics.truncated_by = budget.exhausted_by
         return replay_cover(acg, best_matchings, cost_model, statistics)
 
 

@@ -173,35 +173,3 @@ class Matching:
     def __repr__(self) -> str:
         return f"<Matching {self.describe()}>"
 
-
-@dataclass(frozen=True)
-class RemainderGraph:
-    """The part of the ACG no library primitive could absorb.
-
-    The paper keeps the remainder graph ``R(V_R, E_R)`` as an explicit term
-    of the decomposition (Equation 2); its edges are implemented as direct
-    point-to-point links in the synthesized architecture.
-    """
-
-    graph: DiGraph
-
-    @property
-    def num_edges(self) -> int:
-        """Number of uncovered ACG edges."""
-        return self.graph.num_edges
-
-    @property
-    def is_empty(self) -> bool:
-        """True when every ACG edge was covered by a primitive."""
-        return self.graph.num_edges == 0
-
-    def edges(self) -> list[Edge]:
-        """The uncovered edges, implemented as point-to-point links."""
-        return self.graph.edges()
-
-    def describe(self) -> str:
-        """One-line listing in the paper's Section-5 output format."""
-        if self.is_empty:
-            return "0: Remaining Graph: (empty)"
-        edge_text = ", ".join(f"({source} {target})" for source, target in self.edges())
-        return f"0: Remaining Graph: {edge_text}"

@@ -5,9 +5,9 @@ messages reach nodes it is not directly connected to inside the primitive
 (e.g. on MGG-4, node 1 reaches node 4 through node 3).  The synthesis flow
 replays those internal routes — expressed in core identifiers by the
 matchings — and installs them into a destination-indexed next-hop table.
-Remainder edges become direct single-hop routes, and (optionally) all other
-router pairs are filled in with shortest paths so the resulting table is a
-total routing function.
+Remainder edges become direct single-hop routes.  Only the application's
+traffic is routed: a synthesized fabric may be one-way, so the table is not
+a total routing function.
 
 Because several primitives may pass traffic for the same destination through
 the same intermediate router, naive installation could create conflicting
@@ -75,22 +75,11 @@ def install_flow_weakly(
     return actual
 
 
-def build_routing_table(
-    decomposition: DecompositionResult,
-    topology: Topology,
-    fill_all_pairs: bool = False,
-) -> RoutingTable:
+def build_routing_table(decomposition: DecompositionResult, topology: Topology) -> RoutingTable:
     """Build the destination-based routing table for a synthesized topology.
 
-    Parameters
-    ----------
-    decomposition:
-        The decomposition whose matchings define the schedule-derived routes.
-    topology:
-        The synthesized topology (must contain every channel the routes use).
-    fill_all_pairs:
-        When true, router pairs with no application traffic also get
-        (shortest-path) routes, making the table a total function.
+    ``decomposition``'s matchings define the schedule-derived routes;
+    ``topology`` must contain every channel the routes use.
     """
     table = RoutingTable(topology)
 
@@ -104,13 +93,5 @@ def build_routing_table(
     # 2. direct routes for the remainder (point-to-point) edges
     for source, target in decomposition.remainder.edges():
         install_flow_weakly(table, (source, target))
-
-    # 3. optional all-pairs completion with shortest paths
-    if fill_all_pairs:
-        for source in topology.routers():
-            for destination in topology.routers():
-                if source == destination or table.has_route(source, destination):
-                    continue
-                install_flow_weakly(table, bfs_shortest_path(topology, source, destination))
 
     return table

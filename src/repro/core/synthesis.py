@@ -49,7 +49,6 @@ class SynthesisOptions:
     full-duplex pair for every link, which adds wiring but makes every
     synthesized topology strongly connected.
     """
-    fill_all_pairs_routing: bool = False
 
 
 @dataclass
@@ -143,9 +142,7 @@ class TopologySynthesizer:
         topology: CustomTopology,
     ) -> SynthesizedArchitecture:
         """Routing table + constraint and deadlock checks for a built topology."""
-        table = build_routing_table(
-            decomposition, topology, fill_all_pairs=self.options.fill_all_pairs_routing
-        )
+        table = build_routing_table(decomposition, topology)
         return SynthesizedArchitecture(
             acg=acg,
             decomposition=decomposition,

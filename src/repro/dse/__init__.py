@@ -55,7 +55,6 @@ _EXPORTS: dict[str, str] = {
     "baseline_route_stage": "repro.dse.pipeline",
     "axis_label": "repro.dse.pipeline",
     "LIBRARIES": "repro.dse.pipeline",
-    "STRATEGIES": "repro.dse.pipeline",
     "TRAFFIC_MODES": "repro.dse.pipeline",
     "SCORES": "repro.dse.pipeline",
     "TrafficModeSpec": "repro.dse.pipeline",

@@ -102,8 +102,11 @@ from repro.routing.table import RoutingTable
 #: primitive's first matchings in canonical order at every depth, so stored
 #: decompositions hold covers (and search statistics) of the old search;
 #: version 9: one residual bound — settings lost the ``lower_bound`` knob,
-#: so the decomposition sub-key and every content key change)
-PIPELINE_VERSION = 9
+#: so the decomposition sub-key and every content key change;
+#: version 10: one engine selector and one routing-table shape — settings
+#: lost the search-engine and the all-pairs-routing knobs, so every
+#: content key changes)
+PIPELINE_VERSION = 10
 
 #: bump when the decomposition artifact serialization changes shape
 DECOMPOSITION_ARTIFACT_FORMAT = 1

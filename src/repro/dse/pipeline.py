@@ -52,12 +52,7 @@ from repro.aes.distributed import DistributedAES
 from repro.arch.families import get_family, pad_node_ids
 from repro.arch.topology import Topology
 from repro.core.cost import LinkCountCostModel
-from repro.core.decomposition import (
-    DecompositionConfig,
-    DecompositionResult,
-    SearchStrategy,
-    decompose,
-)
+from repro.core.decomposition import DecompositionConfig, DecompositionResult, decompose
 from repro.core.graph import ApplicationGraph
 from repro.core.library import (
     CommunicationLibrary,
@@ -132,11 +127,6 @@ LIBRARIES.register("aes", aes_library)
 _BUILT_LIBRARIES: dict[
     str, tuple[Callable[[], CommunicationLibrary], CommunicationLibrary]
 ] = {}
-
-#: the decomposition search-strategy registry
-STRATEGIES: Registry[SearchStrategy] = Registry("search strategy")
-STRATEGIES.register("branch_and_bound", SearchStrategy.BRANCH_AND_BOUND)
-STRATEGIES.register("greedy", SearchStrategy.GREEDY)
 
 
 def get_library(name: str) -> Callable[[], CommunicationLibrary]:
@@ -276,7 +266,6 @@ class EvaluationSettings:
     registry and covers every standard family, not just the mesh)."""
 
     # -- decomposition ---------------------------------------------------
-    strategy: str = _setting("branch_and_bound", "decompose", ("custom",))
     library: str = _setting("default", "decompose", ("custom",))
     max_matchings_per_primitive: int | None = _setting(3, "decompose", ("custom",))
     max_nodes_expanded: int | None = _setting(400, "decompose", ("custom",))
@@ -285,7 +274,6 @@ class EvaluationSettings:
     flit_width_bits: int = _setting(32, "synthesize")
     """Also feeds the simulator config, but it shapes the topology first."""
     bidirectional_links: bool = _setting(False, "synthesize", ("custom",))
-    fill_all_pairs_routing: bool = _setting(False, "synthesize", ("custom",))
 
     # -- standard-fabric baseline (its first-stage inputs) ---------------
     topology: str = _setting("mesh", "decompose", ("mesh",))
@@ -347,7 +335,7 @@ class EvaluationSettings:
         try:
             self.build_technology()
             self.build_simulator_config()  # engine, buffers, delays, cycle budget
-            self.build_decomposition_config()  # strategy, search budgets
+            self.build_decomposition_config()  # search budgets
         except (SimulationError, DecompositionError, EnergyModelError) as error:
             raise ConfigurationError(str(error)) from error
 
@@ -383,7 +371,6 @@ class EvaluationSettings:
     def build_decomposition_config(self) -> DecompositionConfig:
         """The decompose-stage knobs as a :class:`DecompositionConfig`."""
         return DecompositionConfig(
-            strategy=STRATEGIES.get(self.strategy),
             max_matchings_per_primitive=self.max_matchings_per_primitive,
             max_nodes_expanded=self.max_nodes_expanded,
         )
@@ -409,7 +396,6 @@ class EvaluationSettings:
         return SynthesisOptions(
             flit_width_bits=self.flit_width_bits,
             bidirectional_links=self.bidirectional_links,
-            fill_all_pairs_routing=self.fill_all_pairs_routing,
         )
 
     def build_simulator_config(self) -> SimulatorConfig:

@@ -46,7 +46,7 @@ class Figure5Result:
         """True when the primitive multiset and the empty remainder match the paper."""
         return (
             self.primitive_counts == EXPECTED_PRIMITIVE_COUNTS
-            and self.decomposition.remainder.is_empty
+            and self.decomposition.remainder.num_edges == 0
         )
 
     def describe(self) -> str:

@@ -101,6 +101,17 @@ _EVENT_MEMBERS: dict[str, dict[str, tuple[type, ...]]] = {
 #: metric kinds that carry one numeric ``value``
 _VALUE_KINDS = ("counter", "gauge")
 
+#: span name -> the attributes the trace summary reads as numbers (each
+#: optional); a ``branches_pruned_by`` attribute maps reasons to numbers
+_NUMERIC_ATTRIBUTES: dict[str, tuple[str, ...]] = {
+    "search.rung": ("index",),
+    "search.decompose": ("nodes_expanded", "bound_cache_hits", "bound_cache_misses"),
+}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
 
 def _event_problem(event: object) -> str | None:
     """Why ``event`` is not an event the renderers can read, or None."""
@@ -118,6 +129,17 @@ def _event_problem(event: object) -> str | None:
         value = event[member]
         if not isinstance(value, types) or isinstance(value, bool):
             return f"{event_type} event's {member!r} is {json.dumps(value)}"
+    if event_type != SPAN_EVENT:
+        return None
+    attributes = event["attributes"]
+    for member in _NUMERIC_ATTRIBUTES.get(event["name"], ()):
+        if member in attributes and not _is_number(attributes[member]):
+            return f"{event['name']} span's {member!r} is {json.dumps(attributes[member])}"
+    pruned_by = attributes.get("branches_pruned_by", {})
+    if event["name"] == "search.decompose" and not (
+        isinstance(pruned_by, dict) and all(map(_is_number, pruned_by.values()))
+    ):
+        return f"search.decompose span's 'branches_pruned_by' is {json.dumps(pruned_by)}"
     return None
 
 

@@ -11,7 +11,7 @@ from repro.core.cost import (
     default_cost_model,
 )
 from repro.core.graph import ApplicationGraph, DiGraph
-from repro.core.matching import Matching, RemainderGraph
+from repro.core.matching import Matching
 from repro.core.primitives import make_gossip_primitive, make_loop_primitive
 from repro.energy.technology import FPGA_VIRTEX2
 
@@ -27,10 +27,6 @@ class TestUnitCostModel:
         assert model.route_cost(k4_acg, (1, 2), (1, 2)) == pytest.approx(32.0)
         assert model.route_cost(k4_acg, (1, 2), (1, 3, 2)) == pytest.approx(64.0)
 
-    def test_route_cost_without_volumes(self, k4_acg):
-        model = UnitCostModel(use_volumes=False)
-        assert model.route_cost(k4_acg, (1, 2), (1, 3, 2)) == pytest.approx(2.0)
-
     def test_matching_cost_sums_covered_routes(self, k4_acg, k4_matching):
         model = UnitCostModel()
         # MGG-4: 8 direct edges (1 hop) + 4 two-hop edges, 32 bits each
@@ -38,7 +34,7 @@ class TestUnitCostModel:
         assert model.matching_cost(k4_matching, k4_acg) == pytest.approx(expected)
 
     def test_remainder_cost_and_penalty(self, k4_acg):
-        remainder = RemainderGraph(DiGraph.from_edges([(1, 2)]))
+        remainder = DiGraph.from_edges([(1, 2)])
         assert UnitCostModel().remainder_cost(remainder, k4_acg) == pytest.approx(32.0)
         assert UnitCostModel(remainder_penalty=2.0).remainder_cost(
             remainder, k4_acg
@@ -46,7 +42,7 @@ class TestUnitCostModel:
 
     def test_decomposition_cost_is_equation3_sum(self, k4_acg, k4_matching):
         model = UnitCostModel()
-        remainder = RemainderGraph(DiGraph())
+        remainder = DiGraph()
         total = model.decomposition_cost([k4_matching], remainder, k4_acg)
         assert total == pytest.approx(model.matching_cost(k4_matching, k4_acg))
 
@@ -69,7 +65,7 @@ class TestLinkCountCostModel:
         assert LinkCountCostModel().matching_cost(loop, k4_acg) == pytest.approx(4.0)
 
     def test_remainder_cost_is_edge_count(self, k4_acg):
-        remainder = RemainderGraph(DiGraph.from_edges([(1, 2), (2, 3)]))
+        remainder = DiGraph.from_edges([(1, 2), (2, 3)])
         assert LinkCountCostModel().remainder_cost(remainder, k4_acg) == pytest.approx(2.0)
 
     def test_flat_matching_cost_is_the_matching_cost(self, k4_acg, k4_matching):

@@ -100,7 +100,7 @@ class TestDecompositionBasics:
     def test_k4_decomposes_into_single_gossip(self, k4_acg, library):
         result = decompose(k4_acg, library, cost_model=LinkCountCostModel(), config=quick_config())
         assert result.primitives_used() == {"MGG4": 1}
-        assert result.remainder.is_empty
+        assert result.remainder.num_edges == 0
         assert result.total_cost == pytest.approx(4.0)
 
     def test_pipeline_decomposes_into_paths(self, pipeline_acg, library):
@@ -118,7 +118,7 @@ class TestDecompositionBasics:
         acg.add_node(1)
         result = decompose(acg, library, cost_model=UnitCostModel(), config=quick_config())
         assert result.num_matchings == 0
-        assert result.remainder.is_empty
+        assert result.remainder.num_edges == 0
         assert result.total_cost == 0.0
 
     def test_unmatchable_graph_goes_to_remainder(self):
@@ -135,7 +135,7 @@ class TestDecompositionBasics:
         result = decompose(
             figure5_example_acg(), library, cost_model=LinkCountCostModel(), config=quick_config()
         )
-        assert result.remainder.is_empty
+        assert result.remainder.num_edges == 0
         assert result.primitives_used() == {"MGG4": 1, "G1to3": 3, "G1to4": 1}
 
 
@@ -198,6 +198,95 @@ class TestSearchBudgets:
         bnb = BranchAndBoundDecomposer(library, LinkCountCostModel(), config)
         bnb_result = bnb.decompose(acg)
         bnb_result.validate_cover()
+
+    @pytest.mark.parametrize(
+        ("graph", "max_nodes", "cover", "remainder", "counters"),
+        [
+            (
+                "figure5",
+                1,
+                [
+                    "1: MGG4,  Mapping: (1 1), (2 2), (3 5), (4 6)",
+                    "2: G1to4,  Mapping: (1 8), (2 1), (3 3), (4 6), (5 7)",
+                    "3: G1to3,  Mapping: (1 3), (2 2), (3 5), (4 6)",
+                    "3: G1to3,  Mapping: (1 4), (2 5), (3 6), (4 7)",
+                    "3: G1to3,  Mapping: (1 7), (2 3), (3 5), (4 6)",
+                ],
+                [],
+                dict(nodes_expanded=6, matchings_tried=30, matchings_enumerated=210,
+                     matching_cache_hits=7, matching_cache_misses=9),
+            ),
+            (
+                "figure5",
+                2,
+                [
+                    "1: MGG4,  Mapping: (1 1), (2 2), (3 5), (4 6)",
+                    "2: G1to4,  Mapping: (1 8), (2 1), (3 3), (4 6), (5 7)",
+                    "3: G1to3,  Mapping: (1 3), (2 2), (3 5), (4 6)",
+                    "3: G1to3,  Mapping: (1 4), (2 5), (3 6), (4 7)",
+                    "3: G1to3,  Mapping: (1 7), (2 3), (3 5), (4 6)",
+                ],
+                [],
+                dict(nodes_expanded=7, matchings_tried=30, matchings_enumerated=210,
+                     matching_cache_hits=11, matching_cache_misses=9),
+            ),
+            (
+                "aes",
+                1,
+                [
+                    "1: MGG4,  Mapping: (1 1), (2 5), (3 9), (4 13)",
+                    "1: MGG4,  Mapping: (1 2), (2 6), (3 10), (4 14)",
+                    "1: MGG4,  Mapping: (1 3), (2 7), (3 11), (4 15)",
+                    "1: MGG4,  Mapping: (1 4), (2 8), (3 12), (4 16)",
+                    "4: L4,  Mapping: (1 5), (2 8), (3 7), (4 6)",
+                    "4: L4,  Mapping: (1 13), (2 14), (3 15), (4 16)",
+                ],
+                [(9, 11), (10, 12), (11, 9), (12, 10)],
+                dict(nodes_expanded=7, matchings_tried=33, matchings_enumerated=287,
+                     matching_cache_hits=5, matching_cache_misses=5),
+            ),
+            (
+                "aes",
+                2,
+                [
+                    "1: MGG4,  Mapping: (1 1), (2 5), (3 9), (4 13)",
+                    "1: MGG4,  Mapping: (1 2), (2 6), (3 10), (4 14)",
+                    "1: MGG4,  Mapping: (1 3), (2 7), (3 11), (4 15)",
+                    "1: MGG4,  Mapping: (1 4), (2 8), (3 12), (4 16)",
+                    "4: L4,  Mapping: (1 5), (2 8), (3 7), (4 6)",
+                    "4: L4,  Mapping: (1 13), (2 14), (3 15), (4 16)",
+                ],
+                [(9, 11), (10, 12), (11, 9), (12, 10)],
+                dict(nodes_expanded=8, matchings_tried=33, matchings_enumerated=287,
+                     matching_cache_hits=10, matching_cache_misses=5),
+            ),
+        ],
+    )
+    def test_no_leaf_fallback_counts_search_and_greedy_pass(
+        self, library, aes_lib, aes_acg, graph, max_nodes, cover, remainder, counters
+    ):
+        # the budget runs out before any leaf, so the greedy pass supplies
+        # the cover; its counters add to the truncated search's
+        acg, graph_library = (
+            (figure5_example_acg(), library) if graph == "figure5" else (aes_acg, aes_lib)
+        )
+        config = quick_config(max_nodes_expanded=max_nodes)
+        result = decompose(acg, graph_library, cost_model=LinkCountCostModel(), config=config)
+        statistics = result.statistics.as_dict()
+        del statistics["elapsed_seconds"]
+        assert [matching.describe() for matching in result.matchings] == cover
+        assert sorted(result.remainder.edges()) == remainder
+        assert statistics == {
+            "leaves_evaluated": 1,
+            "branches_pruned": 0,
+            "branches_pruned_by": {},
+            "bound_cache_hits": 0,
+            "bound_cache_misses": 0,
+            "transposition_hits": 0,
+            "truncated": True,
+            "truncated_by": "nodes",
+            **counters,
+        }
 
     def test_max_leaves_budget(self, library):
         acg = figure5_example_acg()

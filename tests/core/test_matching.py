@@ -1,12 +1,14 @@
-"""Unit tests for matchings (Definition 4) and remainder graphs."""
+"""Unit tests for matchings (Definition 4) and the remainder listing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.graph import DiGraph
+from repro.core.cost import LinkCountCostModel
+from repro.core.decomposition import SearchStatistics, replay_cover
+from repro.core.graph import ApplicationGraph, DiGraph
 from repro.core.isomorphism import VF2Matcher
-from repro.core.matching import Matching, RemainderGraph
+from repro.core.matching import Matching
 from repro.core.primitives import make_gossip_primitive, make_path_primitive
 from repro.exceptions import DecompositionError
 
@@ -90,16 +92,14 @@ class TestMatchingReporting:
         assert gossip_match.sort_key() == gossip_match.sort_key()
 
 
-class TestRemainderGraph:
-    def test_empty_remainder(self):
-        remainder = RemainderGraph(DiGraph())
-        assert remainder.is_empty
-        assert remainder.num_edges == 0
-        assert "empty" in remainder.describe()
+class TestRemainderListing:
+    def test_empty_remainder(self, k4_acg, k4_matching):
+        result = replay_cover(k4_acg, [k4_matching], LinkCountCostModel(), SearchStatistics())
+        assert result.remainder.num_edges == 0
+        assert result.describe().splitlines()[-1] == " 0: Remaining Graph: (empty)"
 
     def test_nonempty_remainder_lists_edges(self):
-        remainder = RemainderGraph(DiGraph.from_edges([(9, 11), (11, 9)]))
-        assert not remainder.is_empty
-        text = remainder.describe()
-        assert text.startswith("0: Remaining Graph")
-        assert "(9 11)" in text
+        acg = ApplicationGraph.from_traffic({(9, 11): 1.0, (11, 9): 1.0})
+        result = replay_cover(acg, [], LinkCountCostModel(), SearchStatistics())
+        assert result.remainder.num_edges == 2
+        assert result.describe(include_cost=False) == "0: Remaining Graph: (9 11), (11 9)"

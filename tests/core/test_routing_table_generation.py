@@ -72,14 +72,6 @@ class TestBuildRoutingTable:
         table = build_routing_table(result, topology)
         table.validate_pairs(k4_acg.edges())
 
-    def test_fill_all_pairs_makes_total_function(self, k4_acg, library):
-        result, topology = self._architecture(k4_acg, library)
-        table = build_routing_table(result, topology, fill_all_pairs=True)
-        for source in topology.routers():
-            for destination in topology.routers():
-                if source != destination:
-                    assert table.has_route(source, destination)
-
     def test_aes_routing_table_has_no_loops(self, aes_synthesis):
         table = aes_synthesis.architecture.routing_table
         for source, target in aes_synthesis.acg.edges():

@@ -90,15 +90,6 @@ class TestRoutingTableGeneration:
         for edge, expected_route in matching.routes_in_cores().items():
             assert tuple(architecture.routing_table.route(*edge)) == expected_route
 
-    def test_fill_all_pairs_option(self, k4_acg, k4_result):
-        architecture = synthesize_architecture(
-            k4_acg, k4_result, options=SynthesisOptions(fill_all_pairs_routing=True)
-        )
-        for source in k4_acg.nodes():
-            for target in k4_acg.nodes():
-                if source != target:
-                    assert architecture.routing_table.has_route(source, target)
-
     def test_unrelated_pairs_not_routed_by_default(self, pipeline_acg, library):
         result = decompose(
             pipeline_acg, library, cost_model=LinkCountCostModel(), config=quick_config()

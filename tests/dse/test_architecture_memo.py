@@ -27,7 +27,7 @@ from repro.dse.pipeline import (
 )
 from repro.dse.runner import plan_sweep, run_cells
 from repro.dse.records import STAGE_COMPUTED, STAGE_REUSED_MEMORY
-from repro.dse.scenarios import aes_scenario, embedded_scenario, get_suite
+from repro.dse.scenarios import embedded_scenario, get_suite
 from test_perfbench_boundaries import load as load_perfbench
 
 #: caps under which the mpeg4 search reaches one cover
@@ -90,18 +90,12 @@ def test_a_reordered_cover_is_synthesized_on_its_own(scenario):
 
 
 @pytest.mark.parametrize(
-    "workload,changed",
-    [
-        ("mpeg4", {"flit_width_bits": 64}),
-        ("mpeg4", {"bidirectional_links": True}),
-        # all-pairs routing needs a strongly connected fabric: the aes
-        # scenario pins full-duplex links
-        ("aes", {"fill_all_pairs_routing": True}),
-    ],
-    ids=["flit_width_bits", "bidirectional_links", "fill_all_pairs_routing"],
+    "changed",
+    [{"flit_width_bits": 64}, {"bidirectional_links": True}],
+    ids=["flit_width_bits", "bidirectional_links"],
 )
-def test_another_synthesis_option_is_synthesized_on_its_own(workload, changed):
-    scenario = aes_scenario(blocks=1) if workload == "aes" else embedded_scenario(workload)
+def test_another_synthesis_option_is_synthesized_on_its_own(changed):
+    scenario = embedded_scenario("mpeg4")
     context = StageContext()
     decomposition, _ = context.decomposition_for(scenario, EvaluationSettings())
     first, _ = context.architecture_for(scenario, EvaluationSettings(), decomposition)

@@ -303,6 +303,9 @@ class TestRunSweep:
         ),
         "lower_bound=cost_model": "unknown settings fields: ['lower_bound']",
         "screen:lower_bound=cheapest_edge": "unknown settings fields: ['lower_bound']",
+        "strategy=greedy": "unknown settings fields: ['strategy']",
+        "fill_all_pairs_routing=true": "unknown settings fields: ['fill_all_pairs_routing']",
+        "screen:strategy=greedy": "unknown settings fields: ['strategy']",
     }
 
     @pytest.mark.parametrize("axis", list(BAD_KNOBS))

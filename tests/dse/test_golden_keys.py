@@ -26,42 +26,42 @@ from repro.dse.search import RungSpec
 #: (scenario, architecture) -> (cache key, decomposition sub-key, synthesis sub-key)
 GOLDEN = {
     ("aes", "mesh"): (
-        "9440e6a1119481c58c300e3f2c72faecd7647fee007529b06b6f66dd8e92f142",
-        "9438fa502dda3e4f6515b55f9a36e4f1c26c9eecd4776bf8561964f2361a34cc",
-        "62565b7bc17fd2b84098ef4d3a60d54d27f60b9ee63dfdf1d56178d94a41b2f0",
+        "902826974ee0c714d390516a8011aa60c86a8b30d9aea608a56030469f9c6e38",
+        "28f272be4e2b29b93a40c96ba1a32ca38f36e0608f03f8fa509e532dc8b35deb",
+        "574c0eb301352c5d7374da1f59f4dbae793ad83573ec51312e645f509c9021ab",
     ),
     ("aes", "custom"): (
-        "1273a8f253e56a484a4203ed5b59647346fd81d036700e40d17e46c1bb1ea087",
-        "b7b7c5a206a6c95697743bfcb129fcf79c6583c8658d44a97ac03d17f8e0bbbf",
-        "762ad5b78cc944fb082192706873bc2605376c087fbcd930fb5adcc0ac109e05",
+        "b4b074d1ae86c5bbbfcfc31f20d37be941f7cfa31ba625a7ae90c281a92acba9",
+        "2508f9e0ca43d7afa6c49b90c663bf78d397af659802a31f3fa149551172a440",
+        "5682d4a3377811b82df5fbe52c4eb0ad4b58d8ae8bcad32c3b60affeb7868a8f",
     ),
     ("mpeg4", "mesh"): (
-        "8122f01629faf7b0639c45bd0f7a5b51ddf22cf25f680262599e4aa827759b05",
-        "0ae3f68c87a7f1994cf33bee990a6126b151b7aee85943c2e2086c3270ad62bf",
-        "01f4650c62b1a4c8acbc3b23d31d75486d376fd4bb3e4c6f13271e535cbcdb1f",
+        "5950315a382c3c62b8bca92ccaf68f270927b2fdea59fba8d8a7b987d6c8b69b",
+        "d8609f402f15ca2410e2ad6b28cdbbf15a368b0dc0f9825548a47a425c18c852",
+        "ec7c0f0d3aa1da6e1ec43156f4b60b10c5cab6bd4f08c022280ead08689bfafc",
     ),
     ("mpeg4", "custom"): (
-        "9ae7821ffa3cbe16c8c538c2b6c009fda88649f1564d89b5ee5cc8afbdfc29fc",
-        "b50e1d7d45c1f4c39c49ab4cec776c2f2b7ddf34d2b79fac615de589963f8266",
-        "2f296ba7d004e63ab8a38236e30b2f0a7d6eeda33510377ce1b0a64724b6b5c1",
+        "514d955a71a85392d335ea4a8f4563a0aa69a6d10e27a6a87e6e6146bbf3a2fa",
+        "dac6ce1a53c1c67c4f7a99aa7939eef36f775b9391934c6352a8cf0c71d802c5",
+        "cd10484fd99bc98d3f283cd240be1854e8e6070ac23bd72832cb40e7315325b1",
     ),
 }
 
 #: mpeg4 at three repetitions, custom at a 20-node budget: the full cell
 #: and its one-iteration screen variant (same workload graph, so the same
 #: stage sub-keys)
-GOLDEN_REPEATED = "c50f9e9bb38feb4648ace19c44161dab5dae5a5d31489ca1198723dd65633985"
-GOLDEN_CAPPED = "a5a91855665f5173164f6d19636ba4861bac03a4d7f6c1633b92c64045e666af"
+GOLDEN_REPEATED = "c23d07e5099524bd57dd5055e2da98116531da3222ec93dbe3f265fa23991596"
+GOLDEN_CAPPED = "9881b72e6aeb8ea28fb1698830a79ccdf4c9dd5e9e3bdd1f01056a1f2b085e55"
 GOLDEN_BUDGET_DECOMPOSITION = (
-    "d42fe49768d22c357a4f88581aa015fc565a19a9b23823bc949ba7139544ec7c"
+    "d5c3c69bcdc45f3850fd5a3a3107ee57ab55171bbee5d2b3f68b81a3da88ba06"
 )
-GOLDEN_BUDGET_SYNTHESIS = "d91f2c9bda3ce00170c6104a14d2239de812d3c8a685e0320a5066c8538f518e"
+GOLDEN_BUDGET_SYNTHESIS = "a23e2ebac1a05a5b3f45428c5a7c518153a839adcf136d5ab38b2f2ba7c3954b"
 
 SCENARIOS = {"aes": lambda: aes_scenario(blocks=1), "mpeg4": lambda: embedded_scenario("mpeg4")}
 
 
 def test_pipeline_version_is_unchanged():
-    assert PIPELINE_VERSION == 9
+    assert PIPELINE_VERSION == 10
 
 
 @pytest.mark.parametrize("name,architecture", sorted(GOLDEN))

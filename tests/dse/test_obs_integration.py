@@ -268,6 +268,20 @@ class TestBadEventLogs:
         path = self.write(tmp_path, json.dumps({**COUNTER, "value": "7"}))
         self.assert_rejected(capsys, ["stats", str(path)], f"{path}, line 1: ", "'value'")
 
+    @pytest.mark.parametrize(
+        "name,attributes,member",
+        [
+            ("search.rung", {"rung": "screen", "index": "x"}, "'index'"),
+            ("search.decompose", {"nodes_expanded": "many"}, "'nodes_expanded'"),
+            ("search.decompose", {"branches_pruned_by": [1]}, "'branches_pruned_by'"),
+        ],
+        ids=["rung_index", "nodes_expanded", "branches_pruned_by"],
+    )
+    def test_ill_typed_span_attribute(self, tmp_path, capsys, name, attributes, member):
+        span = {**SPAN, "name": name, "attributes": attributes}
+        path = self.write(tmp_path, json.dumps(SPAN), json.dumps(span))
+        self.assert_rejected(capsys, ["trace", str(path)], f"{path}, line 2: ", member)
+
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "absent.jsonl"
         self.assert_rejected(capsys, ["trace", str(path)], f"{path}: cannot read")

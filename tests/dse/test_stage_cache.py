@@ -50,7 +50,6 @@ _SIMULATOR_AXES = {
 
 #: decomposition-stage fields with two distinct valid values each
 _DECOMPOSITION_VARIANTS = {
-    "strategy": ("branch_and_bound", "greedy"),
     "library": ("default", "extended"),
     "max_matchings_per_primitive": (3, 4),
     "max_nodes_expanded": (400, 800),

@@ -91,13 +91,12 @@ class TestUniformErrorsAcrossCallSites:
         ("suite", "smokke", "smoke", "smoke"),
         ("format", "pajekk", "pajek", "pajek"),
         ("library", "defualt", "default", "default"),
-        ("strategy", "greedyy", "greedy", "greedy"),
         ("traffic", "agc", "acg", "acg"),
     ]
 
     def _lookup(self, kind):
         from repro.arch.families import get_family
-        from repro.dse.pipeline import LIBRARIES, STRATEGIES, get_traffic_mode
+        from repro.dse.pipeline import LIBRARIES, get_traffic_mode
         from repro.dse.scenarios import get_suite
         from repro.io import get_format
         from repro.routing.policies import get_policy
@@ -108,7 +107,6 @@ class TestUniformErrorsAcrossCallSites:
             "suite": get_suite,
             "format": get_format,
             "library": LIBRARIES.get,
-            "strategy": STRATEGIES.get,
             "traffic": get_traffic_mode,
         }[kind]
 
@@ -131,9 +129,7 @@ class TestUniformErrorsAcrossCallSites:
         from repro.dse.pipeline import EvaluationSettings
 
         with pytest.raises(UnknownPluginError):
-            EvaluationSettings(strategy="branch_and_bound", library="nope")
-        with pytest.raises(UnknownPluginError):
-            EvaluationSettings(strategy="nope")
+            EvaluationSettings(library="nope")
 
     def test_detect_format_unknown_extension(self, tmp_path):
         from repro.io import detect_format

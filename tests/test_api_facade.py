@@ -44,7 +44,7 @@ class TestImportBudget:
             "import sys; import repro.api; "
             "settings = repro.api.EvaluationSettings(); "
             "assert 'repro.dse.pipeline' in sys.modules; "
-            "print(settings.strategy)"
+            "print(settings.library)"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
@@ -54,7 +54,7 @@ class TestImportBudget:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "branch_and_bound"
+        assert result.stdout.strip() == "default"
 
 
 class TestFacadeSurface:

@@ -33,7 +33,7 @@ PINNED: dict[str, list[str]] = {
         ApplicationGraph BranchAndBoundDecomposer CommunicationLibrary CommunicationPrimitive
         CostModel DecompositionConfig DecompositionResult DesignConstraints DiGraph
         EnergyCostModel GreedyDecomposer LinkCountCostModel Matching PrimitiveKind
-        RemainderGraph ReproError SearchStrategy SynthesisOptions SynthesizedArchitecture
+        ReproError SearchStrategy SynthesisOptions SynthesizedArchitecture
         TopologySynthesizer UnitCostModel __version__ aes_library decompose default_library
         extended_library minimal_library synthesize_architecture
     """.split(),
@@ -43,7 +43,7 @@ PINNED: dict[str, list[str]] = {
         DesignConstraints DiGraph ENTRY_POINT_GROUP EXPORTERS EvaluationSettings ExporterSpec
         FAMILIES FORMATS FamilySpec GraphFormat LIBRARIES MetricsRegistry NULL_SESSION
         NULL_TRACER NullTracer ObsSession POLICIES PluginError PluginFailure PolicySpec
-        PrimitiveKind Registry ReproError ResidualBound ResultCache RungSpec SCORES STRATEGIES
+        PrimitiveKind Registry ReproError ResidualBound ResultCache RungSpec SCORES
         SUITES Scenario SearchConfig SearchResult SimulatorProbe Span SuiteSpec SynthesisOptions
         SynthesizedArchitecture TRAFFIC_MODES Topology Tracer TrafficModeSpec TrafficProgram
         UnknownPluginError WorkloadError aes_library annotate build_fabric build_policy_table
@@ -64,7 +64,7 @@ PINNED: dict[str, list[str]] = {
         EvaluationSettings FILE_SUITE_PREFIX LIBRARIES PIPELINE_VERSION ResultCache RungSpec
         SCORES STAGE_COMPUTED STAGE_REUSED_MEMORY STAGE_REUSED_STORE STATUS_DECOMPOSITION_FAILED
         STATUS_OK STATUS_ROUTING_FAILED STATUS_SIMULATION_FAILED STATUS_SYNTHESIS_FAILED
-        STRATEGIES SUITES Scenario SearchConfig SearchResult StageArtifactStore StageContext
+        SUITES Scenario SearchConfig SearchResult StageArtifactStore StageContext
         SuiteSpec SweepCell SweepResult TRAFFIC_MODES TrafficModeSpec TrafficProgram
         aes_scenario axis_label baseline_route_stage build_baseline_fabric build_suite cache_key
         custom_dominates_mesh decomposition_stage_key default_ladder describe_suites dominates
